@@ -6,7 +6,7 @@ GO ?= go
 TEST_TIMEOUT ?= 120s
 RACE_TIMEOUT ?= 300s
 
-.PHONY: all build test vet fmt-check fmt bench bench-smoke race race-reconfig verify check
+.PHONY: all build test vet fmt-check fmt bench bench-smoke race race-failover race-reconfig race-read verify check
 
 all: verify
 
@@ -31,15 +31,33 @@ vet:
 race:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) ./...
 
-# The reconfiguration suite by name under the race detector: membership
-# ConfChanges, replacement placement, deposed-leader fencing, read leases
-# and the follower overwrite fence all interleave Raft applies with the
-# master's maintenance scans, which is exactly where a data race would
-# split the "one view" invariant.
+# The named -race suites. Each regex lives HERE and only here; CI calls the
+# targets, so the two cannot drift. They run first and by name so a hang
+# fails fast and identifiably under the per-package timeout instead of
+# hiding inside the full run.
+
+# Failover/epoch: a promotion hang or a wedged recovery pass.
+race-failover:
+	$(GO) test -race -timeout $(RACE_TIMEOUT) \
+		-run 'Failover|Reattach|StaleEpoch|TargetedRecover|ShedsDivergent|Debounced' \
+		./internal/master/ ./internal/datanode/
+
+# Reconfiguration: membership ConfChanges, replacement placement,
+# deposed-leader fencing, read leases and the follower overwrite fence all
+# interleave Raft applies with the master's maintenance scans, which is
+# exactly where a data race would split the "one view" invariant.
 race-reconfig:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ConfChange|RemovedNode|MetaLeaderFailover|Replacement|DeposedMeta|ReadLease|OverwriteFence|OverwriteVersionGossip|HealsOverwrite' \
+		-run 'ConfChange|RemovedNode|MetaLeaderFailover|Replacement|DeposedMeta|ReadLease|OverwriteFence|OverwriteVersionGossip|HealsOverwrite|OverwriteLostLeadership' \
 		./internal/raft/ ./internal/master/ ./internal/datanode/
+
+# Read path and the client session engine: a hung read session, a stuck
+# readahead window, a broken offload fallback, or a watchdog that a wedged
+# sender can block.
+race-read:
+	$(GO) test -race -timeout $(RACE_TIMEOUT) \
+		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|ReadPipelineDisabled|SessionEngine|MountRejects' \
+		./internal/datanode/ ./internal/client/ ./internal/core/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -199,10 +199,11 @@ func TestWritePipelineSpeedup(t *testing.T) {
 	}
 }
 
-// TestSmallFileSessionSpeedup is the session-pool acceptance check: with
-// dials charged one handshake RTT, pooled small-file writes must sustain
-// at least 2x the fresh-dial-per-file throughput, while paying a constant
-// number of dials instead of three per file.
+// TestSmallFileSessionSpeedup is the session-pool acceptance check:
+// small-file writes pay a constant number of stream dials (one session per
+// partition leader plus its forward chains), not three per file. The
+// throughput ratio against fresh-dial-per-file (2.44x) is historical: that
+// path left with the dedicated session (EXPERIMENTS.md).
 func TestSmallFileSessionSpeedup(t *testing.T) {
 	s := tiny()
 	// Matches RunSmallFileSessions' own TCP-style floor; anything lower
@@ -212,16 +213,13 @@ func TestSmallFileSessionSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := nums["fresh-dial"]
-	if fresh <= 0 {
-		t.Fatalf("fresh-dial files/s = %v", fresh)
+	if nums["pooled"] <= 0 {
+		t.Fatalf("pooled files/s = %v", nums["pooled"])
 	}
-	if nums["pooled"] < 2*fresh {
-		t.Fatalf("pooled = %.0f files/s, want >= 2x fresh-dial (%.0f)", nums["pooled"], fresh)
-	}
-	if nums["pooled-dials"]*4 > nums["fresh-dial-dials"] {
-		t.Fatalf("pooled run paid %.0f dials vs %.0f unpooled - the pool is not reusing sessions",
-			nums["pooled-dials"], nums["fresh-dial-dials"])
+	// 2 partitions x (1 client dial + 2 chain dials); 100 files unpooled
+	// would pay 300.
+	if nums["pooled-dials"] > 6 {
+		t.Fatalf("100 small files paid %.0f stream dials - the pool is not reusing sessions", nums["pooled-dials"])
 	}
 }
 

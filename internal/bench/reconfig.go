@@ -238,13 +238,15 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 		}
 	}
 
-	c, err := client.Mount(nw, m.Addr(), "vol", client.Config{DisableSessionPool: true})
+	c, err := client.Mount(nw, m.Addr(), "vol", client.Config{})
 	if err != nil {
 		return point, err
 	}
-	defer c.Close()
 	payload := bytes.Repeat([]byte("redundancy"), 512)
 	ek, err := c.Data.WriteSmallFile(0, payload)
+	// The refill this trial times is quiesce-gated on the leader, and a
+	// pooled session holds its slot until the client goes away.
+	c.Close()
 	if err != nil {
 		return point, err
 	}

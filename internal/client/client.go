@@ -10,6 +10,7 @@
 package client
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -45,7 +46,7 @@ type Config struct {
 	DisableLeaderCache bool
 	// WriteWindow is the STARTING in-flight window of a streaming writer
 	// (and the fixed window when DisableAdaptiveWindow is set). Default 8;
-	// window 1 degenerates to stop-and-wait over a pinned stream.
+	// pinned at 1 it is stop-and-wait over the stream.
 	WriteWindow int
 	// MaxWriteWindow caps the adaptive window. Default 64.
 	MaxWriteWindow int
@@ -53,10 +54,6 @@ type Config struct {
 	// sizing it from the observed ack RTT and spacing (bandwidth-delay
 	// product) - the window-sweep ablation baseline.
 	DisableAdaptiveWindow bool
-	// DisablePipeline forces sequential writes onto the per-packet
-	// stop-and-wait path even when the transport supports packet streams
-	// (the pipelining ablation baseline).
-	DisablePipeline bool
 	// ReadWindow is the STARTING number of read requests a streaming
 	// reader keeps in flight ahead of the consumer (the readahead window;
 	// fixed there when DisableAdaptiveWindow is set). Default 4; window 1
@@ -65,24 +62,19 @@ type Config struct {
 	// MaxReadWindow caps the adaptive readahead window. Default 32.
 	MaxReadWindow int
 	// DisableReadPipeline forces reads onto the per-block unary Call path
-	// even when the transport supports packet streams (the read-pipelining
-	// ablation baseline; writes keep streaming).
+	// (the read-pipelining ablation baseline; writes keep streaming).
 	DisableReadPipeline bool
-	// DisableSessionPool gives every writer (and every small file) its own
-	// dedicated replication session instead of multiplexing per-partition
-	// pooled streams - the session-reuse ablation baseline, and the
-	// pre-pool behavior.
-	DisableSessionPool bool
-	// AckDeadline bounds how long a replication session waits without any
-	// ack progress before declaring itself hung and failing its writers
-	// (converting a half-open data node into a replayable error instead of
-	// an indefinite Drain block). Default 15s - deliberately above the
-	// data node's own follower ack deadline, so the leader's ordered abort
-	// usually wins and this is the backstop for a hung leader.
+	// AckDeadline bounds how long a write or read session waits without
+	// any reply progress before declaring itself hung and failing its
+	// users (converting a half-open data node into a replayable error
+	// instead of an indefinite Drain or ReadAt block). Default 15s -
+	// deliberately above the data node's own follower ack deadline, so the
+	// leader's ordered abort usually wins and this is the backstop for a
+	// hung leader.
 	AckDeadline time.Duration
-	// KeepaliveInterval is how often an idle pooled session pings its
-	// leader, proving liveness in both directions (and keeping the
-	// server's idle-session reaper away). Default 5s.
+	// KeepaliveInterval is how often a quiet session pings its data node,
+	// proving liveness in both directions (and keeping the server's
+	// idle-session reaper away). Default 5s.
 	KeepaliveInterval time.Duration
 	// Seed makes partition selection reproducible. Zero derives from
 	// the volume name.
@@ -165,8 +157,14 @@ type Client struct {
 
 // Mount connects to the resource manager, loads the volume view, and
 // returns a ready client. Mount uses a fresh (non-persistent) master
-// connection per refresh, mirroring Section 2.5.2.
+// connection per refresh, mirroring Section 2.5.2. The data path is
+// streams only (sequential writes and scans ride pinned sessions), so a
+// transport without packet streams is rejected here, once.
 func Mount(nw transport.Network, masterAddr, volume string, cfg Config) (*Client, error) {
+	snw, ok := nw.(transport.PacketStreamNetwork)
+	if !ok {
+		return nil, fmt.Errorf("client: transport %T has no packet streams: %w", nw, util.ErrInvalidArgument)
+	}
 	full := cfg.withDefaults(volume)
 	c := &Client{
 		Volume:     volume,
@@ -176,7 +174,7 @@ func Mount(nw transport.Network, masterAddr, volume string, cfg Config) (*Client
 		stopc:      make(chan struct{}),
 	}
 	c.Meta = newMetaClient(nw, masterAddr, volume, full)
-	c.Data = newDataClient(nw, full)
+	c.Data = newDataClient(snw, full)
 	c.Data.refresh = c.Refresh // stale-epoch retry loops re-pull the view
 	if err := c.Refresh(); err != nil {
 		return nil, err
@@ -220,8 +218,8 @@ func (c *Client) refreshLoop(interval time.Duration) {
 	}
 }
 
-// Close stops background work, retires the pooled replication sessions,
-// and flushes the orphan list.
+// Close stops background work, closes the pooled sessions, and flushes
+// the orphan list.
 func (c *Client) Close() {
 	c.stopOnce.Do(func() { close(c.stopc) })
 	c.wg.Wait()

@@ -302,9 +302,6 @@ func TestExtentWriterPipelinedAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.Data.Pipelined() {
-		t.Fatal("memory transport should support the pipelined path")
-	}
 	dp, err := c.Data.PickWritable()
 	if err != nil {
 		t.Fatal(err)
@@ -403,27 +400,5 @@ func TestExtentWriterFailureReportsUncommittedTail(t *testing.T) {
 	// The poisoned writer keeps failing fast.
 	if _, err := w.Write(next, []byte("more")); err == nil {
 		t.Fatal("write on a poisoned writer succeeded")
-	}
-}
-
-func TestDisablePipelineFallsBack(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
-	c, err := Mount(nw, "master", "vol", Config{DisablePipeline: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Data.Pipelined() {
-		t.Fatal("DisablePipeline not honored")
-	}
-	// The stop-and-wait small-file path still works.
-	ek, err := c.Data.WriteSmallFile(0, []byte("fallback"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := c.Data.Read(ek, ek.ExtentOffset, ek.Size)
-	if err != nil || string(data) != "fallback" {
-		t.Fatalf("fallback read = %q, %v", data, err)
 	}
 }

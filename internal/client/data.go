@@ -20,10 +20,10 @@ import (
 // packets, and remembers the most recently identified leader per partition
 // so reads rarely probe more than one replica (Section 2.4).
 type DataClient struct {
-	nw       transport.Network
+	nw       transport.PacketStreamNetwork
 	cfg      Config
-	pool     *sessionPool // replication sessions, one per partition leader
-	readPool *readPool    // read sessions, one per (replica, epoch)
+	pool     *sessionPool[uint64] // replication sessions, one per partition leader
+	readPool *readPool            // read sessions, one per (replica, epoch)
 	// refresh re-pulls the volume view from the master (wired by Mount).
 	// Stale-epoch retry loops call it so a failover observed mid-write
 	// resolves to the new leader without waiting for the background
@@ -52,7 +52,7 @@ func (d *DataClient) refreshView() {
 	}
 }
 
-func newDataClient(nw transport.Network, cfg Config) *DataClient {
+func newDataClient(nw transport.PacketStreamNetwork, cfg Config) *DataClient {
 	d := &DataClient{
 		nw:       nw,
 		cfg:      cfg,
@@ -60,8 +60,8 @@ func newDataClient(nw transport.Network, cfg Config) *DataClient {
 		readFrom: make(map[uint64]string),
 		rnd:      util.NewRand(cfg.Seed ^ 0xD47A),
 	}
-	d.pool = newSessionPool(d)
-	d.readPool = newReadPool(d)
+	d.pool = newSessionPool[uint64](nw, &d.cfg, proto.OpDataWriteStream, "replication")
+	d.readPool = newReadPool(nw, &d.cfg)
 	return d
 }
 
@@ -107,101 +107,17 @@ func (d *DataClient) partitionInfo(pid uint64) (proto.DataPartitionInfo, error) 
 	return proto.DataPartitionInfo{}, fmt.Errorf("client: data partition %d: %w", pid, util.ErrNotFound)
 }
 
-// rejectKind maps a data-node reject code to the retriable error kind the
-// upper layers dispatch on: staleness (refresh the view and re-dial) vs a
-// write refusal (roll to another partition/extent).
-func rejectKind(code uint8) error {
-	if code == proto.ResultErrStaleEpoch {
-		return util.ErrStale
-	}
-	return util.ErrReadOnly
-}
-
-// CreateExtent allocates a new extent on the partition's leader and
-// returns its id.
-func (d *DataClient) CreateExtent(dp proto.DataPartitionInfo) (uint64, error) {
-	pkt := proto.NewPacket(proto.OpDataCreateExtent, d.reqID.Add(1), dp.PartitionID, 0, nil)
-	pkt.Epoch = dp.ReplicaEpoch
-	var resp proto.Packet
-	if err := d.nw.Call(dp.Members[0], uint8(proto.OpDataCreateExtent), pkt, &resp); err != nil {
-		return 0, err
-	}
-	if resp.ResultCode != proto.ResultOK {
-		return 0, fmt.Errorf("client: create extent on dp %d: %s: %w",
-			dp.PartitionID, resp.Data, rejectKind(resp.ResultCode))
-	}
-	return resp.ExtentID, nil
-}
-
-// Append writes data at the tail of an extent through the primary-backup
-// chain (Figure 4) and returns the extent key covering it. Data longer
-// than the packet size is sliced into consecutive packets.
-func (d *DataClient) Append(dp proto.DataPartitionInfo, extentID, fileOffset uint64, data []byte) ([]proto.ExtentKey, error) {
-	var keys []proto.ExtentKey
-	packet := d.cfg.PacketSize
-	for off := 0; off < len(data); off += packet {
-		end := util.Min(off+packet, len(data))
-		chunk := data[off:end]
-		pkt := proto.NewPacket(proto.OpDataAppend, d.reqID.Add(1), dp.PartitionID, extentID, chunk)
-		pkt.FileOffset = fileOffset + uint64(off)
-		pkt.Epoch = dp.ReplicaEpoch
-		var resp proto.Packet
-		if err := d.nw.Call(dp.Members[0], uint8(proto.OpDataAppend), pkt, &resp); err != nil {
-			return keys, err
-		}
-		if resp.ResultCode != proto.ResultOK {
-			return keys, fmt.Errorf("client: append to dp %d ext %d: %s: %w",
-				dp.PartitionID, extentID, resp.Data, rejectKind(resp.ResultCode))
-		}
-		keys = append(keys, proto.ExtentKey{
-			PartitionID:  dp.PartitionID,
-			ExtentID:     resp.ExtentID,
-			ExtentOffset: resp.ExtentOffset,
-			FileOffset:   fileOffset + uint64(off),
-			Size:         uint32(len(chunk)),
-			CRC:          util.CRC(chunk),
-		})
-	}
-	return keys, nil
-}
-
 // WriteSmallFile sends a small file straight to a random partition's
 // leader with no extent-creation round trip; the leader aggregates it into
-// a shared extent and replies with the placement (Sections 2.2.3, 4.4).
-// On a stream-capable transport it rides the partition's POOLED
-// replication session with a window of 1 - one packet, zero dials once the
-// session is warm, which is what makes a small-file-heavy workload cheap
-// on sockets; otherwise a single Call.
+// a shared extent and replies with the placement (Sections 2.2.3, 4.4). It
+// rides the partition's pooled replication session with a window of 1 -
+// one packet, zero dials once the session is warm, which is what makes a
+// small-file-heavy workload cheap on sockets.
 func (d *DataClient) WriteSmallFile(fileOffset uint64, data []byte) (proto.ExtentKey, error) {
 	dp, err := d.PickWritable()
 	if err != nil {
 		return proto.ExtentKey{}, err
 	}
-	if d.Pipelined() {
-		return d.writeSmallFileStreamed(dp, fileOffset, data)
-	}
-	pkt := proto.NewPacket(proto.OpDataAppend, d.reqID.Add(1), dp.PartitionID, 0, data)
-	pkt.FileOffset = fileOffset
-	pkt.Epoch = dp.ReplicaEpoch
-	var resp proto.Packet
-	if err := d.nw.Call(dp.Members[0], uint8(proto.OpDataAppend), pkt, &resp); err != nil {
-		return proto.ExtentKey{}, err
-	}
-	if resp.ResultCode != proto.ResultOK {
-		return proto.ExtentKey{}, fmt.Errorf("client: small-file write to dp %d: %s: %w",
-			dp.PartitionID, resp.Data, rejectKind(resp.ResultCode))
-	}
-	return proto.ExtentKey{
-		PartitionID:  dp.PartitionID,
-		ExtentID:     resp.ExtentID,
-		ExtentOffset: resp.ExtentOffset,
-		FileOffset:   fileOffset,
-		Size:         uint32(len(data)),
-		CRC:          util.CRC(data),
-	}, nil
-}
-
-func (d *DataClient) writeSmallFileStreamed(dp proto.DataPartitionInfo, fileOffset uint64, data []byte) (proto.ExtentKey, error) {
 	var lastErr error
 	for attempt := 0; attempt <= d.cfg.MaxRetries; attempt++ {
 		ek, err := d.writeSmallFileOnce(dp, fileOffset, data)

@@ -2,83 +2,51 @@ package client
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cfs/internal/proto"
-	"cfs/internal/transport"
 	"cfs/internal/util"
 )
 
-// The replication-session pool. A repSession is one pinned OpDataWriteStream
-// to a partition leader, shared by every ExtentWriter the client opens on
-// that partition: extent creates, appends, and small-file writes all
-// multiplex over it, so neither a small file nor an extent roll pays a
-// fresh dial (on TCP, a full connection handshake each - the dominant cost
-// of a small write).
+// The write user of the session engine (session.go): one pinned
+// OpDataWriteStream per partition leader, shared by every ExtentWriter the
+// client opens on that partition - extent creates, appends and small-file
+// writes all multiplex over it. One ack frame completes one in-flight
+// packet and feeds its writer's window (ExtentWriter.handleAck).
 //
-// The session is the demultiplexer: it assigns the session-wide sequence
-// numbers, keeps the in-flight FIFO of (sequence -> owning writer), and
-// routes each in-order ack back to its owner. It is also the liveness
-// authority on the client side: a watchdog enforces an ack deadline on the
-// oldest in-flight frame (a leader that stops acking - or a follower hang
-// the leader's own deadline somehow missed - unblocks Drain instead of
-// wedging it forever) and keeps idle pooled sessions warm with OpDataPing
-// frames, which doubles as the signal the server's idle-timeout reaper
-// uses to tell a live-but-quiet client from a dead one.
-//
-// Failure fates are two-tier, mirroring the server session:
-//   - per-sequence error acks (CRC reject, extent full, read-only) poison
-//     only the owning writer; the session and its other writers are fine;
-//   - session-fatal events - transport errors, the ack deadline, or any
-//     ResultErrAborted ack - fail every in-flight owner, close the stream,
-//     and drop the session from the pool so the next writer redials.
+// Per-sequence error acks (CRC reject, extent full, read-only) poison only
+// the owning writer; the session and its other writers are fine. A
+// ResultErrAborted ack is session-fatal on top of the engine's own list:
+// the server aborted the whole session, so its remaining acks are all
+// rejections.
 
-// sessionEntry is one in-flight frame of a session's FIFO.
-type sessionEntry struct {
-	seq   uint64
-	sp    *streamPkt
-	owner *ExtentWriter // nil for session-originated pings
+// writeSession returns dp's pooled replication session, keyed by partition
+// and pinned to the leader and replica epoch the view names: when either
+// moves, the pool retires the session and writers still on it replay
+// their tails on the replacement.
+func (d *DataClient) writeSession(dp proto.DataPartitionInfo) (*session, error) {
+	if len(dp.Members) == 0 {
+		return nil, fmt.Errorf("client: data partition %d has no members: %w", dp.PartitionID, util.ErrNoAvailableNode)
+	}
+	return d.pool.get(dp.PartitionID, sessionPin{addr: dp.Members[0], epoch: dp.ReplicaEpoch, pid: dp.PartitionID})
 }
 
-// repSession is one pinned replication stream to a partition leader.
-type repSession struct {
-	d    *DataClient
-	pool *sessionPool // nil when the session is dedicated (pooling disabled)
-	pid  uint64
-	addr string
-	// epoch is the partition's ReplicaEpoch at dial time. The pool retires
-	// the session when the view's epoch moves past it (failover or
-	// reconfiguration): its frames would only earn retriable stale-epoch
-	// rejects from the data node.
-	epoch uint64
-	st    transport.PacketStream
-
-	// sendMu serializes senders and pins wire order to FIFO order:
-	// registration and the stream write happen inside one sendMu critical
-	// section. It is deliberately NOT s.mu - a stream write can block
-	// arbitrarily long on a wedged TCP peer, and the watchdog and ack
-	// dispatcher must stay free to trip the deadline and close the stream
-	// underneath it (which is what unblocks the writer).
-	sendMu sync.Mutex
-
-	mu           sync.Mutex
-	seq          uint64
-	inflight     []*sessionEntry
-	err          error // first fatal error; sticky
-	lastSend     time.Time
-	lastProgress time.Time
-	lastUsed     time.Time // last WRITER send (pings excluded): idle-retire clock
-	// lastWin is the last adaptive-window estimate a writer on this
-	// session reported (cross-extent state: a fresh writer on an extent
-	// roll seeds its controller from it instead of relearning the BDP from
-	// the start window). Zeroed fields mean "no estimate yet".
-	lastWin winEstimate
-
-	stopc    chan struct{}
-	stopOnce sync.Once
-	recvDone chan struct{}
+// reply implements request: the one ack a packet gets.
+func (sp *streamPkt) reply(ack *proto.Packet, now time.Time) (bool, error) {
+	sp.w.handleAck(sp, ack, now)
+	if ack.ResultCode == proto.ResultErrAborted {
+		// Fail fast and let every writer on the session replay.
+		return true, fmt.Errorf("session aborted by server: %s: %w", ack.Data, util.ErrTimeout)
+	}
+	return true, nil
 }
+
+// abort implements request: the session died under the writer (transport
+// error, ack deadline, server abort). The packet stays in the writer's
+// window so Drain reports it for replay; packets whose acks were lost are
+// over-reported as uncommitted, which is safe - the old extent's copy
+// just becomes unreferenced bytes.
+func (sp *streamPkt) abort(err error, _ time.Time) { sp.w.fail(err) }
 
 // winEstimate is the controller state worth carrying across writers of one
 // session: the converged window plus the RTT/gap estimates behind it.
@@ -88,8 +56,10 @@ type winEstimate struct {
 	sgap   float64
 }
 
-// noteWindow records a departing writer's controller state for successors.
-func (s *repSession) noteWindow(e winEstimate) {
+// noteWindow records a departing writer's controller state on its session
+// (cross-extent state: a fresh writer on an extent roll seeds its
+// controller from it instead of relearning the BDP from the start window).
+func (s *session) noteWindow(e winEstimate) {
 	if e.cur <= 0 {
 		return
 	}
@@ -99,362 +69,8 @@ func (s *repSession) noteWindow(e winEstimate) {
 }
 
 // windowHint returns the last recorded controller state (zero when none).
-func (s *repSession) windowHint() winEstimate {
+func (s *session) windowHint() winEstimate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastWin
-}
-
-// idleRetireTicks is how many keepalive intervals a pooled session may sit
-// without writer traffic before the client retires it (stops pinging and
-// closes, letting the server reap its end too); the next writer redials
-// for one handshake. 12 ticks = 60s at the default 5s keepalive.
-const idleRetireTicks = 12
-
-// dialSession opens a replication session to dp's leader and starts its
-// ack dispatcher and liveness watchdog.
-func (d *DataClient) dialSession(dp proto.DataPartitionInfo, pool *sessionPool) (*repSession, error) {
-	snw, ok := d.nw.(transport.PacketStreamNetwork)
-	if !ok {
-		return nil, fmt.Errorf("client: transport has no packet streams: %w", util.ErrInvalidArgument)
-	}
-	if len(dp.Members) == 0 {
-		return nil, fmt.Errorf("client: data partition %d has no members: %w", dp.PartitionID, util.ErrNoAvailableNode)
-	}
-	st, err := snw.DialStream(dp.Members[0], uint8(proto.OpDataWriteStream))
-	if err != nil {
-		return nil, err
-	}
-	now := time.Now()
-	s := &repSession{
-		d: d, pool: pool, pid: dp.PartitionID, addr: dp.Members[0],
-		epoch: dp.ReplicaEpoch, st: st,
-		lastSend: now, lastProgress: now, lastUsed: now,
-		stopc: make(chan struct{}), recvDone: make(chan struct{}),
-	}
-	go s.recvLoop()
-	go s.runWatchdog()
-	return s, nil
-}
-
-// send registers one frame in the FIFO and writes it to the stream, both
-// under sendMu so the FIFO order is the wire order; the server acks
-// strictly in wire order, which is what lets recvLoop route acks by
-// sequence. A send blocked on a hung peer holds only sendMu: the
-// watchdog still observes the stalled FIFO through s.mu, trips the
-// deadline, and closes the stream, which errors this write out.
-func (s *repSession) send(owner *ExtentWriter, sp *streamPkt, build func(seq uint64) *proto.Packet) error {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	return s.sendLocked(owner, sp, build)
-}
-
-// sendLocked is the registration+write core shared by send and tryPing;
-// the caller holds sendMu.
-func (s *repSession) sendLocked(owner *ExtentWriter, sp *streamPkt, build func(seq uint64) *proto.Packet) error {
-	s.mu.Lock()
-	if s.err != nil {
-		err := s.err
-		s.mu.Unlock()
-		return err
-	}
-	s.seq++
-	seq := s.seq
-	now := time.Now()
-	if sp != nil {
-		sp.sentAt = now
-	}
-	if len(s.inflight) == 0 {
-		s.lastProgress = now // the deadline clock starts at empty->busy
-	}
-	s.inflight = append(s.inflight, &sessionEntry{seq: seq, sp: sp, owner: owner})
-	s.lastSend = now
-	if owner != nil {
-		s.lastUsed = now // writer traffic, not keepalive, defers retirement
-	}
-	s.mu.Unlock()
-	if err := s.st.Send(build(seq)); err != nil {
-		// Wrap the transport failure as a timeout: a crashed leader and a
-		// hung leader demand the same response upstream - replay the
-		// uncommitted tail on another partition (retriableAppendErr).
-		err = fmt.Errorf("client: replication stream to dp %d: %v: %w", s.pid, err, util.ErrTimeout)
-		s.fail(err)
-		return err
-	}
-	return nil
-}
-
-// recvLoop routes each ack to the owner of the matching in-flight frame.
-func (s *repSession) recvLoop() {
-	defer close(s.recvDone)
-	for {
-		ack, err := s.st.Recv()
-		if err != nil {
-			// Same timeout mapping as send failures: a stream that dies
-			// (leader crash, EOF) is replayed exactly like one that hangs.
-			s.fail(fmt.Errorf("client: replication stream to dp %d: %v: %w", s.pid, err, util.ErrTimeout))
-			return
-		}
-		now := time.Now()
-		s.mu.Lock()
-		var e *sessionEntry
-		for i, cand := range s.inflight {
-			if cand.seq == ack.ReqID {
-				e = cand
-				s.inflight = append(s.inflight[:i], s.inflight[i+1:]...)
-				// Only a MATCHED ack defers the deadline (same rule as
-				// the server's chains): a wedged peer spraying unknown
-				// sequences must not keep a hung window alive.
-				s.lastProgress = now
-				break
-			}
-		}
-		s.mu.Unlock()
-		if e == nil {
-			ack.Release()
-			continue // stray ack on a failing session; noise
-		}
-		if e.owner != nil {
-			e.owner.handleAck(e.sp, ack, now)
-		}
-		// Acks carry at most a short error text; capture what the fates
-		// below need and release the frame (handleAck copied its share).
-		code := ack.ResultCode
-		msg := string(ack.Data)
-		ack.Release()
-		if code == proto.ResultErrAborted {
-			// The server aborted the whole session; its remaining acks are
-			// all rejections, so fail fast and let writers replay.
-			s.fail(fmt.Errorf("client: dp %d session aborted by server: %s: %w", s.pid, msg, util.ErrTimeout))
-			return
-		}
-		if code == proto.ResultErrStaleEpoch {
-			// The partition reconfigured underneath this session (leader
-			// failover or replica change): every future frame earns the
-			// same reject, so retire now. ErrStale sends writers through
-			// the refresh -> re-dial -> replay path.
-			s.fail(fmt.Errorf("client: dp %d session at stale replica epoch: %s: %w", s.pid, msg, util.ErrStale))
-			return
-		}
-		if e.owner == nil && code != proto.ResultOK {
-			// A rejected keepalive means the session is not serviceable
-			// (wrong leader, dead partition): stop pooling it.
-			s.fail(fmt.Errorf("client: dp %d keepalive rejected: %s: %w", s.pid, msg, util.ErrTimeout))
-			return
-		}
-	}
-}
-
-// runWatchdog enforces the ack deadline and pings idle sessions.
-func (s *repSession) runWatchdog() {
-	ackDeadline := s.d.cfg.AckDeadline
-	keepalive := s.d.cfg.KeepaliveInterval
-	tick := keepalive / 2
-	if d := ackDeadline / 4; d < tick {
-		tick = d
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopc:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		expired, retire, ping := false, false, false
-		s.mu.Lock()
-		if s.err != nil {
-			s.mu.Unlock()
-			return
-		}
-		if len(s.inflight) > 0 && now.Sub(s.lastProgress) > ackDeadline {
-			expired = true
-		} else if len(s.inflight) == 0 && s.pool != nil &&
-			now.Sub(s.lastUsed) > idleRetireTicks*keepalive {
-			// No writer traffic for a long time: retire the session
-			// instead of pinging it alive forever - otherwise a client
-			// that once touched many partitions pins streams and
-			// goroutines on both ends for its whole lifetime.
-			retire = true
-		} else if now.Sub(s.lastSend) > keepalive {
-			// Ping even while the window is busy: the frame queues behind
-			// the in-flight entries and proves to the SERVER's idle reaper
-			// that this client is alive-but-waiting, not gone.
-			ping = true
-		}
-		s.mu.Unlock()
-		if expired {
-			s.fail(fmt.Errorf("client: dp %d: no ack within %v (hung session): %w", s.pid, ackDeadline, util.ErrTimeout))
-			return
-		}
-		if retire {
-			// Nothing is in flight, but a dormant ExtentWriter may still
-			// hold this session - retirement is therefore ErrStale
-			// (retriable), so that writer's next flush transparently
-			// reopens on a fresh session instead of hard-failing a write
-			// on a healthy cluster.
-			s.fail(fmt.Errorf("client: dp %d session idle-retired: %w", s.pid, util.ErrStale))
-			return
-		}
-		if ping {
-			s.tryPing()
-		}
-	}
-}
-
-// tryPing sends a keepalive without ever blocking the watchdog: if a
-// writer holds sendMu (possibly wedged on a dead peer), skip - the
-// deadline path is the one that must stay live, and it only needs s.mu.
-func (s *repSession) tryPing() {
-	if !s.sendMu.TryLock() {
-		return
-	}
-	defer s.sendMu.Unlock()
-	_ = s.sendLocked(nil, nil, func(seq uint64) *proto.Packet {
-		return &proto.Packet{Op: proto.OpDataPing, ReqID: seq, PartitionID: s.pid}
-	})
-}
-
-// fail is the single session-fatal path: sticky error, stream closed,
-// session dropped from the pool, every in-flight owner notified. Entries
-// whose acks are lost here are over-reported as uncommitted - their
-// writers replay them on a fresh extent, which is safe (the old extent's
-// copy just becomes unreferenced bytes).
-func (s *repSession) fail(err error) {
-	s.mu.Lock()
-	if s.err != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.err = err
-	entries := s.inflight
-	s.inflight = nil
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopc) })
-	s.st.Close()
-	if s.pool != nil {
-		s.pool.drop(s)
-	}
-	for _, e := range entries {
-		if e.owner != nil {
-			e.owner.sessionFailed(err)
-		}
-	}
-}
-
-func (s *repSession) healthy() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err == nil
-}
-
-// touch refreshes the idle-retire clock; pool.get calls it when handing
-// the session out so a just-acquired session cannot be retired between
-// the lookup and the caller's first send.
-func (s *repSession) touch() {
-	s.mu.Lock()
-	s.lastUsed = time.Now()
-	s.mu.Unlock()
-}
-
-// close tears the session down on an OWNER-initiated shutdown (pool
-// close, a dedicated writer closing): in-flight owners see a hard
-// ErrClosed - the application chose to stop.
-func (s *repSession) close() {
-	s.fail(fmt.Errorf("client: dp %d session closed: %w", s.pid, util.ErrClosed))
-	<-s.recvDone
-}
-
-// retire tears the session down because the POOL replaced it (leader
-// moved, idle retirement): owners see retriable ErrStale and replay on
-// the session's successor.
-func (s *repSession) retire(why string) {
-	s.fail(fmt.Errorf("client: dp %d session retired (%s): %w", s.pid, why, util.ErrStale))
-	<-s.recvDone
-}
-
-// sessionPool caches one repSession per data partition, keyed by partition
-// id and pinned to the leader address the view named at dial time.
-type sessionPool struct {
-	d *DataClient
-
-	mu       sync.Mutex
-	sessions map[uint64]*repSession
-	closed   bool
-}
-
-func newSessionPool(d *DataClient) *sessionPool {
-	return &sessionPool{d: d, sessions: make(map[uint64]*repSession)}
-}
-
-// get returns the pooled session for dp, dialing one if the cache is
-// empty, the cached session failed, or the leader moved.
-func (p *sessionPool) get(dp proto.DataPartitionInfo) (*repSession, error) {
-	if len(dp.Members) == 0 {
-		return nil, fmt.Errorf("client: data partition %d has no members: %w", dp.PartitionID, util.ErrNoAvailableNode)
-	}
-	leader := dp.Members[0]
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("client: session pool: %w", util.ErrClosed)
-	}
-	cached := p.sessions[dp.PartitionID]
-	if cached != nil && cached.addr == leader && cached.epoch == dp.ReplicaEpoch && cached.healthy() {
-		p.mu.Unlock()
-		cached.touch()
-		return cached, nil
-	}
-	delete(p.sessions, dp.PartitionID)
-	p.mu.Unlock()
-	if cached != nil {
-		// Leader moved, the epoch advanced past the session's, or the
-		// session failed; writers still streaming on it replay their
-		// tails on the replacement (ErrStale).
-		cached.retire("leader moved")
-	}
-	s, err := p.d.dialSession(dp, p)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		s.close()
-		return nil, fmt.Errorf("client: session pool: %w", util.ErrClosed)
-	}
-	if cur := p.sessions[dp.PartitionID]; cur != nil && cur.addr == leader && cur.epoch == dp.ReplicaEpoch && cur.healthy() {
-		p.mu.Unlock()
-		s.close() // lost the dial race; reuse the winner
-		cur.touch()
-		return cur, nil
-	}
-	p.sessions[dp.PartitionID] = s
-	p.mu.Unlock()
-	return s, nil
-}
-
-// drop forgets a failed session (called from repSession.fail).
-func (p *sessionPool) drop(s *repSession) {
-	p.mu.Lock()
-	if p.sessions[s.pid] == s {
-		delete(p.sessions, s.pid)
-	}
-	p.mu.Unlock()
-}
-
-// close retires every pooled session; called from Client.Close.
-func (p *sessionPool) close() {
-	p.mu.Lock()
-	p.closed = true
-	sessions := p.sessions
-	p.sessions = make(map[uint64]*repSession)
-	p.mu.Unlock()
-	for _, s := range sessions {
-		s.close()
-	}
 }

@@ -56,22 +56,6 @@ func TestSmallFileSessionReuse(t *testing.T) {
 	if data, err := c.Data.Read(ek, ek.ExtentOffset, ek.Size); err != nil || string(data) != "file-0" {
 		t.Fatalf("read back = %q, %v", data, err)
 	}
-
-	// Ablation baseline: dedicated sessions pay the dials per file.
-	c2, err := Mount(nw, "master", "pool", Config{DisableSessionPool: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	base := nw.Dials()
-	for i := 0; i < 5; i++ {
-		if _, err := c2.Data.WriteSmallFile(0, []byte("fresh")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if grew := nw.Dials() - base; grew < 15 { // 5 files x (1 client + 2 chains)
-		t.Fatalf("unpooled small files cost %d dials, want >= 15", grew)
-	}
 }
 
 // TestExtentWriterSessionReuse: consecutive writers on one partition (the

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cfs/internal/proto"
-	"cfs/internal/transport"
 	"cfs/internal/util"
 )
 
@@ -44,7 +43,7 @@ type ExtentReader struct {
 	pid     uint64
 	extent  uint64
 	epoch   uint64
-	sess    *readSession
+	sess    *session
 	cands   []string // replica attempt order for this run; leader last
 	candIdx int
 
@@ -64,7 +63,7 @@ type ExtentReader struct {
 	nextStart   uint64 // first extent offset of the continuation run
 	nextKnown   uint64 // contiguous known end within the next extent
 	nextValid   bool
-	nextSess    *readSession
+	nextSess    *session
 	nextEpoch   uint64
 	nextCands   []string
 	nextCandIdx int
@@ -72,16 +71,9 @@ type ExtentReader struct {
 	nextFront   uint64 // prefetch frontier within the next extent
 }
 
-// ReadPipelined reports whether the streaming read path is available: the
-// transport must support duplex packet streams and the ablation switch
-// must be off.
-func (d *DataClient) ReadPipelined() bool {
-	if d.cfg.DisableReadPipeline {
-		return false
-	}
-	_, ok := d.nw.(transport.PacketStreamNetwork)
-	return ok
-}
+// ReadPipelined reports whether the streaming read path is on (the
+// DisableReadPipeline ablation switch turns it off).
+func (d *DataClient) ReadPipelined() bool { return !d.cfg.DisableReadPipeline }
 
 // NewExtentReader returns a streaming reader over the client's pooled
 // read sessions. Callers keep one per file for cross-call readahead.
@@ -212,7 +204,7 @@ func (r *ExtentReader) ensureSession() error {
 	if r.candIdx >= len(r.cands) {
 		return fmt.Errorf("client: read dp %d: no replica left to try: %w", r.pid, util.ErrNoAvailableNode)
 	}
-	s, err := r.d.readPool.get(readKey{addr: r.cands[r.candIdx], epoch: dp.ReplicaEpoch})
+	s, err := r.d.readPool.session(r.cands[r.candIdx], dp.ReplicaEpoch)
 	if err != nil {
 		return err
 	}
@@ -244,7 +236,7 @@ func (r *ExtentReader) fill(needEnd uint64) error {
 	}
 	for r.nextOff < target && len(r.reqs) < r.win.cur {
 		span := util.MinU64(packet, bound-r.nextOff)
-		req, err := r.sess.read(r.pid, r.extent, r.nextOff, uint32(span), r.epoch, len(r.reqs))
+		req, err := r.d.readPool.read(r.sess, r.pid, r.extent, r.nextOff, uint32(span), r.epoch, len(r.reqs))
 		if err != nil {
 			return err
 		}
@@ -275,7 +267,7 @@ func (r *ExtentReader) fillNext() {
 	packet := uint64(r.d.cfg.PacketSize)
 	for r.nextFront < r.nextKnown && len(r.reqs)+len(r.nextReqs) < r.win.cur {
 		span := util.MinU64(packet, r.nextKnown-r.nextFront)
-		req, err := r.nextSess.read(r.nextEK.PartitionID, r.nextEK.ExtentID,
+		req, err := r.d.readPool.read(r.nextSess, r.nextEK.PartitionID, r.nextEK.ExtentID,
 			r.nextFront, uint32(span), r.nextEpoch, len(r.reqs)+len(r.nextReqs))
 		if err != nil {
 			r.dropNext()
@@ -309,7 +301,7 @@ func (r *ExtentReader) bindNextSession() bool {
 	if r.nextCandIdx >= len(r.nextCands) {
 		return false
 	}
-	s, err := r.d.readPool.get(readKey{addr: r.nextCands[r.nextCandIdx], epoch: dp.ReplicaEpoch})
+	s, err := r.d.readPool.session(r.nextCands[r.nextCandIdx], dp.ReplicaEpoch)
 	if err != nil {
 		return false
 	}
@@ -369,10 +361,8 @@ func (r *ExtentReader) ClearNextHint() { r.dropNext() }
 
 // dropNext abandons the next-run prefetch state.
 func (r *ExtentReader) dropNext() {
-	if r.nextSess != nil {
-		for _, req := range r.nextReqs {
-			r.nextSess.abandon(req)
-		}
+	for _, req := range r.nextReqs {
+		req.abandon()
 	}
 	r.nextReqs = nil
 	r.nextSess = nil
@@ -431,10 +421,8 @@ func (r *ExtentReader) consume(p []byte) (int, error) {
 // dropBuffers abandons every outstanding request and releases retained
 // chunks (session-side recycling handles the in-flight ones).
 func (r *ExtentReader) dropBuffers() {
-	if r.sess != nil {
-		for _, req := range r.reqs {
-			r.sess.abandon(req)
-		}
+	for _, req := range r.reqs {
+		req.abandon()
 	}
 	r.reqs = nil
 	r.headOff = 0

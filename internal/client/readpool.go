@@ -10,54 +10,33 @@ import (
 	"cfs/internal/util"
 )
 
-// The read-session pool: the read-side twin of pool.go. A readSession is
-// one pinned OpDataReadStream to a replica, shared by every ExtentReader
-// the client points at that replica; sessions are keyed on
-// (replica address, replica epoch) and kept SEPARATE from the write-
-// session pool, so a large scan's chunk stream can never head-of-line-
-// block write acks (the ROADMAP fairness item, solved for reads).
+// The read user of the session engine (session.go): one pinned
+// OpDataReadStream per (replica address, replica epoch), shared by every
+// ExtentReader the client points at that replica and kept SEPARATE from
+// the write sessions, so a large scan's chunk stream can never
+// head-of-line-block write acks. A request stays at the FIFO head while
+// its chunk frames arrive and completes on the last one.
 //
-// The session pushes read requests without waiting for replies and the
-// server answers strictly in request order, so the in-flight FIFO routes
-// every reply to its owner by sequence alone. Liveness mirrors the write
-// session: a watchdog enforces a reply deadline on the oldest in-flight
-// request (a replica that accepts requests but never answers - the
-// half-open case - fails the session instead of wedging the reader, which
-// then fails over to another replica), pings idle sessions so the
-// server's idle reaper can tell a quiet client from a dead one, and
-// retires sessions nothing has used for a long time.
-//
-// Failure fates are two-tier: a per-request error reply (committed-clamp
-// refusal, unknown extent) fails only that request - the session and
-// later requests are fine, which is what makes follower fallback cheap.
-// Transport errors, the reply deadline, protocol violations, and
-// stale-epoch rejects are session-fatal: every in-flight request fails,
-// the stream closes, and the pool drops the session.
+// A per-request error reply (committed-clamp refusal, unknown extent)
+// fails only that request - the session and later requests are fine,
+// which is what makes follower fallback cheap. A bad chunk CRC or a short
+// reply is session-fatal on top of the engine's own list.
 
-// readKey identifies one pooled read session: the replica it is pinned to
-// and the replica epoch the dialer's view held. An epoch bump (failover,
-// reconfiguration) changes the key, so readers on the fresh view get a
-// fresh session while the stale one idles out.
-type readKey struct {
-	addr  string
-	epoch uint64
-}
-
-// readReq is one in-flight read request (or keepalive) of a session.
+// readReq is one in-flight read request of a session.
 type readReq struct {
-	seq    uint64
-	off    uint64 // requested extent offset
+	pool   *readPool
+	s      *session
 	length uint32
-	ping   bool
 
 	sentAt time.Time
 	// qdepth is how many requests were already in flight at send time;
 	// low-occupancy samples qualify for the min-RTT filter (writer.go).
 	qdepth int
 
-	// chunks collects the reply payloads in order. The session's recvLoop
-	// owns them until done closes; then ownership transfers to the waiter,
-	// which recycles them into the shared chunk pool after consumption.
+	// chunks collects the reply payloads in order. The session's
+	// dispatcher owns them until done closes; then ownership transfers to
+	// the waiter, which recycles them into the shared chunk pool after
+	// consumption.
 	chunks [][]byte
 	got    uint32
 	err    error
@@ -80,61 +59,13 @@ type readReq struct {
 	observed bool
 }
 
-// readSession is one pinned read stream to a replica.
-type readSession struct {
-	d    *DataClient
-	pool *readPool
-	key  readKey
-	st   transport.PacketStream
-
-	// sendMu serializes senders so the FIFO order is the wire order (the
-	// server replies in wire order). Deliberately not mu: a send blocked
-	// on a wedged peer must not stop the watchdog from tripping the
-	// deadline and closing the stream underneath it.
-	sendMu sync.Mutex
-
-	mu           sync.Mutex
-	seq          uint64
-	pending      []*readReq
-	err          error // first fatal error; sticky
-	lastSend     time.Time
-	lastProgress time.Time
-	lastUsed     time.Time // last reader request (pings excluded)
-
-	stopc    chan struct{}
-	stopOnce sync.Once
-	recvDone chan struct{}
-}
-
-// dialReadSession opens a read session to addr and starts its reply
-// dispatcher and liveness watchdog.
-func (d *DataClient) dialReadSession(pool *readPool, key readKey) (*readSession, error) {
-	snw, ok := d.nw.(transport.PacketStreamNetwork)
-	if !ok {
-		return nil, fmt.Errorf("client: transport has no packet streams: %w", util.ErrInvalidArgument)
-	}
-	st, err := snw.DialStream(key.addr, uint8(proto.OpDataReadStream))
-	if err != nil {
-		return nil, err
-	}
-	now := time.Now()
-	s := &readSession{
-		d: d, pool: pool, key: key, st: st,
-		lastSend: now, lastProgress: now, lastUsed: now,
-		stopc: make(chan struct{}), recvDone: make(chan struct{}),
-	}
-	go s.recvLoop()
-	go s.runWatchdog()
-	return s, nil
-}
-
-// read registers one request in the FIFO and writes it to the stream. The
-// returned request completes (done closes) when its final chunk or error
-// reply arrives, or when the session fails.
-func (s *readSession) read(pid, extentID, off uint64, length uint32, epoch uint64, qdepth int) (*readReq, error) {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	req, pkt := s.registerLocked(&readReq{off: off, length: length, qdepth: qdepth}, func(seq uint64) *proto.Packet {
+// read pushes one request onto s. The returned request completes (done
+// closes) when its final chunk or error reply arrives, or when the
+// session fails.
+func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, epoch uint64, qdepth int) (*readReq, error) {
+	req := &readReq{pool: p, s: s, length: length, qdepth: qdepth, done: make(chan struct{})}
+	err := s.send(req, func(seq uint64, now time.Time) *proto.Packet {
+		req.sentAt = now
 		return &proto.Packet{
 			Op:           proto.OpDataRead,
 			ReqID:        seq,
@@ -145,140 +76,67 @@ func (s *readSession) read(pid, extentID, off uint64, length uint32, epoch uint6
 			Epoch:        epoch,
 		}
 	})
-	if req == nil {
-		s.mu.Lock()
-		err := s.err
-		s.mu.Unlock()
-		return nil, err
-	}
-	if err := s.st.Send(pkt); err != nil {
-		err = fmt.Errorf("client: read stream to %s: %v: %w", s.key.addr, err, util.ErrTimeout)
-		s.fail(err)
+	if err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-// registerLocked stamps the sequence and appends the request to the FIFO;
-// the caller holds sendMu. Returns nil when the session already failed.
-func (s *readSession) registerLocked(req *readReq, build func(seq uint64) *proto.Packet) (*readReq, *proto.Packet) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return nil, nil
+// reply implements request: an error reply or the last chunk completes
+// the request; a data chunk before that just accumulates.
+func (req *readReq) reply(f *proto.Packet, now time.Time) (bool, error) {
+	addr := req.s.pin.addr
+	switch {
+	case f.ResultCode == proto.ResultErrStaleEpoch:
+		// Retriable for this request; the engine retires the session.
+		req.err = fmt.Errorf("client: read via %s: %s: %w", addr, f.Data, util.ErrStale)
+	case f.ResultCode == proto.ResultErrClamped:
+		// Committed-clamp refusal: per-request like any refusal, but the
+		// reply carries the replica's committed horizon - remember it so
+		// hot-tail reads stop offloading to this trailing follower until
+		// it catches up (or the note expires).
+		req.pool.noteClamp(addr, f.PartitionID, f.ExtentID, f.Committed)
+		req.err = fmt.Errorf("client: read via %s: %s", addr, f.Data)
+	case f.ResultCode != proto.ResultOK:
+		// Unknown extent, store error: the owner falls back to another
+		// replica; the session is fine.
+		req.err = fmt.Errorf("client: read via %s: %s", addr, f.Data)
+	case !f.VerifyCRC():
+		return false, util.ErrCRCMismatch
+	default:
+		if !req.lastChunkAt.IsZero() {
+			req.gapSum += now.Sub(req.lastChunkAt).Seconds()
+			req.gapN++
+		}
+		req.lastChunkAt = now
+		// Detach the payload from the frame: the chunk list owns the
+		// buffer from here (recycleChunks returns it to the pool).
+		chunk := f.TakeData()
+		req.chunks = append(req.chunks, chunk)
+		req.got += uint32(len(chunk))
+		if f.FileOffset != 0 {
+			return false, nil // more chunks follow
+		}
+		if req.got != req.length {
+			return false, fmt.Errorf("got %d of %d bytes: %w", req.got, req.length, util.ErrTimeout)
+		}
 	}
-	s.seq++
-	req.seq = s.seq
-	req.sentAt = time.Now()
-	req.done = make(chan struct{})
-	if len(s.pending) == 0 {
-		s.lastProgress = req.sentAt // the deadline clock starts at empty->busy
-	}
-	s.pending = append(s.pending, req)
-	s.lastSend = req.sentAt
-	if !req.ping {
-		s.lastUsed = req.sentAt
-	}
-	return req, build(req.seq)
+	req.complete(now)
+	return true, nil
 }
 
-// recvLoop routes each reply to the FIFO head. The server answers strictly
-// in request order, so a reply for anything but the head is a protocol
-// violation and fails the session.
-func (s *readSession) recvLoop() {
-	defer close(s.recvDone)
-	for {
-		f, err := s.st.Recv()
-		if err != nil {
-			// Same timeout mapping as the write session: a stream that dies
-			// is retried exactly like one that hangs.
-			s.fail(fmt.Errorf("client: read stream to %s: %v: %w", s.key.addr, err, util.ErrTimeout))
-			return
-		}
-		now := time.Now()
-		s.mu.Lock()
-		if len(s.pending) == 0 || s.pending[0].seq != f.ReqID {
-			s.mu.Unlock()
-			f.Release()
-			s.fail(fmt.Errorf("client: read stream to %s: reply for seq %d out of order: %w",
-				s.key.addr, f.ReqID, util.ErrTimeout))
-			return
-		}
-		req := s.pending[0]
-		s.lastProgress = now
-		stale := false
-		fatal := error(nil)
-		switch {
-		case f.ResultCode == proto.ResultErrStaleEpoch:
-			// The partition reconfigured under this session's epoch: this
-			// request fails retriably, and every later frame carries the
-			// same doomed epoch, so the whole session retires.
-			req.err = fmt.Errorf("client: read via %s: %s: %w", s.key.addr, f.Data, util.ErrStale)
-			stale = true
-			s.completeLocked(req, now)
-		case f.ResultCode == proto.ResultErrClamped && !req.ping:
-			// Committed-clamp refusal: per-request like any refusal, but
-			// the reply carries the replica's committed horizon - remember
-			// it so hot-tail reads stop offloading to this trailing
-			// follower until it catches up (or the note expires).
-			if s.pool != nil {
-				s.pool.noteClamp(s.key.addr, f.PartitionID, f.ExtentID, f.Committed)
-			}
-			req.err = fmt.Errorf("client: read via %s: %s", s.key.addr, f.Data)
-			s.completeLocked(req, now)
-		case f.ResultCode != proto.ResultOK:
-			if req.ping {
-				// A rejected keepalive means the session is not serviceable.
-				fatal = fmt.Errorf("client: read keepalive to %s rejected: %s: %w", s.key.addr, f.Data, util.ErrTimeout)
-			} else {
-				// Per-request error (unknown extent, store error): the
-				// owner falls back to another replica; the session is fine.
-				req.err = fmt.Errorf("client: read via %s: %s", s.key.addr, f.Data)
-				s.completeLocked(req, now)
-			}
-		case req.ping:
-			s.completeLocked(req, now)
-		case !f.VerifyCRC():
-			fatal = fmt.Errorf("client: read stream to %s: %w", s.key.addr, util.ErrCRCMismatch)
-		default:
-			if !req.lastChunkAt.IsZero() {
-				req.gapSum += now.Sub(req.lastChunkAt).Seconds()
-				req.gapN++
-			}
-			req.lastChunkAt = now
-			// Detach the payload from the frame: the chunk list owns the
-			// buffer from here (recycleChunks returns it to the pool).
-			req.chunks = append(req.chunks, f.TakeData())
-			req.got += uint32(len(req.chunks[len(req.chunks)-1]))
-			if f.FileOffset == 0 { // the request's final chunk
-				if req.got != req.length {
-					fatal = fmt.Errorf("client: read stream to %s: got %d of %d bytes: %w",
-						s.key.addr, req.got, req.length, util.ErrTimeout)
-				} else {
-					s.completeLocked(req, now)
-				}
-			}
-		}
-		s.mu.Unlock()
-		// Chunk payloads were detached above; anything left on the frame
-		// (error text, ping acks) was copied into errors and is done with.
-		f.Release()
-		if fatal != nil {
-			s.fail(fatal)
-			return
-		}
-		if stale {
-			s.fail(fmt.Errorf("client: read session to %s at stale replica epoch: %w", s.key.addr, util.ErrStale))
-			return
-		}
+// abort implements request: the session died with the request in flight.
+func (req *readReq) abort(err error, now time.Time) {
+	if req.err == nil {
+		req.err = err
 	}
+	req.complete(now)
 }
 
-// completeLocked pops the FIFO head (req) and wakes its waiter; the caller
-// holds s.mu. Chunks of requests nobody waits for anymore go back to the
-// pool here - the only point where both sides' state is visible.
-func (s *readSession) completeLocked(req *readReq, now time.Time) {
-	s.pending = s.pending[1:]
+// complete wakes the waiter; the session mutex is held. Chunks of
+// requests nobody waits for anymore go back to the pool here - the only
+// point where both sides' state is visible.
+func (req *readReq) complete(now time.Time) {
 	req.completed = true
 	req.doneAt = now
 	close(req.done)
@@ -289,15 +147,15 @@ func (s *readSession) completeLocked(req *readReq, now time.Time) {
 
 // abandon releases a request the reader no longer wants (reset, failover):
 // completed requests recycle immediately, in-flight ones are marked so the
-// recvLoop recycles them on completion.
-func (s *readSession) abandon(req *readReq) {
-	s.mu.Lock()
+// dispatcher recycles them on completion.
+func (req *readReq) abandon() {
+	req.s.mu.Lock()
 	if req.completed {
 		recycleChunks(req)
 	} else {
 		req.discarded = true
 	}
-	s.mu.Unlock()
+	req.s.mu.Unlock()
 }
 
 func recycleChunks(req *readReq) {
@@ -307,135 +165,14 @@ func recycleChunks(req *readReq) {
 	req.chunks = nil
 }
 
-// runWatchdog enforces the reply deadline and pings idle sessions -
-// identical policy to the write session's watchdog.
-func (s *readSession) runWatchdog() {
-	ackDeadline := s.d.cfg.AckDeadline
-	keepalive := s.d.cfg.KeepaliveInterval
-	tick := keepalive / 2
-	if d := ackDeadline / 4; d < tick {
-		tick = d
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopc:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		expired, retire, ping := false, false, false
-		s.mu.Lock()
-		if s.err != nil {
-			s.mu.Unlock()
-			return
-		}
-		if len(s.pending) > 0 && now.Sub(s.lastProgress) > ackDeadline {
-			expired = true
-		} else if len(s.pending) == 0 && now.Sub(s.lastUsed) > idleRetireTicks*keepalive {
-			retire = true
-		} else if now.Sub(s.lastSend) > keepalive {
-			ping = true
-		}
-		s.mu.Unlock()
-		if expired {
-			s.fail(fmt.Errorf("client: read stream to %s: no reply within %v (hung replica): %w",
-				s.key.addr, ackDeadline, util.ErrTimeout))
-			return
-		}
-		if retire {
-			// Retirement is retriable staleness, like the write pool: a
-			// dormant reader's next scan transparently re-dials.
-			s.fail(fmt.Errorf("client: read session to %s idle-retired: %w", s.key.addr, util.ErrStale))
-			return
-		}
-		if ping {
-			s.tryPing()
-		}
-	}
-}
-
-// tryPing sends a keepalive without ever blocking the watchdog.
-func (s *readSession) tryPing() {
-	if !s.sendMu.TryLock() {
-		return
-	}
-	defer s.sendMu.Unlock()
-	req, pkt := s.registerLocked(&readReq{ping: true}, func(seq uint64) *proto.Packet {
-		return &proto.Packet{Op: proto.OpDataPing, ReqID: seq}
-	})
-	if req == nil {
-		return
-	}
-	if err := s.st.Send(pkt); err != nil {
-		s.fail(fmt.Errorf("client: read stream to %s: %v: %w", s.key.addr, err, util.ErrTimeout))
-	}
-}
-
-// fail is the single session-fatal path: sticky error, stream closed,
-// session dropped from the pool, every in-flight request completed with
-// the error so waiters unblock.
-func (s *readSession) fail(err error) {
-	s.mu.Lock()
-	if s.err != nil {
-		s.mu.Unlock()
-		return
-	}
-	s.err = err
-	pend := s.pending
-	s.pending = nil
-	now := time.Now()
-	for _, req := range pend {
-		if req.err == nil {
-			req.err = err
-		}
-		req.completed = true
-		req.doneAt = now
-		close(req.done)
-		if req.discarded {
-			recycleChunks(req)
-		}
-	}
-	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stopc) })
-	s.st.Close()
-	if s.pool != nil {
-		s.pool.drop(s)
-	}
-}
-
-func (s *readSession) healthy() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err == nil
-}
-
-// touch refreshes the idle-retire clock on pool handout.
-func (s *readSession) touch() {
-	s.mu.Lock()
-	s.lastUsed = time.Now()
-	s.mu.Unlock()
-}
-
-// close tears the session down on owner-initiated shutdown (pool close).
-func (s *readSession) close() {
-	s.fail(fmt.Errorf("client: read session to %s closed: %w", s.key.addr, util.ErrClosed))
-	<-s.recvDone
-}
-
-// readPool caches one readSession per (replica, epoch) and remembers
-// which replicas recently refused which ranges (the clamp horizons).
+// readPool is the read sessions plus what their refusals taught the
+// client: which replicas recently refused which ranges (the clamp
+// horizons).
 type readPool struct {
-	d *DataClient
+	*sessionPool[sessionPin]
 
-	mu       sync.Mutex
-	sessions map[readKey]*readSession
+	hmu      sync.Mutex // guards horizons; a leaf lock, taken under session mutexes
 	horizons map[clampKey]clampHorizon
-	closed   bool
 }
 
 // clampKey names the scope of one committed-clamp refusal: a replica's
@@ -460,12 +197,19 @@ type clampHorizon struct {
 // follower would keep losing hot-tail reads it can now serve.
 const clampTTL = 250 * time.Millisecond
 
-func newReadPool(d *DataClient) *readPool {
+func newReadPool(nw transport.PacketStreamNetwork, cfg *Config) *readPool {
 	return &readPool{
-		d:        d,
-		sessions: make(map[readKey]*readSession),
-		horizons: make(map[clampKey]clampHorizon),
+		sessionPool: newSessionPool[sessionPin](nw, cfg, proto.OpDataReadStream, "read"),
+		horizons:    make(map[clampKey]clampHorizon),
 	}
+}
+
+// session returns the pooled read session to addr at the view's epoch.
+// The pin is the key: an epoch bump (failover, reconfiguration) gives
+// readers on the fresh view a fresh session while the stale one idles out.
+func (p *readPool) session(addr string, epoch uint64) (*session, error) {
+	pin := sessionPin{addr: addr, epoch: epoch}
+	return p.get(pin, pin)
 }
 
 // noteClamp records a committed-clamp refusal from addr. Monotonic per
@@ -474,7 +218,7 @@ func newReadPool(d *DataClient) *readPool {
 func (p *readPool) noteClamp(addr string, pid, extent, committed uint64) {
 	k := clampKey{addr: addr, pid: pid, extent: extent}
 	now := time.Now()
-	p.mu.Lock()
+	p.hmu.Lock()
 	if cur, ok := p.horizons[k]; !ok || now.Sub(cur.at) > clampTTL || committed >= cur.committed {
 		p.horizons[k] = clampHorizon{committed: committed, at: now}
 	}
@@ -486,7 +230,7 @@ func (p *readPool) noteClamp(addr string, pid, extent, committed uint64) {
 			}
 		}
 	}
-	p.mu.Unlock()
+	p.hmu.Unlock()
 }
 
 // clampedBelow reports whether a fresh refusal horizon says addr cannot
@@ -494,66 +238,8 @@ func (p *readPool) noteClamp(addr string, pid, extent, committed uint64) {
 // again and either serves the range or refreshes the note.
 func (p *readPool) clampedBelow(addr string, pid, extent, end uint64) bool {
 	k := clampKey{addr: addr, pid: pid, extent: extent}
-	p.mu.Lock()
+	p.hmu.Lock()
 	h, ok := p.horizons[k]
-	p.mu.Unlock()
+	p.hmu.Unlock()
 	return ok && time.Since(h.at) <= clampTTL && h.committed < end
-}
-
-// get returns the pooled session for key, dialing one if the cache is
-// empty or the cached session failed.
-func (p *readPool) get(key readKey) (*readSession, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, fmt.Errorf("client: read pool: %w", util.ErrClosed)
-	}
-	cached := p.sessions[key]
-	if cached != nil && cached.healthy() {
-		p.mu.Unlock()
-		cached.touch()
-		return cached, nil
-	}
-	delete(p.sessions, key)
-	p.mu.Unlock()
-	s, err := p.d.dialReadSession(p, key)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		s.close()
-		return nil, fmt.Errorf("client: read pool: %w", util.ErrClosed)
-	}
-	if cur := p.sessions[key]; cur != nil && cur.healthy() {
-		p.mu.Unlock()
-		s.close() // lost the dial race; reuse the winner
-		cur.touch()
-		return cur, nil
-	}
-	p.sessions[key] = s
-	p.mu.Unlock()
-	return s, nil
-}
-
-// drop forgets a failed session (called from readSession.fail).
-func (p *readPool) drop(s *readSession) {
-	p.mu.Lock()
-	if p.sessions[s.key] == s {
-		delete(p.sessions, s.key)
-	}
-	p.mu.Unlock()
-}
-
-// close retires every pooled session; called from Client.Close.
-func (p *readPool) close() {
-	p.mu.Lock()
-	p.closed = true
-	sessions := p.sessions
-	p.sessions = make(map[readKey]*readSession)
-	p.mu.Unlock()
-	for _, s := range sessions {
-		s.close()
-	}
 }

@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"cfs/internal/proto"
-	"cfs/internal/transport"
 	"cfs/internal/util"
 )
 
 // ExtentWriter streams sequential writes to one extent through a pooled
-// replication session (OpDataWriteStream) with a sliding in-flight window.
+// replication session (OpDataWriteStream) with a sliding in-flight window:
+// the paper's one sequential-write protocol (Section 2.2.4, Figure 4).
 //
 // Write slices data into packets and pushes them without waiting for acks;
 // the session's dispatcher routes the in-order acks back - each one meaning
@@ -31,17 +31,17 @@ import (
 // and MaxWriteWindow - a high-latency path grows the window to keep the
 // pipe full, a fast local one shrinks it to bound
 // buffered-but-uncommitted bytes. Config.WriteWindow is the starting point
-// (and the fixed size when DisableAdaptiveWindow pins it for ablations);
-// on a pooled session a fresh writer seeds its controller from the
-// session's last estimate, so an extent roll does not relearn the BDP.
+// (and the fixed size when DisableAdaptiveWindow pins it for ablations;
+// pinned at 1 the writer is stop-and-wait over the stream); a fresh writer
+// seeds its controller from the session's last estimate, so an extent roll
+// does not relearn the BDP.
 //
 // An ExtentWriter is not safe for concurrent use; core.File serializes
 // access under its own mutex.
 type ExtentWriter struct {
-	d         *DataClient
-	dp        proto.DataPartitionInfo
-	sess      *repSession
-	dedicated bool // writer owns the session (pooling disabled); Close tears it down
+	d    *DataClient
+	dp   proto.DataPartitionInfo
+	sess *session
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -54,11 +54,11 @@ type ExtentWriter struct {
 
 // streamPkt is one packet the writer has accepted but not yet seen acked.
 type streamPkt struct {
+	w       *ExtentWriter
 	fileOff uint64
 	data    []byte
 	crc     uint32 // payload CRC, computed once at enqueue
 	create  bool
-	small   bool
 	sentAt  time.Time // stamped by the session; feeds the RTT estimate
 	// qdepth is how many packets this writer already had in flight when
 	// the packet was registered: samples sent into a near-empty window
@@ -218,21 +218,10 @@ func (w *winController) seed(e winEstimate) {
 	w.sgap = e.sgap
 }
 
-// Pipelined reports whether the streaming write path is available: the
-// transport must support duplex packet streams and the ablation switch
-// must be off.
-func (d *DataClient) Pipelined() bool {
-	if d.cfg.DisablePipeline {
-		return false
-	}
-	_, ok := d.nw.(transport.PacketStreamNetwork)
-	return ok
-}
-
 // NewExtentWriter binds a writer to dp's pooled replication session (one
 // pinned stream per partition leader, shared by every writer) and creates
 // a fresh extent through it - the create hop rides the stream, not a
-// separate Call fan-out, and on a pooled session not even a dial.
+// separate Call fan-out, and on a warm session not even a dial.
 func (d *DataClient) NewExtentWriter(dp proto.DataPartitionInfo) (*ExtentWriter, error) {
 	w, err := d.newStreamWriter(dp, d.cfg.WriteWindow, !d.cfg.DisableAdaptiveWindow)
 	if err != nil {
@@ -253,27 +242,18 @@ func (d *DataClient) newStreamWriter(dp proto.DataPartitionInfo, window int, ada
 	if max < window {
 		max = window
 	}
-	var sess *repSession
-	var err error
-	dedicated := d.cfg.DisableSessionPool
-	if dedicated {
-		sess, err = d.dialSession(dp, nil)
-	} else {
-		sess, err = d.pool.get(dp)
-	}
+	sess, err := d.writeSession(dp)
 	if err != nil {
 		return nil, err
 	}
 	w := &ExtentWriter{
-		d: d, dp: dp, sess: sess, dedicated: dedicated,
+		d: d, dp: dp, sess: sess,
 		win: winController{cur: window, max: max, adaptive: adaptive},
 	}
-	if !dedicated {
-		// Cross-extent adaptive state: the pooled session remembers the
-		// last writer's converged estimate, so an extent roll starts at
-		// the learned BDP instead of relearning from the start window.
-		w.win.seed(sess.windowHint())
-	}
+	// Cross-extent adaptive state: the session remembers the last writer's
+	// converged estimate, so an extent roll starts at the learned BDP
+	// instead of relearning from the start window.
+	w.win.seed(sess.windowHint())
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -284,7 +264,7 @@ func (w *ExtentWriter) Partition() proto.DataPartitionInfo { return w.dp }
 // createExtent sends the create hop and waits for its ack (one round trip
 // per extent; appends then stream against the assigned id).
 func (w *ExtentWriter) createExtent() error {
-	sp := &streamPkt{create: true}
+	sp := &streamPkt{w: w, create: true}
 	w.register(sp)
 	if err := w.send(sp, func(seq uint64) *proto.Packet {
 		return &proto.Packet{
@@ -312,12 +292,17 @@ func (w *ExtentWriter) register(sp *streamPkt) {
 	w.mu.Unlock()
 }
 
+// send pushes sp's frame through the session, which stamps the send time
+// the RTT estimate is taken from.
 func (w *ExtentWriter) send(sp *streamPkt, build func(seq uint64) *proto.Packet) error {
-	if err := w.sess.send(w, sp, build); err != nil {
+	err := w.sess.send(sp, func(seq uint64, now time.Time) *proto.Packet {
+		sp.sentAt = now
+		return build(seq)
+	})
+	if err != nil {
 		w.fail(err)
-		return err
 	}
-	return nil
+	return err
 }
 
 // Write queues data for appending at fileOff, blocking only while the
@@ -333,7 +318,7 @@ func (w *ExtentWriter) Write(fileOff uint64, data []byte) (int, error) {
 		}
 		end := util.Min(written+packet, len(data))
 		chunk := append([]byte(nil), data[written:end]...)
-		sp := &streamPkt{fileOff: fileOff + uint64(written), data: chunk, crc: util.CRC(chunk)}
+		sp := &streamPkt{w: w, fileOff: fileOff + uint64(written), data: chunk, crc: util.CRC(chunk)}
 		w.register(sp)
 		// The chunk counts as accepted from registration on: even if the
 		// send below fails, sp sits in the window and Drain surfaces it
@@ -365,7 +350,7 @@ func (w *ExtentWriter) WriteSmall(fileOff uint64, data []byte) error {
 		return err
 	}
 	chunk := append([]byte(nil), data...)
-	sp := &streamPkt{fileOff: fileOff, data: chunk, crc: util.CRC(chunk), small: true}
+	sp := &streamPkt{w: w, fileOff: fileOff, data: chunk, crc: util.CRC(chunk)}
 	w.register(sp)
 	return w.send(sp, func(seq uint64) *proto.Packet {
 		return &proto.Packet{
@@ -438,21 +423,16 @@ func (w *ExtentWriter) Drain() ([]proto.ExtentKey, []PendingWrite, error) {
 	return keys, pend, w.err
 }
 
-// Close detaches the writer from its session. Pooled sessions stay open
-// for the next writer and inherit the writer's adaptive-window estimate; a
-// dedicated session (pooling disabled) is torn down. Callers that care
-// about in-flight data must Drain first.
+// Close detaches the writer from its session, which stays open for the
+// next writer and inherits this one's adaptive-window estimate. Callers
+// that care about in-flight data must Drain first.
 func (w *ExtentWriter) Close() error {
-	if w.dedicated {
-		w.sess.close()
-	} else {
-		w.mu.Lock()
-		est := w.win.estimate()
-		adaptive := w.win.adaptive
-		w.mu.Unlock()
-		if adaptive {
-			w.sess.noteWindow(est)
-		}
+	w.mu.Lock()
+	est := w.win.estimate()
+	adaptive := w.win.adaptive
+	w.mu.Unlock()
+	if adaptive {
+		w.sess.noteWindow(est)
 	}
 	w.fail(fmt.Errorf("client: writer closed: %w", util.ErrClosed))
 	return nil
@@ -466,11 +446,6 @@ func (w *ExtentWriter) fail(err error) {
 	w.cond.Broadcast()
 	w.mu.Unlock()
 }
-
-// sessionFailed poisons the writer when its session dies underneath it
-// (transport error, ack deadline, server abort). Pending packets stay
-// registered so Drain reports them for replay.
-func (w *ExtentWriter) sessionFailed(err error) { w.fail(err) }
 
 // handleAck consumes one in-order ack routed by the session. The server
 // acks a writer's frames strictly in its send order, so each ack matches
@@ -508,8 +483,8 @@ func (w *ExtentWriter) handleAck(sp *streamPkt, ack *proto.Packet, now time.Time
 		return
 	}
 	if ack.ResultCode != proto.ResultOK {
-		// Mirror the stop-and-wait client's error mapping: a data-node
-		// reject means "roll to another partition/extent" upstream.
+		// A data-node reject (extent full, read-only, CRC) means "roll to
+		// another partition/extent" upstream.
 		w.err = fmt.Errorf("client: append to dp %d: %s: %w", w.dp.PartitionID, ack.Data, util.ErrReadOnly)
 		w.cond.Broadcast()
 		return

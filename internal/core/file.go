@@ -14,10 +14,11 @@ import (
 
 // File is an open CFS file. It follows the paper's client write model:
 //
-//   - Sequential writes append through the primary-backup chain into the
-//     file's current extent, rolling to a fresh extent on a new partition
-//     when needed (Figure 4). Extent keys accumulate locally and sync to
-//     the meta node on Fsync/Close or periodically (Section 2.7.1).
+//   - Sequential writes stream through the primary-backup chain into the
+//     file's current extent over a pipelined replication session, rolling
+//     to a fresh extent on a new partition when needed (Figure 4). Extent
+//     keys accumulate locally and sync to the meta node on Fsync/Close or
+//     periodically (Section 2.7.1).
 //   - Random writes are split at the current EOF: the overlapping part
 //     overwrites in place through Raft (no metadata update needed, Figure
 //     5); the rest is appended (Section 2.7.2).
@@ -39,16 +40,11 @@ type File struct {
 	dirty   []proto.ExtentKey // committed to data nodes, not yet on the meta node
 	dirtySz uint64            // size to report on next flush
 
-	// Current append target (Figure 4 step 3: chosen randomly, reused
-	// until full).
-	curDP     proto.DataPartitionInfo
-	curExtent uint64
-	haveDP    bool
-
-	// Streaming append state (stream-capable transports). w holds the
-	// open replication session; size runs ahead of committedSize while
-	// packets are in flight, and every read/overwrite/seek/close settles
-	// the window first so clients never observe uncommitted bytes.
+	// Append state. w is the open writer on the current append target
+	// (Figure 4 step 3: a partition chosen randomly, reused until full);
+	// size runs ahead of committedSize while packets are in flight, and
+	// every read/overwrite/seek/close settles the window first so clients
+	// never observe uncommitted bytes.
 	w             *client.ExtentWriter
 	committedSize uint64 // all-replica acked watermark backing rollback
 
@@ -178,19 +174,12 @@ func (f *File) appendLocked(off uint64, p []byte) (int, error) {
 		f.noteWritten(ek)
 		return len(p), nil
 	}
-	if f.fs.c.Data.Pipelined() {
-		return f.appendStreamLocked(off, p)
-	}
-	return f.appendSyncLocked(off, p)
-}
-
-// appendStreamLocked appends through the pipelined replication session:
-// packets enter the writer's in-flight window and the call returns once
-// they are ACCEPTED, not committed - commit acks drain in the background
-// and are settled at the next flush point (Close, Fsync, Seek, a read, or
-// an overwrite). A window failure replays the uncommitted tail on a fresh
-// extent, mirroring the stop-and-wait path's partition rolling.
-func (f *File) appendStreamLocked(off uint64, p []byte) (int, error) {
+	// Everything else goes through the pipelined replication session:
+	// packets enter the writer's in-flight window and the call returns
+	// once they are ACCEPTED, not committed - commit acks drain in the
+	// background and are settled at the next flush point (Close, Fsync,
+	// Seek, a read, or an overwrite). A window failure replays the
+	// uncommitted tail on a fresh extent.
 	written := 0
 	for written < len(p) {
 		if f.w == nil {
@@ -216,7 +205,7 @@ func (f *File) appendStreamLocked(off uint64, p []byte) (int, error) {
 
 // openWriterLocked starts a streaming writer on a random writable
 // partition, refreshing the view once when the first choice fails
-// (Section 2.3.3 exception handling, same shape as the sync path).
+// (Section 2.3.3 exception handling).
 func (f *File) openWriterLocked() error {
 	dp, err := f.fs.c.Data.PickWritable()
 	if err != nil {
@@ -263,8 +252,8 @@ func (f *File) flushWriterLocked() error {
 		carry = append(pend, carry...)
 		if len(keys) > 0 {
 			// Progress was made; rolling to the next extent is the normal
-			// course of a large write, not a retry (the sync path loops
-			// unbounded here too). Only a stuck window burns attempts.
+			// course of a large write, not a retry. Only a stuck window
+			// burns attempts.
 			attempt = 0
 		}
 		if (err != nil && !retriableAppendErr(err)) || attempt >= f.fs.c.Config().MaxRetries {
@@ -298,55 +287,6 @@ func (f *File) flushWriterLocked() error {
 			break // writer failed again; next Drain sorts it out
 		}
 	}
-}
-
-// appendSyncLocked is the stop-and-wait append loop: one packet per round
-// trip through DataClient.Append. It serves transports without packet
-// streams and the pipelining ablation baseline.
-func (f *File) appendSyncLocked(off uint64, p []byte) (int, error) {
-	written := 0
-	for written < len(p) {
-		if !f.haveDP {
-			dp, err := f.fs.c.Data.PickWritable()
-			if err != nil {
-				return written, err
-			}
-			ext, err := f.fs.c.Data.CreateExtent(dp)
-			if err != nil {
-				// Partition may have gone read-only; refresh the view
-				// and try another (Section 2.3.3 exception handling).
-				_ = f.fs.c.Refresh()
-				dp2, err2 := f.fs.c.Data.PickWritable()
-				if err2 != nil {
-					return written, err2
-				}
-				ext, err = f.fs.c.Data.CreateExtent(dp2)
-				if err != nil {
-					return written, err
-				}
-				dp = dp2
-			}
-			f.curDP, f.curExtent, f.haveDP = dp, ext, true
-		}
-		chunk := p[written:]
-		keys, err := f.fs.c.Data.Append(f.curDP, f.curExtent, off+uint64(written), chunk)
-		for _, ek := range keys {
-			f.noteWritten(ek)
-			written += int(ek.Size)
-		}
-		if err != nil {
-			// Extent or partition full: roll to a fresh extent on a
-			// fresh partition and resend the remainder (the paper's
-			// "client will resend a write request for the remaining
-			// k-p MB to the extents in different data partitions").
-			f.haveDP = false
-			if retriableAppendErr(err) {
-				continue
-			}
-			return written, err
-		}
-	}
-	return written, nil
 }
 
 // noteWritten records a committed extent key locally (pending meta sync).

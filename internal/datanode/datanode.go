@@ -9,13 +9,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cfs/internal/multiraft"
 	"cfs/internal/proto"
-	"cfs/internal/raft"
 	"cfs/internal/raftstore"
 	"cfs/internal/storage"
 	"cfs/internal/transport"
@@ -501,16 +501,11 @@ func (d *DataNode) handleUpdatePartition(req *proto.UpdateDataPartitionReq) (*pr
 	return &proto.UpdateDataPartitionResp{ReplicaEpoch: held}, nil
 }
 
-// reconcileRaft converges the partition's Raft group membership to the
-// master-assigned Members set, in the background. Every member runs the
-// loop after adopting a reconfiguration; only the replica that holds (or
-// wins) Raft leadership proposes, so the ConfChange diff is issued once per
-// delta no matter how many replicas race here. The loop re-reads the
-// desired set every round - a newer reconfiguration simply retargets it.
+// reconcileRaft converges the partition's overwrite Raft group membership
+// to the master-assigned Members set, in the background
+// (multiraft.Group.ConvergeTo); what is left here is hosting the group if
+// this node does not yet.
 func (d *DataNode) reconcileRaft(p *Partition) {
-	if !p.tryBeginReconcile() {
-		return
-	}
 	d.mu.RLock()
 	closed := d.closed
 	if !closed {
@@ -518,103 +513,30 @@ func (d *DataNode) reconcileRaft(p *Partition) {
 	}
 	d.mu.RUnlock()
 	if closed {
-		p.endReconcile()
 		return
 	}
 	go func() {
 		defer d.wg.Done()
-		defer p.endReconcile()
-		delay := 10 * time.Millisecond
-		for {
-			select {
-			case <-d.stopc:
-				return
-			default:
-			}
+		g := p.raftGroup()
+		if g == nil {
+			// A partition that grew from one replica to many: host its
+			// group now (each member does the same with the same set,
+			// exactly like the original create fan-out). Losing a create
+			// race to a concurrent reconfiguration is fine: the winner
+			// converges.
 			desired := p.membersCopy()
-			if !memberOf(desired, d.addr) {
-				return // removed from the set; the survivors own the group now
-			}
-			g := p.raftGroup()
-			if g == nil {
-				// A partition that grew from one replica to many: host its
-				// group now (each member does the same with the same set,
-				// exactly like the original create fan-out).
-				if len(desired) > 1 {
-					if node, err := d.raft.CreateGroup(p.ID, desired, &partitionSM{p: p}); err == nil {
-						p.setRaftGroup(node)
-						g = node
-					}
-				}
-				if g == nil {
-					return
-				}
-			}
-			// Bias the primary-backup leader to win the Raft election too:
-			// with the dead replica detached, Members[0] is the survivor the
-			// master promoted, and one node answering for both roles
-			// minimizes the window where the two leaders differ.
-			if desired[0] == d.addr && !g.IsLeader() {
-				g.Campaign()
-			}
-			if g.IsLeader() {
-				if done := proposeConfDiff(g, desired); done {
-					return
-				}
-			} else if sameMembers(g.Members(), desired) {
-				return // some other replica finished the job
-			}
-			select {
-			case <-d.stopc:
+			if len(desired) <= 1 || !slices.Contains(desired, d.addr) {
 				return
-			case <-time.After(delay):
 			}
-			if delay < 2*time.Second {
-				delay *= 2
+			node, err := d.raft.CreateGroup(p.ID, desired, &partitionSM{p: p})
+			if err != nil {
+				return
 			}
+			p.setRaftGroup(node)
+			g = node
 		}
+		g.ConvergeTo(d.addr, p.membersCopy, d.stopc)
 	}()
-}
-
-// proposeConfDiff proposes the next single ConfChange moving the group
-// toward desired, removals first (shrinking quorum past the dead replica is
-// what un-wedges the group). Returns true once the views match.
-func proposeConfDiff(g *multiraft.Group, desired []string) bool {
-	current := g.Members()
-	for _, addr := range current {
-		if !memberOf(desired, addr) {
-			_ = g.ProposeConfChange(raft.ConfChange{Type: raft.ConfRemoveNode, Addr: addr})
-			return false // one at a time; re-check next round
-		}
-	}
-	for _, addr := range desired {
-		if !memberOf(current, addr) {
-			_ = g.ProposeConfChange(raft.ConfChange{Type: raft.ConfAddNode, Addr: addr})
-			return false
-		}
-	}
-	return true
-}
-
-func memberOf(set []string, addr string) bool {
-	for _, a := range set {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, x := range a {
-		if !memberOf(b, x) {
-			return false
-		}
-	}
-	return true
 }
 
 // runRecoverLoop retries the Section 2.2.5 recovery pass in the background

@@ -1,10 +1,13 @@
 package datanode
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"cfs/internal/proto"
+	"cfs/internal/raftstore"
+	"cfs/internal/transport"
 )
 
 // The follower overwrite fence (DESIGN.md Section 5.5 satellite): the Raft
@@ -158,5 +161,71 @@ func TestAlignReplicasHealsOverwriteDivergence(t *testing.T) {
 	}
 	if !fp.ovwCurrent(eid) {
 		t.Fatal("healed follower still fenced")
+	}
+}
+
+// TestOverwriteLostLeadershipIsRetriable: a Raft leader that loses
+// leadership with an overwrite proposal in flight must answer with the
+// retriable not-leader code, not an I/O error - the client's Overwrite
+// walks to the new leader on the former and gives up on the latter. The
+// nodes run on Memory endpoints so cutting the leader isolates it in both
+// directions (its heartbeats stop, the survivors elect).
+func TestOverwriteLostLeadershipIsRetriable(t *testing.T) {
+	mem := transport.NewMemory()
+	tc := &testCluster{nw: mem}
+	tc.fm = startFakeMaster(t, mem, "master")
+	for i := 0; i < 3; i++ {
+		addr := fmt.Sprintf("dn%d", i)
+		dn, err := Start(mem.Endpoint(addr), Config{
+			Addr: addr, MasterAddr: "master", Dir: t.TempDir(), DisableHeartbeat: true,
+			Raft: raftstore.Config{FlushInterval: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(dn.Close)
+		tc.nodes = append(tc.nodes, dn)
+		tc.addrs = append(tc.addrs, addr)
+	}
+	tc.createPartition(t, 100)
+	eid := tc.createExtent(t, 100)
+	tc.append(t, 100, eid, []byte("aaaaaaaaaa"))
+
+	old := waitRaftLeader(t, tc, 100)
+	mem.Partition(old.node.addr)
+	before := old.raft.Status().LastIndex
+	pkt := proto.NewPacket(proto.OpDataOverwrite, 50, 100, eid, []byte("XYZ"))
+	pkt.ExtentOffset = 3
+	got := make(chan *proto.Packet, 1)
+	go func() {
+		resp, _ := old.handleOverwrite(pkt) // the cut blocks Call; go in by the handler
+		got <- resp
+	}()
+	// Heal only once the proposal sits in the deposed leader's log and the
+	// survivors have moved on, so the step-down finds it pending.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		elected := false
+		for _, n := range tc.nodes {
+			if p := n.Partition(100); p != old && p.raft.IsLeader() {
+				elected = true
+			}
+		}
+		if elected && old.raft.Status().LastIndex > before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("survivors never elected a new raft leader")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	mem.Heal(old.node.addr)
+	select {
+	case resp := <-got:
+		if resp.ResultCode != proto.ResultErrNotLeader {
+			t.Fatalf("overwrite that lost leadership: rc=%d %s, want the retriable not-leader code", resp.ResultCode, resp.Data)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("overwrite on the deposed leader never returned")
 	}
 }

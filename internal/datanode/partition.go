@@ -8,6 +8,7 @@ import (
 
 	"cfs/internal/multiraft"
 	"cfs/internal/proto"
+	"cfs/internal/raft"
 	"cfs/internal/storage"
 	"cfs/internal/util"
 )
@@ -79,10 +80,7 @@ type Partition struct {
 	// replica), so no client needs to pin overwritten extents to the leader.
 	ovwApplied map[uint64]uint64 // extent id -> overwrite version applied locally
 	ovwSeen    map[uint64]uint64 // extent id -> newest version the leader announced
-	// reconciling serializes the background Raft-membership reconcile loop
-	// (at most one per partition; new reconfigurations retarget it).
-	reconciling bool
-	status      proto.PartitionStatus
+	status     proto.PartitionStatus
 	// Recovery quiescence: Recover's promotion of the local watermark to
 	// the committed offset is only sound when NO writer can have in-flight
 	// un-acked bytes for its whole duration (Section 2.2.5). liveSessions
@@ -367,23 +365,6 @@ func (p *Partition) ovwCurrent(extentID uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ovwApplied[extentID] >= p.ovwSeen[extentID]
-}
-
-// tryBeginReconcile claims the partition's single reconcile-loop slot.
-func (p *Partition) tryBeginReconcile() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.reconciling {
-		return false
-	}
-	p.reconciling = true
-	return true
-}
-
-func (p *Partition) endReconcile() {
-	p.mu.Lock()
-	p.reconciling = false
-	p.mu.Unlock()
 }
 
 // membersCopy returns the current replica set.
@@ -846,6 +827,12 @@ func (p *Partition) handleOverwrite(pkt *proto.Packet) (*proto.Packet, error) {
 		return pkt.ErrResponse(proto.ResultErrNotLeader, "not raft leader"), nil
 	}
 	if _, err := g.Propose(encodeOverwrite(pkt.ExtentID, pkt.ExtentOffset, pkt.Data)); err != nil {
+		if errors.Is(err, raft.ErrProposalDropped) || errors.Is(err, raft.ErrNotLeader) {
+			// Leadership moved between the check above and the commit. An
+			// overwrite is idempotent bytes-at-offset, so the client safely
+			// walks on to the new Raft leader and retries there.
+			return pkt.ErrResponse(proto.ResultErrNotLeader, err.Error()), nil
+		}
 		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
 	}
 	return pkt.OKResponse(nil), nil

@@ -305,9 +305,7 @@ func TestLeaderFailoverPromotesAndReplays(t *testing.T) {
 // only) recovery pass, so a crashed follower served nothing indefinitely.
 func TestFollowerRestartTriggersTargetedRecover(t *testing.T) {
 	e := newFailEnv(t, 3)
-	// Dedicated session so closing the writer frees the partition's
-	// session slot (Recover is quiesce-gated).
-	c, err := client.Mount(e.nw, "master0", "vol", client.Config{DisableSessionPool: true})
+	c, err := client.Mount(e.nw, "master0", "vol", client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +327,7 @@ func TestFollowerRestartTriggersTargetedRecover(t *testing.T) {
 		t.Fatalf("baseline drain: %d keys, %v", len(keys), err)
 	}
 	w.Close()
+	c.Close() // frees the partition's session slot (Recover is quiesce-gated)
 	ek := keys[0]
 
 	follower := dp.Members[2]
@@ -601,7 +600,7 @@ func TestDetachedReplicaReattaches(t *testing.T) {
 // cannot host it.
 func TestReattachRecreatesWipedReplica(t *testing.T) {
 	e := newFailEnv(t, 3)
-	c, err := client.Mount(e.nw, "master0", "vol", client.Config{DisableSessionPool: true})
+	c, err := client.Mount(e.nw, "master0", "vol", client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,6 +622,7 @@ func TestReattachRecreatesWipedReplica(t *testing.T) {
 		t.Fatalf("baseline drain: %d keys, %v", len(keys), err)
 	}
 	w.Close()
+	c.Close() // frees the partition's session slot (Recover is quiesce-gated)
 	ek := keys[0]
 
 	follower := dp.Members[2]

@@ -469,13 +469,13 @@ func testReplacementReplicaRefill(t *testing.T, fabric string) {
 		t.Fatal("no spare data node")
 	}
 
-	c, err := client.Mount(e.nw, e.m.Addr(), "vol", client.Config{DisableSessionPool: true})
+	c, err := client.Mount(e.nw, e.m.Addr(), "vol", client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	payload := bytes.Repeat([]byte("refill"), 1024)
 	ek, err := c.Data.WriteSmallFile(0, payload)
+	c.Close() // frees the partition's session slot (the refill is quiesce-gated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,13 +594,13 @@ func TestReadLeaseFencing(t *testing.T) {
 
 func testReadLeaseFencing(t *testing.T, fabric string) {
 	e := newRcEnv(t, fabric, 1, 3)
-	c, err := client.Mount(e.nw, e.m.Addr(), "vol", client.Config{DisableSessionPool: true})
+	c, err := client.Mount(e.nw, e.m.Addr(), "vol", client.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	payload := []byte("leased bytes")
 	ek, err := c.Data.WriteSmallFile(0, payload)
+	c.Close()
 	if err != nil {
 		t.Fatal(err)
 	}

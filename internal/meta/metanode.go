@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
 	"cfs/internal/multiraft"
 	"cfs/internal/proto"
-	"cfs/internal/raft"
 	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
@@ -210,16 +210,10 @@ func (m *MetaNode) UpdatePartition(req *proto.UpdateMetaPartitionReq) (*proto.Up
 }
 
 // reconcileRaft converges the partition's Raft group membership to the
-// master-assigned Members set, in the background. Every member runs the
-// loop after adopting a reconfiguration; only the replica that holds (or
-// wins) Raft leadership actually proposes, so the ConfChange is issued
-// exactly once per delta regardless of how many replicas race here. The
-// loop re-reads the desired set each round - a newer reconfiguration simply
-// retargets it.
+// master-assigned Members set, in the background
+// (multiraft.Group.ConvergeTo); what is left here is hosting the group if
+// this node does not yet.
 func (m *MetaNode) reconcileRaft(p *Partition) {
-	if !p.tryBeginReconcile() {
-		return
-	}
 	m.mu.RLock()
 	closed := m.closed
 	if !closed {
@@ -227,102 +221,30 @@ func (m *MetaNode) reconcileRaft(p *Partition) {
 	}
 	m.mu.RUnlock()
 	if closed {
-		p.endReconcile()
 		return
 	}
 	go func() {
 		defer m.wg.Done()
-		defer p.endReconcile()
-		delay := 10 * time.Millisecond
-		for {
-			select {
-			case <-m.stopc:
-				return
-			default:
-			}
+		g := p.raftGroup()
+		if g == nil {
+			// A partition restored from disk before this node heard the
+			// (re)create task, now multi-replica: host its group. Each
+			// surviving member does the same with the same set, exactly
+			// like the original create fan-out. Losing a create race to a
+			// concurrent reconfiguration is fine: the winner converges.
 			desired := p.MembersCopy()
-			if !memberOf(desired, m.addr) {
-				return // removed from the set; the survivors own the group now
-			}
-			g := p.raftGroup()
-			if g == nil {
-				// A partition restored from disk before this node heard the
-				// (re)create task, now multi-replica: host its group. Each
-				// surviving member does the same with the same set, exactly
-				// like the original create fan-out.
-				if len(desired) > 1 {
-					if node, err := m.raft.CreateGroup(p.ID, desired, p); err == nil {
-						p.setRaftGroup(node)
-						g = node
-					}
-				}
-				if g == nil {
-					return
-				}
-			}
-			// Bias the designated leader to win the election: with the dead
-			// replica detached, Members[0] is the survivor the master chose.
-			if desired[0] == m.addr && !g.IsLeader() {
-				g.Campaign()
-			}
-			if g.IsLeader() {
-				if done := proposeConfDiff(g, desired); done {
-					return
-				}
-			} else if sameMembers(g.Members(), desired) {
-				return // some other replica finished the job
-			}
-			select {
-			case <-m.stopc:
+			if len(desired) <= 1 || !slices.Contains(desired, m.addr) {
 				return
-			case <-time.After(delay):
 			}
-			if delay < 2*time.Second {
-				delay *= 2
+			node, err := m.raft.CreateGroup(p.ID, desired, p)
+			if err != nil {
+				return
 			}
+			p.setRaftGroup(node)
+			g = node
 		}
+		g.ConvergeTo(m.addr, p.MembersCopy, m.stopc)
 	}()
-}
-
-// proposeConfDiff proposes the next single ConfChange moving the group
-// toward desired, removals first (shrinking quorum past the dead replica is
-// what un-wedges the group). Returns true once the views match.
-func proposeConfDiff(g *multiraft.Group, desired []string) bool {
-	current := g.Members()
-	for _, addr := range current {
-		if !memberOf(desired, addr) {
-			_ = g.ProposeConfChange(raft.ConfChange{Type: raft.ConfRemoveNode, Addr: addr})
-			return false // one at a time; re-check next round
-		}
-	}
-	for _, addr := range desired {
-		if !memberOf(current, addr) {
-			_ = g.ProposeConfChange(raft.ConfChange{Type: raft.ConfAddNode, Addr: addr})
-			return false
-		}
-	}
-	return true
-}
-
-func memberOf(set []string, addr string) bool {
-	for _, a := range set {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, x := range a {
-		if !memberOf(b, x) {
-			return false
-		}
-	}
-	return true
 }
 
 // IsLeader reports whether this node leads the given partition's group.
@@ -453,7 +375,7 @@ func (m *MetaNode) loadSnapshots() error {
 		// replica set). Before this, a restarted node reloaded state but
 		// never re-joined the group, so a full-cluster restart silently
 		// degraded every meta partition to an unreplicated one.
-		if members := p.MembersCopy(); len(members) > 1 && memberOf(members, m.addr) {
+		if members := p.MembersCopy(); len(members) > 1 && slices.Contains(members, m.addr) {
 			node, err := m.raft.CreateGroup(id, members, p)
 			if err != nil {
 				return err

@@ -34,14 +34,10 @@ type Partition struct {
 	// epoch is the ReplicaEpoch fencing Members, mirroring the data path:
 	// a reconfiguration is adopted only under a strictly newer epoch, so
 	// replayed or reordered master pushes are harmless.
-	epoch uint64
-	// reconciling serializes the background Raft-membership reconcile loop:
-	// at most one per partition; a newer reconfiguration just retargets the
-	// running loop (it re-reads Members every iteration).
-	reconciling bool
-	inodeTree   *btree.BTree
-	dentryTree  *btree.BTree
-	maxInodeID  uint64 // largest inode id allocated so far in this partition
+	epoch      uint64
+	inodeTree  *btree.BTree
+	dentryTree *btree.BTree
+	maxInodeID uint64 // largest inode id allocated so far in this partition
 	// freeList holds inode ids that were marked deleted and evicted; the
 	// paper's metaPartition carries the same field for background
 	// content cleanup (Section 2.1.1).
@@ -138,23 +134,6 @@ func (p *Partition) applyReconfig(members []string, epoch uint64) (applied bool)
 	p.Members = append([]string(nil), members...)
 	p.epoch = epoch
 	return true
-}
-
-// tryBeginReconcile claims the partition's single reconcile-loop slot.
-func (p *Partition) tryBeginReconcile() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.reconciling {
-		return false
-	}
-	p.reconciling = true
-	return true
-}
-
-func (p *Partition) endReconcile() {
-	p.mu.Lock()
-	p.reconciling = false
-	p.mu.Unlock()
 }
 
 // InodeCount returns the number of inodes held.

@@ -189,6 +189,8 @@ type Group struct {
 	id   uint64
 	mgr  *Manager
 	node *raft.Node
+	// converging single-flights ConvergeTo.
+	converging atomic.Bool
 }
 
 // ID returns the group id.
