@@ -6,7 +6,7 @@ GO ?= go
 TEST_TIMEOUT ?= 120s
 RACE_TIMEOUT ?= 300s
 
-.PHONY: all build test vet fmt-check fmt bench bench-smoke race race-failover race-reconfig race-read verify check
+.PHONY: all build test vet fmt-check fmt bench bench-smoke bench-pairs race race-failover race-reconfig race-read verify check
 
 all: verify
 
@@ -51,12 +51,13 @@ race-reconfig:
 		-run 'ConfChange|RemovedNode|MetaLeaderFailover|Replacement|DeposedMeta|ReadLease|OverwriteFence|OverwriteVersionGossip|HealsOverwrite|OverwriteLostLeadership' \
 		./internal/raft/ ./internal/master/ ./internal/datanode/
 
-# Read path and the client session engine: a hung read session, a stuck
-# readahead window, a broken offload fallback, or a watchdog that a wedged
-# sender can block.
+# Read path and the client session engine: a hung read session, a window
+# that admits too much or too little, a broken offload fallback, a read
+# fence the two read paths disagree on, or a watchdog that a wedged sender
+# can block.
 race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|ReadPipelineDisabled|SessionEngine|MountRejects' \
+		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects' \
 		./internal/datanode/ ./internal/client/ ./internal/core/
 
 fmt-check:
@@ -80,3 +81,11 @@ bench:
 # possible perf regression without gating the merge.
 bench-smoke:
 	CFS_BENCH_SMOKE=1 $(GO) test -run TestBenchSmokeFloors -count=1 -v -timeout $(TEST_TIMEOUT) ./internal/bench/
+
+# The evidence a product PR owes (ROADMAP): N interleaved parent/change pairs
+# of benchmark/run.sh per workload - both medians, the win count and the
+# parent's own spread per metric. `make bench-pairs PARENT=HEAD~1 N=10`.
+PARENT ?= HEAD
+N ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(N)

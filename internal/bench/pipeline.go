@@ -23,14 +23,11 @@ import (
 // label.
 type PipelineNumbers map[string]float64
 
-// RunWritePipeline measures sequential-write MB/s for a sweep of PINNED
-// window sizes (DisableAdaptiveWindow, the ablation grid) starting at the
-// window=1 stop-and-wait baseline, and the adaptive controller started
-// from a deliberately undersized window - the row that shows the
-// RTT-sized window finding the knee on its own. Every configuration
-// writes the same total bytes through a fresh client mount on its own
-// cluster (identical topology and latency), so the only variable is the
-// protocol.
+// RunWritePipeline measures sequential-write MB/s for a sweep of window
+// sizes starting at the window=1 stop-and-wait baseline. Every
+// configuration writes the same total bytes through a fresh client mount
+// on its own cluster (identical topology and latency), so the only
+// variable is the window.
 func RunWritePipeline(s Scale) (*Table, PipelineNumbers, error) {
 	total := 8 * util.MB
 	if s.MaxProcs >= 64 {
@@ -43,7 +40,7 @@ func RunWritePipeline(s Scale) (*Table, PipelineNumbers, error) {
 		Header: []string{"mode", "MB/s", "speedup"},
 	}
 
-	baseline, err := measureWriteThroughput(s, total, client.Config{WriteWindow: 1, DisableAdaptiveWindow: true})
+	baseline, err := measureWriteThroughput(s, total, client.Config{WriteWindow: 1})
 	if err != nil {
 		return nil, nil, fmt.Errorf("stop-and-wait baseline: %w", err)
 	}
@@ -52,7 +49,7 @@ func RunWritePipeline(s Scale) (*Table, PipelineNumbers, error) {
 	table.Rows = append(table.Rows, []string{"stop-and-wait", fmt.Sprintf("%.1f", baseline), "1.00x"})
 
 	for _, w := range windows {
-		mbps, err := measureWriteThroughput(s, total, client.Config{WriteWindow: w, DisableAdaptiveWindow: true})
+		mbps, err := measureWriteThroughput(s, total, client.Config{WriteWindow: w})
 		if err != nil {
 			return nil, nil, fmt.Errorf("window %d: %w", w, err)
 		}
@@ -63,14 +60,6 @@ func RunWritePipeline(s Scale) (*Table, PipelineNumbers, error) {
 		})
 	}
 
-	mbps, err := measureWriteThroughput(s, total, client.Config{WriteWindow: 2})
-	if err != nil {
-		return nil, nil, fmt.Errorf("adaptive window: %w", err)
-	}
-	nums["adaptive"] = mbps
-	table.Rows = append(table.Rows, []string{
-		"adaptive(start=2)", fmt.Sprintf("%.1f", mbps), fmt.Sprintf("%.2fx", mbps/baseline),
-	})
 	return table, nums, nil
 }
 

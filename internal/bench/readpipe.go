@@ -1,18 +1,15 @@
 // The read-pipeline experiment: fio-style read throughput (the SeqRead /
-// RandRead patterns of Figures 8-9) against the streaming read path, on
-// the same 3-replica in-memory cluster with emulated network latency. The
-// baseline is the unary path (one Call per block, leader-first); the
-// streamed rows ride OpDataReadStream sessions with a sliding readahead
-// window and committed-clamped follower offload. Since the unary path is
-// bounded by block_size/RTT, readahead is expected to buy a multiple-x
-// win on sequential scans as soon as the window covers the bandwidth-
-// delay product; random 4 KB reads have no contiguity to prefetch, so
-// the default config routes them hybrid (unary one-round-trip Calls, the
-// streamed path only for sequential runs) and the RandRead row is
-// expected to track the baseline. Each row also records heap
-// allocations per block - the streamed path reads into pooled chunk
-// buffers recycled by the client, where the unary path allocates the
-// payload on every block on both ends.
+// RandRead patterns of Figures 8-9) against the readahead window, on the
+// same 3-replica in-memory cluster with emulated network latency. Every
+// SeqRead row rides OpDataReadStream sessions with committed-clamped
+// follower offload; the baseline is the window pinned at 1 - one request
+// per round trip, bounded by block_size/RTT like a per-block Call - so
+// readahead is expected to buy a multiple-x win on sequential scans as
+// soon as the window covers the bandwidth-delay product. Random 4 KB reads
+// have no contiguity to prefetch; core.File routes them over unary
+// one-round-trip Calls whatever the window, so they get one row. Each row
+// also records heap allocations per block - the streamed path reads into
+// pooled chunk buffers recycled by the client.
 package bench
 
 import (
@@ -29,12 +26,11 @@ import (
 // label, plus "<label>-allocs" (allocs/op) and "<label>-kb" (alloc KB/op).
 type ReadPipeNumbers map[string]float64
 
-// RunReadPipeline measures read MB/s for the unary baseline, a sweep of
-// pinned readahead windows (DisableAdaptiveWindow, the ablation grid),
-// the adaptive controller started undersized, and the random-read pair.
-// Every configuration reads the same file through a fresh client mount on
-// its own cluster (identical topology, latency, and layout), so the only
-// variable is the protocol.
+// RunReadPipeline measures read MB/s for a sweep of readahead windows
+// starting at the window=1 baseline, the default window, and random
+// reads. Every configuration reads the same file through a fresh client
+// mount on its own cluster (identical topology, latency, and layout), so
+// the only variable is the window.
 func RunReadPipeline(s Scale) (*Table, ReadPipeNumbers, error) {
 	total := 8 * util.MB
 	if s.MaxProcs >= 64 {
@@ -51,14 +47,11 @@ func RunReadPipeline(s Scale) (*Table, ReadPipeNumbers, error) {
 		rand  bool
 		cfg   client.Config
 	}{
-		{"SeqRead unary", false, client.Config{DisableReadPipeline: true}},
-		{"SeqRead window=1", false, client.Config{ReadWindow: 1, DisableAdaptiveWindow: true}},
-		{"SeqRead window=4", false, client.Config{ReadWindow: 4, DisableAdaptiveWindow: true}},
-		{"SeqRead window=8", false, client.Config{ReadWindow: 8, DisableAdaptiveWindow: true}},
-		{"SeqRead adaptive(start=2)", false, client.Config{ReadWindow: 2}},
+		{"SeqRead window=1", false, client.Config{ReadWindow: 1}},
+		{"SeqRead window=4", false, client.Config{ReadWindow: 4}},
+		{"SeqRead window=8", false, client.Config{ReadWindow: 8}},
 		{"SeqRead streamed(default)", false, client.Config{}},
-		{"RandRead unary", true, client.Config{DisableReadPipeline: true}},
-		{"RandRead hybrid", true, client.Config{}},
+		{"RandRead", true, client.Config{}},
 	}
 	for _, m := range modes {
 		mbps, allocs, kb, err := measureReadThroughput(s, total, m.rand, m.cfg)
@@ -70,12 +63,8 @@ func RunReadPipeline(s Scale) (*Table, ReadPipeNumbers, error) {
 		nums[m.label+"-kb"] = kb
 	}
 	for _, m := range modes {
-		base := nums["SeqRead unary"]
-		if m.rand {
-			base = nums["RandRead unary"]
-		}
-		speedup := "1.00x"
-		if base > 0 && nums[m.label] != base {
+		speedup := "-" // random reads have no window to compare against
+		if base := nums["SeqRead window=1"]; !m.rand && base > 0 {
 			speedup = fmt.Sprintf("%.2fx", nums[m.label]/base)
 		}
 		table.Rows = append(table.Rows, []string{

@@ -44,26 +44,15 @@ type Config struct {
 	// leader per partition (Section 2.4), so every read probes the
 	// replicas in order.
 	DisableLeaderCache bool
-	// WriteWindow is the STARTING in-flight window of a streaming writer
-	// (and the fixed window when DisableAdaptiveWindow is set). Default 8;
-	// pinned at 1 it is stop-and-wait over the stream.
+	// WriteWindow is how many packets a streaming writer keeps in flight
+	// before blocking on acks. Default 16; at 1 it is stop-and-wait over
+	// the stream.
 	WriteWindow int
-	// MaxWriteWindow caps the adaptive window. Default 64.
-	MaxWriteWindow int
-	// DisableAdaptiveWindow pins the window at WriteWindow instead of
-	// sizing it from the observed ack RTT and spacing (bandwidth-delay
-	// product) - the window-sweep ablation baseline.
-	DisableAdaptiveWindow bool
-	// ReadWindow is the STARTING number of read requests a streaming
-	// reader keeps in flight ahead of the consumer (the readahead window;
-	// fixed there when DisableAdaptiveWindow is set). Default 4; window 1
-	// degenerates to one-request-at-a-time over a pinned stream.
+	// ReadWindow is how many read requests a streaming reader keeps in
+	// flight ahead of the consumer on a sequential run (the readahead
+	// window). Default 32; at 1 it is one request at a time over a pinned
+	// stream.
 	ReadWindow int
-	// MaxReadWindow caps the adaptive readahead window. Default 32.
-	MaxReadWindow int
-	// DisableReadPipeline forces reads onto the per-block unary Call path
-	// (the read-pipelining ablation baseline; writes keep streaming).
-	DisableReadPipeline bool
 	// AckDeadline bounds how long a write or read session waits without
 	// any reply progress before declaring itself hung and failing its
 	// users (converting a half-open data node into a replayable error
@@ -101,17 +90,11 @@ func (c Config) withDefaults(volume string) Config {
 	if c.CacheTTL == 0 {
 		c.CacheTTL = 2 * time.Second
 	}
-	if c.WriteWindow == 0 {
+	if c.WriteWindow < 1 {
 		c.WriteWindow = util.DefaultWriteWindow
 	}
-	if c.MaxWriteWindow == 0 {
-		c.MaxWriteWindow = util.DefaultMaxWriteWindow
-	}
-	if c.ReadWindow == 0 {
+	if c.ReadWindow < 1 {
 		c.ReadWindow = util.DefaultReadWindow
-	}
-	if c.MaxReadWindow == 0 {
-		c.MaxReadWindow = util.DefaultMaxReadWindow
 	}
 	if c.AckDeadline == 0 {
 		c.AckDeadline = 15 * time.Second

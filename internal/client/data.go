@@ -147,7 +147,7 @@ func (d *DataClient) WriteSmallFile(fileOffset uint64, data []byte) (proto.Exten
 }
 
 func (d *DataClient) writeSmallFileOnce(dp proto.DataPartitionInfo, fileOffset uint64, data []byte) (proto.ExtentKey, error) {
-	w, err := d.newStreamWriter(dp, 1, false)
+	w, err := d.newStreamWriter(dp, 1)
 	if err != nil {
 		return proto.ExtentKey{}, err
 	}

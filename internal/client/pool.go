@@ -2,7 +2,6 @@ package client
 
 import (
 	"fmt"
-	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/util"
@@ -12,7 +11,7 @@ import (
 // OpDataWriteStream per partition leader, shared by every ExtentWriter the
 // client opens on that partition - extent creates, appends and small-file
 // writes all multiplex over it. One ack frame completes one in-flight
-// packet and feeds its writer's window (ExtentWriter.handleAck).
+// packet and frees a slot of its writer's window (ExtentWriter.handleAck).
 //
 // Per-sequence error acks (CRC reject, extent full, read-only) poison only
 // the owning writer; the session and its other writers are fine. A
@@ -32,8 +31,8 @@ func (d *DataClient) writeSession(dp proto.DataPartitionInfo) (*session, error) 
 }
 
 // reply implements request: the one ack a packet gets.
-func (sp *streamPkt) reply(ack *proto.Packet, now time.Time) (bool, error) {
-	sp.w.handleAck(sp, ack, now)
+func (sp *streamPkt) reply(ack *proto.Packet) (bool, error) {
+	sp.w.handleAck(sp, ack)
 	if ack.ResultCode == proto.ResultErrAborted {
 		// Fail fast and let every writer on the session replay.
 		return true, fmt.Errorf("session aborted by server: %s: %w", ack.Data, util.ErrTimeout)
@@ -46,31 +45,4 @@ func (sp *streamPkt) reply(ack *proto.Packet, now time.Time) (bool, error) {
 // window so Drain reports it for replay; packets whose acks were lost are
 // over-reported as uncommitted, which is safe - the old extent's copy
 // just becomes unreferenced bytes.
-func (sp *streamPkt) abort(err error, _ time.Time) { sp.w.fail(err) }
-
-// winEstimate is the controller state worth carrying across writers of one
-// session: the converged window plus the RTT/gap estimates behind it.
-type winEstimate struct {
-	cur    int
-	minRTT float64
-	sgap   float64
-}
-
-// noteWindow records a departing writer's controller state on its session
-// (cross-extent state: a fresh writer on an extent roll seeds its
-// controller from it instead of relearning the BDP from the start window).
-func (s *session) noteWindow(e winEstimate) {
-	if e.cur <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.lastWin = e
-	s.mu.Unlock()
-}
-
-// windowHint returns the last recorded controller state (zero when none).
-func (s *session) windowHint() winEstimate {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastWin
-}
+func (sp *streamPkt) abort(err error) { sp.w.fail(err) }

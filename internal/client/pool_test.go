@@ -152,164 +152,176 @@ func TestDrainUnblocksOnHungLeader(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWindowGrowsWithLatency: under emulated network latency the
-// bandwidth-delay product is many packets, so the adaptive controller must
-// grow the window well past its starting point (the static window is the
-// DisableAdaptiveWindow ablation).
-func TestAdaptiveWindowGrowsWithLatency(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
-	c, err := Mount(nw, "master", "vol", Config{WriteWindow: 2, PacketSize: 8 * 1024})
-	if err != nil {
-		t.Fatal(err)
+// The window tests run on the scripted fake stream of session_test.go: no
+// cluster and no clock, the test decides which acks exist.
+
+// unsent fails the test if the client has put a frame on the wire that the
+// test has not consumed.
+func (s *fakeStream) unsent(t *testing.T, when string) {
+	t.Helper()
+	select {
+	case p := <-s.sent:
+		t.Fatalf("%s: unexpected frame on the wire: %+v", when, p)
+	default:
 	}
-	defer c.Close()
-	dp, err := c.Data.PickWritable()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestWriteWindowBoundsFramesInFlight: with no acks delivered a writer puts
+// exactly WriteWindow frames on the wire and then blocks; each ack admits
+// exactly one more.
+func TestWriteWindowBoundsFramesInFlight(t *testing.T) {
+	const window, packet = 4, 8
+	nw := &fakeNet{}
+	d := newFakeClient(nw, Config{WriteWindow: window, PacketSize: packet})
+	defer d.close()
+	opened := make(chan *ExtentWriter)
+	go func() {
+		w, err := d.NewExtentWriter(engineDP)
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- w
+	}()
+	st := nw.awaitStream(t, 0)
+	create := st.nextSent(t)
+	if create.Op != proto.OpDataCreateExtent {
+		t.Fatalf("first frame = %+v, want the extent create", create)
 	}
-	nw.SetLatency(500 * time.Microsecond)
-	defer nw.SetLatency(0)
-	w, err := c.Data.NewExtentWriter(dp)
-	if err != nil {
-		t.Fatal(err)
+	st.reply(&proto.Packet{ReqID: create.ReqID, ExtentID: 9})
+	w := <-opened
+	if w == nil {
+		return
 	}
 	defer w.Close()
-	data := make([]byte, 128*8*1024) // 128 packets
-	if _, err := w.Write(0, data); err != nil {
+
+	written := make(chan error, 1)
+	go func() {
+		_, err := w.Write(0, make([]byte, 2*window*packet)) // two windows' worth
+		written <- err
+	}()
+	var seqs []uint64
+	for i := 0; i < window; i++ {
+		f := st.nextSent(t)
+		if f.Op != proto.OpDataAppend || f.ExtentID != 9 || len(f.Data) != packet {
+			t.Fatalf("frame %d = %+v", i, f)
+		}
+		seqs = append(seqs, f.ReqID)
+	}
+	for i := 0; i < window; i++ {
+		st.unsent(t, "window full, no ack delivered")
+		select {
+		case err := <-written:
+			t.Fatalf("Write returned (%v) with %d packets still unadmitted", err, window-i)
+		default:
+		}
+		st.reply(&proto.Packet{ReqID: seqs[i], ExtentID: 9, ExtentOffset: uint64(i * packet)})
+		seqs = append(seqs, st.nextSent(t).ReqID) // one ack, one more frame
+	}
+	if err := waitErr(t, func() error { return <-written }); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.Drain(); err != nil {
-		t.Fatal(err)
+	st.unsent(t, "everything accepted")
+	for i := window; i < 2*window; i++ {
+		st.reply(&proto.Packet{ReqID: seqs[i], ExtentID: 9, ExtentOffset: uint64(i * packet)})
 	}
-	if got := w.Window(); got < 8 {
-		t.Fatalf("adaptive window = %d after 128 acks at 0.5ms latency, want growth past 8", got)
+	keys, pend, err := w.Drain()
+	if err != nil || len(pend) != 0 || len(keys) != 2*window {
+		t.Fatalf("drain = %d keys, %d pending, %v", len(keys), len(pend), err)
 	}
 }
 
-// TestWinControllerTracksBDP drives the controller with synthetic
-// observations: target = minRTT/gap packets, stepped one ack at a time,
-// clamped to [1, max], frozen when adaptation is disabled.
-func TestWinControllerTracksBDP(t *testing.T) {
-	now := time.Unix(0, 0)
-	w := winController{cur: 4, max: 16, adaptive: true}
-	// 10ms RTT, 1ms between acks of a busy window: BDP ~ 11 packets.
-	for i := 0; i < 40; i++ {
-		now = now.Add(time.Millisecond)
-		w.observe(10*time.Millisecond, now, true, w.cur)
+// TestReadWindowBoundsRequestsInFlight: a run not yet known to be
+// sequential requests exactly the caller's range; once it is, the reader
+// keeps exactly ReadWindow requests in flight, topping up one per request
+// consumed.
+func TestReadWindowBoundsRequestsInFlight(t *testing.T) {
+	const window, packet = 3, 8
+	nw := &fakeNet{}
+	d := newFakeClient(nw, Config{ReadWindow: window, PacketSize: packet})
+	defer d.close()
+	r := d.NewExtentReader()
+	defer r.Close()
+	ek := proto.ExtentKey{PartitionID: engineDP.PartitionID, ExtentID: 9}
+	const known = 100 * packet
+	var off uint64
+	// readHalf reads the next half packet in the background. Once the read
+	// has finished, every request the reader issued for it is on the wire.
+	readHalf := func() chan error {
+		done := make(chan error, 1)
+		at := off
+		off += packet / 2
+		go func() {
+			_, err := r.ReadAt(ek, at, make([]byte, packet/2), known)
+			done <- err
+		}()
+		return done
 	}
-	if w.cur < 10 || w.cur > 12 {
-		t.Fatalf("window = %d, want ~11 (minRTT/gap + 1)", w.cur)
+	serve := func(f *proto.Packet) {
+		data := make([]byte, f.FileOffset)
+		nw.stream(0).reply(&proto.Packet{ReqID: f.ReqID, Data: data, CRC: util.CRC(data)})
 	}
-	// RTT collapses to ~equal the gap: the window walks back down.
-	for i := 0; i < 40; i++ {
-		now = now.Add(time.Millisecond)
-		w.observe(time.Millisecond, now, true, w.cur)
+	finish := func(done chan error) {
+		t.Helper()
+		if err := waitErr(t, func() error { return <-done }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if w.cur > 4 {
-		t.Fatalf("window = %d after RTT collapse, want shrink toward ~2", w.cur)
+
+	// Read 1, nothing known about the access pattern: the caller's range only.
+	done := readHalf()
+	st := nw.awaitStream(t, 0)
+	first := st.nextSent(t)
+	if first.Op != proto.OpDataRead || first.ExtentOffset != 0 || first.FileOffset != packet/2 {
+		t.Fatalf("first request = %+v, want exactly the caller's %d bytes", first, packet/2)
 	}
-	if w.cur < 1 {
-		t.Fatalf("window = %d, must never drop below 1", w.cur)
+	serve(first)
+	finish(done)
+	st.unsent(t, "one-off read")
+
+	// Read 2 continues read 1: a sequential run, so a full window goes out.
+	done = readHalf()
+	var inflight []*proto.Packet
+	for i := 0; i < window; i++ {
+		f := st.nextSent(t)
+		if want := uint64(packet/2 + i*packet); f.ExtentOffset != want || f.FileOffset != packet {
+			t.Fatalf("readahead request %d = %+v, want a full packet at %d", i, f, want)
+		}
+		inflight = append(inflight, f)
 	}
-	// The ceiling binds.
-	w2 := winController{cur: 1, max: 4, adaptive: true}
-	now2 := time.Unix(0, 0)
-	for i := 0; i < 50; i++ {
-		now2 = now2.Add(time.Millisecond)
-		w2.observe(100*time.Millisecond, now2, true, w2.cur)
+	serve(inflight[0])
+	finish(done)
+	st.unsent(t, "window full")
+
+	// Read 3 finishes the head request from the buffer: nothing is sent.
+	finish(readHalf())
+	st.unsent(t, "buffered read")
+
+	// Read 4 finds a free slot: exactly one more request.
+	done = readHalf()
+	next := st.nextSent(t)
+	if want := uint64(packet/2 + window*packet); next.ExtentOffset != want {
+		t.Fatalf("top-up request at %d, want %d", next.ExtentOffset, want)
 	}
-	if w2.cur != 4 {
-		t.Fatalf("window = %d, want clamped at max 4", w2.cur)
-	}
-	// Static mode never moves.
-	ws := winController{cur: 3, max: 16}
-	ws.observe(time.Second, time.Unix(1, 0), true, 0)
-	ws.observe(time.Second, time.Unix(2, 0), true, 0)
-	if ws.cur != 3 {
-		t.Fatalf("static window moved to %d", ws.cur)
-	}
+	serve(inflight[1])
+	finish(done)
+	st.unsent(t, "window topped up")
 }
 
-// TestWinControllerMinRTTFiltersSelfQueueing is the min-RTT satellite
-// regression: a saturating writer's samples include its own queueing delay
-// (rtt ~ cur*gap), so the old EWMA-based target tracked cur+1 and ratcheted
-// every window to the MaxWriteWindow cap. The windowed-min filter keeps the
-// target at the true BDP learned from low-occupancy samples.
-func TestWinControllerMinRTTFiltersSelfQueueing(t *testing.T) {
-	const gap = time.Millisecond
-	trueRTT := 4 * time.Millisecond // true BDP ~ 5 packets
-	now := time.Unix(0, 0)
-	w := winController{cur: 2, max: 64, adaptive: true}
-	// Warm-up at low occupancy: samples near the true RTT.
-	for i := 0; i < 10; i++ {
-		now = now.Add(gap)
-		w.observe(trueRTT, now, true, 0)
+// TestZeroConfigWindows: the two constants a zero Config ships.
+func TestZeroConfigWindows(t *testing.T) {
+	d := newFakeClient(&fakeNet{}, Config{})
+	defer d.close()
+	if d.cfg.WriteWindow != 16 || d.cfg.ReadWindow != 32 {
+		t.Fatalf("default windows = %d / %d, want 16 / 32", d.cfg.WriteWindow, d.cfg.ReadWindow)
 	}
-	// Saturation: every sample inflated by the writer's own queue
-	// (rtt grows with the current window), sent into a full window.
-	for i := 0; i < 500; i++ {
-		now = now.Add(gap)
-		inflated := trueRTT + time.Duration(w.cur)*gap
-		w.observe(inflated, now, true, w.cur)
+	if r := d.NewExtentReader(); r.win != 32 {
+		t.Fatalf("reader window = %d, want 32", r.win)
 	}
-	if w.cur > 8 {
-		t.Fatalf("window ratcheted to %d under self-induced queueing, want ~5 (true BDP)", w.cur)
-	}
-	if w.cur < 3 {
-		t.Fatalf("window = %d, collapsed below the true BDP", w.cur)
-	}
-	// A genuine path change (higher true RTT at low occupancy) is still
-	// learned once the stale minimum ages out.
-	for i := 0; i < minRTTWindow+50; i++ {
-		now = now.Add(gap)
-		w.observe(20*time.Millisecond, now, true, 0)
-	}
-	if w.cur < 15 {
-		t.Fatalf("window = %d after the path slowed, want growth toward ~21", w.cur)
-	}
-}
-
-// TestCrossExtentWindowSeeding is the cross-extent satellite: a fresh
-// writer on a pooled session starts from the session's last converged
-// estimate instead of relearning the BDP from the start window.
-func TestCrossExtentWindowSeeding(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
-	poolVolume(t, nw)
-	c, err := Mount(nw, "master", "pool", Config{WriteWindow: 2, PacketSize: 8 * 1024})
+	w, err := d.newStreamWriter(engineDP, d.cfg.WriteWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	dp, err := c.Data.PickWritable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.SetLatency(500 * time.Microsecond)
-	defer nw.SetLatency(0)
-	w, err := c.Data.NewExtentWriter(dp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(0, make([]byte, 128*8*1024)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := w.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	grown := w.Window()
-	if grown < 8 {
-		t.Fatalf("first writer's window = %d, want growth past 8", grown)
-	}
-	w.Close() // hands the estimate back to the pooled session
-
-	w2, err := c.Data.NewExtentWriter(dp) // the extent-roll successor
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if got := w2.Window(); got < grown-1 {
-		t.Fatalf("successor writer starts at window %d, want seeded ~%d (not the start window 2)", got, grown)
+	if w.win != 16 {
+		t.Fatalf("writer window = %d, want 16", w.win)
 	}
 }

@@ -3,7 +3,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/util"
@@ -20,10 +19,8 @@ import (
 // per-block propagation delay is paid once per window instead of once per
 // block. Fetched-but-unconsumed chunks are retained across ReadAt calls
 // (the cross-call readahead buffer); callers must Invalidate on writes
-// and overwrites for read-your-writes. The window is adaptive by default,
-// reusing the write path's windowed-min-RTT controller (writer.go):
-// Config.ReadWindow is the starting point, MaxReadWindow the cap, and
-// DisableAdaptiveWindow pins it.
+// and overwrites for read-your-writes. The window is Config.ReadWindow
+// requests, a constant.
 //
 // Replica choice is committed-clamped follower offload: the reader
 // round-robins runs across the partition's followers and falls back
@@ -37,7 +34,7 @@ import (
 // access under its own mutex.
 type ExtentReader struct {
 	d   *DataClient
-	win winController
+	win int // readahead window, requests
 
 	// Current sequential run.
 	pid     uint64
@@ -71,30 +68,11 @@ type ExtentReader struct {
 	nextFront   uint64 // prefetch frontier within the next extent
 }
 
-// ReadPipelined reports whether the streaming read path is on (the
-// DisableReadPipeline ablation switch turns it off).
-func (d *DataClient) ReadPipelined() bool { return !d.cfg.DisableReadPipeline }
-
 // NewExtentReader returns a streaming reader over the client's pooled
 // read sessions. Callers keep one per file for cross-call readahead.
 func (d *DataClient) NewExtentReader() *ExtentReader {
-	window := d.cfg.ReadWindow
-	if window < 1 {
-		window = 1
-	}
-	max := d.cfg.MaxReadWindow
-	if max < window {
-		max = window
-	}
-	return &ExtentReader{
-		d:   d,
-		win: winController{cur: window, max: max, adaptive: !d.cfg.DisableAdaptiveWindow},
-	}
+	return &ExtentReader{d: d, win: d.cfg.ReadWindow}
 }
-
-// Window returns the reader's current readahead window size (adaptive
-// sizing makes this a moving target; ablations read it).
-func (r *ExtentReader) Window() int { return r.win.cur }
 
 // ReadAt fills p from [extentOff, extentOff+len(p)) of the extent ek names.
 // known is the end of the contiguous byte span the caller knows exists in
@@ -219,7 +197,7 @@ func (r *ExtentReader) fill(needEnd uint64) error {
 	packet := uint64(r.d.cfg.PacketSize)
 	target := needEnd
 	if r.seqRun {
-		if ahead := r.consumed + uint64(r.win.cur)*packet; ahead > target {
+		if ahead := r.consumed + uint64(r.win)*packet; ahead > target {
 			target = ahead
 		}
 	}
@@ -234,9 +212,9 @@ func (r *ExtentReader) fill(needEnd uint64) error {
 	if !r.seqRun {
 		bound = target
 	}
-	for r.nextOff < target && len(r.reqs) < r.win.cur {
+	for r.nextOff < target && len(r.reqs) < r.win {
 		span := util.MinU64(packet, bound-r.nextOff)
-		req, err := r.d.readPool.read(r.sess, r.pid, r.extent, r.nextOff, uint32(span), r.epoch, len(r.reqs))
+		req, err := r.d.readPool.read(r.sess, r.pid, r.extent, r.nextOff, uint32(span), r.epoch)
 		if err != nil {
 			return err
 		}
@@ -265,10 +243,10 @@ func (r *ExtentReader) fillNext() {
 		}
 	}
 	packet := uint64(r.d.cfg.PacketSize)
-	for r.nextFront < r.nextKnown && len(r.reqs)+len(r.nextReqs) < r.win.cur {
+	for r.nextFront < r.nextKnown && len(r.reqs)+len(r.nextReqs) < r.win {
 		span := util.MinU64(packet, r.nextKnown-r.nextFront)
 		req, err := r.d.readPool.read(r.nextSess, r.nextEK.PartitionID, r.nextEK.ExtentID,
-			r.nextFront, uint32(span), r.nextEpoch, len(r.reqs)+len(r.nextReqs))
+			r.nextFront, uint32(span), r.nextEpoch)
 		if err != nil {
 			r.dropNext()
 			return
@@ -310,9 +288,8 @@ func (r *ExtentReader) bindNextSession() bool {
 }
 
 // promoteNext adopts the prefetched continuation run when the caller's
-// scan rolls onto exactly where it begins: the sequential run, its
-// adaptive window, and any in-flight prefetch survive the extent
-// boundary.
+// scan rolls onto exactly where it begins: the sequential run and any
+// in-flight prefetch survive the extent boundary.
 func (r *ExtentReader) promoteNext(ek proto.ExtentKey, off uint64) bool {
 	if !r.nextValid || r.nextSess == nil ||
 		ek.PartitionID != r.nextEK.PartitionID || ek.ExtentID != r.nextEK.ExtentID ||
@@ -380,19 +357,6 @@ func (r *ExtentReader) consume(p []byte) (int, error) {
 	<-req.done
 	if req.err != nil {
 		return 0, req.err
-	}
-	if !req.observed {
-		// One controller sample per request, stamped at completion time so
-		// buffered consumption does not inflate the RTT estimate. The
-		// service gap scales the intra-request chunk spacing up to a
-		// per-request service time (single-chunk requests carry no gap
-		// information and contribute only their RTT).
-		req.observed = true
-		var service time.Duration
-		if req.gapN > 0 {
-			service = time.Duration(req.gapSum / float64(req.gapN) * float64(len(req.chunks)) * float64(time.Second))
-		}
-		r.win.observeRead(req.doneAt.Sub(req.sentAt), service, req.qdepth)
 	}
 	n := 0
 	skip := r.headOff

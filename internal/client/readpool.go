@@ -28,11 +28,6 @@ type readReq struct {
 	s      *session
 	length uint32
 
-	sentAt time.Time
-	// qdepth is how many requests were already in flight at send time;
-	// low-occupancy samples qualify for the min-RTT filter (writer.go).
-	qdepth int
-
 	// chunks collects the reply payloads in order. The session's
 	// dispatcher owns them until done closes; then ownership transfers to
 	// the waiter, which recycles them into the shared chunk pool after
@@ -40,32 +35,20 @@ type readReq struct {
 	chunks [][]byte
 	got    uint32
 	err    error
-	doneAt time.Time
 	done   chan struct{}
-	// Chunk-arrival spacing within this request: the server streams a
-	// request's chunks back to back, so their arrival gaps sample the
-	// pipe's per-chunk service time - the producer-clocked signal the
-	// reader's adaptive window sizes itself from (see observeRead).
-	lastChunkAt time.Time
-	gapSum      float64 // seconds
-	gapN        int
 
 	// Guarded by the session mutex: the chunk-buffer ownership handoff for
 	// requests abandoned before completion (reader reset/failover).
 	completed bool
 	discarded bool
-	// observed marks the request as already counted by the reader's
-	// adaptive-window controller (reader-side state; single-threaded).
-	observed bool
 }
 
 // read pushes one request onto s. The returned request completes (done
 // closes) when its final chunk or error reply arrives, or when the
 // session fails.
-func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, epoch uint64, qdepth int) (*readReq, error) {
-	req := &readReq{pool: p, s: s, length: length, qdepth: qdepth, done: make(chan struct{})}
-	err := s.send(req, func(seq uint64, now time.Time) *proto.Packet {
-		req.sentAt = now
+func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, epoch uint64) (*readReq, error) {
+	req := &readReq{pool: p, s: s, length: length, done: make(chan struct{})}
+	err := s.send(req, func(seq uint64) *proto.Packet {
 		return &proto.Packet{
 			Op:           proto.OpDataRead,
 			ReqID:        seq,
@@ -84,7 +67,7 @@ func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, ep
 
 // reply implements request: an error reply or the last chunk completes
 // the request; a data chunk before that just accumulates.
-func (req *readReq) reply(f *proto.Packet, now time.Time) (bool, error) {
+func (req *readReq) reply(f *proto.Packet) (bool, error) {
 	addr := req.s.pin.addr
 	switch {
 	case f.ResultCode == proto.ResultErrStaleEpoch:
@@ -104,11 +87,6 @@ func (req *readReq) reply(f *proto.Packet, now time.Time) (bool, error) {
 	case !f.VerifyCRC():
 		return false, util.ErrCRCMismatch
 	default:
-		if !req.lastChunkAt.IsZero() {
-			req.gapSum += now.Sub(req.lastChunkAt).Seconds()
-			req.gapN++
-		}
-		req.lastChunkAt = now
 		// Detach the payload from the frame: the chunk list owns the
 		// buffer from here (recycleChunks returns it to the pool).
 		chunk := f.TakeData()
@@ -121,24 +99,23 @@ func (req *readReq) reply(f *proto.Packet, now time.Time) (bool, error) {
 			return false, fmt.Errorf("got %d of %d bytes: %w", req.got, req.length, util.ErrTimeout)
 		}
 	}
-	req.complete(now)
+	req.complete()
 	return true, nil
 }
 
 // abort implements request: the session died with the request in flight.
-func (req *readReq) abort(err error, now time.Time) {
+func (req *readReq) abort(err error) {
 	if req.err == nil {
 		req.err = err
 	}
-	req.complete(now)
+	req.complete()
 }
 
 // complete wakes the waiter; the session mutex is held. Chunks of
 // requests nobody waits for anymore go back to the pool here - the only
 // point where both sides' state is visible.
-func (req *readReq) complete(now time.Time) {
+func (req *readReq) complete() {
 	req.completed = true
-	req.doneAt = now
 	close(req.done)
 	if req.discarded {
 		recycleChunks(req)

@@ -42,9 +42,9 @@ type request interface {
 	// reply applies one reply frame addressed to this request, the FIFO
 	// head. done pops it (a streamed read stays at the head until its last
 	// chunk); a non-nil fatal fails the whole session.
-	reply(f *proto.Packet, now time.Time) (done bool, fatal error)
+	reply(f *proto.Packet) (done bool, fatal error)
 	// abort tells the owner the session died with the request in flight.
-	abort(err error, now time.Time)
+	abort(err error)
 }
 
 // flight is one in-flight frame of a session's FIFO.
@@ -100,8 +100,7 @@ type session struct {
 	err          error // first fatal error; sticky
 	lastSend     time.Time
 	lastProgress time.Time
-	lastUsed     time.Time   // last USER frame (pings excluded): idle-retire clock
-	lastWin      winEstimate // write sessions: cross-extent window state (pool.go)
+	lastUsed     time.Time // last USER frame (pings excluded): idle-retire clock
 
 	stopc    chan struct{}
 	recvDone chan struct{}
@@ -109,11 +108,11 @@ type session struct {
 
 // send registers one frame in the FIFO and writes it to the stream, both
 // under sendMu so the FIFO order is the wire order. build runs under the
-// session mutex with the frame's sequence and send timestamp. A send
+// session mutex with the frame's sequence. A send
 // blocked on a hung peer holds only sendMu: the watchdog still observes
 // the stalled FIFO through mu, trips the deadline, and closes the stream,
 // which errors this write out.
-func (s *session) send(req request, build func(seq uint64, now time.Time) *proto.Packet) error {
+func (s *session) send(req request, build func(seq uint64) *proto.Packet) error {
 	s.sendMu.Lock()
 	defer s.sendMu.Unlock()
 	return s.sendLocked(req, build)
@@ -121,7 +120,7 @@ func (s *session) send(req request, build func(seq uint64, now time.Time) *proto
 
 // sendLocked is the registration+write core shared by send and the
 // keepalive; the caller holds sendMu.
-func (s *session) sendLocked(req request, build func(seq uint64, now time.Time) *proto.Packet) error {
+func (s *session) sendLocked(req request, build func(seq uint64) *proto.Packet) error {
 	s.mu.Lock()
 	if s.err != nil {
 		err := s.err
@@ -138,7 +137,7 @@ func (s *session) sendLocked(req request, build func(seq uint64, now time.Time) 
 	if req != nil {
 		s.lastUsed = now // user traffic, not keepalive, defers retirement
 	}
-	pkt := build(s.seq, now)
+	pkt := build(s.seq)
 	s.mu.Unlock()
 	if err := s.st.Send(pkt); err != nil {
 		// A transport failure is a timeout: a crashed node and a hung node
@@ -188,7 +187,7 @@ func (s *session) dispatch(f *proto.Packet, now time.Time) error {
 	head := s.inflight[0].req
 	done, fatal := true, error(nil)
 	if head != nil {
-		done, fatal = head.reply(f, now)
+		done, fatal = head.reply(f)
 	}
 	if done {
 		s.inflight[0] = flight{}
@@ -256,7 +255,7 @@ func (s *session) runWatchdog() {
 			// Never block the watchdog: if a sender holds sendMu (possibly
 			// wedged on a dead peer), skip the ping - the deadline path is
 			// the one that must stay live, and it only needs mu.
-			_ = s.sendLocked(nil, func(seq uint64, _ time.Time) *proto.Packet {
+			_ = s.sendLocked(nil, func(seq uint64) *proto.Packet {
 				return &proto.Packet{Op: proto.OpDataPing, ReqID: seq, PartitionID: s.pin.pid}
 			})
 			s.sendMu.Unlock()
@@ -275,10 +274,9 @@ func (s *session) fail(err error) {
 		return
 	}
 	s.err = err
-	now := time.Now()
 	for _, e := range s.inflight {
 		if e.req != nil {
-			e.req.abort(err, now)
+			e.req.abort(err)
 		}
 	}
 	s.inflight = nil

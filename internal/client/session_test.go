@@ -144,6 +144,23 @@ func (n *fakeNet) stream(i int) *fakeStream {
 	return n.streams[i]
 }
 
+// awaitStream returns the i-th dialed stream once a background user has
+// dialed it.
+func (n *fakeNet) awaitStream(t *testing.T, i int) *fakeStream {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n.mu.Lock()
+		dialed := len(n.streams) > i
+		n.mu.Unlock()
+		if dialed {
+			return n.stream(i)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream %d never dialed", i)
+		}
+	}
+}
+
 var engineDP = proto.DataPartitionInfo{PartitionID: 7, Members: []string{"dn0", "dn1", "dn2"}, ReplicaEpoch: 1}
 
 // engineUser drives one of the engine's two users through the cases.
@@ -163,7 +180,7 @@ var engineUsers = []engineUser{
 		name:    "write",
 		session: func(d *DataClient) (*session, error) { return d.writeSession(engineDP) },
 		issue: func(d *DataClient) (func() error, error) {
-			w, err := d.newStreamWriter(engineDP, 4, false)
+			w, err := d.newStreamWriter(engineDP, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -184,7 +201,7 @@ var engineUsers = []engineUser{
 			if err != nil {
 				return nil, err
 			}
-			req, err := d.readPool.read(s, 7, 9, 0, 4, 1, 0)
+			req, err := d.readPool.read(s, 7, 9, 0, 4, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -205,8 +222,13 @@ func reject(seq uint64, code uint8) *proto.Packet {
 }
 
 func newEngineClient(nw *fakeNet, deadline, keepalive time.Duration) *DataClient {
-	cfg := Config{AckDeadline: deadline, KeepaliveInterval: keepalive}.withDefaults("engine")
-	d := newDataClient(nw, cfg)
+	return newFakeClient(nw, Config{AckDeadline: deadline, KeepaliveInterval: keepalive})
+}
+
+// newFakeClient is a data client over the scripted network whose view is
+// engineDP.
+func newFakeClient(nw *fakeNet, cfg Config) *DataClient {
+	d := newDataClient(nw, cfg.withDefaults("engine"))
 	d.setView([]proto.DataPartitionInfo{engineDP})
 	return d
 }
@@ -348,11 +370,11 @@ func TestSessionEngineReplyClasses(t *testing.T) {
 // to it.
 type countingReq struct{ replies, aborts atomic.Int32 }
 
-func (c *countingReq) reply(*proto.Packet, time.Time) (bool, error) {
+func (c *countingReq) reply(*proto.Packet) (bool, error) {
 	c.replies.Add(1)
 	return true, nil
 }
-func (c *countingReq) abort(error, time.Time) { c.aborts.Add(1) }
+func (c *countingReq) abort(error) { c.aborts.Add(1) }
 
 // TestSessionEngineLiveness: the liveness and failure-path rules, each
 // through both users.
@@ -458,7 +480,7 @@ func TestSessionEngineLiveness(t *testing.T) {
 			}
 			checkKind(t, "session", sessionErr(s), util.ErrStale)
 			// A dormant user still holding s sees the retriable kind.
-			err = s.send(&countingReq{}, func(seq uint64, _ time.Time) *proto.Packet { return &proto.Packet{ReqID: seq} })
+			err = s.send(&countingReq{}, func(seq uint64) *proto.Packet { return &proto.Packet{ReqID: seq} })
 			checkKind(t, "send on the retired session", err, util.ErrStale)
 		})
 
@@ -493,7 +515,7 @@ func TestSessionEngineLiveness(t *testing.T) {
 				waits = append(waits, wait)
 			}
 			counted := &countingReq{}
-			if err := s.send(counted, func(seq uint64, _ time.Time) *proto.Packet { return &proto.Packet{ReqID: seq} }); err != nil {
+			if err := s.send(counted, func(seq uint64) *proto.Packet { return &proto.Packet{ReqID: seq} }); err != nil {
 				t.Fatal(err)
 			}
 			nw.stream(0).Close() // the node dies: Recv returns EOF

@@ -3,7 +3,6 @@ package client
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/util"
@@ -23,18 +22,10 @@ import (
 // poisons every writer sharing the session; the pool redials for the next
 // one.
 //
-// The window is adaptive by default: a windowed-minimum ack round trip
-// (BBR-style, favoring samples taken at low window occupancy so the
-// writer's own queueing does not inflate the estimate) over the
-// EWMA-smoothed spacing between consecutive acks estimates the
-// bandwidth-delay product in packets, and the window tracks it between 1
-// and MaxWriteWindow - a high-latency path grows the window to keep the
-// pipe full, a fast local one shrinks it to bound
-// buffered-but-uncommitted bytes. Config.WriteWindow is the starting point
-// (and the fixed size when DisableAdaptiveWindow pins it for ablations;
-// pinned at 1 the writer is stop-and-wait over the stream); a fresh writer
-// seeds its controller from the session's last estimate, so an extent roll
-// does not relearn the BDP.
+// The window is Config.WriteWindow packets, a constant: at most that many
+// accepted-but-unacked packets per writer, which bounds both the bytes an
+// abort must replay and the queue a writer can build on a fast path. Pinned
+// at 1 the writer is stop-and-wait over the stream.
 //
 // An ExtentWriter is not safe for concurrent use; core.File serializes
 // access under its own mutex.
@@ -45,7 +36,7 @@ type ExtentWriter struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	win     winController
+	win     int // in-flight window, packets
 	pending []*streamPkt
 	keys    []proto.ExtentKey // committed since the last Drain, seq order
 	err     error             // first writer error; sticky
@@ -59,12 +50,6 @@ type streamPkt struct {
 	data    []byte
 	crc     uint32 // payload CRC, computed once at enqueue
 	create  bool
-	sentAt  time.Time // stamped by the session; feeds the RTT estimate
-	// qdepth is how many packets this writer already had in flight when
-	// the packet was registered: samples sent into a near-empty window
-	// carry almost no self-induced queueing delay, so they qualify for
-	// the controller's min-RTT filter.
-	qdepth int
 }
 
 // PendingWrite is an accepted-but-uncommitted chunk surfaced by Drain
@@ -74,156 +59,12 @@ type PendingWrite struct {
 	Data       []byte
 }
 
-// winController sizes the in-flight window from observed ack behavior: a
-// windowed-minimum ack round trip over EWMA-smoothed inter-ack spacing is
-// the bandwidth-delay product in packets, and the window walks one step
-// per ack toward it (step-wise so one outlier ack cannot halve the
-// window).
-//
-// The min filter is the fix for self-congestion: an EWMA of ALL samples
-// includes the queueing delay the writer itself induces, so a saturating
-// writer's smoothed RTT tracks cur*gap and the target ratchets to the
-// MaxWriteWindow cap instead of the true BDP - maximizing the
-// accepted-but-uncommitted bytes an abort must replay. BBR's answer,
-// adopted here: estimate propagation delay as the minimum over a sliding
-// window of samples, trusting primarily those taken at LOW window
-// occupancy (little of the writer's own queue ahead of them), and let the
-// minimum expire so a genuine path change is relearned.
-type winController struct {
-	cur      int
-	max      int
-	adaptive bool
-
-	sgap    float64 // smoothed gap between consecutive acks, seconds
-	minRTT  float64 // windowed-min round trip, seconds; 0 = unknown
-	minAge  int     // acks since minRTT was (re)set
-	lastAck time.Time
-	busy    bool // last ack left frames in flight (gap is a service gap)
-}
-
-const ewmaAlpha = 0.125 // the classic SRTT weight
-
-// minRTTWindow bounds the age of the min-RTT estimate in acks; past it the
-// next qualifying sample restarts the minimum so route or load changes are
-// not pinned to an ancient best case.
-const minRTTWindow = 256
-
-// lowOccupancy reports whether a packet entered a window shallow enough
-// (at most a quarter full, or empty) for its round trip to approximate the
-// true propagation delay.
-func (w *winController) lowOccupancy(qdepth int) bool {
-	return qdepth == 0 || qdepth*4 <= w.cur
-}
-
-func (w *winController) observe(rtt time.Duration, now time.Time, stillBusy bool, qdepth int) {
-	if !w.adaptive {
-		return
-	}
-	w.noteRTT(rtt, qdepth)
-	if w.busy && !w.lastAck.IsZero() {
-		// Only gaps between acks of a continuously busy window measure the
-		// pipe's service rate; idle stretches would inflate them.
-		w.noteGap(now.Sub(w.lastAck).Seconds())
-	}
-	w.lastAck, w.busy = now, stillBusy
-	w.step()
-}
-
-// observeRead is the reader-side observation. Request COMPLETIONS cannot
-// feed the gap estimate the way write acks do: the reader issues requests
-// as the consumer drains them, so completion spacing measures the
-// consumer's clock, not the pipe's - at small windows the gap degenerates
-// to the RTT, the BDP target to 1, and window=1 is an absorbing state
-// (one in-flight request produces no busy gaps to relearn from). The
-// producer-clocked signal reads DO have is the spacing of chunk frames
-// INSIDE one request - the server streams them back to back, so their
-// arrival gap is the pipe's per-chunk service time - scaled by the
-// request's chunk count to a per-request service gap.
-func (w *winController) observeRead(rtt time.Duration, serviceGap time.Duration, qdepth int) {
-	if !w.adaptive {
-		return
-	}
-	w.noteRTT(rtt, qdepth)
-	w.noteGap(serviceGap.Seconds())
-	w.step()
-}
-
-// noteRTT folds one round-trip sample into the windowed-min estimate.
-func (w *winController) noteRTT(rtt time.Duration, qdepth int) {
-	r := rtt.Seconds()
-	w.minAge++
-	switch {
-	case w.minRTT == 0:
-		w.minRTT, w.minAge = r, 0
-	case r < w.minRTT:
-		w.minRTT, w.minAge = r, 0
-	case w.minAge > minRTTWindow && w.lowOccupancy(qdepth):
-		// Expiry: restart from a fresh low-occupancy sample only, so a
-		// saturating writer cannot launder its queueing delay into the
-		// propagation estimate just by aging the minimum out.
-		w.minRTT, w.minAge = r, 0
-	}
-}
-
-// noteGap folds one service-gap sample into the EWMA (non-positive
-// samples carry no information and are dropped).
-func (w *winController) noteGap(g float64) {
-	if g <= 0 {
-		return
-	}
-	if w.sgap == 0 {
-		w.sgap = g
-	} else {
-		w.sgap += ewmaAlpha * (g - w.sgap)
-	}
-}
-
-// step walks the window one unit toward the current BDP target.
-func (w *winController) step() {
-	if w.sgap <= 0 {
-		return
-	}
-	target := int(w.minRTT/w.sgap) + 1 // BDP in packets, rounded up
-	if target > w.max {
-		target = w.max
-	}
-	switch {
-	case target > w.cur:
-		w.cur++
-	case target < w.cur && w.cur > 1:
-		w.cur--
-	}
-}
-
-// estimate snapshots the controller state worth carrying to a successor
-// writer on the same session (cross-extent adaptive state).
-func (w *winController) estimate() winEstimate {
-	return winEstimate{cur: w.cur, minRTT: w.minRTT, sgap: w.sgap}
-}
-
-// seed primes a fresh controller from a predecessor's estimate, clamped to
-// this writer's cap.
-func (w *winController) seed(e winEstimate) {
-	if !w.adaptive || e.cur <= 0 {
-		return
-	}
-	w.cur = e.cur
-	if w.cur > w.max {
-		w.cur = w.max
-	}
-	if w.cur < 1 {
-		w.cur = 1
-	}
-	w.minRTT = e.minRTT
-	w.sgap = e.sgap
-}
-
 // NewExtentWriter binds a writer to dp's pooled replication session (one
 // pinned stream per partition leader, shared by every writer) and creates
 // a fresh extent through it - the create hop rides the stream, not a
 // separate Call fan-out, and on a warm session not even a dial.
 func (d *DataClient) NewExtentWriter(dp proto.DataPartitionInfo) (*ExtentWriter, error) {
-	w, err := d.newStreamWriter(dp, d.cfg.WriteWindow, !d.cfg.DisableAdaptiveWindow)
+	w, err := d.newStreamWriter(dp, d.cfg.WriteWindow)
 	if err != nil {
 		return nil, err
 	}
@@ -234,26 +75,12 @@ func (d *DataClient) NewExtentWriter(dp proto.DataPartitionInfo) (*ExtentWriter,
 	return w, nil
 }
 
-func (d *DataClient) newStreamWriter(dp proto.DataPartitionInfo, window int, adaptive bool) (*ExtentWriter, error) {
-	if window < 1 {
-		window = 1
-	}
-	max := d.cfg.MaxWriteWindow
-	if max < window {
-		max = window
-	}
+func (d *DataClient) newStreamWriter(dp proto.DataPartitionInfo, window int) (*ExtentWriter, error) {
 	sess, err := d.writeSession(dp)
 	if err != nil {
 		return nil, err
 	}
-	w := &ExtentWriter{
-		d: d, dp: dp, sess: sess,
-		win: winController{cur: window, max: max, adaptive: adaptive},
-	}
-	// Cross-extent adaptive state: the session remembers the last writer's
-	// converged estimate, so an extent roll starts at the learned BDP
-	// instead of relearning from the start window.
-	w.win.seed(sess.windowHint())
+	w := &ExtentWriter{d: d, dp: dp, sess: sess, win: window}
 	w.cond = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -287,18 +114,13 @@ func (w *ExtentWriter) createExtent() error {
 // matching packet before registering the next one.
 func (w *ExtentWriter) register(sp *streamPkt) {
 	w.mu.Lock()
-	sp.qdepth = len(w.pending) // occupancy at entry, for the min-RTT filter
 	w.pending = append(w.pending, sp)
 	w.mu.Unlock()
 }
 
-// send pushes sp's frame through the session, which stamps the send time
-// the RTT estimate is taken from.
+// send pushes sp's frame through the session.
 func (w *ExtentWriter) send(sp *streamPkt, build func(seq uint64) *proto.Packet) error {
-	err := w.sess.send(sp, func(seq uint64, now time.Time) *proto.Packet {
-		sp.sentAt = now
-		return build(seq)
-	})
+	err := w.sess.send(sp, build)
 	if err != nil {
 		w.fail(err)
 	}
@@ -368,7 +190,7 @@ func (w *ExtentWriter) WriteSmall(fileOff uint64, data []byte) error {
 func (w *ExtentWriter) waitWindow() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.err == nil && len(w.pending) >= w.win.cur {
+	for w.err == nil && len(w.pending) >= w.win {
 		w.cond.Wait()
 	}
 	return w.err
@@ -378,14 +200,6 @@ func (w *ExtentWriter) extentID() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.extent
-}
-
-// Window returns the writer's current in-flight window size (adaptive
-// sizing makes this a moving target; ablations read it).
-func (w *ExtentWriter) Window() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.win.cur
 }
 
 // Idle reports whether a flush would be a no-op: nothing in flight, no
@@ -424,16 +238,8 @@ func (w *ExtentWriter) Drain() ([]proto.ExtentKey, []PendingWrite, error) {
 }
 
 // Close detaches the writer from its session, which stays open for the
-// next writer and inherits this one's adaptive-window estimate. Callers
-// that care about in-flight data must Drain first.
+// next writer. Callers that care about in-flight data must Drain first.
 func (w *ExtentWriter) Close() error {
-	w.mu.Lock()
-	est := w.win.estimate()
-	adaptive := w.win.adaptive
-	w.mu.Unlock()
-	if adaptive {
-		w.sess.noteWindow(est)
-	}
 	w.fail(fmt.Errorf("client: writer closed: %w", util.ErrClosed))
 	return nil
 }
@@ -451,7 +257,7 @@ func (w *ExtentWriter) fail(err error) {
 // acks a writer's frames strictly in its send order, so each ack matches
 // the window head; an error ack poisons the writer and leaves the rest of
 // the window as uncommitted.
-func (w *ExtentWriter) handleAck(sp *streamPkt, ack *proto.Packet, now time.Time) {
+func (w *ExtentWriter) handleAck(sp *streamPkt, ack *proto.Packet) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -501,7 +307,6 @@ func (w *ExtentWriter) handleAck(sp *streamPkt, ack *proto.Packet, now time.Time
 			Size:         uint32(len(sp.data)),
 			CRC:          sp.crc, // computed once at enqueue; no re-scan per ack
 		})
-		w.win.observe(now.Sub(sp.sentAt), now, len(w.pending) > 0, sp.qdepth)
 	}
 	w.cond.Broadcast()
 }

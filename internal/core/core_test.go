@@ -895,35 +895,3 @@ func TestStreamedReadInvalidatedByOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestReadPipelineDisabledFallsBack: the DisableReadPipeline ablation
-// serves every read over the unary Call path with identical results (and
-// without ever dialing a read stream).
-func TestReadPipelineDisabledFallsBack(t *testing.T) {
-	e := startEnv(t, MountOptions{Client: client.Config{DisableReadPipeline: true}})
-	f, err := e.fs.Create("/unary.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := bytes.Repeat([]byte("unary-read!"), 40*1024) // ~440 KB
-	if _, err := f.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, err := e.fs.Open("/unary.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if _, err := g.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("unary fallback content mismatch")
-	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

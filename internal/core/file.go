@@ -411,7 +411,7 @@ func (f *File) readAtLocked(off uint64, p []byte) (int, error) {
 // as before the pipeline.
 func (f *File) readSpanLocked(ek proto.ExtentKey, extOff uint64, p []byte, sequential bool) (int, error) {
 	stream := sequential || len(p) >= f.fs.c.Config().PacketSize/2
-	if stream && f.fs.c.Data.ReadPipelined() {
+	if stream {
 		if f.r == nil {
 			f.r = f.fs.c.Data.NewExtentReader()
 		}

@@ -146,8 +146,8 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 		return nil, err
 	}
 	d.ln = ln
-	// Pipelined replication sessions need duplex packet streams; on a
-	// transport without them the node still serves the per-packet path.
+	// Client writes and streamed reads need duplex packet streams; on a
+	// transport without them the node serves only the unary ops.
 	if snw, ok := nw.(transport.PacketStreamNetwork); ok {
 		if err := snw.ListenStream(cfg.Addr, d.handleStream); err != nil {
 			d.Close()
@@ -673,34 +673,29 @@ func (d *DataNode) handle(op uint8, req any) (any, error) {
 
 func (d *DataNode) dispatchPacket(p *Partition, pkt *proto.Packet) (*proto.Packet, error) {
 	switch pkt.Op {
-	case proto.OpDataCreateExtent:
-		return p.handleCreateExtent(pkt)
-	case proto.OpDataAppend:
-		return p.handleAppend(pkt)
-	case proto.OpDataOverwrite:
-		return p.handleOverwrite(pkt)
-	case proto.OpDataRead:
-		d.reads.Add(1)
-		if !d.readLeaseValid() {
-			return pkt.ErrResponse(proto.ResultErrLeaseExpired,
-				"read lease lapsed: node has missed master heartbeats"), nil
+	case proto.OpDataCreateExtent, proto.OpDataAppend, proto.OpDataCommitted, proto.OpDataTruncate:
+		// On the Call path these are replication hops only: the create and
+		// append re-ship and the truncation of AlignReplicas, and the
+		// committed-offset gossip. Same apply rules - including the
+		// stale-epoch fence - as the stream hops. A client's bytes reach
+		// the store one way, writeSession.leaderPacket.
+		if pkt.ResultCode != resultHopFollower {
+			return pkt.ErrResponse(proto.ResultErrArg, fmt.Sprintf(
+				"%s over Call is a replication hop; client writes ride %s", pkt.Op, proto.OpDataWriteStream)), nil
 		}
-		return p.handleRead(pkt)
-	case proto.OpDataMarkDelete:
-		return p.handleMarkDelete(pkt)
-	case proto.OpDataCommitted, proto.OpDataTruncate:
-		// Committed-offset gossip and alignment truncation from the leader
-		// (Call-path variants of the stream's control frames); same apply
-		// rules - including the stale-epoch fence - as the stream hops.
-		// Truncation is destructive, so it additionally requires the hop
-		// marker: it is a replication-internal frame, never a client op.
-		if pkt.Op == proto.OpDataTruncate && pkt.ResultCode != resultHopFollower {
-			return pkt.ErrResponse(proto.ResultErrArg, "truncate is a replication hop, not a client op"), nil
+		if pkt.Op == proto.OpDataAppend && !pkt.VerifyCRC() {
+			return pkt.ErrResponse(proto.ResultErrCRC, "payload crc mismatch"), nil
 		}
 		if err := p.applyFollowerHop(pkt); err != nil {
 			return pkt.ErrResponse(hopErrCode(err), err.Error()), nil
 		}
 		return pkt.OKResponse(nil), nil
+	case proto.OpDataOverwrite:
+		return p.handleOverwrite(pkt)
+	case proto.OpDataRead:
+		return p.handleRead(pkt)
+	case proto.OpDataMarkDelete:
+		return p.handleMarkDelete(pkt)
 	case proto.OpDataFlush:
 		if err := p.store.Flush(); err != nil {
 			return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil

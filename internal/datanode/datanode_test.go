@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/datanode/dntest"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
 	"cfs/internal/transport"
@@ -100,6 +101,51 @@ type testCluster struct {
 	fm    *fakeMaster
 	nodes []*DataNode
 	addrs []string
+	// writers is the write fixture: one replication session to the leader
+	// per partition, kept open across appends the way a client's pooled
+	// session is (committed gossip rides the open session's chains).
+	writers map[uint64]*dntest.Writer
+}
+
+// writer returns the fixture's open session for pid, dialing the leader on
+// first use and after a failure dropped the previous one.
+func (tc *testCluster) writer(t *testing.T, pid uint64) *dntest.Writer {
+	t.Helper()
+	if w := tc.writers[pid]; w != nil {
+		return w
+	}
+	w, err := dntest.Dial(tc.nw, tc.leaderAddr(), pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	if tc.writers == nil {
+		tc.writers = make(map[uint64]*dntest.Writer)
+	}
+	tc.writers[pid] = w
+	return w
+}
+
+// quiesce closes the fixture's sessions and waits until the leader counts
+// no live writer, which is what a direct Partition.Recover call requires.
+func (tc *testCluster) quiesce(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for pid, w := range tc.writers {
+		w.Close()
+		for p := tc.nodes[0].Partition(pid); ; time.Sleep(time.Millisecond) {
+			p.mu.Lock()
+			live := p.liveSessions
+			p.mu.Unlock()
+			if live == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("partition %d still has %d live sessions", pid, live)
+			}
+		}
+	}
+	tc.writers = nil
 }
 
 // cut fully partitions addr off the fabric. Only the Memory network can
@@ -193,28 +239,27 @@ func (tc *testCluster) leaderAddr() string { return tc.addrs[0] }
 
 func (tc *testCluster) createExtent(t *testing.T, pid uint64) uint64 {
 	t.Helper()
-	pkt := proto.NewPacket(proto.OpDataCreateExtent, 1, pid, 0, nil)
-	var resp proto.Packet
-	if err := tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataCreateExtent), pkt, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ResultCode != proto.ResultOK {
-		t.Fatalf("create extent failed: %s", resp.Data)
-	}
-	return resp.ExtentID
+	return tc.writer(t, pid).MustCreateExtent(t)
 }
 
 func (tc *testCluster) append(t *testing.T, pid, eid uint64, data []byte) (uint64, uint64) {
 	t.Helper()
-	pkt := proto.NewPacket(proto.OpDataAppend, 2, pid, eid, data)
-	var resp proto.Packet
-	if err := tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataAppend), pkt, &resp); err != nil {
+	return tc.writer(t, pid).MustAppend(t, eid, data)
+}
+
+// tryAppend is append for tests that expect a refusal: it returns the ack
+// and forgets the session if it was refused (an aborted session serves
+// nothing more).
+func (tc *testCluster) tryAppend(t *testing.T, pid, eid uint64, data []byte) *proto.Packet {
+	t.Helper()
+	ack, err := tc.writer(t, pid).Append(eid, data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ResultCode != proto.ResultOK {
-		t.Fatalf("append failed: %s", resp.Data)
+	if ack.ResultCode != proto.ResultOK {
+		delete(tc.writers, pid)
 	}
-	return resp.ExtentID, resp.ExtentOffset
+	return ack
 }
 
 func (tc *testCluster) read(t *testing.T, addr string, pid, eid, off uint64, length uint32) ([]byte, *proto.Packet) {
@@ -283,9 +328,13 @@ func TestAppendToFollowerRejected(t *testing.T) {
 	tc := startCluster(t, 3)
 	tc.createPartition(t, 100)
 	eid := tc.createExtent(t, 100)
-	pkt := proto.NewPacket(proto.OpDataAppend, 9, 100, eid, []byte("x"))
-	var resp proto.Packet
-	if err := tc.nw.Call(tc.addrs[1], uint8(proto.OpDataAppend), pkt, &resp); err != nil {
+	w, err := dntest.Dial(tc.nw, tc.addrs[1], 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	resp, err := w.Append(eid, []byte("x"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.ResultCode != proto.ResultErrNotLeader {
@@ -299,8 +348,8 @@ func TestAppendCorruptPayloadRejected(t *testing.T) {
 	eid := tc.createExtent(t, 100)
 	pkt := proto.NewPacket(proto.OpDataAppend, 9, 100, eid, []byte("good"))
 	pkt.Data = []byte("evil") // CRC now stale
-	var resp proto.Packet
-	if err := tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataAppend), pkt, &resp); err != nil {
+	resp, err := tc.writer(t, 100).Do(pkt)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.ResultCode != proto.ResultErrCRC {
@@ -319,18 +368,11 @@ func TestSmallFileAggregatedWrite(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		data := fmt.Sprintf("small-%d", i)
-		pkt := proto.NewPacket(proto.OpDataAppend, uint64(10+i), 100, 0, []byte(data))
-		var resp proto.Packet
-		if err := tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataAppend), pkt, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.ResultCode != proto.ResultOK {
-			t.Fatalf("small write failed: %s", resp.Data)
-		}
+		eid, off := tc.append(t, 100, 0, []byte(data))
 		locs = append(locs, struct {
 			eid, off uint64
 			data     string
-		}{resp.ExtentID, resp.ExtentOffset, data})
+		}{eid, off, data})
 	}
 	// All land in one shared extent, and every replica serves them.
 	for _, l := range locs[1:] {
@@ -423,7 +465,7 @@ func TestReadBeyondCommittedFails(t *testing.T) {
 	eid := tc.createExtent(t, 100)
 	tc.append(t, 100, eid, []byte("12345"))
 	_, resp := tc.read(t, tc.leaderAddr(), 100, eid, 2, 10)
-	if resp.ResultCode != proto.ResultErrIO {
+	if resp.ResultCode != proto.ResultErrClamped {
 		t.Fatalf("out-of-range read rc=%d", resp.ResultCode)
 	}
 }
@@ -432,12 +474,7 @@ func TestMarkDeletePunchesHoles(t *testing.T) {
 	tc := startCluster(t, 3)
 	tc.createPartition(t, 100)
 
-	pkt := proto.NewPacket(proto.OpDataAppend, 30, 100, 0, []byte("0123456789"))
-	var wr proto.Packet
-	if err := tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataAppend), pkt, &wr); err != nil {
-		t.Fatal(err)
-	}
-	eid, off := wr.ExtentID, wr.ExtentOffset
+	eid, off := tc.append(t, 100, 0, []byte("0123456789"))
 
 	lenBuf := make([]byte, 8)
 	binary.BigEndian.PutUint64(lenBuf, 10)
@@ -463,12 +500,7 @@ func TestFollowerFailureReportedAndWriteFails(t *testing.T) {
 	tc.append(t, 100, eid, []byte("before"))
 
 	tc.cut(t, tc.addrs[2])
-	pkt := proto.NewPacket(proto.OpDataAppend, 40, 100, eid, []byte("after"))
-	var resp proto.Packet
-	if err := tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataAppend), pkt, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ResultCode == proto.ResultOK {
+	if resp := tc.tryAppend(t, 100, eid, []byte("after")); resp.ResultCode == proto.ResultOK {
 		t.Fatal("append succeeded with unreachable follower (primary-backup requires all)")
 	}
 	// Committed never advanced past the earlier write.
@@ -487,9 +519,7 @@ func TestAlignReplicasCatchesUpLaggingFollower(t *testing.T) {
 	// Partition follower 2; writes now fail but leader + follower 1 hold
 	// more data than follower 2 (stale tail allowed, never served).
 	tc.cut(t, tc.addrs[2])
-	pkt := proto.NewPacket(proto.OpDataAppend, 50, 100, eid, []byte("tail"))
-	var resp proto.Packet
-	tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataAppend), pkt, &resp)
+	tc.tryAppend(t, 100, eid, []byte("tail"))
 
 	tc.nw.Heal(tc.addrs[2])
 	leaderP := tc.nodes[0].Partition(100)
@@ -579,18 +609,15 @@ func TestPartitionFullGoesReadOnly(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	pkt := proto.NewPacket(proto.OpDataAppend, 1, 1, 0, []byte("12345678"))
-	var resp proto.Packet
-	if err := nw.Call("solo", uint8(proto.OpDataAppend), pkt, &resp); err != nil {
+	w, err := dntest.Dial(nw, "solo", 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ResultCode != proto.ResultOK {
-		t.Fatalf("first write failed: %s", resp.Data)
-	}
+	defer w.Close()
+	w.MustAppend(t, 0, []byte("12345678"))
 	// Next write exceeds capacity and must flip the partition read-only.
-	pkt2 := proto.NewPacket(proto.OpDataAppend, 2, 1, 0, []byte("x"))
-	var resp2 proto.Packet
-	if err := nw.Call("solo", uint8(proto.OpDataAppend), pkt2, &resp2); err != nil {
+	resp2, err := w.Append(0, []byte("x"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp2.ResultCode == proto.ResultOK {
@@ -598,5 +625,31 @@ func TestPartitionFullGoesReadOnly(t *testing.T) {
 	}
 	if dn.Partition(1).Status() != proto.PartitionReadOnly {
 		t.Fatalf("partition status = %v", dn.Partition(1).Status())
+	}
+}
+
+// TestUnaryClientWriteRejected: the data node serves client writes on
+// replication sessions only; a create or append arriving as a plain Call
+// (no hop marker) is refused before it touches the store.
+func TestUnaryClientWriteRejected(t *testing.T) {
+	tc := startCluster(t, 3)
+	tc.createPartition(t, 100)
+	eid := tc.createExtent(t, 100)
+	for _, pkt := range []*proto.Packet{
+		proto.NewPacket(proto.OpDataCreateExtent, 1, 100, 0, nil),
+		proto.NewPacket(proto.OpDataAppend, 2, 100, eid, []byte("unary")),
+		proto.NewPacket(proto.OpDataAppend, 3, 100, 0, []byte("unary small file")),
+	} {
+		var resp proto.Packet
+		if err := tc.nw.Call(tc.leaderAddr(), uint8(pkt.Op), pkt, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ResultCode != proto.ResultErrArg {
+			t.Fatalf("unary %s: rc=%d (%s), want ResultErrArg", pkt.Op, resp.ResultCode, resp.Data)
+		}
+	}
+	p := tc.nodes[0].Partition(100)
+	if p.ExtentCount() != 1 || p.Used() != 0 {
+		t.Fatalf("refused unary writes reached the store: %d extents, %d bytes", p.ExtentCount(), p.Used())
 	}
 }

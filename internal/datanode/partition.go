@@ -52,8 +52,8 @@ type Partition struct {
 	epoch uint64
 	// promoting gates writes on a node that just became leader through a
 	// reconfiguration: until its alignment pass (Recover) has run, its
-	// watermark and its followers' may diverge, so sessions and Call
-	// appends are refused retriably.
+	// watermark and its followers' may diverge, so session binds are
+	// refused retriably.
 	promoting bool
 	// hopEpoch is the highest epoch observed on an accepted replication
 	// hop. A follower that misses the master's reconfiguration push still
@@ -65,8 +65,8 @@ type Partition struct {
 	// frame re-teaches the watermark.
 	hopEpoch uint64
 	// recoverWaiters counts recovery loops waiting for quiescence. While
-	// any is pending, NEW session binds and Call appends are refused
-	// retriably - without the drain, a client that rebinds the instant
+	// any is pending, NEW session binds are refused retriably - without
+	// the drain, a client that rebinds the instant
 	// its session aborts could starve a master-tasked realignment
 	// forever (bound sessions always beat the retry timer).
 	recoverWaiters int
@@ -84,11 +84,10 @@ type Partition struct {
 	// Recovery quiescence: Recover's promotion of the local watermark to
 	// the committed offset is only sound when NO writer can have in-flight
 	// un-acked bytes for its whole duration (Section 2.2.5). liveSessions
-	// counts bound, unfailed leader write sessions; liveWrites counts
-	// in-flight Call-path appends; recovering, while set, refuses new
-	// sessions and Call appends with a retriable error.
+	// counts bound, unfailed leader write sessions - the only way a
+	// client's bytes reach the store; recovering, while set, refuses new
+	// sessions with a retriable error.
 	liveSessions int
-	liveWrites   int
 	recovering   bool
 
 	// Debounced committed-snapshot state (persist.go), separate from mu
@@ -97,10 +96,11 @@ type Partition struct {
 	savePending bool
 	saveStopped bool
 
-	// Call-path committed gossip is coalesced: appends mark extents dirty
-	// and at most one flusher goroutine per partition pushes the LATEST
-	// offsets, so a sustained write load costs one in-flight update per
-	// partition instead of one goroutine + RPC fan-out per append.
+	// Call-path committed gossip (the overwrite apply's version
+	// announcements) is coalesced: applies mark extents dirty and at most
+	// one flusher goroutine per partition pushes the LATEST offsets, so a
+	// sustained overwrite load costs one in-flight update per partition
+	// instead of one goroutine + RPC fan-out per apply.
 	gossipMu    sync.Mutex
 	gossipDirty map[uint64]bool
 	gossipBusy  bool
@@ -421,32 +421,14 @@ func (p *Partition) sessionEnd() {
 	p.mu.Unlock()
 }
 
-// writeStart claims an in-flight slot for one Call-path append (refused
-// during recovery); writeEnd releases it.
-func (p *Partition) writeStart() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.recovering || p.promoting || p.recoverWaiters > 0 {
-		return false
-	}
-	p.liveWrites++
-	return true
-}
-
-func (p *Partition) writeEnd() {
-	p.mu.Lock()
-	p.liveWrites--
-	p.mu.Unlock()
-}
-
 // beginRecover atomically checks quiescence and, if the partition is
-// quiet, holds it quiet (new sessions and Call appends are refused) until
+// quiet, holds it quiet (new sessions are refused) until
 // endRecover - closing the check-then-promote race a bare counter read
 // would leave open.
 func (p *Partition) beginRecover() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.recovering || p.liveSessions > 0 || p.liveWrites > 0 {
+	if p.recovering || p.liveSessions > 0 {
 		return false
 	}
 	p.recovering = true
@@ -475,66 +457,18 @@ func (p *Partition) checkWritable() error {
 }
 
 // ---------------------------------------------------------------------------
-// Create extent (leader assigns the id, then fans out).
-
-func (p *Partition) handleCreateExtent(pkt *proto.Packet) (*proto.Packet, error) {
-	if pkt.ResultCode == resultHopFollower {
-		// Follower hop: create the extent the leader assigned.
-		if err := p.applyFollowerHop(pkt); err != nil {
-			return pkt.ErrResponse(hopErrCode(err), err.Error()), nil
-		}
-		return pkt.OKResponse(nil), nil
-	}
-	// Leader hop: allocate an id, create locally, forward.
-	if !p.isLeader() {
-		return pkt.ErrResponse(proto.ResultErrNotLeader, "not primary"), nil
-	}
-	if err := p.checkClientEpoch(pkt); err != nil {
-		return pkt.ErrResponse(proto.ResultErrStaleEpoch, err.Error()), nil
-	}
-	if err := p.checkWritable(); err != nil {
-		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
-	}
-	id := p.store.NextID()
-	if err := p.store.Create(id); err != nil {
-		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
-	}
-	fwd := createHopPacket(p.ID, pkt.ReqID, id, p.Epoch())
-	for _, f := range p.followers() {
-		var resp proto.Packet
-		if err := p.node.nw.Call(f, uint8(proto.OpDataCreateExtent), fwd, &resp); err != nil {
-			p.reportFailure(f)
-			return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
-		}
-		if resp.ResultCode != proto.ResultOK {
-			return pkt.ErrResponse(resp.ResultCode, string(resp.Data)), nil
-		}
-	}
-	out := pkt.OKResponse(nil)
-	out.ExtentID = id
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Sequential write: primary-backup replication (Figure 4).
-
-func (p *Partition) handleAppend(pkt *proto.Packet) (*proto.Packet, error) {
-	if !pkt.VerifyCRC() {
-		return pkt.ErrResponse(proto.ResultErrCRC, "payload crc mismatch"), nil
-	}
-	if pkt.ResultCode == resultHopFollower {
-		return p.followerAppend(pkt)
-	}
-	return p.leaderAppend(pkt)
-}
+// Sequential write: primary-backup replication (Figure 4). The leader half
+// lives in stream.go (writeSession.leaderPacket); what follows is the
+// follower half, shared by the stream hops and the Call-path hops that
+// alignment and gossip send.
 
 // resultHopFollower in a request's ResultCode marks a forwarded
 // (leader -> follower) hop; requests from clients carry ResultOK.
 const resultHopFollower uint8 = 0xF7
 
 // applyFollowerHop applies one forwarded hop to the local store. Both the
-// per-packet Call path and the streaming session path route through here,
-// so the replication apply rules (small-file marker, watermark-checked
+// Call-path hops (dispatchPacket) and the streaming session path route
+// through here, so the replication apply rules (small-file marker, watermark-checked
 // appends, leader-assigned extent creation, epoch fencing) exist exactly
 // once. Append hops piggyback the extent's all-replica committed offset,
 // which is how a follower learns what its own read clamp may expose
@@ -551,8 +485,8 @@ func (p *Partition) applyFollowerHop(pkt *proto.Packet) error {
 		if pkt.FileOffset == smallFileMarker {
 			err = p.store.SmallFileAt(pkt.ExtentID, pkt.ExtentOffset, pkt.Data)
 		} else {
-			// Every route here (unary handleAppend, stream followerPacket)
-			// ran VerifyCRC on ingest, so the store can fold the verified
+			// Every route here (dispatchPacket, stream followerPacket) ran
+			// VerifyCRC on ingest, so the store can fold the verified
 			// sum instead of re-scanning the payload.
 			err = p.store.AppendAtSum(pkt.ExtentID, pkt.ExtentOffset, pkt.Data, pkt.CRC)
 		}
@@ -577,7 +511,7 @@ func (p *Partition) applyFollowerHop(pkt *proto.Packet) error {
 		// Persist the learned map so a crash-restarted follower on a
 		// then-quiescent partition serves reads instead of reloading an
 		// empty map - but debounced off the receive path: gossip can
-		// arrive per window drain (or per Call append), and a full-map
+		// arrive per window drain (or per overwrite apply), and a full-map
 		// snapshot per frame would put file I/O on the replication loop.
 		p.saveCommittedSoon()
 		return nil
@@ -650,74 +584,10 @@ func createHopPacket(partitionID, reqID, extentID, epoch uint64) *proto.Packet {
 	}
 }
 
-func (p *Partition) leaderAppend(pkt *proto.Packet) (*proto.Packet, error) {
-	if !p.isLeader() {
-		return pkt.ErrResponse(proto.ResultErrNotLeader, "not primary"), nil
-	}
-	if err := p.checkClientEpoch(pkt); err != nil {
-		return pkt.ErrResponse(proto.ResultErrStaleEpoch, err.Error()), nil
-	}
-	if !p.writeStart() {
-		// Recovery holds the partition quiesced; the client's error
-		// mapping treats this as retriable and rolls elsewhere.
-		return pkt.ErrResponse(proto.ResultErrAgain,
-			fmt.Sprintf("partition %d recovering: %v", p.ID, util.ErrReadOnly)), nil
-	}
-	defer p.writeEnd()
-	if err := p.checkWritable(); err != nil {
-		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
-	}
-
-	var extentID, off uint64
-	var err error
-	small := pkt.ExtentID == 0
-	if small {
-		// Small file: aggregate into the shared extent (Section 2.2.3).
-		extentID, off, err = p.store.AppendSmallFileSum(pkt.Data, pkt.CRC)
-	} else {
-		extentID = pkt.ExtentID
-		off, err = p.store.AppendSum(extentID, pkt.Data, pkt.CRC)
-	}
-	if err != nil {
-		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
-	}
-
-	// Forward in replica-array order; all must ack before commit.
-	fwd := appendHopPacket(p.ID, pkt, extentID, off, small, p.committedOf(extentID), p.Epoch())
-	for _, f := range p.followers() {
-		var resp proto.Packet
-		if err := p.node.nw.Call(f, uint8(pkt.Op), fwd, &resp); err != nil {
-			p.reportFailure(f)
-			return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
-		}
-		if resp.ResultCode != proto.ResultOK {
-			return pkt.ErrResponse(resp.ResultCode, string(resp.Data)), nil
-		}
-	}
-	end := off + uint64(len(pkt.Data))
-	p.advanceCommitted(extentID, end)
-	// The hop above carried the PREVIOUS committed offset (this packet was
-	// not yet all-replica stored when it was forwarded); gossip the new one
-	// asynchronously so follower read clamps converge without adding a
-	// round trip to the commit path.
-	p.gossipCommitted(extentID)
-	// Leader-side committed-snapshot cadence: debounce-persist on the
-	// commit path, like followers do on gossip. Before this, the leader
-	// wrote committed.json only on clean shutdown and after Recover, so a
-	// kill -9 lost the whole tail since then and widened the recovery
-	// window (reads refused until the reopen pass re-advanced it).
-	p.saveCommittedSoon()
-
-	out := pkt.OKResponse(nil)
-	out.ExtentID = extentID
-	out.ExtentOffset = off
-	return out, nil
-}
-
 // gossipCommitted marks an extent's committed offset for follower gossip,
 // best-effort and coalesced (a missed update only delays a follower's
-// clamp; the next hop's piggyback carries it again). Back-to-back appends
-// fold into one update carrying the latest offset; the final append in a
+// clamp; the next hop's piggyback carries it again). Back-to-back marks
+// fold into one update carrying the latest offset; the final one in a
 // burst is always flushed.
 func (p *Partition) gossipCommitted(extentID uint64) {
 	p.gossipMu.Lock()
@@ -774,13 +644,6 @@ const ovwAdoptMarker = ^uint64(0)
 // smallFileMarker in FileOffset tells a follower hop to use the small-file
 // write path (extent created on demand).
 const smallFileMarker = ^uint64(0)
-
-func (p *Partition) followerAppend(pkt *proto.Packet) (*proto.Packet, error) {
-	if err := p.applyFollowerHop(pkt); err != nil {
-		return pkt.ErrResponse(hopErrCode(err), err.Error()), nil
-	}
-	return pkt.OKResponse(nil), nil
-}
 
 // ---------------------------------------------------------------------------
 // Overwrite: Raft replication (Figure 5).
@@ -882,21 +745,46 @@ func (sm *partitionSM) Restore(data []byte) error { return nil }
 // ---------------------------------------------------------------------------
 // Read (Section 2.7.4).
 
-func (p *Partition) handleRead(pkt *proto.Packet) (*proto.Packet, error) {
-	length := binary.BigEndian.Uint32(pkt.Data)
+// admitRead is the one list of read fences: the unary OpDataRead handler
+// below and the read stream (readSession.serve) both ask it whether
+// [off, off+length) of pkt's extent may be served. It returns nil, or the
+// refusal to send back.
+func (p *Partition) admitRead(pkt *proto.Packet, off, length uint64) *proto.Packet {
+	// Counted before the fences: refusals are served requests too.
+	p.node.reads.Add(1)
+	// Lease fence: a node whose master-granted lease ran out (missed
+	// heartbeats) may be on the losing side of a partition the master has
+	// already failed over - it must not keep serving reads to clients that
+	// still hold its address.
+	if !p.node.readLeaseValid() {
+		return pkt.ErrResponse(proto.ResultErrLeaseExpired, "read lease lapsed: node has missed master heartbeats")
+	}
+	// Epoch fence: a client whose cached view predates (or outruns) a
+	// reconfiguration is told to refresh retriably. Unlike the write path
+	// this fences nothing durable - it maps a failover observed mid-read
+	// onto the client's refresh -> re-dial -> retry path instead of letting
+	// it read from a view the master has moved past. Epoch zero (the unary
+	// client) passes.
+	if err := p.checkClientEpoch(pkt); err != nil {
+		return pkt.ErrResponse(proto.ResultErrStaleEpoch, err.Error())
+	}
 	// Section 2.2.5 invariant: EVERY replica only exposes the offset
 	// committed by ALL replicas. The leader's map is authoritative (it
 	// advances as windows drain); a follower's is learned from the
 	// committed offsets piggybacked on forward hops, gossiped on window
 	// drains, and promoted by alignment - so a follower holding a
 	// replicated-but-not-yet-committed tail refuses it rather than serving
-	// bytes some other replica may be missing. A follower can therefore
-	// lag the leader by an in-flight window and refuse a read the leader
-	// would serve; clients fall through to the next replica.
-	if end := pkt.ExtentOffset + uint64(length); end > p.committedOf(pkt.ExtentID) {
-		return pkt.ErrResponse(proto.ResultErrIO, fmt.Sprintf(
+	// bytes some other replica may be missing. The refusal carries this
+	// replica's committed horizon so the client can stop offloading
+	// hot-tail reads here until the follower catches up, instead of
+	// bouncing off the same clamp on every retry.
+	committed := p.committedOf(pkt.ExtentID)
+	if end := off + length; end < off || end > committed {
+		refusal := pkt.ErrResponse(proto.ResultErrClamped, fmt.Sprintf(
 			"read [%d,%d) of extent %d beyond committed offset %d: %v",
-			pkt.ExtentOffset, end, pkt.ExtentID, p.committedOf(pkt.ExtentID), util.ErrOutOfRange)), nil
+			off, end, pkt.ExtentID, committed, util.ErrOutOfRange))
+		refusal.Committed = committed
+		return refusal
 	}
 	// Overwrite fence: the committed clamp cannot see in-place writes (they
 	// land below the watermark), so a replica whose applied overwrite
@@ -906,7 +794,18 @@ func (p *Partition) handleRead(pkt *proto.Packet) (*proto.Packet, error) {
 	if !p.ovwCurrent(pkt.ExtentID) {
 		return pkt.ErrResponse(proto.ResultErrIO, fmt.Sprintf(
 			"read of extent %d behind announced overwrite version: %v",
-			pkt.ExtentID, util.ErrOutOfRange)), nil
+			pkt.ExtentID, util.ErrOutOfRange))
+	}
+	return nil
+}
+
+func (p *Partition) handleRead(pkt *proto.Packet) (*proto.Packet, error) {
+	if len(pkt.Data) < 4 {
+		return pkt.ErrResponse(proto.ResultErrArg, "read request carries no length"), nil
+	}
+	length := binary.BigEndian.Uint32(pkt.Data)
+	if refusal := p.admitRead(pkt, pkt.ExtentOffset, uint64(length)); refusal != nil {
+		return refusal, nil
 	}
 	buf, err := p.store.ReadAt(pkt.ExtentID, pkt.ExtentOffset, length)
 	if err != nil {
@@ -919,11 +818,14 @@ func (p *Partition) handleRead(pkt *proto.Packet) (*proto.Packet, error) {
 // Delete / punch hole (Sections 2.2.3, 2.7.3).
 
 func (p *Partition) handleMarkDelete(pkt *proto.Packet) (*proto.Packet, error) {
+	if len(pkt.Data) < 8 {
+		return pkt.ErrResponse(proto.ResultErrArg, "mark-delete request carries no length"), nil
+	}
+	length := binary.BigEndian.Uint64(pkt.Data)
 	apply := func() error {
-		if pkt.ExtentOffset == 0 && binary.BigEndian.Uint64(pkt.Data) == 0 {
+		if pkt.ExtentOffset == 0 && length == 0 {
 			return p.store.Delete(pkt.ExtentID)
 		}
-		length := binary.BigEndian.Uint64(pkt.Data)
 		return p.store.PunchHole(pkt.ExtentID, pkt.ExtentOffset, length)
 	}
 	if pkt.ResultCode == resultHopFollower {

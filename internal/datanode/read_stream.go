@@ -23,12 +23,12 @@ import (
 // per window instead of once per block - Figure 4's pipelining argument
 // applied to reads.
 //
-// Any replica serves the stream: every request is clamped at the extent's
-// locally known all-replica committed offset (the Section 2.2.5 invariant,
-// enforced here exactly as in the unary handleRead), which is what makes
-// follower read offload safe - a follower holding a replicated-but-
-// uncommitted tail refuses it and the client falls back to another
-// replica. Error containment is per-request: a clamp refusal, an unknown
+// Any replica serves the stream: every request passes Partition.admitRead,
+// the fence list the unary handleRead shares, which clamps it at the
+// extent's locally known all-replica committed offset (the Section 2.2.5
+// invariant). That is what makes follower read offload safe - a follower
+// holding a replicated-but-uncommitted tail refuses it and the client
+// falls back to another replica. Error containment is per-request: a clamp refusal, an unknown
 // extent, or a stale client epoch fails only that request's reply; the
 // session and later requests are unaffected. The session dies only with
 // its transport - or with its client: a watchdog closes sessions whose
@@ -188,63 +188,15 @@ func (s *readSession) serve(pkt *proto.Packet) {
 		s.sendErr(pkt, proto.ResultErrArg, fmt.Sprintf("unknown partition %d", pkt.PartitionID))
 		return
 	}
-	// Counted at the same point as the unary path (dispatchPacket counts
-	// before handleRead): refusals below are served requests too.
-	s.d.reads.Add(1)
-	// Lease fence, identical to the unary path: a node whose master-granted
-	// read lease lapsed (missed heartbeats) may be on the losing side of a
-	// partition the master has already failed over - it must not keep
-	// serving reads to clients that still hold its address.
-	if !s.d.readLeaseValid() {
-		s.sendErr(pkt, proto.ResultErrLeaseExpired, "read lease lapsed: node has missed master heartbeats")
-		return
-	}
-	// Epoch fence, per frame: a client whose cached view predates (or
-	// outruns) a reconfiguration is told to refresh retriably. Unlike the
-	// write path this fences nothing durable - it maps a failover observed
-	// mid-stream onto the client's refresh -> re-dial -> retry path instead
-	// of letting it read from a view the master has moved past.
-	if err := p.checkClientEpoch(pkt); err != nil {
-		s.sendErr(pkt, proto.ResultErrStaleEpoch, err.Error())
-		return
-	}
 	length := pkt.FileOffset // requested byte count rides the FileOffset slot
 	if length > maxStreamReadLen {
 		s.sendErr(pkt, proto.ResultErrArg, fmt.Sprintf("read of %d bytes exceeds the %d stream limit", length, maxStreamReadLen))
 		return
 	}
 	off := pkt.ExtentOffset
-	// Section 2.2.5 clamp, identical to the unary handleRead: EVERY replica
-	// only exposes the offset committed by ALL replicas. A follower that
-	// has stored more than it knows committed refuses the tail and the
-	// client falls back to another replica (ultimately the leader).
-	if end := off + length; end > p.committedOf(pkt.ExtentID) {
-		committed := p.committedOf(pkt.ExtentID)
-		// The refusal carries this replica's committed horizon so the
-		// client can stop offloading hot-tail reads here until the
-		// follower catches up, instead of bouncing off the same clamp on
-		// every retry.
-		s.send(&proto.Packet{
-			Op:          pkt.Op,
-			ResultCode:  proto.ResultErrClamped,
-			ReqID:       pkt.ReqID,
-			PartitionID: pkt.PartitionID,
-			ExtentID:    pkt.ExtentID,
-			Committed:   committed,
-			Data: []byte(fmt.Sprintf(
-				"read [%d,%d) of extent %d beyond committed offset %d: %v",
-				off, end, pkt.ExtentID, committed, util.ErrOutOfRange)),
-		})
-		return
-	}
-	// Overwrite fence, identical to the unary handleRead: in-place writes
-	// land below the committed watermark, invisible to the clamp above, so
-	// a replica whose applied overwrite version trails the leader's
-	// announcements refuses the extent and the client falls through.
-	if !p.ovwCurrent(pkt.ExtentID) {
-		s.sendErr(pkt, proto.ResultErrIO, fmt.Sprintf(
-			"read of extent %d behind announced overwrite version: %v",
-			pkt.ExtentID, util.ErrOutOfRange))
+	// Per-request error containment: a refusal fails only this reply.
+	if refusal := p.admitRead(pkt, off, length); refusal != nil {
+		s.send(refusal)
 		return
 	}
 	if length == 0 {
@@ -288,12 +240,5 @@ func (s *readSession) serve(pkt *proto.Packet) {
 func (s *readSession) send(pkt *proto.Packet) { s.sendc <- pkt }
 
 func (s *readSession) sendErr(req *proto.Packet, code uint8, msg string) {
-	s.send(&proto.Packet{
-		Op:          req.Op,
-		ResultCode:  code,
-		ReqID:       req.ReqID,
-		PartitionID: req.PartitionID,
-		ExtentID:    req.ExtentID,
-		Data:        []byte(msg),
-	})
+	s.send(req.ErrResponse(code, msg))
 }

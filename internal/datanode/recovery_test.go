@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/datanode/dntest"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
 	"cfs/internal/transport"
@@ -39,15 +40,12 @@ func TestDataNodeRestartServesCommitted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	pkt := proto.NewPacket(proto.OpDataAppend, 1, 7, 0, []byte("durable bytes"))
-	var resp proto.Packet
-	if err := nw.Call("solo", uint8(proto.OpDataAppend), pkt, &resp); err != nil {
+	w, err := dntest.Dial(nw, "solo", 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ResultCode != proto.ResultOK {
-		t.Fatalf("write failed: %s", resp.Data)
-	}
-	eid, off := resp.ExtentID, resp.ExtentOffset
+	eid, off := w.MustAppend(t, 0, []byte("durable bytes"))
+	w.Close()
 
 	dn.Close()
 	dn = boot()
@@ -291,6 +289,7 @@ func TestRecoverShedsDivergentFollower(t *testing.T) {
 	}
 
 	lp := tc.nodes[0].Partition(100)
+	tc.quiesce(t)
 	if _, err := lp.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -431,6 +430,7 @@ func TestAlignReshipsFromCommittedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	tc.quiesce(t)
 	if _, err := lp.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -492,6 +492,7 @@ func TestDeposedLeaderRecoverAborts(t *testing.T) {
 	}
 	fp.applyReconfig([]string{tc.addrs[1], tc.addrs[0]}, 2)
 
+	tc.quiesce(t)
 	if _, err := lp.Recover(); !errors.Is(err, util.ErrStaleEpoch) {
 		t.Fatalf("deposed leader's Recover = %v, want ErrStaleEpoch", err)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"cfs/internal/client"
 	"cfs/internal/datanode"
+	"cfs/internal/datanode/dntest"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
@@ -383,27 +384,14 @@ func TestStaleEpochFenced(t *testing.T) {
 	}
 
 	// Baseline through the original chain.
-	st, err := e.nw.DialStream(oldLeader, uint8(proto.OpDataWriteStream))
+	w, err := dntest.Dial(e.nw, oldLeader, dp.PartitionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Send(&proto.Packet{Op: proto.OpDataCreateExtent, ReqID: 1, PartitionID: dp.PartitionID, Epoch: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ack, err := st.Recv()
-	if err != nil || ack.ResultCode != proto.ResultOK {
-		t.Fatalf("create ack = %+v, %v", ack, err)
-	}
-	eid := ack.ExtentID
-	base := proto.NewPacket(proto.OpDataAppend, 2, dp.PartitionID, eid, []byte("epoch1-bytes"))
-	base.Epoch = 1
-	if err := st.Send(base); err != nil {
-		t.Fatal(err)
-	}
-	if ack, err = st.Recv(); err != nil || ack.ResultCode != proto.ResultOK {
-		t.Fatalf("baseline ack = %+v, %v", ack, err)
-	}
-	st.Close()
+	w.Epoch = 1
+	eid := w.MustCreateExtent(t)
+	w.MustAppend(t, eid, []byte("epoch1-bytes"))
+	w.Close()
 
 	// Failover away from the old leader.
 	e.kill(killIdx)
@@ -440,17 +428,13 @@ func TestStaleEpochFenced(t *testing.T) {
 	// tail. The zombie applies it locally - but its followers hold epoch
 	// >= 2 and reject the hops, so the session aborts and nothing commits:
 	// the fence holds exactly where it must.
-	zst, err := e.nw.DialStream(oldLeader, uint8(proto.OpDataWriteStream))
+	zw, err := dntest.Dial(e.nw, oldLeader, dp.PartitionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer zst.Close()
-	evil := proto.NewPacket(proto.OpDataAppend, 3, dp.PartitionID, eid, []byte("fenced-tail"))
-	evil.Epoch = 1
-	if err := zst.Send(evil); err != nil {
-		t.Fatal(err)
-	}
-	ack, err = zst.Recv()
+	defer zw.Close()
+	zw.Epoch = 1
+	ack, err := zw.Append(eid, []byte("fenced-tail"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,18 +451,13 @@ func TestStaleEpochFenced(t *testing.T) {
 
 	// A stale-epoch session open against the NEW leader is rejected with
 	// the dedicated retriable code.
-	nst, err := e.nw.DialStream(newLeader, uint8(proto.OpDataWriteStream))
+	sw, err := dntest.Dial(e.nw, newLeader, dp.PartitionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nst.Close()
-	staleOpen := proto.NewPacket(proto.OpDataAppend, 4, dp.PartitionID, eid, []byte("x"))
-	staleOpen.Epoch = 1
-	if err := nst.Send(staleOpen); err != nil {
-		t.Fatal(err)
-	}
-	ack, err = nst.Recv()
-	if err != nil {
+	defer sw.Close()
+	sw.Epoch = 1
+	if ack, err = sw.Append(eid, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if ack.ResultCode != proto.ResultErrStaleEpoch {
@@ -487,22 +466,15 @@ func TestStaleEpochFenced(t *testing.T) {
 
 	// And a CURRENT-epoch writer commits through the new leader: the
 	// partition survived its leader's death writable.
-	wst, err := e.nw.DialStream(newLeader, uint8(proto.OpDataWriteStream))
+	cw, err := dntest.Dial(e.nw, newLeader, dp.PartitionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wst.Close()
-	good := proto.NewPacket(proto.OpDataAppend, 5, dp.PartitionID, eid, []byte("epoch2-bytes"))
-	good.Epoch = cur.ReplicaEpoch
+	defer cw.Close()
+	cw.Epoch = cur.ReplicaEpoch
 	deadline := time.Now().Add(10 * time.Second)
-	seq := uint64(5)
 	for {
-		good.ReqID = seq
-		if err := wst.Send(good); err != nil {
-			t.Fatal(err)
-		}
-		ack, err = wst.Recv()
-		if err != nil {
+		if ack, err = cw.Append(eid, []byte("epoch2-bytes")); err != nil {
 			t.Fatal(err)
 		}
 		if ack.ResultCode == proto.ResultOK {
@@ -514,7 +486,6 @@ func TestStaleEpochFenced(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("promoted leader never finished its alignment pass")
 		}
-		seq++
 		time.Sleep(5 * time.Millisecond)
 	}
 }

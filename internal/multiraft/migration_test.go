@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cfs/internal/datanode"
+	"cfs/internal/datanode/dntest"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
 	"cfs/internal/raft"
@@ -119,20 +120,13 @@ func TestDataPartitionOverwriteCommitsThroughManager(t *testing.T) {
 	}
 
 	// Seed an extent via the primary-backup path.
-	pkt := proto.NewPacket(proto.OpDataCreateExtent, 1, 1, 0, nil)
-	var created proto.Packet
-	if err := nw.Call(addrs[0], uint8(proto.OpDataCreateExtent), pkt, &created); err != nil {
+	w, err := dntest.Dial(nw, addrs[0], 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	eid := created.ExtentID
-	app := proto.NewPacket(proto.OpDataAppend, 2, 1, eid, []byte("aaaaaaaaaa"))
-	var appResp proto.Packet
-	if err := nw.Call(addrs[0], uint8(proto.OpDataAppend), app, &appResp); err != nil {
-		t.Fatal(err)
-	}
-	if appResp.ResultCode != proto.ResultOK {
-		t.Fatalf("append failed: %s", appResp.Data)
-	}
+	defer w.Close()
+	eid := w.MustCreateExtent(t)
+	w.MustAppend(t, eid, []byte("aaaaaaaaaa"))
 
 	// Overwrite rides the Raft group, now hosted by the manager. The Raft
 	// leader may be any replica; probe until one accepts.

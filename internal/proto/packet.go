@@ -142,14 +142,14 @@ const (
 	// match the partition's current one (the failover fence). Retriable:
 	// clients refresh the view, re-dial the current leader, and replay.
 	ResultErrStaleEpoch
-	// ResultErrClamped rejects a streamed read that reaches past the
+	// ResultErrClamped rejects a read (unary or streamed) that reaches past the
 	// replica's committed offset (the Section 2.2.5 clamp). The reply's
 	// Committed field carries the refusing replica's horizon so the
 	// client can remember how far this replica trails and skip it for
 	// hot-tail reads until it catches up.
 	ResultErrClamped
 	// ResultErrLeaseExpired rejects a read on a node whose master-granted
-	// read lease lapsed (it has not completed a heartbeat for the lease
+	// read lease has lapsed (it has not completed a heartbeat for the lease
 	// duration). Retriable at another replica: the refuser may be a
 	// deposed leader that cannot see the newer epoch, so its extents may
 	// already be reassigned or deleted under it.

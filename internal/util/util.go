@@ -29,28 +29,14 @@ const (
 	// threshold to avoid packet assembly or splitting.
 	DefaultPacketSize = 128 * KB
 
-	// DefaultWriteWindow is the STARTING number of packets a pipelined
-	// sequential writer keeps in flight before blocking on acks; the
-	// adaptive controller then tracks the observed bandwidth-delay
-	// product. Sized so that at LAN round-trip times the pipe stays full
-	// for packet-sized frames without ballooning per-file client memory
-	// (window x packet = 1 MB).
-	DefaultWriteWindow = 8
-
-	// DefaultMaxWriteWindow caps the adaptive window (window x packet =
-	// 8 MB of accepted-but-uncommitted bytes per writer, worst case).
-	DefaultMaxWriteWindow = 64
-
-	// DefaultReadWindow is the STARTING number of read requests a streaming
-	// reader keeps in flight ahead of the caller (the readahead window);
-	// the adaptive controller then tracks the observed bandwidth-delay
-	// product just like the write window does.
-	DefaultReadWindow = 4
-
-	// DefaultMaxReadWindow caps the adaptive readahead window (window x
-	// packet = 4 MB of prefetched-but-unconsumed bytes per reader, worst
-	// case).
-	DefaultMaxReadWindow = 32
+	// DefaultWriteWindow is how many packets a streaming writer keeps in
+	// flight before blocking on acks (window x packet = 2 MB of
+	// accepted-but-uncommitted bytes per writer), and DefaultReadWindow how
+	// many read requests a streaming reader keeps ahead of a sequential
+	// consumer (4 MB of prefetch per reader). Both are constants chosen by
+	// measurement: EXPERIMENTS.md "Fixed vs adaptive window (PR 20)".
+	DefaultWriteWindow = 16
+	DefaultReadWindow  = 32
 
 	// ReadChunkSize is the payload size of one streamed-read chunk frame
 	// (a read request larger than this is served as several CRC-framed
