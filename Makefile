@@ -6,7 +6,7 @@ GO ?= go
 TEST_TIMEOUT ?= 120s
 RACE_TIMEOUT ?= 300s
 
-.PHONY: all build test vet fmt-check fmt bench bench-smoke bench-pairs race race-failover race-reconfig race-read verify check
+.PHONY: all build test vet fmt-check fmt bench bench-smoke bench-pairs race race-raft race-failover race-reconfig race-read verify check
 
 all: verify
 
@@ -35,6 +35,22 @@ race:
 # targets, so the two cannot drift. They run first and by name so a hang
 # fails fast and identifiably under the per-package timeout instead of
 # hiding inside the full run.
+
+# The consensus stack, whole packages, twenty times: the lane's senders,
+# both clocks and every group's event loop interleave differently on each
+# run, and an election or conf-change test that passes "usually" is a bug.
+#
+# TestLogCompactionAndSnapshotInstall is skipped here (it still runs once
+# in `make test` and `make race`): it fails 1 run in 4-10 under -race on a
+# known protocol defect this target cannot wait for - raft.handleSnap drops
+# a stale-term MsgSnap without answering, so a follower whose term rose
+# while it was cut off and that needs a snapshot is never caught up and the
+# leader never learns the term (see the BUG note there, ROADMAP direction
+# 2(ii)). Drop the -skip in the PR that fixes it.
+race-raft:
+	$(GO) test -race -count=20 -timeout $(RACE_TIMEOUT) \
+		-skip 'TestLogCompactionAndSnapshotInstall' \
+		./internal/raft/ ./internal/multiraft/ ./internal/raftstore/
 
 # Failover/epoch: a promotion hang or a wedged recovery pass.
 race-failover:

@@ -127,13 +127,26 @@ func (tc *testCluster) writer(t *testing.T, pid uint64) *dntest.Writer {
 }
 
 // quiesce closes the fixture's sessions and waits until the leader counts
-// no live writer, which is what a direct Partition.Recover call requires.
+// no live writer on any partition, which is what a direct
+// Partition.Recover call requires. Every partition, not only those with a
+// session in tc.writers: a session a failed tryAppend dropped from the
+// fixture keeps its slot until the leader finishes tearing it down.
 func (tc *testCluster) quiesce(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for pid, w := range tc.writers {
+	for _, w := range tc.writers {
 		w.Close()
-		for p := tc.nodes[0].Partition(pid); ; time.Sleep(time.Millisecond) {
+	}
+	tc.writers = nil
+	lead := tc.nodes[0]
+	lead.mu.RLock()
+	parts := make([]*Partition, 0, len(lead.partitions))
+	for _, p := range lead.partitions {
+		parts = append(parts, p)
+	}
+	lead.mu.RUnlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, p := range parts {
+		for ; ; time.Sleep(time.Millisecond) {
 			p.mu.Lock()
 			live := p.liveSessions
 			p.mu.Unlock()
@@ -141,11 +154,10 @@ func (tc *testCluster) quiesce(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("partition %d still has %d live sessions", pid, live)
+				t.Fatalf("partition %d still has %d live sessions", p.ID, live)
 			}
 		}
 	}
-	tc.writers = nil
 }
 
 // cut fully partitions addr off the fabric. Only the Memory network can
@@ -227,9 +239,11 @@ func (tc *testCluster) createPartition(t *testing.T, id uint64) {
 		Capacity:    64 * util.MB,
 		Members:     tc.addrs,
 	}
-	for _, addr := range tc.addrs {
+	// Members[0] last, as the master does: it campaigns on creation and its
+	// vote requests must find the peers' groups hosted.
+	for i := len(tc.addrs) - 1; i >= 0; i-- {
 		var resp proto.CreateDataPartitionResp
-		if err := tc.nw.Call(addr, uint8(proto.OpAdminCreateDataPartition), req, &resp); err != nil {
+		if err := tc.nw.Call(tc.addrs[i], uint8(proto.OpAdminCreateDataPartition), req, &resp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,6 +551,7 @@ func TestAlignReplicasCatchesUpLaggingFollower(t *testing.T) {
 	if _, rr := tc.read(t, tc.addrs[2], 100, eid, 0, 19); rr.ResultCode == proto.ResultOK {
 		t.Fatal("bare alignment promoted the follower's committed clamp")
 	}
+	tc.quiesce(t) // the aborted write session may still hold its slot
 	if _, err := leaderP.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -509,7 +509,11 @@ func (m *Master) addMetaPartition(volume string, start, end uint64) (*proto.Meta
 	req := &proto.CreateMetaPartitionReq{
 		PartitionID: id, Volume: volume, Start: start, End: end, Members: members,
 	}
-	for _, addr := range members {
+	// members[0] last: that replica campaigns the moment its group exists,
+	// and a vote request that reaches a peer with no group yet is dropped -
+	// the group would then wait out an election timeout.
+	for i := len(members) - 1; i >= 0; i-- {
+		addr := members[i]
 		var resp proto.CreateMetaPartitionResp
 		if err := m.nw.Call(addr, uint8(proto.OpAdminCreateMetaPartition), req, &resp); err != nil {
 			return nil, fmt.Errorf("master: provision meta partition on %s: %w", addr, err)
@@ -567,7 +571,8 @@ func (m *Master) addDataPartition(volume string) (*proto.DataPartitionInfo, erro
 		PartitionID: id, Volume: volume, Capacity: dp.Capacity, Members: members,
 		ReplicaEpoch: 1,
 	}
-	for _, addr := range members {
+	for i := len(members) - 1; i >= 0; i-- { // members[0] last, as in addMetaPartition
+		addr := members[i]
 		var resp proto.CreateDataPartitionResp
 		if err := m.nw.Call(addr, uint8(proto.OpAdminCreateDataPartition), req, &resp); err != nil {
 			return nil, fmt.Errorf("master: provision data partition on %s: %w", addr, err)

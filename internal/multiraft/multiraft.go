@@ -23,9 +23,13 @@
 //     lazily on failure) shared by all groups, so Raft load does not churn
 //     the connection pool used by the data path.
 //
-// Non-heartbeat traffic (votes, appends, snapshots) is latency-sensitive
-// and flushes on a much shorter interval, still batched per destination.
-// The heartbeat-scaling effect is measured by
+// Non-heartbeat traffic travels the same per-peer lane in two classes. A
+// message that ANSWERS (MsgAppResp, MsgVoteResp) wakes the peer's sender
+// and leaves at once, batched with whatever other answers accumulated
+// while the previous batch was on the wire. A message that STARTS an
+// exchange (MsgApp, MsgSnap, MsgVote) waits for the short flush tick,
+// which is the only pacing Raft's re-sending leader has (DESIGN.md
+// Section 6.2). The heartbeat-scaling effect is measured by
 // BenchmarkMultiRaft_HeartbeatScaling (EXPERIMENTS.md).
 package multiraft
 
@@ -62,11 +66,12 @@ type Config struct {
 	// TickInterval is the shared logical clock period driving every group.
 	// Zero falls back to RaftDefaults.TickInterval, then 10ms.
 	TickInterval time.Duration
-	// FlushInterval is how often queued non-heartbeat messages are sent.
-	// Zero means 2ms. Shorter means lower latency, more RPCs.
+	// FlushInterval is how often queued exchange-starting messages (votes,
+	// appends, snapshots) are released to the wire; answers never wait for
+	// it. Zero means 2ms. Shorter means lower latency, more RPCs.
 	FlushInterval time.Duration
-	// MaxBatch flushes a destination's message queue early once it holds
-	// this many messages. Zero means 128.
+	// MaxBatch releases a destination's queued exchange starters early once
+	// it holds this many. Zero means 128.
 	MaxBatch int
 	// RaftDefaults are applied to every group created through the manager
 	// (ID, Peers, GroupID, Sender, SM and ExternalClock are always
@@ -103,9 +108,6 @@ type Manager struct {
 	mu        sync.Mutex
 	groups    map[uint64]*Group
 	groupList []*Group // cached snapshot for the tick loop; nil when stale
-	outq      map[string][]*raft.Message
-	beats     map[string][]proto.RaftHeartbeat
-	resps     map[string][]proto.RaftHeartbeatResp
 	peers     map[string]*peer
 	closed    bool
 
@@ -119,14 +121,79 @@ type Manager struct {
 	stopc chan struct{}
 }
 
-// peer is one destination's delivery lane: a bounded outbox drained by a
-// dedicated sender goroutine over the pinned stream. Batches are handed
-// off, never sent inline, so neither the shared clock nor a raft event
-// loop ever blocks on a slow or hung peer - and one bad peer cannot stall
-// heartbeats to the healthy ones.
+// maxPending caps each class of message a peer's lane holds. It is what a
+// hung peer can pin in memory: about what the lane could hold before it
+// had classes (16 queued batches of MaxBatch 128). A message past the cap
+// is dropped, newest first; Raft retransmits on its heartbeat tick.
+const maxPending = 2048
+
+// peer is one destination's delivery lane: pending state under one small
+// lock, drained by a dedicated sender goroutine over the pinned stream.
+// Producers (every raft event loop, the two clocks) only append and post a
+// non-blocking wake, so none of them ever blocks on a slow or hung peer -
+// and one bad peer cannot stall heartbeats to the healthy ones.
 type peer struct {
 	st transport.Stream // nil when the network has no stream support
-	ch chan *Batch
+	// wake holds at most one token: whatever becomes sendable posts one,
+	// and the sender takes everything sendable per token, so a token posted
+	// while a batch is on the wire is never lost and a second is redundant.
+	wake chan struct{}
+
+	mu sync.Mutex
+	// Sendable now: answers, and in due what a clock has released.
+	replies []*raft.Message
+	due     Batch
+	// Held for a clock: exchange starters for the flush tick (or MaxBatch),
+	// coalesced heartbeat slots for the heartbeat tick.
+	requests  []*raft.Message
+	beats     []proto.RaftHeartbeat
+	beatResps []proto.RaftHeartbeatResp
+}
+
+func (p *peer) wakeSender() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// release moves what a clock paces into due and wakes the sender if there
+// is any: the queued requests on every tick, the heartbeat slots only on
+// the heartbeat tick. Slots are taken here, at the tick, not when the
+// sender runs - a beat queued a moment after the tick waits for the next
+// one, which is what keeps heartbeat wire traffic at one batch per pair
+// per interval.
+func (p *peer) release(withBeats bool) {
+	p.mu.Lock()
+	p.due.Messages = append(p.due.Messages, p.requests...)
+	p.requests = nil
+	if withBeats {
+		p.due.Beats = append(p.due.Beats, p.beats...)
+		p.due.BeatResps = append(p.due.BeatResps, p.beatResps...)
+		p.beats, p.beatResps = nil, nil
+	}
+	sendable := len(p.due.Messages)+len(p.due.Beats)+len(p.due.BeatResps) > 0
+	p.mu.Unlock()
+	if sendable {
+		p.wakeSender()
+	}
+}
+
+// take builds the next wire batch: every pending reply plus whatever a
+// clock has released. A wake caused by a reply alone therefore never
+// carries queued entries. Nil when nothing may leave.
+func (p *peer) take(from string) *Batch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	b := p.due
+	p.due = Batch{}
+	b.From = from
+	b.Messages = append(p.replies, b.Messages...)
+	p.replies = nil
+	if len(b.Messages)+len(b.Beats)+len(b.BeatResps) == 0 {
+		return nil
+	}
+	return &b
 }
 
 // New creates the manager for the node at addr. The owning node must route
@@ -150,9 +217,6 @@ func New(addr string, nw transport.Network, cfg Config) *Manager {
 		cfg:    cfg,
 		hbEv:   cfg.RaftDefaults.HeartbeatTicks,
 		groups: make(map[uint64]*Group),
-		outq:   make(map[string][]*raft.Message),
-		beats:  make(map[string][]proto.RaftHeartbeat),
-		resps:  make(map[string][]proto.RaftHeartbeatResp),
 		peers:  make(map[string]*peer),
 		stopc:  make(chan struct{}),
 	}
@@ -310,40 +374,85 @@ func (m *Manager) Close() {
 // ---------------------------------------------------------------------------
 // Outgoing path.
 
-// send is the Sender for every group: heartbeat traffic is parked in the
-// coalescing slots; everything else queues for the fast flusher.
+// send is the Sender for every group. One rule routes a message: heartbeat
+// traffic parks in the coalescing slots until the heartbeat tick; a message
+// that answers leaves at once; a message that starts an exchange waits for
+// the flush tick. It only appends and wakes - a raft event loop never
+// blocks here.
 func (m *Manager) send(msg *raft.Message) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
+	p := m.peer(msg.To)
+	if p == nil {
+		return // closed
 	}
+	wake, flushNow := false, false
+	p.mu.Lock()
 	switch msg.Type {
 	case raft.MsgHeartbeat:
-		m.beats[msg.To] = append(m.beats[msg.To], proto.RaftHeartbeat{
-			GroupID: msg.GroupID, Term: msg.Term, Commit: msg.Commit,
-		})
-		m.mu.Unlock()
-	case raft.MsgHeartbeatResp:
-		m.resps[msg.To] = append(m.resps[msg.To], proto.RaftHeartbeatResp{
-			GroupID: msg.GroupID, Term: msg.Term,
-		})
-		m.mu.Unlock()
-	default:
-		m.outq[msg.To] = append(m.outq[msg.To], msg)
-		flushNow := len(m.outq[msg.To]) >= m.cfg.MaxBatch
-		m.mu.Unlock()
-		if flushNow {
-			m.flushMessages(msg.To)
+		if len(p.beats)+len(p.due.Beats) < maxPending {
+			p.beats = append(p.beats, proto.RaftHeartbeat{
+				GroupID: msg.GroupID, Term: msg.Term, Commit: msg.Commit,
+			})
 		}
+	case raft.MsgHeartbeatResp:
+		if len(p.beatResps)+len(p.due.BeatResps) < maxPending {
+			p.beatResps = append(p.beatResps, proto.RaftHeartbeatResp{
+				GroupID: msg.GroupID, Term: msg.Term,
+			})
+		}
+	case raft.MsgAppResp, raft.MsgVoteResp, raft.MsgSnapResp:
+		if len(p.replies) < maxPending {
+			p.replies = append(p.replies, msg)
+			wake = true
+		}
+	default:
+		if len(p.requests)+len(p.due.Messages) < maxPending {
+			p.requests = append(p.requests, msg)
+		}
+		flushNow = len(p.requests) >= m.cfg.MaxBatch
+	}
+	p.mu.Unlock()
+	if flushNow {
+		p.release(false)
+	} else if wake {
+		p.wakeSender()
+	}
+}
+
+// peer returns dest's lane, starting its sender (with its pinned stream) on
+// first use; nil once the manager is closed.
+func (m *Manager) peer(dest string) *peer {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return nil
+	}
+	p := m.peers[dest]
+	if p == nil {
+		p = &peer{wake: make(chan struct{}, 1)}
+		if sn, ok := m.nw.(transport.StreamNetwork); ok {
+			p.st = sn.OpenStream(dest)
+		}
+		m.peers[dest] = p
+		m.wg.Add(1)
+		go m.peerLoop(dest, p)
+	}
+	return p
+}
+
+// releaseAll runs on a clock tick: see peer.release.
+func (m *Manager) releaseAll(withBeats bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, p := range m.peers {
+		p.release(withBeats)
 	}
 }
 
 // tickLoop is the single logical clock: every group ticks together, and
-// every HeartbeatTicks ticks the accumulated beats flush as one batch per
-// peer. Flushing on the clock (rather than per group) is what makes the
-// wire count per pair exactly one per interval even when group heartbeat
-// phases differ.
+// every HeartbeatTicks ticks the accumulated beats are released as one
+// batch per peer. Releasing on the clock (rather than per group) is what
+// makes the wire count per pair exactly one per interval even when group
+// heartbeat phases differ.
 func (m *Manager) tickLoop() {
 	defer m.wg.Done()
 	t := time.NewTicker(m.cfg.TickInterval)
@@ -367,36 +476,15 @@ func (m *Manager) tickLoop() {
 				g.node.Tick()
 			}
 			if tick%uint64(m.hbEv) == 0 {
-				m.flushHeartbeats()
+				m.releaseAll(true)
 			}
 		}
 	}
 }
 
-// flushHeartbeats drains every coalescing slot: one Batch per destination
-// carrying all pending beats and responses (plus any queued messages, which
-// ride along for free).
-func (m *Manager) flushHeartbeats() {
-	m.mu.Lock()
-	dests := make(map[string]bool, len(m.beats)+len(m.resps))
-	for d, q := range m.beats {
-		if len(q) > 0 {
-			dests[d] = true
-		}
-	}
-	for d, q := range m.resps {
-		if len(q) > 0 {
-			dests[d] = true
-		}
-	}
-	m.mu.Unlock()
-	for d := range dests {
-		m.flushDest(d, true)
-	}
-}
-
-// flushLoop drains the latency-sensitive message queues (votes, appends,
-// snapshots) on the short flush interval.
+// flushLoop is the short clock that paces exchange-starting messages
+// (votes, appends, snapshots): what queued since the last tick leaves on
+// this one.
 func (m *Manager) flushLoop() {
 	defer m.wg.Done()
 	t := time.NewTicker(m.cfg.FlushInterval)
@@ -406,98 +494,39 @@ func (m *Manager) flushLoop() {
 		case <-m.stopc:
 			return
 		case <-t.C:
-			m.mu.Lock()
-			dests := make([]string, 0, len(m.outq))
-			for d, q := range m.outq {
-				if len(q) > 0 {
-					dests = append(dests, d)
-				}
-			}
-			m.mu.Unlock()
-			for _, d := range dests {
-				m.flushMessages(d)
-			}
+			m.releaseAll(false)
 		}
-	}
-}
-
-func (m *Manager) flushMessages(dest string) { m.flushDest(dest, false) }
-
-// flushDest sends one Batch to dest. Heartbeat slots are only drained on
-// the clock's cadence (withBeats) so that heartbeat wire traffic stays at
-// one message per pair per interval; message queues always drain.
-func (m *Manager) flushDest(dest string, withBeats bool) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	b := &Batch{From: m.addr, Messages: m.outq[dest]}
-	m.outq[dest] = nil
-	if withBeats {
-		b.Beats = m.beats[dest]
-		b.BeatResps = m.resps[dest]
-		m.beats[dest] = nil
-		m.resps[dest] = nil
-	}
-	m.mu.Unlock()
-	if len(b.Messages) == 0 && len(b.Beats) == 0 && len(b.BeatResps) == 0 {
-		return
-	}
-	m.batchesSent.Add(1)
-	m.msgsSent.Add(uint64(len(b.Messages)))
-	if hb := len(b.Beats) + len(b.BeatResps); hb > 0 {
-		m.hbBatches.Add(1)
-		m.hbCoalesced.Add(uint64(hb))
-	}
-	m.deliver(dest, b)
-}
-
-// deliver hands one batch to the destination's sender goroutine (started,
-// with its pinned stream, on first use). The handoff never blocks: if the
-// peer's outbox is full - it is slow, hung, or unreachable - the batch is
-// dropped. Delivery is best-effort by contract: Raft tolerates loss and
-// retries via timeouts, and dropping here is what keeps one bad peer from
-// stalling the shared clock or the healthy peers' heartbeats.
-func (m *Manager) deliver(dest string, b *Batch) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	p := m.peers[dest]
-	if p == nil {
-		p = &peer{ch: make(chan *Batch, 16)}
-		if sn, ok := m.nw.(transport.StreamNetwork); ok {
-			p.st = sn.OpenStream(dest)
-		}
-		m.peers[dest] = p
-		m.wg.Add(1)
-		go m.peerLoop(dest, p)
-	}
-	m.mu.Unlock()
-	select {
-	case p.ch <- b:
-	default: // outbox full: drop
 	}
 }
 
 // peerLoop is one destination's sender: it serializes sends (preserving
 // per-peer ordering) and is the only goroutine that ever blocks on this
-// peer's network I/O.
+// peer's network I/O. Whatever accumulated while one batch was on the wire
+// leaves as the next. Delivery is best-effort by contract: Raft tolerates
+// loss and retries via timeouts.
 func (m *Manager) peerLoop(dest string, p *peer) {
 	defer m.wg.Done()
 	for {
 		select {
 		case <-m.stopc:
 			return
-		case b := <-p.ch:
-			if p.st != nil {
-				_ = p.st.Send(uint8(proto.OpRaftMessage), b)
-				continue
-			}
-			_ = m.nw.Call(dest, uint8(proto.OpRaftMessage), b, nil)
+		case <-p.wake:
 		}
+		b := p.take(m.addr)
+		if b == nil {
+			continue
+		}
+		m.batchesSent.Add(1)
+		m.msgsSent.Add(uint64(len(b.Messages)))
+		if hb := len(b.Beats) + len(b.BeatResps); hb > 0 {
+			m.hbBatches.Add(1)
+			m.hbCoalesced.Add(uint64(hb))
+		}
+		if p.st != nil {
+			_ = p.st.Send(uint8(proto.OpRaftMessage), b)
+			continue
+		}
+		_ = m.nw.Call(dest, uint8(proto.OpRaftMessage), b, nil)
 	}
 }
 

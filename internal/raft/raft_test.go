@@ -618,30 +618,49 @@ func TestConfChangeSurvivesLeaderKill(t *testing.T) {
 		_ = c.nodes[leader].ProposeConfChange(ConfChange{Type: ConfRemoveNode, Addr: target})
 	}()
 	c.router.partition(leader)
-	// The two followers elect among themselves (target may or may not have
-	// received the conf entry - both outcomes must converge).
-	leader2 := c.waitLeader()
-	if leader2 == leader {
-		t.Fatal("dead leader re-elected")
+	// Give the two followers time to elect among themselves (target may or
+	// may not have received the conf entry - both outcomes must converge),
+	// several election timeouts' worth, but do not require it: if the entry
+	// committed before the cut, the configuration is {leader, the other
+	// follower}, and with the leader cut nobody can win until it is back.
+	survivorLeads := func() bool {
+		for id, n := range c.nodes {
+			if id != leader && n.IsLeader() {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(300 * time.Millisecond); !survivorLeads() && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
 	}
 	// The old leader comes back (its process was only cut mid-change); it
 	// must rejoin as follower. Without it, removing target could leave a
 	// single live member of a two-member configuration.
 	c.router.heal(leader)
-	// Drive the change to a known state from the new leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		err := c.nodes[leader2].ProposeConfChange(ConfChange{Type: ConfRemoveNode, Addr: target})
-		if err == nil {
+	// Drive the change to a known state through whoever leads NOW, resolved
+	// afresh on every attempt: after the heal that can be any of the three,
+	// target included (a leader may remove itself).
+	var err error
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if err = c.nodes[c.waitLeader()].ProposeConfChange(ConfChange{Type: ConfRemoveNode, Addr: target}); err == nil {
 			break
 		}
-		if errors.Is(err, ErrNotLeader) {
-			leader2 = c.waitLeader()
+	}
+	if err != nil {
+		t.Fatalf("conf change never committed after the leader kill: %v", err)
+	}
+	// The final proposal goes to whoever leads the SURVIVORS: target, once
+	// removed, leads nothing, and if it led until now they must elect first.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		survivor := c.waitLeader()
+		if survivor == target {
+			continue
 		}
-		time.Sleep(10 * time.Millisecond)
+		waitPeers(t, c.nodes[survivor], 2)
+		if _, err = c.nodes[survivor].Propose([]byte("after=1")); err == nil {
+			return
+		}
 	}
-	waitPeers(t, c.nodes[leader2], 2)
-	if _, err := c.nodes[leader2].Propose([]byte("after=1")); err != nil {
-		t.Fatalf("propose after kill-during-confchange: %v", err)
-	}
+	t.Fatalf("propose after kill-during-confchange: %v", err)
 }

@@ -9,8 +9,10 @@
 # or ref is created), then for seed 1..n and each workload runs
 # benchmark/run.sh once on the parent and once on this checkout, alternating
 # which side goes first, and prints per workload and metric both medians,
-# their ratio, how many pairs the change won and the parent's own
-# interquartile range. It shells out to the benchmark and edits nothing
+# their ratio, how many pairs the change won, the parent's own
+# interquartile range, and the change's interquartile range with its share
+# of the PARENT's median - the spread the pipeline bounds (at 25%) before it
+# will resolve a step at all. It shells out to the benchmark and edits nothing
 # under benchmark/; every run's numbers are kept in the .tsv it names.
 set -euo pipefail
 
@@ -78,7 +80,7 @@ function quantile(v, n, q,    h, lo) { # v[1..n] sorted ascending
 	h = (n - 1) * q + 1; lo = int(h)
 	return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 }
-function flush(    i, wins, pm, cm, better) {
+function flush(    i, wins, pm, cm, ciqr) {
 	if (key == "") return
 	if (metric == "attempted" || metric == "failed") {
 		for (i = 1; i <= np; i++) psum += p[i]
@@ -91,8 +93,9 @@ function flush(    i, wins, pm, cm, better) {
 		for (i in bypair_p) if (i in bypair_c) {
 			if (lower ? bypair_c[i] < bypair_p[i] : bypair_c[i] > bypair_p[i]) wins++
 		}
-		printf "%-15s %-13s parent %10.2f  change %10.2f  ratio %5.2f  change better in %d/%d  parent IQR %.2f (%s is better)\n",
-			wl, metric, pm, cm, (pm ? cm / pm : 0), wins, np, quantile(p, np, 0.75) - quantile(p, np, 0.25), lower ? "lower" : "higher"
+		ciqr = quantile(c, nc, 0.75) - quantile(c, nc, 0.25)
+		printf "%-15s %-13s parent %10.2f  change %10.2f  ratio %5.2f  change better in %d/%d  parent IQR %.2f  change IQR %.2f = %.1f%% of parent median (%s is better)\n",
+			wl, metric, pm, cm, (pm ? cm / pm : 0), wins, np, quantile(p, np, 0.75) - quantile(p, np, 0.25), ciqr, (pm ? 100 * ciqr / pm : 0), lower ? "lower" : "higher"
 	}
 	delete p; delete c; delete bypair_p; delete bypair_c
 	np = nc = psum = csum = 0
