@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -493,50 +492,12 @@ func (d *DataNode) handleUpdatePartition(req *proto.UpdateDataPartitionReq) (*pr
 		// toward the Raft quorum (and a replacement must start), or the
 		// PacificA side and the Raft side of the partition disagree about
 		// who the partition IS.
-		d.reconcileRaft(p)
+		d.raft.Reconcile(p.ID, &partitionSM{p: p}, p.membersCopy, p.setRaftGroup)
 	}
 	if applied && p.isLeader() {
 		d.runRecoverLoop(p, promoted)
 	}
 	return &proto.UpdateDataPartitionResp{ReplicaEpoch: held}, nil
-}
-
-// reconcileRaft converges the partition's overwrite Raft group membership
-// to the master-assigned Members set, in the background
-// (multiraft.Group.ConvergeTo); what is left here is hosting the group if
-// this node does not yet.
-func (d *DataNode) reconcileRaft(p *Partition) {
-	d.mu.RLock()
-	closed := d.closed
-	if !closed {
-		d.wg.Add(1)
-	}
-	d.mu.RUnlock()
-	if closed {
-		return
-	}
-	go func() {
-		defer d.wg.Done()
-		g := p.raftGroup()
-		if g == nil {
-			// A partition that grew from one replica to many: host its
-			// group now (each member does the same with the same set,
-			// exactly like the original create fan-out). Losing a create
-			// race to a concurrent reconfiguration is fine: the winner
-			// converges.
-			desired := p.membersCopy()
-			if len(desired) <= 1 || !slices.Contains(desired, d.addr) {
-				return
-			}
-			node, err := d.raft.CreateGroup(p.ID, desired, &partitionSM{p: p})
-			if err != nil {
-				return
-			}
-			p.setRaftGroup(node)
-			g = node
-		}
-		g.ConvergeTo(d.addr, p.membersCopy, d.stopc)
-	}()
 }
 
 // runRecoverLoop retries the Section 2.2.5 recovery pass in the background

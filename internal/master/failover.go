@@ -1,6 +1,7 @@
 package master
 
 import (
+	"slices"
 	"time"
 
 	"cfs/internal/proto"
@@ -10,27 +11,34 @@ import (
 // read as an imperative: the resource manager is the failure AUTHORITY, not
 // a scoreboard). Missed heartbeats and failure reports become decisions:
 //
-//   - A dead node is detached from every data partition it belongs to, the
-//     replica array is reordered under a bumped ReplicaEpoch (the PacificA
-//     configuration version), and - when the dead node led - the first live
-//     follower is promoted. The partition stays writable on the survivors:
-//     primary-backup's all-replica commit now quantifies over the NEW set.
+//   - A dead node is detached from every partition it belongs to, data or
+//     meta, under a bumped ReplicaEpoch (the PacificA configuration
+//     version). A data partition's replica array is reordered and - when
+//     the dead node led - the first live follower is promoted; it stays
+//     writable on the survivors because primary-backup's all-replica commit
+//     now quantifies over the NEW set. A meta partition's Raft group
+//     shrinks to the survivors by ConfChange and keeps its quorum.
 //   - The epoch fences the deposed leader: write requests and replication
 //     hops carry it, and any replica holding a newer epoch rejects
 //     stale-epoch frames, so the old leader can never again assemble an
 //     all-replica ack - a stale-view client cannot commit bytes through it.
-//   - A detached replica that heartbeats again (or a member that
-//     re-registers after a quick restart) is re-attached / realigned by
-//     tasking the partition's leader with a targeted Recover, instead of
-//     waiting for the leader's own next recovery pass.
+//   - A detached replica that heartbeats again is re-attached, one that
+//     stays away past ReplacementGrace is replaced on a fresh node, and an
+//     unavailable partition whose members all returned is revived.
+//
+// The lifecycle is ONE code path over replicaSet (state.go) for both kinds.
+// They differ in three places only: the request body pushUpdate builds,
+// the Recover task a data leader gets after revive/replace (and from
+// onNodeReturned), and handleReportFailure's read-only-first escalation
+// for a meta partition's last member.
 //
 // All reconfigurations replicate through the master's Raft group
-// (cmdReconfigureDataPartition) before any node or client observes them;
+// (cmdReconfigurePartition) before any node or client observes them;
 // the epoch check in apply makes racing triggers (a failure report and the
 // liveness scan noticing the same corpse) collapse to one winner.
 
 // checkNodeLiveness declares nodes whose heartbeats stopped for NodeTimeout
-// dead and reconfigures their data partitions around them. ALREADY-inactive
+// dead and reconfigures their partitions around them. ALREADY-inactive
 // silent nodes are re-swept too: a detach that lost an epoch race to a
 // concurrent reconfiguration returns without retrying, and without the
 // sweep the dead node would stay a member of that partition until the next
@@ -73,145 +81,91 @@ func (m *Master) failNode(addr string, deactivate bool) {
 	if deactivate {
 		_, _ = m.propose(&command{Kind: cmdSetNodeActive, Addr: addr, Active: false})
 	}
-	type task struct {
-		volume string
-		dp     proto.DataPartitionInfo
-	}
-	type mtask struct {
-		volume string
-		mp     proto.MetaPartitionInfo
-	}
-	var tasks []task
-	var mtasks []mtask
+	var hosted []replicaSet
 	m.mu.Lock()
 	m.soft.healthyStreak[addr] = 0 // hysteresis restarts from the declaration
-	for _, v := range m.state.Volumes {
-		for _, dp := range v.DataPartitions {
-			for _, member := range dp.Members {
-				if member == addr {
-					tasks = append(tasks, task{volume: v.Name, dp: dp})
-					break
-				}
-			}
-		}
-		for _, mp := range v.MetaPartitions {
-			for _, member := range mp.Members {
-				if member == addr {
-					mtasks = append(mtasks, mtask{volume: v.Name, mp: mp})
-					break
-				}
-			}
+	for _, rs := range m.state.replicaSets() {
+		if slices.Contains(rs.members, addr) {
+			hosted = append(hosted, rs)
 		}
 	}
 	m.mu.Unlock()
-	for _, t := range tasks {
-		m.detachReplica(t.volume, t.dp, addr)
-	}
-	for _, t := range mtasks {
-		m.detachMetaReplica(t.volume, t.mp, addr)
+	for _, rs := range hosted {
+		m.detach(rs, addr)
 	}
 }
 
-// detachReplica removes addr from dp's replication set under a bumped
-// epoch. If addr led the partition, the first surviving member is promoted
-// (it re-runs the quiesce-gated alignment pass before accepting writes -
-// the datanode side of the contract). The partition returns to read-write
-// on the survivors; with no survivor left it is marked unavailable.
-func (m *Master) detachReplica(volume string, dp proto.DataPartitionInfo, addr string) {
-	members := make([]string, 0, len(dp.Members))
-	for _, member := range dp.Members {
-		if member != addr {
-			members = append(members, member)
+// reconfigure replicates rs's next configuration - members and detached
+// under a bumped epoch, read-write - and returns it for the push. False
+// means a racing reconfiguration won (stale epoch) or leadership was lost.
+func (m *Master) reconfigure(rs replicaSet, members, detached []string) (replicaSet, bool) {
+	rs.members, rs.detached, rs.epoch, rs.status = members, detached, rs.epoch+1, proto.PartitionReadWrite
+	_, err := m.propose(&command{
+		Kind:         cmdReconfigurePartition,
+		VolumeName:   rs.volume,
+		PartitionID:  rs.id,
+		IsMeta:       rs.isMeta,
+		Members:      members,
+		Detached:     detached,
+		ReplicaEpoch: rs.epoch,
+		Status:       rs.status,
+	})
+	return rs, err == nil
+}
+
+func (m *Master) setStatus(rs replicaSet, status proto.PartitionStatus) error {
+	_, err := m.propose(&command{
+		Kind: cmdSetPartitionStatus, VolumeName: rs.volume,
+		PartitionID: rs.id, Status: status, IsMeta: rs.isMeta,
+	})
+	return err
+}
+
+// without returns set minus addr, in order, as a fresh slice.
+func without(set []string, addr string) []string {
+	out := make([]string, 0, len(set))
+	for _, a := range set {
+		if a != addr {
+			out = append(out, a)
 		}
 	}
-	if len(members) == len(dp.Members) {
+	return out
+}
+
+// detach removes addr from rs's replica set under a bumped epoch; the
+// partition returns to read-write on the survivors, and with no survivor
+// left it is marked unavailable. What the push then means is the node's
+// business: a data partition's chain reorders (a dead leader's first live
+// follower is promoted and re-runs the quiesce-gated alignment pass before
+// accepting writes), and either kind's Raft group shrinks with the record -
+// whichever survivor wins (or holds) the Raft lead proposes the matching
+// ConfChange, so the quorum denominator drops to the survivor count.
+func (m *Master) detach(rs replicaSet, addr string) {
+	members := without(rs.members, addr)
+	if len(members) == len(rs.members) {
 		return // stale report: addr is not (no longer) a member
 	}
 	if len(members) == 0 {
-		if dp.Status != proto.PartitionUnavailable { // idempotent under re-sweeps
-			_, _ = m.propose(&command{
-				Kind: cmdSetPartitionStatus, VolumeName: volume,
-				PartitionID: dp.PartitionID, Status: proto.PartitionUnavailable,
-			})
+		if rs.status != proto.PartitionUnavailable { // idempotent under re-sweeps
+			_ = m.setStatus(rs, proto.PartitionUnavailable)
 		}
 		return
 	}
-	detached := append(append([]string(nil), dp.Detached...), addr)
-	out, err := m.propose(&command{
-		Kind:         cmdReconfigureDataPartition,
-		VolumeName:   volume,
-		PartitionID:  dp.PartitionID,
-		Members:      members,
-		Detached:     detached,
-		ReplicaEpoch: dp.ReplicaEpoch + 1,
-		Status:       proto.PartitionReadWrite,
-	})
-	if err != nil {
-		return // a racing reconfiguration won (stale epoch) or we lost leadership
+	next, ok := m.reconfigure(rs, members, append(slices.Clone(rs.detached), addr))
+	if !ok {
+		return
 	}
-	applied := out.(proto.DataPartitionInfo)
 	m.mu.Lock()
 	// The dead replica's heartbeat stats may still say read-only/fuller
 	// than the survivors; drop them so the refreshed record speaks.
-	delete(m.soft.partStats, dp.PartitionID)
-	delete(m.soft.failures, dp.PartitionID)
-	if m.soft.detachedAt[dp.PartitionID] == nil {
-		m.soft.detachedAt[dp.PartitionID] = make(map[string]time.Time)
+	delete(m.soft.partStats, rs.id)
+	delete(m.soft.failures, rs.id)
+	if m.soft.detachedAt[rs.id] == nil {
+		m.soft.detachedAt[rs.id] = make(map[string]time.Time)
 	}
-	m.soft.detachedAt[dp.PartitionID][addr] = time.Now()
+	m.soft.detachedAt[rs.id][addr] = time.Now()
 	m.mu.Unlock()
-	m.pushPartitionUpdate(applied)
-}
-
-// detachMetaReplica removes addr from a meta partition's member set under a
-// bumped epoch. Where data partitions reorder a primary-backup chain, a
-// meta partition's consensus group must shrink with the record: the update
-// push carries the new Members + epoch to every survivor, and whichever
-// survivor wins (or holds) the Raft lead proposes the matching ConfChange,
-// so the quorum denominator drops to the survivor count and the partition
-// serves writes again instead of escalating to read-only.
-func (m *Master) detachMetaReplica(volume string, mp proto.MetaPartitionInfo, addr string) {
-	members := make([]string, 0, len(mp.Members))
-	for _, member := range mp.Members {
-		if member != addr {
-			members = append(members, member)
-		}
-	}
-	if len(members) == len(mp.Members) {
-		return // stale report: addr is not (no longer) a member
-	}
-	if len(members) == 0 {
-		if mp.Status != proto.PartitionUnavailable {
-			_, _ = m.propose(&command{
-				Kind: cmdSetPartitionStatus, VolumeName: volume,
-				PartitionID: mp.PartitionID, Status: proto.PartitionUnavailable, IsMeta: true,
-			})
-		}
-		return
-	}
-	detached := append(append([]string(nil), mp.Detached...), addr)
-	out, err := m.propose(&command{
-		Kind:         cmdReconfigureMetaPartition,
-		VolumeName:   volume,
-		PartitionID:  mp.PartitionID,
-		Members:      members,
-		Detached:     detached,
-		ReplicaEpoch: mp.ReplicaEpoch + 1,
-		Status:       proto.PartitionReadWrite,
-	})
-	if err != nil {
-		return // a racing reconfiguration won (stale epoch) or we lost leadership
-	}
-	applied := out.(proto.MetaPartitionInfo)
-	m.mu.Lock()
-	delete(m.soft.partStats, mp.PartitionID)
-	delete(m.soft.failures, mp.PartitionID)
-	if m.soft.detachedAt[mp.PartitionID] == nil {
-		m.soft.detachedAt[mp.PartitionID] = make(map[string]time.Time)
-	}
-	m.soft.detachedAt[mp.PartitionID][addr] = time.Now()
-	m.mu.Unlock()
-	m.pushMetaPartitionUpdate(applied)
+	m.pushUpdate(next)
 }
 
 // checkReattach re-attaches detached replicas whose heartbeats resumed
@@ -231,69 +185,37 @@ func (m *Master) checkReattach() {
 		return
 	}
 	type task struct {
-		volume string
-		dp     proto.DataPartitionInfo
-		addr   string // empty = revive (status flip + targeted recover)
-	}
-	type mtask struct {
-		volume string
-		mp     proto.MetaPartitionInfo
-		addr   string
+		rs   replicaSet
+		addr string // empty = revive
 	}
 	var tasks []task
-	var mtasks []mtask
 	now := time.Now()
 	m.mu.Lock()
-	healthy := func(addr string) bool { return m.healthyLocked(addr, now) }
-	for _, v := range m.state.Volumes {
-		for _, dp := range v.DataPartitions {
-			if dp.Status == proto.PartitionUnavailable && len(dp.Members) > 0 {
-				alive := true
-				for _, addr := range dp.Members {
-					if !healthy(addr) {
-						alive = false
-						break
-					}
-				}
-				if alive {
-					tasks = append(tasks, task{volume: v.Name, dp: dp})
-					continue
-				}
-			}
-			for _, addr := range dp.Detached {
-				if !healthy(addr) {
-					continue
-				}
-				if da, ok := m.soft.detachedAt[dp.PartitionID][addr]; ok && !m.soft.lastHeartbeat[addr].After(da) {
-					continue
-				}
-				tasks = append(tasks, task{volume: v.Name, dp: dp, addr: addr})
-				break // one membership change per partition per scan
-			}
+	down := func(addr string) bool { return !m.healthyLocked(addr, now) }
+	for _, rs := range m.state.replicaSets() {
+		if rs.status == proto.PartitionUnavailable && len(rs.members) > 0 &&
+			!slices.ContainsFunc(rs.members, down) {
+			tasks = append(tasks, task{rs: rs})
+			continue
 		}
-		for _, mp := range v.MetaPartitions {
-			for _, addr := range mp.Detached {
-				if !healthy(addr) {
-					continue
-				}
-				if da, ok := m.soft.detachedAt[mp.PartitionID][addr]; ok && !m.soft.lastHeartbeat[addr].After(da) {
-					continue
-				}
-				mtasks = append(mtasks, mtask{volume: v.Name, mp: mp, addr: addr})
-				break
+		for _, addr := range rs.detached {
+			if down(addr) {
+				continue
 			}
+			if da, ok := m.soft.detachedAt[rs.id][addr]; ok && !m.soft.lastHeartbeat[addr].After(da) {
+				continue
+			}
+			tasks = append(tasks, task{rs: rs, addr: addr})
+			break // one membership change per partition per scan
 		}
 	}
 	m.mu.Unlock()
 	for _, t := range tasks {
 		if t.addr == "" {
-			m.revivePartition(t.volume, t.dp)
-			continue
+			m.revive(t.rs)
+		} else {
+			m.reattach(t.rs, t.addr)
 		}
-		m.reattachReplica(t.volume, t.dp, t.addr)
-	}
-	for _, t := range mtasks {
-		m.reattachMetaReplica(t.volume, t.mp, t.addr)
 	}
 }
 
@@ -306,102 +228,52 @@ func (m *Master) healthyLocked(addr string, now time.Time) bool {
 		m.soft.healthyStreak[addr] >= m.cfg.ReattachHysteresis
 }
 
-// revivePartition flips an unavailable partition whose members all
-// heartbeat again back to read-write and tasks its leader with a recovery
-// pass to re-advance the committed frontier.
-func (m *Master) revivePartition(volume string, dp proto.DataPartitionInfo) {
-	if _, err := m.propose(&command{
-		Kind: cmdSetPartitionStatus, VolumeName: volume,
-		PartitionID: dp.PartitionID, Status: proto.PartitionReadWrite,
-	}); err != nil {
+// revive flips an unavailable partition whose members all heartbeat again
+// back to read-write; a data partition's leader is also tasked with a
+// recovery pass to re-advance the committed frontier.
+func (m *Master) revive(rs replicaSet) {
+	if m.setStatus(rs, proto.PartitionReadWrite) != nil {
 		return
 	}
 	m.mu.Lock()
-	delete(m.soft.partStats, dp.PartitionID)
-	delete(m.soft.failures, dp.PartitionID)
+	delete(m.soft.partStats, rs.id)
+	delete(m.soft.failures, rs.id)
 	m.mu.Unlock()
-	m.pushPartitionUpdate(dp)
-	go m.taskRecover(dp)
+	m.pushUpdate(rs)
+	if !rs.isMeta {
+		go m.taskRecover(rs)
+	}
 }
 
-// reattachReplica returns a detached replica to the END of dp's replication
-// order (a returning node is never promoted) under a bumped epoch, then
-// lets the leader's recovery pass realign its extents before the committed
-// frontier re-advances through it.
-func (m *Master) reattachReplica(volume string, dp proto.DataPartitionInfo, addr string) {
-	detached := make([]string, 0, len(dp.Detached))
-	for _, d := range dp.Detached {
-		if d != addr {
-			detached = append(detached, d)
-		}
-	}
-	if len(detached) == len(dp.Detached) {
+// reattach returns a detached replica to the END of rs's member order (a
+// returning node is never promoted) under a bumped epoch. The push goes to
+// every member INCLUDING the returning one: it rewrites that node's stale
+// view (it may still believe it leads at the old epoch) or re-creates a
+// partition it lost, and the leader's copy starts the catch-up - a data
+// leader's alignment pass ships the missed tail, a Raft leader's AddNode
+// ConfChange ships a snapshot or the log.
+func (m *Master) reattach(rs replicaSet, addr string) {
+	detached := without(rs.detached, addr)
+	if len(detached) == len(rs.detached) {
 		return // already re-attached by a racing trigger
 	}
-	members := append(append([]string(nil), dp.Members...), addr)
-	out, err := m.propose(&command{
-		Kind:         cmdReconfigureDataPartition,
-		VolumeName:   volume,
-		PartitionID:  dp.PartitionID,
-		Members:      members,
-		Detached:     detached,
-		ReplicaEpoch: dp.ReplicaEpoch + 1,
-		Status:       proto.PartitionReadWrite,
-	})
-	if err != nil {
+	next, ok := m.reconfigure(rs, append(slices.Clone(rs.members), addr), detached)
+	if !ok {
 		return
 	}
-	applied := out.(proto.DataPartitionInfo)
 	m.mu.Lock()
-	delete(m.soft.detachedAt[dp.PartitionID], addr)
+	delete(m.soft.detachedAt[rs.id], addr)
 	m.mu.Unlock()
-	// Push to every member INCLUDING the returning one: the update rewrites
-	// its stale partition.json (it may still believe it leads at the old
-	// epoch) and the leader's copy triggers the alignment pass that ships
-	// the tail the replica missed while it was gone.
-	m.pushPartitionUpdate(applied)
+	m.pushUpdate(next)
 }
 
-// reattachMetaReplica returns a detached meta replica to the END of the
-// member order under a bumped epoch; the update push makes the surviving
-// Raft leader propose the AddNode ConfChange and ship the newcomer a
-// snapshot, restoring full meta redundancy.
-func (m *Master) reattachMetaReplica(volume string, mp proto.MetaPartitionInfo, addr string) {
-	detached := make([]string, 0, len(mp.Detached))
-	for _, d := range mp.Detached {
-		if d != addr {
-			detached = append(detached, d)
-		}
-	}
-	if len(detached) == len(mp.Detached) {
-		return // already re-attached by a racing trigger
-	}
-	members := append(append([]string(nil), mp.Members...), addr)
-	out, err := m.propose(&command{
-		Kind:         cmdReconfigureMetaPartition,
-		VolumeName:   volume,
-		PartitionID:  mp.PartitionID,
-		Members:      members,
-		Detached:     detached,
-		ReplicaEpoch: mp.ReplicaEpoch + 1,
-		Status:       proto.PartitionReadWrite,
-	})
-	if err != nil {
-		return
-	}
-	applied := out.(proto.MetaPartitionInfo)
-	m.mu.Lock()
-	delete(m.soft.detachedAt[mp.PartitionID], addr)
-	m.mu.Unlock()
-	m.pushMetaPartitionUpdate(applied)
-}
-
-// checkReplacement restores full redundancy to data partitions that ran
-// degraded past the grace period: once waiting for the detached node stops
-// being a plan, the master places a FRESH replica on a healthy node outside
-// the partition's present and former membership, re-expands Members under a
-// bumped epoch, and lets the leader's alignment pass seed the newcomer from
-// zero (the update push creates the missing partition on it first). The
+// checkReplacement enforces the redundancy promise (DESIGN.md Section 5.5):
+// no read-write partition stays below its replica target past
+// ReplacementGrace while a healthy spare exists. Once waiting for the
+// detached node stops being a plan, the master places a FRESH replica on a
+// healthy node outside the partition's present and former membership and
+// re-expands Members under a bumped epoch; the update push creates the
+// missing partition on the newcomer and the leader fills it from zero. The
 // detached record the newcomer replaces is dropped - if the dead node ever
 // returns, it no longer re-attaches there.
 func (m *Master) checkReplacement() {
@@ -409,96 +281,65 @@ func (m *Master) checkReplacement() {
 		return
 	}
 	type task struct {
-		volume string
-		dp     proto.DataPartitionInfo
-		fresh  string
-		drop   string // detached entry the newcomer replaces
+		rs    replicaSet
+		fresh string
 	}
 	var tasks []task
 	now := time.Now()
 	m.mu.Lock()
-	target := m.replicaCountLocked(false)
-	for _, v := range m.state.Volumes {
-		for _, dp := range v.DataPartitions {
-			if dp.Status != proto.PartitionReadWrite || len(dp.Members) == 0 ||
-				len(dp.Members) >= target || len(dp.Detached) == 0 {
-				delete(m.soft.degradedSince, dp.PartitionID)
-				continue
-			}
-			since, ok := m.soft.degradedSince[dp.PartitionID]
-			if !ok {
-				m.soft.degradedSince[dp.PartitionID] = now
-				continue
-			}
-			if now.Sub(since) < m.cfg.ReplacementGrace {
-				continue
-			}
-			// A detached member about to re-attach makes replacement moot;
-			// let checkReattach win that race.
-			returning := false
-			for _, d := range dp.Detached {
-				if m.healthyLocked(d, now) {
-					returning = true
-					break
-				}
-			}
-			if returning {
-				continue
-			}
-			inSet := make(map[string]bool, len(dp.Members)+len(dp.Detached))
-			for _, a := range dp.Members {
-				inSet[a] = true
-			}
-			for _, a := range dp.Detached {
-				inSet[a] = true
-			}
-			picked, err := pickNodesExcluding(m.state, m.soft, false, 1, func(addr string) bool {
-				return inSet[addr] || !m.healthyLocked(addr, now)
-			})
-			if err != nil {
-				continue // no spare healthy node yet; keep waiting
-			}
-			tasks = append(tasks, task{volume: v.Name, dp: dp, fresh: picked[0], drop: dp.Detached[0]})
+	for _, rs := range m.state.replicaSets() {
+		if rs.status != proto.PartitionReadWrite || len(rs.members) == 0 ||
+			len(rs.members) >= m.replicaCountLocked(rs.isMeta) || len(rs.detached) == 0 {
+			delete(m.soft.degradedSince, rs.id)
+			continue
 		}
+		since, ok := m.soft.degradedSince[rs.id]
+		if !ok {
+			m.soft.degradedSince[rs.id] = now
+			continue
+		}
+		if now.Sub(since) < m.cfg.ReplacementGrace {
+			continue
+		}
+		// A detached member about to re-attach makes replacement moot;
+		// let checkReattach win that race.
+		if slices.ContainsFunc(rs.detached, func(a string) bool { return m.healthyLocked(a, now) }) {
+			continue
+		}
+		picked, err := pickNodesExcluding(m.state, m.soft, rs.isMeta, 1, func(addr string) bool {
+			return slices.Contains(rs.members, addr) || slices.Contains(rs.detached, addr) ||
+				!m.healthyLocked(addr, now)
+		})
+		if err != nil {
+			continue // no spare healthy node yet; keep waiting
+		}
+		tasks = append(tasks, task{rs: rs, fresh: picked[0]})
 	}
 	m.mu.Unlock()
 	for _, t := range tasks {
-		m.replaceReplica(t.volume, t.dp, t.fresh, t.drop)
+		m.replace(t.rs, t.fresh)
 	}
 }
 
-// replaceReplica swaps a permanently-absent detached replica for a fresh
-// node: Members re-expands with the newcomer at the END (never promoted),
-// the replaced corpse leaves Detached for good, and the leader is tasked
-// with the recovery pass that creates and ships every extent to the empty
+// replace swaps rs's longest-absent detached replica for a fresh node:
+// Members re-expands with the newcomer at the END (never promoted) and the
+// replaced corpse leaves Detached for good. A data leader is tasked with
+// the recovery pass that creates and ships every extent to the empty
 // newcomer before the committed frontier re-advances through it.
-func (m *Master) replaceReplica(volume string, dp proto.DataPartitionInfo, fresh, drop string) {
-	members := append(append([]string(nil), dp.Members...), fresh)
-	detached := make([]string, 0, len(dp.Detached))
-	for _, d := range dp.Detached {
-		if d != drop {
-			detached = append(detached, d)
-		}
-	}
-	out, err := m.propose(&command{
-		Kind:         cmdReconfigureDataPartition,
-		VolumeName:   volume,
-		PartitionID:  dp.PartitionID,
-		Members:      members,
-		Detached:     detached,
-		ReplicaEpoch: dp.ReplicaEpoch + 1,
-		Status:       proto.PartitionReadWrite,
-	})
-	if err != nil {
+func (m *Master) replace(rs replicaSet, fresh string) {
+	drop := rs.detached[0]
+	next, ok := m.reconfigure(rs, append(slices.Clone(rs.members), fresh), without(rs.detached, drop))
+	if !ok {
 		return
 	}
-	applied := out.(proto.DataPartitionInfo)
 	m.mu.Lock()
-	delete(m.soft.degradedSince, dp.PartitionID)
-	delete(m.soft.detachedAt[dp.PartitionID], drop)
+	delete(m.soft.degradedSince, rs.id)
+	delete(m.soft.detachedAt[rs.id], drop)
 	m.mu.Unlock()
-	m.pushPartitionUpdate(applied)
-	go m.taskRecover(applied)
+	m.pushUpdate(next)
+	if !rs.isMeta {
+		go m.taskRecover(next)
+	}
 }
 
 // onNodeReturned reacts to a data node's re-registration: partitions that
@@ -509,83 +350,60 @@ func (m *Master) replaceReplica(volume string, dp proto.DataPartitionInfo, fresh
 // scan's call, gated on the returning node first proving itself with
 // ReattachHysteresis on-time heartbeats.
 func (m *Master) onNodeReturned(addr string) {
-	type task struct {
-		volume string
-		dp     proto.DataPartitionInfo
-	}
-	var tasks []task
+	var follows []replicaSet
 	m.mu.Lock()
-	for _, v := range m.state.Volumes {
-		for _, dp := range v.DataPartitions {
-			for _, member := range dp.Members {
-				if member == addr && dp.Members[0] != addr {
-					tasks = append(tasks, task{volume: v.Name, dp: dp})
-					break
-				}
-			}
+	for _, rs := range m.state.replicaSets() {
+		if slices.Contains(rs.members, addr) && rs.members[0] != addr {
+			follows = append(follows, rs)
 		}
 	}
 	m.mu.Unlock()
-	for _, t := range tasks {
-		m.taskRecover(t.dp)
+	for _, rs := range follows {
+		m.taskRecover(rs)
 	}
 }
 
-// taskRecover asks a partition's leader to run one recovery pass now.
+// taskRecover asks a data partition's leader to run one recovery pass now.
 // Best-effort with bounded retries: ErrBusy means writers are bound (the
 // pass will run at the next quiet moment or the next trigger), and the
 // heartbeat-driven re-push path is the durable backstop.
-func (m *Master) taskRecover(dp proto.DataPartitionInfo) {
-	if len(dp.Members) == 0 {
-		return
-	}
-	req := &proto.RecoverPartitionReq{PartitionID: dp.PartitionID}
+func (m *Master) taskRecover(rs replicaSet) {
+	req := &proto.RecoverPartitionReq{PartitionID: rs.id}
 	for attempt := 0; attempt < 5; attempt++ {
-		var resp proto.RecoverPartitionResp
-		if err := m.nw.Call(dp.Members[0], uint8(proto.OpAdminRecoverPartition), req, &resp); err == nil {
+		if err := m.nw.Call(rs.members[0], uint8(proto.OpAdminRecoverPartition), req, nil); err == nil {
 			return
 		}
 		time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
 	}
 }
 
-// pushPartitionUpdate delivers a reconfiguration to every member, with
-// bounded retries per member. Misses are tolerated: the member's next
-// heartbeat reports its stale epoch and repushPartition repairs it.
-func (m *Master) pushPartitionUpdate(dp proto.DataPartitionInfo) {
-	req := &proto.UpdateDataPartitionReq{
-		PartitionID:  dp.PartitionID,
-		Volume:       dp.Volume,
-		Capacity:     dp.Capacity,
-		Members:      dp.Members,
-		ReplicaEpoch: dp.ReplicaEpoch,
-	}
-	for _, addr := range dp.Members {
-		for attempt := 0; attempt < 3; attempt++ {
-			var resp proto.UpdateDataPartitionResp
-			if err := m.nw.Call(addr, uint8(proto.OpAdminUpdateDataPartition), req, &resp); err == nil {
-				break
-			}
-			time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)
+// pushUpdate delivers a reconfiguration to every member, with bounded
+// retries per member. The request body is where the kinds differ: each
+// carries, beside Members and the epoch, what its node needs to create a
+// partition it does not host (a replacement newcomer, a wiped disk). Misses
+// are tolerated: the member's next heartbeat reports its stale epoch and
+// repushPartition repairs it.
+func (m *Master) pushUpdate(rs replicaSet) {
+	op, req := proto.OpAdminUpdateDataPartition, any(&proto.UpdateDataPartitionReq{
+		PartitionID:  rs.id,
+		Volume:       rs.volume,
+		Capacity:     rs.capacity,
+		Members:      rs.members,
+		ReplicaEpoch: rs.epoch,
+	})
+	if rs.isMeta {
+		op, req = proto.OpAdminUpdateMetaPartition, &proto.UpdateMetaPartitionReq{
+			PartitionID:  rs.id,
+			Volume:       rs.volume,
+			Start:        rs.start,
+			End:          rs.end,
+			Members:      rs.members,
+			ReplicaEpoch: rs.epoch,
 		}
 	}
-}
-
-// pushMetaPartitionUpdate delivers a meta reconfiguration to every member,
-// with bounded retries per member. The metanode side adopts the member set
-// + epoch and - on whichever replica leads the group - drives the matching
-// Raft ConfChanges. Misses are tolerated: the member's next heartbeat
-// reports its stale epoch and repushPartition repairs it.
-func (m *Master) pushMetaPartitionUpdate(mp proto.MetaPartitionInfo) {
-	req := &proto.UpdateMetaPartitionReq{
-		PartitionID:  mp.PartitionID,
-		Members:      mp.Members,
-		ReplicaEpoch: mp.ReplicaEpoch,
-	}
-	for _, addr := range mp.Members {
+	for _, addr := range rs.members {
 		for attempt := 0; attempt < 3; attempt++ {
-			var resp proto.UpdateMetaPartitionResp
-			if err := m.nw.Call(addr, uint8(proto.OpAdminUpdateMetaPartition), req, &resp); err == nil {
+			if err := m.nw.Call(addr, uint8(op), req, nil); err == nil {
 				break
 			}
 			time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)
@@ -595,49 +413,14 @@ func (m *Master) pushMetaPartitionUpdate(mp proto.MetaPartitionInfo) {
 
 // repushPartition re-delivers the current reconfiguration to a partition's
 // members after a heartbeat revealed one of them holds a stale epoch.
-// Partition ids come from one allocator, so the id alone resolves to a
-// data or a meta record.
 func (m *Master) repushPartition(pid uint64) {
 	m.mu.Lock()
-	dp, _, ok := m.findDataPartitionLocked(pid)
-	var mp proto.MetaPartitionInfo
-	var mok bool
-	if !ok {
-		mp, _, mok = m.findMetaPartitionLocked(pid)
-	}
+	rs, ok := m.state.find(pid)
 	m.mu.Unlock()
 	if ok {
-		m.pushPartitionUpdate(dp)
-	} else if mok {
-		m.pushMetaPartitionUpdate(mp)
+		m.pushUpdate(rs)
 	}
 	m.mu.Lock()
 	delete(m.soft.pushing, pid)
 	m.mu.Unlock()
-}
-
-// findDataPartitionLocked locates a data partition record by id. Caller
-// holds m.mu.
-func (m *Master) findDataPartitionLocked(pid uint64) (proto.DataPartitionInfo, string, bool) {
-	for _, v := range m.state.Volumes {
-		for _, dp := range v.DataPartitions {
-			if dp.PartitionID == pid {
-				return dp, v.Name, true
-			}
-		}
-	}
-	return proto.DataPartitionInfo{}, "", false
-}
-
-// findMetaPartitionLocked locates a meta partition record by id. Caller
-// holds m.mu.
-func (m *Master) findMetaPartitionLocked(pid uint64) (proto.MetaPartitionInfo, string, bool) {
-	for _, v := range m.state.Volumes {
-		for _, mp := range v.MetaPartitions {
-			if mp.PartitionID == pid {
-				return mp, v.Name, true
-			}
-		}
-	}
-	return proto.MetaPartitionInfo{}, "", false
 }

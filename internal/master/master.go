@@ -49,16 +49,16 @@ type Config struct {
 	// data nodes. Zero means 1 GB.
 	DataPartitionCapacity uint64
 	// FailureThreshold marks a meta partition unavailable after this many
-	// failure reports (Section 2.3.3). Zero means 3. (Data partitions
-	// reconfigure around failed replicas instead; see failover.go.)
+	// failure reports against its last member (Section 2.3.3). Zero means
+	// 3. (Partitions with a member to spare reconfigure around the failed
+	// replica instead; see failover.go.)
 	FailureThreshold int
 	// NodeTimeout declares a node dead once its heartbeats stop for this
-	// long; the maintenance scan then reconfigures the node's data
-	// partitions around it (promoting a live follower when the dead node
-	// led). It doubles as the read-lease term granted on every heartbeat
-	// reply: a deposed leader cut off from the master stops serving reads
-	// once the lease runs out, before a successor can be promoted. Zero
-	// means 10s.
+	// long; the maintenance scan then reconfigures the node's partitions
+	// around it (promoting a live follower when a data leader died). It
+	// doubles as the read-lease term granted on every heartbeat reply: a
+	// deposed leader cut off from the master stops serving reads once the
+	// lease runs out, before a successor can be promoted. Zero means 10s.
 	NodeTimeout time.Duration
 	// ReattachHysteresis is how many CONSECUTIVE on-time heartbeats a
 	// returning node must show before the master re-attaches its detached
@@ -66,11 +66,10 @@ type Config struct {
 	// (alternating silence and bursts) therefore cannot thrash membership:
 	// every silence resets the streak. Zero means 3.
 	ReattachHysteresis int
-	// ReplacementGrace is how long a data partition may run below its
-	// replica target before the master gives up on the detached node
-	// returning and places a fresh replacement replica on a new node
-	// (seeded from zero by the leader's alignment pass). Zero means
-	// 2*NodeTimeout.
+	// ReplacementGrace is how long a partition may run below its replica
+	// target before the master gives up on the detached node returning and
+	// places a fresh replacement replica on a new node (filled from zero by
+	// the partition's leader). Zero means 2*NodeTimeout.
 	ReplacementGrace time.Duration
 	// CheckInterval is the background scan period for splitting and
 	// capacity expansion. Zero means 500ms.
@@ -303,20 +302,31 @@ func (m *Master) handle(op uint8, req any) (any, error) {
 		m.raftStore.HandleBatch(batch)
 		return &proto.HeartbeatResp{}, nil
 	case proto.OpMasterRegisterNode:
-		return m.handleRegister(req.(*proto.RegisterNodeReq))
+		return handleBody(req, m.handleRegister)
 	case proto.OpMasterHeartbeat:
-		return m.handleHeartbeat(req.(*proto.HeartbeatReq))
+		return handleBody(req, m.handleHeartbeat)
 	case proto.OpMasterCreateVolume:
-		return m.handleCreateVolume(req.(*proto.CreateVolumeReq))
+		return handleBody(req, m.handleCreateVolume)
 	case proto.OpMasterGetVolume:
-		return m.handleGetVolume(req.(*proto.GetVolumeReq))
+		return handleBody(req, m.handleGetVolume)
 	case proto.OpMasterReportFailure:
-		return m.handleReportFailure(req.(*proto.ReportFailureReq))
+		return handleBody(req, m.handleReportFailure)
 	case proto.OpMasterClusterStats:
 		return m.handleClusterStats()
 	default:
 		return nil, fmt.Errorf("master: %w: op %d", util.ErrInvalidArgument, op)
 	}
+}
+
+// handleBody runs h on a request body of the type its op takes. The peer
+// picks op and body independently (the transport decodes whatever
+// registered type arrived), so a mismatch is refused, never asserted.
+func handleBody[Req, Resp any](req any, h func(*Req) (*Resp, error)) (any, error) {
+	r, ok := req.(*Req)
+	if !ok {
+		return nil, fmt.Errorf("master: %w: body %T", util.ErrInvalidArgument, req)
+	}
+	return h(r)
 }
 
 func (m *Master) requireLeader() error {
@@ -444,7 +454,7 @@ func (m *Master) handleCreateVolume(req *proto.CreateVolumeReq) (*proto.CreateVo
 		start = end + 1
 	}
 	for i := 0; i < req.DataPartitionCount; i++ {
-		if _, err := m.addDataPartition(req.Name); err != nil {
+		if err := m.addDataPartition(req.Name); err != nil {
 			return nil, err
 		}
 	}
@@ -485,12 +495,33 @@ func (m *Master) callMetaLeader(mp proto.MetaPartitionInfo, op uint8, req, resp 
 	return lastErr
 }
 
+// place picks the least-utilized nodes for a new partition of the kind and
+// allocates its id.
+func (m *Master) place(isMeta bool) (members []string, id uint64, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	members, err = pickNodes(m.state, m.soft, isMeta, m.replicaCountLocked(isMeta))
+	return members, m.allocPartitionIDLocked(), err
+}
+
+// provision creates a placed partition on its members, then commits the
+// record: a failure leaves at most unused partitions on nodes, never a
+// dangling record. members[0] is created last: that replica campaigns the
+// moment its group exists, and a vote request that reaches a peer with no
+// group yet is dropped - the group would then wait out an election timeout.
+func (m *Master) provision(members []string, op proto.Op, req any, record *command) error {
+	for i := len(members) - 1; i >= 0; i-- {
+		if err := m.nw.Call(members[i], uint8(op), req, nil); err != nil {
+			return fmt.Errorf("master: provision partition on %s: %w", members[i], err)
+		}
+	}
+	_, err := m.propose(record)
+	return err
+}
+
 // addMetaPartition places and provisions a new meta partition.
 func (m *Master) addMetaPartition(volume string, start, end uint64) (*proto.MetaPartitionInfo, error) {
-	m.mu.Lock()
-	members, err := pickNodes(m.state, m.soft, true, m.replicaCountLocked(true))
-	id := m.allocPartitionIDLocked()
-	m.mu.Unlock()
+	members, id, err := m.place(true)
 	if err != nil {
 		return nil, err
 	}
@@ -504,25 +535,33 @@ func (m *Master) addMetaPartition(volume string, start, end uint64) (*proto.Meta
 		Status:       proto.PartitionReadWrite,
 		ReplicaEpoch: 1,
 	}
-	// Provision on the nodes first, then commit the record; a failure
-	// leaves at most unused partitions on nodes, never a dangling record.
-	req := &proto.CreateMetaPartitionReq{
+	err = m.provision(members, proto.OpAdminCreateMetaPartition, &proto.CreateMetaPartitionReq{
 		PartitionID: id, Volume: volume, Start: start, End: end, Members: members,
-	}
-	// members[0] last: that replica campaigns the moment its group exists,
-	// and a vote request that reaches a peer with no group yet is dropped -
-	// the group would then wait out an election timeout.
-	for i := len(members) - 1; i >= 0; i-- {
-		addr := members[i]
-		var resp proto.CreateMetaPartitionResp
-		if err := m.nw.Call(addr, uint8(proto.OpAdminCreateMetaPartition), req, &resp); err != nil {
-			return nil, fmt.Errorf("master: provision meta partition on %s: %w", addr, err)
-		}
-	}
-	if _, err := m.propose(&command{Kind: cmdAddMetaPartition, VolumeName: volume, MetaPartition: mp}); err != nil {
+	}, &command{Kind: cmdAddMetaPartition, VolumeName: volume, MetaPartition: mp})
+	if err != nil {
 		return nil, err
 	}
 	return mp, nil
+}
+
+// addDataPartition places and provisions a new data partition.
+func (m *Master) addDataPartition(volume string) error {
+	members, id, err := m.place(false)
+	if err != nil {
+		return err
+	}
+	dp := &proto.DataPartitionInfo{
+		PartitionID:  id,
+		Volume:       volume,
+		Members:      members,
+		LeaderAddr:   members[0],
+		Status:       proto.PartitionReadWrite,
+		Capacity:     m.cfg.DataPartitionCapacity,
+		ReplicaEpoch: 1,
+	}
+	return m.provision(members, proto.OpAdminCreateDataPartition, &proto.CreateDataPartitionReq{
+		PartitionID: id, Volume: volume, Capacity: dp.Capacity, Members: members, ReplicaEpoch: 1,
+	}, &command{Kind: cmdAddDataPartition, VolumeName: volume, DataPartition: dp})
 }
 
 // allocPartitionIDLocked hands out a partition id unique on this leader.
@@ -547,41 +586,6 @@ func (m *Master) replicaCountLocked(isMeta bool) int {
 		}
 	}
 	return util.Min(3, util.Max(n, 1))
-}
-
-// addDataPartition places and provisions a new data partition.
-func (m *Master) addDataPartition(volume string) (*proto.DataPartitionInfo, error) {
-	m.mu.Lock()
-	members, err := pickNodes(m.state, m.soft, false, m.replicaCountLocked(false))
-	id := m.allocPartitionIDLocked()
-	m.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	dp := &proto.DataPartitionInfo{
-		PartitionID:  id,
-		Volume:       volume,
-		Members:      members,
-		LeaderAddr:   members[0],
-		Status:       proto.PartitionReadWrite,
-		Capacity:     m.cfg.DataPartitionCapacity,
-		ReplicaEpoch: 1,
-	}
-	req := &proto.CreateDataPartitionReq{
-		PartitionID: id, Volume: volume, Capacity: dp.Capacity, Members: members,
-		ReplicaEpoch: 1,
-	}
-	for i := len(members) - 1; i >= 0; i-- { // members[0] last, as in addMetaPartition
-		addr := members[i]
-		var resp proto.CreateDataPartitionResp
-		if err := m.nw.Call(addr, uint8(proto.OpAdminCreateDataPartition), req, &resp); err != nil {
-			return nil, fmt.Errorf("master: provision data partition on %s: %w", addr, err)
-		}
-	}
-	if _, err := m.propose(&command{Kind: cmdAddDataPartition, VolumeName: volume, DataPartition: dp}); err != nil {
-		return nil, err
-	}
-	return dp, nil
 }
 
 func (m *Master) handleGetVolume(req *proto.GetVolumeReq) (*proto.GetVolumeResp, error) {
@@ -636,17 +640,12 @@ func (m *Master) viewOf(name string) (*proto.VolumeView, error) {
 	return view, nil
 }
 
-// handleReportFailure implements Section 2.3.3 turned into decisions. For
-// DATA partitions the master reconfigures instead of fencing the whole
-// partition: the reported replica is detached from the replication set
-// under a bumped epoch, the partition stays writable on the survivors, and
-// the replica re-attaches (realigned by the leader) once it heartbeats
-// again. META partitions now get the same treatment when they have
-// replicas to spare - the dead member is removed under a bumped epoch and
-// the survivors' Raft group shrinks around it via ConfChange, so the
-// partition keeps serving writes. Only a meta partition with nothing left
-// to remove (a single member) falls back to the original read-only /
-// unavailable escalation.
+// handleReportFailure implements Section 2.3.3 turned into decisions: the
+// master reconfigures instead of fencing the whole partition. The reported
+// replica is detached under a bumped epoch, the partition stays writable on
+// the survivors (a meta partition's Raft group shrinks around the dead
+// member via ConfChange), and the replica re-attaches once it heartbeats
+// again. A report naming a node that is not a member is inert.
 func (m *Master) handleReportFailure(req *proto.ReportFailureReq) (*proto.ReportFailureResp, error) {
 	if err := m.requireLeader(); err != nil {
 		return nil, err
@@ -654,50 +653,26 @@ func (m *Master) handleReportFailure(req *proto.ReportFailureReq) (*proto.Report
 	m.mu.Lock()
 	m.soft.failures[req.PartitionID]++
 	count := m.soft.failures[req.PartitionID]
-	var volume string
-	var isMeta bool
-	var dpRec proto.DataPartitionInfo
-	var mpRec proto.MetaPartitionInfo
-	for _, v := range m.state.Volumes {
-		for _, mp := range v.MetaPartitions {
-			if mp.PartitionID == req.PartitionID {
-				volume, isMeta = v.Name, true
-				mpRec = mp
-			}
-		}
-		for _, dp := range v.DataPartitions {
-			if dp.PartitionID == req.PartitionID {
-				volume, isMeta = v.Name, false
-				dpRec = dp
-			}
-		}
-	}
+	rs, ok := m.state.find(req.PartitionID)
 	m.mu.Unlock()
-	if volume == "" {
+	if !ok {
 		return nil, fmt.Errorf("master: partition %d: %w", req.PartitionID, util.ErrNotFound)
 	}
-	if !isMeta {
-		m.detachReplica(volume, dpRec, req.Addr)
+	// The one decision that depends on the kind: a data partition that
+	// loses its last member is unavailable at once (detach), a meta
+	// partition with nothing left to remove keeps the paper's escalation -
+	// read-only first, unavailable at FailureThreshold reports.
+	if rs.isMeta && len(rs.members) == 1 && rs.members[0] == req.Addr {
+		status := proto.PartitionReadOnly
+		if count >= m.cfg.FailureThreshold {
+			status = proto.PartitionUnavailable
+		}
+		if err := m.setStatus(rs, status); err != nil {
+			return nil, err
+		}
 		return &proto.ReportFailureResp{}, nil
 	}
-	if len(mpRec.Members) > 1 {
-		for _, member := range mpRec.Members {
-			if member == req.Addr {
-				m.detachMetaReplica(volume, mpRec, req.Addr)
-				return &proto.ReportFailureResp{}, nil
-			}
-		}
-	}
-	status := proto.PartitionReadOnly
-	if count >= m.cfg.FailureThreshold {
-		status = proto.PartitionUnavailable
-	}
-	if _, err := m.propose(&command{
-		Kind: cmdSetPartitionStatus, VolumeName: volume,
-		PartitionID: req.PartitionID, Status: status, IsMeta: isMeta,
-	}); err != nil {
-		return nil, err
-	}
+	m.detach(rs, req.Addr)
 	return &proto.ReportFailureResp{}, nil
 }
 
@@ -748,9 +723,9 @@ func (m *Master) backgroundLoop() {
 // CheckOnce runs one maintenance scan (exported for tests and the bench
 // harness). It splits meta partitions whose inode count crossed the limit,
 // expands volumes whose writable data partitions are nearly full, declares
-// heartbeat-silent nodes dead (reconfiguring their data partitions around
-// them, promoting a live follower where the dead node led), and re-attaches
-// detached replicas that came back.
+// heartbeat-silent nodes dead (reconfiguring their partitions around them),
+// re-attaches detached replicas that came back, and replaces the ones that
+// did not.
 func (m *Master) CheckOnce() {
 	m.checkNodeLiveness()
 	m.checkReattach()
@@ -806,7 +781,7 @@ func (m *Master) CheckOnce() {
 		_ = m.SplitMetaPartition(s.volume, s.mp, s.maxIno)
 	}
 	for _, e := range expands {
-		_, _ = m.addDataPartition(e.volume)
+		_ = m.addDataPartition(e.volume)
 	}
 }
 

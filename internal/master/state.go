@@ -34,6 +34,86 @@ type volumeState struct {
 	Epoch          uint64
 }
 
+// replicaSet is the membership lifecycle's working copy of one partition
+// record. Data and meta partitions share one lifecycle (failover.go), so it
+// runs over this value plus a kind flag instead of over either record type.
+type replicaSet struct {
+	isMeta   bool
+	volume   string
+	id       uint64
+	members  []string
+	detached []string
+	epoch    uint64
+	status   proto.PartitionStatus
+	// Carried only for the update push, which lets a member that does not
+	// host the partition create it: data's capacity, meta's inode range.
+	capacity, start, end uint64
+}
+
+// replicaSets copies every partition record out, data and meta alike. The
+// slices alias the records'; apply replaces them whole, never in place.
+func (s *clusterState) replicaSets() []replicaSet {
+	var out []replicaSet
+	for _, v := range s.Volumes {
+		for _, dp := range v.DataPartitions {
+			out = append(out, replicaSet{
+				volume: v.Name, id: dp.PartitionID, members: dp.Members, detached: dp.Detached,
+				epoch: dp.ReplicaEpoch, status: dp.Status, capacity: dp.Capacity,
+			})
+		}
+		for _, mp := range v.MetaPartitions {
+			out = append(out, replicaSet{
+				isMeta: true, volume: v.Name, id: mp.PartitionID, members: mp.Members, detached: mp.Detached,
+				epoch: mp.ReplicaEpoch, status: mp.Status, start: mp.Start, end: mp.End,
+			})
+		}
+	}
+	return out
+}
+
+// find locates a partition by id alone: data and meta ids come from one
+// allocator.
+func (s *clusterState) find(pid uint64) (replicaSet, bool) {
+	for _, rs := range s.replicaSets() {
+		if rs.id == pid {
+			return rs, true
+		}
+	}
+	return replicaSet{}, false
+}
+
+// recordRef points at the fields of one partition record the lifecycle
+// commands write.
+type recordRef struct {
+	members, detached *[]string
+	leader            *string
+	epoch             *uint64
+	status            *proto.PartitionStatus
+}
+
+// record resolves the partition a lifecycle command names: c.IsMeta picks
+// the record list, the only place the two record types are told apart.
+func (s *clusterState) record(c *command) (*volumeState, recordRef, error) {
+	v, ok := s.Volumes[c.VolumeName]
+	if !ok {
+		return nil, recordRef{}, fmt.Errorf("master: volume %q: %w", c.VolumeName, util.ErrNotFound)
+	}
+	if c.IsMeta {
+		for i := range v.MetaPartitions {
+			if p := &v.MetaPartitions[i]; p.PartitionID == c.PartitionID {
+				return v, recordRef{&p.Members, &p.Detached, &p.LeaderAddr, &p.ReplicaEpoch, &p.Status}, nil
+			}
+		}
+	} else {
+		for i := range v.DataPartitions {
+			if p := &v.DataPartitions[i]; p.PartitionID == c.PartitionID {
+				return v, recordRef{&p.Members, &p.Detached, &p.LeaderAddr, &p.ReplicaEpoch, &p.Status}, nil
+			}
+		}
+	}
+	return nil, recordRef{}, fmt.Errorf("master: %s partition %d: %w", nodeKind(c.IsMeta), c.PartitionID, util.ErrNotFound)
+}
+
 func newClusterState() *clusterState {
 	return &clusterState{
 		Nodes:   make(map[string]*proto.NodeInfo),
@@ -52,18 +132,14 @@ const (
 	cmdAddDataPartition
 	cmdCutMetaPartition
 	cmdSetPartitionStatus
-	// cmdReconfigureDataPartition replaces a data partition's replication
-	// set (leader failover, replica detach/re-attach) under a bumped
-	// ReplicaEpoch - the PacificA-style reconfiguration record.
-	cmdReconfigureDataPartition
+	// cmdReconfigurePartition replaces a partition's replica set (detach,
+	// re-attach, replacement) under a bumped ReplicaEpoch - the
+	// PacificA-style reconfiguration record. IsMeta names the record list,
+	// as for cmdSetPartitionStatus.
+	cmdReconfigurePartition
 	// cmdSetNodeActive flips a node's liveness flag (heartbeat timeout /
 	// return), keeping placement away from dead nodes deterministically.
 	cmdSetNodeActive
-	// cmdReconfigureMetaPartition replaces a meta partition's member set
-	// (dead-replica removal) under a bumped ReplicaEpoch - the meta twin of
-	// cmdReconfigureDataPartition, landed when membership change made
-	// meta-partition failover possible.
-	cmdReconfigureMetaPartition
 )
 
 // command is the Raft log payload for master mutations.
@@ -83,8 +159,8 @@ type command struct {
 	Status      proto.PartitionStatus
 	IsMeta      bool
 
-	// Reconfiguration payload (cmdReconfigureDataPartition) and node
-	// liveness payload (cmdSetNodeActive).
+	// Reconfiguration payload (cmdReconfigurePartition) and node liveness
+	// payload (cmdSetNodeActive).
 	Members      []string
 	Detached     []string
 	ReplicaEpoch uint64
@@ -189,84 +265,34 @@ func (s *clusterState) apply(c *command, raftSetSize int) (any, error) {
 		return nil, fmt.Errorf("master: meta partition %d: %w", c.PartitionID, util.ErrNotFound)
 
 	case cmdSetPartitionStatus:
-		v, ok := s.Volumes[c.VolumeName]
-		if !ok {
-			return nil, fmt.Errorf("master: volume %q: %w", c.VolumeName, util.ErrNotFound)
+		v, r, err := s.record(c)
+		if err != nil {
+			return nil, err
 		}
-		if c.IsMeta {
-			for i := range v.MetaPartitions {
-				if v.MetaPartitions[i].PartitionID == c.PartitionID {
-					v.MetaPartitions[i].Status = c.Status
-					v.Epoch++
-					return nil, nil
-				}
-			}
-		} else {
-			for i := range v.DataPartitions {
-				if v.DataPartitions[i].PartitionID == c.PartitionID {
-					v.DataPartitions[i].Status = c.Status
-					v.Epoch++
-					return nil, nil
-				}
-			}
-		}
-		return nil, fmt.Errorf("master: partition %d: %w", c.PartitionID, util.ErrNotFound)
+		*r.status = c.Status
+		v.Epoch++
+		return nil, nil
 
-	case cmdReconfigureDataPartition:
-		v, ok := s.Volumes[c.VolumeName]
-		if !ok {
-			return nil, fmt.Errorf("master: volume %q: %w", c.VolumeName, util.ErrNotFound)
+	case cmdReconfigurePartition:
+		v, r, err := s.record(c)
+		if err != nil {
+			return nil, err
 		}
-		for i := range v.DataPartitions {
-			dp := &v.DataPartitions[i]
-			if dp.PartitionID != c.PartitionID {
-				continue
-			}
-			if c.ReplicaEpoch <= dp.ReplicaEpoch {
-				// Stale or duplicate proposal (two triggers raced - e.g. a
-				// failure report and the liveness scan); first writer wins.
-				return nil, fmt.Errorf("master: partition %d already at epoch %d: %w",
-					c.PartitionID, dp.ReplicaEpoch, util.ErrStaleEpoch)
-			}
-			dp.Members = append([]string(nil), c.Members...)
-			dp.Detached = append([]string(nil), c.Detached...)
-			dp.ReplicaEpoch = c.ReplicaEpoch
-			dp.Status = c.Status
-			if len(dp.Members) > 0 {
-				dp.LeaderAddr = dp.Members[0]
-			}
-			v.Epoch++
-			return *dp, nil
+		if c.ReplicaEpoch <= *r.epoch {
+			// Stale or duplicate proposal (two triggers raced - e.g. a
+			// failure report and the liveness scan); first writer wins.
+			return nil, fmt.Errorf("master: partition %d already at epoch %d: %w",
+				c.PartitionID, *r.epoch, util.ErrStaleEpoch)
 		}
-		return nil, fmt.Errorf("master: data partition %d: %w", c.PartitionID, util.ErrNotFound)
-
-	case cmdReconfigureMetaPartition:
-		v, ok := s.Volumes[c.VolumeName]
-		if !ok {
-			return nil, fmt.Errorf("master: volume %q: %w", c.VolumeName, util.ErrNotFound)
+		*r.members = append([]string(nil), c.Members...)
+		*r.detached = append([]string(nil), c.Detached...)
+		*r.epoch = c.ReplicaEpoch
+		*r.status = c.Status
+		if len(c.Members) > 0 {
+			*r.leader = c.Members[0]
 		}
-		for i := range v.MetaPartitions {
-			mp := &v.MetaPartitions[i]
-			if mp.PartitionID != c.PartitionID {
-				continue
-			}
-			if c.ReplicaEpoch <= mp.ReplicaEpoch {
-				// First writer wins, as on the data side: racing triggers
-				// (failure report vs liveness scan) collapse to one epoch.
-				return nil, fmt.Errorf("master: meta partition %d already at epoch %d: %w",
-					c.PartitionID, mp.ReplicaEpoch, util.ErrStaleEpoch)
-			}
-			mp.Members = append([]string(nil), c.Members...)
-			mp.Detached = append([]string(nil), c.Detached...)
-			mp.ReplicaEpoch = c.ReplicaEpoch
-			mp.Status = c.Status
-			if len(mp.Members) > 0 {
-				mp.LeaderAddr = mp.Members[0]
-			}
-			v.Epoch++
-			return *mp, nil
-		}
-		return nil, fmt.Errorf("master: meta partition %d: %w", c.PartitionID, util.ErrNotFound)
+		v.Epoch++
+		return nil, nil
 
 	case cmdSetNodeActive:
 		n, ok := s.Nodes[c.Addr]
@@ -327,9 +353,9 @@ type softState struct {
 	// decisions require a minimum streak (hysteresis), so a flapping node
 	// cannot thrash membership changes.
 	healthyStreak map[string]int
-	// degradedSince records when a data partition was first seen running
-	// below its replica target; replacement placement waits out a grace
-	// period from this mark (a briefly-absent replica usually re-attaches).
+	// degradedSince records when a partition was first seen running below
+	// its replica target; replacement placement waits out a grace period
+	// from this mark (a briefly-absent replica usually re-attaches).
 	degradedSince map[uint64]time.Time
 }
 
@@ -357,13 +383,8 @@ func partEpochsLocked(state *clusterState, soft *softState) map[uint64]uint64 {
 		return soft.epochIdx
 	}
 	idx := make(map[uint64]uint64)
-	for _, v := range state.Volumes {
-		for _, dp := range v.DataPartitions {
-			idx[dp.PartitionID] = dp.ReplicaEpoch
-		}
-		for _, mp := range v.MetaPartitions {
-			idx[mp.PartitionID] = mp.ReplicaEpoch
-		}
+	for _, rs := range state.replicaSets() {
+		idx[rs.id] = rs.epoch
 	}
 	soft.epochIdx, soft.epochIdxVer = idx, state.Version
 	return idx

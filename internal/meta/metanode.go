@@ -4,6 +4,7 @@
 package meta
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -201,50 +202,32 @@ func (m *MetaNode) CreatePartition(req *proto.CreateMetaPartitionReq) error {
 func (m *MetaNode) UpdatePartition(req *proto.UpdateMetaPartitionReq) (*proto.UpdateMetaPartitionResp, error) {
 	p := m.Partition(req.PartitionID)
 	if p == nil {
-		return nil, fmt.Errorf("meta: partition %d: %w", req.PartitionID, util.ErrNotFound)
+		// A member that does not host the partition - a replacement
+		// newcomer, or a disk wiped between detach and re-attach: create it
+		// empty under the pushed configuration. The Raft leader's AddNode
+		// fills it by snapshot or log. Refusing would wedge the
+		// reconfiguration with no repair path, since a node that does not
+		// host the partition never reports it in heartbeats. A SOLE member
+		// is refused: nobody could fill it, and an empty partition serving
+		// would turn a lost namespace into a silently empty one.
+		if len(req.Members) < 2 {
+			return nil, fmt.Errorf("meta: partition %d: %w", req.PartitionID, util.ErrNotFound)
+		}
+		err := m.CreatePartition(&proto.CreateMetaPartitionReq{
+			PartitionID: req.PartitionID, Volume: req.Volume,
+			Start: req.Start, End: req.End, Members: req.Members,
+		})
+		if err != nil && !errors.Is(err, util.ErrExist) {
+			return nil, err
+		}
+		if p = m.Partition(req.PartitionID); p == nil {
+			return nil, fmt.Errorf("meta: partition %d: %w", req.PartitionID, util.ErrNotFound)
+		}
 	}
 	if p.applyReconfig(req.Members, req.ReplicaEpoch) {
-		m.reconcileRaft(p)
+		m.raft.Reconcile(p.ID, p, p.MembersCopy, p.setRaftGroup)
 	}
 	return &proto.UpdateMetaPartitionResp{ReplicaEpoch: p.Epoch()}, nil
-}
-
-// reconcileRaft converges the partition's Raft group membership to the
-// master-assigned Members set, in the background
-// (multiraft.Group.ConvergeTo); what is left here is hosting the group if
-// this node does not yet.
-func (m *MetaNode) reconcileRaft(p *Partition) {
-	m.mu.RLock()
-	closed := m.closed
-	if !closed {
-		m.wg.Add(1)
-	}
-	m.mu.RUnlock()
-	if closed {
-		return
-	}
-	go func() {
-		defer m.wg.Done()
-		g := p.raftGroup()
-		if g == nil {
-			// A partition restored from disk before this node heard the
-			// (re)create task, now multi-replica: host its group. Each
-			// surviving member does the same with the same set, exactly
-			// like the original create fan-out. Losing a create race to a
-			// concurrent reconfiguration is fine: the winner converges.
-			desired := p.MembersCopy()
-			if len(desired) <= 1 || !slices.Contains(desired, m.addr) {
-				return
-			}
-			node, err := m.raft.CreateGroup(p.ID, desired, p)
-			if err != nil {
-				return
-			}
-			p.setRaftGroup(node)
-			g = node
-		}
-		g.ConvergeTo(m.addr, p.MembersCopy, m.stopc)
-	}()
 }
 
 // IsLeader reports whether this node leads the given partition's group.
@@ -405,7 +388,7 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 	case proto.OpAdminCreateMetaPartition:
 		r, ok := req.(*proto.CreateMetaPartitionReq)
 		if !ok {
-			return nil, fmt.Errorf("meta: %w: body %T", util.ErrInvalidArgument, req)
+			return nil, errBody(req)
 		}
 		if err := m.CreatePartition(r); err != nil {
 			return nil, err
@@ -417,7 +400,7 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		// that the leader may be the replica that just died).
 		r, ok := req.(*proto.UpdateMetaPartitionReq)
 		if !ok {
-			return nil, fmt.Errorf("meta: %w: body %T", util.ErrInvalidArgument, req)
+			return nil, errBody(req)
 		}
 		return m.UpdatePartition(r)
 	}
@@ -439,7 +422,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 
 	switch proto.Op(op) {
 	case proto.OpMetaCreateInode:
-		r := req.(*proto.CreateInodeReq)
+		r, ok := req.(*proto.CreateInodeReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		out, err := p.propose(&command{Kind: cmdCreateInode, Type: r.Type, LinkTarget: r.LinkTarget})
 		if err != nil {
 			return nil, err
@@ -447,7 +433,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.CreateInodeResp{Info: out.(*proto.Inode)}, nil
 
 	case proto.OpMetaUnlinkInode:
-		r := req.(*proto.UnlinkInodeReq)
+		r, ok := req.(*proto.UnlinkInodeReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		out, err := p.propose(&command{Kind: cmdUnlinkInode, Inode: r.Inode})
 		if err != nil {
 			return nil, err
@@ -455,14 +444,20 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.UnlinkInodeResp{Info: out.(*proto.Inode)}, nil
 
 	case proto.OpMetaEvictInode:
-		r := req.(*proto.EvictInodeReq)
+		r, ok := req.(*proto.EvictInodeReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		if _, err := p.propose(&command{Kind: cmdEvictInode, Inode: r.Inode}); err != nil {
 			return nil, err
 		}
 		return &proto.EvictInodeResp{}, nil
 
 	case proto.OpMetaLinkInode:
-		r := req.(*proto.LinkInodeReq)
+		r, ok := req.(*proto.LinkInodeReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		out, err := p.propose(&command{Kind: cmdLinkInode, Inode: r.Inode})
 		if err != nil {
 			return nil, err
@@ -470,7 +465,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.LinkInodeResp{Info: out.(*proto.Inode)}, nil
 
 	case proto.OpMetaCreateDentry:
-		r := req.(*proto.CreateDentryReq)
+		r, ok := req.(*proto.CreateDentryReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		if _, err := p.propose(&command{
 			Kind: cmdCreateDentry, ParentID: r.ParentID, Name: r.Name,
 			Inode: r.Inode, DentryType: r.Type,
@@ -480,7 +478,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.CreateDentryResp{}, nil
 
 	case proto.OpMetaDeleteDentry:
-		r := req.(*proto.DeleteDentryReq)
+		r, ok := req.(*proto.DeleteDentryReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		out, err := p.propose(&command{Kind: cmdDeleteDentry, ParentID: r.ParentID, Name: r.Name})
 		if err != nil {
 			return nil, err
@@ -488,7 +489,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return out.(*proto.DeleteDentryResp), nil
 
 	case proto.OpMetaUpdateDentry:
-		r := req.(*proto.UpdateDentryReq)
+		r, ok := req.(*proto.UpdateDentryReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		out, err := p.propose(&command{
 			Kind: cmdUpdateDentry, ParentID: r.ParentID, Name: r.Name, Inode: r.Inode,
 		})
@@ -498,7 +502,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return out.(*proto.UpdateDentryResp), nil
 
 	case proto.OpMetaSetAttr:
-		r := req.(*proto.SetAttrReq)
+		r, ok := req.(*proto.SetAttrReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		if _, err := p.propose(&command{
 			Kind: cmdSetAttr, Inode: r.Inode, Valid: r.Valid,
 			Size: r.Size, ModifyTime: r.ModifyTime,
@@ -508,7 +515,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.SetAttrResp{}, nil
 
 	case proto.OpMetaAppendExtentKeys:
-		r := req.(*proto.AppendExtentKeysReq)
+		r, ok := req.(*proto.AppendExtentKeysReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		if _, err := p.propose(&command{
 			Kind: cmdAppendExtentKeys, Inode: r.Inode, Extents: r.Extents, Size: r.Size,
 		}); err != nil {
@@ -517,7 +527,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.AppendExtentKeysResp{}, nil
 
 	case proto.OpMetaSplitPartition:
-		r := req.(*proto.SplitMetaPartitionReq)
+		r, ok := req.(*proto.SplitMetaPartitionReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		out, err := p.propose(&command{Kind: cmdSplit, End: r.End})
 		if err != nil {
 			return nil, err
@@ -525,11 +538,17 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return out.(*proto.SplitMetaPartitionResp), nil
 
 	case proto.OpMetaLookup:
-		r := req.(*proto.LookupReq)
+		r, ok := req.(*proto.LookupReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		return p.Lookup(r.ParentID, r.Name)
 
 	case proto.OpMetaInodeGet:
-		r := req.(*proto.InodeGetReq)
+		r, ok := req.(*proto.InodeGetReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		ino, err := p.InodeGet(r.Inode)
 		if err != nil {
 			return nil, err
@@ -537,11 +556,17 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.InodeGetResp{Info: ino}, nil
 
 	case proto.OpMetaBatchInodeGet:
-		r := req.(*proto.BatchInodeGetReq)
+		r, ok := req.(*proto.BatchInodeGetReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		return &proto.BatchInodeGetResp{Infos: p.BatchInodeGet(r.Inodes)}, nil
 
 	case proto.OpMetaReadDir:
-		r := req.(*proto.ReadDirReq)
+		r, ok := req.(*proto.ReadDirReq)
+		if !ok {
+			return nil, errBody(req)
+		}
 		return &proto.ReadDirResp{Children: p.ReadDir(r.ParentID)}, nil
 
 	case proto.OpMetaSnapshot:
@@ -587,6 +612,13 @@ func partitionIDOf(req any) (uint64, error) {
 	case *proto.MetaSnapshotReq:
 		return r.PartitionID, nil
 	default:
-		return 0, fmt.Errorf("meta: %w: body %T", util.ErrInvalidArgument, req)
+		return 0, errBody(req)
 	}
+}
+
+// errBody refuses a request whose body is not the type its op takes. The
+// peer picks op and body independently, so every assertion in handle is
+// checked: a mismatch is an answer, not a panic.
+func errBody(req any) error {
+	return fmt.Errorf("meta: %w: body %T", util.ErrInvalidArgument, req)
 }

@@ -7,21 +7,54 @@ import (
 	"cfs/internal/raft"
 )
 
-// ConvergeTo drives the group's Raft membership to the set desired()
-// names - the master's Members record under the partition's replica epoch
-// - and returns once the two agree, this node (self) is no longer in the
-// record, or stop closes. Every member calls it after adopting a
-// reconfiguration; only the replica that holds (or wins) Raft leadership
-// proposes, so each ConfChange is issued once per delta no matter how
-// many replicas race here. desired is re-read every round, so a newer
-// reconfiguration simply retargets the loop; calls are single-flight per
-// group (a second call returns at once and the running one picks the new
-// record up).
-func (g *Group) ConvergeTo(self string, desired func() []string, stop <-chan struct{}) {
+// Reconcile brings this node's replica of group id in line with the
+// master's record, in the background: it hosts the group if the node does
+// not yet (a partition that grew from one replica to many, or one restored
+// from disk before the node heard the (re)create - each member does the
+// same with the same set, like the original create fan-out, and attach
+// hands the new group to its partition), then drives the group's Raft
+// membership to the set desired() names - the Members record under the
+// partition's replica epoch - until the two agree, this node is no longer
+// in the record, or the manager closes. Every member calls it after
+// adopting a reconfiguration; only the replica that holds (or wins) Raft
+// leadership proposes, so each ConfChange is issued once per delta no
+// matter how many replicas race here. desired is re-read every round, so a
+// newer reconfiguration simply retargets the loop; the loop is
+// single-flight per group (a second call returns at once and the running
+// one picks the new record up). Close waits for it.
+func (m *Manager) Reconcile(id uint64, sm raft.StateMachine, desired func() []string, attach func(*Group)) {
+	m.mu.Lock()
+	if m.closed {
+		m.mu.Unlock()
+		return
+	}
+	m.wg.Add(1)
+	m.mu.Unlock()
+	go func() {
+		defer m.wg.Done()
+		g := m.Group(id)
+		if g == nil {
+			want := desired()
+			if len(want) <= 1 || !slices.Contains(want, m.addr) {
+				return
+			}
+			var err error
+			if g, err = m.CreateGroup(id, want, sm); err != nil {
+				return // closed, or lost the create to a concurrent call: the winner converges
+			}
+			attach(g)
+		}
+		g.convergeTo(desired)
+	}()
+}
+
+// convergeTo is Reconcile's loop over a hosted group.
+func (g *Group) convergeTo(desired func() []string) {
 	if !g.converging.CompareAndSwap(false, true) {
 		return
 	}
 	defer g.converging.Store(false)
+	self := g.mgr.addr
 	delay := 10 * time.Millisecond
 	for {
 		want := desired()
@@ -43,7 +76,7 @@ func (g *Group) ConvergeTo(self string, desired func() []string, stop <-chan str
 			return // some other replica finished the job
 		}
 		select {
-		case <-stop:
+		case <-g.mgr.stopc:
 			return
 		case <-time.After(delay):
 		}

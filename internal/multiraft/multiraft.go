@@ -253,7 +253,7 @@ type Group struct {
 	id   uint64
 	mgr  *Manager
 	node *raft.Node
-	// converging single-flights ConvergeTo.
+	// converging single-flights convergeTo.
 	converging atomic.Bool
 }
 

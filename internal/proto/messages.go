@@ -558,8 +558,15 @@ type UpdateDataPartitionResp struct {
 // receiving member drives the partition's Raft group toward Members by
 // proposing the ConfChange diff once it is (or becomes) the Raft leader,
 // so the master's epoch view and the Raft quorum view converge to one.
+// Volume, Start and End ride along (what CreateMetaPartitionReq carries)
+// so a member that does not host the partition - a replacement newcomer,
+// a disk wiped between detach and re-attach - creates it empty and is
+// filled through the Raft group.
 type UpdateMetaPartitionReq struct {
 	PartitionID  uint64
+	Volume       string
+	Start        uint64
+	End          uint64
 	Members      []string
 	ReplicaEpoch uint64
 }

@@ -1167,17 +1167,12 @@ func (n *Node) maybeCompact() {
 	n.snapTerm = term
 }
 
-// BUG(raft): a stale-term MsgSnap is dropped without an answer, unlike a
-// stale-term MsgApp, which is refused with this node's term. A follower
-// whose term rose while it was cut off (it campaigned alone) and that now
-// needs a snapshot therefore never accepts one, and the leader - whose
-// peers ignore the follower's candidacies under leader stickiness - never
-// learns the term and never steps down: the follower stays behind until
-// leadership changes for another reason. Answering with
-// sendAppResp(msg.From, false, 0, n.lastIndex()+1) fixes it (this is
-// TestLogCompactionAndSnapshotInstall's -race flake).
 func (n *Node) handleSnap(msg *Message) {
 	if msg.Term < n.term {
+		// Refuse with this node's term, as handleApp does: a follower whose
+		// term rose while it was cut off would otherwise never get the
+		// snapshot it needs, and the leader would never learn the term.
+		n.sendAppResp(msg.From, false, 0, n.lastIndex()+1)
 		return
 	}
 	n.becomeFollowerKeepVote(msg.Term, msg.From)

@@ -664,3 +664,52 @@ func TestConfChangeSurvivesLeaderKill(t *testing.T) {
 	}
 	t.Fatalf("propose after kill-during-confchange: %v", err)
 }
+
+// TestStaleTermSnapshotIsRefused: a follower whose term rose while it was
+// cut off (it campaigned alone) answers the old leader's MsgSnap with a
+// rejecting MsgAppResp carrying its own term, exactly as it answers a
+// stale-term MsgApp - so the leader learns the term and the follower gets
+// the snapshot it needs from whoever leads next. A dropped frame left it
+// behind for good (TestLogCompactionAndSnapshotInstall's -race flake).
+// Clock-free: ExternalClock with nobody ticking, a recording Sender.
+func TestStaleTermSnapshotIsRefused(t *testing.T) {
+	out := make(chan *Message, 16) // two campaigns x two votes + the answer, never blocks the event loop
+	n, err := NewNode(Config{
+		ID: "f", Peers: []string{"f", "l", "x"}, GroupID: 1, SM: newKVSM(),
+		Sender: SenderFunc(func(m *Message) { out <- m }), ExternalClock: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func() *Message {
+		t.Helper()
+		select {
+		case m := <-out:
+			return m
+		case <-time.After(5 * time.Second):
+			t.Fatal("node sent nothing")
+			return nil
+		}
+	}
+	for term := uint64(1); term <= 2; term++ {
+		n.Campaign()
+		for i := 0; i < 2; i++ {
+			if m := next(); m.Type != MsgVote || m.Term != term {
+				t.Fatalf("campaign %d sent %v at term %d", term, m.Type, m.Term)
+			}
+		}
+	}
+	n.Step(&Message{GroupID: 1, Type: MsgSnap, From: "l", To: "f", Term: 1, SnapIndex: 100, SnapTerm: 1, SnapData: []byte("x")})
+	resp := next()
+	st := n.Status()
+	n.Stop() // the event loop has exited: nothing more can be sent
+	if resp.Type != MsgAppResp || resp.To != "l" || resp.Success || resp.Term != 2 || resp.HintIndex != 1 {
+		t.Fatalf("answer to the stale snapshot: %+v, want a rejecting MsgAppResp to l at term 2 hinting index 1", resp)
+	}
+	if len(out) != 0 {
+		t.Fatalf("%d more messages after the one answer, first %+v", len(out), <-out)
+	}
+	if st.Applied != 0 || st.Term != 2 {
+		t.Fatalf("stale snapshot moved the node: applied=%d term=%d", st.Applied, st.Term)
+	}
+}

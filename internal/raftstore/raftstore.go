@@ -12,13 +12,11 @@
 package raftstore
 
 import (
-	"fmt"
 	"time"
 
 	"cfs/internal/multiraft"
 	"cfs/internal/raft"
 	"cfs/internal/transport"
-	"cfs/internal/util"
 )
 
 // MessageBatch is the wire frame exchanged between stores; it is the
@@ -58,9 +56,6 @@ func New(addr string, nw transport.Network, cfg Config) *Store {
 // Addr returns the node address the store sends from.
 func (s *Store) Addr() string { return s.mgr.Addr() }
 
-// Manager exposes the underlying MultiRaft manager (stats, benchmarks).
-func (s *Store) Manager() *multiraft.Manager { return s.mgr }
-
 // CreateGroup starts a Raft group with this node as member ID Addr().
 func (s *Store) CreateGroup(groupID uint64, peers []string, sm raft.StateMachine) (*multiraft.Group, error) {
 	return s.mgr.CreateGroup(groupID, peers, sm)
@@ -72,25 +67,13 @@ func (s *Store) Group(groupID uint64) *multiraft.Group { return s.mgr.Group(grou
 // RemoveGroup stops and forgets a group.
 func (s *Store) RemoveGroup(groupID uint64) { s.mgr.RemoveGroup(groupID) }
 
-// ProposeConfChange replicates a single-server membership change through
-// a hosted group (leader only). It is how the control plane's view of a
-// partition's replica set (the master's Members + ReplicaEpoch) is pushed
-// into the consensus layer so the two views stay one.
-func (s *Store) ProposeConfChange(groupID uint64, cc raft.ConfChange) error {
-	g := s.mgr.Group(groupID)
-	if g == nil {
-		return fmt.Errorf("raftstore: group %d: %w", groupID, util.ErrNotFound)
-	}
-	return g.ProposeConfChange(cc)
-}
-
-// GroupMembers returns a hosted group's current committed configuration.
-func (s *Store) GroupMembers(groupID uint64) ([]string, error) {
-	g := s.mgr.Group(groupID)
-	if g == nil {
-		return nil, fmt.Errorf("raftstore: group %d: %w", groupID, util.ErrNotFound)
-	}
-	return g.Members(), nil
+// Reconcile hosts groupID if this node does not yet (attach receives the
+// new group) and converges its Raft membership onto desired(), in the
+// background (multiraft.Manager.Reconcile): how the control plane's view of
+// a partition's replica set - the master's Members + ReplicaEpoch - is
+// pushed into the consensus layer so the two views stay one.
+func (s *Store) Reconcile(groupID uint64, sm raft.StateMachine, desired func() []string, attach func(*multiraft.Group)) {
+	s.mgr.Reconcile(groupID, sm, desired, attach)
 }
 
 // GroupCount returns the number of hosted groups.
