@@ -256,21 +256,17 @@ func (d *DataClient) Read(ek proto.ExtentKey, extentOff uint64, length uint32) (
 		ek.PartitionID, util.ErrRetryLimit, lastErr)
 }
 
-// MarkDelete asynchronously releases file content: a whole extent (large
-// files) or a punched range of a shared extent (small files).
-func (d *DataClient) MarkDelete(ek proto.ExtentKey, wholeExtent bool) error {
+// MarkDelete releases the extent range ek names. The partition leader
+// decides whether that deletes the extent or punches the range out of it.
+func (d *DataClient) MarkDelete(ek proto.ExtentKey) error {
 	dp, err := d.partitionInfo(ek.PartitionID)
 	if err != nil {
 		return err
 	}
 	lenBuf := make([]byte, 8)
-	if !wholeExtent {
-		binary.BigEndian.PutUint64(lenBuf, uint64(ek.Size))
-	}
+	binary.BigEndian.PutUint64(lenBuf, uint64(ek.Size))
 	pkt := proto.NewPacket(proto.OpDataMarkDelete, d.reqID.Add(1), ek.PartitionID, ek.ExtentID, lenBuf)
-	if !wholeExtent {
-		pkt.ExtentOffset = ek.ExtentOffset
-	}
+	pkt.ExtentOffset = ek.ExtentOffset
 	var resp proto.Packet
 	if err := d.nw.Call(dp.Members[0], uint8(proto.OpDataMarkDelete), pkt, &resp); err != nil {
 		return err

@@ -295,17 +295,18 @@ func (m *MetaClient) LinkInode(ino uint64) error {
 }
 
 // UnlinkInode decrements an inode's nlink without touching dentries
-// (rename plumbing and orphan repair). Inodes crossing the delete
-// threshold are queued for evict.
-func (m *MetaClient) UnlinkInode(ino uint64) error {
+// (rename plumbing and orphan repair) and returns the post-unlink inode,
+// extents included. Inodes crossing the delete threshold come back with
+// FlagDeleteMark set and are queued for evict.
+func (m *MetaClient) UnlinkInode(ino uint64) (*proto.Inode, error) {
 	mp, err := m.partitionFor(ino)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var resp proto.UnlinkInodeResp
 	if err := m.call(mp, proto.OpMetaUnlinkInode,
 		&proto.UnlinkInodeReq{PartitionID: mp.PartitionID, Inode: ino}, &resp); err != nil {
-		return err
+		return nil, err
 	}
 	m.invalidateInode(ino)
 	if resp.Info != nil && resp.Info.Flag&proto.FlagDeleteMark != 0 {
@@ -313,41 +314,25 @@ func (m *MetaClient) UnlinkInode(ino uint64) error {
 		m.orphans = append(m.orphans, orphanRef{partitionID: mp.PartitionID, inode: ino})
 		m.mu.Unlock()
 	}
-	return nil
+	return resp.Info, nil
 }
 
 // Unlink implements Figure 3c: delete the dentry first; only on success
-// decrement nlink. When the threshold is crossed the meta node marks the
-// inode deleted and the client queues an evict.
-func (m *MetaClient) Unlink(parentID uint64, name string) (uint64, error) {
+// decrement nlink. It returns the post-unlink inode (see UnlinkInode).
+func (m *MetaClient) Unlink(parentID uint64, name string) (*proto.Inode, error) {
 	pmp, err := m.partitionFor(parentID)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	var dresp proto.DeleteDentryResp
 	if err := m.call(pmp, proto.OpMetaDeleteDentry,
 		&proto.DeleteDentryReq{PartitionID: pmp.PartitionID, ParentID: parentID, Name: name}, &dresp); err != nil {
-		return 0, err
+		return nil, err
 	}
 	m.invalidateDentry(parentID, name)
-	imp, err := m.partitionFor(dresp.Inode)
-	if err != nil {
-		return dresp.Inode, err
-	}
-	var uresp proto.UnlinkInodeResp
-	if err := m.call(imp, proto.OpMetaUnlinkInode,
-		&proto.UnlinkInodeReq{PartitionID: imp.PartitionID, Inode: dresp.Inode}, &uresp); err != nil {
-		// Retries exhausted: the inode will become an orphan; fsck
-		// territory per Section 2.6.3.
-		return dresp.Inode, err
-	}
-	m.invalidateInode(dresp.Inode)
-	if uresp.Info.Flag&proto.FlagDeleteMark != 0 {
-		m.mu.Lock()
-		m.orphans = append(m.orphans, orphanRef{partitionID: imp.PartitionID, inode: dresp.Inode})
-		m.mu.Unlock()
-	}
-	return dresp.Inode, nil
+	// A failure past this point leaves the inode an orphan; fsck territory
+	// per Section 2.6.3.
+	return m.UnlinkInode(dresp.Inode)
 }
 
 // EvictOrphans flushes the local orphan list with evict requests

@@ -337,6 +337,152 @@ func TestRenameOverExisting(t *testing.T) {
 	}
 }
 
+// writeStreamed creates p with size seeded random bytes written in 128 KiB
+// calls, as seq_stream does: the first call takes the small-file path into
+// a shared aggregation extent, the rest stream into the file's own extent.
+func (e *testEnv) writeStreamed(t *testing.T, p string, size int, seed uint64) []byte {
+	t.Helper()
+	data := make([]byte, size)
+	r := util.NewRand(seed)
+	for i := range data {
+		data[i] = byte(r.Uint64())
+	}
+	f, err := e.fs.Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < size; off += 128 * util.KB {
+		if _, err := f.Write(data[off:util.Min(off+128*util.KB, size)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// storeTotals sums extent counts and used bytes over every replica of every
+// data partition of the volume.
+func (e *testEnv) storeTotals() (extents int, used uint64) {
+	var resp proto.GetVolumeResp
+	e.nw.Call("master", uint8(proto.OpMasterGetVolume), &proto.GetVolumeReq{Name: "vol"}, &resp)
+	for _, dp := range resp.View.DataPartitions {
+		for _, dn := range e.datas {
+			if p := dn.Partition(dp.PartitionID); p != nil {
+				extents += p.ExtentCount()
+				used += p.Used()
+			}
+		}
+	}
+	return extents, used
+}
+
+// waitReleased waits for asynchronous content release to bring the used
+// bytes over all replicas down to want, and fails if it never does.
+func (e *testEnv) waitReleased(t *testing.T, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, used := e.storeTotals()
+		if used <= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("used bytes over all replicas = %d, want %d", used, want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestExtentRunsMergeOnlyTouchingRanges: keys merge into one release per
+// contiguous run on one extent; a gap, another extent or another partition
+// starts a new run, since the bytes between may belong to another file.
+func TestExtentRunsMergeOnlyTouchingRanges(t *testing.T) {
+	key := func(pid, ext, off uint64, size uint32) proto.ExtentKey {
+		return proto.ExtentKey{PartitionID: pid, ExtentID: ext, ExtentOffset: off, Size: size}
+	}
+	got := extentRuns([]proto.ExtentKey{
+		key(1, 7, 20, 10), key(1, 7, 0, 10), key(1, 7, 10, 10), // touching, out of order
+		key(1, 7, 40, 5), // gap at [30, 40)
+		key(1, 8, 45, 5), // another extent
+		key(2, 7, 45, 5), // another partition
+		key(1, 7, 42, 8), // overlaps the run at 40
+	})
+	want := []proto.ExtentKey{key(1, 7, 0, 30), key(1, 7, 40, 10), key(1, 8, 45, 5), key(2, 7, 45, 5)}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("runs = %v, want %v", got, want)
+	}
+}
+
+// TestRemoveKeepsNeighboursInSharedExtent: streamed files share their
+// first block's aggregation extent with each other, so removing some of
+// them must free only their own bytes - on every replica - and leave every
+// byte of the survivors readable.
+func TestRemoveKeepsNeighboursInSharedExtent(t *testing.T) {
+	e := startEnv(t, MountOptions{})
+	const size = 4 * 128 * util.KB
+	files := make([][]byte, 8)
+	for i := range files {
+		files[i] = e.writeStreamed(t, fmt.Sprintf("/f%d", i), size, uint64(i+1))
+	}
+	_, used0 := e.storeTotals()
+	for i := 0; i < len(files); i += 2 {
+		if err := e.fs.Remove(fmt.Sprintf("/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := used0 - 3*size*uint64(len(files)/2)
+	e.waitReleased(t, want)
+	for i := 1; i < len(files); i += 2 {
+		f, err := e.fs.Open(fmt.Sprintf("/f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, size)
+		_, err = io.ReadFull(f, got)
+		f.Close()
+		if err != nil {
+			t.Fatalf("read /f%d after removing its neighbours: %v", i, err)
+		}
+		if !bytes.Equal(got, files[i]) {
+			t.Fatalf("/f%d content changed by removing its neighbours", i)
+		}
+	}
+	if _, used := e.storeTotals(); used != want {
+		t.Fatalf("used bytes over all replicas = %d, want %d", used, want)
+	}
+}
+
+// TestRenameOverReleasesReplacedContent: a rename onto an existing name
+// drops the replaced file's last link, and its content goes with it from
+// every replica, as a Remove's would.
+func TestRenameOverReleasesReplacedContent(t *testing.T) {
+	e := startEnv(t, MountOptions{})
+	src := e.writeStreamed(t, "/src.bin", 128*util.KB, 1)
+	e.writeStreamed(t, "/dst.bin", util.MB, 2)
+	extents0, used0 := e.storeTotals()
+	if err := e.fs.Rename("/src.bin", "/dst.bin"); err != nil {
+		t.Fatal(err)
+	}
+	// The first 128 KiB is punched out of a shared extent, the file's own
+	// extent is deleted: 1 MiB and at least one extent per replica.
+	e.waitReleased(t, used0-3*util.MB)
+	if extents, used := e.storeTotals(); used != used0-3*util.MB || extents > extents0-3 {
+		t.Fatalf("after rename: %d extents, %d used bytes; want <= %d extents, %d bytes",
+			extents, used, extents0-3, used0-3*util.MB)
+	}
+	f, err := e.fs.Open("/dst.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got := make([]byte, len(src)+1)
+	if n, _ := io.ReadFull(f, got); n != len(src) || !bytes.Equal(got[:n], src) {
+		t.Fatalf("renamed content: %d bytes, want the %d-byte source", n, len(src))
+	}
+}
+
 func TestHardLink(t *testing.T) {
 	e := startEnv(t, MountOptions{})
 	f, _ := e.fs.Create("/orig")

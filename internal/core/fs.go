@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path"
+	"sort"
 	"strings"
 	"time"
 
@@ -275,26 +276,58 @@ func (fs *FileSystem) Remove(p string) error {
 			return fmt.Errorf("core: %s: %w", p, util.ErrNotEmpty)
 		}
 	}
-	var inoBefore *proto.Inode
-	if typ == proto.TypeFile {
-		inoBefore, _ = fs.c.Meta.InodeGet(id, true)
-	}
-	if _, err := fs.c.Meta.Unlink(parent, name); err != nil {
+	ino, err := fs.c.Meta.Unlink(parent, name)
+	if err != nil {
 		return err
 	}
-	// Asynchronous content cleanup: whole extents of large files are
-	// deleted, small-file ranges are punched (Sections 2.2.3, 2.7.3).
-	if inoBefore != nil && inoBefore.NLink <= 1 {
-		go fs.scrubExtents(inoBefore)
-	}
+	fs.release(ino)
 	return nil
 }
 
-func (fs *FileSystem) scrubExtents(ino *proto.Inode) {
-	small := ino.Size <= uint64(fs.c.Config().SmallFileThreshold)
-	for _, ek := range ino.Extents {
-		_ = fs.c.Data.MarkDelete(ek, !small)
+// release frees a file's content once the meta node has marked its inode
+// deleted, asynchronously (Section 2.7.3): one OpDataMarkDelete per
+// contiguous run of its keys on one extent. Only ranges that touch merge -
+// a gap may hold another file's bytes - and the data node decides whether
+// a run deletes its extent or is punched out of it (Section 2.2.3). Errors
+// are dropped: a failed release leaves unreferenced bytes, never loses one.
+func (fs *FileSystem) release(ino *proto.Inode) {
+	if ino == nil || ino.Flag&proto.FlagDeleteMark == 0 || len(ino.Extents) == 0 {
+		return
 	}
+	go func() {
+		for _, run := range extentRuns(ino.Extents) {
+			_ = fs.c.Data.MarkDelete(run)
+		}
+	}()
+}
+
+// extentRuns merges keys into maximal runs of touching or overlapping
+// ranges on one (partition, extent), in extent order.
+func extentRuns(keys []proto.ExtentKey) []proto.ExtentKey {
+	keys = append([]proto.ExtentKey(nil), keys...)
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.PartitionID != b.PartitionID {
+			return a.PartitionID < b.PartitionID
+		}
+		if a.ExtentID != b.ExtentID {
+			return a.ExtentID < b.ExtentID
+		}
+		return a.ExtentOffset < b.ExtentOffset
+	})
+	var runs []proto.ExtentKey
+	for _, k := range keys {
+		if n := len(runs); n > 0 {
+			last := &runs[n-1]
+			end := last.ExtentOffset + uint64(last.Size)
+			if last.PartitionID == k.PartitionID && last.ExtentID == k.ExtentID && k.ExtentOffset <= end {
+				last.Size = uint32(util.MaxU64(end, k.ExtentOffset+uint64(k.Size)) - last.ExtentOffset)
+				continue
+			}
+		}
+		runs = append(runs, k)
+	}
+	return runs
 }
 
 // RemoveAll removes p and all children recursively.
@@ -371,7 +404,7 @@ func (fs *FileSystem) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	id, typ, err := fs.c.Meta.Lookup(oldParent, oldName)
+	id, _, err := fs.c.Meta.Lookup(oldParent, oldName)
 	if err != nil {
 		return err
 	}
@@ -379,28 +412,28 @@ func (fs *FileSystem) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	_ = typ
 	// Bump the source inode so removing the old name later cannot drop
 	// it to zero, then install the destination name: a fresh dentry, or
 	// a repoint of an existing one (whose previous target gets its
-	// nlink released).
+	// nlink released, and its content with it if that was the last link).
 	if err := fs.c.Meta.LinkInode(id); err != nil {
 		return err
 	}
 	if err := fs.c.Meta.Link(newParent, newName, id); err == nil {
 		// Link() bumped nlink a second time for its own dentry; release
 		// the guard bump.
-		if uerr := fs.c.Meta.UnlinkInode(id); uerr != nil {
+		if _, uerr := fs.c.Meta.UnlinkInode(id); uerr != nil {
 			return uerr
 		}
 	} else {
 		oldDest, uerr := fs.c.Meta.UpdateDentry(newParent, newName, id)
 		if uerr != nil {
-			_ = fs.c.Meta.UnlinkInode(id) // roll back the guard bump
+			_, _ = fs.c.Meta.UnlinkInode(id) // roll back the guard bump
 			return err
 		}
 		if oldDest != 0 && oldDest != id {
-			_ = fs.c.Meta.UnlinkInode(oldDest)
+			replaced, _ := fs.c.Meta.UnlinkInode(oldDest)
+			fs.release(replaced)
 		}
 	}
 	// Then remove the source name (dentry delete + nlink--).

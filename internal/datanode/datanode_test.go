@@ -507,6 +507,52 @@ func TestMarkDeletePunchesHoles(t *testing.T) {
 	}
 }
 
+// TestReleaseDecidedByLeaderReachesEveryReplica: a mark-delete covering a
+// large file's whole extent removes the extent from all three replicas; one
+// covering the whole open aggregation extent is punched instead, so a
+// neighbour aggregated after it stays readable from every replica.
+func TestReleaseDecidedByLeaderReachesEveryReplica(t *testing.T) {
+	tc := startCluster(t, 3)
+	tc.createPartition(t, 100)
+	markDelete := func(eid, off, length uint64) {
+		t.Helper()
+		lenBuf := make([]byte, 8)
+		binary.BigEndian.PutUint64(lenBuf, length)
+		pkt := proto.NewPacket(proto.OpDataMarkDelete, 31, 100, eid, lenBuf)
+		pkt.ExtentOffset = off
+		var resp proto.Packet
+		if err := tc.nw.Call(tc.leaderAddr(), uint8(proto.OpDataMarkDelete), pkt, &resp); err != nil || resp.ResultCode != proto.ResultOK {
+			t.Fatalf("mark delete ext %d [%d,+%d): %v rc=%d %s", eid, off, length, err, resp.ResultCode, resp.Data)
+		}
+	}
+	big := tc.createExtent(t, 100)
+	tc.append(t, 100, big, []byte("large-file-bytes"))
+	small, off := tc.append(t, 100, 0, []byte("delete-me!"))
+	markDelete(big, 0, 16)
+	markDelete(small, off, 10)
+	if ext, nOff := tc.append(t, 100, 0, []byte("neighbour!")); ext != small || nOff != off+10 {
+		t.Fatalf("neighbour landed at ext %d off %d, want ext %d off %d", ext, nOff, small, off+10)
+	}
+	for i, n := range tc.nodes {
+		store := n.Partition(100).store
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			_, bigErr := store.Info(big)
+			info, smallErr := store.Info(small)
+			if errors.Is(bigErr, util.ErrNotFound) && smallErr == nil && info.Holed == 10 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s: large extent %v, aggregation extent %+v %v", tc.addrs[i], bigErr, info, smallErr)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := tc.readEventually(t, tc.addrs[i], 100, small, off, 20); string(got) != "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00neighbour!" {
+			t.Fatalf("replica %s serves %q", tc.addrs[i], got)
+		}
+	}
+}
+
 func TestFollowerFailureReportedAndWriteFails(t *testing.T) {
 	tc := startCluster(t, 3)
 	tc.createPartition(t, 100)

@@ -817,24 +817,29 @@ func (p *Partition) handleRead(pkt *proto.Packet) (*proto.Packet, error) {
 // ---------------------------------------------------------------------------
 // Delete / punch hole (Sections 2.2.3, 2.7.3).
 
+// handleMarkDelete releases one contiguous run of a removed file's bytes.
+// A client sends the run's range; the leader's store alone decides delete
+// vs punch (ExtentStore.Release) and forwards what it did - a 0/0 hop
+// deletes the extent, any other range punches it - so followers, whose
+// stores do not know which extent aggregates small files, never decide.
 func (p *Partition) handleMarkDelete(pkt *proto.Packet) (*proto.Packet, error) {
 	if len(pkt.Data) < 8 {
 		return pkt.ErrResponse(proto.ResultErrArg, "mark-delete request carries no length"), nil
 	}
 	length := binary.BigEndian.Uint64(pkt.Data)
-	apply := func() error {
-		if pkt.ExtentOffset == 0 && length == 0 {
-			return p.store.Delete(pkt.ExtentID)
-		}
-		return p.store.PunchHole(pkt.ExtentID, pkt.ExtentOffset, length)
-	}
 	if pkt.ResultCode == resultHopFollower {
 		// Same fence as every other hop: a deposed leader's delete hops
 		// must not reach the store.
 		if err := p.checkHopEpoch(pkt); err != nil {
 			return pkt.ErrResponse(hopErrCode(err), err.Error()), nil
 		}
-		if err := apply(); err != nil {
+		var err error
+		if pkt.ExtentOffset == 0 && length == 0 {
+			err = p.store.Delete(pkt.ExtentID)
+		} else {
+			err = p.store.PunchHole(pkt.ExtentID, pkt.ExtentOffset, length)
+		}
+		if err != nil {
 			return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
 		}
 		return pkt.OKResponse(nil), nil
@@ -842,7 +847,11 @@ func (p *Partition) handleMarkDelete(pkt *proto.Packet) (*proto.Packet, error) {
 	if !p.isLeader() {
 		return pkt.ErrResponse(proto.ResultErrNotLeader, "not primary"), nil
 	}
-	if err := apply(); err != nil {
+	if length == 0 {
+		return pkt.ErrResponse(proto.ResultErrArg, "mark-delete of an empty range"), nil
+	}
+	deleted, err := p.store.Release(pkt.ExtentID, pkt.ExtentOffset, length)
+	if err != nil {
 		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
 	}
 	// Deletes are asynchronous and best-effort on followers; a missed
@@ -851,6 +860,9 @@ func (p *Partition) handleMarkDelete(pkt *proto.Packet) (*proto.Packet, error) {
 	fwd.ResultCode = resultHopFollower
 	fwd.Epoch = p.Epoch()
 	fwd.Followers = nil
+	if deleted {
+		fwd.ExtentOffset, fwd.Data = 0, make([]byte, 8)
+	}
 	for _, f := range p.followers() {
 		go func(addr string, pkt proto.Packet) {
 			var resp proto.Packet

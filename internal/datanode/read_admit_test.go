@@ -133,7 +133,9 @@ func TestShortMarkDeletePacketRefused(t *testing.T) {
 	for _, fabric := range []string{"memory", "tcp"} {
 		t.Run(fabric, func(t *testing.T) {
 			tc, eid := shortPacketCluster(t, fabric)
-			for _, payload := range [][]byte{nil, {0, 0, 0, 0, 0, 0, 13}} {
+			// The last payload is a client's 0/0, which only a leader's
+			// hop may send: it would delete the extent.
+			for _, payload := range [][]byte{nil, {0, 0, 0, 0, 0, 0, 13}, make([]byte, 8)} {
 				tc.refusedAsArg(t, proto.NewPacket(proto.OpDataMarkDelete, 1, 7, eid, payload))
 			}
 			if data, rr := tc.read(t, tc.addrs[0], 7, eid, 0, 13); rr.ResultCode != proto.ResultOK || string(data) != "still serving" {

@@ -38,13 +38,6 @@ type Partition struct {
 	inodeTree  *btree.BTree
 	dentryTree *btree.BTree
 	maxInodeID uint64 // largest inode id allocated so far in this partition
-	// freeList holds inode ids that were marked deleted and evicted; the
-	// paper's metaPartition carries the same field for background
-	// content cleanup (Section 2.1.1).
-	freeList []uint64
-	// scrubQueue carries the extent inventory of evicted inodes to the
-	// async delete worker (Section 2.7.3).
-	scrubQueue []ScrubRecord
 }
 
 // inodeItem adapts *proto.Inode to btree.Item keyed by inode id.
@@ -350,14 +343,6 @@ func (p *Partition) applyEvictInode(c *command) (any, error) {
 		return nil, fmt.Errorf("meta: inode %d not marked deleted: %w", c.Inode, util.ErrInvalidArgument)
 	}
 	p.inodeTree.Delete(inodeItem{ino: &proto.Inode{Inode: c.Inode}})
-	p.freeList = append(p.freeList, c.Inode)
-	if len(ino.Extents) > 0 {
-		p.scrubQueue = append(p.scrubQueue, ScrubRecord{
-			Inode:   ino.Inode,
-			Size:    ino.Size,
-			Extents: append([]proto.ExtentKey(nil), ino.Extents...),
-		})
-	}
 	return &proto.EvictInodeResp{}, nil
 }
 
@@ -554,14 +539,6 @@ func (p *Partition) AllDentries() []proto.Dentry {
 	return out
 }
 
-// DeletedInodes returns a copy of the free list (inodes awaiting content
-// cleanup); the fsck tool and the async scrubber consume it.
-func (p *Partition) DeletedInodes() []uint64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return append([]uint64(nil), p.freeList...)
-}
-
 // OrphanInodes returns inodes with no dentry pointing at them anywhere in
 // this partition. Cross-partition orphans are assembled by fsck from every
 // partition's inventory; this method only reports what is locally visible.
@@ -594,7 +571,6 @@ type partitionSnapshot struct {
 	Start      uint64
 	End        uint64
 	MaxInodeID uint64
-	FreeList   []uint64
 	Inodes     []*proto.Inode
 	Dentries   []proto.Dentry
 	// Members and ReplicaEpoch make the snapshot self-describing for
@@ -618,7 +594,6 @@ func (p *Partition) Snapshot() ([]byte, error) {
 		Start:        p.Start,
 		End:          p.End,
 		MaxInodeID:   p.maxInodeID,
-		FreeList:     append([]uint64(nil), p.freeList...),
 		Members:      append([]string(nil), p.Members...),
 		ReplicaEpoch: p.epoch,
 	}
@@ -661,7 +636,6 @@ func (p *Partition) Restore(data []byte) error {
 		p.Volume = snap.Volume
 	}
 	p.maxInodeID = snap.MaxInodeID
-	p.freeList = snap.FreeList
 	p.inodeTree = inodeTree
 	p.dentryTree = dentryTree
 	// Membership travels with the snapshot, epoch-fenced: a disk reload

@@ -481,6 +481,10 @@ func (s *ExtentStore) PunchHole(id uint64, off, length uint64) error {
 	if s.closed {
 		return util.ErrClosed
 	}
+	return s.punchLocked(id, off, length)
+}
+
+func (s *ExtentStore) punchLocked(id uint64, off, length uint64) error {
 	f, m, err := s.get(id)
 	if err != nil {
 		return err
@@ -534,6 +538,33 @@ func (s *ExtentStore) Delete(id uint64) error {
 	if s.closed {
 		return util.ErrClosed
 	}
+	return s.deleteLocked(id)
+}
+
+// Release frees [off, off+length) of an extent for a removed file and is
+// the one place that chooses how (Sections 2.2.3, 2.7.3): a range covering
+// the whole extent, [0, watermark), is deleted with the extent unless the
+// extent is the open small-file aggregation extent; any other range is
+// punched, since the bytes around it may belong to other files. The choice
+// and the action share one lock hold, so no small-file append can land in
+// between. deleted reports which was taken.
+func (s *ExtentStore) Release(id uint64, off, length uint64) (deleted bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false, util.ErrClosed
+	}
+	_, m, err := s.get(id)
+	if err != nil {
+		return false, err
+	}
+	if off == 0 && length == m.size && id != s.smallExt {
+		return true, s.deleteLocked(id)
+	}
+	return false, s.punchLocked(id, off, length)
+}
+
+func (s *ExtentStore) deleteLocked(id uint64) error {
 	f, _, err := s.get(id)
 	if err != nil {
 		return err

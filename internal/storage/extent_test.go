@@ -264,6 +264,50 @@ func TestDeleteExtent(t *testing.T) {
 	}
 }
 
+// TestReleaseDeletesOnlyWholeClosedExtents tables the store's one
+// delete-vs-punch rule: only a range covering [0, watermark) of an extent
+// that is not the open small-file aggregation extent deletes it.
+func TestReleaseDeletesOnlyWholeClosedExtents(t *testing.T) {
+	closed := func(s *ExtentStore) uint64 {
+		id := s.NextID()
+		s.Create(id)
+		s.Append(id, []byte("0123456789"))
+		return id
+	}
+	aggregating := func(s *ExtentStore) uint64 {
+		id, _, _ := s.AppendSmallFile([]byte("0123456789"))
+		return id
+	}
+	for _, tc := range []struct {
+		name        string
+		extent      func(*ExtentStore) uint64
+		off, length uint64
+		wantDeleted bool
+		wantErr     error
+		wantUsed    uint64
+	}{
+		{"covering range, closed extent", closed, 0, 10, true, nil, 0},
+		{"covering range, open aggregation extent", aggregating, 0, 10, false, nil, 0},
+		{"partial range", closed, 2, 4, false, nil, 6},
+		{"range past the watermark", closed, 0, 11, false, util.ErrOutOfRange, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openStore(t, Options{})
+			id := tc.extent(s)
+			deleted, err := s.Release(id, tc.off, tc.length)
+			if deleted != tc.wantDeleted || !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Release = %v, %v; want %v, %v", deleted, err, tc.wantDeleted, tc.wantErr)
+			}
+			if _, err := s.Info(id); errors.Is(err, util.ErrNotFound) != tc.wantDeleted {
+				t.Fatalf("extent present after Release: %v", err)
+			}
+			if got := s.Used(); got != tc.wantUsed {
+				t.Fatalf("Used = %d, want %d", got, tc.wantUsed)
+			}
+		})
+	}
+}
+
 func TestReopenRecoversState(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})

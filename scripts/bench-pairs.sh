@@ -12,8 +12,12 @@
 # their ratio, how many pairs the change won, the parent's own
 # interquartile range, and the change's interquartile range with its share
 # of the PARENT's median - the spread the pipeline bounds (at 25%) before it
-# will resolve a step at all. It shells out to the benchmark and edits nothing
-# under benchmark/; every run's numbers are kept in the .tsv it names.
+# will resolve a step at all. Per workload and side it also prints how many
+# runs reported correct:false and each such run's check: lines, and it exits 1
+# when the change's share of failed ops on any workload exceeds the parent's
+# (the pipeline's rejection rule). It shells out to the benchmark and edits
+# nothing under benchmark/; every run's numbers are kept in the .tsv it names
+# and every run's stderr in the directory beside it.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -40,22 +44,27 @@ if [ ! -f "$parent/benchmark/run.sh" ]; then
 	git archive "$sha" | tar -x -C "$parent"
 fi
 out="$work/$sha-$(date +%Y%m%d-%H%M%S).tsv"
+logs="${out%.tsv}.logs"
+mkdir -p "$logs"
 
 # run <side> <dir> <pair> <workload> <position>: one benchmark run; appends
-# "pair workload side position metric value" rows, failed/attempted included.
+# "pair workload side position metric value" rows, failed/attempted and
+# correct (1 or 0) included, and keeps the run's stderr in $logs.
 # A run that dies (it is a whole cluster booting on loopback ports) is not a
 # measurement: its stderr is shown and it is taken again, once.
 run() {
 	local side="$1" dir="$2" pair="$3" wl="$4" pos="$5" line
 	local cmd=(bash "$dir/benchmark/run.sh" --workload "$wl" --seed "$pair" --trace 0)
-	if ! line="$("${cmd[@]}" 2>"$work/run.err" | tail -n 1)"; then
+	local err="$logs/$pair-$wl-$side.err"
+	if ! line="$("${cmd[@]}" 2>"$err" | tail -n 1)"; then
 		echo "pair $pair $wl $side: run failed, taking it again:" >&2
-		tail -n 5 "$work/run.err" >&2
-		line="$("${cmd[@]}" 2>"$work/run.err" | tail -n 1)"
+		tail -n 5 "$err" >&2
+		line="$("${cmd[@]}" 2>"$err" | tail -n 1)"
 	fi
 	{
 		grep -o '"[a-z0-9_]*":{"value":[0-9.e+-]*' <<<"$line" | sed 's/^"\([a-z0-9_]*\)":{"value":/\1\t/'
 		grep -o '"\(attempted\|failed\)":[0-9]*' <<<"$line" | sed 's/^"\([a-z]*\)":/\1\t/'
+		grep -o '"correct":[a-z]*' <<<"$line" | sed 's/^"correct":true/correct\t1/; s/^"correct":false/correct\t0/'
 	} | while IFS=$'\t' read -r metric value; do
 		printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$pair" "$wl" "$side" "$pos" "$metric" "$value"
 	done >>"$out"
@@ -74,7 +83,8 @@ for pair in $(seq 1 "$pairs"); do
 	done
 done
 
-echo "# $pairs interleaved pairs, parent $sha vs this checkout; every run: $out"
+echo "# $pairs interleaved pairs, parent $sha vs this checkout; every run: $out, stderr: $logs"
+status=0
 sort -t$'\t' -k2,2 -k5,5 -k3,3 -k6,6g "$out" | awk -F'\t' '
 function quantile(v, n, q,    h, lo) { # v[1..n] sorted ascending
 	h = (n - 1) * q + 1; lo = int(h)
@@ -82,10 +92,15 @@ function quantile(v, n, q,    h, lo) { # v[1..n] sorted ascending
 }
 function flush(    i, wins, pm, cm, ciqr) {
 	if (key == "") return
-	if (metric == "attempted" || metric == "failed") {
+	if (metric == "correct") {
+		for (i = 1; i <= np; i++) psum += (p[i] == 0)
+		for (i = 1; i <= nc; i++) csum += (c[i] == 0)
+		printf "%-15s %-13s correct:false in parent %d of %d runs, change %d of %d\n", wl, metric, psum, np, csum, nc
+	} else if (metric == "attempted" || metric == "failed") {
 		for (i = 1; i <= np; i++) psum += p[i]
 		for (i = 1; i <= nc; i++) csum += c[i]
 		printf "%-15s %-13s parent total %d, change total %d\n", wl, metric, psum, csum
+		total[wl, metric, "parent"] = psum; total[wl, metric, "change"] = csum; wls[wl] = 1
 	} else {
 		pm = quantile(p, np, 0.5); cm = quantile(c, nc, 0.5)
 		lower = (metric ~ /_ms$|_s$/ && metric !~ /_ops_s$/) # latencies and set-up: lower is better
@@ -105,4 +120,23 @@ function flush(    i, wins, pm, cm, ciqr) {
 	if (k != key) { flush(); key = k; wl = $2; metric = $5 }
 	if ($3 == "parent") { p[++np] = $6; bypair_p[$1] = $6 } else { c[++nc] = $6; bypair_c[$1] = $6 }
 }
-END { flush() }'
+function share(wl, side,    a) {
+	a = total[wl, "attempted", side]
+	return a ? total[wl, "failed", side] / a : 0
+}
+END {
+	flush()
+	rc = 0
+	for (wl in wls) if (share(wl, "change") > share(wl, "parent")) {
+		printf "%-15s failed-op share %.6f above the parent'"'"'s %.6f: the pipeline rejects this\n", wl, share(wl, "change"), share(wl, "parent")
+		rc = 1
+	}
+	exit rc
+}' || status=$?
+
+# The check: lines of every run that reported correct:false.
+awk -F'\t' '$5 == "correct" && $6 == 0 { print $1, $2, $3 }' "$out" | sort -n | while read -r pair wl side; do
+	echo "pair $pair $wl $side correct:false"
+	grep '^check:' "$logs/$pair-$wl-$side.err" | sed 's/^/    /' || true
+done
+exit "$status"
