@@ -6,7 +6,7 @@ GO ?= go
 TEST_TIMEOUT ?= 120s
 RACE_TIMEOUT ?= 300s
 
-.PHONY: all build test vet fmt-check fmt bench bench-smoke bench-pairs loc race race-raft race-failover race-reconfig race-read verify check
+.PHONY: all build test vet fmt-check fmt bench bench-smoke bench-pairs loc fuzz race race-raft race-failover race-reconfig race-read verify check
 
 all: verify
 
@@ -66,6 +66,13 @@ race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
 		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects' \
 		./internal/datanode/ ./internal/client/ ./internal/core/
+
+# Ten seconds of fuzzing on the meta Raft command decoder: every replica
+# decodes each log entry on its own, so a malformed entry must be an error,
+# never a panic. New crashers land in internal/meta/testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime $(FUZZTIME) ./internal/meta/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

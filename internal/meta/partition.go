@@ -2,6 +2,7 @@ package meta
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -162,7 +163,7 @@ func (p *Partition) MemUsed() uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated command plumbing. Every mutation is gob-encoded as a command,
+// Replicated command plumbing. Every mutation is encoded as a command,
 // proposed through Raft, and applied identically on every replica.
 
 type cmdKind uint8
@@ -197,39 +198,105 @@ type command struct {
 	End        uint64
 }
 
-func init() {
-	gob.Register(&command{})
+// A command is one Raft log entry and must decode on its own, so it has a
+// fixed binary layout (little endian): Kind(1) Type(4) Inode(8)
+// ParentID(8) DentryType(4) Valid(4) Size(8) ModifyTime(8) End(8), then
+// Name and LinkTarget each as length(4) + bytes, then Extents as count(4)
+// + 40 bytes per key in ExtentKey field order.
+const (
+	cmdFixedSize  = 1 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8
+	extentKeySize = 8 + 8 + 8 + 8 + 4 + 4
+)
+
+func encodeCommand(c *command) []byte {
+	le := binary.LittleEndian
+	b := make([]byte, 0, cmdFixedSize+12+len(c.Name)+len(c.LinkTarget)+len(c.Extents)*extentKeySize)
+	b = append(b, byte(c.Kind))
+	b = le.AppendUint32(b, c.Type)
+	b = le.AppendUint64(b, c.Inode)
+	b = le.AppendUint64(b, c.ParentID)
+	b = le.AppendUint32(b, c.DentryType)
+	b = le.AppendUint32(b, c.Valid)
+	b = le.AppendUint64(b, c.Size)
+	b = le.AppendUint64(b, uint64(c.ModifyTime))
+	b = le.AppendUint64(b, c.End)
+	b = append(le.AppendUint32(b, uint32(len(c.Name))), c.Name...)
+	b = append(le.AppendUint32(b, uint32(len(c.LinkTarget))), c.LinkTarget...)
+	b = le.AppendUint32(b, uint32(len(c.Extents)))
+	for _, ek := range c.Extents {
+		b = le.AppendUint64(b, ek.PartitionID)
+		b = le.AppendUint64(b, ek.ExtentID)
+		b = le.AppendUint64(b, ek.ExtentOffset)
+		b = le.AppendUint64(b, ek.FileOffset)
+		b = le.AppendUint32(b, ek.Size)
+		b = le.AppendUint32(b, ek.CRC)
+	}
+	return b
 }
 
-func encodeCommand(c *command) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, err
+// cmdReader walks an encoded command; a read past the end yields zeros,
+// empties the reader and marks it short, so decodeCommand checks once at
+// the end.
+type cmdReader struct {
+	b     []byte
+	short bool
+}
+
+func (r *cmdReader) next(n int) []byte {
+	if n < 0 || n > len(r.b) {
+		r.b, r.short = nil, true
+		return make([]byte, 8)
 	}
-	return buf.Bytes(), nil
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *cmdReader) u32() uint32 { return binary.LittleEndian.Uint32(r.next(4)) }
+func (r *cmdReader) u64() uint64 { return binary.LittleEndian.Uint64(r.next(8)) }
+
+// blob reads a length-prefixed byte string; a zero length reads as nil.
+func (r *cmdReader) blob() []byte {
+	if v := r.next(int(r.u32())); len(v) > 0 && !r.short {
+		return v
+	}
+	return nil
 }
 
 func decodeCommand(data []byte) (*command, error) {
-	c := &command{}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(c); err != nil {
-		return nil, err
+	r := &cmdReader{b: data}
+	// Go evaluates the calls in a composite literal left to right, so the
+	// fields read in layout order.
+	c := &command{Kind: cmdKind(r.next(1)[0]), Type: r.u32(), Inode: r.u64(), ParentID: r.u64(),
+		DentryType: r.u32(), Valid: r.u32(), Size: r.u64(), ModifyTime: int64(r.u64()), End: r.u64(),
+		Name: string(r.blob()), LinkTarget: bytes.Clone(r.blob())}
+	if n := int(r.u32()); n > len(r.b)/extentKeySize {
+		r.short = true
+	} else if n > 0 {
+		c.Extents = make([]proto.ExtentKey, n)
+		for i := range c.Extents {
+			c.Extents[i] = proto.ExtentKey{PartitionID: r.u64(), ExtentID: r.u64(),
+				ExtentOffset: r.u64(), FileOffset: r.u64(), Size: r.u32(), CRC: r.u32()}
+		}
+	}
+	switch {
+	case r.short || len(r.b) != 0:
+		return nil, fmt.Errorf("meta: command of %d bytes does not match its layout: %w", len(data), util.ErrInvalidArgument)
+	case c.Kind < cmdCreateInode || c.Kind > cmdSplit:
+		return nil, fmt.Errorf("meta: unknown command %d: %w", c.Kind, util.ErrInvalidArgument)
 	}
 	return c, nil
 }
 
 // propose replicates a command and returns the apply result.
 func (p *Partition) propose(c *command) (any, error) {
-	data, err := encodeCommand(c)
-	if err != nil {
-		return nil, err
-	}
 	g := p.raftGroup()
 	if g == nil {
 		// Unreplicated partition (single-node tools, fsck): apply
 		// directly.
 		return p.applyCommand(c)
 	}
-	return g.Propose(data)
+	return g.Propose(encodeCommand(c))
 }
 
 // Apply implements raft.StateMachine.

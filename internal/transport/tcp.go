@@ -26,6 +26,12 @@ import (
 // (encoded with the binary codec in package proto). status is only
 // meaningful on responses: statusOK or statusErr (body is a gob RemoteError).
 //
+// Every connection carries one gob stream per direction for its whole life:
+// a gob body holds only the type descriptors that connection has not
+// carried before, so a warm connection sends each type once. A gob stream
+// cannot be resynchronised, so any encode or decode error drops the
+// connection. Both ends must run this wire version.
+//
 // Connections to a peer are pooled and reused unless NonPersistent is set,
 // in which case every call dials a fresh connection and closes it after the
 // reply - this is how clients talk to the resource manager so that tens of
@@ -307,12 +313,11 @@ func (s *tcpPacketStream) Close() error {
 
 func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 256*util.KB)
-	bw := bufio.NewWriterSize(conn, 256*util.KB)
+	c := newTCPConn(conn, 256*util.KB)
 	for {
-		op, kind, status, body, err := readFrame(br)
+		op, status, req, err := c.readFrame()
 		if err != nil {
-			return // peer closed or stream corrupt; drop the connection
+			return // peer closed, stream corrupt or undecodable; drop the connection
 		}
 		if status == statusStreamOpen {
 			sh := l.streamHandler()
@@ -320,29 +325,22 @@ func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 				return // no stream service here; drop the connection
 			}
 			// The reader hands over AS IS: it may already hold buffered
-			// stream frames that followed the upgrade header. The writer
-			// is empty at this point (every response was flushed) and the
-			// stream writes straight to the socket, so it is dropped.
+			// stream frames that followed the upgrade header. Every
+			// response went out whole, and the stream writes straight to
+			// the socket.
 			sh(op, &tcpPacketStream{
 				conn:   conn,
-				br:     br,
+				br:     c.br,
 				frozen: func() bool { return l.t.isFrozen(l.addr) },
 			})
 			return
 		}
-		req, err := decodeBody(kind, body)
-		if err != nil {
-			return
-		}
 		resp, herr := h(op, req)
+		status = statusOK
 		if herr != nil {
-			if err := writeErrFrame(bw, op, herr); err != nil {
-				return
-			}
-		} else if err := writeFrame(bw, op, statusOK, resp); err != nil {
-			return
+			status, resp = statusErr, EncodeError(herr)
 		}
-		if err := bw.Flush(); err != nil {
+		if err := c.writeFrame(op, status, resp); err != nil {
 			return
 		}
 	}
@@ -351,25 +349,25 @@ func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 // Call implements Network.
 func (t *TCP) Call(addr string, op uint8, req, resp any) error {
 	if t.NonPersistent {
-		conn, err := t.dial(addr)
+		conn, err := t.dialCall(addr)
 		if err != nil {
 			return err
 		}
 		defer conn.Close()
-		return callOnConn(conn, op, req, resp)
+		return conn.call(op, req, resp)
 	}
 	pool := t.pool(addr)
 	conn, err := pool.get(t)
 	if err != nil {
 		return err
 	}
-	err = callOnConn(conn, op, req, resp)
+	err = conn.call(op, req, resp)
 	if err != nil {
 		if _, ok := err.(*RemoteError); ok {
 			pool.put(conn) // application error; connection is still good
 			return err
 		}
-		conn.Close() // transport error; discard the connection
+		conn.Close() // transport or codec error; discard the connection
 		return err
 	}
 	pool.put(conn)
@@ -389,7 +387,7 @@ type tcpStream struct {
 	addr string
 
 	mu   sync.Mutex
-	conn net.Conn
+	conn *tcpConn
 }
 
 // Send implements Stream. The server's reply frame is read (keeping the
@@ -398,18 +396,18 @@ func (s *tcpStream) Send(op uint8, req any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.conn == nil {
-		conn, err := s.t.dial(s.addr)
+		conn, err := s.t.dialCall(s.addr)
 		if err != nil {
 			return err
 		}
 		s.conn = conn
 	}
-	err := callOnConn(s.conn, op, req, nil)
+	err := s.conn.call(op, req, nil)
 	if err != nil {
 		if _, ok := err.(*RemoteError); ok {
 			return err // application error; the connection is still good
 		}
-		s.conn.Close() // transport error; re-dial on the next send
+		s.conn.Close() // transport or codec error; re-dial (and a fresh codec) next send
 		s.conn = nil
 	}
 	return err
@@ -439,6 +437,15 @@ func (t *TCP) dial(addr string) (net.Conn, error) {
 	return conn, nil
 }
 
+// dialCall dials a connection for request/response frames.
+func (t *TCP) dialCall(addr string) (*tcpConn, error) {
+	conn, err := t.dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return newTCPConn(conn, 4*util.KB), nil
+}
+
 func (t *TCP) pool(addr string) *connPool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -453,10 +460,10 @@ func (t *TCP) pool(addr string) *connPool {
 type connPool struct {
 	addr string
 	mu   sync.Mutex
-	free []net.Conn
+	free []*tcpConn
 }
 
-func (p *connPool) get(t *TCP) (net.Conn, error) {
+func (p *connPool) get(t *TCP) (*tcpConn, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		c := p.free[n-1]
@@ -465,10 +472,10 @@ func (p *connPool) get(t *TCP) (net.Conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	return t.dial(p.addr)
+	return t.dialCall(p.addr)
 }
 
-func (p *connPool) put(c net.Conn) {
+func (p *connPool) put(c *tcpConn) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) >= maxPoolPerPeer {
@@ -478,129 +485,97 @@ func (p *connPool) put(c net.Conn) {
 	p.free = append(p.free, c)
 }
 
-func callOnConn(conn net.Conn, op uint8, req, resp any) error {
-	// One coalesced buffer, one write syscall, no per-call bufio arenas
-	// (the old path allocated two 256 KB buffers per unary call).
-	frame, err := buildFrame(op, statusRequest, req)
-	if err != nil {
+// ---------------------------------------------------------------------------
+// The connection codec.
+
+// tcpConn is one request/response connection and its codec: one gob
+// encoder and one gob decoder for the connection's whole life, so each
+// type descriptor crosses the wire once per connection and direction.
+// Calls on a tcpConn are serialized by its owner (the pool hands it to
+// one caller at a time; serveConn and tcpStream own theirs).
+type tcpConn struct {
+	net.Conn
+	br   *bufio.Reader
+	hdr  [7]byte
+	out  frameBuffer // the frame being written; the encoder appends to it
+	body bodyReader  // the frame body being read; the decoder reads from it
+	enc  *gob.Encoder
+	dec  *gob.Decoder
+}
+
+func newTCPConn(conn net.Conn, readBuf int) *tcpConn {
+	c := &tcpConn{Conn: conn, br: bufio.NewReaderSize(conn, readBuf)}
+	c.body.r = c.br
+	c.enc = gob.NewEncoder(&c.out)
+	c.dec = gob.NewDecoder(&c.body)
+	return c
+}
+
+// call sends one request and reads its reply into resp. An error other
+// than a *RemoteError leaves the connection unusable.
+func (c *tcpConn) call(op uint8, req, resp any) error {
+	if err := c.writeFrame(op, statusRequest, req); err != nil {
 		return err
 	}
-	if _, err := conn.Write(frame); err != nil {
-		return err
-	}
-	_, kind, status, body, err := readFrame(conn)
+	_, status, body, err := c.readFrame()
 	if err != nil {
 		return err
 	}
 	if status == statusErr {
-		remote := &RemoteError{}
-		if derr := gob.NewDecoder(byteReader(body)).Decode(remote); derr != nil {
-			return fmt.Errorf("transport: undecodable remote error: %v", derr)
+		if remote, ok := body.(*RemoteError); ok {
+			return remote
 		}
-		return remote
+		return fmt.Errorf("transport: error reply carries %T", body)
 	}
-	out, err := decodeBody(kind, body)
+	return copyInto(resp, body)
+}
+
+// writeFrame encodes one frame into the connection's buffer and sends it
+// with one write.
+func (c *tcpConn) writeFrame(op, status uint8, body any) error {
+	c.out = append(c.out[:0], op, kindGob, status, 0, 0, 0, 0)
+	var err error
+	if p, ok := body.(*proto.Packet); ok {
+		c.out[1] = kindPacket
+		if c.out, err = p.AppendHeader(c.out); err == nil {
+			c.out = append(c.out, p.Data...)
+		}
+	} else {
+		err = c.enc.Encode(&body)
+	}
 	if err != nil {
 		return err
 	}
-	return copyInto(resp, out)
-}
-
-// ---------------------------------------------------------------------------
-// Framing.
-
-// buildFrame encodes one complete request/response frame (header + body)
-// into a single buffer for a one-shot write.
-func buildFrame(op, status uint8, body any) ([]byte, error) {
-	kind, payload, err := encodeBody(body)
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, 7, 7+len(payload))
-	frame[0], frame[1], frame[2] = op, kind, status
-	binary.BigEndian.PutUint32(frame[3:], uint32(len(payload)))
-	return append(frame, payload...), nil
-}
-
-func encodeBody(body any) (kind uint8, payload []byte, err error) {
-	switch b := body.(type) {
-	case *proto.Packet:
-		payload, err = packetBytes(b)
-		return kindPacket, payload, err
-	default:
-		payload, err = gobEncode(body)
-		return kindGob, payload, err
-	}
-}
-
-func writeFrame(w io.Writer, op, status uint8, body any) error {
-	kind, payload, err := encodeBody(body)
-	if err != nil {
-		return err
-	}
-	hdr := [7]byte{op, kind, status}
-	binary.BigEndian.PutUint32(hdr[3:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
+	binary.BigEndian.PutUint32(c.out[3:], uint32(len(c.out)-len(c.hdr)))
+	_, err = c.Write(c.out)
 	return err
 }
 
-func writeErrFrame(w io.Writer, op uint8, herr error) error {
-	// Encode the error CONCRETELY (not interface-wrapped like request
-	// bodies): the decoder on the other side targets the struct directly.
-	var buf frameBuffer
-	if err := gob.NewEncoder(&buf).Encode(EncodeError(herr)); err != nil {
-		return err
-	}
-	payload := []byte(buf)
-	hdr := [7]byte{op, kindGob, statusErr}
-	binary.BigEndian.PutUint32(hdr[3:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, werr := w.Write(payload)
-	return werr
-}
-
-func readFrame(r io.Reader) (op, kind, status uint8, body []byte, err error) {
-	var hdr [7]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame and decodes its body, which must be consumed
+// exactly. A stream-open frame has no body: the raw stream follows it.
+func (c *tcpConn) readFrame() (op, status uint8, body any, err error) {
+	if _, err = io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return
 	}
-	op, kind, status = hdr[0], hdr[1], hdr[2]
-	n := binary.BigEndian.Uint32(hdr[3:])
-	body = make([]byte, n)
-	_, err = io.ReadFull(r, body)
-	return
-}
-
-func decodeBody(kind uint8, body []byte) (any, error) {
-	switch kind {
+	op, status = c.hdr[0], c.hdr[2]
+	if status == statusStreamOpen {
+		return
+	}
+	c.body.n = int(binary.BigEndian.Uint32(c.hdr[3:]))
+	switch c.hdr[1] {
 	case kindPacket:
 		p := &proto.Packet{}
-		if _, err := p.ReadFrom(byteReader(body)); err != nil {
-			return nil, err
-		}
-		return p, nil
+		_, err = p.ReadFrom(&c.body)
+		body = p
 	case kindGob:
-		var v any
-		if err := gobDecode(body, &v); err != nil {
-			return nil, err
-		}
-		return v, nil
+		err = c.dec.Decode(&body)
 	default:
-		return nil, fmt.Errorf("transport: unknown frame kind %d", kind)
+		err = fmt.Errorf("transport: unknown frame kind %d", c.hdr[1])
 	}
-}
-
-func packetBytes(p *proto.Packet) ([]byte, error) {
-	var buf frameBuffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		return nil, err
+	if err == nil && c.body.n != 0 {
+		err = fmt.Errorf("transport: %d body bytes left undecoded", c.body.n)
 	}
-	return buf, nil
+	return
 }
 
 type frameBuffer []byte
@@ -610,28 +585,33 @@ func (b *frameBuffer) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func byteReader(b []byte) io.Reader { return &sliceReader{b: b} }
+// bodyReader reads the current frame's body and no further. It is an
+// io.ByteReader, so gob reads from it as is instead of wrapping it in a
+// bufio.Reader that would read ahead into the next frame.
+type bodyReader struct {
+	r *bufio.Reader
+	n int
+}
 
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
+func (b *bodyReader) Read(p []byte) (int, error) {
+	if b.n <= 0 {
 		return 0, io.EOF
 	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf frameBuffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(&v); err != nil {
-		return nil, err
+	if len(p) > b.n {
+		p = p[:b.n]
 	}
-	return buf, nil
+	n, err := b.r.Read(p)
+	b.n -= n
+	return n, err
 }
 
-func gobDecode(b []byte, out any) error {
-	return gob.NewDecoder(byteReader(b)).Decode(out)
+func (b *bodyReader) ReadByte() (byte, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	v, err := b.r.ReadByte()
+	if err == nil {
+		b.n--
+	}
+	return v, err
 }

@@ -8,7 +8,8 @@
 //     behavior identical to a real deployment while removing kernel
 //     networking from the measurement (DESIGN.md Section 4).
 //   - TCP: a length-prefixed gob/binary-packet protocol over net.Conn used
-//     by the cmd/cfs-server daemons.
+//     by the cmd/cfs-server daemons. Each connection carries one gob
+//     stream per direction, so type descriptors cross it once.
 //
 // Handlers receive the decoded request. With the Memory network the request
 // value is shared with the caller, so handlers must treat requests as
