@@ -37,17 +37,19 @@ race:
 # hiding inside the full run.
 
 # The consensus stack, whole packages, twenty times: the lane's senders,
-# both clocks and every group's event loop interleave differently on each
-# run, and an election or conf-change test that passes "usually" is a bug.
+# the heartbeat clock and every group's event loop interleave differently
+# on each run, and an election or conf-change test that passes "usually" is
+# a bug.
 race-raft:
 	$(GO) test -race -count=20 -timeout $(RACE_TIMEOUT) \
 		./internal/raft/ ./internal/multiraft/ ./internal/raftstore/
 
-# Failover/epoch: a promotion hang or a wedged recovery pass.
+# Failover/epoch: a promotion hang or a wedged recovery pass; and leaders
+# that must NOT fail over, under two concurrent overwriters.
 race-failover:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'Failover|Reattach|StaleEpoch|TargetedRecover|ShedsDivergent|Debounced|MembershipLifecycle' \
-		./internal/master/ ./internal/datanode/
+		-run 'Failover|Reattach|StaleEpoch|TargetedRecover|ShedsDivergent|Debounced|MembershipLifecycle|ConcurrentOverwritersKeepLeaders' \
+		./internal/master/ ./internal/datanode/ ./internal/core/
 
 # Reconfiguration: membership ConfChanges, replacement placement,
 # deposed-leader fencing, read leases and the follower overwrite fence all

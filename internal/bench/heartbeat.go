@@ -95,7 +95,6 @@ func measureHeartbeats(nodes, groups int, observe time.Duration) (HeartbeatPoint
 	}()
 	for i, a := range addrs {
 		mgrs[i] = multiraft.New(a, nw, multiraft.Config{
-			FlushInterval: time.Millisecond,
 			RaftDefaults: raft.Config{
 				TickInterval:   tick,
 				HeartbeatTicks: 2,

@@ -29,7 +29,6 @@ import (
 	"cfs/internal/master"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -136,12 +135,10 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 	}
 	defer os.RemoveAll(dir)
 
-	fast := raftstore.Config{FlushInterval: time.Millisecond}
 	m, err := master.Start(nw, master.Config{
 		Addr:              masterAddr,
 		DisableBackground: true,
 		NodeTimeout:       reconfigNodeTimeout,
-		Raft:              fast,
 	})
 	if err != nil {
 		return point, err
@@ -170,7 +167,6 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 			Addr: a, MasterAddr: m.Addr(),
 			DisableHeartbeat: true,
 			Total:            32 * util.GB,
-			Raft:             fast,
 		})
 		if merr != nil {
 			return point, merr
@@ -181,7 +177,6 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 		dn, derr := datanode.Start(nw, datanode.Config{
 			Addr: a, MasterAddr: m.Addr(), Dir: filepath.Join(dir, fmt.Sprintf("d%d", i)),
 			DisableHeartbeat: true,
-			Raft:             fast,
 		})
 		if derr != nil {
 			return point, derr

@@ -20,7 +20,6 @@ import (
 	"cfs/internal/master"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -234,12 +233,10 @@ func SetupCFS(opts CFSOptions) (*CFSFactory, error) {
 	}
 	f.masterAddr = masterAddr
 	nw := f.nw
-	fastRaft := raftstore.Config{FlushInterval: 500 * time.Microsecond}
 	m, err := master.Start(nw, master.Config{
 		Addr:              masterAddr,
 		ReplicaCount:      util.Min(3, opts.MetaNodes),
 		DisableBackground: true,
-		Raft:              fastRaft,
 	})
 	if err != nil {
 		f.Close()
@@ -255,7 +252,6 @@ func SetupCFS(opts CFSOptions) (*CFSFactory, error) {
 			Addr:             metaAddr(i),
 			MasterAddr:       masterAddr,
 			DisableHeartbeat: true,
-			Raft:             fastRaft,
 		})
 		if err != nil {
 			f.Close()
@@ -270,7 +266,6 @@ func SetupCFS(opts CFSOptions) (*CFSFactory, error) {
 			Dir:              fmt.Sprintf("%s/dn%d", dir, i),
 			DisableHeartbeat: true,
 			ExtentSize:       opts.ExtentSize,
-			Raft:             fastRaft,
 		})
 		if err != nil {
 			f.Close()

@@ -11,7 +11,6 @@ import (
 	"cfs/internal/master"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -20,7 +19,6 @@ func startCluster(t *testing.T, nw transport.Network) {
 	t.Helper()
 	m, err := master.Start(nw, master.Config{
 		Addr: "master", ReplicaCount: 3, DisableBackground: true,
-		Raft: raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +31,6 @@ func startCluster(t *testing.T, nw transport.Network) {
 		mn, err := meta.Start(nw, meta.Config{
 			Addr: fmt.Sprintf("mn%d", i), MasterAddr: "master",
 			DisableHeartbeat: true,
-			Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -42,7 +39,6 @@ func startCluster(t *testing.T, nw transport.Network) {
 		dn, err := datanode.Start(nw, datanode.Config{
 			Addr: fmt.Sprintf("dn%d", i), MasterAddr: "master",
 			Dir: t.TempDir(), DisableHeartbeat: true,
-			Raft: raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

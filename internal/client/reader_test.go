@@ -11,7 +11,6 @@ import (
 	"cfs/internal/master"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -96,7 +95,6 @@ func bootReadCluster(t *testing.T, nw transport.Network, masterAddr string, name
 	t.Helper()
 	m, err := master.Start(nw, master.Config{
 		Addr: masterAddr, ReplicaCount: 3, DisableBackground: true,
-		Raft: raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +107,6 @@ func bootReadCluster(t *testing.T, nw transport.Network, masterAddr string, name
 	for i := 0; i < 3; i++ {
 		mn, err := meta.Start(nw, meta.Config{
 			Addr: name("mn", i), MasterAddr: masterAddr, DisableHeartbeat: true,
-			Raft: raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +115,6 @@ func bootReadCluster(t *testing.T, nw transport.Network, masterAddr string, name
 		dn, err := datanode.Start(nw, datanode.Config{
 			Addr: name("dn", i), MasterAddr: masterAddr,
 			Dir: t.TempDir(), DisableHeartbeat: true,
-			Raft: raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -14,33 +15,54 @@ import (
 	"cfs/internal/master"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
 
 // testEnv is a complete in-process CFS cluster with a mounted volume.
 type testEnv struct {
-	t      *testing.T
-	nw     *transport.Memory
-	master *master.Master
-	metas  []*meta.MetaNode
-	datas  []*datanode.DataNode
-	fs     *FileSystem
+	t          *testing.T
+	nw         *transport.Memory // nil on TCP
+	net        transport.Network // the fabric every node and mount uses
+	masterAddr string
+	master     *master.Master
+	metas      []*meta.MetaNode
+	datas      []*datanode.DataNode
+	fs         *FileSystem
 }
 
-func fastRaft() raftstore.Config {
-	return raftstore.Config{FlushInterval: time.Millisecond}
-}
+func startEnv(t *testing.T, opts MountOptions) *testEnv { return startEnvOn(t, "memory", opts) }
 
-func startEnv(t *testing.T, opts MountOptions) *testEnv {
+// startEnvOn boots the cluster on the Memory fabric or, for "tcp", on
+// loopback TCP with one listener per node.
+func startEnvOn(t *testing.T, fabric string, opts MountOptions) *testEnv {
 	t.Helper()
-	nw := transport.NewMemory()
-	m, err := master.Start(nw, master.Config{
-		Addr:              "master",
+	e := &testEnv{t: t, masterAddr: "master"}
+	metaAddr := func(i int) string { return fmt.Sprintf("mn%d", i) }
+	dataAddr := func(i int) string { return fmt.Sprintf("dn%d", i) }
+	endpoint := func(addr string) transport.Network { return e.nw.Endpoint(addr) }
+	if fabric == "tcp" {
+		addrs := make([]string, 7)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = ln.Addr().String()
+			ln.Close()
+		}
+		e.net, e.masterAddr = transport.NewTCP(), addrs[0]
+		metaAddr = func(i int) string { return addrs[1+i] }
+		dataAddr = func(i int) string { return addrs[4+i] }
+		endpoint = func(string) transport.Network { return e.net }
+	} else {
+		e.nw = transport.NewMemory()
+		e.net = e.nw
+	}
+	m, err := master.Start(e.net, master.Config{
+		Addr:              e.masterAddr,
 		ReplicaCount:      3,
 		DisableBackground: true,
-		Raft:              fastRaft(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,12 +71,11 @@ func startEnv(t *testing.T, opts MountOptions) *testEnv {
 	if !m.WaitLeader(5 * time.Second) {
 		t.Fatal("no master leader")
 	}
-	e := &testEnv{t: t, nw: nw, master: m}
+	e.master = m
 	for i := 0; i < 3; i++ {
-		addr := fmt.Sprintf("mn%d", i)
-		mn, err := meta.Start(nw.Endpoint(addr), meta.Config{
-			Addr: addr, MasterAddr: "master",
-			DisableHeartbeat: true, Raft: fastRaft(),
+		mn, err := meta.Start(endpoint(metaAddr(i)), meta.Config{
+			Addr: metaAddr(i), MasterAddr: e.masterAddr,
+			DisableHeartbeat: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -63,9 +84,9 @@ func startEnv(t *testing.T, opts MountOptions) *testEnv {
 		e.metas = append(e.metas, mn)
 	}
 	for i := 0; i < 3; i++ {
-		dn, err := datanode.Start(nw, datanode.Config{
-			Addr: fmt.Sprintf("dn%d", i), MasterAddr: "master",
-			Dir: t.TempDir(), DisableHeartbeat: true, Raft: fastRaft(),
+		dn, err := datanode.Start(e.net, datanode.Config{
+			Addr: dataAddr(i), MasterAddr: e.masterAddr,
+			Dir: t.TempDir(), DisableHeartbeat: true,
 			ExtentSize: 4 * util.MB,
 		})
 		if err != nil {
@@ -75,12 +96,12 @@ func startEnv(t *testing.T, opts MountOptions) *testEnv {
 		e.datas = append(e.datas, dn)
 	}
 	var resp proto.CreateVolumeResp
-	if err := nw.Call("master", uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
+	if err := e.net.Call(e.masterAddr, uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
 		Name: "vol", MetaPartitionCount: 3, DataPartitionCount: 4,
 	}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := Mount(nw, "master", "vol", opts)
+	fs, err := Mount(e.net, e.masterAddr, "vol", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,7 +675,7 @@ func TestExtentRollAcrossPartitions(t *testing.T) {
 	// possibly partitions) transparently.
 	nw := transport.NewMemory()
 	m, err := master.Start(nw, master.Config{
-		Addr: "master", ReplicaCount: 3, DisableBackground: true, Raft: fastRaft(),
+		Addr: "master", ReplicaCount: 3, DisableBackground: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -664,7 +685,7 @@ func TestExtentRollAcrossPartitions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mn, err := meta.Start(nw, meta.Config{
 			Addr: fmt.Sprintf("mn%d", i), MasterAddr: "master",
-			DisableHeartbeat: true, Raft: fastRaft(),
+			DisableHeartbeat: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -674,7 +695,7 @@ func TestExtentRollAcrossPartitions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		dn, err := datanode.Start(nw, datanode.Config{
 			Addr: fmt.Sprintf("dn%d", i), MasterAddr: "master",
-			Dir: t.TempDir(), DisableHeartbeat: true, Raft: fastRaft(),
+			Dir: t.TempDir(), DisableHeartbeat: true,
 			ExtentSize: 256 * util.KB, // force rolling
 		})
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 
 	"cfs/internal/datanode/dntest"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -213,9 +212,6 @@ func startClusterOn(t *testing.T, n int, fabric string, mod func(i int, cfg *Con
 			MasterAddr:       addrAt(-1),
 			Dir:              t.TempDir(),
 			DisableHeartbeat: true,
-			Raft: raftstore.Config{
-				FlushInterval: time.Millisecond,
-			},
 		}
 		if mod != nil {
 			mod(i, &cfg)

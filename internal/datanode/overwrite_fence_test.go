@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 )
 
@@ -178,7 +177,6 @@ func TestOverwriteLostLeadershipIsRetriable(t *testing.T) {
 		addr := fmt.Sprintf("dn%d", i)
 		dn, err := Start(mem.Endpoint(addr), Config{
 			Addr: addr, MasterAddr: "master", Dir: t.TempDir(), DisableHeartbeat: true,
-			Raft: raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

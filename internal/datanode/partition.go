@@ -392,11 +392,15 @@ func (p *Partition) setRaftGroup(g *multiraft.Group) {
 // while the replica runs without a group. The membership-change invariant
 // says this and the master's Members record converge to the SAME set after
 // every reconfiguration - tests assert on it.
-func (p *Partition) RaftMembers() []string {
+func (p *Partition) RaftMembers() []string { return p.RaftStatus().Peers }
+
+// RaftStatus reports this replica's view of the partition's Raft group:
+// the zero Status while it runs without one.
+func (p *Partition) RaftStatus() raft.Status {
 	if g := p.raftGroup(); g != nil {
-		return g.Members()
+		return g.Status()
 	}
-	return nil
+	return raft.Status{}
 }
 
 // MembersCopy returns the replica's own view of the member set.

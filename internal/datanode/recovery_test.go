@@ -11,7 +11,6 @@ import (
 
 	"cfs/internal/datanode/dntest"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -89,7 +88,6 @@ func TestLeaderRestartRecoversReplicas(t *testing.T) {
 	dn, err := Start(tc.nw, Config{
 		Addr: tc.addrs[0], MasterAddr: "master", Dir: dirs[0],
 		DisableHeartbeat: true,
-		Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

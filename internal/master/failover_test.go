@@ -14,7 +14,6 @@ import (
 	"cfs/internal/datanode/dntest"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -39,7 +38,6 @@ func newFailEnv(t *testing.T, dataN int) *failEnv {
 		Addr:              "master0",
 		DisableBackground: true,
 		NodeTimeout:       150 * time.Millisecond,
-		Raft:              raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +49,7 @@ func newFailEnv(t *testing.T, dataN int) *failEnv {
 	e := &failEnv{t: t, nw: nw, m: m}
 	mn, err := meta.Start(nw, meta.Config{
 		Addr: "mn0", MasterAddr: "master0", DisableHeartbeat: true,
-		Total: 32 * util.GB, Raft: raftstore.Config{FlushInterval: time.Millisecond},
+		Total: 32 * util.GB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +76,6 @@ func (e *failEnv) bootData(i int) *datanode.DataNode {
 	dn, err := datanode.Start(e.nw, datanode.Config{
 		Addr: e.addrs[i], MasterAddr: "master0", Dir: e.dirs[i],
 		DisableHeartbeat: true,
-		Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -409,7 +406,6 @@ func TestStaleEpochFenced(t *testing.T) {
 	zombie, err := datanode.Start(e.nw, datanode.Config{
 		Addr: e.addrs[killIdx], Dir: e.dirs[killIdx],
 		DisableHeartbeat: true,
-		Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"cfs/internal/datanode"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -30,9 +29,6 @@ func newEnv(t *testing.T, metaN, dataN int, cfg Config) *env {
 	nw := transport.NewMemory()
 	cfg.Addr = "master0"
 	cfg.DisableBackground = true
-	if cfg.Raft.FlushInterval == 0 {
-		cfg.Raft.FlushInterval = time.Millisecond
-	}
 	m, err := Start(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +44,6 @@ func newEnv(t *testing.T, metaN, dataN int, cfg Config) *env {
 			MasterAddr:       "master0",
 			DisableHeartbeat: true,
 			Total:            32 * util.GB,
-			Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -63,7 +58,6 @@ func newEnv(t *testing.T, metaN, dataN int, cfg Config) *env {
 			Dir:              t.TempDir(),
 			DisableHeartbeat: true,
 			Total:            util.GB,
-			Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"cfs/internal/datanode"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -85,7 +84,6 @@ func newRcEnv(t *testing.T, fabric string, metaN, dataN int) *rcEnv {
 		Addr:              masterAddr,
 		DisableBackground: true,
 		NodeTimeout:       150 * time.Millisecond,
-		Raft:              raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +116,6 @@ func (e *rcEnv) bootMeta(i int) *meta.MetaNode {
 		Addr: e.metaAddrs[i], MasterAddr: e.m.Addr(), Dir: e.metaDirs[i],
 		DisableHeartbeat: true,
 		Total:            32 * util.GB,
-		Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -132,7 +129,6 @@ func (e *rcEnv) bootData(i int) *datanode.DataNode {
 	dn, err := datanode.Start(e.nw, datanode.Config{
 		Addr: e.dataAddrs[i], MasterAddr: e.m.Addr(), Dir: e.dataDirs[i],
 		DisableHeartbeat: true,
-		Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -540,7 +536,6 @@ func testDeposedMetaLeader(t *testing.T, fabric string) {
 	zombie, err := meta.Start(e.nw, meta.Config{
 		Addr: oldLeader, Dir: e.metaDirs[idx],
 		DisableHeartbeat: true,
-		Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cfs/internal/proto"
-	"cfs/internal/raftstore"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
@@ -49,7 +48,6 @@ func startMetaCluster(t *testing.T, n int) *metaCluster {
 			Addr:             addr,
 			MasterAddr:       "master",
 			DisableHeartbeat: true,
-			Raft:             raftstore.Config{FlushInterval: time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)

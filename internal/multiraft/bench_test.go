@@ -11,7 +11,7 @@ import (
 )
 
 // BenchmarkLaneCommit measures one commit through the whole MultiRaft lane
-// at the product's defaults (2 ms flush clock, 10 ms tick): three managers
+// at the product's defaults (10 ms tick, nothing else paced): three managers
 // on a zero-latency Memory fabric, one group, N closed-loop proposers on
 // the leader. Besides the latency a proposer sees it reports what reached
 // the wire per commit - batches, non-heartbeat messages, entry payload

@@ -1,9 +1,9 @@
 package multiraft
 
-// Lane tests: the two message classes of a peer's delivery lane. They run
+// Lane tests: when a peer's delivery lane lets a message leave. They run
 // in-package so they can read a peer's pending state, and on a recording
-// network with the flush clock set to an hour, so nothing a wall-clock tick
-// could do helps them pass.
+// network with the clock set to an hour, so nothing a wall-clock tick could
+// do helps them pass.
 
 import (
 	"errors"
@@ -91,15 +91,13 @@ func (n *recNet) waitWire(t *testing.T, want int, within time.Duration) []wireBa
 	return n.wire()
 }
 
-// clocklessManager hosts group 1 of {a,b,c} on node self with both clocks
+// clocklessManager hosts group 1 of {a,b,c} on node self with the clock
 // parked: only event-driven sends can reach the wire.
-func clocklessManager(t *testing.T, nw transport.Network, self string, maxBatch int) (*Manager, *Group) {
+func clocklessManager(t *testing.T, nw transport.Network, self string) (*Manager, *Group) {
 	t.Helper()
 	m := New(self, nw, Config{
-		TickInterval:  time.Hour,
-		FlushInterval: time.Hour,
-		MaxBatch:      maxBatch,
-		RaftDefaults:  raft.Config{ProposeTimeout: 5 * time.Second},
+		TickInterval: time.Hour,
+		RaftDefaults: raft.Config{ProposeTimeout: 5 * time.Second},
 	})
 	t.Cleanup(m.Close)
 	g, err := m.CreateGroup(1, []string{"a", "b", "c"}, nopSM{})
@@ -121,7 +119,7 @@ func appendFrom() *raft.Message {
 // without any tick, and the answer's batch takes no heartbeat slot with it.
 func TestReplyLeavesWithoutATick(t *testing.T) {
 	nw := &recNet{}
-	m, _ := clocklessManager(t, nw, "b", 0)
+	m, _ := clocklessManager(t, nw, "b")
 	// A heartbeat first, so a response slot is waiting for the (parked)
 	// heartbeat tick when the reply leaves.
 	m.HandleBatch(&Batch{From: "a", Beats: []proto.RaftHeartbeat{{GroupID: 1, Term: 1}}})
@@ -142,40 +140,78 @@ func TestReplyLeavesWithoutATick(t *testing.T) {
 	}
 }
 
-// (b) entries are still paced: a leader's proposals put nothing on the
-// wire until a tick is forced, here by the queue reaching MaxBatch.
-func TestEntriesWaitForTheTick(t *testing.T) {
+// (b) entries are not paced: a proposal reaches each follower's wire once,
+// at once. Raft's gate, not a clock, holds a second proposal back while the
+// first is unacked, and the ack releases it.
+func TestEntriesLeaveWithoutATick(t *testing.T) {
 	nw := &recNet{}
-	// Per follower: 1 vote + the new leader's no-op append + 2 proposals.
-	m, g := clocklessManager(t, nw, "a", 4)
+	m, g := clocklessManager(t, nw, "a")
+	step := func(msg *raft.Message) { m.HandleBatch(&Batch{From: msg.From, Messages: []*raft.Message{msg}}) }
+	ack := func(from string, match uint64) {
+		step(&raft.Message{GroupID: 1, Type: raft.MsgAppResp, From: from, To: "a", Term: 1, Success: true, MatchIndex: match})
+	}
 	g.Campaign()
-	p := m.peer("b")
-	waitFor(t, time.Second, "vote request never queued", func() bool { return pendingOf(p).requests == 1 })
-	m.HandleBatch(&Batch{From: "b", Messages: []*raft.Message{
-		{GroupID: 1, Type: raft.MsgVoteResp, From: "b", To: "a", Term: 1, Granted: true},
-	}})
-	waitFor(t, time.Second, "a never became leader", g.IsLeader)
+	nw.waitWire(t, 2, time.Second) // the vote requests, one per follower
+	step(&raft.Message{GroupID: 1, Type: raft.MsgVoteResp, From: "b", To: "a", Term: 1, Granted: true})
+	waitFor(t, time.Second, "the new leader's no-op never reached both followers", func() bool {
+		return nw.carrying("b", 1) == 1 && nw.carrying("c", 1) == 1
+	})
+	ack("b", 1)
+	ack("c", 1)
+
 	propose := func() { go g.Propose([]byte("v")) } // returns ErrStopped at Close
 	propose()
-	waitFor(t, time.Second, "proposal never queued", func() bool { return pendingOf(p).requests == 3 })
-	time.Sleep(50 * time.Millisecond)
-	if w := nw.wire(); len(w) != 0 {
-		t.Fatalf("%d batches left without a tick; first: %+v", len(w), w[0].b)
+	waitFor(t, time.Second, "the proposal never reached both followers", func() bool {
+		return nw.carrying("b", 2) == 1 && nw.carrying("c", 2) == 1
+	})
+	propose()
+	waitFor(t, time.Second, "the second proposal was never appended", func() bool { return g.Status().LastIndex == 3 })
+	// Barrier: a stale vote request from b is answered on b's lane behind
+	// anything the second proposal queued for b.
+	step(&raft.Message{GroupID: 1, Type: raft.MsgVote, From: "b", To: "a"})
+	waitFor(t, time.Second, "the vote answer never left", func() bool { return nw.count("b", raft.MsgVoteResp) == 1 })
+	if n := nw.carrying("b", 3); n != 0 {
+		t.Fatalf("entry 3 reached b %d times while entry 2 was unacked", n)
 	}
 
-	propose()
-	entries := 0
-	for _, w := range nw.waitWire(t, 2, time.Second) { // one batch per follower
-		if len(w.b.Messages) != 4 {
-			t.Fatalf("forced batch to %s has %d messages, want 4", w.to, len(w.b.Messages))
+	ack("b", 2)
+	waitFor(t, time.Second, "b's ack released nothing", func() bool { return nw.carrying("b", 3) == 1 })
+	for _, f := range []string{"b", "c"} {
+		if n := nw.carrying(f, 2); n != 1 {
+			t.Fatalf("entry 2 reached %s %d times, want once", f, n)
 		}
+	}
+}
+
+// carrying counts the appends put on the wire to addr that carry entry index.
+func (n *recNet) carrying(addr string, index uint64) int {
+	c := 0
+	for _, w := range n.wire() {
 		for _, msg := range w.b.Messages {
-			entries += len(msg.Entries)
+			if w.to != addr || msg.Type != raft.MsgApp {
+				continue
+			}
+			for _, e := range msg.Entries {
+				if e.Index == index {
+					c++
+				}
+			}
 		}
 	}
-	if entries == 0 {
-		t.Fatal("forced batches carry no entries")
+	return c
+}
+
+// count counts the messages of type typ put on the wire to addr.
+func (n *recNet) count(addr string, typ raft.MsgType) int {
+	c := 0
+	for _, w := range n.wire() {
+		for _, msg := range w.b.Messages {
+			if w.to == addr && msg.Type == typ {
+				c++
+			}
+		}
 	}
+	return c
 }
 
 // (c) replies produced while the sender is on the wire leave as ONE batch,
@@ -183,7 +219,7 @@ func TestEntriesWaitForTheTick(t *testing.T) {
 func TestRepliesBatchWhileSenderIsOnTheWire(t *testing.T) {
 	const k = 64
 	nw := &recNet{}
-	m, _ := clocklessManager(t, nw, "b", 0)
+	m, _ := clocklessManager(t, nw, "b")
 	hold := make(chan struct{})
 	nw.setHold(hold)
 	m.HandleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
@@ -193,7 +229,7 @@ func TestRepliesBatchWhileSenderIsOnTheWire(t *testing.T) {
 		m.HandleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
 	}
 	p := m.peer("a")
-	waitFor(t, time.Second, "not every reply queued", func() bool { return pendingOf(p).replies == k })
+	waitFor(t, time.Second, "not every reply queued", func() bool { return pendingOf(p).msgs == k })
 	nw.setHold(nil)
 	close(hold)
 	w := nw.waitWire(t, 2, time.Second)
@@ -206,25 +242,33 @@ func TestRepliesBatchWhileSenderIsOnTheWire(t *testing.T) {
 	}
 }
 
-type pendingCounts struct{ replies, requests, beats, beatResps int }
+type pendingCounts struct{ msgs, entryApps, beats, beatResps int }
 
-// pendingOf counts what p's lane holds, released or not.
+// pendingOf counts what p's lane holds, released or not; entryApps counts
+// the messages among msgs that carry entries: appends with entries, and
+// snapshots, which Raft's gate treats as appends.
 func pendingOf(p *peer) pendingCounts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return pendingCounts{
-		replies:   len(p.replies),
-		requests:  len(p.requests) + len(p.due.Messages),
+	c := pendingCounts{
+		msgs:      len(p.due.Messages),
 		beats:     len(p.beats) + len(p.due.Beats),
 		beatResps: len(p.beatResps) + len(p.due.BeatResps),
 	}
+	for _, msg := range p.due.Messages {
+		if (msg.Type == raft.MsgApp && len(msg.Entries) > 0) || msg.Type == raft.MsgSnap {
+			c.entryApps++
+		}
+	}
+	return c
 }
 
-// TestHungPeerIsBoundedAndIsolated: the pending bound is safety code. One
-// peer's handler never returns, so its sender parks inside Send for good;
-// under 2 s of concurrent proposals that peer's lane stays within
-// maxPending per class, and the two healthy peers keep committing under
-// the same leader and term - their heartbeats were not held up.
+// TestHungPeerIsBoundedAndIsolated: one peer's handler never returns, so
+// its sender parks inside Send for good. Under 2 s of concurrent proposals
+// Raft's gate keeps that peer's lane short - one retransmitted append per
+// group per heartbeat tick - and within maxPending per class, and the two
+// healthy peers keep committing under the same leader and term: their
+// heartbeats were not held up.
 func TestHungPeerIsBoundedAndIsolated(t *testing.T) {
 	nw := transport.NewMemory()
 	addrs := []string{"a", "b", "c"}
@@ -234,7 +278,6 @@ func TestHungPeerIsBoundedAndIsolated(t *testing.T) {
 	var groups []*Group
 	for _, addr := range addrs {
 		m := New(addr, nw, Config{
-			FlushInterval: time.Millisecond,
 			RaftDefaults: raft.Config{
 				TickInterval:   2 * time.Millisecond,
 				HeartbeatTicks: 2,
@@ -273,6 +316,7 @@ func TestHungPeerIsBoundedAndIsolated(t *testing.T) {
 	}
 	term := leader.Status().Term
 
+	ticks0 := mgrs["a"].Stats().Ticks
 	hung.Store(true)
 	var committed atomic.Int64
 	var wg sync.WaitGroup
@@ -290,22 +334,18 @@ func TestHungPeerIsBoundedAndIsolated(t *testing.T) {
 			}
 		}()
 	}
-	peak := 0
-	toHung := mgrs["a"].peer("c")
-	for time.Now().Before(stop) {
-		if r := pendingOf(toHung).requests; r > peak {
-			peak = r
-		}
-		time.Sleep(time.Millisecond)
-	}
 	wg.Wait()
-	t.Logf("%d commits in 2 s with c hung; a's lane to c peaked at %d requests (cap %d)", committed.Load(), peak, maxPending)
-	if c := pendingOf(toHung); c.requests > maxPending || c.replies > maxPending ||
-		c.beats > maxPending || c.beatResps > maxPending {
+	c := pendingOf(mgrs["a"].peer("c"))
+	beatTicks := int(mgrs["a"].Stats().Ticks-ticks0)/2 + 1 // HeartbeatTicks 2; a partial interval counts
+	const groupCount = 1
+	t.Logf("%d commits in 2 s with c hung; a's lane to c holds %d entry-carrying appends after %d heartbeat ticks: %+v",
+		committed.Load(), c.entryApps, beatTicks, c)
+	if c.msgs > maxPending || c.beats > maxPending || c.beatResps > maxPending {
 		t.Fatalf("lane to the hung peer exceeds maxPending=%d: %+v", maxPending, c)
 	}
-	if peak != maxPending {
-		t.Fatalf("lane to the hung peer peaked at %d requests, want exactly the cap %d (lower: the load never exercised the bound)", peak, maxPending)
+	if bound := groupCount * (1 + beatTicks); c.entryApps > bound {
+		t.Fatalf("lane to the hung peer holds %d entry-carrying appends, want <= %d (one per group per heartbeat tick, plus one)",
+			c.entryApps, bound)
 	}
 	if committed.Load() < 200 {
 		t.Fatalf("healthy majority committed only %d entries in 2 s", committed.Load())

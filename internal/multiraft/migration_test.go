@@ -24,7 +24,6 @@ import (
 
 func fastRaft() raftstore.Config {
 	return raftstore.Config{
-		FlushInterval: time.Millisecond,
 		RaftDefaults: raft.Config{
 			TickInterval:   2 * time.Millisecond,
 			HeartbeatTicks: 2,

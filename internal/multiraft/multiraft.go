@@ -23,14 +23,15 @@
 //     lazily on failure) shared by all groups, so Raft load does not churn
 //     the connection pool used by the data path.
 //
-// Non-heartbeat traffic travels the same per-peer lane in two classes. A
-// message that ANSWERS (MsgAppResp, MsgVoteResp) wakes the peer's sender
-// and leaves at once, batched with whatever other answers accumulated
-// while the previous batch was on the wire. A message that STARTS an
-// exchange (MsgApp, MsgSnap, MsgVote) waits for the short flush tick,
-// which is the only pacing Raft's re-sending leader has (DESIGN.md
-// Section 6.2). The heartbeat-scaling effect is measured by
-// BenchmarkMultiRaft_HeartbeatScaling (EXPERIMENTS.md).
+// Every non-heartbeat message travels the same per-peer lane and is
+// sendable at once: it wakes the peer's sender and leaves batched with
+// whatever else accumulated while the previous batch was on the wire. No
+// clock paces it. Package raft's own flow control (one append in flight
+// per follower) is what keeps the lane short, so the sender's natural
+// batching is the group commit (DESIGN.md Section 6.2). Only the coalesced
+// heartbeat slots wait, for the heartbeat tick. The heartbeat-scaling
+// effect is measured by BenchmarkMultiRaft_HeartbeatScaling
+// (EXPERIMENTS.md).
 package multiraft
 
 import (
@@ -63,16 +64,10 @@ func init() {
 
 // Config tunes a Manager.
 type Config struct {
-	// TickInterval is the shared logical clock period driving every group.
-	// Zero falls back to RaftDefaults.TickInterval, then 10ms.
+	// TickInterval is the shared logical clock period driving every group
+	// and, every HeartbeatTicks ticks, the coalesced heartbeats. Zero falls
+	// back to RaftDefaults.TickInterval, then 10ms.
 	TickInterval time.Duration
-	// FlushInterval is how often queued exchange-starting messages (votes,
-	// appends, snapshots) are released to the wire; answers never wait for
-	// it. Zero means 2ms. Shorter means lower latency, more RPCs.
-	FlushInterval time.Duration
-	// MaxBatch releases a destination's queued exchange starters early once
-	// it holds this many. Zero means 128.
-	MaxBatch int
 	// RaftDefaults are applied to every group created through the manager
 	// (ID, Peers, GroupID, Sender, SM and ExternalClock are always
 	// overridden).
@@ -121,17 +116,19 @@ type Manager struct {
 	stopc chan struct{}
 }
 
-// maxPending caps each class of message a peer's lane holds. It is what a
-// hung peer can pin in memory: about what the lane could hold before it
-// had classes (16 queued batches of MaxBatch 128). A message past the cap
-// is dropped, newest first; Raft retransmits on its heartbeat tick.
+// maxPending caps each class of message a peer's lane holds (messages,
+// heartbeat slots, heartbeat response slots). It is safety code for a hung
+// peer, whose lane never drains: Raft's gate lets each group queue one
+// retransmitted append per heartbeat tick for it, so without a cap the
+// lane would grow for as long as the peer hangs. A message past the cap is
+// dropped, newest first; Raft retransmits on its heartbeat tick.
 const maxPending = 2048
 
 // peer is one destination's delivery lane: pending state under one small
 // lock, drained by a dedicated sender goroutine over the pinned stream.
-// Producers (every raft event loop, the two clocks) only append and post a
-// non-blocking wake, so none of them ever blocks on a slow or hung peer -
-// and one bad peer cannot stall heartbeats to the healthy ones.
+// Producers (every raft event loop, the heartbeat clock) only append and
+// post a non-blocking wake, so none of them ever blocks on a slow or hung
+// peer - and one bad peer cannot stall heartbeats to the healthy ones.
 type peer struct {
 	st transport.Stream // nil when the network has no stream support
 	// wake holds at most one token: whatever becomes sendable posts one,
@@ -140,12 +137,10 @@ type peer struct {
 	wake chan struct{}
 
 	mu sync.Mutex
-	// Sendable now: answers, and in due what a clock has released.
-	replies []*raft.Message
-	due     Batch
-	// Held for a clock: exchange starters for the flush tick (or MaxBatch),
-	// coalesced heartbeat slots for the heartbeat tick.
-	requests  []*raft.Message
+	// due is sendable now: every non-heartbeat message, and the heartbeat
+	// slots the last heartbeat tick released.
+	due Batch
+	// Held for the heartbeat tick: the coalesced heartbeat slots.
 	beats     []proto.RaftHeartbeat
 	beatResps []proto.RaftHeartbeatResp
 }
@@ -157,39 +152,31 @@ func (p *peer) wakeSender() {
 	}
 }
 
-// release moves what a clock paces into due and wakes the sender if there
-// is any: the queued requests on every tick, the heartbeat slots only on
-// the heartbeat tick. Slots are taken here, at the tick, not when the
-// sender runs - a beat queued a moment after the tick waits for the next
-// one, which is what keeps heartbeat wire traffic at one batch per pair
-// per interval.
-func (p *peer) release(withBeats bool) {
+// releaseBeats runs on the heartbeat tick: it moves the heartbeat slots
+// into due and wakes the sender if there are any. Slots are taken here, at
+// the tick, not when the sender runs - a beat queued a moment after the
+// tick waits for the next one, which is what keeps heartbeat wire traffic
+// at one batch per pair per interval.
+func (p *peer) releaseBeats() {
 	p.mu.Lock()
-	p.due.Messages = append(p.due.Messages, p.requests...)
-	p.requests = nil
-	if withBeats {
-		p.due.Beats = append(p.due.Beats, p.beats...)
-		p.due.BeatResps = append(p.due.BeatResps, p.beatResps...)
-		p.beats, p.beatResps = nil, nil
-	}
-	sendable := len(p.due.Messages)+len(p.due.Beats)+len(p.due.BeatResps) > 0
+	p.due.Beats = append(p.due.Beats, p.beats...)
+	p.due.BeatResps = append(p.due.BeatResps, p.beatResps...)
+	p.beats, p.beatResps = nil, nil
+	sendable := len(p.due.Beats)+len(p.due.BeatResps) > 0
 	p.mu.Unlock()
 	if sendable {
 		p.wakeSender()
 	}
 }
 
-// take builds the next wire batch: every pending reply plus whatever a
-// clock has released. A wake caused by a reply alone therefore never
-// carries queued entries. Nil when nothing may leave.
+// take builds the next wire batch from everything sendable. Nil when
+// nothing is.
 func (p *peer) take(from string) *Batch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	b := p.due
 	p.due = Batch{}
 	b.From = from
-	b.Messages = append(p.replies, b.Messages...)
-	p.replies = nil
 	if len(b.Messages)+len(b.Beats)+len(b.BeatResps) == 0 {
 		return nil
 	}
@@ -205,12 +192,6 @@ func New(addr string, nw transport.Network, cfg Config) *Manager {
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = 10 * time.Millisecond
 	}
-	if cfg.FlushInterval == 0 {
-		cfg.FlushInterval = 2 * time.Millisecond
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 128
-	}
 	m := &Manager{
 		addr:   addr,
 		nw:     nw,
@@ -223,9 +204,8 @@ func New(addr string, nw transport.Network, cfg Config) *Manager {
 	if m.hbEv <= 0 {
 		m.hbEv = 2 // raft's default HeartbeatTicks
 	}
-	m.wg.Add(2)
+	m.wg.Add(1)
 	go m.tickLoop()
-	go m.flushLoop()
 	return m
 }
 
@@ -340,7 +320,7 @@ func (m *Manager) GroupCount() int {
 	return len(m.groups)
 }
 
-// Close stops the clock, the flusher, every stream, and every group.
+// Close stops the clock, every stream, and every group.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -360,7 +340,7 @@ func (m *Manager) Close() {
 	}
 	m.mu.Unlock()
 	close(m.stopc)
-	m.wg.Wait() // tick, flush, and every peer sender have exited
+	m.wg.Wait() // the clock and every peer sender have exited
 	for _, g := range groups {
 		g.node.Stop()
 	}
@@ -375,16 +355,15 @@ func (m *Manager) Close() {
 // Outgoing path.
 
 // send is the Sender for every group. One rule routes a message: heartbeat
-// traffic parks in the coalescing slots until the heartbeat tick; a message
-// that answers leaves at once; a message that starts an exchange waits for
-// the flush tick. It only appends and wakes - a raft event loop never
-// blocks here.
+// traffic parks in the coalescing slots until the heartbeat tick; every
+// other message leaves at once. It only appends and wakes - a raft event
+// loop never blocks here.
 func (m *Manager) send(msg *raft.Message) {
 	p := m.peer(msg.To)
 	if p == nil {
 		return // closed
 	}
-	wake, flushNow := false, false
+	wake := false
 	p.mu.Lock()
 	switch msg.Type {
 	case raft.MsgHeartbeat:
@@ -399,21 +378,14 @@ func (m *Manager) send(msg *raft.Message) {
 				GroupID: msg.GroupID, Term: msg.Term,
 			})
 		}
-	case raft.MsgAppResp, raft.MsgVoteResp, raft.MsgSnapResp:
-		if len(p.replies) < maxPending {
-			p.replies = append(p.replies, msg)
+	default:
+		if len(p.due.Messages) < maxPending {
+			p.due.Messages = append(p.due.Messages, msg)
 			wake = true
 		}
-	default:
-		if len(p.requests)+len(p.due.Messages) < maxPending {
-			p.requests = append(p.requests, msg)
-		}
-		flushNow = len(p.requests) >= m.cfg.MaxBatch
 	}
 	p.mu.Unlock()
-	if flushNow {
-		p.release(false)
-	} else if wake {
+	if wake {
 		p.wakeSender()
 	}
 }
@@ -439,12 +411,12 @@ func (m *Manager) peer(dest string) *peer {
 	return p
 }
 
-// releaseAll runs on a clock tick: see peer.release.
-func (m *Manager) releaseAll(withBeats bool) {
+// releaseBeats runs on the heartbeat tick: see peer.releaseBeats.
+func (m *Manager) releaseBeats() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, p := range m.peers {
-		p.release(withBeats)
+		p.releaseBeats()
 	}
 }
 
@@ -476,25 +448,8 @@ func (m *Manager) tickLoop() {
 				g.node.Tick()
 			}
 			if tick%uint64(m.hbEv) == 0 {
-				m.releaseAll(true)
+				m.releaseBeats()
 			}
-		}
-	}
-}
-
-// flushLoop is the short clock that paces exchange-starting messages
-// (votes, appends, snapshots): what queued since the last tick leaves on
-// this one.
-func (m *Manager) flushLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopc:
-			return
-		case <-t.C:
-			m.releaseAll(false)
 		}
 	}
 }

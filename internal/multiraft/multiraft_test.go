@@ -51,7 +51,6 @@ func (s *counterSM) count() int {
 func startManager(t *testing.T, nw *transport.Memory, addr string) *multiraft.Manager {
 	t.Helper()
 	mgr := multiraft.New(addr, nw, multiraft.Config{
-		FlushInterval: time.Millisecond,
 		RaftDefaults: raft.Config{
 			TickInterval:   2 * time.Millisecond,
 			HeartbeatTicks: 2,

@@ -11,7 +11,7 @@ import (
 // on the in-package router (a Send is a direct Step into the peer's event
 // loop), ExternalClock with nobody ticking, one closed-loop proposer. What
 // is left is event-loop hand-offs and message construction; every wait a
-// deployment adds (MultiRaft's flush clock, a wire) sits above this number.
+// deployment adds (MultiRaft's lane, a wire) sits above this number.
 func benchmarkCommit(b *testing.B, n int) {
 	r := newRouter()
 	var msgs, entryBytes atomic.Int64

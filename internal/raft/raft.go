@@ -4,8 +4,10 @@
 // manager's own state (paper Sections 2, 2.1.2, 2.2.4).
 //
 // The implementation covers leader election with randomized timeouts, log
-// replication, commitment, synchronous state-machine application, log
-// compaction by snapshot, and snapshot installation for lagging followers.
+// replication with one append in flight per follower (each entry leaves
+// once; the heartbeat tick retransmits), commitment, synchronous
+// state-machine application, log compaction by snapshot, and snapshot
+// installation for lagging followers.
 // Each Node runs a single event-loop goroutine; messages move through a
 // Sender, liveness heartbeats are the entry-free MsgHeartbeat /
 // MsgHeartbeatResp pair, and the logical clock can be driven externally
@@ -316,6 +318,10 @@ type pendingApply struct {
 	resp chan proposeResult
 }
 
+// flight identifies an unanswered append: a success that reaches last
+// answers it, and so does a rejection echoing prev (its PrevLogIndex).
+type flight struct{ prev, last uint64 }
+
 // Node is one Raft group member.
 type Node struct {
 	cfg  Config
@@ -341,6 +347,12 @@ type Node struct {
 	elapsed     int                     // ticks since last reset
 	timeoutIn   int                     // randomized election deadline in ticks
 	hbElapsed   int
+
+	// inflight is Raft's flow control: per follower, the one append (or
+	// snapshot) it has not answered yet. While it is set, sendAppend sends
+	// nothing to that follower, so each entry leaves once and everything
+	// proposed meanwhile rides the next append.
+	inflight map[string]flight
 
 	recvq    chan *Message
 	propq    chan proposal
@@ -377,6 +389,7 @@ func NewNode(cfg Config) (*Node, error) {
 		votes:      make(map[string]bool),
 		nextIndex:  make(map[string]uint64),
 		matchIndex: make(map[string]uint64),
+		inflight:   make(map[string]flight),
 		pending:    make(map[uint64]pendingApply),
 		recvq:      make(chan *Message, 1024),
 		propq:      make(chan proposal, 256),
@@ -585,14 +598,17 @@ func (n *Node) tick() {
 
 // broadcastHeartbeat sends the per-interval liveness signal. Up-to-date
 // followers get an entry-free MsgHeartbeat (coalescible across groups by
-// package multiraft); followers with a replication backlog or a compacted
-// gap get a real AppendEntries / snapshot instead.
+// package multiraft); a follower that has not acked the last entry gets a
+// real AppendEntries / snapshot instead. The tick is the retransmit timer:
+// it reopens that follower's gate first, so a lost append or answer costs
+// one heartbeat interval.
 func (n *Node) broadcastHeartbeat() {
 	for _, p := range n.peers {
 		if p == n.cfg.ID {
 			continue
 		}
-		if n.nextIndex[p] <= n.lastIndex() || n.nextIndex[p] < n.firstIndex {
+		if n.matchIndex[p] < n.lastIndex() {
+			delete(n.inflight, p)
 			n.sendAppend(p)
 			continue
 		}
@@ -643,7 +659,8 @@ func (n *Node) handleHeartbeatResp(msg *Message) {
 		return
 	}
 	// A follower that has acked less than our last entry needs a real
-	// append; heartbeats alone never carry entries.
+	// append; heartbeats alone never carry entries. If one is already in
+	// flight, the gate makes this a no-op.
 	if n.matchIndex[msg.From] < n.lastIndex() {
 		n.sendAppend(msg.From)
 	}
@@ -707,6 +724,7 @@ func (n *Node) becomeLeader() {
 		n.nextIndex[p] = last + 1
 		n.matchIndex[p] = 0
 	}
+	clear(n.inflight)
 	n.matchIndex[n.cfg.ID] = last
 	// Commit a no-op entry to establish commitment in the new term
 	// (Raft section 5.4.2: a leader may only count replicas for entries
@@ -881,6 +899,7 @@ func (n *Node) applyConfChange(cc ConfChange, idx uint64) {
 		if n.role == Leader {
 			n.nextIndex[cc.Addr] = n.lastIndex() + 1
 			n.matchIndex[cc.Addr] = 0
+			delete(n.inflight, cc.Addr)
 			n.sendAppend(cc.Addr) // start catching the new member up now
 		}
 	case ConfRemoveNode:
@@ -897,6 +916,7 @@ func (n *Node) applyConfChange(cc ConfChange, idx uint64) {
 		delete(n.votes, cc.Addr)
 		delete(n.nextIndex, cc.Addr)
 		delete(n.matchIndex, cc.Addr)
+		delete(n.inflight, cc.Addr)
 		if cc.Addr == n.cfg.ID {
 			// We were removed. Step down and go silent; tick() and
 			// startElection() check membership so we cannot campaign.
@@ -927,20 +947,21 @@ func (n *Node) broadcastAppend() {
 	}
 }
 
+// sendAppend sends the follower what it lacks from nextIndex on, unless an
+// earlier append to it is still unanswered (see inflight).
 func (n *Node) sendAppend(to string) {
-	next := n.nextIndex[to]
-	if next < n.firstIndex {
+	if _, out := n.inflight[to]; out {
+		return
+	}
+	prev := n.nextIndex[to] - 1
+	prevTerm, ok := n.termAt(prev)
+	if !ok {
 		// Follower needs entries we compacted: ship the snapshot.
 		n.sendSnapshot(to)
 		return
 	}
-	prev := next - 1
-	prevTerm, ok := n.termAt(prev)
-	if !ok {
-		n.sendSnapshot(to)
-		return
-	}
-	entries := n.entriesFrom(next, n.cfg.MaxEntriesPerMsg)
+	entries := n.entriesFrom(prev+1, n.cfg.MaxEntriesPerMsg)
+	n.inflight[to] = flight{prev: prev, last: prev + uint64(len(entries))}
 	n.cfg.Sender.Send(&Message{
 		GroupID:      n.cfg.GroupID,
 		Type:         MsgApp,
@@ -959,13 +980,16 @@ func (n *Node) sendSnapshot(to string) {
 	if err != nil {
 		return // retried on next heartbeat
 	}
+	// In flight like an append that ends at the snapshot's index.
+	snapIndex := n.firstIndex - 1
+	n.inflight[to] = flight{prev: snapIndex, last: snapIndex}
 	n.cfg.Sender.Send(&Message{
 		GroupID:   n.cfg.GroupID,
 		Type:      MsgSnap,
 		From:      n.cfg.ID,
 		To:        to,
 		Term:      n.term,
-		SnapIndex: n.firstIndex - 1,
+		SnapIndex: snapIndex,
 		SnapTerm:  n.snapTerm,
 		SnapData:  data,
 		SnapPeers: append([]string(nil), n.peers...),
@@ -973,9 +997,11 @@ func (n *Node) sendSnapshot(to string) {
 	})
 }
 
+// handleApp answers every append. A rejection's MatchIndex echoes the
+// rejected PrevLogIndex, so the leader can tell which append it answers.
 func (n *Node) handleApp(msg *Message) {
 	if msg.Term < n.term {
-		n.sendAppResp(msg.From, false, 0, n.lastIndex()+1)
+		n.sendAppResp(msg.From, false, msg.PrevLogIndex, n.lastIndex()+1)
 		return
 	}
 	n.becomeFollowerKeepVote(msg.Term, msg.From)
@@ -987,7 +1013,7 @@ func (n *Node) handleApp(msg *Message) {
 		if hint < n.firstIndex {
 			hint = n.firstIndex
 		}
-		n.sendAppResp(msg.From, false, 0, hint)
+		n.sendAppResp(msg.From, false, msg.PrevLogIndex, hint)
 		return
 	}
 	// Append entries, truncating any conflicting suffix.
@@ -1005,11 +1031,15 @@ func (n *Node) handleApp(msg *Message) {
 			n.log = append(n.log, e)
 		}
 	}
-	if msg.Commit > n.commitIndex {
-		n.commitIndex = util.MinU64(msg.Commit, n.lastIndex())
+	// Only the prefix this append verified is known to match the leader's
+	// log; a longer local suffix may be a deposed leader's. Neither the ack
+	// nor the commit index may reach past it (Raft Fig. 2).
+	last := msg.PrevLogIndex + uint64(len(msg.Entries))
+	if c := util.MinU64(msg.Commit, last); c > n.commitIndex {
+		n.commitIndex = c
 		n.applyCommitted()
 	}
-	n.sendAppResp(msg.From, true, n.lastIndex(), 0)
+	n.sendAppResp(msg.From, true, last, 0)
 }
 
 // becomeFollowerKeepVote differs from becomeFollower by not clearing
@@ -1057,21 +1087,22 @@ func (n *Node) handleAppResp(msg *Message) {
 			n.matchIndex[msg.From] = msg.MatchIndex
 		}
 		n.nextIndex[msg.From] = util.MaxU64(n.nextIndex[msg.From], msg.MatchIndex+1)
+		if f, out := n.inflight[msg.From]; out && msg.MatchIndex >= f.last {
+			delete(n.inflight, msg.From)
+		}
 		n.maybeCommit()
 		if n.lastIndex() >= n.nextIndex[msg.From] {
 			n.sendAppend(msg.From) // keep streaming backlog
 		}
 		return
 	}
-	// Rejected: back off using the hint and retry immediately.
-	next := msg.HintIndex
-	if next == 0 {
-		next = 1
+	// Rejected. Only a rejection of the append in flight counts: an older
+	// one's hint is stale, and acting on it would send a duplicate.
+	if f, out := n.inflight[msg.From]; !out || f.prev != msg.MatchIndex {
+		return
 	}
-	if next < 1 {
-		next = 1
-	}
-	n.nextIndex[msg.From] = next
+	delete(n.inflight, msg.From)
+	n.nextIndex[msg.From] = util.MaxU64(msg.HintIndex, 1)
 	n.sendAppend(msg.From)
 }
 
@@ -1177,8 +1208,10 @@ func (n *Node) handleSnap(msg *Message) {
 	}
 	n.becomeFollowerKeepVote(msg.Term, msg.From)
 	if msg.SnapIndex <= n.applied {
-		// Stale snapshot; ack current progress.
-		n.sendAppResp(msg.From, true, n.lastIndex(), 0)
+		// Stale snapshot; ack what is applied. It is committed, so it
+		// matches the leader's log, and it covers the snapshot's index. An
+		// unverified suffix past it must not be counted, as in handleApp.
+		n.sendAppResp(msg.From, true, n.applied, 0)
 		return
 	}
 	if err := n.cfg.SM.Restore(msg.SnapData); err != nil {
@@ -1198,6 +1231,9 @@ func (n *Node) handleSnap(msg *Message) {
 }
 
 func (n *Node) handle(msg *Message) {
+	if n.answerFromOutside(msg) {
+		return
+	}
 	switch msg.Type {
 	case MsgVote:
 		n.handleVote(msg)
@@ -1214,6 +1250,18 @@ func (n *Node) handle(msg *Message) {
 	case MsgHeartbeatResp:
 		n.handleHeartbeatResp(msg)
 	}
+}
+
+// answerFromOutside reports an answer from a server removed from the
+// configuration while the request was out. It counts for nothing, and
+// acting on it would resume replication to that server, whose raised term
+// could then depose a healthy leader.
+func (n *Node) answerFromOutside(msg *Message) bool {
+	switch msg.Type {
+	case MsgVoteResp, MsgAppResp, MsgHeartbeatResp:
+		return !n.isMember(msg.From)
+	}
+	return false
 }
 
 func (n *Node) failAllPending(err error) {

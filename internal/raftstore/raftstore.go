@@ -3,17 +3,15 @@
 // that consumers (meta nodes, data nodes, the resource manager) configure
 // group hosting in one place and receive per-group handles.
 //
-// Historically the Store batched outgoing messages itself; that machinery
-// - plus the shared clock, heartbeat coalescing per node pair, and pinned
-// per-peer streams - now lives in the manager (paper Section 2.1.2, the
-// MultiRaft arrangement CFS adopts from CockroachDB). The effect is
-// measured by BenchmarkMultiRaft_HeartbeatScaling and
-// BenchmarkAblation_RaftSets.
+// The mechanics live in the manager (paper Section 2.1.2, the MultiRaft
+// arrangement CFS adopts from CockroachDB): the shared clock, heartbeat
+// coalescing per node pair, and one pinned stream per peer on which every
+// other message leaves at once. There is nothing to tune but the Raft
+// defaults. The effect is measured by BenchmarkMultiRaft_HeartbeatScaling
+// and BenchmarkAblation_RaftSets.
 package raftstore
 
 import (
-	"time"
-
 	"cfs/internal/multiraft"
 	"cfs/internal/raft"
 	"cfs/internal/transport"
@@ -23,14 +21,8 @@ import (
 // manager's Batch (multiplexed messages plus coalesced heartbeats).
 type MessageBatch = multiraft.Batch
 
-// Config tunes a Store.
+// Config tunes a Store. The zero value is the shipped configuration.
 type Config struct {
-	// FlushInterval is how often queued non-heartbeat messages are sent.
-	// Zero means 2ms. Shorter means lower latency, more RPCs.
-	FlushInterval time.Duration
-	// MaxBatch flushes a destination queue early once it holds this many
-	// messages. Zero means 128.
-	MaxBatch int
 	// RaftDefaults are applied to every group created through the store
 	// (ID, Peers, GroupID, Sender and SM are always overridden). Its
 	// TickInterval becomes the node's shared MultiRaft clock period.
@@ -46,11 +38,7 @@ type Store struct {
 // New creates a store for the node at addr. The owning node must route
 // incoming proto.OpRaftMessage bodies to HandleBatch.
 func New(addr string, nw transport.Network, cfg Config) *Store {
-	return &Store{mgr: multiraft.New(addr, nw, multiraft.Config{
-		FlushInterval: cfg.FlushInterval,
-		MaxBatch:      cfg.MaxBatch,
-		RaftDefaults:  cfg.RaftDefaults,
-	})}
+	return &Store{mgr: multiraft.New(addr, nw, multiraft.Config{RaftDefaults: cfg.RaftDefaults})}
 }
 
 // Addr returns the node address the store sends from.

@@ -58,7 +58,6 @@ type testNode struct {
 func startNode(t *testing.T, nw *transport.Memory, addr string) *testNode {
 	t.Helper()
 	cfg := Config{
-		FlushInterval: time.Millisecond,
 		RaftDefaults: raft.Config{
 			TickInterval:   2 * time.Millisecond,
 			HeartbeatTicks: 2,
