@@ -69,12 +69,15 @@ race-read:
 		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects' \
 		./internal/datanode/ ./internal/client/ ./internal/core/
 
-# Ten seconds of fuzzing on the meta Raft command decoder: every replica
-# decodes each log entry on its own, so a malformed entry must be an error,
-# never a panic. New crashers land in internal/meta/testdata/fuzz/.
+# Ten seconds of fuzzing on each decoder of bytes a peer sent: the meta
+# Raft command decoder (every replica decodes each log entry on its own)
+# and the MultiRaft batch decoder (every Raft frame on TCP). A malformed
+# input must be an error, never a panic. New crashers land in the
+# package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime $(FUZZTIME) ./internal/meta/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/multiraft/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cfs/internal/multiraft"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
 	"cfs/internal/storage"
@@ -556,12 +555,7 @@ func (d *DataNode) runRecoverLoop(p *Partition, promoted bool) {
 func (d *DataNode) handle(op uint8, req any) (any, error) {
 	switch proto.Op(op) {
 	case proto.OpRaftMessage:
-		batch, ok := req.(*multiraft.Batch)
-		if !ok {
-			return nil, fmt.Errorf("datanode: %w: raft body %T", util.ErrInvalidArgument, req)
-		}
-		d.raft.HandleBatch(batch)
-		return &proto.HeartbeatResp{}, nil
+		return d.raft.Handler()(op, req)
 
 	case proto.OpAdminCreateDataPartition:
 		r, ok := req.(*proto.CreateDataPartitionReq)

@@ -295,12 +295,7 @@ func (m *Master) propose(c *command) (any, error) {
 func (m *Master) handle(op uint8, req any) (any, error) {
 	switch proto.Op(op) {
 	case proto.OpRaftMessage:
-		batch, ok := req.(*multiraft.Batch)
-		if !ok {
-			return nil, fmt.Errorf("master: %w: raft body %T", util.ErrInvalidArgument, req)
-		}
-		m.raftStore.HandleBatch(batch)
-		return &proto.HeartbeatResp{}, nil
+		return m.raftStore.Handler()(op, req)
 	case proto.OpMasterRegisterNode:
 		return handleBody(req, m.handleRegister)
 	case proto.OpMasterHeartbeat:

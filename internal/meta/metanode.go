@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"cfs/internal/multiraft"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
 	"cfs/internal/transport"
@@ -379,12 +378,7 @@ func (m *MetaNode) loadSnapshots() error {
 func (m *MetaNode) handle(op uint8, req any) (any, error) {
 	switch proto.Op(op) {
 	case proto.OpRaftMessage:
-		batch, ok := req.(*multiraft.Batch)
-		if !ok {
-			return nil, fmt.Errorf("meta: %w: raft body %T", util.ErrInvalidArgument, req)
-		}
-		m.raft.HandleBatch(batch)
-		return &proto.HeartbeatResp{}, nil
+		return m.raft.Handler()(op, req)
 	case proto.OpAdminCreateMetaPartition:
 		r, ok := req.(*proto.CreateMetaPartitionReq)
 		if !ok {

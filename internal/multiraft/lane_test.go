@@ -122,11 +122,11 @@ func TestReplyLeavesWithoutATick(t *testing.T) {
 	m, _ := clocklessManager(t, nw, "b")
 	// A heartbeat first, so a response slot is waiting for the (parked)
 	// heartbeat tick when the reply leaves.
-	m.HandleBatch(&Batch{From: "a", Beats: []proto.RaftHeartbeat{{GroupID: 1, Term: 1}}})
+	m.handleBatch(&Batch{From: "a", Beats: []proto.RaftHeartbeat{{GroupID: 1, Term: 1}}})
 	p := m.peer("a")
 	waitFor(t, time.Second, "heartbeat response never queued", func() bool { return pendingOf(p).beatResps == 1 })
 
-	m.HandleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
+	m.handleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
 	w := nw.waitWire(t, 1, 100*time.Millisecond)
 	b := w[0].b
 	if w[0].to != "a" || len(b.Messages) != 1 || b.Messages[0].Type != raft.MsgAppResp || !b.Messages[0].Success {
@@ -146,7 +146,7 @@ func TestReplyLeavesWithoutATick(t *testing.T) {
 func TestEntriesLeaveWithoutATick(t *testing.T) {
 	nw := &recNet{}
 	m, g := clocklessManager(t, nw, "a")
-	step := func(msg *raft.Message) { m.HandleBatch(&Batch{From: msg.From, Messages: []*raft.Message{msg}}) }
+	step := func(msg *raft.Message) { m.handleBatch(&Batch{From: msg.From, Messages: []*raft.Message{msg}}) }
 	ack := func(from string, match uint64) {
 		step(&raft.Message{GroupID: 1, Type: raft.MsgAppResp, From: from, To: "a", Term: 1, Success: true, MatchIndex: match})
 	}
@@ -222,11 +222,11 @@ func TestRepliesBatchWhileSenderIsOnTheWire(t *testing.T) {
 	m, _ := clocklessManager(t, nw, "b")
 	hold := make(chan struct{})
 	nw.setHold(hold)
-	m.HandleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
+	m.handleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
 	nw.waitWire(t, 1, time.Second) // the sender is now parked inside Send
 
 	for i := 0; i < k; i++ {
-		m.HandleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
+		m.handleBatch(&Batch{From: "a", Messages: []*raft.Message{appendFrom()}})
 	}
 	p := m.peer("a")
 	waitFor(t, time.Second, "not every reply queued", func() bool { return pendingOf(p).msgs == k })

@@ -19,9 +19,10 @@
 //     per-destination slots and, once per heartbeat interval, sends ONE
 //     Batch per peer carrying every group's beat. The receiver expands the
 //     batch back into per-group messages.
-//  3. Streams: each peer gets one pinned transport stream (re-dialed
-//     lazily on failure) shared by all groups, so Raft load does not churn
-//     the connection pool used by the data path.
+//  3. Streams: each peer gets one pinned, one-way transport stream
+//     (re-dialed lazily on failure) shared by all groups, so Raft load does
+//     not churn the connection pool used by the data path. A Batch encodes
+//     itself (codec.go), so on TCP it is one frame with nothing sent back.
 //
 // Every non-heartbeat message travels the same per-peer lane and is
 // sendable at once: it wakes the peer's sender and leaves batched with
@@ -35,7 +36,6 @@
 package multiraft
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,17 +49,13 @@ import (
 
 // Batch is the single wire frame exchanged between MultiRaft managers: the
 // multiplexed non-heartbeat messages of every group plus the coalesced
-// heartbeat slots, all for one (from node, to node) pair.
+// heartbeat slots, all for one (from node, to node) pair. It encodes itself
+// (codec.go), so on TCP it crosses as one frame of its own layout.
 type Batch struct {
 	From      string
 	Messages  []*raft.Message
 	Beats     []proto.RaftHeartbeat
 	BeatResps []proto.RaftHeartbeatResp
-}
-
-func init() {
-	gob.Register(&Batch{})
-	gob.Register(&raft.Message{})
 }
 
 // Config tunes a Manager.
@@ -96,7 +92,7 @@ type Stats struct {
 // Manager owns the Raft groups hosted by one node.
 type Manager struct {
 	addr string
-	nw   transport.Network
+	nw   transport.StreamNetwork
 	cfg  Config
 	hbEv int // manager ticks per heartbeat flush
 
@@ -130,7 +126,7 @@ const maxPending = 2048
 // post a non-blocking wake, so none of them ever blocks on a slow or hung
 // peer - and one bad peer cannot stall heartbeats to the healthy ones.
 type peer struct {
-	st transport.Stream // nil when the network has no stream support
+	st transport.Stream
 	// wake holds at most one token: whatever becomes sendable posts one,
 	// and the sender takes everything sendable per token, so a token posted
 	// while a batch is on the wire is never lost and a second is redundant.
@@ -183,9 +179,14 @@ func (p *peer) take(from string) *Batch {
 	return &b
 }
 
-// New creates the manager for the node at addr. The owning node must route
-// incoming proto.OpRaftMessage bodies to HandleBatch.
+// New creates the manager for the node at addr. nw must pin per-peer
+// streams (transport.StreamNetwork; every fabric in this module does). The
+// owning node must route incoming proto.OpRaftMessage requests to Handler.
 func New(addr string, nw transport.Network, cfg Config) *Manager {
+	sn, ok := nw.(transport.StreamNetwork)
+	if !ok {
+		panic(fmt.Sprintf("multiraft: network %T has no per-peer streams", nw))
+	}
 	if cfg.TickInterval == 0 {
 		cfg.TickInterval = cfg.RaftDefaults.TickInterval
 	}
@@ -194,7 +195,7 @@ func New(addr string, nw transport.Network, cfg Config) *Manager {
 	}
 	m := &Manager{
 		addr:   addr,
-		nw:     nw,
+		nw:     sn,
 		cfg:    cfg,
 		hbEv:   cfg.RaftDefaults.HeartbeatTicks,
 		groups: make(map[uint64]*Group),
@@ -345,9 +346,7 @@ func (m *Manager) Close() {
 		g.node.Stop()
 	}
 	for _, p := range peers {
-		if p.st != nil {
-			p.st.Close()
-		}
+		p.st.Close()
 	}
 }
 
@@ -400,13 +399,10 @@ func (m *Manager) peer(dest string) *peer {
 	}
 	p := m.peers[dest]
 	if p == nil {
-		p = &peer{wake: make(chan struct{}, 1)}
-		if sn, ok := m.nw.(transport.StreamNetwork); ok {
-			p.st = sn.OpenStream(dest)
-		}
+		p = &peer{st: m.nw.OpenStream(dest), wake: make(chan struct{}, 1)}
 		m.peers[dest] = p
 		m.wg.Add(1)
-		go m.peerLoop(dest, p)
+		go m.peerLoop(p)
 	}
 	return p
 }
@@ -457,9 +453,10 @@ func (m *Manager) tickLoop() {
 // peerLoop is one destination's sender: it serializes sends (preserving
 // per-peer ordering) and is the only goroutine that ever blocks on this
 // peer's network I/O. Whatever accumulated while one batch was on the wire
-// leaves as the next. Delivery is best-effort by contract: Raft tolerates
-// loss and retries via timeouts.
-func (m *Manager) peerLoop(dest string, p *peer) {
+// leaves as the next. Delivery is best-effort and one-way by contract:
+// nothing comes back on the stream, and Raft tolerates loss and retries via
+// timeouts.
+func (m *Manager) peerLoop(p *peer) {
 	defer m.wg.Done()
 	for {
 		select {
@@ -477,21 +474,38 @@ func (m *Manager) peerLoop(dest string, p *peer) {
 			m.hbBatches.Add(1)
 			m.hbCoalesced.Add(uint64(hb))
 		}
-		if p.st != nil {
-			_ = p.st.Send(uint8(proto.OpRaftMessage), b)
-			continue
-		}
-		_ = m.nw.Call(dest, uint8(proto.OpRaftMessage), b, nil)
+		_ = p.st.Send(uint8(proto.OpRaftMessage), b)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Incoming path.
 
-// HandleBatch expands an incoming batch back into per-group messages and
-// steps them into the right members. Wire it to the node's transport
-// handler for proto.OpRaftMessage.
-func (m *Manager) HandleBatch(b *Batch) {
+// Handler returns the transport.Handler for proto.OpRaftMessage, usable
+// directly by nodes that host nothing else on the address. The body is the
+// *Batch itself on the Memory network and its wire bytes (transport.Raw)
+// on TCP. Nothing is answered: the lane is one-way.
+func (m *Manager) Handler() transport.Handler { return m.handle }
+
+func (m *Manager) handle(op uint8, req any) (any, error) {
+	switch body := req.(type) {
+	case *Batch:
+		m.handleBatch(body)
+	case transport.Raw:
+		b, err := decodeBatch(body, m.addr)
+		if err != nil {
+			return nil, err
+		}
+		m.handleBatch(b)
+	default:
+		return nil, fmt.Errorf("multiraft: %w: body %T", util.ErrInvalidArgument, req)
+	}
+	return nil, nil
+}
+
+// handleBatch expands an incoming batch back into per-group messages and
+// steps them into the right members.
+func (m *Manager) handleBatch(b *Batch) {
 	for _, hb := range b.Beats {
 		if g := m.Group(hb.GroupID); g != nil {
 			g.node.Step(&raft.Message{
@@ -519,18 +533,5 @@ func (m *Manager) HandleBatch(b *Batch) {
 		if g := m.Group(msg.GroupID); g != nil {
 			g.node.Step(msg)
 		}
-	}
-}
-
-// Handler returns a transport.Handler fragment for OpRaftMessage, usable
-// directly by nodes that host nothing else on the address.
-func (m *Manager) Handler() transport.Handler {
-	return func(op uint8, req any) (any, error) {
-		b, ok := req.(*Batch)
-		if !ok {
-			return nil, fmt.Errorf("multiraft: %w: body %T", util.ErrInvalidArgument, req)
-		}
-		m.HandleBatch(b)
-		return &proto.HeartbeatResp{}, nil
 	}
 }

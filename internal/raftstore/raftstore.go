@@ -17,10 +17,6 @@ import (
 	"cfs/internal/transport"
 )
 
-// MessageBatch is the wire frame exchanged between stores; it is the
-// manager's Batch (multiplexed messages plus coalesced heartbeats).
-type MessageBatch = multiraft.Batch
-
 // Config tunes a Store. The zero value is the shipped configuration.
 type Config struct {
 	// RaftDefaults are applied to every group created through the store
@@ -32,13 +28,15 @@ type Config struct {
 // Store hands out Raft groups hosted by one node. All mechanics live in
 // the wrapped MultiRaft manager.
 type Store struct {
-	mgr *multiraft.Manager
+	mgr    *multiraft.Manager
+	handle transport.Handler
 }
 
 // New creates a store for the node at addr. The owning node must route
-// incoming proto.OpRaftMessage bodies to HandleBatch.
+// incoming proto.OpRaftMessage requests to Handler.
 func New(addr string, nw transport.Network, cfg Config) *Store {
-	return &Store{mgr: multiraft.New(addr, nw, multiraft.Config{RaftDefaults: cfg.RaftDefaults})}
+	mgr := multiraft.New(addr, nw, multiraft.Config{RaftDefaults: cfg.RaftDefaults})
+	return &Store{mgr: mgr, handle: mgr.Handler()}
 }
 
 // Addr returns the node address the store sends from.
@@ -70,10 +68,7 @@ func (s *Store) GroupCount() int { return s.mgr.GroupCount() }
 // Close stops the manager and every group.
 func (s *Store) Close() { s.mgr.Close() }
 
-// HandleBatch routes an incoming batch to its groups. Wire it to the
-// node's transport handler for proto.OpRaftMessage.
-func (s *Store) HandleBatch(batch *MessageBatch) { s.mgr.HandleBatch(batch) }
-
-// Handler returns a transport.Handler fragment for OpRaftMessage, usable
-// directly by nodes that host nothing else on the address.
-func (s *Store) Handler() transport.Handler { return s.mgr.Handler() }
+// Handler returns the transport.Handler for proto.OpRaftMessage
+// (multiraft.Manager.Handler): a node's own handler delegates that op to
+// it, and a node that hosts nothing else can listen with it directly.
+func (s *Store) Handler() transport.Handler { return s.handle }

@@ -173,7 +173,15 @@ type memStream struct {
 	addr string
 }
 
-func (s *memStream) Send(op uint8, req any) error { return s.nw.Call(s.addr, op, req, nil) }
+// Send implements Stream. As on a socket stream, the handler's error stays
+// with the receiver: only a delivery failure is returned.
+func (s *memStream) Send(op uint8, req any) error {
+	err := s.nw.Call(s.addr, op, req, nil)
+	if _, handlerErr := err.(*RemoteError); handlerErr {
+		return nil
+	}
+	return err
+}
 
 func (s *memStream) Close() error { return nil }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -22,9 +23,13 @@ import (
 //	op(1) kind(1) status(1) bodyLen(4) body
 //
 // kind selects the body codec: kindGob for control-plane messages (encoded
-// with encoding/gob) and kindPacket for *proto.Packet data-path frames
-// (encoded with the binary codec in package proto). status is only
-// meaningful on responses: statusOK or statusErr (body is a gob RemoteError).
+// with encoding/gob), kindPacket for *proto.Packet data-path frames
+// (encoded with the binary codec in package proto) and kindRaw for a body
+// that encodes itself (an encoding.BinaryAppender, such as a MultiRaft
+// batch), which the receiver's handler gets as a Raw copy of its bytes.
+// status is statusRequest or statusOneWay on requests - a one-way request
+// (a Stream send) is never answered - and statusOK or statusErr (body is a
+// gob RemoteError) on responses.
 //
 // Every connection carries one gob stream per direction for its whole life:
 // a gob body holds only the type descriptors that connection has not
@@ -52,6 +57,7 @@ type TCP struct {
 const (
 	kindGob    uint8 = 0
 	kindPacket uint8 = 1
+	kindRaw    uint8 = 2
 
 	statusRequest uint8 = 0
 	statusOK      uint8 = 1
@@ -61,6 +67,9 @@ const (
 	// magic and length fields delimit it), flowing both ways without the
 	// request/response lockstep.
 	statusStreamOpen uint8 = 3
+	// statusOneWay is a request nothing answers: the handler runs and its
+	// result, error included, is dropped.
+	statusOneWay uint8 = 4
 
 	maxPoolPerPeer = 8
 )
@@ -108,6 +117,7 @@ type tcpListener struct {
 	wg   sync.WaitGroup
 
 	mu      sync.Mutex
+	closed  bool // set by Close; track refuses connections from then on
 	conns   map[net.Conn]struct{}
 	streamH StreamHandler
 }
@@ -133,6 +143,7 @@ func (l *tcpListener) Close() error {
 	}
 	l.t.mu.Unlock()
 	l.mu.Lock()
+	l.closed = true
 	for c := range l.conns {
 		c.Close()
 	}
@@ -141,10 +152,19 @@ func (l *tcpListener) Close() error {
 	return err
 }
 
-func (l *tcpListener) track(c net.Conn) {
+// track registers an accepted connection for Close to sweep. A connection
+// accepted just before Close that reaches here after the sweep is closed
+// and refused: nothing else would ever close it, and its serveConn would
+// pin Close's wait.
+func (l *tcpListener) track(c net.Conn) bool {
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		c.Close()
+		return false
+	}
 	l.conns[c] = struct{}{}
-	l.mu.Unlock()
+	return true
 }
 
 func (l *tcpListener) untrack(c net.Conn) {
@@ -172,7 +192,9 @@ func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
 			if err != nil {
 				return
 			}
-			l.track(conn)
+			if !l.track(conn) {
+				return
+			}
 			l.wg.Add(1)
 			go func() {
 				defer l.wg.Done()
@@ -335,6 +357,10 @@ func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 			})
 			return
 		}
+		if status == statusOneWay {
+			_, _ = h(op, req) // nothing is sent back, not even an error
+			continue
+		}
 		resp, herr := h(op, req)
 		status = statusOK
 		if herr != nil {
@@ -390,8 +416,9 @@ type tcpStream struct {
 	conn *tcpConn
 }
 
-// Send implements Stream. The server's reply frame is read (keeping the
-// connection in lockstep) and discarded.
+// Send implements Stream: it writes one one-way frame and returns; the
+// server answers nothing, so Send never reads. A write that fails drops
+// the connection, and the next Send re-dials.
 func (s *tcpStream) Send(op uint8, req any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -402,11 +429,8 @@ func (s *tcpStream) Send(op uint8, req any) error {
 		}
 		s.conn = conn
 	}
-	err := s.conn.call(op, req, nil)
+	err := s.conn.writeFrame(op, statusOneWay, req)
 	if err != nil {
-		if _, ok := err.(*RemoteError); ok {
-			return err // application error; the connection is still good
-		}
 		s.conn.Close() // transport or codec error; re-dial (and a fresh codec) next send
 		s.conn = nil
 	}
@@ -535,12 +559,16 @@ func (c *tcpConn) call(op uint8, req, resp any) error {
 func (c *tcpConn) writeFrame(op, status uint8, body any) error {
 	c.out = append(c.out[:0], op, kindGob, status, 0, 0, 0, 0)
 	var err error
-	if p, ok := body.(*proto.Packet); ok {
+	switch b := body.(type) {
+	case *proto.Packet:
 		c.out[1] = kindPacket
-		if c.out, err = p.AppendHeader(c.out); err == nil {
-			c.out = append(c.out, p.Data...)
+		if c.out, err = b.AppendHeader(c.out); err == nil {
+			c.out = append(c.out, b.Data...)
 		}
-	} else {
+	case encoding.BinaryAppender:
+		c.out[1] = kindRaw
+		c.out, err = b.AppendBinary(c.out)
+	default:
 		err = c.enc.Encode(&body)
 	}
 	if err != nil {
@@ -567,6 +595,8 @@ func (c *tcpConn) readFrame() (op, status uint8, body any, err error) {
 		p := &proto.Packet{}
 		_, err = p.ReadFrom(&c.body)
 		body = p
+	case kindRaw:
+		body, err = readRaw(&c.body, c.body.n)
 	case kindGob:
 		err = c.dec.Decode(&body)
 	default:
@@ -576,6 +606,24 @@ func (c *tcpConn) readFrame() (op, status uint8, body any, err error) {
 		err = fmt.Errorf("transport: %d body bytes left undecoded", c.body.n)
 	}
 	return
+}
+
+// readRaw reads an n-byte kindRaw body into a buffer of its own. The
+// buffer grows with the bytes that arrive, not with the length the header
+// claims, so a corrupt length costs no more memory than was sent.
+func readRaw(r io.Reader, n int) (Raw, error) {
+	buf := make([]byte, 0, min(n, 64*util.KB))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		m, err := r.Read(buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil && len(buf) < n {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 type frameBuffer []byte

@@ -9,7 +9,9 @@
 //     networking from the measurement (DESIGN.md Section 4).
 //   - TCP: a length-prefixed gob/binary-packet protocol over net.Conn used
 //     by the cmd/cfs-server daemons. Each connection carries one gob
-//     stream per direction, so type descriptors cross it once.
+//     stream per direction, so type descriptors cross it once; a body that
+//     encodes itself (encoding.BinaryAppender) skips gob and reaches the
+//     handler as Raw bytes.
 //
 // Handlers receive the decoded request. With the Memory network the request
 // value is shared with the caller, so handlers must treat requests as
@@ -45,17 +47,26 @@ type Network interface {
 	Call(addr string, op uint8, req, resp any) error
 }
 
-// Stream is a long-lived, order-preserving path to one peer for callers
-// that talk to the same destination continuously (the MultiRaft manager
-// sends every Raft batch for a peer node down one such stream). Sends are
-// best-effort: the reply body is discarded and a transport failure only
-// surfaces as the returned error - the caller's protocol must tolerate
-// loss, which Raft does. A Stream must not be used concurrently.
+// Stream is a long-lived, order-preserving, one-way path to one peer for
+// callers that talk to the same destination continuously (the MultiRaft
+// manager sends every Raft batch for a peer node down one such stream).
+// Sends are best-effort: nothing is sent back, so the receiver's handler
+// result - its error included - never reaches the sender, and only a
+// transport failure surfaces as the returned error (on TCP possibly a send
+// or two late, once the kernel notices the peer is gone).
+// The caller's protocol must tolerate loss, which Raft does. A Stream must
+// not be used concurrently.
 type Stream interface {
-	// Send delivers one request and discards the reply body.
+	// Send hands one request to the peer's handler and does not wait for it.
 	Send(op uint8, req any) error
 	Close() error
 }
+
+// Raw is the body a TCP handler receives for a request that encoded itself
+// (an encoding.BinaryAppender such as multiraft.Batch): a copy of its bytes
+// that the handler owns, to be decoded by the package that encoded it. The
+// Memory network passes the request value itself instead.
+type Raw []byte
 
 // StreamNetwork is implemented by networks that can pin per-peer streams.
 // Callers that want stream reuse should type-assert and fall back to Call.
