@@ -66,7 +66,7 @@ race-reconfig:
 # can block.
 race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects' \
+		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool' \
 		./internal/datanode/ ./internal/client/ ./internal/core/
 
 # Ten seconds of fuzzing on each decoder of bytes a peer sent: the meta

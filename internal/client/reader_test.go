@@ -46,20 +46,27 @@ func allocLoopbackAddrs(t *testing.T, n int) []string {
 func assertChunkBalance(t *testing.T) {
 	t.Helper()
 	gets0, puts0 := util.ChunkStats()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			gets, puts := util.ChunkStats()
-			if gets-gets0 == puts-puts0 {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Errorf("chunk pool leak: %d taken, %d returned", gets-gets0, puts-puts0)
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
+	t.Cleanup(func() { awaitChunksOut(t, gets0, puts0, 0) })
+}
+
+// awaitChunksOut checks that exactly want of the pooled chunks taken since
+// the (gets0, puts0) snapshot are still out, polling briefly for
+// goroutines still draining.
+func awaitChunksOut(t *testing.T, gets0, puts0, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		gets, puts := util.ChunkStats()
+		out := (gets - gets0) - (puts - puts0)
+		if out == want {
+			return
 		}
-	})
+		if time.Now().After(deadline) {
+			t.Errorf("chunk pool: %d chunks out (%d taken, %d returned), want %d", out, gets-gets0, puts-puts0, want)
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // startReadCluster is startCluster plus the datanode handles, which the

@@ -50,6 +50,9 @@ type streamPkt struct {
 	data    []byte
 	crc     uint32 // payload CRC, computed once at enqueue
 	create  bool
+	// pooled marks data as a util.GetChunk buffer, returned to the pool
+	// once every replica has acked it.
+	pooled bool
 }
 
 // PendingWrite is an accepted-but-uncommitted chunk surfaced by Drain
@@ -139,8 +142,9 @@ func (w *ExtentWriter) Write(fileOff uint64, data []byte) (int, error) {
 			return written, err
 		}
 		end := util.Min(written+packet, len(data))
-		chunk := append([]byte(nil), data[written:end]...)
-		sp := &streamPkt{w: w, fileOff: fileOff + uint64(written), data: chunk, crc: util.CRC(chunk)}
+		chunk := util.GetChunk(end - written)
+		copy(chunk, data[written:end])
+		sp := &streamPkt{w: w, fileOff: fileOff + uint64(written), data: chunk, crc: util.CRC(chunk), pooled: true}
 		w.register(sp)
 		// The chunk counts as accepted from registration on: even if the
 		// send below fails, sp sits in the window and Drain surfaces it
@@ -307,6 +311,13 @@ func (w *ExtentWriter) handleAck(sp *streamPkt, ack *proto.Packet) {
 			Size:         uint32(len(sp.data)),
 			CRC:          sp.crc, // computed once at enqueue; no re-scan per ack
 		})
+		if sp.pooled {
+			// Only an all-replica ack proves no hop still reads the chunk:
+			// on the Memory fabric every hop aliases it. A failed packet's
+			// chunk goes to the caller as a PendingWrite, and to the GC.
+			util.PutChunk(sp.data)
+			sp.data = nil
+		}
 	}
 	w.cond.Broadcast()
 }

@@ -49,7 +49,7 @@ const maxStreamReadLen = 8 * util.MB
 // The producer (store reads) runs ahead of the sender (wire writes) by up
 // to this many chunk frames, so disk latency and wire latency overlap:
 // while chunk k is being written to the socket, chunks k+1..k+4 are
-// already read and CRC-stamped. 4 x 64 KB = 256 KB of server-side
+// already read and CRC-stamped. 4 x 128 KB = 512 KB of server-side
 // readahead per session, and because requests are served from a single
 // FIFO the window rolls across extent boundaries for free - the client's
 // next-extent requests pipeline behind the current extent's tail chunks.
@@ -208,7 +208,7 @@ func (s *readSession) serve(pkt *proto.Packet) {
 	}
 	remaining := length
 	for remaining > 0 {
-		n := util.MinU64(remaining, util.ReadChunkSize)
+		n := util.MinU64(remaining, util.DefaultPacketSize)
 		// Pooled chunk buffer, filled in place (no store-side allocation);
 		// ownership transfers to the frame - the consumer recycles it.
 		buf := util.GetChunk(int(n))

@@ -71,7 +71,7 @@ func TestReadStreamChunkFraming(t *testing.T) {
 	tc := startCluster(t, 3)
 	tc.createPartition(t, 100)
 	eid := tc.createExtent(t, 100)
-	payload := bytes.Repeat([]byte("abcdefgh"), (util.ReadChunkSize+util.ReadChunkSize/2)/8)
+	payload := bytes.Repeat([]byte("abcdefgh"), (util.DefaultPacketSize+util.DefaultPacketSize/2)/8)
 	tc.append(t, 100, eid, payload)
 
 	st := tc.openReadStream(t, tc.leaderAddr())

@@ -1,12 +1,14 @@
 package datanode
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/transport"
+	"cfs/internal/util"
 )
 
 // This file implements the pipelined side of the Figure 4 sequential-write
@@ -610,6 +612,12 @@ func (s *writeSession) followerAck(c *fwdChain, ack *proto.Packet) bool {
 		}
 		return false
 	}
+	if ack.ResultCode == proto.ResultErrStaleEpoch {
+		// The follower holds a newer replica epoch: this leader is the
+		// stale party, not the follower.
+		s.followerFailed(c.addr, fmt.Errorf("replication refused: %s: %w", ack.Data, util.ErrStaleEpoch))
+		return false
+	}
 	if ack.ResultCode != proto.ResultOK {
 		s.followerFailed(c.addr, fmt.Errorf("replication rejected: %s", ack.Data))
 		return false
@@ -737,8 +745,16 @@ func committedHopPacket(partitionID, extentID, committed, epoch, ovwVer uint64) 
 // master, and every undecided window entry is rejected with
 // ResultErrAborted (their bytes may sit on some replicas as stale tails,
 // which recovery realigns; they are never served because the committed
-// offset did not advance).
+// offset did not advance). A cause wrapping util.ErrStaleEpoch - the
+// follower refused this leader's epoch - aborts the same way but reports
+// nobody, since the follower is healthy and the partition has moved on;
+// the entries carry ResultErrStaleEpoch so the client refreshes its view.
 func (s *writeSession) followerFailed(addr string, cause error) {
+	stale := errors.Is(cause, util.ErrStaleEpoch)
+	code := proto.ResultErrAborted
+	if stale {
+		code = proto.ResultErrStaleEpoch
+	}
 	s.mu.Lock()
 	if s.failed || s.closed {
 		s.mu.Unlock()
@@ -748,7 +764,7 @@ func (s *writeSession) followerFailed(addr string, cause error) {
 	s.failMsg = fmt.Sprintf("replication to %s failed: %v", addr, cause)
 	for _, e := range s.pending {
 		if e.code == proto.ResultOK && e.op != proto.OpDataPing {
-			e.code = proto.ResultErrAborted
+			e.code = code
 			e.msg = s.failMsg
 		}
 	}
@@ -765,7 +781,7 @@ func (s *writeSession) followerFailed(addr string, cause error) {
 		c.st.Close()
 	}
 	s.releaseSlot()
-	if p != nil {
+	if p != nil && !stale {
 		p.reportFailure(addr)
 	}
 	s.commitReady() // flush the whole window as ordered error acks

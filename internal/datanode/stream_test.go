@@ -220,6 +220,53 @@ func TestWriteStreamFollowerFailureAbortsWindow(t *testing.T) {
 	}
 }
 
+// TestStaleEpochRefusalAccusesNoFollower: a follower that already holds a
+// newer replica epoch refuses the leader's hop. The refusal ends the
+// session and tells the client its epoch is stale, but it is no failure
+// report against the follower: the first report the master hears names
+// the follower that really fails afterwards.
+func TestStaleEpochRefusalAccusesNoFollower(t *testing.T) {
+	tc := startCluster(t, 3)
+	tc.createPartition(t, 100)
+	st := tc.openWriteStream(t)
+	eid := streamCreateExtent(t, st, 100)
+
+	// The third replica hears of epoch 2 before the leader does.
+	var resp proto.Packet
+	if err := tc.nw.Call(tc.addrs[2], uint8(proto.OpDataCommitted), &proto.Packet{
+		Op: proto.OpDataCommitted, ResultCode: resultHopFollower, PartitionID: 100, ExtentID: eid, Epoch: 2,
+	}, &resp); err != nil || resp.ResultCode != proto.ResultOK {
+		t.Fatalf("newer-epoch hop = %+v, %v", resp, err)
+	}
+	if err := st.Send(streamAppendPkt(2, 100, eid, []byte("stale"))); err != nil {
+		t.Fatal(err)
+	}
+	ack, err := st.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ack.ReqID != 2 || ack.ResultCode != proto.ResultErrStaleEpoch {
+		t.Fatalf("append through the stale leader = %+v, want ResultErrStaleEpoch", ack)
+	}
+
+	tc.cut(t, tc.addrs[1])
+	st2 := tc.openWriteStream(t)
+	if err := st2.Send(&proto.Packet{Op: proto.OpDataCreateExtent, ReqID: 1, PartitionID: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := st2.Recv(); err != nil || ack.ResultCode == proto.ResultOK {
+		t.Fatalf("create with a follower cut off = %+v, %v", ack, err)
+	}
+	select {
+	case r := <-startedMasterFailures(tc):
+		if r.Addr != tc.addrs[1] {
+			t.Fatalf("master was told %s failed; only %s did", r.Addr, tc.addrs[1])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the real failure was never reported")
+	}
+}
+
 // startedMasterFailures digs the fake master's failure channel out of the
 // cluster (the fake master is registered in startCluster).
 func startedMasterFailures(tc *testCluster) chan proto.ReportFailureReq {

@@ -291,7 +291,9 @@ func (p *Packet) readFrom(r io.Reader, pooled bool) (int64, error) {
 		p.Data = nil
 		return total, nil
 	}
-	if pooled && int(size) <= util.ReadChunkSize {
+	if pooled {
+		// GetChunk falls back to a plain allocation past the pool class,
+		// and Release hands such a buffer to the GC.
 		p.Data = util.GetChunk(int(size))
 		p.MarkPooled()
 	} else {

@@ -7,7 +7,7 @@ import "testing"
 // pool-class chunk sizes.
 func TestCRCCombine(t *testing.T) {
 	r := NewRand(0xC3C)
-	sizes := []int{0, 1, 7, 64, 1000, 4096, ReadChunkSize, ReadChunkSize + 13}
+	sizes := []int{0, 1, 7, 64, 1000, 4096, DefaultPacketSize, DefaultPacketSize + 13}
 	for _, total := range sizes {
 		buf := make([]byte, total)
 		for i := range buf {

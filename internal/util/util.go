@@ -26,7 +26,9 @@ const (
 
 	// DefaultPacketSize is the fixed packet size used by the sequential
 	// write pipeline (Section 2.7.1). It is aligned with the small-file
-	// threshold to avoid packet assembly or splitting.
+	// threshold to avoid packet assembly or splitting. It is also the
+	// payload size of one streamed-read chunk frame and the size class of
+	// the shared chunk-buffer pool.
 	DefaultPacketSize = 128 * KB
 
 	// DefaultWriteWindow is how many packets a streaming writer keeps in
@@ -38,25 +40,27 @@ const (
 	DefaultWriteWindow = 16
 	DefaultReadWindow  = 32
 
-	// ReadChunkSize is the payload size of one streamed-read chunk frame
-	// (a read request larger than this is served as several CRC-framed
-	// chunks). It is also the size class of the shared chunk-buffer pool.
-	ReadChunkSize = 64 * KB
+	// ReadChunkSize is the chunk pool's size class under its old name,
+	// kept for code outside the internal packages that still spells it so.
+	// It equals DefaultPacketSize, the name the internal packages use.
+	ReadChunkSize = DefaultPacketSize
 )
 
-// chunkPool recycles ReadChunkSize payload buffers across the read hot
-// path. Ownership is a strict producer -> consumer handoff: the producer
-// (a data node filling a chunk frame) Gets a buffer, stamps it into a
-// packet, and never touches it again; the final consumer (the client
-// reader, after copying the bytes out) Puts it back. On the in-process
-// Memory transport both ends share the pool, so a sustained streamed read
-// recycles the same few buffers instead of allocating one per chunk; on a
-// socket transport the producer's Gets simply miss (the consumer lives in
-// another process) and degrade to plain allocation. Losing a Put is always
-// safe - the GC is the backstop - but a buffer must never be Put while any
-// reference to it can still be read.
+// chunkPool recycles payload buffers across the data path. It has one size
+// class, DefaultPacketSize, so a streamed-write packet, a replication hop
+// and a streamed-read chunk each fit one buffer. Whoever fills a buffer
+// Gets it - the client writer copying a packet, a socket receive loop
+// reading a frame, a data node reading a chunk from its store - and
+// whoever holds the last reference once the bytes are no longer needed
+// Puts it back: the writer on the packet's all-replica ack, a frame's last
+// owner through proto.Packet.Release, the client reader after copying the
+// bytes out. Every process recycles its own buffers: on a socket
+// transport the receiver fills buffers from its own pool, while on the
+// in-process Memory transport one buffer travels the whole path. Losing a
+// Put is always safe - the GC is the backstop - but a buffer must never be
+// Put while any reference to it can still be read.
 var chunkPool = sync.Pool{New: func() any {
-	b := make([]byte, ReadChunkSize)
+	b := make([]byte, DefaultPacketSize)
 	return &b
 }}
 
@@ -76,7 +80,7 @@ func ChunkStats() (gets, puts int64) {
 // GetChunk returns a length-n payload buffer, pooled when n fits the
 // chunk size class.
 func GetChunk(n int) []byte {
-	if n > ReadChunkSize {
+	if n > DefaultPacketSize {
 		return make([]byte, n)
 	}
 	chunkGets.Add(1)
@@ -87,11 +91,11 @@ func GetChunk(n int) []byte {
 // outside the chunk size class (or sliced foreign memory) are left to the
 // GC.
 func PutChunk(b []byte) {
-	if cap(b) != ReadChunkSize {
+	if cap(b) != DefaultPacketSize {
 		return
 	}
 	chunkPuts.Add(1)
-	b = b[:ReadChunkSize]
+	b = b[:DefaultPacketSize]
 	chunkPool.Put(&b)
 }
 

@@ -142,18 +142,18 @@ func TestQuickCRCStability(t *testing.T) {
 
 func TestChunkPoolRoundTrip(t *testing.T) {
 	b := GetChunk(100)
-	if len(b) != 100 || cap(b) != ReadChunkSize {
+	if len(b) != 100 || cap(b) != DefaultPacketSize {
 		t.Fatalf("GetChunk(100) len=%d cap=%d", len(b), cap(b))
 	}
 	PutChunk(b)
 	// Oversized requests bypass the pool and oversized puts are dropped.
-	big := GetChunk(ReadChunkSize + 1)
-	if len(big) != ReadChunkSize+1 {
+	big := GetChunk(DefaultPacketSize + 1)
+	if len(big) != DefaultPacketSize+1 {
 		t.Fatalf("oversized GetChunk len=%d", len(big))
 	}
 	PutChunk(big)             // no-op: wrong size class
 	PutChunk(make([]byte, 7)) // no-op: foreign buffer
-	if c := GetChunk(ReadChunkSize); len(c) != ReadChunkSize || cap(c) != ReadChunkSize {
+	if c := GetChunk(DefaultPacketSize); len(c) != DefaultPacketSize || cap(c) != DefaultPacketSize {
 		t.Fatalf("full-size GetChunk len=%d cap=%d", len(c), cap(c))
 	}
 }
