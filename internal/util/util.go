@@ -42,7 +42,8 @@ const (
 
 	// ReadChunkSize is the chunk pool's size class under its old name,
 	// kept for code outside the internal packages that still spells it so.
-	// It equals DefaultPacketSize, the name the internal packages use.
+	//
+	// Deprecated: use DefaultPacketSize.
 	ReadChunkSize = DefaultPacketSize
 )
 
