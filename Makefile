@@ -61,12 +61,12 @@ race-reconfig:
 		./internal/raft/ ./internal/master/ ./internal/datanode/
 
 # Read path and the client session engine: a hung read session, a window
-# that admits too much or too little, a broken offload fallback, a read
-# fence the two read paths disagree on, or a watchdog that a wedged sender
-# can block.
+# that admits too much or too little, a readahead depth that ignores the
+# round trip, a broken offload fallback, a read fence the two read paths
+# disagree on, or a watchdog that a wedged sender can block.
 race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool' \
+		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool' \
 		./internal/datanode/ ./internal/client/ ./internal/core/
 
 # Ten seconds of fuzzing on each decoder of bytes a peer sent: the meta

@@ -48,10 +48,12 @@ type Config struct {
 	// before blocking on acks. Default 16; at 1 it is stop-and-wait over
 	// the stream.
 	WriteWindow int
-	// ReadWindow is how many read requests a streaming reader keeps in
+	// ReadWindow caps how many read requests a streaming reader keeps in
 	// flight ahead of the consumer on a sequential run (the readahead
-	// window). Default 32; at 1 it is one request at a time over a pinned
-	// stream.
+	// window). Below the cap the depth covers the read session's least
+	// round trip, at least 4 requests (readDepth); on a fast link that
+	// is less than the cap. Default 32; at 1 it is one request at a time
+	// over a pinned stream.
 	ReadWindow int
 	// AckDeadline bounds how long a write or read session waits without
 	// any reply progress before declaring itself hung and failing its

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/util"
@@ -14,13 +15,13 @@ import (
 //
 // ReadAt serves one extent range. When consecutive calls continue a
 // sequential run (same extent, next offset - the fio SeqRead shape), the
-// reader keeps up to window read requests in flight AHEAD of the caller,
+// reader keeps up to depth read requests in flight AHEAD of the caller,
 // bounded by the contiguous extent span the caller declares known, so the
 // per-block propagation delay is paid once per window instead of once per
 // block. Fetched-but-unconsumed chunks are retained across ReadAt calls
 // (the cross-call readahead buffer); callers must Invalidate on writes
-// and overwrites for read-your-writes. The window is Config.ReadWindow
-// requests, a constant.
+// and overwrites for read-your-writes. The depth covers the session's
+// least round trip (readDepth), capped at Config.ReadWindow.
 //
 // Replica choice is committed-clamped follower offload: the reader
 // round-robins runs across the partition's followers and falls back
@@ -34,7 +35,7 @@ import (
 // access under its own mutex.
 type ExtentReader struct {
 	d   *DataClient
-	win int // readahead window, requests
+	win int // readahead cap, requests (Config.ReadWindow)
 
 	// Current sequential run.
 	pid     uint64
@@ -66,6 +67,31 @@ type ExtentReader struct {
 	nextCandIdx int
 	nextReqs    []*readReq
 	nextFront   uint64 // prefetch frontier within the next extent
+}
+
+// packetTime is how long one 128 KiB packet takes at the highest rate one
+// read stream should sustain: 50 us is 2.5 GiB/s, above what a stream
+// reaches on TCP loopback. A window deeper than the round trip divided by
+// packetTime cannot raise the rate; it only buffers received chunks,
+// which on loopback pushed the copy-out into cold memory (EXPERIMENTS.md
+// "Readahead depth follows the least round trip").
+const packetTime = 50 * time.Microsecond
+
+// readFloor is the least readahead depth, whatever the round trip: four
+// requests keep the data node's reply queue (readaheadFrames, 4 frames)
+// full, so its store reads overlap its socket writes. On loopback, fixed
+// windows of 4 and 8 both read about 1.35x faster than 32.
+const readFloor = 4
+
+// readDepth is how many requests a sequential run keeps in flight over a
+// session whose least round trip is rtt: enough packets to cover the
+// round trip at packetTime each, at least readFloor, at most win. The
+// least round trip, not a recent one, because every later sample also
+// counts the queue the window itself builds: a depth sized from those
+// would feed its own growth.
+func readDepth(win int, rtt time.Duration) int {
+	n := int((rtt + packetTime - 1) / packetTime)
+	return min(win, max(readFloor, n))
 }
 
 // NewExtentReader returns a streaming reader over the client's pooled
@@ -195,9 +221,10 @@ func (r *ExtentReader) ensureSession() error {
 // the known-contiguous limit.
 func (r *ExtentReader) fill(needEnd uint64) error {
 	packet := uint64(r.d.cfg.PacketSize)
+	depth := readDepth(r.win, r.sess.rtt())
 	target := needEnd
 	if r.seqRun {
-		if ahead := r.consumed + uint64(r.win)*packet; ahead > target {
+		if ahead := r.consumed + uint64(depth)*packet; ahead > target {
 			target = ahead
 		}
 	}
@@ -212,7 +239,7 @@ func (r *ExtentReader) fill(needEnd uint64) error {
 	if !r.seqRun {
 		bound = target
 	}
-	for r.nextOff < target && len(r.reqs) < r.win {
+	for r.nextOff < target && len(r.reqs) < depth {
 		span := util.MinU64(packet, bound-r.nextOff)
 		req, err := r.d.readPool.read(r.sess, r.pid, r.extent, r.nextOff, uint32(span), r.epoch)
 		if err != nil {
@@ -224,15 +251,16 @@ func (r *ExtentReader) fill(needEnd uint64) error {
 	// Current extent fully requested: spend leftover window slots on the
 	// hinted continuation extent.
 	if r.seqRun && r.nextValid && r.nextOff >= r.limit {
-		r.fillNext()
+		r.fillNext(depth)
 	}
 	return nil
 }
 
-// fillNext prefetches the hinted next-extent run into spare window slots.
+// fillNext prefetches the hinted next-extent run into spare window slots,
+// the two runs together keeping at most depth requests in flight.
 // Best-effort by design: any failure just drops the hint and the extent
 // roll re-fetches through the normal (cold) path.
-func (r *ExtentReader) fillNext() {
+func (r *ExtentReader) fillNext(depth int) {
 	if r.nextFront >= r.nextKnown {
 		return
 	}
@@ -243,7 +271,7 @@ func (r *ExtentReader) fillNext() {
 		}
 	}
 	packet := uint64(r.d.cfg.PacketSize)
-	for r.nextFront < r.nextKnown && len(r.reqs)+len(r.nextReqs) < r.win {
+	for r.nextFront < r.nextKnown && len(r.reqs)+len(r.nextReqs) < depth {
 		span := util.MinU64(packet, r.nextKnown-r.nextFront)
 		req, err := r.d.readPool.read(r.nextSess, r.nextEK.PartitionID, r.nextEK.ExtentID,
 			r.nextFront, uint32(span), r.nextEpoch)

@@ -25,7 +25,7 @@ type testFabric interface {
 
 // allocLoopbackAddrs reserves n distinct loopback addresses by binding
 // ephemeral listeners and immediately closing them.
-func allocLoopbackAddrs(t *testing.T, n int) []string {
+func allocLoopbackAddrs(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -71,7 +71,7 @@ func awaitChunksOut(t *testing.T, gets0, puts0, want int64) {
 
 // startReadCluster is startCluster plus the datanode handles, which the
 // read-path tests need to observe replica epochs and served-read counts.
-func startReadCluster(t *testing.T, nw *transport.Memory) []*datanode.DataNode {
+func startReadCluster(t testing.TB, nw *transport.Memory) []*datanode.DataNode {
 	t.Helper()
 	return bootReadCluster(t, nw, "master", func(role string, i int) string {
 		return fmt.Sprintf("%s%d", role, i)
@@ -81,7 +81,7 @@ func startReadCluster(t *testing.T, nw *transport.Memory) []*datanode.DataNode {
 // startReadClusterOn boots the same cluster on the chosen fabric; "tcp"
 // binds real loopback sockets so the regression runs the framed wire
 // path end to end. Returns the fabric and master address to Mount with.
-func startReadClusterOn(t *testing.T, fabric string) (testFabric, string, []*datanode.DataNode) {
+func startReadClusterOn(t testing.TB, fabric string) (testFabric, string, []*datanode.DataNode) {
 	t.Helper()
 	if fabric == "tcp" {
 		addrs := allocLoopbackAddrs(t, 7)
@@ -98,7 +98,7 @@ func startReadClusterOn(t *testing.T, fabric string) (testFabric, string, []*dat
 	return nw, "master", startReadCluster(t, nw)
 }
 
-func bootReadCluster(t *testing.T, nw transport.Network, masterAddr string, name func(role string, i int) string) []*datanode.DataNode {
+func bootReadCluster(t testing.TB, nw transport.Network, masterAddr string, name func(role string, i int) string) []*datanode.DataNode {
 	t.Helper()
 	m, err := master.Start(nw, master.Config{
 		Addr: masterAddr, ReplicaCount: 3, DisableBackground: true,
@@ -139,7 +139,7 @@ func bootReadCluster(t *testing.T, nw transport.Network, masterAddr string, name
 }
 
 // nodeByAddr maps a member address back to its handle (dn0, dn1, ...).
-func nodeByAddr(t *testing.T, dns []*datanode.DataNode, addr string) *datanode.DataNode {
+func nodeByAddr(t testing.TB, dns []*datanode.DataNode, addr string) *datanode.DataNode {
 	t.Helper()
 	for _, dn := range dns {
 		if dn.Addr() == addr {
@@ -153,7 +153,7 @@ func nodeByAddr(t *testing.T, dns []*datanode.DataNode, addr string) *datanode.D
 // writeCommitted streams payload into a fresh extent of dp and waits
 // until EVERY member's learned committed offset covers it, so follower
 // reads below are deterministic (gossip is async).
-func writeCommitted(t *testing.T, c *Client, dns []*datanode.DataNode, dp proto.DataPartitionInfo, payload []byte) proto.ExtentKey {
+func writeCommitted(t testing.TB, c *Client, dns []*datanode.DataNode, dp proto.DataPartitionInfo, payload []byte) proto.ExtentKey {
 	t.Helper()
 	w, err := c.Data.NewExtentWriter(dp)
 	if err != nil {
@@ -391,4 +391,172 @@ func TestReadOrderIgnoresOverwrites(t *testing.T) {
 	if order := d.readOrder(dp, 2); order[0] != "F2" {
 		t.Fatalf("sibling extent read order = %v, want cached replica first", order)
 	}
+}
+
+// TestReadDepthRule: the readahead depth covers the least round trip at
+// packetTime per packet, never drops below readFloor and never exceeds
+// ReadWindow - so a pinned window below the floor stays pinned.
+func TestReadDepthRule(t *testing.T) {
+	for _, c := range []struct {
+		win  int
+		rtt  time.Duration
+		want int
+	}{
+		{32, 0, readFloor},
+		{32, packetTime, readFloor},
+		{32, 10*packetTime + 1, 11},
+		{32, 2 * time.Millisecond, 32},
+		{32, time.Hour, 32},
+		{8, 2 * time.Millisecond, 8},
+		{1, 0, 1},
+		{readFloor - 1, 0, readFloor - 1},
+	} {
+		if got := readDepth(c.win, c.rtt); got != c.want {
+			t.Errorf("readDepth(%d, %v) = %d, want %d", c.win, c.rtt, got, c.want)
+		}
+	}
+}
+
+// readSequentialHalves reads the first n bytes of ek's span in
+// half-packet calls, the way TestReadWindowBoundsRequestsInFlight does:
+// after every call but the first the head request is half consumed, so
+// len(r.reqs) is exactly the number of requests the last fill kept in
+// flight. seen is called after each call from the second on.
+func readSequentialHalves(t *testing.T, r *ExtentReader, ek proto.ExtentKey, n int, seen func(inflight int)) []byte {
+	t.Helper()
+	half := util.DefaultPacketSize / 2
+	buf := make([]byte, n)
+	known := ek.ExtentOffset + uint64(ek.Size)
+	for off := 0; off < n; off += half {
+		if got, err := r.ReadAt(ek, ek.ExtentOffset+uint64(off), buf[off:off+half], known); err != nil || got != half {
+			t.Fatalf("read at %d = %d, %v", off, got, err)
+		}
+		if off > 0 {
+			seen(len(r.reqs) + len(r.nextReqs))
+		}
+	}
+	return buf
+}
+
+// TestReadDepthCoversMemoryRTT: on the Memory fabric at 1 ms one way the
+// round trip is at least 2 ms, so a sequential reader keeps the whole
+// ReadWindow in flight - the depth the window had as a constant.
+func TestReadDepthCoversMemoryRTT(t *testing.T) {
+	assertChunkBalance(t)
+	nw := transport.NewMemory()
+	dns := startReadCluster(t, nw)
+	c, err := Mount(nw, "master", "readvol", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dp, err := c.Data.PickWritable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := c.Data.cfg.ReadWindow
+	payload := bytes.Repeat([]byte("deep-rtt"), (win+2)*util.DefaultPacketSize/8)
+	ek := writeCommitted(t, c, dns, dp, payload)
+	nw.SetLatency(time.Millisecond)
+
+	r := c.Data.NewExtentReader()
+	defer r.Close()
+	most := 0
+	// Stop while the window still fits ahead of the consumer: past that
+	// the known end, not the depth, bounds it.
+	got := readSequentialHalves(t, r, ek, 2*util.DefaultPacketSize, func(n int) { most = max(most, n) })
+	if !bytes.Equal(got, payload[:len(got)]) {
+		t.Fatal("read content mismatch")
+	}
+	if most != win {
+		t.Fatalf("at most %d requests in flight at 1 ms, want ReadWindow %d (least RTT %v)", most, win, r.sess.rtt())
+	}
+}
+
+// TestReadDepthFloorOnLoopback: on TCP loopback the round trip is below
+// packetTime*readFloor, so once the session has timed it a sequential
+// reader keeps no more than readFloor requests in flight, however deep
+// ReadWindow allows. One-off 4 KiB reads time the round trip first, as
+// many as it takes (up to 200) until every follower's session has seen
+// one under packetTime*readFloor: a single cold reply (fresh server
+// goroutines, a busy box, the race detector) can take longer than the
+// wire does.
+func TestReadDepthFloorOnLoopback(t *testing.T) {
+	assertChunkBalance(t)
+	nw, masterAddr, dns := startReadClusterOn(t, "tcp")
+	c, err := Mount(nw, masterAddr, "readvol", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dp, err := c.Data.PickWritable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("loopback"), 16*util.DefaultPacketSize/8)
+	ek := writeCommitted(t, c, dns, dp, payload)
+
+	r := c.Data.NewExtentReader()
+	defer r.Close()
+	// Every probe is a one-off run (the two offsets alternate), and runs
+	// round-robin across the followers, so a streak of one fast session
+	// per follower covers whichever one the sequential run lands on.
+	probe := make([]byte, 4*util.KB)
+	for i, streak := 0, 0; streak < len(dp.Members)-1; i++ {
+		if i == 200 {
+			t.Fatalf("no loopback round trip under %v in %d probes", readFloor*packetTime, i)
+		}
+		at := ek.ExtentOffset + uint64(i%2*util.DefaultPacketSize)
+		if n, err := r.ReadAt(ek, at, probe, at+uint64(len(probe))); err != nil || n != len(probe) {
+			t.Fatalf("probe read at %d = %d, %v", at, n, err)
+		}
+		streak++
+		if r.sess.rtt() > readFloor*packetTime {
+			streak = 0
+		}
+	}
+	most := 0
+	got := readSequentialHalves(t, r, ek, len(payload), func(n int) { most = max(most, n) })
+	if !bytes.Equal(got, payload) {
+		t.Fatal("read content mismatch")
+	}
+	t.Logf("least RTT %v, at most %d requests in flight", r.sess.rtt(), most)
+	if most > readFloor {
+		t.Fatalf("%d requests in flight on loopback, want at most readFloor %d (least RTT %v)", most, readFloor, r.sess.rtt())
+	}
+}
+
+// BenchmarkSequentialReadLoopback reads a 32 MiB extent front to back in
+// 128 KiB calls over a TCP loopback read session, one fresh reader per
+// op. MB/s is the sequential read rate; depth is the mean readahead depth
+// readDepth sets over the calls.
+func BenchmarkSequentialReadLoopback(b *testing.B) {
+	nw, masterAddr, dns := startReadClusterOn(b, "tcp")
+	c, err := Mount(nw, masterAddr, "readvol", Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	dp, err := c.Data.PickWritable()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ek := writeCommitted(b, c, dns, dp, make([]byte, 32*util.MB))
+	known := ek.ExtentOffset + uint64(ek.Size)
+	buf := make([]byte, util.DefaultPacketSize)
+	depths, calls := 0, 0
+	b.SetBytes(int64(ek.Size))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := c.Data.NewExtentReader()
+		for off := ek.ExtentOffset; off < known; off += uint64(len(buf)) {
+			if n, err := r.ReadAt(ek, off, buf, known); err != nil || n != len(buf) {
+				b.Fatalf("read at %d = %d, %v", off, n, err)
+			}
+			depths += readDepth(r.win, r.sess.rtt())
+			calls++
+		}
+		r.Close()
+	}
+	b.ReportMetric(float64(depths)/float64(calls), "depth")
 }

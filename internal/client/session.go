@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cfs/internal/proto"
@@ -49,8 +50,9 @@ type request interface {
 
 // flight is one in-flight frame of a session's FIFO.
 type flight struct {
-	seq uint64
-	req request // nil for session-originated keepalives
+	seq  uint64
+	req  request   // nil for session-originated keepalives
+	sent time.Time // zeroed once the first reply frame is timed
 }
 
 // sessionPin is where and when a session was dialed: the data node, the
@@ -102,6 +104,12 @@ type session struct {
 	lastProgress time.Time
 	lastUsed     time.Time // last USER frame (pings excluded): idle-retire clock
 
+	// leastRTT is the smallest round trip the session has seen, in
+	// nanoseconds: the dial seeds it, and each frame's send-to-first-reply
+	// time lowers it. Written under mu, read lock-free by readers sizing
+	// their window (reader.go).
+	leastRTT atomic.Int64
+
 	stopc    chan struct{}
 	recvDone chan struct{}
 }
@@ -132,7 +140,7 @@ func (s *session) sendLocked(req request, build func(seq uint64) *proto.Packet) 
 	if len(s.inflight) == 0 {
 		s.lastProgress = now // the deadline clock starts at empty->busy
 	}
-	s.inflight = append(s.inflight, flight{seq: s.seq, req: req})
+	s.inflight = append(s.inflight, flight{seq: s.seq, req: req, sent: now})
 	s.lastSend = now
 	if req != nil {
 		s.lastUsed = now // user traffic, not keepalive, defers retirement
@@ -184,6 +192,14 @@ func (s *session) dispatch(f *proto.Packet, now time.Time) error {
 		return nil
 	}
 	s.lastProgress = now
+	if sent := s.inflight[0].sent; !sent.IsZero() {
+		// Only the first reply frame times a round trip; later chunks of a
+		// streamed read measure the server's pacing, not the wire.
+		if d := now.Sub(sent); d < s.rtt() {
+			s.leastRTT.Store(int64(d))
+		}
+		s.inflight[0].sent = time.Time{}
+	}
 	head := s.inflight[0].req
 	done, fatal := true, error(nil)
 	if head != nil {
@@ -286,6 +302,9 @@ func (s *session) fail(err error) {
 	s.unpool()
 }
 
+// rtt returns the least round trip the session has seen.
+func (s *session) rtt() time.Duration { return time.Duration(s.leastRTT.Load()) }
+
 func (s *session) healthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,6 +394,7 @@ func (p *sessionPool[K]) get(key K, pin sessionPin) (*session, error) {
 
 // dial opens a session and starts its reply dispatcher and watchdog.
 func (p *sessionPool[K]) dial(key K, pin sessionPin) (*session, error) {
+	start := time.Now()
 	st, err := p.nw.DialStream(pin.addr, uint8(p.op))
 	if err != nil {
 		return nil, err
@@ -385,6 +405,7 @@ func (p *sessionPool[K]) dial(key K, pin sessionPin) (*session, error) {
 		lastSend: now, lastProgress: now, lastUsed: now,
 		stopc: make(chan struct{}), recvDone: make(chan struct{}),
 	}
+	s.leastRTT.Store(int64(now.Sub(start))) // a dial is one handshake round trip
 	s.unpool = func() {
 		p.mu.Lock()
 		if p.sessions[key] == s {

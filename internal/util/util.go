@@ -33,9 +33,10 @@ const (
 
 	// DefaultWriteWindow is how many packets a streaming writer keeps in
 	// flight before blocking on acks (window x packet = 2 MB of
-	// accepted-but-uncommitted bytes per writer), and DefaultReadWindow how
-	// many read requests a streaming reader keeps ahead of a sequential
-	// consumer (4 MB of prefetch per reader). Both are constants chosen by
+	// accepted-but-uncommitted bytes per writer), and DefaultReadWindow the
+	// most read requests a streaming reader keeps ahead of a sequential
+	// consumer (at most 4 MB of prefetch per reader; fewer when the round
+	// trip is short, see client.readDepth). Both are constants chosen by
 	// measurement: EXPERIMENTS.md "Fixed vs adaptive window (PR 20)".
 	DefaultWriteWindow = 16
 	DefaultReadWindow  = 32
@@ -60,10 +61,11 @@ const (
 // in-process Memory transport one buffer travels the whole path. Losing a
 // Put is always safe - the GC is the backstop - but a buffer must never be
 // Put while any reference to it can still be read.
-var chunkPool = sync.Pool{New: func() any {
-	b := make([]byte, DefaultPacketSize)
-	return &b
-}}
+//
+// The pool holds array pointers, not slices: a pointer fits the
+// interface word as it is, so Put allocates nothing, where putting &b of
+// a slice would move its header to the heap on every call.
+var chunkPool = sync.Pool{New: func() any { return new([DefaultPacketSize]byte) }}
 
 // chunkGets and chunkPuts count pool-class Get/Put pairs. Their
 // difference is the number of pool buffers currently checked out; tests
@@ -85,7 +87,7 @@ func GetChunk(n int) []byte {
 		return make([]byte, n)
 	}
 	chunkGets.Add(1)
-	return (*(chunkPool.Get().(*[]byte)))[:n]
+	return chunkPool.Get().(*[DefaultPacketSize]byte)[:n]
 }
 
 // PutChunk returns a buffer obtained from GetChunk to the pool. Buffers
@@ -96,8 +98,7 @@ func PutChunk(b []byte) {
 		return
 	}
 	chunkPuts.Add(1)
-	b = b[:DefaultPacketSize]
-	chunkPool.Put(&b)
+	chunkPool.Put((*[DefaultPacketSize]byte)(b[:DefaultPacketSize]))
 }
 
 // Error kinds shared across subsystems. Wrap these with %w so callers can

@@ -157,3 +157,20 @@ func TestChunkPoolRoundTrip(t *testing.T) {
 		t.Fatalf("full-size GetChunk len=%d cap=%d", len(c), cap(c))
 	}
 }
+
+// TestChunkPoolGetPutAllocatesNothing: a Get+Put pair of a pool-class
+// buffer allocates nothing once the pool is warm. Under the race detector
+// sync.Pool drops a random share of Puts on purpose, so the count is only
+// meaningful without it.
+func TestChunkPoolGetPutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	PutChunk(GetChunk(DefaultPacketSize)) // warm
+	allocs := testing.AllocsPerRun(100, func() {
+		PutChunk(GetChunk(DefaultPacketSize / 2))
+	})
+	if allocs != 0 {
+		t.Fatalf("GetChunk+PutChunk = %v allocs, want 0", allocs)
+	}
+}
