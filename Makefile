@@ -52,12 +52,13 @@ race-failover:
 		./internal/master/ ./internal/datanode/ ./internal/core/
 
 # Reconfiguration: membership ConfChanges, replacement placement,
-# deposed-leader fencing, read leases and the follower overwrite fence all
-# interleave Raft applies with the master's maintenance scans, which is
-# exactly where a data race would split the "one view" invariant.
+# deposed-leader fencing, read leases, the liveness deadlines and the
+# follower overwrite fence all interleave Raft applies with the master's
+# maintenance scans, which is exactly where a data race would split the
+# "one view" invariant.
 race-reconfig:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ConfChange|RemovedNode|MetaLeaderFailover|Replacement|DeposedMeta|ReadLease|OverwriteFence|OverwriteVersionGossip|HealsOverwrite|OverwriteLostLeadership|MembershipLifecycle' \
+		-run 'ConfChange|RemovedNode|MetaLeaderFailover|Replacement|DeposedMeta|ReadLease|Liveness|OverwriteFence|OverwriteVersionGossip|HealsOverwrite|OverwriteLostLeadership|MembershipLifecycle' \
 		./internal/raft/ ./internal/master/ ./internal/datanode/
 
 # Read path and the client session engine: a hung read session, a window

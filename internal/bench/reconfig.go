@@ -10,10 +10,11 @@ package bench
 // the headline number), and the single-view invariant re-converging
 // (Members, ReplicaEpoch and the Raft configuration agreeing everywhere).
 //
-// The master runs with DisableBackground and the harness pumps heartbeats
-// and maintenance scans itself, so the timeline is deterministic up to the
+// The cluster runs on a manual clock that the harness's pump sets to wall
+// time before it sends heartbeats and runs a maintenance scan, so no
+// background loop runs and the timeline is deterministic up to the
 // NodeTimeout (150ms) and the replacement grace (2x NodeTimeout) - the
-// measured numbers are dominated by those two knobs plus the actual
+// measured numbers are dominated by those two plus the actual
 // detach/place/refill work, which is what the table is after.
 
 import (
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"cfs/internal/client"
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/master"
 	"cfs/internal/meta"
@@ -135,10 +137,11 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 	}
 	defer os.RemoveAll(dir)
 
+	clk := clock.NewManual(time.Now())
 	m, err := master.Start(nw, master.Config{
-		Addr:              masterAddr,
-		DisableBackground: true,
-		NodeTimeout:       reconfigNodeTimeout,
+		Addr:        masterAddr,
+		NodeTimeout: reconfigNodeTimeout,
+		Clock:       clk,
 	})
 	if err != nil {
 		return point, err
@@ -164,9 +167,8 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 	}()
 	for _, a := range metaAddrs {
 		mn, merr := meta.Start(nw, meta.Config{
-			Addr: a, MasterAddr: m.Addr(),
-			DisableHeartbeat: true,
-			Total:            32 * util.GB,
+			Addr: a, MasterAddr: m.Addr(), Clock: clk,
+			Total: 32 * util.GB,
 		})
 		if merr != nil {
 			return point, merr
@@ -176,7 +178,7 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 	for i, a := range dataAddrs {
 		dn, derr := datanode.Start(nw, datanode.Config{
 			Addr: a, MasterAddr: m.Addr(), Dir: filepath.Join(dir, fmt.Sprintf("d%d", i)),
-			DisableHeartbeat: true,
+			Clock: clk,
 		})
 		if derr != nil {
 			return point, derr
@@ -192,6 +194,7 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 	}
 
 	pump := func() {
+		clk.Advance(time.Since(clk.Now()))
 		for _, mn := range metas {
 			if mn != nil {
 				mn.SendHeartbeat()

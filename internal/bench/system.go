@@ -15,6 +15,7 @@ import (
 
 	"cfs/internal/cephsim"
 	"cfs/internal/client"
+	"cfs/internal/clock"
 	"cfs/internal/core"
 	"cfs/internal/datanode"
 	"cfs/internal/master"
@@ -233,10 +234,13 @@ func SetupCFS(opts CFSOptions) (*CFSFactory, error) {
 	}
 	f.masterAddr = masterAddr
 	nw := f.nw
+	// A manual clock that never moves: no heartbeat or maintenance loop
+	// runs, so a measurement sees only the work it drives.
+	clk := clock.NewManual(time.Now())
 	m, err := master.Start(nw, master.Config{
-		Addr:              masterAddr,
-		ReplicaCount:      util.Min(3, opts.MetaNodes),
-		DisableBackground: true,
+		Addr:         masterAddr,
+		ReplicaCount: util.Min(3, opts.MetaNodes),
+		Clock:        clk,
 	})
 	if err != nil {
 		f.Close()
@@ -249,9 +253,9 @@ func SetupCFS(opts CFSOptions) (*CFSFactory, error) {
 	}
 	for i := 0; i < opts.MetaNodes; i++ {
 		mn, err := meta.Start(nw, meta.Config{
-			Addr:             metaAddr(i),
-			MasterAddr:       masterAddr,
-			DisableHeartbeat: true,
+			Addr:       metaAddr(i),
+			MasterAddr: masterAddr,
+			Clock:      clk,
 		})
 		if err != nil {
 			f.Close()
@@ -261,11 +265,11 @@ func SetupCFS(opts CFSOptions) (*CFSFactory, error) {
 	}
 	for i := 0; i < opts.DataNodes; i++ {
 		dn, err := datanode.Start(nw, datanode.Config{
-			Addr:             dataAddr(i),
-			MasterAddr:       masterAddr,
-			Dir:              fmt.Sprintf("%s/dn%d", dir, i),
-			DisableHeartbeat: true,
-			ExtentSize:       opts.ExtentSize,
+			Addr:       dataAddr(i),
+			MasterAddr: masterAddr,
+			Dir:        fmt.Sprintf("%s/dn%d", dir, i),
+			Clock:      clk,
+			ExtentSize: opts.ExtentSize,
 		})
 		if err != nil {
 			f.Close()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/master"
 	"cfs/internal/meta"
@@ -17,8 +18,9 @@ import (
 
 func startCluster(t *testing.T, nw transport.Network) {
 	t.Helper()
+	clk := clock.NewManual(time.Now())
 	m, err := master.Start(nw, master.Config{
-		Addr: "master", ReplicaCount: 3, DisableBackground: true,
+		Addr: "master", ReplicaCount: 3, Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,7 +32,7 @@ func startCluster(t *testing.T, nw transport.Network) {
 	for i := 0; i < 3; i++ {
 		mn, err := meta.Start(nw, meta.Config{
 			Addr: fmt.Sprintf("mn%d", i), MasterAddr: "master",
-			DisableHeartbeat: true,
+			Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -38,7 +40,7 @@ func startCluster(t *testing.T, nw transport.Network) {
 		t.Cleanup(mn.Close)
 		dn, err := datanode.Start(nw, datanode.Config{
 			Addr: fmt.Sprintf("dn%d", i), MasterAddr: "master",
-			Dir: t.TempDir(), DisableHeartbeat: true,
+			Dir: t.TempDir(), Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -241,10 +243,11 @@ func TestEndToEndOverTCP(t *testing.T) {
 	if !m.WaitLeader(5 * time.Second) {
 		t.Fatal("no master leader over TCP")
 	}
+	clk := clock.NewManual(time.Now())
 	for i := 0; i < 3; i++ {
 		mn, err := meta.Start(nw, meta.Config{
 			Addr:       addrs[1+i],
-			MasterAddr: masterAddr, DisableHeartbeat: true,
+			MasterAddr: masterAddr, Clock: clk,
 		})
 		if err != nil {
 			t.Skipf("cannot bind meta node: %v", err)
@@ -252,7 +255,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 		defer mn.Close()
 		dn, err := datanode.Start(nw, datanode.Config{
 			Addr:       addrs[4+i],
-			MasterAddr: masterAddr, Dir: t.TempDir(), DisableHeartbeat: true,
+			MasterAddr: masterAddr, Dir: t.TempDir(), Clock: clk,
 		})
 		if err != nil {
 			t.Skipf("cannot bind data node: %v", err)

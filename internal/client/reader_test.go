@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/master"
 	"cfs/internal/meta"
@@ -100,8 +101,9 @@ func startReadClusterOn(t testing.TB, fabric string) (testFabric, string, []*dat
 
 func bootReadCluster(t testing.TB, nw transport.Network, masterAddr string, name func(role string, i int) string) []*datanode.DataNode {
 	t.Helper()
+	clk := clock.NewManual(time.Now())
 	m, err := master.Start(nw, master.Config{
-		Addr: masterAddr, ReplicaCount: 3, DisableBackground: true,
+		Addr: masterAddr, ReplicaCount: 3, Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +115,7 @@ func bootReadCluster(t testing.TB, nw transport.Network, masterAddr string, name
 	var dns []*datanode.DataNode
 	for i := 0; i < 3; i++ {
 		mn, err := meta.Start(nw, meta.Config{
-			Addr: name("mn", i), MasterAddr: masterAddr, DisableHeartbeat: true,
+			Addr: name("mn", i), MasterAddr: masterAddr, Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -121,7 +123,7 @@ func bootReadCluster(t testing.TB, nw transport.Network, masterAddr string, name
 		t.Cleanup(mn.Close)
 		dn, err := datanode.Start(nw, datanode.Config{
 			Addr: name("dn", i), MasterAddr: masterAddr,
-			Dir: t.TempDir(), DisableHeartbeat: true,
+			Dir: t.TempDir(), Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
@@ -188,9 +190,10 @@ func startStandInCluster(t *testing.T, nw *transport.Memory) (addrs, dirs []stri
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	clk := clock.NewManual(time.Now())
 	for i := 0; i < 3; i++ {
 		addr, dir := fmt.Sprintf("dn%d", i), t.TempDir()
-		dn, err := datanode.Start(nw, datanode.Config{Addr: addr, MasterAddr: "master", Dir: dir, DisableHeartbeat: true})
+		dn, err := datanode.Start(nw, datanode.Config{Addr: addr, MasterAddr: "master", Dir: dir, Clock: clk})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cfs/internal/client"
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/master"
 	"cfs/internal/meta"
@@ -59,10 +60,11 @@ func startEnvOn(t *testing.T, fabric string, opts MountOptions) *testEnv {
 		e.nw = transport.NewMemory()
 		e.net = e.nw
 	}
+	clk := clock.NewManual(time.Now())
 	m, err := master.Start(e.net, master.Config{
-		Addr:              e.masterAddr,
-		ReplicaCount:      3,
-		DisableBackground: true,
+		Addr:         e.masterAddr,
+		ReplicaCount: 3,
+		Clock:        clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +77,7 @@ func startEnvOn(t *testing.T, fabric string, opts MountOptions) *testEnv {
 	for i := 0; i < 3; i++ {
 		mn, err := meta.Start(endpoint(metaAddr(i)), meta.Config{
 			Addr: metaAddr(i), MasterAddr: e.masterAddr,
-			DisableHeartbeat: true,
+			Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +88,7 @@ func startEnvOn(t *testing.T, fabric string, opts MountOptions) *testEnv {
 	for i := 0; i < 3; i++ {
 		dn, err := datanode.Start(e.net, datanode.Config{
 			Addr: dataAddr(i), MasterAddr: e.masterAddr,
-			Dir: t.TempDir(), DisableHeartbeat: true,
+			Dir: t.TempDir(), Clock: clk,
 			ExtentSize: 4 * util.MB,
 		})
 		if err != nil {
@@ -674,8 +676,9 @@ func TestExtentRollAcrossPartitions(t *testing.T) {
 	// With tiny extents, a large write must roll across extents (and
 	// possibly partitions) transparently.
 	nw := transport.NewMemory()
+	clk := clock.NewManual(time.Now())
 	m, err := master.Start(nw, master.Config{
-		Addr: "master", ReplicaCount: 3, DisableBackground: true,
+		Addr: "master", ReplicaCount: 3, Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -685,7 +688,7 @@ func TestExtentRollAcrossPartitions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		mn, err := meta.Start(nw, meta.Config{
 			Addr: fmt.Sprintf("mn%d", i), MasterAddr: "master",
-			DisableHeartbeat: true,
+			Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -695,7 +698,7 @@ func TestExtentRollAcrossPartitions(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		dn, err := datanode.Start(nw, datanode.Config{
 			Addr: fmt.Sprintf("dn%d", i), MasterAddr: "master",
-			Dir: t.TempDir(), DisableHeartbeat: true,
+			Dir: t.TempDir(), Clock: clk,
 			ExtentSize: 256 * util.KB, // force rolling
 		})
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
 	"cfs/internal/storage"
@@ -31,16 +32,15 @@ type Config struct {
 	// Total is the advertised disk capacity in bytes (Section 2.3.1
 	// placement input). Zero means 1 TB.
 	Total uint64
-	// HeartbeatInterval is the period of master heartbeats. Zero means 1s.
-	HeartbeatInterval time.Duration
 	// ExtentSize caps each extent (tests use small ones). Zero means
 	// storage.DefaultExtentSize.
 	ExtentSize uint64
 	// Raft tunes the partition Raft groups.
 	Raft raftstore.Config
-	// DisableHeartbeat turns off the background heartbeat loop (tests
-	// drive heartbeats manually).
-	DisableHeartbeat bool
+	// Clock runs the heartbeat loop and stamps and checks the read lease.
+	// Nil means clock.Real; on a clock.Manual no heartbeat loop runs and
+	// the caller drives SendHeartbeat.
+	Clock clock.Clock
 
 	// AckDeadline bounds how long a replication session waits for a
 	// follower's ack before declaring the replica hung and aborting the
@@ -53,11 +53,10 @@ type Config struct {
 	// SessionIdleTimeout closes a replication session whose client has
 	// sent nothing (not even a keepalive) for this long. Zero means 2m.
 	SessionIdleTimeout time.Duration
-	// DisableRecovery skips the recovery pass on partitions reopened at
-	// start (tests that stage a restart mid-scenario drive Recover
-	// explicitly).
-	DisableRecovery bool
 }
+
+// heartbeatInterval is the period of master heartbeats.
+const heartbeatInterval = time.Second
 
 // DataNode hosts data partitions.
 type DataNode struct {
@@ -68,6 +67,7 @@ type DataNode struct {
 	extentSize  uint64
 	nw          transport.Network
 	raft        *raftstore.Store
+	clock       clock.Clock
 	ackDeadline time.Duration
 	keepalive   time.Duration
 	idleTimeout time.Duration
@@ -81,7 +81,7 @@ type DataNode struct {
 	// lease of ReadLeaseMillis; a node that misses renewals long enough for
 	// the lease to lapse stops serving reads entirely, so a deposed leader
 	// partitioned from the master cannot serve stale bytes to clients still
-	// holding its address. leaseUntil is the deadline (unixnano);
+	// holding its address. leaseUntil is the deadline (unixnano on clock);
 	// leaseGranted latches once a lease was EVER granted - nodes running
 	// without a master (unit tests, tools) never fence.
 	leaseUntil   atomic.Int64
@@ -109,9 +109,6 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 	if cfg.Total == 0 {
 		cfg.Total = util.GB * 1024
 	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = time.Second
-	}
 	if cfg.AckDeadline == 0 {
 		cfg.AckDeadline = 10 * time.Second
 	}
@@ -131,6 +128,7 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 		total:       cfg.Total,
 		extentSize:  cfg.ExtentSize,
 		nw:          nw,
+		clock:       clock.OrReal(cfg.Clock),
 		ackDeadline: cfg.AckDeadline,
 		keepalive:   cfg.KeepaliveInterval,
 		idleTimeout: cfg.SessionIdleTimeout,
@@ -157,7 +155,7 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 	// bytes work without waiting for the master (ROADMAP
 	// "committed-offset durability": a restarted node used to expose
 	// nothing it stores).
-	if err := d.reopenPartitions(!cfg.DisableRecovery); err != nil {
+	if err := d.reopenPartitions(); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -166,10 +164,11 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 			d.Close()
 			return nil, err
 		}
-		if !cfg.DisableHeartbeat {
-			d.wg.Add(1)
-			go d.heartbeatLoop(cfg.HeartbeatInterval)
-		}
+		d.wg.Add(1)
+		go func() {
+			defer d.wg.Done()
+			d.clock.Every(heartbeatInterval, d.stopc, d.SendHeartbeat)
+		}()
 	}
 	return d, nil
 }
@@ -214,7 +213,7 @@ func (d *DataNode) Close() {
 // timeouts - the persisted watermarks already serve everything that was
 // committed before the restart, so nothing depends on the pass finishing
 // first. Its errors are swallowed for the same reason.
-func (d *DataNode) reopenPartitions(recover bool) error {
+func (d *DataNode) reopenPartitions() error {
 	reqs, promoting, err := scanPartitionDirs(d.dir)
 	if err != nil {
 		return err
@@ -232,7 +231,7 @@ func (d *DataNode) reopenPartitions(recover bool) error {
 			}
 		}
 	}
-	if !recover || len(reqs) == 0 {
+	if len(reqs) == 0 {
 		return nil
 	}
 	d.wg.Add(1)
@@ -336,22 +335,11 @@ func (d *DataNode) register() error {
 		&proto.RegisterNodeReq{Addr: d.addr, IsMeta: false, Total: d.total}, &resp)
 }
 
-func (d *DataNode) heartbeatLoop(interval time.Duration) {
-	defer d.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stopc:
-			return
-		case <-t.C:
-			d.SendHeartbeat()
-		}
-	}
-}
-
 // SendHeartbeat reports utilization and per-partition status to the master
-// (exported so tests and the bench harness can force synchronization).
+// (exported so tests and the bench harness can force synchronization). A
+// granted read lease runs from the moment the heartbeat was SENT: the
+// master stamps the beat when it receives it, so a lease counted from the
+// reply would outlive the master's view by one reply transit.
 func (d *DataNode) SendHeartbeat() {
 	d.mu.RLock()
 	reports := make([]proto.PartitionReport, 0, len(d.partitions))
@@ -370,6 +358,7 @@ func (d *DataNode) SendHeartbeat() {
 	}
 	d.mu.RUnlock()
 	var resp proto.HeartbeatResp
+	start := d.clock.Now()
 	err := d.nw.Call(d.masterAddr, uint8(proto.OpMasterHeartbeat), &proto.HeartbeatReq{
 		Addr:       d.addr,
 		IsMeta:     false,
@@ -378,7 +367,7 @@ func (d *DataNode) SendHeartbeat() {
 		Partitions: reports,
 	}, &resp)
 	if err == nil && resp.ReadLeaseMillis > 0 {
-		d.leaseUntil.Store(time.Now().Add(time.Duration(resp.ReadLeaseMillis) * time.Millisecond).UnixNano())
+		d.leaseUntil.Store(start.Add(time.Duration(resp.ReadLeaseMillis) * time.Millisecond).UnixNano())
 		d.leaseGranted.Store(true)
 	}
 }
@@ -390,7 +379,7 @@ func (d *DataNode) readLeaseValid() bool {
 	if !d.leaseGranted.Load() {
 		return true
 	}
-	return time.Now().UnixNano() < d.leaseUntil.Load()
+	return d.clock.Now().UnixNano() < d.leaseUntil.Load()
 }
 
 // CreatePartition hosts a new partition on this node (invoked by the

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/datanode/dntest"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
@@ -205,13 +206,14 @@ func startClusterOn(t *testing.T, n int, fabric string, mod func(i int, cfg *Con
 	}
 	tc := &testCluster{nw: nw}
 	tc.fm = startFakeMaster(t, nw, addrAt(-1))
+	clk := clock.NewManual(time.Now())
 	for i := 0; i < n; i++ {
 		addr := addrAt(i)
 		cfg := Config{
-			Addr:             addr,
-			MasterAddr:       addrAt(-1),
-			Dir:              t.TempDir(),
-			DisableHeartbeat: true,
+			Addr:       addr,
+			MasterAddr: addrAt(-1),
+			Dir:        t.TempDir(),
+			Clock:      clk,
 		}
 		if mod != nil {
 			mod(i, &cfg)
@@ -655,7 +657,7 @@ func TestPartitionFullGoesReadOnly(t *testing.T) {
 	startFakeMaster(t, nw, "master")
 	dn, err := Start(nw, Config{
 		Addr: "solo", MasterAddr: "master", Dir: t.TempDir(),
-		DisableHeartbeat: true,
+		Clock: clock.NewManual(time.Now()),
 	})
 	if err != nil {
 		t.Fatal(err)

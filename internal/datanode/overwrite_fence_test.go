@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
 )
@@ -173,10 +174,11 @@ func TestOverwriteLostLeadershipIsRetriable(t *testing.T) {
 	mem := transport.NewMemory()
 	tc := &testCluster{nw: mem}
 	tc.fm = startFakeMaster(t, mem, "master")
+	clk := clock.NewManual(time.Now())
 	for i := 0; i < 3; i++ {
 		addr := fmt.Sprintf("dn%d", i)
 		dn, err := Start(mem.Endpoint(addr), Config{
-			Addr: addr, MasterAddr: "master", Dir: t.TempDir(), DisableHeartbeat: true,
+			Addr: addr, MasterAddr: "master", Dir: t.TempDir(), Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,9 +2,13 @@ package datanode
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
+	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/proto"
+	"cfs/internal/transport"
 )
 
 // readReplies sends the same read - extent range plus client epoch - to
@@ -142,5 +146,51 @@ func TestShortMarkDeletePacketRefused(t *testing.T) {
 				t.Fatalf("read after the malformed request = %q rc=%d (the extent must be untouched)", data, rr.ResultCode)
 			}
 		})
+	}
+}
+
+// TestReadLeaseStartsAtSend: the master stamps a heartbeat when it
+// receives it, and declares the node dead NodeTimeout after that stamp.
+// The read lease the reply grants must therefore run from when the beat
+// was SENT; counted from the reply's arrival it outlived the master's view
+// by one reply transit, and a node the master may already have declared
+// dead kept serving reads. The stub master below takes a transit's worth
+// of the node's clock before it answers.
+func TestReadLeaseStartsAtSend(t *testing.T) {
+	const lease, transit = 10 * time.Second, 300 * time.Millisecond
+	nw := transport.NewMemory()
+	clk := clock.NewManual(time.Now())
+	ln, err := nw.Listen("master", func(op uint8, _ any) (any, error) {
+		switch proto.Op(op) {
+		case proto.OpMasterRegisterNode:
+			return &proto.RegisterNodeResp{}, nil
+		case proto.OpMasterHeartbeat:
+			clk.Advance(transit)
+			return &proto.HeartbeatResp{ReadLeaseMillis: lease.Milliseconds()}, nil
+		}
+		return nil, fmt.Errorf("stub master: op %d", op)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dn, err := Start(nw, Config{Addr: "solo", MasterAddr: "master", Dir: t.TempDir(), Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dn.Close)
+	tc := &testCluster{nw: nw, nodes: []*DataNode{dn}, addrs: []string{"solo"}}
+	tc.createPartition(t, 1)
+	eid := tc.createExtent(t, 1)
+	tc.append(t, 1, eid, []byte("leased"))
+
+	dn.SendHeartbeat()
+	clk.Advance(lease - transit - time.Nanosecond)
+	if _, resp := tc.read(t, "solo", 1, eid, 0, 6); resp.ResultCode != proto.ResultOK {
+		t.Fatalf("read 1ns before send+lease: rc=%d, want OK", resp.ResultCode)
+	}
+	clk.Advance(time.Nanosecond)
+	if _, resp := tc.read(t, "solo", 1, eid, 0, 6); resp.ResultCode != proto.ResultErrLeaseExpired {
+		t.Fatalf("read at send+lease: rc=%d, want ResultErrLeaseExpired", resp.ResultCode)
 	}
 }

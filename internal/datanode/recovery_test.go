@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/datanode/dntest"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
@@ -23,10 +24,11 @@ func TestDataNodeRestartServesCommitted(t *testing.T) {
 	nw := transport.NewMemory()
 	startFakeMaster(t, nw, "master")
 	dir := t.TempDir()
+	clk := clock.NewManual(time.Now())
 	boot := func() *DataNode {
 		dn, err := Start(nw, Config{
 			Addr: "solo", MasterAddr: "master", Dir: dir,
-			DisableHeartbeat: true,
+			Clock: clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +89,7 @@ func TestLeaderRestartRecoversReplicas(t *testing.T) {
 	tc.nodes[0].Close()
 	dn, err := Start(tc.nw, Config{
 		Addr: tc.addrs[0], MasterAddr: "master", Dir: dirs[0],
-		DisableHeartbeat: true,
+		Clock: clock.NewManual(time.Now()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ import (
 //     stale-epoch frames, so the old leader can never again assemble an
 //     all-replica ack - a stale-view client cannot commit bytes through it.
 //   - A detached replica that heartbeats again is re-attached, one that
-//     stays away past ReplacementGrace is replaced on a fresh node, and an
+//     stays away past 2*NodeTimeout is replaced on a fresh node, and an
 //     unavailable partition whose members all returned is revived.
 //
 // The lifecycle is ONE code path over replicaSet (state.go) for both kinds.
@@ -36,6 +36,11 @@ import (
 // (cmdReconfigurePartition) before any node or client observes them;
 // the epoch check in apply makes racing triggers (a failure report and the
 // liveness scan noticing the same corpse) collapse to one winner.
+//
+// Every policy time here - heartbeat stamps, detach marks, degraded-since
+// marks and the scans that compare them - reads m.clock. The retry pauses
+// of taskRecover and pushUpdate pace calls to nodes, not policy, so they
+// stay on wall time.
 
 // checkNodeLiveness declares nodes whose heartbeats stopped for NodeTimeout
 // dead and reconfigures their partitions around them. ALREADY-inactive
@@ -47,7 +52,7 @@ func (m *Master) checkNodeLiveness() {
 	if !m.node.IsLeader() {
 		return
 	}
-	now := time.Now()
+	now := m.clock.Now()
 	type deadNode struct {
 		addr       string
 		deactivate bool // still marked Active; propose the flag flip
@@ -163,7 +168,7 @@ func (m *Master) detach(rs replicaSet, addr string) {
 	if m.soft.detachedAt[rs.id] == nil {
 		m.soft.detachedAt[rs.id] = make(map[string]time.Time)
 	}
-	m.soft.detachedAt[rs.id][addr] = time.Now()
+	m.soft.detachedAt[rs.id][addr] = m.clock.Now()
 	m.mu.Unlock()
 	m.pushUpdate(next)
 }
@@ -177,7 +182,7 @@ func (m *Master) detach(rs replicaSet, addr string) {
 // committed byte would stay unwritable forever.
 //
 // Every decision here is hysteresis-gated: a returning node must hold
-// ReattachHysteresis consecutive on-time heartbeats before it rejoins
+// reattachHysteresis consecutive on-time heartbeats before it rejoins
 // anything, so a flapping node produces one detach instead of an epoch-
 // burning attach/detach cycle.
 func (m *Master) checkReattach() {
@@ -189,7 +194,7 @@ func (m *Master) checkReattach() {
 		addr string // empty = revive
 	}
 	var tasks []task
-	now := time.Now()
+	now := m.clock.Now()
 	m.mu.Lock()
 	down := func(addr string) bool { return !m.healthyLocked(addr, now) }
 	for _, rs := range m.state.replicaSets() {
@@ -220,12 +225,12 @@ func (m *Master) checkReattach() {
 }
 
 // healthyLocked reports whether a node is currently heartbeating on time
-// AND has held an unbroken on-time streak of at least ReattachHysteresis
+// AND has held an unbroken on-time streak of at least reattachHysteresis
 // beats. Caller holds m.mu.
 func (m *Master) healthyLocked(addr string, now time.Time) bool {
 	hb, ok := m.soft.lastHeartbeat[addr]
 	return ok && now.Sub(hb) <= m.cfg.NodeTimeout &&
-		m.soft.healthyStreak[addr] >= m.cfg.ReattachHysteresis
+		m.soft.healthyStreak[addr] >= reattachHysteresis
 }
 
 // revive flips an unavailable partition whose members all heartbeat again
@@ -269,7 +274,7 @@ func (m *Master) reattach(rs replicaSet, addr string) {
 
 // checkReplacement enforces the redundancy promise (DESIGN.md Section 5.5):
 // no read-write partition stays below its replica target past
-// ReplacementGrace while a healthy spare exists. Once waiting for the
+// 2*NodeTimeout while a healthy spare exists. Once waiting for the
 // detached node stops being a plan, the master places a FRESH replica on a
 // healthy node outside the partition's present and former membership and
 // re-expands Members under a bumped epoch; the update push creates the
@@ -285,7 +290,7 @@ func (m *Master) checkReplacement() {
 		fresh string
 	}
 	var tasks []task
-	now := time.Now()
+	now := m.clock.Now()
 	m.mu.Lock()
 	for _, rs := range m.state.replicaSets() {
 		if rs.status != proto.PartitionReadWrite || len(rs.members) == 0 ||
@@ -298,7 +303,7 @@ func (m *Master) checkReplacement() {
 			m.soft.degradedSince[rs.id] = now
 			continue
 		}
-		if now.Sub(since) < m.cfg.ReplacementGrace {
+		if now.Sub(since) < 2*m.cfg.NodeTimeout {
 			continue
 		}
 		// A detached member about to re-attach makes replacement moot;
@@ -348,7 +353,7 @@ func (m *Master) replace(rs replicaSet, fresh string) {
 // this hook, realignment waited for the leader's own next pass). Detached
 // replicas are NOT re-attached here: re-attachment is the maintenance
 // scan's call, gated on the returning node first proving itself with
-// ReattachHysteresis on-time heartbeats.
+// reattachHysteresis on-time heartbeats.
 func (m *Master) onNodeReturned(addr string) {
 	var follows []replicaSet
 	m.mu.Lock()

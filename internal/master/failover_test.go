@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cfs/internal/client"
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/datanode/dntest"
 	"cfs/internal/meta"
@@ -18,12 +19,14 @@ import (
 	"cfs/internal/util"
 )
 
-// failEnv is a restartable cluster for failover scenarios: one master with
-// a short node timeout, one meta node, and data nodes whose directories
-// survive kills so nodes can come back as themselves (or as zombies).
+// failEnv is a restartable cluster for failover scenarios: one master, one
+// meta node, and data nodes whose directories survive kills so nodes can
+// come back as themselves (or as zombies). All of them run on one manual
+// clock that only the test moves.
 type failEnv struct {
 	t     *testing.T
 	nw    *transport.Memory
+	clk   *clock.Manual
 	m     *Master
 	meta  *meta.MetaNode
 	datas []*datanode.DataNode // nil slot = currently down
@@ -31,14 +34,15 @@ type failEnv struct {
 	dirs  []string
 }
 
+// beat is the period at which meta and data nodes heartbeat on a real
+// clock. A pump lets one pass.
+const beat = time.Second
+
 func newFailEnv(t *testing.T, dataN int) *failEnv {
 	t.Helper()
 	nw := transport.NewMemory()
-	m, err := Start(nw, Config{
-		Addr:              "master0",
-		DisableBackground: true,
-		NodeTimeout:       150 * time.Millisecond,
-	})
+	clk := clock.NewManual(time.Now())
+	m, err := Start(nw, Config{Addr: "master0", Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +50,9 @@ func newFailEnv(t *testing.T, dataN int) *failEnv {
 	if !m.WaitLeader(5 * time.Second) {
 		t.Fatal("master never elected a leader")
 	}
-	e := &failEnv{t: t, nw: nw, m: m}
+	e := &failEnv{t: t, nw: nw, clk: clk, m: m}
 	mn, err := meta.Start(nw, meta.Config{
-		Addr: "mn0", MasterAddr: "master0", DisableHeartbeat: true,
+		Addr: "mn0", MasterAddr: "master0", Clock: clk,
 		Total: 32 * util.GB,
 	})
 	if err != nil {
@@ -75,7 +79,7 @@ func (e *failEnv) bootData(i int) *datanode.DataNode {
 	e.t.Helper()
 	dn, err := datanode.Start(e.nw, datanode.Config{
 		Addr: e.addrs[i], MasterAddr: "master0", Dir: e.dirs[i],
-		DisableHeartbeat: true,
+		Clock: e.clk,
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -86,10 +90,13 @@ func (e *failEnv) bootData(i int) *datanode.DataNode {
 
 // kill simulates a data-node crash: the process goes away and its address
 // stops answering (Partition cuts the streams a plain Close leaves open).
+// Then exactly NodeTimeout passes while the live nodes beat, so the next
+// pump's scan declares the node dead.
 func (e *failEnv) kill(i int) {
 	e.nw.Partition(e.addrs[i])
 	e.datas[i].Close()
 	e.datas[i] = nil
+	e.pass(e.m.cfg.NodeTimeout)
 }
 
 // restart brings a killed node back on its old directory.
@@ -127,13 +134,29 @@ func (e *failEnv) dataPartition() proto.DataPartitionInfo {
 	return v.DataPartitions[0]
 }
 
-// driveUntil pumps live heartbeats + maintenance scans until cond holds.
+// pass moves the clock d forward one heartbeat period at a time, every
+// live node beating (and so renewing its read lease) after each period.
+func (e *failEnv) pass(d time.Duration) {
+	for ; d > 0; d -= beat {
+		e.clk.Advance(min(d, beat))
+		e.heartbeatLive()
+	}
+}
+
+// pump lets one heartbeat period pass and runs a maintenance scan.
+func (e *failEnv) pump() {
+	e.pass(beat)
+	e.m.CheckOnce()
+}
+
+// driveUntil pumps until cond holds. The deadline and the pause between
+// pumps are wall time: they wait on the Raft and recovery work the
+// reconfigurations start.
 func (e *failEnv) driveUntil(what string, cond func() bool) {
 	e.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		e.heartbeatLive()
-		e.m.CheckOnce()
+		e.pump()
 		if cond() {
 			return
 		}
@@ -405,7 +428,6 @@ func TestStaleEpochFenced(t *testing.T) {
 	e.nw.Heal(e.addrs[killIdx])
 	zombie, err := datanode.Start(e.nw, datanode.Config{
 		Addr: e.addrs[killIdx], Dir: e.dirs[killIdx],
-		DisableHeartbeat: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -625,8 +647,7 @@ func TestReattachRecreatesWipedReplica(t *testing.T) {
 			}
 			return
 		}
-		e.heartbeatLive()
-		e.m.CheckOnce()
+		e.pump()
 		if time.Now().After(deadline) {
 			t.Fatalf("wiped replica never refilled: rc=%d %s", resp.ResultCode, resp.Data)
 		}

@@ -110,8 +110,7 @@ func (e *lcEnv) put(name string) {
 		if time.Now().After(deadline) {
 			e.t.Fatalf("put %q never succeeded: %v", name, err)
 		}
-		e.heartbeatLive()
-		e.m.CheckOnce()
+		e.pump()
 		_ = c.Refresh()
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -214,7 +213,7 @@ func lcDetach(t *testing.T, fabric string, isMeta bool) {
 	}
 }
 
-// lcReattach: the returning node rejoins only after ReattachHysteresis
+// lcReattach: the returning node rejoins only after reattachHysteresis
 // on-time heartbeats, at the END of the member order, and catches up.
 func lcReattach(t *testing.T, fabric string, isMeta bool) {
 	e := newLcEnv(t, fabric, isMeta, 3)
@@ -224,11 +223,10 @@ func lcReattach(t *testing.T, fabric string, isMeta bool) {
 
 	e.restart(victim, false)
 	// Two on-time beats are a streak of 2: below the gate (3), no re-attach.
-	for beat := 1; beat <= 2; beat++ {
-		e.heartbeatLive()
-		e.m.CheckOnce()
+	for n := 1; n <= 2; n++ {
+		e.pump()
 		if cur := e.rec(); slices.Contains(cur.members, victim) {
-			t.Fatalf("re-attached after %d heartbeats, under the hysteresis gate: %v", beat, cur.members)
+			t.Fatalf("re-attached after %d heartbeats, under the hysteresis gate: %v", n, cur.members)
 		}
 	}
 	e.driveUntil("re-attach", func() bool {
@@ -256,7 +254,7 @@ func lcWipedReattach(t *testing.T, fabric string, isMeta bool) {
 }
 
 // lcReplacement is the redundancy promise: a replica that stays dead past
-// ReplacementGrace is replaced on a fresh node outside the partition's past
+// 2*NodeTimeout is replaced on a fresh node outside the partition's past
 // and present membership (3 -> 2 -> 3 members), the newcomer is filled from
 // empty, and after the original members are all gone - each replaced in
 // turn while a spare exists - what was written before the first kill is

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/kvstore"
 	"cfs/internal/multiraft"
 	"cfs/internal/proto"
@@ -58,33 +59,34 @@ type Config struct {
 	// around it (promoting a live follower when a data leader died). It
 	// doubles as the read-lease term granted on every heartbeat reply: a
 	// deposed leader cut off from the master stops serving reads once the
-	// lease runs out, before a successor can be promoted. Zero means 10s.
+	// lease runs out, before a successor can be promoted. A partition left
+	// below its replica target for 2*NodeTimeout gets a replacement
+	// replica on a fresh node. Zero means 10s.
 	NodeTimeout time.Duration
-	// ReattachHysteresis is how many CONSECUTIVE on-time heartbeats a
+	// Raft tunes the manager's own consensus group.
+	Raft raftstore.Config
+	// Clock supplies every liveness, detach, re-attach and replacement
+	// time and runs the maintenance scan. Nil means clock.Real; on a
+	// clock.Manual no scan runs and the caller drives CheckOnce.
+	Clock clock.Clock
+}
+
+const (
+	// checkInterval is the maintenance scan period (CheckOnce).
+	checkInterval = 500 * time.Millisecond
+	// reattachHysteresis is how many CONSECUTIVE on-time heartbeats a
 	// returning node must show before the master re-attaches its detached
 	// replicas or lets it host a replacement replica. A flapping node
 	// (alternating silence and bursts) therefore cannot thrash membership:
-	// every silence resets the streak. Zero means 3.
-	ReattachHysteresis int
-	// ReplacementGrace is how long a partition may run below its replica
-	// target before the master gives up on the detached node returning and
-	// places a fresh replacement replica on a new node (filled from zero by
-	// the partition's leader). Zero means 2*NodeTimeout.
-	ReplacementGrace time.Duration
-	// CheckInterval is the background scan period for splitting and
-	// capacity expansion. Zero means 500ms.
-	CheckInterval time.Duration
-	// Raft tunes the manager's own consensus group.
-	Raft raftstore.Config
-	// DisableBackground turns off the split/expansion scanner (tests
-	// invoke CheckOnce directly).
-	DisableBackground bool
-}
+	// every silence resets the streak.
+	reattachHysteresis = 3
+)
 
 // Master is one resource-manager replica.
 type Master struct {
-	cfg Config
-	nw  transport.Network
+	cfg   Config
+	nw    transport.Network
+	clock clock.Clock
 
 	raftStore *raftstore.Store
 	node      *multiraft.Group
@@ -129,18 +131,10 @@ func Start(nw transport.Network, cfg Config) (*Master, error) {
 	if cfg.NodeTimeout == 0 {
 		cfg.NodeTimeout = 10 * time.Second
 	}
-	if cfg.ReattachHysteresis == 0 {
-		cfg.ReattachHysteresis = 3
-	}
-	if cfg.ReplacementGrace == 0 {
-		cfg.ReplacementGrace = 2 * cfg.NodeTimeout
-	}
-	if cfg.CheckInterval == 0 {
-		cfg.CheckInterval = 500 * time.Millisecond
-	}
 	m := &Master{
 		cfg:   cfg,
 		nw:    nw,
+		clock: clock.OrReal(cfg.Clock),
 		state: newClusterState(),
 		soft:  newSoftState(),
 		stopc: make(chan struct{}),
@@ -175,10 +169,15 @@ func Start(nw transport.Network, cfg Config) (*Master, error) {
 		return nil, err
 	}
 	m.ln = ln
-	if !cfg.DisableBackground {
-		m.wg.Add(1)
-		go m.backgroundLoop()
-	}
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		m.clock.Every(checkInterval, m.stopc, func() {
+			if m.node.IsLeader() {
+				m.CheckOnce()
+			}
+		})
+	}()
 	return m, nil
 }
 
@@ -196,7 +195,8 @@ func (m *Master) Addr() string { return m.cfg.Addr }
 func (m *Master) IsLeader() bool { return m.node.IsLeader() }
 
 // WaitLeader blocks until some replica (possibly another process) is known
-// leader locally, or the timeout passes. Returns true on success.
+// leader locally, or the timeout passes. Returns true on success. It
+// paces a wait on Raft, which runs on wall time, so it does too.
 func (m *Master) WaitLeader(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -347,7 +347,7 @@ func (m *Master) handleRegister(req *proto.RegisterNodeReq) (*proto.RegisterNode
 	m.mu.Lock()
 	// A registration counts as liveness; without this a node that
 	// registers but has not heartbeated yet would look timed-out.
-	m.soft.lastHeartbeat[req.Addr] = time.Now()
+	m.soft.lastHeartbeat[req.Addr] = m.clock.Now()
 	m.mu.Unlock()
 	if returning && !req.IsMeta {
 		// Re-registration = the node restarted. React now instead of
@@ -365,7 +365,7 @@ func (m *Master) handleHeartbeat(req *proto.HeartbeatReq) (*proto.HeartbeatResp,
 	var lagging []uint64
 	m.mu.Lock()
 	m.soft.used[req.Addr] = req.Used
-	now := time.Now()
+	now := m.clock.Now()
 	// A gap longer than the death timeout restarts the healthy streak;
 	// re-attach and replacement placement wait for it to rebuild
 	// (hysteresis), so a flapping node cannot thrash membership changes.
@@ -476,7 +476,9 @@ func (m *Master) callMetaLeader(mp proto.MetaPartitionInfo, op uint8, req, resp 
 	// Partitions provisioned moments ago may still be electing; under
 	// load a fresh raft group can take the better part of a second, so
 	// give the sweep a wide window. An established leader answers the
-	// first probe, so the patience costs nothing on the steady path.
+	// first probe, so the patience costs nothing on the steady path. The
+	// pause waits out an election, which runs on wall time, so it is a
+	// wall-clock sleep, not the master's clock.
 	for attempt := 0; attempt < 50; attempt++ {
 		for _, addr := range mp.Members {
 			err := m.nw.Call(addr, op, req, resp)
@@ -697,23 +699,7 @@ func (m *Master) handleClusterStats() (*proto.ClusterStatsResp, error) {
 // Background maintenance: Algorithm 1 splitting + capacity expansion
 // (Section 2.3.1 "when the resource manager finds that all the partitions
 // in a volume is about to be full, it automatically adds a set of new
-// partitions").
-
-func (m *Master) backgroundLoop() {
-	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.CheckInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopc:
-			return
-		case <-t.C:
-			if m.node.IsLeader() {
-				m.CheckOnce()
-			}
-		}
-	}
-}
+// partitions"). Start runs CheckOnce every checkInterval on the clock.
 
 // CheckOnce runs one maintenance scan (exported for tests and the bench
 // harness). It splits meta partitions whose inode count crossed the limit,

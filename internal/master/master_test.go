@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
@@ -15,10 +16,11 @@ import (
 )
 
 // env is a full in-process control plane: one master, meta nodes, data
-// nodes.
+// nodes, all on one manual clock.
 type env struct {
 	t      *testing.T
 	nw     *transport.Memory
+	clk    *clock.Manual
 	master *Master
 	metas  []*meta.MetaNode
 	datas  []*datanode.DataNode
@@ -27,8 +29,9 @@ type env struct {
 func newEnv(t *testing.T, metaN, dataN int, cfg Config) *env {
 	t.Helper()
 	nw := transport.NewMemory()
+	clk := clock.NewManual(time.Now())
 	cfg.Addr = "master0"
-	cfg.DisableBackground = true
+	cfg.Clock = clk
 	m, err := Start(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +40,13 @@ func newEnv(t *testing.T, metaN, dataN int, cfg Config) *env {
 	if !m.WaitLeader(5 * time.Second) {
 		t.Fatal("master never elected a leader")
 	}
-	e := &env{t: t, nw: nw, master: m}
+	e := &env{t: t, nw: nw, clk: clk, master: m}
 	for i := 0; i < metaN; i++ {
 		mn, err := meta.Start(nw, meta.Config{
-			Addr:             fmt.Sprintf("mn%d", i),
-			MasterAddr:       "master0",
-			DisableHeartbeat: true,
-			Total:            32 * util.GB,
+			Addr:       fmt.Sprintf("mn%d", i),
+			MasterAddr: "master0",
+			Clock:      clk,
+			Total:      32 * util.GB,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -53,11 +56,11 @@ func newEnv(t *testing.T, metaN, dataN int, cfg Config) *env {
 	}
 	for i := 0; i < dataN; i++ {
 		dn, err := datanode.Start(nw, datanode.Config{
-			Addr:             fmt.Sprintf("dn%d", i),
-			MasterAddr:       "master0",
-			Dir:              t.TempDir(),
-			DisableHeartbeat: true,
-			Total:            util.GB,
+			Addr:       fmt.Sprintf("dn%d", i),
+			MasterAddr: "master0",
+			Dir:        t.TempDir(),
+			Clock:      clk,
+			Total:      util.GB,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +215,7 @@ func TestCapacityExpansionWithoutRebalancing(t *testing.T) {
 	for i := 3; i < 6; i++ {
 		mn, err := meta.Start(e.nw, meta.Config{
 			Addr: fmt.Sprintf("mn%d", i), MasterAddr: "master0",
-			DisableHeartbeat: true, Total: 32 * util.GB,
+			Clock: e.clk, Total: 32 * util.GB,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -470,7 +473,8 @@ func TestClusterStats(t *testing.T) {
 func TestMasterPersistenceAcrossRestart(t *testing.T) {
 	nw := transport.NewMemory()
 	dir := t.TempDir()
-	m, err := Start(nw, Config{Addr: "m-persist", Dir: dir, DisableBackground: true})
+	clk := clock.NewManual(time.Now())
+	m, err := Start(nw, Config{Addr: "m-persist", Dir: dir, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +492,7 @@ func TestMasterPersistenceAcrossRestart(t *testing.T) {
 	}
 	m.Close()
 
-	m2, err := Start(nw, Config{Addr: "m-persist2", Dir: dir, DisableBackground: true})
+	m2, err := Start(nw, Config{Addr: "m-persist2", Dir: dir, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cfs/internal/client"
+	"cfs/internal/clock"
 	"cfs/internal/datanode"
 	"cfs/internal/meta"
 	"cfs/internal/proto"
@@ -29,12 +30,14 @@ type rcNet interface {
 	Heal(addr string)
 }
 
-// rcEnv is a restartable multi-meta-node, multi-data-node cluster with a
-// short-timeout master, parameterized over the transport fabric.
+// rcEnv is a restartable multi-meta-node, multi-data-node cluster,
+// parameterized over the transport fabric. The master and every node run
+// on one manual clock that only the test moves.
 type rcEnv struct {
 	t         *testing.T
 	fabric    string
 	nw        rcNet
+	clk       *clock.Manual
 	m         *Master
 	metas     []*meta.MetaNode // nil slot = currently down
 	datas     []*datanode.DataNode
@@ -62,7 +65,7 @@ func rcLoopbackAddrs(t *testing.T, n int) []string {
 
 func newRcEnv(t *testing.T, fabric string, metaN, dataN int) *rcEnv {
 	t.Helper()
-	e := &rcEnv{t: t, fabric: fabric}
+	e := &rcEnv{t: t, fabric: fabric, clk: clock.NewManual(time.Now())}
 	var masterAddr string
 	if fabric == "tcp" {
 		addrs := rcLoopbackAddrs(t, 1+metaN+dataN)
@@ -80,11 +83,7 @@ func newRcEnv(t *testing.T, fabric string, metaN, dataN int) *rcEnv {
 			e.dataAddrs = append(e.dataAddrs, fmt.Sprintf("dn%d", i))
 		}
 	}
-	m, err := Start(e.nw, Config{
-		Addr:              masterAddr,
-		DisableBackground: true,
-		NodeTimeout:       150 * time.Millisecond,
-	})
+	m, err := Start(e.nw, Config{Addr: masterAddr, Clock: e.clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +113,8 @@ func (e *rcEnv) bootMeta(i int) *meta.MetaNode {
 	e.t.Helper()
 	mn, err := meta.Start(e.nw, meta.Config{
 		Addr: e.metaAddrs[i], MasterAddr: e.m.Addr(), Dir: e.metaDirs[i],
-		DisableHeartbeat: true,
-		Total:            32 * util.GB,
+		Clock: e.clk,
+		Total: 32 * util.GB,
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -128,7 +127,7 @@ func (e *rcEnv) bootData(i int) *datanode.DataNode {
 	e.t.Helper()
 	dn, err := datanode.Start(e.nw, datanode.Config{
 		Addr: e.dataAddrs[i], MasterAddr: e.m.Addr(), Dir: e.dataDirs[i],
-		DisableHeartbeat: true,
+		Clock: e.clk,
 	})
 	if err != nil {
 		e.t.Fatal(err)
@@ -146,12 +145,15 @@ func (e *rcEnv) cut(addr string) {
 	}
 }
 
+// killMeta and killData crash a node, then let exactly NodeTimeout pass
+// while the live nodes beat, so the next pump's scan declares it dead.
 func (e *rcEnv) killMeta(addr string) int {
 	e.t.Helper()
 	i := rcIndexOf(e.metaAddrs, addr)
 	e.cut(addr)
 	e.metas[i].Close()
 	e.metas[i] = nil
+	e.pass(e.m.cfg.NodeTimeout)
 	return i
 }
 
@@ -161,6 +163,7 @@ func (e *rcEnv) killData(addr string) int {
 	e.cut(addr)
 	e.datas[i].Close()
 	e.datas[i] = nil
+	e.pass(e.m.cfg.NodeTimeout)
 	return i
 }
 
@@ -185,13 +188,29 @@ func (e *rcEnv) heartbeatLive() {
 	}
 }
 
-// driveUntil pumps live heartbeats + maintenance scans until cond holds.
+// pass moves the clock d forward one heartbeat period at a time, every
+// live node beating (and so renewing its read lease) after each period.
+func (e *rcEnv) pass(d time.Duration) {
+	for ; d > 0; d -= beat {
+		e.clk.Advance(min(d, beat))
+		e.heartbeatLive()
+	}
+}
+
+// pump lets one heartbeat period pass and runs a maintenance scan.
+func (e *rcEnv) pump() {
+	e.pass(beat)
+	e.m.CheckOnce()
+}
+
+// driveUntil pumps until cond holds. The deadline and the pause between
+// pumps are wall time: they wait on the Raft and recovery work the
+// reconfigurations start.
 func (e *rcEnv) driveUntil(what string, cond func() bool) {
 	e.t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		e.heartbeatLive()
-		e.m.CheckOnce()
+		e.pump()
 		if cond() {
 			return
 		}
@@ -324,8 +343,7 @@ func (e *rcEnv) createUntil(c *client.Client, name string) {
 		if time.Now().After(deadline) {
 			e.t.Fatalf("create %q never succeeded: %v", name, err)
 		}
-		e.heartbeatLive()
-		e.m.CheckOnce()
+		e.pump()
 		time.Sleep(20 * time.Millisecond)
 	}
 }
@@ -533,10 +551,7 @@ func testDeposedMetaLeader(t *testing.T, fabric string) {
 	// still says {itself-first, B, C} at epoch 1, so it campaigns on boot
 	// and keeps campaigning on election timeouts.
 	e.nw.Heal(oldLeader)
-	zombie, err := meta.Start(e.nw, meta.Config{
-		Addr: oldLeader, Dir: e.metaDirs[idx],
-		DisableHeartbeat: true,
-	})
+	zombie, err := meta.Start(e.nw, meta.Config{Addr: oldLeader, Dir: e.metaDirs[idx]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,8 +576,7 @@ func testDeposedMetaLeader(t *testing.T, fabric string) {
 		if rcMemberOf(cur.Members, oldLeader) {
 			t.Fatalf("master re-attached the unregistered zombie: %v", cur.Members)
 		}
-		e.heartbeatLive()
-		e.m.CheckOnce()
+		e.pump()
 		time.Sleep(20 * time.Millisecond)
 	}
 
@@ -609,18 +623,12 @@ func testReadLeaseFencing(t *testing.T, fabric string) {
 		t.Fatalf("leased read rc=%d data=%q", resp.ResultCode, data)
 	}
 
-	// Silence (no heartbeats, no maintenance scans - the master is NOT
-	// declaring anyone dead here) lapses the lease and reads fence.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, _ = e.readExtent(replica, ek.PartitionID, ek.ExtentID, ek.ExtentOffset, ek.Size)
-		if resp.ResultCode == proto.ResultErrLeaseExpired {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("reads never fenced after the lease lapsed: rc=%d", resp.ResultCode)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// One NodeTimeout of silence (no heartbeats, no maintenance scans -
+	// the master is NOT declaring anyone dead here) lapses the lease and
+	// reads fence.
+	e.clk.Advance(e.m.cfg.NodeTimeout)
+	if resp, _ = e.readExtent(replica, ek.PartitionID, ek.ExtentID, ek.ExtentOffset, ek.Size); resp.ResultCode != proto.ResultErrLeaseExpired {
+		t.Fatalf("read after the lease lapsed: rc=%d, want ResultErrLeaseExpired", resp.ResultCode)
 	}
 
 	// The next heartbeat renews the lease and reads resume.
@@ -628,5 +636,77 @@ func testReadLeaseFencing(t *testing.T, fabric string) {
 	resp, data = e.readExtent(replica, ek.PartitionID, ek.ExtentID, ek.ExtentOffset, ek.Size)
 	if resp.ResultCode != proto.ResultOK || !bytes.Equal(data, payload) {
 		t.Fatalf("renewed-lease read rc=%d data=%q", resp.ResultCode, data)
+	}
+}
+
+// TestLivenessBoundaries pins the deadlines derived from NodeTimeout to the
+// nanosecond on the cluster's one manual clock: a heartbeat-granted read
+// lease serves 1ns before it lapses and refuses at the lapse; a silent
+// node is still live at exactly NodeTimeout and is detached 1ns later; and
+// the partition it leaves degraded is not replaced before 2*NodeTimeout
+// and is replaced at it.
+func TestLivenessBoundaries(t *testing.T) {
+	e := newRcEnv(t, "memory", 1, 4) // replica target 3, one spare
+	nt := e.m.cfg.NodeTimeout
+	c, err := client.Mount(e.nw, e.m.Addr(), "vol", client.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("bounded")
+	ek, err := c.Data.WriteSmallFile(0, payload)
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := e.dataPartition()
+	read := func() uint8 {
+		resp, _ := e.readExtent(dp.Members[0], ek.PartitionID, ek.ExtentID, ek.ExtentOffset, ek.Size)
+		return resp.ResultCode
+	}
+
+	e.heartbeatLive()
+	e.clk.Advance(nt - time.Nanosecond)
+	if rc := read(); rc != proto.ResultOK {
+		t.Fatalf("read 1ns before the lease lapses: rc=%d, want OK", rc)
+	}
+	e.clk.Advance(time.Nanosecond)
+	if rc := read(); rc != proto.ResultErrLeaseExpired {
+		t.Fatalf("read at the lapse: rc=%d, want ResultErrLeaseExpired", rc)
+	}
+
+	// Every node earns a healthy streak, so the spare may host a
+	// replacement; then a follower goes silent for exactly NodeTimeout.
+	for i := 0; i < reattachHysteresis; i++ {
+		e.pump()
+	}
+	victim := dp.Members[2]
+	e.killData(victim)
+	member := func(addr string) bool { return rcMemberOf(e.dataPartition().Members, addr) }
+	e.m.CheckOnce()
+	if !member(victim) {
+		t.Fatal("a node silent for exactly NodeTimeout was detached")
+	}
+	e.clk.Advance(time.Nanosecond)
+	e.m.CheckOnce()
+	if member(victim) {
+		t.Fatal("a node silent for NodeTimeout+1ns was not detached")
+	}
+
+	// The detaching scan marked the partition degraded.
+	var spare string
+	for _, a := range e.dataAddrs {
+		if !rcMemberOf(dp.Members, a) {
+			spare = a
+		}
+	}
+	e.pass(2*nt - time.Nanosecond)
+	e.m.CheckOnce()
+	if member(spare) {
+		t.Fatal("replaced 1ns before 2*NodeTimeout")
+	}
+	e.clk.Advance(time.Nanosecond)
+	e.m.CheckOnce()
+	if !member(spare) {
+		t.Fatalf("not replaced at 2*NodeTimeout: members %v", e.dataPartition().Members)
 	}
 }

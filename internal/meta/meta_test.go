@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
 	"cfs/internal/util"
@@ -42,12 +43,13 @@ func startMetaCluster(t *testing.T, n int) *metaCluster {
 	nw := transport.NewMemory()
 	startFakeMaster(t, nw, "master")
 	mc := &metaCluster{nw: nw}
+	clk := clock.NewManual(time.Now())
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("mn%d", i)
 		mn, err := Start(nw, Config{
-			Addr:             addr,
-			MasterAddr:       "master",
-			DisableHeartbeat: true,
+			Addr:       addr,
+			MasterAddr: "master",
+			Clock:      clk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -506,8 +508,9 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	nw := transport.NewMemory()
 	startFakeMaster(t, nw, "master")
 	dir := t.TempDir()
+	clk := clock.NewManual(time.Now())
 	mn, err := Start(nw, Config{
-		Addr: "mn-persist", MasterAddr: "master", Dir: dir, DisableHeartbeat: true,
+		Addr: "mn-persist", MasterAddr: "master", Dir: dir, Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +530,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	mn.Close() // persists snapshots
 
 	mn2, err := Start(nw, Config{
-		Addr: "mn-persist2", MasterAddr: "master", Dir: dir, DisableHeartbeat: true,
+		Addr: "mn-persist2", MasterAddr: "master", Dir: dir, Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)

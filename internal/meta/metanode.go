@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"cfs/internal/clock"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
 	"cfs/internal/transport"
@@ -29,15 +30,20 @@ type Config struct {
 	Dir string
 	// Total is the advertised memory capacity in bytes. Zero means 32 GB.
 	Total uint64
-	// HeartbeatInterval for master heartbeats. Zero means 1s.
-	HeartbeatInterval time.Duration
-	// SnapshotInterval for persisting partitions to disk. Zero means 10s.
-	SnapshotInterval time.Duration
 	// Raft tunes partition Raft groups.
 	Raft raftstore.Config
-	// DisableHeartbeat turns off background loops (tests drive manually).
-	DisableHeartbeat bool
+	// Clock runs the heartbeat and snapshot loops. Nil means clock.Real;
+	// on a clock.Manual neither runs and the caller drives SendHeartbeat
+	// and PersistSnapshots.
+	Clock clock.Clock
 }
+
+const (
+	// heartbeatInterval is the period of master heartbeats.
+	heartbeatInterval = time.Second
+	// snapshotInterval is the period of partition snapshots to Dir.
+	snapshotInterval = 10 * time.Second
+)
 
 // MetaNode hosts meta partitions.
 type MetaNode struct {
@@ -65,12 +71,6 @@ func Start(nw transport.Network, cfg Config) (*MetaNode, error) {
 	}
 	if cfg.Total == 0 {
 		cfg.Total = 32 * util.GB
-	}
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = time.Second
-	}
-	if cfg.SnapshotInterval == 0 {
-		cfg.SnapshotInterval = 10 * time.Second
 	}
 	m := &MetaNode{
 		addr:       cfg.Addr,
@@ -103,13 +103,10 @@ func Start(nw transport.Network, cfg Config) (*MetaNode, error) {
 			m.Close()
 			return nil, err
 		}
-		if !cfg.DisableHeartbeat {
-			m.wg.Add(1)
-			go m.heartbeatLoop(cfg.HeartbeatInterval)
-			if cfg.Dir != "" {
-				m.wg.Add(1)
-				go m.snapshotLoop(cfg.SnapshotInterval)
-			}
+		clk := clock.OrReal(cfg.Clock)
+		m.every(clk, heartbeatInterval, m.SendHeartbeat)
+		if cfg.Dir != "" {
+			m.every(clk, snapshotInterval, m.PersistSnapshots)
 		}
 	}
 	return m, nil
@@ -248,18 +245,13 @@ func (m *MetaNode) register() error {
 		&proto.RegisterNodeReq{Addr: m.addr, IsMeta: true, Total: m.total}, &resp)
 }
 
-func (m *MetaNode) heartbeatLoop(interval time.Duration) {
-	defer m.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopc:
-			return
-		case <-t.C:
-			m.SendHeartbeat()
-		}
-	}
+// every runs fn every d on clk until Close.
+func (m *MetaNode) every(clk clock.Clock, d time.Duration, fn func()) {
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		clk.Every(d, m.stopc, fn)
+	}()
 }
 
 // SendHeartbeat reports utilization, per-partition counts and maxInodeID to
@@ -296,20 +288,6 @@ func (m *MetaNode) SendHeartbeat() {
 // ---------------------------------------------------------------------------
 // Disk persistence (Section 2.1.3): partitions snapshot to files; restart
 // reloads them. Raft then reconciles replicas that diverged while down.
-
-func (m *MetaNode) snapshotLoop(interval time.Duration) {
-	defer m.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopc:
-			return
-		case <-t.C:
-			m.PersistSnapshots()
-		}
-	}
-}
 
 // PersistSnapshots writes every partition's snapshot to disk atomically.
 func (m *MetaNode) PersistSnapshots() {
