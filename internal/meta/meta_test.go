@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,7 +16,7 @@ import (
 	"cfs/internal/util"
 )
 
-func startFakeMaster(t *testing.T, nw *transport.Memory, addr string) {
+func startFakeMaster(t testing.TB, nw transport.Network, addr string) {
 	t.Helper()
 	ln, err := nw.Listen(addr, func(op uint8, req any) (any, error) {
 		switch proto.Op(op) {
@@ -33,22 +34,47 @@ func startFakeMaster(t *testing.T, nw *transport.Memory, addr string) {
 }
 
 type metaCluster struct {
-	nw    *transport.Memory
+	nw    transport.Network
 	nodes []*MetaNode
 	addrs []string
 }
 
-func startMetaCluster(t *testing.T, n int) *metaCluster {
+func startMetaCluster(t testing.TB, n int) *metaCluster {
+	return startMetaClusterOn(t, "mem", n)
+}
+
+// startMetaClusterOn starts n meta nodes and a fake master on fabric "mem"
+// (the Memory network) or "tcp" (loopback, ports reserved by bind-and-close).
+func startMetaClusterOn(t testing.TB, fabric string, n int) *metaCluster {
 	t.Helper()
-	nw := transport.NewMemory()
-	startFakeMaster(t, nw, "master")
-	mc := &metaCluster{nw: nw}
+	addrs := make([]string, n+1)
+	mc := &metaCluster{}
+	switch fabric {
+	case "mem":
+		mc.nw = transport.NewMemory()
+		addrs[0] = "master"
+		for i := 1; i <= n; i++ {
+			addrs[i] = fmt.Sprintf("mn%d", i-1)
+		}
+	case "tcp":
+		mc.nw = transport.NewTCP()
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = ln.Addr().String()
+			ln.Close()
+		}
+	default:
+		t.Fatalf("unknown fabric %q", fabric)
+	}
+	startFakeMaster(t, mc.nw, addrs[0])
 	clk := clock.NewManual(time.Now())
-	for i := 0; i < n; i++ {
-		addr := fmt.Sprintf("mn%d", i)
-		mn, err := Start(nw, Config{
+	for _, addr := range addrs[1:] {
+		mn, err := Start(mc.nw, Config{
 			Addr:       addr,
-			MasterAddr: "master",
+			MasterAddr: addrs[0],
 			Clock:      clk,
 		})
 		if err != nil {
@@ -63,7 +89,7 @@ func startMetaCluster(t *testing.T, n int) *metaCluster {
 
 // createPartition provisions partition pid covering [start, end] on all
 // nodes and waits for a leader.
-func (mc *metaCluster) createPartition(t *testing.T, pid, start, end uint64) string {
+func (mc *metaCluster) createPartition(t testing.TB, pid, start, end uint64) string {
 	t.Helper()
 	req := &proto.CreateMetaPartitionReq{
 		PartitionID: pid, Volume: "vol", Start: start, End: end, Members: mc.addrs,
@@ -77,7 +103,7 @@ func (mc *metaCluster) createPartition(t *testing.T, pid, start, end uint64) str
 	return mc.waitLeader(t, pid)
 }
 
-func (mc *metaCluster) waitLeader(t *testing.T, pid uint64) string {
+func (mc *metaCluster) waitLeader(t testing.TB, pid uint64) string {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -92,7 +118,7 @@ func (mc *metaCluster) waitLeader(t *testing.T, pid uint64) string {
 	return ""
 }
 
-func (mc *metaCluster) createInode(t *testing.T, leader string, pid uint64, typ uint32) *proto.Inode {
+func (mc *metaCluster) createInode(t testing.TB, leader string, pid uint64, typ uint32) *proto.Inode {
 	t.Helper()
 	var resp proto.CreateInodeResp
 	err := mc.nw.Call(leader, uint8(proto.OpMetaCreateInode),
@@ -384,6 +410,44 @@ func TestWritesRejectedOnFollower(t *testing.T) {
 			t.Fatalf("follower accepted write: %v", err)
 		}
 		return
+	}
+}
+
+// Reads are served by the leader too: every follower refuses each read op
+// with ErrNotLeader, and the leader answers each one.
+func TestReadsRejectedOnFollowers(t *testing.T) {
+	mc := startMetaCluster(t, 3)
+	leader := mc.createPartition(t, 1, 1, 1000)
+	dir := mc.createInode(t, leader, 1, proto.TypeDir)
+	file := mc.createInode(t, leader, 1, proto.TypeFile)
+	var cd proto.CreateDentryResp
+	if err := mc.nw.Call(leader, uint8(proto.OpMetaCreateDentry), &proto.CreateDentryReq{
+		PartitionID: 1, ParentID: dir.Inode, Name: "hello", Inode: file.Inode, Type: proto.TypeFile,
+	}, &cd); err != nil {
+		t.Fatal(err)
+	}
+	reads := []struct {
+		op   proto.Op
+		req  any
+		resp any
+	}{
+		{proto.OpMetaLookup, &proto.LookupReq{PartitionID: 1, ParentID: dir.Inode, Name: "hello"}, &proto.LookupResp{}},
+		{proto.OpMetaInodeGet, &proto.InodeGetReq{PartitionID: 1, Inode: file.Inode}, &proto.InodeGetResp{}},
+		{proto.OpMetaBatchInodeGet, &proto.BatchInodeGetReq{PartitionID: 1, Inodes: []uint64{dir.Inode, file.Inode}},
+			&proto.BatchInodeGetResp{}},
+		{proto.OpMetaReadDir, &proto.ReadDirReq{PartitionID: 1, ParentID: dir.Inode}, &proto.ReadDirResp{}},
+		{proto.OpMetaSnapshot, &proto.MetaSnapshotReq{PartitionID: 1}, &proto.MetaSnapshotResp{}},
+	}
+	for _, addr := range mc.addrs {
+		for _, r := range reads {
+			err := mc.nw.Call(addr, uint8(r.op), r.req, r.resp)
+			if addr == leader && err != nil {
+				t.Fatalf("leader %s refused %v: %v", addr, r.op, err)
+			}
+			if addr != leader && !errors.Is(err, util.ErrNotLeader) {
+				t.Fatalf("follower %s answered %v with %v, want ErrNotLeader", addr, r.op, err)
+			}
+		}
 	}
 }
 

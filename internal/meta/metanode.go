@@ -386,8 +386,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 	if p == nil {
 		return nil, fmt.Errorf("meta: partition %d: %w", pid, util.ErrNotFound)
 	}
-	// Writes must go through the group leader; reads are served by the
-	// leader to keep the sequential-consistency contract.
+	// Writes must go through the group leader, and reads are served by it
+	// too, admitted on its local view of leadership: no lease and no
+	// ReadIndex, so a deposed leader that has not yet heard the new term
+	// still answers reads (the paper's relaxed semantics, §2.6).
 	if g := p.raftGroup(); g != nil && !g.IsLeader() {
 		return nil, fmt.Errorf("meta: partition %d on %s: %w", pid, m.addr, util.ErrNotLeader)
 	}

@@ -245,7 +245,8 @@ func (g *Group) ID() uint64 { return g.id }
 // machine's apply result (leader only).
 func (g *Group) Propose(data []byte) (any, error) { return g.node.Propose(data) }
 
-// IsLeader reports whether this node currently leads the group.
+// IsLeader reports whether this node currently leads the group: one atomic
+// load, never a round trip through the group's event loop.
 func (g *Group) IsLeader() bool { return g.node.IsLeader() }
 
 // Status returns a snapshot of the group member's Raft state.

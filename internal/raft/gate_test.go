@@ -369,3 +369,63 @@ func TestAnswerFromRemovedMemberIsIgnored(t *testing.T) {
 		t.Fatalf("answers from the removed f2 moved the leader to %v at term %d", st.Role, st.Term)
 	}
 }
+
+// IsLeader reads what the event loop published at its last role change: a
+// new leader's no-op appends are out before the test looks, and a higher
+// term, the node's own committed removal or Stop clears it. A reader polls
+// it throughout, so the race suite sees handlers' loads interleave with
+// the loop's stores.
+func TestGateLeadershipPublishedAtEachRoleChange(t *testing.T) {
+	leader := func() *gateLeader {
+		h := newGateLeader(t, newKVSM(), 0)
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.n.IsLeader()
+				}
+			}
+		}()
+		t.Cleanup(func() { close(stop); <-done })
+		if !h.n.IsLeader() {
+			t.Fatal("IsLeader false after the new leader's no-op appends left")
+		}
+		return h
+	}
+
+	h := leader()
+	if allocs := testing.AllocsPerRun(100, func() { h.n.IsLeader() }); allocs != 0 {
+		t.Fatalf("IsLeader allocates %.1f times per call, want 0", allocs)
+	}
+	h.n.Stop()
+	if h.n.IsLeader() {
+		t.Fatal("IsLeader true after Stop")
+	}
+
+	h = leader()
+	h.step(&Message{Type: MsgApp, From: "f1", Term: 2})
+	h.settle()
+	if h.n.IsLeader() {
+		t.Fatal("IsLeader true after a term-2 append from f1 was handled")
+	}
+
+	h = leader()
+	h.ack(h.noop["f1"])
+	done := make(chan error, 1)
+	go func() { done <- h.n.ProposeConfChange(ConfChange{Type: ConfRemoveNode, Addr: "l"}) }()
+	app := h.next()
+	for app.To != "f1" || app.Type != MsgApp {
+		app = h.next()
+	}
+	h.ack(app)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if h.n.IsLeader() {
+		t.Fatal("IsLeader true after the node's own removal committed")
+	}
+}

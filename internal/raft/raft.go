@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cfs/internal/util"
@@ -327,6 +328,10 @@ type Node struct {
 	cfg  Config
 	rand *util.Rand
 
+	// leading mirrors role == Leader for readers outside the event loop;
+	// setRole is its only writer while the loop runs.
+	leading atomic.Bool
+
 	// Event-loop state (owned by run goroutine).
 	role Role
 	term uint64
@@ -455,8 +460,13 @@ func (n *Node) Status() Status {
 	}
 }
 
-// IsLeader reports whether the node currently believes it is leader.
-func (n *Node) IsLeader() bool { return n.Status().Role == Leader }
+// IsLeader reports whether the node currently believes it is leader. It is
+// one atomic load of what the event loop published at its last role change:
+// a point-in-time view, as a Status snapshot is, that may be stale by the
+// time the caller acts on it (propose re-checks inside the loop). A
+// deposed leader cut off from the group keeps answering true until it
+// hears the higher term. A stopped node is not leader.
+func (n *Node) IsLeader() bool { return n.leading.Load() }
 
 // Propose replicates data and waits until it is committed and applied,
 // returning the state machine's result. It fails fast with ErrNotLeader on
@@ -514,6 +524,7 @@ func (n *Node) run() {
 	for {
 		select {
 		case <-n.stopc:
+			n.leading.Store(false)
 			n.failAllPending(ErrStopped)
 			return
 		case <-tickc:
@@ -530,6 +541,13 @@ func (n *Node) run() {
 			n.startElection()
 		}
 	}
+}
+
+// setRole is the one place the role changes, so IsLeader can never miss a
+// transition.
+func (n *Node) setRole(r Role) {
+	n.role = r
+	n.leading.Store(r == Leader)
 }
 
 func (n *Node) status() Status {
@@ -679,7 +697,7 @@ func (n *Node) startElection() {
 		n.becomeLeader()
 		return
 	}
-	n.role = Candidate
+	n.setRole(Candidate)
 	n.term++
 	n.votedFor = n.cfg.ID
 	n.leader = ""
@@ -703,7 +721,7 @@ func (n *Node) startElection() {
 
 func (n *Node) becomeFollower(term uint64, leader string) {
 	prev := n.role
-	n.role = Follower
+	n.setRole(Follower)
 	n.term = term
 	n.leader = leader
 	if prev == Leader || prev == Candidate {
@@ -716,7 +734,7 @@ func (n *Node) becomeFollower(term uint64, leader string) {
 }
 
 func (n *Node) becomeLeader() {
-	n.role = Leader
+	n.setRole(Leader)
 	n.leader = n.cfg.ID
 	n.hbElapsed = 0
 	last := n.lastIndex()
@@ -931,7 +949,7 @@ func (n *Node) applyConfChange(cc ConfChange, idx uint64) {
 					w.resp <- proposeResult{err: ErrProposalDropped}
 				}
 			}
-			n.role = Follower
+			n.setRole(Follower)
 			n.leader = ""
 			return
 		}
@@ -1056,7 +1074,7 @@ func (n *Node) becomeFollowerKeepVote(term uint64, leader string) {
 		n.becomeFollower(term, leader)
 		return
 	}
-	n.role = Follower
+	n.setRole(Follower)
 	n.leader = leader
 	n.resetElectionTimer()
 }
