@@ -14,6 +14,7 @@ import (
 
 	"cfs/internal/bench"
 	"cfs/internal/client"
+	"cfs/internal/cluster"
 	"cfs/internal/core"
 	"cfs/internal/proto"
 	"cfs/internal/util"
@@ -285,8 +286,7 @@ func BenchmarkAblation_RaftSets(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			f, err := bench.SetupCFS(bench.CFSOptions{
-				MetaNodes:      6,
-				DataNodes:      3,
+				Options:        cluster.Options{MetaNodes: 6},
 				MetaPartitions: 12,
 				DataPartitions: 2,
 			})

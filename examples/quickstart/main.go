@@ -8,69 +8,31 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
-	"time"
 
+	"cfs/internal/cluster"
 	"cfs/internal/core"
-	"cfs/internal/datanode"
-	"cfs/internal/master"
-	"cfs/internal/meta"
-	"cfs/internal/proto"
-	"cfs/internal/transport"
 )
 
 func main() {
-	nw := transport.NewMemory()
-	tmp, err := os.MkdirTemp("", "cfs-quickstart")
+	// 1. A resource manager (Section 2.3), three meta nodes (Section 2.1)
+	// and three data nodes (Section 2.2) on the in-process network.
+	// Production runs 3 manager replicas; one is plenty for a demo.
+	c, err := cluster.Boot(cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(tmp)
+	defer c.Close()
 
-	// 1. Resource manager (Section 2.3). Production runs 3 replicas; one
-	// is plenty for a demo.
-	m, err := master.Start(nw, master.Config{Addr: "master"})
+	// 2. Create a volume: a set of meta + data partitions (Section 2).
+	view, err := c.CreateVolume("demo", 2, 4)
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer m.Close()
-	if !m.WaitLeader(5 * time.Second) {
-		log.Fatal("master election timed out")
-	}
-
-	// 2. Three meta nodes (Section 2.1) and three data nodes (Section 2.2).
-	for i := 0; i < 3; i++ {
-		mn, err := meta.Start(nw, meta.Config{
-			Addr:       fmt.Sprintf("meta-%d", i),
-			MasterAddr: "master",
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer mn.Close()
-		dn, err := datanode.Start(nw, datanode.Config{
-			Addr:       fmt.Sprintf("data-%d", i),
-			MasterAddr: "master",
-			Dir:        fmt.Sprintf("%s/data-%d", tmp, i),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer dn.Close()
-	}
-
-	// 3. Create a volume: a set of meta + data partitions (Section 2).
-	var resp proto.CreateVolumeResp
-	if err := nw.Call("master", uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name: "demo", MetaPartitionCount: 2, DataPartitionCount: 4,
-	}, &resp); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("volume %q: %d meta partitions, %d data partitions\n",
-		"demo", len(resp.View.MetaPartitions), len(resp.View.DataPartitions))
+		"demo", len(view.MetaPartitions), len(view.DataPartitions))
 
-	// 4. Mount and use it.
-	fs, err := core.Mount(nw, "master", "demo", core.MountOptions{})
+	// 3. Mount and use it.
+	fs, err := core.Mount(c.Net(), c.MasterAddr(), "demo", core.MountOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

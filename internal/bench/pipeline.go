@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cfs/internal/client"
+	"cfs/internal/cluster"
 	"cfs/internal/util"
 )
 
@@ -65,11 +66,10 @@ func RunWritePipeline(s Scale) (*Table, PipelineNumbers, error) {
 
 func measureWriteThroughput(s Scale, total int, cfg client.Config) (float64, error) {
 	f, err := SetupCFS(CFSOptions{
-		DataNodes:      3,
+		Options:        cluster.Options{Fabric: s.Transport},
 		DataPartitions: 4,
 		NetworkLatency: s.Latency,
 		Client:         cfg,
-		Transport:      s.Transport,
 	})
 	if err != nil {
 		return 0, err

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"cfs/internal/client"
+	"cfs/internal/cluster"
 	"cfs/internal/util"
 )
 
@@ -84,11 +85,10 @@ func RunReadPipeline(s Scale) (*Table, ReadPipeNumbers, error) {
 // second pass and samples heap counters around it.
 func measureReadThroughput(s Scale, total int, random bool, cfg client.Config) (mbps, allocsPerOp, kbPerOp float64, err error) {
 	f, err := SetupCFS(CFSOptions{
-		DataNodes:      3,
+		Options:        cluster.Options{Fabric: s.Transport},
 		DataPartitions: 4,
 		NetworkLatency: s.Latency,
 		Client:         cfg,
-		Transport:      s.Transport,
 	})
 	if err != nil {
 		return 0, 0, 0, err

@@ -21,18 +21,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"time"
 
 	"cfs/internal/client"
-	"cfs/internal/clock"
-	"cfs/internal/datanode"
-	"cfs/internal/master"
-	"cfs/internal/meta"
+	"cfs/internal/cluster"
 	"cfs/internal/proto"
-	"cfs/internal/transport"
-	"cfs/internal/util"
 )
 
 // ReconfigPoint is one measured kill-to-recovery trial. All durations are
@@ -103,107 +97,26 @@ func RunReconfig(s Scale) (*Table, []ReconfigPoint, error) {
 // runReconfigTrial boots one disposable cluster, kills a data replica and
 // clocks the recovery milestones.
 func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error) {
-	const metaN, dataN = 1, 4
 	point.Trial = trial
-
-	var nw transport.PacketStreamNetwork
-	var mem *transport.Memory
-	var masterAddr string
-	var metaAddrs, dataAddrs []string
-	if fabric == "tcp" {
-		addrs, aerr := allocAddrs(1 + metaN + dataN)
-		if aerr != nil {
-			return point, aerr
-		}
-		masterAddr = addrs[0]
-		metaAddrs = addrs[1 : 1+metaN]
-		dataAddrs = addrs[1+metaN:]
-		nw = transport.NewTCP()
-	} else {
-		mem = transport.NewMemory()
-		nw = mem
-		masterAddr = "master0"
-		for i := 0; i < metaN; i++ {
-			metaAddrs = append(metaAddrs, fmt.Sprintf("mn%d", i))
-		}
-		for i := 0; i < dataN; i++ {
-			dataAddrs = append(dataAddrs, fmt.Sprintf("dn%d", i))
-		}
-	}
-
-	dir, err := os.MkdirTemp("", "cfs-reconfig-")
-	if err != nil {
-		return point, err
-	}
-	defer os.RemoveAll(dir)
-
-	clk := clock.NewManual(time.Now())
-	m, err := master.Start(nw, master.Config{
-		Addr:        masterAddr,
-		NodeTimeout: reconfigNodeTimeout,
-		Clock:       clk,
+	cl, err := cluster.Boot(cluster.Options{
+		Fabric: fabric, MetaNodes: 1, DataNodes: 4, NodeTimeout: reconfigNodeTimeout,
 	})
 	if err != nil {
 		return point, err
 	}
-	defer m.Close()
-	if !m.WaitLeader(5 * time.Second) {
-		return point, fmt.Errorf("master never elected a leader")
-	}
-
-	var metas []*meta.MetaNode
-	var datas []*datanode.DataNode
-	defer func() {
-		for _, mn := range metas {
-			if mn != nil {
-				mn.Close()
-			}
-		}
-		for _, dn := range datas {
-			if dn != nil {
-				dn.Close()
-			}
-		}
-	}()
-	for _, a := range metaAddrs {
-		mn, merr := meta.Start(nw, meta.Config{
-			Addr: a, MasterAddr: m.Addr(), Clock: clk,
-			Total: 32 * util.GB,
-		})
-		if merr != nil {
-			return point, merr
-		}
-		metas = append(metas, mn)
-	}
-	for i, a := range dataAddrs {
-		dn, derr := datanode.Start(nw, datanode.Config{
-			Addr: a, MasterAddr: m.Addr(), Dir: filepath.Join(dir, fmt.Sprintf("d%d", i)),
-			Clock: clk,
-		})
-		if derr != nil {
-			return point, derr
-		}
-		datas = append(datas, dn)
-	}
-
-	var cvResp proto.CreateVolumeResp
-	if err := nw.Call(m.Addr(), uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name: "vol", MetaPartitionCount: 1, DataPartitionCount: 1,
-	}, &cvResp); err != nil {
+	defer cl.Close()
+	if _, err := cl.CreateVolume("vol", 1, 1); err != nil {
 		return point, err
 	}
+	nw, clk, m := cl.Net(), cl.Clock(), cl.Master()
 
 	pump := func() {
 		clk.Advance(time.Since(clk.Now()))
-		for _, mn := range metas {
-			if mn != nil {
-				mn.SendHeartbeat()
-			}
+		for _, mn := range cl.MetaNodes() {
+			mn.SendHeartbeat()
 		}
-		for _, dn := range datas {
-			if dn != nil {
-				dn.SendHeartbeat()
-			}
+		for _, dn := range cl.DataNodes() {
+			dn.SendHeartbeat()
 		}
 		m.CheckOnce()
 	}
@@ -257,9 +170,9 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 		return point, fmt.Errorf("fresh data partition has members %v, want 3", dp.Members)
 	}
 	var spare string
-	for _, a := range dataAddrs {
-		if !reconfigMemberOf(dp.Members, a) {
-			spare = a
+	for _, dn := range cl.DataNodes() {
+		if !slices.Contains(dp.Members, dn.Addr()) {
+			spare = dn.Addr()
 		}
 	}
 	if spare == "" {
@@ -280,20 +193,17 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 	// Kill a follower replica for good: a symmetric cut on the memory
 	// fabric, a closed listener on TCP - either way the process is gone.
 	victim := dp.Members[2]
-	vi := reconfigIndexOf(dataAddrs, victim)
 	killedAt := time.Now()
-	if mem != nil {
-		mem.Partition(victim)
+	if err := cl.Kill(victim); err != nil {
+		return point, err
 	}
-	datas[vi].Close()
-	datas[vi] = nil
 
 	if err := waitFor("detach of the dead replica", func() (bool, error) {
 		cur, derr := dataPartition()
 		if derr != nil {
 			return false, derr
 		}
-		return cur.ReplicaEpoch >= 2 && !reconfigMemberOf(cur.Members, victim), nil
+		return cur.ReplicaEpoch >= 2 && !slices.Contains(cur.Members, victim), nil
 	}); err != nil {
 		return point, err
 	}
@@ -304,7 +214,7 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 		if derr != nil {
 			return false, derr
 		}
-		return len(cur.Members) == 3 && reconfigMemberOf(cur.Members, spare) &&
+		return len(cur.Members) == 3 && slices.Contains(cur.Members, spare) &&
 			len(cur.Detached) == 0, nil
 	}); err != nil {
 		return point, err
@@ -321,8 +231,8 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 		if derr != nil {
 			return false, derr
 		}
-		for i, dn := range datas {
-			if dn == nil || !reconfigMemberOf(cur.Members, dataAddrs[i]) {
+		for _, dn := range cl.DataNodes() {
+			if !slices.Contains(cur.Members, dn.Addr()) {
 				continue
 			}
 			p := dn.Partition(cur.PartitionID)
@@ -342,25 +252,12 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 	return point, nil
 }
 
-func reconfigIndexOf(addrs []string, addr string) int {
-	for i, a := range addrs {
-		if a == addr {
-			return i
-		}
-	}
-	return -1
-}
-
-func reconfigMemberOf(set []string, addr string) bool {
-	return reconfigIndexOf(set, addr) >= 0
-}
-
 func reconfigSameMembers(a, b []string) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for _, x := range a {
-		if !reconfigMemberOf(b, x) {
+		if !slices.Contains(b, x) {
 			return false
 		}
 	}

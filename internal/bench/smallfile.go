@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cfs/internal/client"
+	"cfs/internal/cluster"
 	"cfs/internal/util"
 )
 
@@ -37,16 +38,15 @@ func RunSmallFileSessions(s Scale) (*Table, SmallFileNumbers, error) {
 		payload[i] = byte(i)
 	}
 	f, err := SetupCFS(CFSOptions{
-		DataNodes:      3,
+		Options:        cluster.Options{Fabric: s.Transport},
 		DataPartitions: 2,
 		NetworkLatency: s.Latency,
-		Transport:      s.Transport,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	c, err := client.Mount(f.nw, f.masterAddr, "bench", client.Config{})
+	c, err := client.Mount(f.c.Net(), f.c.MasterAddr(), "bench", client.Config{})
 	if err != nil {
 		return nil, nil, err
 	}

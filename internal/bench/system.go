@@ -7,22 +7,15 @@
 package bench
 
 import (
-	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
 
 	"cfs/internal/cephsim"
 	"cfs/internal/client"
-	"cfs/internal/clock"
+	"cfs/internal/cluster"
 	"cfs/internal/core"
-	"cfs/internal/datanode"
-	"cfs/internal/master"
-	"cfs/internal/meta"
-	"cfs/internal/proto"
 	"cfs/internal/transport"
-	"cfs/internal/util"
 )
 
 // FileHandle is the per-file surface the workloads drive.
@@ -111,36 +104,22 @@ func (c *cfsFile) ReadAt(off uint64, p []byte) error {
 
 func (c *cfsFile) Close() error { return c.f.Close() }
 
-// CFSOptions shapes the simulated CFS cluster.
+// CFSOptions shapes the simulated CFS cluster and its volume.
 type CFSOptions struct {
-	MetaNodes      int // default 3
-	DataNodes      int // default 3
+	cluster.Options
 	MetaPartitions int // default 4
 	DataPartitions int // default 8
-	ExtentSize     uint64
+	// NetworkLatency is the Memory fabric's one-way delay once the volume
+	// exists; TCP runs at whatever the loopback path costs.
 	NetworkLatency time.Duration
 	Client         client.Config
-	Dir            string // temp dir for extent stores; default os.MkdirTemp
-	// Transport selects the wire: "" or "memory" boots the cluster on the
-	// in-process network, "tcp" on real loopback sockets. TCP clusters
-	// ignore NetworkLatency (the kernel loopback path is the latency) and
-	// have no fault injection.
-	Transport string
 }
 
 // CFSFactory is a running CFS cluster plus volume.
 type CFSFactory struct {
-	nw         transport.Network
-	mem        *transport.Memory // nil on TCP clusters
-	tcp        *transport.TCP    // nil on memory clusters
-	masterAddr string
-	m          *master.Master
-	metas      []*meta.MetaNode
-	datas      []*datanode.DataNode
-	clients    []*core.FileSystem
-	opts       CFSOptions
-	dir        string
-	ownDir     bool
+	c       *cluster.Cluster
+	clients []*core.FileSystem
+	opts    CFSOptions
 }
 
 // Name implements Factory.
@@ -148,163 +127,42 @@ func (f *CFSFactory) Name() string { return "CFS" }
 
 // Network exposes the underlying memory transport (ablations count calls
 // and inject faults); nil when the cluster runs on TCP.
-func (f *CFSFactory) Network() *transport.Memory { return f.mem }
+func (f *CFSFactory) Network() *transport.Memory { return f.c.Memory() }
 
 // StreamDials counts packet-stream dials on either transport (the
 // session-pool ablation's currency).
 func (f *CFSFactory) StreamDials() uint64 {
-	if f.mem != nil {
-		return f.mem.Dials()
-	}
-	return f.tcp.Dials()
+	return f.c.Net().(interface{ Dials() uint64 }).Dials()
 }
 
-// allocAddrs reserves n distinct loopback addresses by binding and
-// immediately closing ephemeral-port listeners. The window between close
-// and the node's own Listen is racy in principle, but the kernel does not
-// hand the port back out while other ephemeral ports remain.
-func allocAddrs(n int) ([]string, error) {
-	addrs := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs = append(addrs, ln.Addr().String())
-		ln.Close()
-	}
-	return addrs, nil
-}
-
-// Master exposes the resource manager (ablations drive CheckOnce).
-func (f *CFSFactory) Master() *master.Master { return f.m }
-
-// SetupCFS boots a full in-process CFS cluster and creates a volume.
+// SetupCFS boots a full in-process CFS cluster and creates a volume. The
+// cluster's clock never moves: no heartbeat or maintenance loop runs, so
+// a measurement sees only the work it drives.
 func SetupCFS(opts CFSOptions) (*CFSFactory, error) {
-	if opts.MetaNodes == 0 {
-		opts.MetaNodes = 3
-	}
-	if opts.DataNodes == 0 {
-		opts.DataNodes = 3
-	}
 	if opts.MetaPartitions == 0 {
 		opts.MetaPartitions = 4
 	}
 	if opts.DataPartitions == 0 {
 		opts.DataPartitions = 8
 	}
-	if opts.ExtentSize == 0 {
-		opts.ExtentSize = 64 * util.MB
-	}
-	dir := opts.Dir
-	ownDir := false
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "cfsbench")
-		if err != nil {
-			return nil, err
-		}
-		ownDir = true
-	}
-	f := &CFSFactory{opts: opts, dir: dir, ownDir: ownDir}
-	masterAddr := "master"
-	metaAddr := func(i int) string { return fmt.Sprintf("mn%d", i) }
-	dataAddr := func(i int) string { return fmt.Sprintf("dn%d", i) }
-	switch opts.Transport {
-	case "", "memory":
-		f.mem = transport.NewMemory()
-		f.nw = f.mem
-	case "tcp":
-		// Real loopback sockets: every node needs a routable address
-		// before it starts (the address doubles as the node's identity in
-		// the master's tables), so reserve ephemeral ports up front.
-		addrs, err := allocAddrs(1 + opts.MetaNodes + opts.DataNodes)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		masterAddr = addrs[0]
-		metaAddr = func(i int) string { return addrs[1+i] }
-		dataAddr = func(i int) string { return addrs[1+opts.MetaNodes+i] }
-		f.tcp = transport.NewTCP()
-		f.nw = f.tcp
-	default:
-		f.Close()
-		return nil, fmt.Errorf("bench: unknown transport %q", opts.Transport)
-	}
-	f.masterAddr = masterAddr
-	nw := f.nw
-	// A manual clock that never moves: no heartbeat or maintenance loop
-	// runs, so a measurement sees only the work it drives.
-	clk := clock.NewManual(time.Now())
-	m, err := master.Start(nw, master.Config{
-		Addr:         masterAddr,
-		ReplicaCount: util.Min(3, opts.MetaNodes),
-		Clock:        clk,
-	})
+	c, err := cluster.Boot(opts.Options)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	f.m = m
-	if !m.WaitLeader(10 * time.Second) {
-		f.Close()
-		return nil, fmt.Errorf("bench: master election timed out")
-	}
-	for i := 0; i < opts.MetaNodes; i++ {
-		mn, err := meta.Start(nw, meta.Config{
-			Addr:       metaAddr(i),
-			MasterAddr: masterAddr,
-			Clock:      clk,
-		})
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.metas = append(f.metas, mn)
-	}
-	for i := 0; i < opts.DataNodes; i++ {
-		dn, err := datanode.Start(nw, datanode.Config{
-			Addr:       dataAddr(i),
-			MasterAddr: masterAddr,
-			Dir:        fmt.Sprintf("%s/dn%d", dir, i),
-			Clock:      clk,
-			ExtentSize: opts.ExtentSize,
-		})
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.datas = append(f.datas, dn)
-	}
-	var resp proto.CreateVolumeResp
-	if err := nw.Call(masterAddr, uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name:               "bench",
-		MetaPartitionCount: opts.MetaPartitions,
-		DataPartitionCount: opts.DataPartitions,
-	}, &resp); err != nil {
-		f.Close()
+	if _, err := c.CreateVolume("bench", opts.MetaPartitions, opts.DataPartitions); err != nil {
+		c.Close()
 		return nil, err
 	}
-	// Latency applies after setup so provisioning stays fast; TCP runs at
-	// whatever the loopback path costs.
-	if opts.NetworkLatency > 0 && f.mem != nil {
-		f.mem.SetLatency(opts.NetworkLatency)
+	// Latency applies after setup so provisioning stays fast.
+	if mem := c.Memory(); mem != nil && opts.NetworkLatency > 0 {
+		mem.SetLatency(opts.NetworkLatency)
 	}
-	return f, nil
+	return &CFSFactory{c: c, opts: opts}, nil
 }
 
 // NewClient implements Factory: a fresh mount with its own caches.
 func (f *CFSFactory) NewClient() (System, error) {
-	cl := f.opts.Client
-	if cl.MaxRetries == 0 {
-		// Bench clients mount milliseconds after the cluster is carved;
-		// under load a meta partition's first election can outlast the
-		// product default's backoff budget, so give provisioning races a
-		// wider window than a steady-state client would need.
-		cl.MaxRetries = 10
-	}
-	fs, err := core.Mount(f.nw, f.masterAddr, "bench", core.MountOptions{Client: cl})
+	fs, err := core.Mount(f.c.Net(), f.c.MasterAddr(), "bench", core.MountOptions{Client: f.opts.Client})
 	if err != nil {
 		return nil, err
 	}
@@ -314,24 +172,13 @@ func (f *CFSFactory) NewClient() (System, error) {
 
 // Close implements Factory.
 func (f *CFSFactory) Close() {
-	if f.mem != nil {
-		f.mem.SetLatency(0)
+	if mem := f.c.Memory(); mem != nil {
+		mem.SetLatency(0)
 	}
 	for _, fs := range f.clients {
 		fs.Unmount()
 	}
-	for _, dn := range f.datas {
-		dn.Close()
-	}
-	for _, mn := range f.metas {
-		mn.Close()
-	}
-	if f.m != nil {
-		f.m.Close()
-	}
-	if f.ownDir {
-		os.RemoveAll(f.dir)
-	}
+	f.c.Close()
 }
 
 // ---------------------------------------------------------------------------

@@ -3,61 +3,37 @@ package client
 import (
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
-	"cfs/internal/clock"
-	"cfs/internal/datanode"
-	"cfs/internal/master"
-	"cfs/internal/meta"
+	"cfs/internal/cluster"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
 	"cfs/internal/util"
 )
 
-func startCluster(t *testing.T, nw transport.Network) {
+// startCluster boots three meta and three data nodes on Memory with volume
+// "vol" of 2 meta and 3 data partitions; mount with Mount(nw, "master", "vol", ...).
+func startCluster(t *testing.T) *transport.Memory {
+	return bootCluster(t, "memory", "vol", 2, 3).Memory()
+}
+
+// bootCluster boots a cluster on fabric and creates the volume name on it.
+func bootCluster(t testing.TB, fabric, name string, metaParts, dataParts int) *cluster.Cluster {
 	t.Helper()
-	clk := clock.NewManual(time.Now())
-	m, err := master.Start(nw, master.Config{
-		Addr: "master", ReplicaCount: 3, Clock: clk,
-	})
+	c, err := cluster.Boot(cluster.Options{Fabric: fabric})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
-	if !m.WaitLeader(5 * time.Second) {
-		t.Fatal("no master leader")
-	}
-	for i := 0; i < 3; i++ {
-		mn, err := meta.Start(nw, meta.Config{
-			Addr: fmt.Sprintf("mn%d", i), MasterAddr: "master",
-			Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(mn.Close)
-		dn, err := datanode.Start(nw, datanode.Config{
-			Addr: fmt.Sprintf("dn%d", i), MasterAddr: "master",
-			Dir: t.TempDir(), Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(dn.Close)
-	}
-	var resp proto.CreateVolumeResp
-	if err := nw.Call("master", uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name: "vol", MetaPartitionCount: 2, DataPartitionCount: 3,
-	}, &resp); err != nil {
+	t.Cleanup(c.Close)
+	if _, err := c.CreateVolume(name, metaParts, dataParts); err != nil {
 		t.Fatal(err)
 	}
+	return c
 }
 
 func TestMountUnknownVolumeFails(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	_, err := Mount(nw, "master", "nope", Config{})
 	if !errors.Is(err, util.ErrNotFound) {
 		t.Fatalf("mount of unknown volume: %v", err)
@@ -65,8 +41,7 @@ func TestMountUnknownVolumeFails(t *testing.T) {
 }
 
 func TestCreateLookupRoutesByParent(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +58,7 @@ func TestCreateLookupRoutesByParent(t *testing.T) {
 }
 
 func TestInodeGetForceSyncBypassesCache(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{CacheTTL: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -120,8 +94,7 @@ func TestInodeGetForceSyncBypassesCache(t *testing.T) {
 }
 
 func TestBatchInodeGetGroupsByPartition(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{CacheTTL: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +120,7 @@ func TestBatchInodeGetGroupsByPartition(t *testing.T) {
 }
 
 func TestLeaderCachePopulated(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +138,7 @@ func TestLeaderCachePopulated(t *testing.T) {
 }
 
 func TestSmallFileWriteNoExtentCreate(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -205,70 +176,14 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// reservePorts asks the kernel for n distinct free loopback ports. The
-// listeners close just before the nodes bind, so collisions are unlikely
-// (and the caller tolerates them by skipping).
-func reservePorts(t *testing.T, n int) []string {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close()
-	}
-	return addrs
-}
-
 func TestEndToEndOverTCP(t *testing.T) {
 	// The same cluster code over real sockets: master, meta, data nodes
 	// and a client all on loopback TCP.
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	nw := transport.NewTCP()
-	addrs := reservePorts(t, 7)
-	masterAddr := addrs[0]
-	m, err := master.Start(nw, master.Config{Addr: masterAddr})
-	if err != nil {
-		t.Skipf("cannot bind %s: %v", masterAddr, err)
-	}
-	defer m.Close()
-	if !m.WaitLeader(5 * time.Second) {
-		t.Fatal("no master leader over TCP")
-	}
-	clk := clock.NewManual(time.Now())
-	for i := 0; i < 3; i++ {
-		mn, err := meta.Start(nw, meta.Config{
-			Addr:       addrs[1+i],
-			MasterAddr: masterAddr, Clock: clk,
-		})
-		if err != nil {
-			t.Skipf("cannot bind meta node: %v", err)
-		}
-		defer mn.Close()
-		dn, err := datanode.Start(nw, datanode.Config{
-			Addr:       addrs[4+i],
-			MasterAddr: masterAddr, Dir: t.TempDir(), Clock: clk,
-		})
-		if err != nil {
-			t.Skipf("cannot bind data node: %v", err)
-		}
-		defer dn.Close()
-	}
-	var resp proto.CreateVolumeResp
-	if err := nw.Call(masterAddr, uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name: "tcpvol", MetaPartitionCount: 1, DataPartitionCount: 2,
-	}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	c, err := Mount(nw, masterAddr, "tcpvol", Config{})
+	cl := bootCluster(t, "tcp", "tcpvol", 1, 2)
+	c, err := Mount(cl.Net(), cl.MasterAddr(), "tcpvol", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +209,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 // Pipelined extent writer.
 
 func TestExtentWriterPipelinedAppend(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +260,7 @@ func TestExtentWriterPipelinedAppend(t *testing.T) {
 }
 
 func TestExtentWriterFailureReportsUncommittedTail(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,7 @@ func poolVolume(t *testing.T, nw *transport.Memory) {
 // pre-pool code dialed a fresh stream - on TCP, a fresh connection - per
 // file).
 func TestSmallFileSessionReuse(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	poolVolume(t, nw)
 	c, err := Mount(nw, "master", "pool", Config{})
 	if err != nil {
@@ -62,8 +61,7 @@ func TestSmallFileSessionReuse(t *testing.T) {
 // extent-roll pattern) multiplex the same pooled session instead of
 // redialing per extent.
 func TestExtentWriterSessionReuse(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	poolVolume(t, nw)
 	c, err := Mount(nw, "master", "pool", Config{})
 	if err != nil {
@@ -104,8 +102,7 @@ func TestExtentWriterSessionReuse(t *testing.T) {
 // converts the hang into an error with the uncommitted tail attached for
 // replay.
 func TestDrainUnblocksOnHungLeader(t *testing.T) {
-	nw := transport.NewMemory()
-	startCluster(t, nw)
+	nw := startCluster(t)
 	c, err := Mount(nw, "master", "vol", Config{
 		AckDeadline:       200 * time.Millisecond,
 		KeepaliveInterval: 50 * time.Millisecond,

@@ -2,15 +2,10 @@ package client
 
 import (
 	"bytes"
-	"fmt"
-	"net"
 	"testing"
 	"time"
 
-	"cfs/internal/clock"
 	"cfs/internal/datanode"
-	"cfs/internal/master"
-	"cfs/internal/meta"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
 	"cfs/internal/util"
@@ -22,22 +17,6 @@ type testFabric interface {
 	transport.PacketStreamNetwork
 	Freeze(addr string)
 	Heal(addr string)
-}
-
-// allocLoopbackAddrs reserves n distinct loopback addresses by binding
-// ephemeral listeners and immediately closing them.
-func allocLoopbackAddrs(t testing.TB, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
 }
 
 // assertChunkBalance registers a cleanup verifying every pooled chunk
@@ -70,13 +49,13 @@ func awaitChunksOut(t *testing.T, gets0, puts0, want int64) {
 	}
 }
 
-// startReadCluster is startCluster plus the datanode handles, which the
-// read-path tests need to observe replica epochs and served-read counts.
-func startReadCluster(t testing.TB, nw *transport.Memory) []*datanode.DataNode {
+// startReadCluster is startCluster with volume "readvol" of one meta and
+// one data partition, plus the datanode handles, which the read-path tests
+// need to observe replica epochs and served-read counts.
+func startReadCluster(t testing.TB) (*transport.Memory, []*datanode.DataNode) {
 	t.Helper()
-	return bootReadCluster(t, nw, "master", func(role string, i int) string {
-		return fmt.Sprintf("%s%d", role, i)
-	})
+	c := bootCluster(t, "memory", "readvol", 1, 1)
+	return c.Memory(), c.DataNodes()
 }
 
 // startReadClusterOn boots the same cluster on the chosen fabric; "tcp"
@@ -84,60 +63,8 @@ func startReadCluster(t testing.TB, nw *transport.Memory) []*datanode.DataNode {
 // path end to end. Returns the fabric and master address to Mount with.
 func startReadClusterOn(t testing.TB, fabric string) (testFabric, string, []*datanode.DataNode) {
 	t.Helper()
-	if fabric == "tcp" {
-		addrs := allocLoopbackAddrs(t, 7)
-		nw := transport.NewTCP()
-		next := 1
-		dns := bootReadCluster(t, nw, addrs[0], func(role string, i int) string {
-			a := addrs[next]
-			next++
-			return a
-		})
-		return nw, addrs[0], dns
-	}
-	nw := transport.NewMemory()
-	return nw, "master", startReadCluster(t, nw)
-}
-
-func bootReadCluster(t testing.TB, nw transport.Network, masterAddr string, name func(role string, i int) string) []*datanode.DataNode {
-	t.Helper()
-	clk := clock.NewManual(time.Now())
-	m, err := master.Start(nw, master.Config{
-		Addr: masterAddr, ReplicaCount: 3, Clock: clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	if !m.WaitLeader(5 * time.Second) {
-		t.Fatal("no master leader")
-	}
-	var dns []*datanode.DataNode
-	for i := 0; i < 3; i++ {
-		mn, err := meta.Start(nw, meta.Config{
-			Addr: name("mn", i), MasterAddr: masterAddr, Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(mn.Close)
-		dn, err := datanode.Start(nw, datanode.Config{
-			Addr: name("dn", i), MasterAddr: masterAddr,
-			Dir: t.TempDir(), Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(dn.Close)
-		dns = append(dns, dn)
-	}
-	var resp proto.CreateVolumeResp
-	if err := nw.Call(masterAddr, uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name: "readvol", MetaPartitionCount: 1, DataPartitionCount: 1,
-	}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return dns
+	c := bootCluster(t, fabric, "readvol", 1, 1)
+	return c.Net().(testFabric), c.MasterAddr(), c.DataNodes()
 }
 
 // nodeByAddr maps a member address back to its handle (dn0, dn1, ...).
@@ -192,8 +119,7 @@ func writeCommitted(t testing.TB, c *Client, dns []*datanode.DataNode, dp proto.
 // because the committed clamp makes follower serving safe (Section 2.2.5).
 func TestStreamReadFollowerOffload(t *testing.T) {
 	assertChunkBalance(t)
-	nw := transport.NewMemory()
-	dns := startReadCluster(t, nw)
+	nw, dns := startReadCluster(t)
 	c, err := Mount(nw, "master", "readvol", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +219,7 @@ func testWatchdogFailover(t *testing.T, fabric string) {
 // epoch, and the read completes - no error surfaces to the caller.
 func TestStreamReadRetriesAfterEpochBump(t *testing.T) {
 	assertChunkBalance(t)
-	nw := transport.NewMemory()
-	dns := startReadCluster(t, nw)
+	nw, dns := startReadCluster(t)
 	c, err := Mount(nw, "master", "readvol", Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -445,8 +370,7 @@ func readSequentialHalves(t *testing.T, r *ExtentReader, ek proto.ExtentKey, n i
 // ReadWindow in flight - the depth the window had as a constant.
 func TestReadDepthCoversMemoryRTT(t *testing.T) {
 	assertChunkBalance(t)
-	nw := transport.NewMemory()
-	dns := startReadCluster(t, nw)
+	nw, dns := startReadCluster(t)
 	c, err := Mount(nw, "master", "readvol", Config{})
 	if err != nil {
 		t.Fatal(err)

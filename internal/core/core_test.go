@@ -5,16 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"cfs/internal/client"
-	"cfs/internal/clock"
-	"cfs/internal/datanode"
-	"cfs/internal/master"
-	"cfs/internal/meta"
+	"cfs/internal/cluster"
 	"cfs/internal/proto"
 	"cfs/internal/transport"
 	"cfs/internal/util"
@@ -22,94 +18,39 @@ import (
 
 // testEnv is a complete in-process CFS cluster with a mounted volume.
 type testEnv struct {
-	t          *testing.T
-	nw         *transport.Memory // nil on TCP
-	net        transport.Network // the fabric every node and mount uses
-	masterAddr string
-	master     *master.Master
-	metas      []*meta.MetaNode
-	datas      []*datanode.DataNode
-	fs         *FileSystem
+	*cluster.Cluster
+	t  *testing.T
+	nw *transport.Memory // nil on TCP
+	fs *FileSystem
 }
 
 func startEnv(t *testing.T, opts MountOptions) *testEnv { return startEnvOn(t, "memory", opts) }
 
 // startEnvOn boots the cluster on the Memory fabric or, for "tcp", on
-// loopback TCP with one listener per node.
+// loopback TCP, and mounts a volume of 3 meta and 4 data partitions.
 func startEnvOn(t *testing.T, fabric string, opts MountOptions) *testEnv {
 	t.Helper()
-	e := &testEnv{t: t, masterAddr: "master"}
-	metaAddr := func(i int) string { return fmt.Sprintf("mn%d", i) }
-	dataAddr := func(i int) string { return fmt.Sprintf("dn%d", i) }
-	endpoint := func(addr string) transport.Network { return e.nw.Endpoint(addr) }
-	if fabric == "tcp" {
-		addrs := make([]string, 7)
-		for i := range addrs {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			addrs[i] = ln.Addr().String()
-			ln.Close()
-		}
-		e.net, e.masterAddr = transport.NewTCP(), addrs[0]
-		metaAddr = func(i int) string { return addrs[1+i] }
-		dataAddr = func(i int) string { return addrs[4+i] }
-		endpoint = func(string) transport.Network { return e.net }
-	} else {
-		e.nw = transport.NewMemory()
-		e.net = e.nw
-	}
-	clk := clock.NewManual(time.Now())
-	m, err := master.Start(e.net, master.Config{
-		Addr:         e.masterAddr,
-		ReplicaCount: 3,
-		Clock:        clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	if !m.WaitLeader(5 * time.Second) {
-		t.Fatal("no master leader")
-	}
-	e.master = m
-	for i := 0; i < 3; i++ {
-		mn, err := meta.Start(endpoint(metaAddr(i)), meta.Config{
-			Addr: metaAddr(i), MasterAddr: e.masterAddr,
-			Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(mn.Close)
-		e.metas = append(e.metas, mn)
-	}
-	for i := 0; i < 3; i++ {
-		dn, err := datanode.Start(e.net, datanode.Config{
-			Addr: dataAddr(i), MasterAddr: e.masterAddr,
-			Dir: t.TempDir(), Clock: clk,
-			ExtentSize: 4 * util.MB,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(dn.Close)
-		e.datas = append(e.datas, dn)
-	}
-	var resp proto.CreateVolumeResp
-	if err := e.net.Call(e.masterAddr, uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name: "vol", MetaPartitionCount: 3, DataPartitionCount: 4,
-	}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := Mount(e.net, e.masterAddr, "vol", opts)
+	c := bootVolume(t, cluster.Options{Fabric: fabric, ExtentSize: 4 * util.MB}, 3, 4)
+	fs, err := Mount(c.Net(), c.MasterAddr(), "vol", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fs.Unmount)
-	e.fs = fs
-	return e
+	return &testEnv{Cluster: c, t: t, nw: c.Memory(), fs: fs}
+}
+
+// bootVolume boots a cluster and creates volume "vol" on it.
+func bootVolume(t *testing.T, opts cluster.Options, metaParts, dataParts int) *cluster.Cluster {
+	t.Helper()
+	c, err := cluster.Boot(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if _, err := c.CreateVolume("vol", metaParts, dataParts); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestMkdirCreateStatRemove(t *testing.T) {
@@ -391,7 +332,7 @@ func (e *testEnv) storeTotals() (extents int, used uint64) {
 	var resp proto.GetVolumeResp
 	e.nw.Call("master", uint8(proto.OpMasterGetVolume), &proto.GetVolumeReq{Name: "vol"}, &resp)
 	for _, dp := range resp.View.DataPartitions {
-		for _, dn := range e.datas {
+		for _, dn := range e.DataNodes() {
 			if p := dn.Partition(dp.PartitionID); p != nil {
 				extents += p.ExtentCount()
 				used += p.Used()
@@ -675,44 +616,8 @@ func TestCreateDuplicateFails(t *testing.T) {
 func TestExtentRollAcrossPartitions(t *testing.T) {
 	// With tiny extents, a large write must roll across extents (and
 	// possibly partitions) transparently.
-	nw := transport.NewMemory()
-	clk := clock.NewManual(time.Now())
-	m, err := master.Start(nw, master.Config{
-		Addr: "master", ReplicaCount: 3, Clock: clk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	m.WaitLeader(5 * time.Second)
-	for i := 0; i < 3; i++ {
-		mn, err := meta.Start(nw, meta.Config{
-			Addr: fmt.Sprintf("mn%d", i), MasterAddr: "master",
-			Clock: clk,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(mn.Close)
-	}
-	for i := 0; i < 3; i++ {
-		dn, err := datanode.Start(nw, datanode.Config{
-			Addr: fmt.Sprintf("dn%d", i), MasterAddr: "master",
-			Dir: t.TempDir(), Clock: clk,
-			ExtentSize: 256 * util.KB, // force rolling
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(dn.Close)
-	}
-	var resp proto.CreateVolumeResp
-	if err := nw.Call("master", uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
-		Name: "vol", MetaPartitionCount: 1, DataPartitionCount: 4,
-	}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := Mount(nw, "master", "vol", MountOptions{})
+	c := bootVolume(t, cluster.Options{ExtentSize: 256 * util.KB}, 1, 4)
+	fs, err := Mount(c.Net(), c.MasterAddr(), "vol", MountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -825,7 +730,7 @@ func TestMetaLeaderFailover(t *testing.T) {
 
 	// Kill the meta node hosting the root partition's leader.
 	var leaderAddr string
-	for _, mn := range e.metas {
+	for _, mn := range e.MetaNodes() {
 		if mn.IsLeader(e.rootMetaPartition()) {
 			leaderAddr = mn.Addr()
 		}

@@ -23,7 +23,7 @@ func TestConcurrentOverwritersKeepLeaders(t *testing.T) {
 		t.Run(fabric, func(t *testing.T) {
 			const fileSize, block = util.MB, 4 * util.KB
 			e := startEnvOn(t, fabric, MountOptions{})
-			fs2, err := Mount(e.net, e.masterAddr, "vol", MountOptions{})
+			fs2, err := Mount(e.Net(), e.MasterAddr(), "vol", MountOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,13 +89,13 @@ func TestConcurrentOverwritersKeepLeaders(t *testing.T) {
 // on one term and know its leader.
 func (e *testEnv) dataTerms() (terms map[string]uint64, settled bool) {
 	var view proto.GetVolumeResp
-	if err := e.net.Call(e.masterAddr, uint8(proto.OpMasterGetVolume), &proto.GetVolumeReq{Name: "vol"}, &view); err != nil {
+	if err := e.Net().Call(e.MasterAddr(), uint8(proto.OpMasterGetVolume), &proto.GetVolumeReq{Name: "vol"}, &view); err != nil {
 		e.t.Fatal(err)
 	}
 	terms, settled = map[string]uint64{}, true
 	for _, dp := range view.View.DataPartitions {
 		var first *uint64
-		for _, dn := range e.datas {
+		for _, dn := range e.DataNodes() {
 			p := dn.Partition(dp.PartitionID)
 			if p == nil {
 				continue

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -23,22 +22,6 @@ type testNet interface {
 	transport.PacketStreamNetwork
 	Freeze(addr string)
 	Heal(addr string)
-}
-
-// allocLoopbackAddrs reserves n distinct loopback addresses by binding
-// ephemeral listeners and immediately closing them.
-func allocLoopbackAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
 }
 
 // assertChunkBalance registers a cleanup verifying every pooled chunk
@@ -192,7 +175,10 @@ func startClusterOn(t *testing.T, n int, fabric string, mod func(i int, cfg *Con
 	)
 	switch fabric {
 	case "tcp":
-		addrs := allocLoopbackAddrs(t, n+1)
+		addrs, err := transport.LoopbackAddrs(n + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		nw = transport.NewTCP()
 		addrAt = func(i int) string { return addrs[i+1] }
 	default:

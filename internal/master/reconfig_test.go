@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -47,28 +46,15 @@ type rcEnv struct {
 	dataDirs  []string
 }
 
-// rcLoopbackAddrs reserves n distinct loopback addresses by binding
-// ephemeral listeners and immediately closing them.
-func rcLoopbackAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
-}
-
 func newRcEnv(t *testing.T, fabric string, metaN, dataN int) *rcEnv {
 	t.Helper()
 	e := &rcEnv{t: t, fabric: fabric, clk: clock.NewManual(time.Now())}
 	var masterAddr string
 	if fabric == "tcp" {
-		addrs := rcLoopbackAddrs(t, 1+metaN+dataN)
+		addrs, err := transport.LoopbackAddrs(1 + metaN + dataN)
+		if err != nil {
+			t.Fatal(err)
+		}
 		e.nw = transport.NewTCP()
 		masterAddr = addrs[0]
 		e.metaAddrs = addrs[1 : 1+metaN]

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -44,7 +43,7 @@ func startMetaCluster(t testing.TB, n int) *metaCluster {
 }
 
 // startMetaClusterOn starts n meta nodes and a fake master on fabric "mem"
-// (the Memory network) or "tcp" (loopback, ports reserved by bind-and-close).
+// (the Memory network) or "tcp" (loopback, ports from transport.LoopbackAddrs).
 func startMetaClusterOn(t testing.TB, fabric string, n int) *metaCluster {
 	t.Helper()
 	addrs := make([]string, n+1)
@@ -58,13 +57,9 @@ func startMetaClusterOn(t testing.TB, fabric string, n int) *metaCluster {
 		}
 	case "tcp":
 		mc.nw = transport.NewTCP()
-		for i := range addrs {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			addrs[i] = ln.Addr().String()
-			ln.Close()
+		var err error
+		if addrs, err = transport.LoopbackAddrs(n + 1); err != nil {
+			t.Fatal(err)
 		}
 	default:
 		t.Fatalf("unknown fabric %q", fabric)

@@ -14,7 +14,9 @@ import (
 // one Memory instance; addresses are arbitrary strings.
 //
 // Fault injection:
-//   - Partition(addr): calls to or from addr fail with util.ErrTimeout.
+//   - Partition(addr): calls and stream dials to addr fail with
+//     util.ErrTimeout, and so do those a node built on Endpoint(addr)
+//     makes - every node internal/cluster boots is.
 //   - Freeze(addr): packet-stream frames destined for addr stall in Recv
 //     without any error - the TCP half-open failure mode, where the peer
 //     is gone (or wedged) but the connection never resets. Liveness
@@ -118,9 +120,9 @@ func (m *Memory) SetLatency(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// Partition cuts addr off from the network (both directions for incoming
-// calls; outgoing calls from the node still work, matching a one-sided
-// listen failure, which is all our failure tests need).
+// Partition cuts addr off from the network: calls and stream dials to it
+// fail. A node built on this Memory directly can still call out (a
+// one-sided listen failure); one built on Endpoint(addr) cannot.
 func (m *Memory) Partition(addr string) {
 	m.mu.Lock()
 	m.partitioned[addr] = true

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +84,45 @@ func NewTCP() *TCP {
 		listeners: make(map[string]*tcpListener),
 		frozen:    make(map[string]bool),
 	}
+}
+
+// Loopback listen ports come from below the kernel's ephemeral range
+// (32768 and up by default), so an outgoing connection - this process's
+// or another's - is never handed a port a node is about to bind. The walk
+// starts at a pid-derived port so that test processes running side by
+// side seldom overlap; ports are a per-host resource, hence one walk per
+// process.
+const loopbackPortMin, loopbackPortMax = 12000, 30000
+
+var loopbackPort = struct {
+	sync.Mutex
+	next int
+}{next: loopbackPortMin + os.Getpid()%(loopbackPortMax-loopbackPortMin)}
+
+// LoopbackAddrs returns n distinct 127.0.0.1 addresses that were free a
+// moment ago. Another process can still bind one first; a caller that
+// sees "address already in use" asks for a fresh address.
+func LoopbackAddrs(n int) ([]string, error) {
+	loopbackPort.Lock()
+	defer loopbackPort.Unlock()
+	addrs := make([]string, 0, n)
+	for tries := 0; len(addrs) < n; tries++ {
+		if tries > 200+n {
+			return nil, fmt.Errorf("transport: no free loopback port in [%d, %d)", loopbackPortMin, loopbackPortMax)
+		}
+		loopbackPort.next++
+		if loopbackPort.next >= loopbackPortMax {
+			loopbackPort.next = loopbackPortMin
+		}
+		addr := fmt.Sprintf("127.0.0.1:%d", loopbackPort.next)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			continue
+		}
+		ln.Close()
+		addrs = append(addrs, addr)
+	}
+	return addrs, nil
 }
 
 // Freeze half-opens addr the way Memory.Freeze does: packet-stream
