@@ -71,14 +71,16 @@ race-read:
 		./internal/datanode/ ./internal/client/ ./internal/core/
 
 # Ten seconds of fuzzing on each decoder of bytes a peer sent: the meta
-# Raft command decoder (every replica decodes each log entry on its own)
-# and the MultiRaft batch decoder (every Raft frame on TCP). A malformed
-# input must be an error, never a panic. New crashers land in the
-# package's testdata/fuzz/.
+# Raft command decoder (every replica decodes each log entry on its own),
+# the MultiRaft batch decoder (every Raft frame on TCP) and the metadata
+# RPC body decoder (every client metadata request and reply on TCP). A
+# malformed input must be an error, never a panic. New crashers land in
+# the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime $(FUZZTIME) ./internal/meta/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/multiraft/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMetaBody$$' -fuzztime $(FUZZTIME) ./internal/proto/
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

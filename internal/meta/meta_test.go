@@ -476,6 +476,100 @@ func TestReplicationAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestReplicasAgreeUnderConcurrentCreates: four callers make 12 000
+// creates on a 3-replica partition, enough to compact the Raft log a few
+// times while followers lag; afterwards every replica holds the leader's
+// inodes and maxInodeID, on both fabrics.
+func TestReplicasAgreeUnderConcurrentCreates(t *testing.T) {
+	for _, fabric := range []string{"mem", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			mc := startMetaClusterOn(t, fabric, 3)
+			leader := mc.createPartition(t, 1, 1, 1<<40)
+			const callers, each = 4, 3000
+			errs := make(chan error, callers)
+			for range callers {
+				go func() {
+					for range each {
+						var resp proto.CreateInodeResp
+						if err := mc.nw.Call(leader, uint8(proto.OpMetaCreateInode),
+							&proto.CreateInodeReq{PartitionID: 1, Type: proto.TypeFile}, &resp); err != nil {
+							errs <- err
+							return
+						}
+					}
+					errs <- nil
+				}()
+			}
+			for range callers {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			const want = callers * each
+			deadline := time.Now().Add(10 * time.Second)
+			for _, n := range mc.nodes {
+				p := n.Partition(1)
+				for p.InodeCount() != want || p.MaxInodeID() != want {
+					if p.InodeCount() > want || p.MaxInodeID() > want || time.Now().After(deadline) {
+						t.Fatalf("%s holds %d inodes, maxInodeID %d; want %d and %d",
+							n.Addr(), p.InodeCount(), p.MaxInodeID(), want, want)
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}
+		})
+	}
+}
+
+// TestReappliedEntriesChangeNothing: a follower restores a snapshot of the
+// leader's state and is then re-sent entries that state already holds, as
+// Raft does when it labels a snapshot with an index below the one it was
+// taken at. The re-run commands are no-ops, and the next one applies.
+func TestReappliedEntriesChangeNothing(t *testing.T) {
+	leader := NewPartition(1, "vol", 1, 1000, nil)
+	var log [][]byte
+	apply := func(p *Partition, c *command) {
+		log = append(log, encodeCommand(c))
+		if _, err := p.Apply(uint64(len(log)), log[len(log)-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(leader, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
+	for i := 0; i < 10; i++ {
+		apply(leader, &command{Kind: cmdCreateInode, Type: proto.TypeFile})
+		apply(leader, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID,
+			Name: fmt.Sprintf("f%d", i), Inode: uint64(i + 2), DentryType: proto.TypeFile})
+	}
+	data, err := leader.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := NewPartition(1, "vol", 1, 1000, nil)
+	if err := follower.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	for i := 5; i < len(log); i++ {
+		if _, err := follower.Apply(uint64(i+1), log[i]); !errors.Is(err, util.ErrStale) {
+			t.Fatalf("re-applying entry %d: %v, want ErrStale", i+1, err)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		if follower.InodeCount() != leader.InodeCount() || follower.DentryCount() != leader.DentryCount() ||
+			follower.MaxInodeID() != leader.MaxInodeID() {
+			t.Fatalf("%s: follower holds %d inodes, %d dentries, maxInodeID %d; leader %d, %d, %d", when,
+				follower.InodeCount(), follower.DentryCount(), follower.MaxInodeID(),
+				leader.InodeCount(), leader.DentryCount(), leader.MaxInodeID())
+		}
+	}
+	check("after the re-sent entries")
+	apply(leader, &command{Kind: cmdCreateInode, Type: proto.TypeFile})
+	if _, err := follower.Apply(uint64(len(log)), log[len(log)-1]); err != nil {
+		t.Fatal(err)
+	}
+	check("after the next entry")
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := NewPartition(1, "vol", 1, 10000, nil)
 	p.CreateRootInode()

@@ -331,6 +331,10 @@ func (m *MetaNode) loadSnapshots() error {
 		if err := p.Restore(data); err != nil {
 			return fmt.Errorf("meta: corrupt snapshot for partition %d: %w", id, err)
 		}
+		// The Raft log is in memory, so the re-hosted group's log starts
+		// again at index 1: an applied index from the old log would skip
+		// its first entries.
+		p.applied = 0
 		// Re-host the partition's Raft group (the snapshot carries the
 		// replica set). Before this, a restarted node reloaded state but
 		// never re-joined the group, so a full-cluster restart silently

@@ -39,6 +39,10 @@ type Partition struct {
 	inodeTree  *btree.BTree
 	dentryTree *btree.BTree
 	maxInodeID uint64 // largest inode id allocated so far in this partition
+	// applied is the Raft index of the last command applied, carried in
+	// snapshots: a follower installing a snapshot is re-sent entries the
+	// snapshot already holds (see Apply).
+	applied uint64
 }
 
 // inodeItem adapts *proto.Inode to btree.Item keyed by inode id.
@@ -299,18 +303,32 @@ func (p *Partition) propose(c *command) (any, error) {
 	return g.Propose(encodeCommand(c))
 }
 
-// Apply implements raft.StateMachine.
+// Apply implements raft.StateMachine. An entry at or below the applied
+// index is already in the state and is not run again: Raft labels the
+// snapshot it sends a follower with its log's compaction point, while the
+// state it serializes is the later applied one, so the follower is re-sent
+// the entries in between - and a create run twice makes a phantom inode.
 func (p *Partition) Apply(index uint64, data []byte) (any, error) {
 	c, err := decodeCommand(data)
 	if err != nil {
 		return nil, err
 	}
-	return p.applyCommand(c)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if index <= p.applied {
+		return nil, fmt.Errorf("meta: partition %d: entry %d already applied: %w", p.ID, index, util.ErrStale)
+	}
+	p.applied = index
+	return p.applyLocked(c)
 }
 
 func (p *Partition) applyCommand(c *command) (any, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.applyLocked(c)
+}
+
+func (p *Partition) applyLocked(c *command) (any, error) {
 	switch c.Kind {
 	case cmdCreateInode:
 		return p.applyCreateInode(c)
@@ -647,6 +665,9 @@ type partitionSnapshot struct {
 	// snapshots, which load as epoch 1.
 	Members      []string
 	ReplicaEpoch uint64
+	// Applied is the Raft index of the last command the state holds.
+	// Zero in snapshots written before it was recorded.
+	Applied uint64
 }
 
 // Snapshot implements raft.StateMachine. Clone() gives O(1) consistent
@@ -663,6 +684,7 @@ func (p *Partition) Snapshot() ([]byte, error) {
 		MaxInodeID:   p.maxInodeID,
 		Members:      append([]string(nil), p.Members...),
 		ReplicaEpoch: p.epoch,
+		Applied:      p.applied,
 	}
 	p.mu.Unlock()
 
@@ -703,6 +725,7 @@ func (p *Partition) Restore(data []byte) error {
 		p.Volume = snap.Volume
 	}
 	p.maxInodeID = snap.MaxInodeID
+	p.applied = snap.Applied
 	p.inodeTree = inodeTree
 	p.dentryTree = dentryTree
 	// Membership travels with the snapshot, epoch-fenced: a disk reload

@@ -226,8 +226,10 @@ type RaftHeartbeatResp struct {
 func Now() int64 { return time.Now().UnixNano() }
 
 // RegisterGob registers every message type carried over the TCP transport.
-// The in-process transport passes values directly and does not need it, but
-// calling it twice is harmless.
+// The metadata RPCs normally cross in their binary layout (metawire.go);
+// they stay registered because a body sent under another op's number goes
+// gob, so that the handler can refuse it. The in-process transport passes
+// values directly and does not need it, but calling it twice is harmless.
 func RegisterGob() {
 	for _, v := range []any{
 		&Inode{}, &Dentry{}, &ExtentKey{},

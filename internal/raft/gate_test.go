@@ -103,6 +103,28 @@ func (h *gateLeader) propose(data string) {
 	}
 }
 
+// commit proposes n entries, one at a time, and has each follower in
+// acking answer every append it is sent; the other follower is mute.
+// acking maps each answering follower to its last append, which commit
+// answers first and leaves updated to the last one sent, unanswered.
+func (h *gateLeader) commit(n int, acking map[string]*Message) {
+	for i := 0; i < n; i++ {
+		for f, app := range acking {
+			h.ack(app)
+			acking[f] = nil
+		}
+		h.propose(fmt.Sprintf("k%d=v", i))
+		for got := 0; got < len(acking); {
+			if m := h.next(); m.Type == MsgApp && len(m.Entries) > 0 {
+				if prev, ok := acking[m.To]; ok && prev == nil {
+					acking[m.To] = m
+					got++
+				}
+			}
+		}
+	}
+}
+
 // ack answers app as its follower would: success up to its last entry.
 func (h *gateLeader) ack(app *Message) {
 	h.step(&Message{Type: MsgAppResp, From: app.To, Term: app.Term, Success: true,
@@ -156,19 +178,15 @@ func (s *snapCountingSM) Snapshot() ([]byte, error) {
 func TestGateSnapshotOncePerRetransmit(t *testing.T) {
 	sm := &snapCountingSM{kvSM: newKVSM()}
 	h := newGateLeader(t, sm, 4)
-	// f1 acks every append; f2 stays mute while 20 entries commit and the
-	// log compacts past everything f2 has.
-	app := h.noop["f1"]
-	for i := 0; i < 20; i++ {
-		h.ack(app)
-		h.propose(fmt.Sprintf("k%d=v", i))
-		for app = h.next(); app.To != "f1" || app.Type != MsgApp; app = h.next() {
-		}
-	}
-	h.ack(app)
+	// f1 acks every append; f2 stays mute while 100 entries commit and the
+	// log compacts past everything f2 has (compaction keeps a tail of
+	// MaxEntriesPerMsg, 64, below the applied index).
+	acking := map[string]*Message{"f1": h.noop["f1"]}
+	h.commit(100, acking)
+	h.ack(acking["f1"])
 	h.settle()
-	if st := h.n.Status(); st.Commit != 21 || st.FirstIndex <= 1 {
-		t.Fatalf("commit %d, first index %d: want 21 committed and the no-op compacted away", st.Commit, st.FirstIndex)
+	if st := h.n.Status(); st.Commit != 101 || st.FirstIndex <= 1 {
+		t.Fatalf("commit %d, first index %d: want 101 committed and the no-op compacted away", st.Commit, st.FirstIndex)
 	}
 
 	// f2 is alive but slow: ten heartbeat answers reach the leader, then
@@ -188,6 +206,46 @@ func TestGateSnapshotOncePerRetransmit(t *testing.T) {
 	}
 	if got := entryApps(sent, "f2"); got != ticks {
 		t.Fatalf("%d snapshots sent to f2, want one per tick (%d)", got, ticks)
+	}
+}
+
+// Compaction drops log entries and nothing else: the state machine is
+// serialized only for a follower that needs a snapshot.
+func TestCompactionTakesNoSnapshot(t *testing.T) {
+	sm := &snapCountingSM{kvSM: newKVSM()}
+	h := newGateLeader(t, sm, 4)
+	h.commit(300, map[string]*Message{"f1": h.noop["f1"], "f2": h.noop["f2"]})
+	if st := h.n.Status(); st.FirstIndex <= 1 || st.LastIndex-st.FirstIndex > 70 {
+		t.Fatalf("log holds [%d, %d]: want it compacted to the tail", st.FirstIndex, st.LastIndex)
+	}
+	if got := sm.snapshots.Load(); got != 0 {
+		t.Fatalf("SM.Snapshot called %d times by compaction, want 0", got)
+	}
+}
+
+// A follower one append behind (MaxEntriesPerMsg entries) when the log
+// compacts is sent that append again, not a snapshot of the whole state.
+func TestCompactionKeepsOneAppendForALaggingFollower(t *testing.T) {
+	sm := &snapCountingSM{kvSM: newKVSM()}
+	h := newGateLeader(t, sm, 4)
+	acking := map[string]*Message{"f1": h.noop["f1"], "f2": h.noop["f2"]}
+	h.commit(100, acking)
+	h.ack(acking["f2"]) // f2 has all 101 entries, then goes quiet
+	delete(acking, "f2")
+	const behind = 64 // MaxEntriesPerMsg
+	h.commit(behind, acking)
+	h.ack(acking["f1"])
+	h.settle()
+	if st := h.n.Status(); st.Applied != 101+behind || st.FirstIndex <= 1 {
+		t.Fatalf("applied %d, first index %d: want %d applied and the log compacted", st.Applied, st.FirstIndex, 101+behind)
+	}
+	app := h.tick()["f2"]
+	if app.Type != MsgApp || app.PrevLogIndex != 101 || len(app.Entries) != behind {
+		t.Fatalf("f2 was sent %v after %d with %d entries, want an append of the %d it lacks",
+			app.Type, app.PrevLogIndex, len(app.Entries), behind)
+	}
+	if got := sm.snapshots.Load(); got != 0 {
+		t.Fatalf("SM.Snapshot called %d times, want 0", got)
 	}
 }
 

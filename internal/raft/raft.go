@@ -243,8 +243,10 @@ type Config struct {
 	// group on a node shares one clock and heartbeats align for coalescing.
 	ExternalClock bool
 
-	// MaxLogEntries triggers snapshot-based compaction once the
-	// in-memory log grows past it. Zero means 4096.
+	// MaxLogEntries triggers compaction once the in-memory log grows past
+	// it: applied entries are dropped but for a tail of MaxEntriesPerMsg,
+	// and a follower that needs a dropped one is sent a snapshot. Zero
+	// means 4096.
 	MaxLogEntries int
 	// MaxEntriesPerMsg bounds entries per AppendEntries. Zero means 64.
 	MaxEntriesPerMsg int
@@ -1189,28 +1191,22 @@ func (n *Node) applyCommitted() {
 	}
 }
 
+// maybeCompact drops applied entries once the log outgrows MaxLogEntries.
+// It only drops: the state machine is serialized when a follower needs a
+// snapshot (sendSnapshot), never here, so compacting a large partition
+// costs the event loop nothing. The last MaxEntriesPerMsg entries below
+// applied stay, so a follower one append behind is sent that append, not
+// the whole state.
 func (n *Node) maybeCompact() {
 	if len(n.log) <= n.cfg.MaxLogEntries {
 		return
 	}
-	// Compact up to the applied index, keeping a small tail so slightly
-	// lagging followers do not immediately need snapshots.
-	keepFrom := n.applied // entries >= keepFrom stay... (tail of 1)
-	if keepFrom <= n.firstIndex {
+	keep := uint64(n.cfg.MaxEntriesPerMsg)
+	if n.applied <= keep || n.applied-keep <= n.firstIndex {
 		return
 	}
-	snapIdx := keepFrom - 1
-	term, ok := n.termAt(snapIdx)
-	if !ok {
-		return
-	}
-	if snapIdx > n.applied {
-		return
-	}
-	// Snapshot failures leave the log uncompacted, which is safe.
-	if _, err := n.cfg.SM.Snapshot(); err != nil {
-		return
-	}
+	keepFrom := n.applied - keep
+	term, _ := n.termAt(keepFrom - 1) // held: firstIndex-1 < keepFrom-1 < applied
 	n.log = append([]Entry(nil), n.log[keepFrom-n.firstIndex:]...)
 	n.firstIndex = keepFrom
 	n.snapTerm = term

@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -30,9 +33,17 @@ func inodeGetHandler(op uint8, req any) (any, error) {
 	}}, nil
 }
 
-func inodeGetOnce(nw *TCP, addr string, ino uint64) error {
+// opGob carries InodeGet bodies on gob: it is no metadata op, so it has no
+// binary layout and the bodies go as every control-plane message does.
+// opInodeGet carries them in the binary meta layout.
+const (
+	opGob      uint8 = 0
+	opInodeGet       = uint8(proto.OpMetaInodeGet)
+)
+
+func inodeGetOnce(nw *TCP, addr string, op uint8, ino uint64) error {
 	var resp proto.InodeGetResp
-	if err := nw.Call(addr, 1, &proto.InodeGetReq{PartitionID: 7, Inode: ino}, &resp); err != nil {
+	if err := nw.Call(addr, op, &proto.InodeGetReq{PartitionID: 7, Inode: ino}, &resp); err != nil {
 		return err
 	}
 	if resp.Info == nil || resp.Info.Inode != ino || len(resp.Info.Extents) != 2 {
@@ -41,30 +52,40 @@ func inodeGetOnce(nw *TCP, addr string, ino uint64) error {
 	return nil
 }
 
-// BenchmarkTCPCall is one gob InodeGetReq -> InodeGetResp round trip over a
-// pooled loopback connection: the per-call cost of every metadata op on TCP.
+// BenchmarkTCPCall is one InodeGetReq -> InodeGetResp round trip over a
+// pooled loopback connection, the per-call cost of a metadata op on TCP:
+// gob/ as the control plane still pays it, binary/ in the meta layout
+// every client metadata RPC uses.
 func BenchmarkTCPCall(b *testing.B) {
-	nw := NewTCP()
-	ln, err := nw.Listen("127.0.0.1:0", inodeGetHandler)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	if err := inodeGetOnce(nw, ln.Addr(), 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := inodeGetOnce(nw, ln.Addr(), uint64(i)); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		op   uint8
+	}{{"gob", opGob}, {"binary", opInodeGet}} {
+		b.Run(c.name, func(b *testing.B) {
+			nw := NewTCP()
+			ln, err := nw.Listen("127.0.0.1:0", inodeGetHandler)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close()
+			if err := inodeGetOnce(nw, ln.Addr(), c.op, 1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := inodeGetOnce(nw, ln.Addr(), c.op, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// TestTCPCallAllocs bounds the allocations of one gob round trip, client
-// and server together: type descriptors are sent once per connection, so
-// a warm connection pays only for the values themselves.
+// TestTCPCallAllocs bounds the allocations of one round trip, client and
+// server together. On gob, type descriptors are sent once per connection,
+// so a warm connection pays only for the values themselves; the binary
+// layout allocates the decoded request and reply and little else.
 func TestTCPCallAllocs(t *testing.T) {
 	nw := NewTCP()
 	ln, err := nw.Listen("127.0.0.1:0", inodeGetHandler)
@@ -72,17 +93,24 @@ func TestTCPCallAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var callErr error
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := inodeGetOnce(nw, ln.Addr(), 9); err != nil {
-			callErr = err
+	for _, c := range []struct {
+		name  string
+		op    uint8
+		bound float64
+	}{{"gob", opGob, 50}, {"binary", opInodeGet, 10}} { // measured: gob 19, binary 8
+		var callErr error
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := inodeGetOnce(nw, ln.Addr(), c.op, 9); err != nil {
+				callErr = err
+			}
+		})
+		if callErr != nil {
+			t.Fatalf("%s: %v", c.name, callErr)
 		}
-	})
-	if callErr != nil {
-		t.Fatal(callErr)
-	}
-	if allocs > 50 {
-		t.Fatalf("%.0f allocations per round trip, want <= 50", allocs)
+		t.Logf("%s: %.0f allocations per round trip", c.name, allocs)
+		if allocs > c.bound {
+			t.Fatalf("%s: %.0f allocations per round trip, want <= %.0f", c.name, allocs, c.bound)
+		}
 	}
 }
 
@@ -254,7 +282,7 @@ func TestTCPBodyMustBeConsumedExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		_, status, reply, err := newTCPConn(conn, 4096).readFrame()
+		_, status, reply, err := newTCPConn(conn, 4096).readFrame(nil)
 		if extra == 0 {
 			if r, ok := reply.(*echoResp); err != nil || status != statusOK || !ok || r.Msg != "hi/ack" {
 				t.Fatalf("exact body: status %d reply %+v, %v", status, reply, err)
@@ -302,5 +330,132 @@ func TestTCPCodecErrorDropsConnection(t *testing.T) {
 		if pooledConn(t, nw, addr) == before {
 			t.Fatalf("%s: the failed call's connection went back to the pool", tc.name)
 		}
+	}
+}
+
+// metaCalls is one request and reply per metadata op with a binary layout.
+var metaCalls = []struct {
+	op        proto.Op
+	req, resp any
+}{
+	{proto.OpMetaCreateInode, &proto.CreateInodeReq{PartitionID: 1, Type: proto.TypeSymlink, LinkTarget: []byte("t")},
+		&proto.CreateInodeResp{Info: &proto.Inode{Inode: 5, Type: proto.TypeSymlink, LinkTarget: []byte("t"), NLink: 1}}},
+	{proto.OpMetaUnlinkInode, &proto.UnlinkInodeReq{PartitionID: 1, Inode: 5},
+		&proto.UnlinkInodeResp{Info: &proto.Inode{Inode: 5, Flag: proto.FlagDeleteMark,
+			Extents: []proto.ExtentKey{{PartitionID: 2, ExtentID: 3, Size: 10}}}}},
+	{proto.OpMetaEvictInode, &proto.EvictInodeReq{PartitionID: 1, Inode: 5}, &proto.EvictInodeResp{}},
+	{proto.OpMetaLinkInode, &proto.LinkInodeReq{PartitionID: 1, Inode: 6}, &proto.LinkInodeResp{Info: &proto.Inode{Inode: 6, NLink: 2}}},
+	{proto.OpMetaCreateDentry, &proto.CreateDentryReq{PartitionID: 1, ParentID: 1, Name: "f", Inode: 6}, &proto.CreateDentryResp{}},
+	{proto.OpMetaDeleteDentry, &proto.DeleteDentryReq{PartitionID: 1, ParentID: 1, Name: "f"}, &proto.DeleteDentryResp{Inode: 6}},
+	{proto.OpMetaUpdateDentry, &proto.UpdateDentryReq{PartitionID: 1, ParentID: 1, Name: "f", Inode: 7}, &proto.UpdateDentryResp{OldInode: 6}},
+	{proto.OpMetaLookup, &proto.LookupReq{PartitionID: 1, ParentID: 1, Name: "f"}, &proto.LookupResp{Inode: 7, Type: proto.TypeDir}},
+	{proto.OpMetaInodeGet, &proto.InodeGetReq{PartitionID: 1, Inode: 7}, &proto.InodeGetResp{}},
+	{proto.OpMetaBatchInodeGet, &proto.BatchInodeGetReq{PartitionID: 1, Inodes: []uint64{7, 8}},
+		&proto.BatchInodeGetResp{Infos: []*proto.Inode{{Inode: 7}, {Inode: 8, Size: 1}}}},
+	{proto.OpMetaReadDir, &proto.ReadDirReq{PartitionID: 1, ParentID: 1},
+		&proto.ReadDirResp{Children: []proto.Dentry{{ParentID: 1, Name: "a", Inode: 7}, {ParentID: 1, Name: "b", Inode: 8}}}},
+	{proto.OpMetaSetAttr, &proto.SetAttrReq{PartitionID: 1, Inode: 7, Valid: proto.AttrSize, Size: 3, ModifyTime: -2}, &proto.SetAttrResp{}},
+	{proto.OpMetaAppendExtentKeys, &proto.AppendExtentKeysReq{PartitionID: 1, Inode: 7, Size: 4096,
+		Extents: []proto.ExtentKey{{PartitionID: 2, ExtentID: 9, Size: 4096, CRC: 1}}}, &proto.AppendExtentKeysResp{}},
+}
+
+// TestTCPMetaOpsCrossInBinary: every metadata op's request reaches the
+// handler as its typed struct and its reply comes back into the caller's
+// struct, all on one connection; a handler error still comes back as a
+// RemoteError, and a reply the caller discards is read past.
+func TestTCPMetaOpsCrossInBinary(t *testing.T) {
+	if len(metaCalls) != 13 {
+		t.Fatalf("%d rows, want one per metadata op", len(metaCalls))
+	}
+	nw := NewTCP()
+	ln, err := nw.Listen("127.0.0.1:0", func(op uint8, req any) (any, error) {
+		for _, c := range metaCalls {
+			if proto.Op(op) != c.op {
+				continue
+			}
+			if !reflect.DeepEqual(req, c.req) {
+				return nil, fmt.Errorf("%v: handler got %#v", c.op, req)
+			}
+			if c.op == proto.OpMetaInodeGet {
+				return nil, fmt.Errorf("inode gone: %w", util.ErrNotFound)
+			}
+			return c.resp, nil
+		}
+		return nil, fmt.Errorf("op %d", op)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr()
+	var first *tcpConn
+	for _, c := range metaCalls {
+		got := reflect.New(reflect.TypeOf(c.resp).Elem()).Interface()
+		err := nw.Call(addr, uint8(c.op), c.req, got)
+		if c.op == proto.OpMetaInodeGet {
+			if !errors.Is(err, util.ErrNotFound) {
+				t.Fatalf("%v: handler error came back as %v", c.op, err)
+			}
+		} else if err != nil || !reflect.DeepEqual(got, c.resp) {
+			t.Fatalf("%v: reply %#v, %v", c.op, got, err)
+		}
+		if err := nw.Call(addr, uint8(c.op), c.req, nil); err != nil && c.op != proto.OpMetaInodeGet {
+			t.Fatalf("%v with the reply discarded: %v", c.op, err)
+		}
+		if conn := pooledConn(t, nw, addr); first == nil {
+			first = conn
+		} else if conn != first {
+			t.Fatalf("%v ran on a new connection", c.op)
+		}
+	}
+}
+
+// TestTCPMetaFramesAreRaw reads the frames off the wire: a metadata request
+// is one kindRaw frame whose body is its binary layout, with no gob; a
+// reply the client cannot decode fails the call and drops the connection.
+func TestTCPMetaFramesAreRaw(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	req := &proto.LookupReq{PartitionID: 3, ParentID: 1, Name: "file"}
+	want, _ := proto.AppendMeta(nil, proto.OpMetaLookup, false, req)
+	callErr := make(chan error, 1)
+	nw := NewTCP()
+	go func() { callErr <- nw.Call(l.Addr().String(), uint8(proto.OpMetaLookup), req, &proto.LookupResp{}) }()
+	conn, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var hdr [7]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, binary.BigEndian.Uint32(hdr[3:]))
+	if _, err := io.ReadFull(conn, body); err != nil {
+		t.Fatal(err)
+	}
+	if hdr[0] != uint8(proto.OpMetaLookup) || hdr[1] != kindRaw || hdr[2] != statusRequest || !bytes.Equal(body, want) {
+		t.Fatalf("frame op %d kind %d status %d body %x, want kindRaw %x", hdr[0], hdr[1], hdr[2], body, want)
+	}
+	// A reply with a byte past the layout.
+	reply, _ := proto.AppendMeta([]byte{hdr[0], kindRaw, statusOK, 0, 0, 0, 0}, proto.OpMetaLookup, true,
+		&proto.LookupResp{Inode: 9})
+	reply = append(reply, 0)
+	binary.BigEndian.PutUint32(reply[3:], uint32(len(reply)-7))
+	if _, err := conn.Write(reply); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-callErr; !errors.Is(err, util.ErrInvalidArgument) {
+		t.Fatalf("call with a malformed reply: %v", err)
+	}
+	p := nw.pool(l.Addr().String())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) != 0 {
+		t.Fatal("the malformed reply's connection went back to the pool")
 	}
 }

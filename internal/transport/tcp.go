@@ -26,8 +26,13 @@ import (
 // kind selects the body codec: kindGob for control-plane messages (encoded
 // with encoding/gob), kindPacket for *proto.Packet data-path frames
 // (encoded with the binary codec in package proto) and kindRaw for a body
-// that encodes itself (an encoding.BinaryAppender, such as a MultiRaft
-// batch), which the receiver's handler gets as a Raw copy of its bytes.
+// in a binary layout. Which layout a kindRaw body has, the op says, on
+// both ends: the request and reply of a metadata op with a layout
+// (proto.HasMetaLayout) use proto's meta layout, and the receiver decodes
+// them into the op's typed request or straight into the caller's reply;
+// any other op's kindRaw body encoded itself (an encoding.BinaryAppender,
+// such as a MultiRaft batch), and the receiver's handler gets a Raw copy
+// of its bytes. A body whose type is not its op's layout goes gob.
 // status is statusRequest or statusOneWay on requests - a one-way request
 // (a Stream send) is never answered - and statusOK or statusErr (body is a
 // gob RemoteError) on responses.
@@ -377,7 +382,7 @@ func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 	defer conn.Close()
 	c := newTCPConn(conn, 256*util.KB)
 	for {
-		op, status, req, err := c.readFrame()
+		op, status, req, err := c.readFrame(nil)
 		if err != nil {
 			return // peer closed, stream corrupt or undecodable; drop the connection
 		}
@@ -581,7 +586,7 @@ func (c *tcpConn) call(op uint8, req, resp any) error {
 	if err := c.writeFrame(op, statusRequest, req); err != nil {
 		return err
 	}
-	_, status, body, err := c.readFrame()
+	_, status, body, err := c.readFrame(resp)
 	if err != nil {
 		return err
 	}
@@ -590,6 +595,9 @@ func (c *tcpConn) call(op uint8, req, resp any) error {
 			return remote
 		}
 		return fmt.Errorf("transport: error reply carries %T", body)
+	}
+	if c.hdr[1] == kindRaw && proto.HasMetaLayout(proto.Op(op)) {
+		return nil // readFrame decoded the binary reply into resp
 	}
 	return copyInto(resp, body)
 }
@@ -609,7 +617,13 @@ func (c *tcpConn) writeFrame(op, status uint8, body any) error {
 		c.out[1] = kindRaw
 		c.out, err = b.AppendBinary(c.out)
 	default:
-		err = c.enc.Encode(&body)
+		var ok bool
+		if c.out, ok = proto.AppendMeta(c.out, proto.Op(op), status == statusOK, body); ok {
+			c.out[1] = kindRaw
+		} else {
+			v := body // only a gob body pays for the escape to the heap
+			err = c.enc.Encode(&v)
+		}
 	}
 	if err != nil {
 		return err
@@ -620,8 +634,10 @@ func (c *tcpConn) writeFrame(op, status uint8, body any) error {
 }
 
 // readFrame reads one frame and decodes its body, which must be consumed
-// exactly. A stream-open frame has no body: the raw stream follows it.
-func (c *tcpConn) readFrame() (op, status uint8, body any, err error) {
+// exactly. A stream-open frame has no body: the raw stream follows it. A
+// binary reply of a metadata op decodes into resp (and is dropped when resp
+// is nil); its body comes back nil.
+func (c *tcpConn) readFrame(resp any) (op, status uint8, body any, err error) {
 	if _, err = io.ReadFull(c.br, c.hdr[:]); err != nil {
 		return
 	}
@@ -636,9 +652,15 @@ func (c *tcpConn) readFrame() (op, status uint8, body any, err error) {
 		_, err = p.ReadFrom(&c.body)
 		body = p
 	case kindRaw:
-		body, err = readRaw(&c.body, c.body.n)
+		if !proto.HasMetaLayout(proto.Op(op)) {
+			body, err = readRaw(&c.body, c.body.n)
+			break
+		}
+		body, err = c.readMeta(proto.Op(op), status == statusOK, resp)
 	case kindGob:
-		err = c.dec.Decode(&body)
+		var v any // only a gob body pays for the escape to the heap
+		err = c.dec.Decode(&v)
+		body = v
 	default:
 		err = fmt.Errorf("transport: unknown frame kind %d", c.hdr[1])
 	}
@@ -646,6 +668,35 @@ func (c *tcpConn) readFrame() (op, status uint8, body any, err error) {
 		err = fmt.Errorf("transport: %d body bytes left undecoded", c.body.n)
 	}
 	return
+}
+
+// readMeta decodes the current frame's body in op's meta layout: the
+// request, or the reply into resp. A body that fits the read buffer is
+// decoded where it lies; the decoder copies what it keeps.
+func (c *tcpConn) readMeta(op proto.Op, reply bool, resp any) (any, error) {
+	n := c.body.n
+	var data []byte
+	if n <= c.br.Size() {
+		var err error
+		if data, err = c.br.Peek(n); err != nil {
+			return nil, err
+		}
+		defer c.br.Discard(n) // after the decode: Discard reads nothing, so data stays valid
+		c.body.n = 0
+	} else {
+		raw, err := readRaw(&c.body, n)
+		if err != nil {
+			return nil, err
+		}
+		data = raw
+	}
+	switch {
+	case !reply:
+		return proto.DecodeMetaRequest(op, data)
+	case resp == nil:
+		return nil, nil
+	}
+	return nil, proto.DecodeMetaReply(op, data, resp)
 }
 
 // readRaw reads an n-byte kindRaw body into a buffer of its own. The

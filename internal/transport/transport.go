@@ -7,11 +7,12 @@
 //     whole cluster in one process on top of it, which keeps protocol
 //     behavior identical to a real deployment while removing kernel
 //     networking from the measurement (DESIGN.md Section 4).
-//   - TCP: a length-prefixed gob/binary-packet protocol over net.Conn used
-//     by the cmd/cfs-server daemons. Each connection carries one gob
-//     stream per direction, so type descriptors cross it once; a body that
-//     encodes itself (encoding.BinaryAppender) skips gob and reaches the
-//     handler as Raw bytes.
+//   - TCP: a length-prefixed gob/binary protocol over net.Conn used by the
+//     cmd/cfs-server daemons. Metadata RPCs cross in proto's binary meta
+//     layout and reach the handler as their typed requests; a body that
+//     encodes itself (encoding.BinaryAppender) reaches it as Raw bytes;
+//     the control plane rides one gob stream per connection and
+//     direction, so type descriptors cross it once.
 //
 // Handlers receive the decoded request. With the Memory network the request
 // value is shared with the caller, so handlers must treat requests as

@@ -160,7 +160,9 @@ func runStreamSuite(t *testing.T, nw StreamNetwork, addr string) {
 			t.Fatalf("send %q: %v", msg, err)
 		}
 	}
-	if err := st.Send(1, rawBody("bytes")); err != nil {
+	// A self-encoding body rides an op with no meta layout, as the lane's
+	// batches ride OpRaftMessage: on a meta op, kindRaw means the meta layout.
+	if err := st.Send(uint8(proto.OpRaftMessage), rawBody("bytes")); err != nil {
 		t.Fatalf("send raw: %v", err)
 	}
 	want = append(want[:10], "after-error", "raw:bytes")
