@@ -312,9 +312,9 @@ func (w *ExtentWriter) handleAck(sp *streamPkt, ack *proto.Packet) {
 			CRC:          sp.crc, // computed once at enqueue; no re-scan per ack
 		})
 		if sp.pooled {
-			// Only an all-replica ack proves no hop still reads the chunk:
-			// on the Memory fabric every hop aliases it. A failed packet's
-			// chunk goes to the caller as a PendingWrite, and to the GC.
+			// Only an all-replica ack ends the chunk's use: until then a
+			// failure hands it to the caller as a PendingWrite to replay
+			// (and then to the GC), as every hop holds its own copy.
 			util.PutChunk(sp.data)
 			sp.data = nil
 		}

@@ -27,10 +27,9 @@ func patterned(n int, seed byte) []byte {
 
 // TestWriteChunkPoolBalance: a multi-MiB streamed write takes every packet
 // copy from the chunk pool and returns each on its all-replica ack, and
-// the data nodes return every frame they received - on TCP, where each
-// receive loop fills pooled buffers of its own, and on Memory, where every
-// hop aliases the client's buffer. The window recycles a few buffers for
-// most of the write, and every packet still reads back intact.
+// the data nodes return every frame they received - on both fabrics each
+// receive loop fills pooled buffers of its own. The window recycles a few
+// buffers for most of the write, and every packet still reads back intact.
 func TestWriteChunkPoolBalance(t *testing.T) {
 	for _, fabric := range []string{"memory", "tcp"} {
 		t.Run(fabric, func(t *testing.T) {
@@ -86,8 +85,7 @@ func TestWriteChunkPoolBalance(t *testing.T) {
 
 // TestWriteChunkPoolAbortReuse: a follower that fails mid-stream aborts the
 // window, and the aborted packets' chunks stay with the caller as
-// PendingWrites instead of going back to the pool - on the Memory fabric
-// the leader's forward hops alias them and may still be reading. A writer
+// PendingWrites, for the replay, instead of going back to the pool. A writer
 // opened at once on the same partition fills recycled chunks with new bytes
 // and with the replay; afterwards no replica holds bytes that differ from
 // the checksum it recorded for them, and the only chunks not back in the

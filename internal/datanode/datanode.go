@@ -65,7 +65,7 @@ type DataNode struct {
 	dir         string
 	total       uint64
 	extentSize  uint64
-	nw          transport.Network
+	nw          transport.PacketStreamNetwork
 	raft        *raftstore.Store
 	clock       clock.Clock
 	ackDeadline time.Duration
@@ -106,6 +106,12 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 	if cfg.Addr == "" || cfg.Dir == "" {
 		return nil, fmt.Errorf("datanode: %w: Addr and Dir are required", util.ErrInvalidArgument)
 	}
+	// Client writes, streamed reads and replication ride duplex packet
+	// streams, so a transport without them is rejected here, once.
+	snw, ok := nw.(transport.PacketStreamNetwork)
+	if !ok {
+		return nil, fmt.Errorf("datanode: transport %T has no packet streams: %w", nw, util.ErrInvalidArgument)
+	}
 	if cfg.Total == 0 {
 		cfg.Total = util.GB * 1024
 	}
@@ -127,7 +133,7 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 		dir:         cfg.Dir,
 		total:       cfg.Total,
 		extentSize:  cfg.ExtentSize,
-		nw:          nw,
+		nw:          snw,
 		clock:       clock.OrReal(cfg.Clock),
 		ackDeadline: cfg.AckDeadline,
 		keepalive:   cfg.KeepaliveInterval,
@@ -142,13 +148,9 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 		return nil, err
 	}
 	d.ln = ln
-	// Client writes and streamed reads need duplex packet streams; on a
-	// transport without them the node serves only the unary ops.
-	if snw, ok := nw.(transport.PacketStreamNetwork); ok {
-		if err := snw.ListenStream(cfg.Addr, d.handleStream); err != nil {
-			d.Close()
-			return nil, err
-		}
+	if err := snw.ListenStream(cfg.Addr, d.handleStream); err != nil {
+		d.Close()
+		return nil, err
 	}
 	// Re-host every partition persisted under Dir BEFORE registering, so
 	// the first heartbeat reports them and reads of already-committed

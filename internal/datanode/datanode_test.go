@@ -294,6 +294,17 @@ func (tc *testCluster) readEventually(t *testing.T, addr string, pid, eid, off u
 	}
 }
 
+// TestStartRejectsStreamlessTransport: writes, streamed reads and
+// replication ride packet streams, so a transport without them is refused
+// once, at Start, as client.Mount refuses it.
+func TestStartRejectsStreamlessTransport(t *testing.T) {
+	type callOnly struct{ transport.Network }
+	_, err := Start(callOnly{transport.NewMemory()}, Config{Addr: "dn", Dir: t.TempDir()})
+	if !errors.Is(err, util.ErrInvalidArgument) {
+		t.Fatalf("Start over a stream-less transport = %v, want ErrInvalidArgument", err)
+	}
+}
+
 func TestAppendReplicatesToAllReplicas(t *testing.T) {
 	tc := startCluster(t, 3)
 	tc.createPartition(t, 100)

@@ -467,14 +467,9 @@ func (s *writeSession) leaderPacket(p *Partition, pkt *proto.Packet) {
 // sender/ack-collector goroutine pairs. Returns false (session aborted) if
 // any follower is unreachable.
 func (s *writeSession) openChains(p *Partition) bool {
-	snw, ok := s.d.nw.(transport.PacketStreamNetwork)
 	var chains []*fwdChain
 	for _, addr := range p.followers() {
-		if !ok {
-			s.followerFailed(addr, fmt.Errorf("transport has no packet streams"))
-			return false
-		}
-		st, err := snw.DialStream(addr, uint8(proto.OpDataWriteStream))
+		st, err := s.d.nw.DialStream(addr, uint8(proto.OpDataWriteStream))
 		if err != nil {
 			for _, c := range chains {
 				close(c.out)

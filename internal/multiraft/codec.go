@@ -11,8 +11,8 @@ import (
 	"cfs/internal/util"
 )
 
-// The lane's wire layout. On TCP a Batch crosses as one frame body in this
-// layout (the transport appends it straight into its frame buffer and the
+// The lane's wire layout. On both fabrics a Batch crosses as one frame
+// body in this layout (the transport appends it straight into its frame buffer and the
 // receiver's handler gets the bytes as transport.Raw); gob never touches
 // the lane. Every integer is a uvarint, every []byte and string a uvarint
 // length and its bytes:

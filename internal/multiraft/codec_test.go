@@ -198,36 +198,41 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// TestTCPLaneCarriesRawBatches: on TCP every Raft batch reaches the
+// TestLaneCarriesRawBatches: on both fabrics every Raft batch reaches the
 // receiving manager as the lane's own bytes (transport.Raw), never as a
-// gob-decoded value, and the group commits through it.
-func TestTCPLaneCarriesRawBatches(t *testing.T) {
-	var raw, other atomic.Int64
-	var c wireCount
-	groups := startLane(t, "tcp", &c, func(h transport.Handler) transport.Handler {
-		return func(op uint8, req any) (any, error) {
-			if _, ok := req.(transport.Raw); ok {
-				raw.Add(1)
-			} else {
-				other.Add(1)
+// gob-decoded value or the sender's *Batch, and the group commits through
+// it.
+func TestLaneCarriesRawBatches(t *testing.T) {
+	for _, fabric := range []string{"mem", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			var raw, other atomic.Int64
+			var c wireCount
+			groups := startLane(t, fabric, &c, func(h transport.Handler) transport.Handler {
+				return func(op uint8, req any) (any, error) {
+					if _, ok := req.(transport.Raw); ok {
+						raw.Add(1)
+					} else {
+						other.Add(1)
+					}
+					return h(op, req)
+				}
+			})
+			leader := groups[0]
+			leader.Campaign()
+			waitFor(t, 5*time.Second, "no leader", leader.IsLeader)
+			for i := 0; i < 20; i++ {
+				if _, err := leader.Propose([]byte("v")); err != nil {
+					t.Fatal(err)
+				}
 			}
-			return h(op, req)
-		}
-	})
-	leader := groups[0]
-	leader.Campaign()
-	waitFor(t, 5*time.Second, "no leader", leader.IsLeader)
-	for i := 0; i < 20; i++ {
-		if _, err := leader.Propose([]byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, g := range groups[1:] {
-		waitFor(t, 5*time.Second, "a follower never applied the proposals", func() bool {
-			return g.Status().Applied >= 21
+			for _, g := range groups[1:] {
+				waitFor(t, 5*time.Second, "a follower never applied the proposals", func() bool {
+					return g.Status().Applied >= 21
+				})
+			}
+			if other.Load() != 0 || raw.Load() == 0 {
+				t.Fatalf("bodies at the handlers: %d transport.Raw, %d of another kind", raw.Load(), other.Load())
+			}
 		})
-	}
-	if other.Load() != 0 || raw.Load() == 0 {
-		t.Fatalf("bodies at the handlers: %d transport.Raw, %d of another kind", raw.Load(), other.Load())
 	}
 }

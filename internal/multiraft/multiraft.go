@@ -22,7 +22,7 @@
 //  3. Streams: each peer gets one pinned, one-way transport stream
 //     (re-dialed lazily on failure) shared by all groups, so Raft load does
 //     not churn the connection pool used by the data path. A Batch encodes
-//     itself (codec.go), so on TCP it is one frame with nothing sent back.
+//     itself (codec.go), so it is one frame with nothing sent back.
 //
 // Every non-heartbeat message travels the same per-peer lane and is
 // sendable at once: it wakes the peer's sender and leaves batched with
@@ -50,7 +50,7 @@ import (
 // Batch is the single wire frame exchanged between MultiRaft managers: the
 // multiplexed non-heartbeat messages of every group plus the coalesced
 // heartbeat slots, all for one (from node, to node) pair. It encodes itself
-// (codec.go), so on TCP it crosses as one frame of its own layout.
+// (codec.go), so it crosses as one frame of its own layout.
 type Batch struct {
 	From      string
 	Messages  []*raft.Message
@@ -483,24 +483,21 @@ func (m *Manager) peerLoop(p *peer) {
 // Incoming path.
 
 // Handler returns the transport.Handler for proto.OpRaftMessage, usable
-// directly by nodes that host nothing else on the address. The body is the
-// *Batch itself on the Memory network and its wire bytes (transport.Raw)
-// on TCP. Nothing is answered: the lane is one-way.
+// directly by nodes that host nothing else on the address. The body is a
+// batch's wire bytes (transport.Raw). Nothing is answered: the lane is
+// one-way.
 func (m *Manager) Handler() transport.Handler { return m.handle }
 
 func (m *Manager) handle(op uint8, req any) (any, error) {
-	switch body := req.(type) {
-	case *Batch:
-		m.handleBatch(body)
-	case transport.Raw:
-		b, err := decodeBatch(body, m.addr)
-		if err != nil {
-			return nil, err
-		}
-		m.handleBatch(b)
-	default:
+	body, ok := req.(transport.Raw)
+	if !ok {
 		return nil, fmt.Errorf("multiraft: %w: body %T", util.ErrInvalidArgument, req)
 	}
+	b, err := decodeBatch(body, m.addr)
+	if err != nil {
+		return nil, err
+	}
+	m.handleBatch(b)
 	return nil, nil
 }
 

@@ -273,11 +273,14 @@ func TestCreateAfterCloseFails(t *testing.T) {
 	m.Close() // idempotent
 }
 
+// TestHandlerRejectsWrongBody: the lane handler takes only a batch's wire
+// bytes; a body of another type and bytes that are no batch are refused.
 func TestHandlerRejectsWrongBody(t *testing.T) {
 	nw := transport.NewMemory()
 	m := startManager(t, nw, "a")
-	_, err := m.Handler()(uint8(proto.OpRaftMessage), &proto.HeartbeatReq{})
-	if !errors.Is(err, util.ErrInvalidArgument) {
-		t.Fatalf("wrong body accepted: %v", err)
+	for _, body := range []any{&proto.HeartbeatReq{}, transport.Raw{0xff, 0xff, 0xff}} {
+		if _, err := m.Handler()(uint8(proto.OpRaftMessage), body); !errors.Is(err, util.ErrInvalidArgument) {
+			t.Fatalf("wrong body %T accepted: %v", body, err)
+		}
 	}
 }

@@ -70,11 +70,10 @@ type poolRef struct{ refs atomic.Int32 }
 
 // MarkPooled hands ownership of p.Data - which must be a util.GetChunk
 // buffer - to the packet, with a reference count of one. Ownership then
-// moves by the transport contract: Send consumes one reference (on the
-// in-process transport a successful Send transfers it to the receiver
-// with the pointer; everywhere else the transport releases after the
-// bytes leave), and a received packet arrives holding one reference that
-// its consumer must Release or TakeData.
+// moves by the transport contract: Send consumes one reference (the
+// transport releases it once the bytes leave, or the send fails), and a
+// received packet arrives holding one reference that its consumer must
+// Release or TakeData.
 func (p *Packet) MarkPooled() {
 	r := &poolRef{}
 	r.refs.Store(1)

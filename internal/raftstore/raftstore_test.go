@@ -213,9 +213,10 @@ func TestBatchingReducesRPCs(t *testing.T) {
 func TestHandlerRejectsWrongBody(t *testing.T) {
 	nw := transport.NewMemory()
 	n := startNode(t, nw, "a")
-	_, err := n.store.Handler()(uint8(proto.OpRaftMessage), &proto.HeartbeatReq{})
-	if !errors.Is(err, util.ErrInvalidArgument) {
-		t.Fatalf("wrong body accepted: %v", err)
+	for _, body := range []any{&proto.HeartbeatReq{}, transport.Raw{0xff, 0xff, 0xff}} {
+		if _, err := n.store.Handler()(uint8(proto.OpRaftMessage), body); !errors.Is(err, util.ErrInvalidArgument) {
+			t.Fatalf("wrong body %T accepted: %v", body, err)
+		}
 	}
 }
 

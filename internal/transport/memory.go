@@ -1,408 +1,335 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"cfs/internal/proto"
 	"cfs/internal/util"
 )
 
-// Memory is an in-process Network. All nodes of a simulated cluster share
-// one Memory instance; addresses are arbitrary strings.
+// Memory is an in-process Network: the TCP fabric - its framing, codecs,
+// connection pools and stream code - over in-process byte connections
+// instead of sockets. All nodes of a simulated cluster share one Memory;
+// addresses are arbitrary strings. Requests and replies cross as bytes,
+// so a handler never shares memory with its caller.
 //
-// Fault injection:
-//   - Partition(addr): calls and stream dials to addr fail with
-//     util.ErrTimeout, and so do those a node built on Endpoint(addr)
-//     makes - every node internal/cluster boots is.
-//   - Freeze(addr): packet-stream frames destined for addr stall in Recv
-//     without any error - the TCP half-open failure mode, where the peer
-//     is gone (or wedged) but the connection never resets. Liveness
-//     deadlines, not error paths, are what convert this into progress.
-//   - SetLatency(d): every call sleeps d before dispatch, emulating a
-//     network round trip so concurrency effects (the x-axes of Figures
-//     6-9) are visible on a single machine. DialStream pays the same
-//     delay once, modeling the handshake round trip a real socket dial
-//     costs - which is exactly what per-small-file session dialing wastes
-//     and the session pool amortizes.
+// The connections inject the faults:
+//   - SetLatency(d): a call pays d before its request is delivered,
+//     emulating a network trip so concurrency effects (the x-axes of
+//     Figures 6-9) are visible on a single machine. A packet-stream frame
+//     is delivered d after it is sent, in each direction, and Send does
+//     not wait for it, so pipelined frames overlap in flight as on a real
+//     wire. DialStream pays 2d, the handshake round trip a socket dial
+//     costs - what per-small-file session dialing wastes and the session
+//     pool amortizes. A call connection's dial pays nothing.
+//   - Partition(addr): calls, stream dials and stream frames to addr fail
+//     with util.ErrTimeout, pooled connections included, and so do those
+//     a node built on Endpoint(addr) makes - every node internal/cluster
+//     boots is. Frames already sent still arrive.
+//   - Freeze(addr): packet-stream frames arriving at addr's listener
+//     stall in Recv without any error - the TCP half-open failure mode, where the peer
+//     is gone (or wedged) but the connection never resets. Calls are
+//     unaffected. Liveness deadlines, not error paths, are what convert
+//     this into progress.
 type Memory struct {
-	mu             sync.RWMutex
-	handlers       map[string]Handler
-	streamHandlers map[string]StreamHandler
-	partitioned    map[string]bool
-	frozen         map[string]bool
-	latency        time.Duration
-	calls          uint64
-	dials          uint64
+	tcp *TCP // the anonymous endpoint: Memory's own Listen, Call and streams
+
+	listeners sync.Map // addr -> *memListener
+	cut       sync.Map // partitioned addrs
+	latency   atomic.Int64
+	calls     atomic.Uint64
+	dials     atomic.Uint64
 }
 
 // NewMemory returns an empty in-process network.
 func NewMemory() *Memory {
-	return &Memory{
-		handlers:       make(map[string]Handler),
-		streamHandlers: make(map[string]StreamHandler),
-		partitioned:    make(map[string]bool),
-		frozen:         make(map[string]bool),
-	}
-}
-
-type memListener struct {
-	net  *Memory
-	addr string
-}
-
-func (l *memListener) Addr() string { return l.addr }
-
-func (l *memListener) Close() error {
-	l.net.mu.Lock()
-	defer l.net.mu.Unlock()
-	delete(l.net.handlers, l.addr)
-	delete(l.net.streamHandlers, l.addr)
-	return nil
+	m := &Memory{}
+	m.tcp = newTCP(memFabric{m: m}, &sync.Map{})
+	return m
 }
 
 // Listen implements Network.
-func (m *Memory) Listen(addr string, h Handler) (Listener, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.handlers[addr]; ok {
-		return nil, fmt.Errorf("transport: %w: address %s already bound", util.ErrExist, addr)
-	}
-	m.handlers[addr] = h
-	return &memListener{net: m, addr: addr}, nil
-}
+func (m *Memory) Listen(addr string, h Handler) (Listener, error) { return m.tcp.Listen(addr, h) }
 
 // Call implements Network.
 func (m *Memory) Call(addr string, op uint8, req, resp any) error {
-	m.mu.RLock()
-	h, ok := m.handlers[addr]
-	cut := m.partitioned[addr]
-	lat := m.latency
-	m.mu.RUnlock()
-	m.bumpCalls()
-	if lat > 0 {
-		time.Sleep(lat)
-	}
-	if cut {
-		return fmt.Errorf("transport: %w: %s partitioned", util.ErrTimeout, addr)
-	}
-	if !ok {
-		return fmt.Errorf("transport: %w: no listener at %s", util.ErrTimeout, addr)
-	}
-	out, err := h(op, req)
-	if err != nil {
-		// Mirror the TCP path: callers always see a RemoteError.
-		return EncodeError(err)
-	}
-	return copyInto(resp, out)
+	return m.tcp.Call(addr, op, req, resp)
 }
 
-func (m *Memory) bumpCalls() {
-	m.mu.Lock()
-	m.calls++
-	m.mu.Unlock()
+// OpenStream implements StreamNetwork.
+func (m *Memory) OpenStream(addr string) Stream { return m.tcp.OpenStream(addr) }
+
+// DialStream implements PacketStreamNetwork.
+func (m *Memory) DialStream(addr string, op uint8) (PacketStream, error) {
+	return m.tcp.DialStream(addr, op)
 }
 
-// Calls returns the number of Call invocations so far (used by the raft-set
-// heartbeat ablation to count messages).
-func (m *Memory) Calls() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.calls
+// ListenStream implements PacketStreamNetwork.
+func (m *Memory) ListenStream(addr string, h StreamHandler) error { return m.tcp.ListenStream(addr, h) }
+
+// Endpoint returns a Network view bound to a node identity: when that
+// identity is partitioned, its OUTGOING calls and streams fail too,
+// modeling full isolation (a plain Memory handle only cuts incoming
+// traffic). Nodes in failure-injection tests should be constructed with
+// their endpoint. Each endpoint pools its own connections, as a separate
+// process would.
+func (m *Memory) Endpoint(addr string) Network {
+	return newTCP(memFabric{m: m, from: addr}, m.tcp.frozen)
 }
 
-// SetLatency sets the simulated one-way dispatch delay for every call.
-func (m *Memory) SetLatency(d time.Duration) {
-	m.mu.Lock()
-	m.latency = d
-	m.mu.Unlock()
-}
+// SetLatency sets the simulated one-way delay.
+func (m *Memory) SetLatency(d time.Duration) { m.latency.Store(int64(d)) }
 
-// Partition cuts addr off from the network: calls and stream dials to it
-// fail. A node built on this Memory directly can still call out (a
-// one-sided listen failure); one built on Endpoint(addr) cannot.
-func (m *Memory) Partition(addr string) {
-	m.mu.Lock()
-	m.partitioned[addr] = true
-	m.mu.Unlock()
-}
+// Partition cuts addr off from the network: calls, stream dials and
+// stream frames to it fail. A node built on this Memory directly can still
+// call out (a one-sided listen failure); one built on Endpoint(addr)
+// cannot.
+func (m *Memory) Partition(addr string) { m.cut.Store(addr, true) }
 
 // Heal reconnects addr (clearing both a partition and a freeze).
 func (m *Memory) Heal(addr string) {
-	m.mu.Lock()
-	delete(m.partitioned, addr)
-	delete(m.frozen, addr)
-	m.mu.Unlock()
+	m.cut.Delete(addr)
+	m.tcp.Heal(addr)
 }
 
-// Freeze half-opens addr: packet-stream frames addressed to it are
-// accepted by the network but stall before delivery, with no error on
-// either end - the peer looks alive and silent. Calls are unaffected
+// Freeze half-opens addr (TCP.Freeze): packet-stream frames addressed to
+// it are accepted by the network but stall before delivery, with no error
+// on either end - the peer looks alive and silent. Calls are unaffected
 // (a frozen node's RPC plane staying up is the nastiest variant).
-func (m *Memory) Freeze(addr string) {
-	m.mu.Lock()
-	m.frozen[addr] = true
-	m.mu.Unlock()
-}
+func (m *Memory) Freeze(addr string) { m.tcp.Freeze(addr) }
 
-func (m *Memory) isFrozen(addr string) bool {
-	if addr == "" {
-		return false
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.frozen[addr]
-}
+// Calls returns the number of requests sent so far - Call invocations and
+// Stream sends, packet-stream frames not included (the raft-set heartbeat
+// ablation counts messages with it).
+func (m *Memory) Calls() uint64 { return m.calls.Load() }
 
 // Dials returns the number of packet-stream dials so far (session-pool
 // ablations count how many dials a workload costs).
-func (m *Memory) Dials() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.dials
-}
+func (m *Memory) Dials() uint64 { return m.dials.Load() }
 
-// OpenStream implements StreamNetwork. The in-process network has no
-// connections to pin, so the stream is a thin adapter over Call that still
-// exercises the one-stream-per-peer calling pattern (and its per-call
-// accounting) that the TCP network relies on.
-func (m *Memory) OpenStream(addr string) Stream { return &memStream{nw: m, addr: addr} }
-
-type memStream struct {
-	nw   Network
-	addr string
-}
-
-// Send implements Stream. As on a socket stream, the handler's error stays
-// with the receiver: only a delivery failure is returned.
-func (s *memStream) Send(op uint8, req any) error {
-	err := s.nw.Call(s.addr, op, req, nil)
-	if _, handlerErr := err.(*RemoteError); handlerErr {
-		return nil
+// reachable fails when either end of a trip is partitioned.
+func (m *Memory) reachable(from, to string) error {
+	if _, cut := m.cut.Load(to); cut {
+		return fmt.Errorf("transport: %w: %s partitioned", util.ErrTimeout, to)
 	}
-	return err
-}
-
-func (s *memStream) Close() error { return nil }
-
-// ListenStream implements PacketStreamNetwork.
-func (m *Memory) ListenStream(addr string, h StreamHandler) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.handlers[addr]; !ok {
-		return fmt.Errorf("transport: %w: no listener at %s", util.ErrNotFound, addr)
+	if _, cut := m.cut.Load(from); cut {
+		return fmt.Errorf("transport: %w: %s partitioned (outgoing)", util.ErrTimeout, from)
 	}
-	m.streamHandlers[addr] = h
 	return nil
 }
 
-// DialStream implements PacketStreamNetwork: it pairs two in-memory frame
-// pipes and runs the peer's StreamHandler on its own goroutine. Latency is
-// modeled as propagation delay - a frame is DELIVERED one latency after it
-// was sent, but Send returns immediately - so pipelined senders overlap
-// their frames in flight exactly like they would on a real wire, while
-// stop-and-wait callers still pay one latency per round trip.
-func (m *Memory) DialStream(addr string, op uint8) (PacketStream, error) {
-	return m.dialStream("", addr, op)
-}
-
-func (m *Memory) dialStream(from, addr string, op uint8) (PacketStream, error) {
-	m.mu.Lock()
-	m.dials++
-	h := m.streamHandlers[addr]
-	cut := m.partitioned[addr] || (from != "" && m.partitioned[from])
-	lat := m.latency
-	m.mu.Unlock()
-	if lat > 0 {
-		// A socket dial pays a full handshake round trip (SYN, SYN-ACK)
-		// before the first byte; latency here is one-way propagation, so
-		// the handshake costs two of them.
-		time.Sleep(2 * lat)
-	}
-	if cut {
-		return nil, fmt.Errorf("transport: %w: %s partitioned", util.ErrTimeout, addr)
-	}
-	if h == nil {
-		return nil, fmt.Errorf("transport: %w: no stream listener at %s", util.ErrNotFound, addr)
-	}
-	c2s := newMemFrames()
-	s2c := newMemFrames()
-	client := &memPacketStream{net: m, self: from, peer: addr, out: c2s, in: s2c}
-	server := &memPacketStream{net: m, self: addr, peer: from, out: s2c, in: c2s}
-	go func() {
-		defer server.Close()
-		h(op, server)
-	}()
-	return client, nil
-}
-
-// memFrame is one in-flight packet plus the instant it reaches the peer.
-type memFrame struct {
-	pkt *proto.Packet
-	due time.Time
-}
-
-// memFrames is one direction of an in-memory stream.
-type memFrames struct {
-	ch   chan memFrame
-	done chan struct{}
-	once sync.Once
-}
-
-func newMemFrames() *memFrames {
-	return &memFrames{ch: make(chan memFrame, 128), done: make(chan struct{})}
-}
-
-func (f *memFrames) close() { f.once.Do(func() { close(f.done) }) }
-
-type memPacketStream struct {
-	net  *Memory
-	self string // identity of this end ("" for an anonymous client)
-	peer string // identity of the other end
-	out  *memFrames
-	in   *memFrames
-}
-
-// Send implements PacketStream. A partitioned sender or receiver fails the
-// send; frames already in flight still deliver (they left the NIC).
-//
-// Send consumes one payload reference, success or failure: on success
-// the reference travels to the receiver with the packet pointer (the
-// in-process network delivers the sender's object), on failure it is
-// released here - so callers of either transport never release after a
-// Send.
-func (s *memPacketStream) Send(pkt *proto.Packet) error {
-	s.net.mu.RLock()
-	cut := (s.self != "" && s.net.partitioned[s.self]) || (s.peer != "" && s.net.partitioned[s.peer])
-	lat := s.net.latency
-	s.net.mu.RUnlock()
-	s.net.bumpCalls()
-	if cut {
-		pkt.Release()
-		return fmt.Errorf("transport: %w: stream to %s partitioned", util.ErrTimeout, s.peer)
-	}
-	fr := memFrame{pkt: pkt}
-	if lat > 0 {
-		fr.due = time.Now().Add(lat)
-	}
-	select {
-	case s.out.ch <- fr:
-		select {
-		case <-s.out.done:
-			// The direction closed around the enqueue, so the closer's
-			// reclaim sweep may already have run past our frame. Pull one
-			// queued frame back (any frame - the peer is gone, ordering
-			// is moot) so nothing strands in the channel.
-			select {
-			case fr2 := <-s.out.ch:
-				if fr2.pkt != nil {
-					fr2.pkt.Release()
-				}
-			default:
-			}
-			return fmt.Errorf("transport: stream to %s: %w", s.peer, util.ErrClosed)
-		default:
-			return nil
-		}
-	case <-s.out.done:
-		pkt.Release()
-		return fmt.Errorf("transport: stream to %s: %w", s.peer, util.ErrClosed)
-	}
-}
-
-// Recv implements PacketStream. Delivery waits until the frame's due time,
-// preserving order while letting later frames overlap the delay. A frozen
-// receiver stalls here indefinitely - no error, no progress - until healed
-// or the stream is closed, reproducing a half-open peer.
-func (s *memPacketStream) Recv() (*proto.Packet, error) {
-	var fr memFrame
-	select {
-	case fr = <-s.in.ch:
-	case <-s.in.done:
-		select {
-		case fr = <-s.in.ch: // drain frames sent before the close
-		default:
-			return nil, io.EOF
-		}
-	}
-	if !fr.due.IsZero() {
-		if d := time.Until(fr.due); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	for s.net.isFrozen(s.self) {
-		select {
-		case <-s.in.done:
-			// Closed while frozen: the frame is given up, so its payload
-			// reference is released here rather than leaked.
-			if fr.pkt != nil {
-				fr.pkt.Release()
-			}
-			return nil, io.EOF
-		case <-time.After(time.Millisecond):
-		}
-	}
-	return fr.pkt, nil
-}
-
-// Close implements PacketStream: it ends the outgoing direction (the peer
-// drains in-flight frames, then sees io.EOF) and unblocks local Recvs.
-// Frames still queued toward this end are reclaimed - their payload
-// references belong to the receiver, and this receiver is leaving.
-func (s *memPacketStream) Close() error {
-	s.out.close()
-	s.in.close()
-	for {
-		select {
-		case fr := <-s.in.ch:
-			if fr.pkt != nil {
-				fr.pkt.Release()
-			}
-		default:
-			return nil
-		}
-	}
-}
-
-// Endpoint returns a Network view bound to a node identity: when that
-// identity is partitioned, its OUTGOING calls fail too, modeling full
-// isolation (a plain Memory handle only cuts incoming traffic). Nodes in
-// failure-injection tests should be constructed with their endpoint.
-func (m *Memory) Endpoint(addr string) Network { return &memEndpoint{m: m, from: addr} }
-
-type memEndpoint struct {
+// memFabric makes a TCP's connections in process; from is the identity
+// of the endpoint that dials ("" for the anonymous Memory handle).
+type memFabric struct {
 	m    *Memory
 	from string
 }
 
-// Listen implements Network.
-func (e *memEndpoint) Listen(addr string, h Handler) (Listener, error) { return e.m.Listen(addr, h) }
-
-// OpenStream implements StreamNetwork; the endpoint's outgoing-partition
-// check applies to every send.
-func (e *memEndpoint) OpenStream(addr string) Stream { return &memStream{nw: e, addr: addr} }
-
-// ListenStream implements PacketStreamNetwork.
-func (e *memEndpoint) ListenStream(addr string, h StreamHandler) error {
-	return e.m.ListenStream(addr, h)
-}
-
-// DialStream implements PacketStreamNetwork; both ends carry the node
-// identity, so partitioning the endpoint cuts its stream traffic too.
-func (e *memEndpoint) DialStream(addr string, op uint8) (PacketStream, error) {
-	return e.m.dialStream(e.from, addr, op)
-}
-
-// Call implements Network.
-func (e *memEndpoint) Call(addr string, op uint8, req, resp any) error {
-	e.m.mu.RLock()
-	cut := e.m.partitioned[e.from]
-	e.m.mu.RUnlock()
-	if cut {
-		e.m.bumpCalls()
-		return fmt.Errorf("transport: %w: %s partitioned (outgoing)", util.ErrTimeout, e.from)
+func (f memFabric) listen(addr string) (net.Listener, error) {
+	l := &memListener{m: f.m, addr: addr, accept: make(chan net.Conn), done: make(chan struct{})}
+	if _, taken := f.m.listeners.LoadOrStore(addr, l); taken {
+		return nil, fmt.Errorf("transport: %w: address %s already bound", util.ErrExist, addr)
 	}
-	return e.m.Call(addr, op, req, resp)
+	return l, nil
 }
+
+func (f memFabric) dial(addr string, stream bool) (net.Conn, error) {
+	m := f.m
+	if stream {
+		m.dials.Add(1)
+		if lat := m.lat(); lat > 0 {
+			// A socket dial pays a full handshake round trip (SYN,
+			// SYN-ACK) before the first byte; latency is one-way, so the
+			// handshake costs two of them.
+			time.Sleep(2 * lat)
+		}
+	}
+	if err := m.reachable(f.from, addr); err != nil {
+		return nil, err
+	}
+	if v, ok := m.listeners.Load(addr); ok {
+		l := v.(*memListener)
+		c2s, s2c := newMemPipe(), newMemPipe()
+		server := &memConn{m: m, local: addr, remote: f.from, in: c2s, out: s2c, stream: stream}
+		select {
+		case l.accept <- server:
+			return &memConn{m: m, local: f.from, remote: addr, in: s2c, out: c2s, stream: stream, dialer: true}, nil
+		case <-l.done:
+		}
+	}
+	if stream {
+		return nil, fmt.Errorf("transport: %w: no stream listener at %s", util.ErrNotFound, addr)
+	}
+	return nil, fmt.Errorf("transport: %w: no listener at %s", util.ErrTimeout, addr)
+}
+
+func (m *Memory) lat() time.Duration { return time.Duration(m.latency.Load()) }
+
+// memListener is an in-process net.Listener: dials hand it their server
+// ends.
+type memListener struct {
+	m      *Memory
+	addr   string
+	accept chan net.Conn
+	done   chan struct{}
+	once   sync.Once
+}
+
+func (l *memListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.accept:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *memListener) Close() error {
+	l.once.Do(func() {
+		l.m.listeners.CompareAndDelete(l.addr, l)
+		close(l.done)
+	})
+	return nil
+}
+
+func (l *memListener) Addr() net.Addr { return memAddr(l.addr) }
+
+func memAddr(addr string) net.Addr { return &net.UnixAddr{Name: addr, Net: "memory"} }
+
+// memConn is one end of an in-process connection. A call connection's
+// dialer writes requests: each pays the latency before it is delivered and
+// fails on a partition. A stream connection's frames, both ways, fail on a
+// partition and are delivered one latency after they are written.
+type memConn struct {
+	m             *Memory
+	local, remote string
+	in, out       *memPipe
+	stream        bool
+	dialer        bool
+}
+
+func (c *memConn) Read(b []byte) (int, error) { return c.in.read(b) }
+
+func (c *memConn) Write(b []byte) (int, error) {
+	var due time.Time
+	switch lat := c.m.lat(); {
+	case c.stream:
+		if lat > 0 {
+			due = time.Now().Add(lat)
+		}
+	case c.dialer:
+		c.m.calls.Add(1)
+		time.Sleep(lat)
+	default: // a reply
+		return c.out.write(b, due)
+	}
+	if err := c.m.reachable(c.local, c.remote); err != nil {
+		return 0, err
+	}
+	return c.out.write(b, due)
+}
+
+// Close ends both directions: the peer reads what was already written,
+// then io.EOF, and its writes fail.
+func (c *memConn) Close() error {
+	c.out.close()
+	c.in.close()
+	return nil
+}
+
+func (c *memConn) LocalAddr() net.Addr  { return memAddr(c.local) }
+func (c *memConn) RemoteAddr() net.Addr { return memAddr(c.remote) }
+
+func (c *memConn) SetDeadline(time.Time) error      { return errors.ErrUnsupported }
+func (c *memConn) SetReadDeadline(time.Time) error  { return errors.ErrUnsupported }
+func (c *memConn) SetWriteDeadline(time.Time) error { return errors.ErrUnsupported }
+
+// memPipeWrites bounds the writes queued in one direction: 128 full
+// frames of two writes each (header, payload), more than any write
+// window, so the fabric never throttles one. A writer blocks while the
+// queue is full, as on a full socket buffer.
+const memPipeWrites = 2 * 128
+
+// memBufs recycles the copies of payload-sized writes, so a sustained
+// stream allocates nothing. It is a bounded free list, not a sync.Pool,
+// which the GC empties: at most 64 buffers stay once the traffic stops.
+// It is not util's chunk pool, whose counts the data path's leak checks
+// read: a connection closed with bytes in flight strands its copies.
+var memBufs = make(chan *[util.DefaultPacketSize]byte, 64)
+
+// memPipe is one direction of an in-process connection: a copy of each
+// write and the instant it is delivered, in order.
+type memPipe struct {
+	ch   chan memWrite
+	done chan struct{} // closed by either end's Close
+	once sync.Once
+	head memWrite // the reader's current write; head.b is what is left of it
+}
+
+type memWrite struct {
+	b   []byte
+	buf *[util.DefaultPacketSize]byte // b's array when it came from memBufs
+	due time.Time
+}
+
+func newMemPipe() *memPipe {
+	return &memPipe{ch: make(chan memWrite, memPipeWrites), done: make(chan struct{})}
+}
+
+func (p *memPipe) write(b []byte, due time.Time) (int, error) {
+	w := memWrite{due: due}
+	if len(b) > 4*util.KB && len(b) <= util.DefaultPacketSize {
+		select {
+		case w.buf = <-memBufs:
+		default:
+			w.buf = new([util.DefaultPacketSize]byte)
+		}
+		w.b = w.buf[:len(b)]
+	} else {
+		w.b = make([]byte, len(b))
+	}
+	copy(w.b, b)
+	select {
+	case <-p.done:
+		return 0, io.ErrClosedPipe
+	default:
+	}
+	select {
+	case p.ch <- w:
+		return len(b), nil
+	case <-p.done:
+		return 0, io.ErrClosedPipe
+	}
+}
+
+func (p *memPipe) read(b []byte) (int, error) {
+	if len(p.head.b) == 0 {
+		if p.head.buf != nil {
+			select {
+			case memBufs <- p.head.buf:
+			default:
+			}
+		}
+		select {
+		case p.head = <-p.ch:
+		case <-p.done:
+			select {
+			case p.head = <-p.ch: // written before the close: still delivered
+			default:
+				p.head = memWrite{}
+				return 0, io.EOF
+			}
+		}
+		time.Sleep(time.Until(p.head.due))
+	}
+	n := copy(b, p.head.b)
+	p.head.b = p.head.b[n:]
+	return n, nil
+}
+
+func (p *memPipe) close() { p.once.Do(func() { close(p.done) }) }

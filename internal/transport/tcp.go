@@ -5,12 +5,14 @@ import (
 	"encoding"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"cfs/internal/proto"
@@ -18,6 +20,8 @@ import (
 )
 
 // TCP is a Network over real sockets, used by the cmd/cfs-server daemons.
+// Memory runs this same code over in-process connections: a TCP's fabric
+// makes its connections, and everything above a net.Conn is shared.
 //
 // Frame layout (big endian):
 //
@@ -57,7 +61,16 @@ type TCP struct {
 	pools     map[string]*connPool
 	listeners map[string]*tcpListener // keyed by bind addr and resolved addr
 	dials     uint64                  // packet-stream dials (session-pool ablations)
-	frozen    map[string]bool         // addrs whose inbound stream frames stall
+	frozen    *sync.Map               // addrs whose inbound stream frames stall
+	fabric    fabric                  // makes the connections; nil: kernel sockets
+}
+
+// fabric is what makes a TCP's connections: listeners to accept on and
+// dials to peers. Memory is one; a TCP without one uses kernel sockets.
+// stream says the connection is dialed for a packet stream, not for calls.
+type fabric interface {
+	listen(addr string) (net.Listener, error)
+	dial(addr string, stream bool) (net.Conn, error)
 }
 
 const (
@@ -81,13 +94,16 @@ const (
 )
 
 // NewTCP returns a pooled TCP network.
-func NewTCP() *TCP {
+func NewTCP() *TCP { return newTCP(nil, &sync.Map{}) }
+
+func newTCP(f fabric, frozen *sync.Map) *TCP {
 	proto.RegisterGob()
 	gob.Register(&RemoteError{})
 	return &TCP{
 		pools:     make(map[string]*connPool),
 		listeners: make(map[string]*tcpListener),
-		frozen:    make(map[string]bool),
+		frozen:    frozen,
+		fabric:    f,
 	}
 }
 
@@ -130,30 +146,15 @@ func LoopbackAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// Freeze half-opens addr the way Memory.Freeze does: packet-stream
-// frames arriving AT addr stall in the server-side Recv with no error on
-// either end, so the node looks alive and silent (its unary RPC plane
-// keeps answering). Liveness deadlines, not error paths, must convert
-// this into progress - which is exactly what the failover regression
-// suites assert, now on real sockets too.
-func (t *TCP) Freeze(addr string) {
-	t.mu.Lock()
-	t.frozen[addr] = true
-	t.mu.Unlock()
-}
+// Freeze half-opens addr: packet-stream frames arriving AT addr stall in
+// the server-side Recv with no error on either end, so the node looks
+// alive and silent (its unary RPC plane keeps answering). Liveness
+// deadlines, not error paths, must convert this into progress - which is
+// exactly what the failover regression suites assert, on both fabrics.
+func (t *TCP) Freeze(addr string) { t.frozen.Store(addr, true) }
 
 // Heal unfreezes addr.
-func (t *TCP) Heal(addr string) {
-	t.mu.Lock()
-	delete(t.frozen, addr)
-	t.mu.Unlock()
-}
-
-func (t *TCP) isFrozen(addr string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.frozen[addr]
-}
+func (t *TCP) Heal(addr string) { t.frozen.Delete(addr) }
 
 type tcpListener struct {
 	t    *TCP
@@ -220,7 +221,13 @@ func (l *tcpListener) untrack(c net.Conn) {
 
 // Listen implements Network.
 func (t *TCP) Listen(addr string, h Handler) (Listener, error) {
-	ln, err := net.Listen("tcp", addr)
+	var ln net.Listener
+	var err error
+	if t.fabric != nil {
+		ln, err = t.fabric.listen(addr)
+	} else {
+		ln, err = net.Listen("tcp", addr)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +284,7 @@ func (t *TCP) DialStream(addr string, op uint8) (PacketStream, error) {
 	t.mu.Lock()
 	t.dials++
 	t.mu.Unlock()
-	conn, err := t.dial(addr)
+	conn, err := t.dial(addr, true)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +405,7 @@ func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 			sh(op, &tcpPacketStream{
 				conn:   conn,
 				br:     c.br,
-				frozen: func() bool { return l.t.isFrozen(l.addr) },
+				frozen: func() bool { _, ok := l.t.frozen.Load(l.addr); return ok },
 			})
 			return
 		}
@@ -428,21 +435,32 @@ func (t *TCP) Call(addr string, op uint8, req, resp any) error {
 		return conn.call(op, req, resp)
 	}
 	pool := t.pool(addr)
-	conn, err := pool.get(t)
-	if err != nil {
-		return err
-	}
-	err = conn.call(op, req, resp)
-	if err != nil {
-		if _, ok := err.(*RemoteError); ok {
-			pool.put(conn) // application error; connection is still good
+	for {
+		conn, reused, err := pool.get(t)
+		if err != nil {
+			return err
+		}
+		err = conn.call(op, req, resp)
+		if _, remote := err.(*RemoteError); err == nil || remote {
+			pool.put(conn) // an application error leaves the connection good
 			return err
 		}
 		conn.Close() // transport or codec error; discard the connection
-		return err
+		if !reused || !peerClosed(err) {
+			return err
+		}
+		// The peer had closed this pooled connection - it restarted
+		// while the connection sat idle - so no handler took the request
+		// (or the peer died under it, which callers retry anyway): send
+		// it again, on the next pooled connection or a fresh one.
 	}
-	pool.put(conn)
-	return nil
+}
+
+// peerClosed reports an error that says the peer had closed the
+// connection.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // OpenStream implements StreamNetwork: the returned stream pins one
@@ -494,7 +512,10 @@ func (s *tcpStream) Close() error {
 	return nil
 }
 
-func (t *TCP) dial(addr string) (net.Conn, error) {
+func (t *TCP) dial(addr string, stream bool) (net.Conn, error) {
+	if t.fabric != nil {
+		return t.fabric.dial(addr, stream)
+	}
 	d := t.DialTimeout
 	if d == 0 {
 		d = 5 * time.Second
@@ -508,7 +529,7 @@ func (t *TCP) dial(addr string) (net.Conn, error) {
 
 // dialCall dials a connection for request/response frames.
 func (t *TCP) dialCall(addr string) (*tcpConn, error) {
-	conn, err := t.dial(addr)
+	conn, err := t.dial(addr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -532,16 +553,18 @@ type connPool struct {
 	free []*tcpConn
 }
 
-func (p *connPool) get(t *TCP) (*tcpConn, error) {
+// get hands out an idle connection (reused) or dials a new one.
+func (p *connPool) get(t *TCP) (c *tcpConn, reused bool, err error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		c := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		return c, nil
+		return c, true, nil
 	}
 	p.mu.Unlock()
-	return t.dialCall(p.addr)
+	c, err = t.dialCall(p.addr)
+	return c, false, err
 }
 
 func (p *connPool) put(c *tcpConn) {

@@ -1,22 +1,22 @@
 // Package transport provides the RPC fabric every CFS node speaks over.
 //
-// Two interchangeable implementations exist:
+// One wire, two ways to make a connection:
 //
-//   - Memory: an in-process loopback network with configurable simulated
-//     latency and fault injection. Benchmarks and integration tests run the
-//     whole cluster in one process on top of it, which keeps protocol
-//     behavior identical to a real deployment while removing kernel
-//     networking from the measurement (DESIGN.md Section 4).
 //   - TCP: a length-prefixed gob/binary protocol over net.Conn used by the
 //     cmd/cfs-server daemons. Metadata RPCs cross in proto's binary meta
 //     layout and reach the handler as their typed requests; a body that
 //     encodes itself (encoding.BinaryAppender) reaches it as Raw bytes;
 //     the control plane rides one gob stream per connection and
 //     direction, so type descriptors cross it once.
+//   - Memory: the same framing, codecs, pools and stream code over
+//     in-process byte connections, with configurable simulated latency
+//     and fault injection. Benchmarks and integration tests run the whole
+//     cluster in one process on top of it, which keeps protocol behavior
+//     identical to a real deployment while removing kernel networking
+//     from the measurement (DESIGN.md Section 4).
 //
-// Handlers receive the decoded request. With the Memory network the request
-// value is shared with the caller, so handlers must treat requests as
-// read-only and return freshly allocated responses.
+// Handlers receive the decoded request: their own copy, on either fabric,
+// as the caller receives its own copy of the reply.
 package transport
 
 import (
@@ -63,19 +63,18 @@ type Stream interface {
 	Close() error
 }
 
-// Raw is the body a TCP handler receives for a request that encoded itself
+// Raw is the body a handler receives for a request that encoded itself
 // (an encoding.BinaryAppender such as multiraft.Batch): a copy of its bytes
-// that the handler owns, to be decoded by the package that encoded it. The
-// Memory network passes the request value itself instead.
+// that the handler owns, to be decoded by the package that encoded it.
 type Raw []byte
 
-// StreamNetwork is implemented by networks that can pin per-peer streams.
-// Callers that want stream reuse should type-assert and fall back to Call.
+// StreamNetwork is implemented by networks that can pin per-peer streams;
+// both TCP and Memory do.
 type StreamNetwork interface {
 	Network
-	// OpenStream returns a dedicated stream to addr. The connection (for
-	// socket-backed networks) is dialed lazily and re-dialed after errors,
-	// so OpenStream itself never fails on an unreachable peer.
+	// OpenStream returns a dedicated stream to addr. The connection is
+	// dialed lazily and re-dialed after errors, so OpenStream itself
+	// never fails on an unreachable peer.
 	OpenStream(addr string) Stream
 }
 
@@ -101,13 +100,14 @@ type PacketStream interface {
 type StreamHandler func(op uint8, s PacketStream)
 
 // PacketStreamNetwork is implemented by networks that support duplex
-// packet streams in addition to request/response calls. Callers should
-// type-assert and fall back to per-packet Call when unsupported.
+// packet streams in addition to request/response calls; both TCP and
+// Memory do. The data path needs them: client.Mount and datanode.Start
+// refuse a network without.
 type PacketStreamNetwork interface {
 	Network
 	// DialStream opens a duplex packet stream to addr. Unlike OpenStream,
-	// dialing is eager: an unreachable peer or a peer without a stream
-	// handler fails here.
+	// dialing is eager: an unreachable peer fails here. A peer without a
+	// stream handler drops the connection, so the first Recv fails.
 	DialStream(addr string, op uint8) (PacketStream, error)
 	// ListenStream registers h to serve streams dialed to addr. The addr
 	// must already be listening (Listen binds the request handler first);

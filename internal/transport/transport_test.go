@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,8 +17,17 @@ import (
 	"cfs/internal/util"
 )
 
-type echoReq struct{ Msg string }
-type echoResp struct{ Msg string }
+type echoReq struct {
+	Msg  string
+	Data []byte
+}
+type echoResp struct {
+	Msg  string
+	Data []byte
+}
+
+// noWire is a body with no wire form: gob knows no such type.
+type noWire struct{ N int }
 
 func init() {
 	proto.RegisterGob()
@@ -52,11 +62,21 @@ func echoHandler(op uint8, req any) (any, error) {
 
 func runNetworkSuite(t *testing.T, nw Network, addr string) {
 	t.Helper()
-	ln, err := nw.Listen(addr, echoHandler)
+	state := []byte("handler state")
+	var handled atomic.Int64
+	h := func(op uint8, req any) (any, error) {
+		handled.Add(1)
+		if r, ok := req.(*echoReq); ok && r.Msg == "mutate" {
+			r.Data[0] = 'X' // scribbles on its request, replies with its own state
+			return &echoResp{Msg: "mutated", Data: state}, nil
+		}
+		return echoHandler(op, req)
+	}
+	ln, err := nw.Listen(addr, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	defer func() { ln.Close() }()
 	bound := ln.Addr()
 
 	// Basic round trip.
@@ -102,6 +122,38 @@ func runNetworkSuite(t *testing.T, nw Network, addr string) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+
+	// A request and its reply cross as bytes: a handler writing to its
+	// request leaves the caller's value as it was, and a caller writing
+	// to its reply leaves the handler's state as it was.
+	sent := &echoReq{Msg: "mutate", Data: []byte("caller data")}
+	if err := nw.Call(bound, 1, sent, &resp); err != nil {
+		t.Fatalf("Call: %v", err)
+	}
+	if string(sent.Data) != "caller data" {
+		t.Fatalf("the handler's write reached the caller's request: %q", sent.Data)
+	}
+	resp.Data[0] = 'Y'
+	if string(state) != "handler state" {
+		t.Fatalf("the caller's write reached the handler's state: %q", state)
+	}
+
+	// A body with no wire form never reaches the handler.
+	before := handled.Load()
+	err = nw.Call(bound, 1, &noWire{N: 1}, &resp)
+	if _, remote := err.(*RemoteError); err == nil || remote || handled.Load() != before {
+		t.Fatalf("a body with no wire form: err %v (%T), handler ran %d times", err, err, handled.Load()-before)
+	}
+
+	// A call after the peer restarted at the same address reaches the new
+	// listener, though the pool still holds connections to the old one.
+	ln.Close()
+	if ln, err = nw.Listen(bound, h); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Call(bound, 1, &echoReq{Msg: "again"}, &resp); err != nil || resp.Msg != "again/ack" {
+		t.Fatalf("call after the peer restarted: %+v, %v", resp, err)
+	}
 }
 
 func TestMemoryNetwork(t *testing.T) {
@@ -121,20 +173,21 @@ func TestTCPNonPersistent(t *testing.T) {
 // runStreamSuite exercises the per-peer stream path shared by Memory and
 // TCP: repeated sends reuse one stream, a handler error stays with the
 // receiver and does not break the stream, a self-encoding body reaches the
-// handler (as Raw bytes on TCP), and every frame arrives in order.
+// handler as Raw bytes, and every frame arrives in order.
 func runStreamSuite(t *testing.T, nw StreamNetwork, addr string) {
 	t.Helper()
 	got := make(chan string, 32) // room for every frame sent, so the handler never blocks
 	ln, err := nw.Listen(addr, func(op uint8, req any) (any, error) {
 		switch r := req.(type) {
 		case *echoReq:
-			if r.Msg == "boom" {
+			switch r.Msg {
+			case "boom":
 				return nil, fmt.Errorf("handler: %w", util.ErrNotFound)
+			case "mutate":
+				r.Data[0] = 'X'
 			}
 			got <- r.Msg
-		case Raw: // TCP: the bytes the body encoded itself to
-			got <- "raw:" + string(r)
-		case rawBody: // Memory: the body itself
+		case Raw: // the bytes the body encoded itself to
 			got <- "raw:" + string(r)
 		default:
 			return nil, fmt.Errorf("unexpected request type %T", req)
@@ -166,16 +219,40 @@ func runStreamSuite(t *testing.T, nw StreamNetwork, addr string) {
 		t.Fatalf("send raw: %v", err)
 	}
 	want = append(want[:10], "after-error", "raw:bytes")
-	for i, w := range want {
-		select {
-		case msg := <-got:
-			if msg != w {
-				t.Fatalf("frame %d delivered %q, want %q", i, msg, w)
+	expect := func(want ...string) {
+		t.Helper()
+		for i, w := range want {
+			select {
+			case msg := <-got:
+				if msg != w {
+					t.Fatalf("frame %d delivered %q, want %q", i, msg, w)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("frame %d (%q) never delivered", i, w)
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("frame %d (%q) never delivered", i, w)
 		}
 	}
+	expect(want...)
+
+	// A handler writing to its request leaves the sender's value as it was.
+	sent := &echoReq{Msg: "mutate", Data: []byte("caller data")}
+	if err := st.Send(1, sent); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	expect("mutate")
+	if string(sent.Data) != "caller data" {
+		t.Fatalf("the handler's write reached the sender's request: %q", sent.Data)
+	}
+
+	// A body with no wire form fails its send and never reaches the
+	// handler; the stream carries the next send.
+	if err := st.Send(1, &noWire{N: 1}); err == nil {
+		t.Fatal("a body with no wire form was sent")
+	}
+	if err := st.Send(1, &echoReq{Msg: "after-nowire"}); err != nil {
+		t.Fatalf("send after a failed one: %v", err)
+	}
+	expect("after-nowire")
 }
 
 func TestMemoryStream(t *testing.T) {

@@ -56,16 +56,25 @@ const (
 // whoever holds the last reference once the bytes are no longer needed
 // Puts it back: the writer on the packet's all-replica ack, a frame's last
 // owner through proto.Packet.Release, the client reader after copying the
-// bytes out. Every process recycles its own buffers: on a socket
-// transport the receiver fills buffers from its own pool, while on the
-// in-process Memory transport one buffer travels the whole path. Losing a
+// bytes out. Every hop recycles its own buffers: on either fabric a frame
+// crosses as bytes, and its receiver fills a buffer of its own. Losing a
 // Put is always safe - the GC is the backstop - but a buffer must never be
 // Put while any reference to it can still be read.
 //
-// The pool holds array pointers, not slices: a pointer fits the
-// interface word as it is, so Put allocates nothing, where putting &b of
-// a slice would move its header to the heap on every call.
-var chunkPool = sync.Pool{New: func() any { return new([DefaultPacketSize]byte) }}
+// The pool is a bounded free list in front of a sync.Pool. The GC empties
+// a sync.Pool every other cycle (and the race detector drops a quarter of
+// its Puts), so on its own a sustained stream - which fills and empties a
+// buffer on each side of every hop - would keep allocating; the free list
+// keeps chunkFreeCap buffers the GC cannot take, and the sync.Pool holds
+// what a burst needs beyond them. Both hold array pointers, not slices: a
+// pointer fits as it is, where putting &b of a slice would move its
+// header to the heap on every call.
+const chunkFreeCap = 64
+
+var (
+	chunkFree = make(chan *[DefaultPacketSize]byte, chunkFreeCap)
+	chunkPool = sync.Pool{New: func() any { return new([DefaultPacketSize]byte) }}
+)
 
 // chunkGets and chunkPuts count pool-class Get/Put pairs. Their
 // difference is the number of pool buffers currently checked out; tests
@@ -87,7 +96,12 @@ func GetChunk(n int) []byte {
 		return make([]byte, n)
 	}
 	chunkGets.Add(1)
-	return chunkPool.Get().(*[DefaultPacketSize]byte)[:n]
+	select {
+	case c := <-chunkFree:
+		return c[:n]
+	default:
+		return chunkPool.Get().(*[DefaultPacketSize]byte)[:n]
+	}
 }
 
 // PutChunk returns a buffer obtained from GetChunk to the pool. Buffers
@@ -98,7 +112,12 @@ func PutChunk(b []byte) {
 		return
 	}
 	chunkPuts.Add(1)
-	chunkPool.Put((*[DefaultPacketSize]byte)(b[:DefaultPacketSize]))
+	c := (*[DefaultPacketSize]byte)(b[:DefaultPacketSize])
+	select {
+	case chunkFree <- c:
+	default:
+		chunkPool.Put(c)
+	}
 }
 
 // Error kinds shared across subsystems. Wrap these with %w so callers can

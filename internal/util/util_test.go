@@ -3,6 +3,7 @@ package util
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -159,18 +160,31 @@ func TestChunkPoolRoundTrip(t *testing.T) {
 }
 
 // TestChunkPoolGetPutAllocatesNothing: a Get+Put pair of a pool-class
-// buffer allocates nothing once the pool is warm. Under the race detector
-// sync.Pool drops a random share of Puts on purpose, so the count is only
-// meaningful without it.
+// buffer allocates nothing once the pool is warm, under the race detector
+// too (which drops a random share of a sync.Pool's Puts).
 func TestChunkPoolGetPutAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	PutChunk(GetChunk(DefaultPacketSize)) // warm
 	allocs := testing.AllocsPerRun(100, func() {
 		PutChunk(GetChunk(DefaultPacketSize / 2))
 	})
 	if allocs != 0 {
 		t.Fatalf("GetChunk+PutChunk = %v allocs, want 0", allocs)
+	}
+}
+
+// TestChunkPoolSurvivesGC: a buffer put back is handed out again after
+// garbage collections, which empty a sync.Pool. Each side of every hop
+// fills a buffer of its own, so a pool the GC empties turns a sustained
+// stream into two allocations per frame.
+func TestChunkPoolSurvivesGC(t *testing.T) {
+	for len(chunkFree) > 0 {
+		<-chunkFree
+	}
+	b := GetChunk(DefaultPacketSize)
+	PutChunk(b)
+	runtime.GC()
+	runtime.GC()
+	if c := GetChunk(1); &c[:1][0] != &b[0] {
+		t.Fatal("the pool lost its buffer to the GC")
 	}
 }
