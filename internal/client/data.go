@@ -43,6 +43,13 @@ type DataClient struct {
 	// readRR rotates streamed-read runs across a partition's followers
 	// (committed-clamped follower offload).
 	readRR atomic.Uint64
+	// acked is, per (partition, extent), the highest overwrite version an
+	// ack has returned to this client (guarded by mu). Reads of the extent
+	// carry it, and a replica that has not applied that far refuses them:
+	// read-your-writes on every replica. overwrote is set once acked holds
+	// anything, so a client that never overwrote takes no lock for it.
+	acked     map[[2]uint64]uint64
+	overwrote atomic.Bool
 }
 
 // refreshView best-effort re-pulls the volume view when the hook is wired.
@@ -169,17 +176,19 @@ func (d *DataClient) writeSmallFileOnce(dp proto.DataPartitionInfo, fileOffset u
 // in-place through the partition's Raft group (Figure 5). The request must
 // reach the Raft leader, which may differ from the primary-backup leader;
 // the client walks the members and caches whoever accepts (Section 2.4).
+//
+// No client-side pinning: replicas fence overwritten extents themselves.
+// The ack carries the extent's overwrite version, which this client's
+// reads of the extent then carry; a replica that has not applied that
+// version refuses them, and so does one that has logged an overwrite of
+// the extent it has not applied yet. Reads of overwritten extents thus
+// offload normally once followers catch up, instead of sticking to the
+// leader for the life of the client.
 func (d *DataClient) Overwrite(ek proto.ExtentKey, extentOff uint64, data []byte) error {
 	dp, err := d.partitionInfo(ek.PartitionID)
 	if err != nil {
 		return err
 	}
-	// No client-side pinning: replicas fence overwritten extents
-	// themselves. The leader gossips a per-extent overwrite version with
-	// the committed offsets, and a follower whose Raft apply trails what
-	// was announced refuses reads of the extent - so reads of overwritten
-	// extents offload normally once followers catch up, instead of
-	// sticking to the leader for the life of the client.
 	pkt := proto.NewPacket(proto.OpDataOverwrite, d.reqID.Add(1), ek.PartitionID, ek.ExtentID, data)
 	pkt.ExtentOffset = extentOff
 	var lastErr error
@@ -202,6 +211,7 @@ func (d *DataClient) Overwrite(ek proto.ExtentKey, extentOff uint64, data []byte
 			switch resp.ResultCode {
 			case proto.ResultOK:
 				d.cacheLeader(dp.PartitionID, addr)
+				d.noteAcked(dp.PartitionID, ek.ExtentID, resp.Committed)
 				return nil
 			case proto.ResultErrNotLeader:
 				lastErr = fmt.Errorf("client: %s: %w", addr, util.ErrNotLeader)
@@ -230,10 +240,12 @@ func (d *DataClient) Read(ek proto.ExtentKey, extentOff uint64, length uint32) (
 	}
 	lenBuf := make([]byte, 4)
 	binary.BigEndian.PutUint32(lenBuf, length)
+	acked := d.ackedVersion(ek.PartitionID, ek.ExtentID)
 	var lastErr error
 	for _, addr := range d.readOrder(dp, ek.ExtentID) {
 		pkt := proto.NewPacket(proto.OpDataRead, d.reqID.Add(1), ek.PartitionID, ek.ExtentID, lenBuf)
 		pkt.ExtentOffset = extentOff
+		pkt.Committed = acked // read requests carry the acked overwrite version here
 		var resp proto.Packet
 		err := d.nw.Call(addr, uint8(proto.OpDataRead), pkt, &resp)
 		if err != nil {
@@ -254,6 +266,31 @@ func (d *DataClient) Read(ek proto.ExtentKey, extentOff uint64, length uint32) (
 	}
 	return nil, fmt.Errorf("client: read dp %d failed on all replicas: %w (last: %v)",
 		ek.PartitionID, util.ErrRetryLimit, lastErr)
+}
+
+// noteAcked records the overwrite version an ack returned for an extent.
+func (d *DataClient) noteAcked(pid, extent, ver uint64) {
+	k := [2]uint64{pid, extent}
+	d.mu.Lock()
+	if d.acked == nil {
+		d.acked = make(map[[2]uint64]uint64)
+	}
+	if ver > d.acked[k] {
+		d.acked[k] = ver
+	}
+	d.mu.Unlock()
+	d.overwrote.Store(true)
+}
+
+// ackedVersion is the highest overwrite version this client was acked for
+// the extent; zero if it never overwrote it.
+func (d *DataClient) ackedVersion(pid, extent uint64) uint64 {
+	if !d.overwrote.Load() {
+		return 0
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.acked[[2]uint64{pid, extent}]
 }
 
 // MarkDelete releases the extent range ek names. The partition leader
@@ -320,9 +357,9 @@ func (d *DataClient) cacheReadReplica(pid uint64, addr string) {
 // readOrder is the unary read path's attempt order, built once per call:
 // the last replica that served a read, then the cached leader, then the
 // view's member order. Overwritten extents need no special order: a
-// replica whose Raft apply trails the leader's announced overwrite
-// version refuses the read itself (the server-side overwrite fence), and
-// the loop falls through to the next candidate.
+// replica whose Raft apply trails the version the read carries, or an
+// overwrite it has logged, refuses the read itself (the server-side
+// overwrite fence), and the loop falls through to the next candidate.
 func (d *DataClient) readOrder(dp proto.DataPartitionInfo, extent uint64) []string {
 	if d.cfg.DisableLeaderCache {
 		return dp.Members

@@ -28,8 +28,10 @@ import (
 // replica by replica - ending at the leader - when one is unreachable,
 // hung (the session watchdog converts that into an error), or refuses the
 // range because its gossiped committed offset still trails it (the
-// Section 2.2.5 clamp). A stale-epoch reject retires the session, re-pulls
-// the view, and retries against the reconfigured partition.
+// Section 2.2.5 clamp) or its overwrite fence is raised (each request
+// carries the overwrite version this client was acked for the extent). A
+// stale-epoch reject retires the session, re-pulls the view, and retries
+// against the reconfigured partition.
 //
 // An ExtentReader is not safe for concurrent use; core.File serializes
 // access under its own mutex.
@@ -241,7 +243,8 @@ func (r *ExtentReader) fill(needEnd uint64) error {
 	}
 	for r.nextOff < target && len(r.reqs) < depth {
 		span := util.MinU64(packet, bound-r.nextOff)
-		req, err := r.d.readPool.read(r.sess, r.pid, r.extent, r.nextOff, uint32(span), r.epoch)
+		req, err := r.d.readPool.read(r.sess, r.pid, r.extent, r.nextOff, uint32(span), r.epoch,
+			r.d.ackedVersion(r.pid, r.extent))
 		if err != nil {
 			return err
 		}
@@ -274,7 +277,7 @@ func (r *ExtentReader) fillNext(depth int) {
 	for r.nextFront < r.nextKnown && len(r.reqs)+len(r.nextReqs) < depth {
 		span := util.MinU64(packet, r.nextKnown-r.nextFront)
 		req, err := r.d.readPool.read(r.nextSess, r.nextEK.PartitionID, r.nextEK.ExtentID,
-			r.nextFront, uint32(span), r.nextEpoch)
+			r.nextFront, uint32(span), r.nextEpoch, r.d.ackedVersion(r.nextEK.PartitionID, r.nextEK.ExtentID))
 		if err != nil {
 			r.dropNext()
 			return

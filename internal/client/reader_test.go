@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -317,6 +318,67 @@ func TestReadOrderIgnoresOverwrites(t *testing.T) {
 	}
 	if order := d.readOrder(dp, 2); order[0] != "F2" {
 		t.Fatalf("sibling extent read order = %v, want cached replica first", order)
+	}
+}
+
+// TestOverwriteFenceReadsCarryAckedVersion: the version an overwrite's ack
+// carries rides every later read of that extent, unary and streamed, so a
+// replica that has not applied it can refuse; reads of other extents
+// carry nothing.
+func TestOverwriteFenceReadsCarryAckedVersion(t *testing.T) {
+	unaryStamps := make(chan uint64, 8)
+	nw := &fakeNet{call: func(_ string, op uint8, req, resp any) error {
+		pkt := req.(*proto.Packet)
+		switch proto.Op(op) {
+		case proto.OpDataOverwrite:
+			*resp.(*proto.Packet) = proto.Packet{Op: pkt.Op, ReqID: pkt.ReqID, Committed: 5}
+		case proto.OpDataRead:
+			unaryStamps <- pkt.Committed
+			data := []byte("data")
+			*resp.(*proto.Packet) = proto.Packet{Op: pkt.Op, ReqID: pkt.ReqID, Data: data, CRC: util.CRC(data)}
+		default:
+			return fmt.Errorf("unscripted op %d", op)
+		}
+		return nil
+	}}
+	d := newFakeClient(nw, Config{})
+	ek := proto.ExtentKey{PartitionID: engineDP.PartitionID, ExtentID: 9}
+	other := proto.ExtentKey{PartitionID: engineDP.PartitionID, ExtentID: 10}
+	unary := func(ek proto.ExtentKey) uint64 {
+		t.Helper()
+		if _, err := d.Read(ek, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		return <-unaryStamps
+	}
+	if got := unary(ek); got != 0 {
+		t.Fatalf("read before any overwrite carries version %d, want 0", got)
+	}
+	if err := d.Overwrite(ek, 0, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	if got := unary(ek); got != 5 {
+		t.Fatalf("unary read after an overwrite acked at version 5 carries %d", got)
+	}
+	if got := unary(other); got != 0 {
+		t.Fatalf("unary read of another extent carries version %d, want 0", got)
+	}
+
+	r := d.NewExtentReader()
+	defer r.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.ReadAt(ek, 0, make([]byte, 4), 4)
+		done <- err
+	}()
+	st := nw.awaitStream(t, 0)
+	req := st.nextSent(t)
+	if req.Committed != 5 {
+		t.Fatalf("streamed read after an overwrite acked at version 5 carries %d", req.Committed)
+	}
+	st.reply(&proto.Packet{Op: proto.OpDataRead, ReqID: req.ReqID, Data: []byte("data"), CRC: util.CRC([]byte("data"))})
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -43,10 +43,11 @@ type readReq struct {
 	discarded bool
 }
 
-// read pushes one request onto s. The returned request completes (done
-// closes) when its final chunk or error reply arrives, or when the
-// session fails.
-func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, epoch uint64) (*readReq, error) {
+// read pushes one request onto s, carrying acked, the overwrite version
+// the client was acked for the extent (DataClient.ackedVersion). The
+// returned request completes (done closes) when its final chunk or error
+// reply arrives, or when the session fails.
+func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, epoch, acked uint64) (*readReq, error) {
 	req := &readReq{pool: p, s: s, length: length, done: make(chan struct{})}
 	err := s.send(req, func(seq uint64) *proto.Packet {
 		return &proto.Packet{
@@ -56,6 +57,7 @@ func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, ep
 			ExtentID:     extentID,
 			ExtentOffset: off,
 			FileOffset:   uint64(length), // requested length rides the slot
+			Committed:    acked,
 			Epoch:        epoch,
 		}
 	})

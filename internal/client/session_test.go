@@ -201,7 +201,7 @@ var engineUsers = []engineUser{
 			if err != nil {
 				return nil, err
 			}
-			req, err := d.readPool.read(s, 7, 9, 0, 4, 1)
+			req, err := d.readPool.read(s, 7, 9, 0, 4, 1, 0)
 			if err != nil {
 				return nil, err
 			}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"cfs/internal/clock"
+	"cfs/internal/multiraft"
 	"cfs/internal/proto"
 	"cfs/internal/raftstore"
 	"cfs/internal/storage"
@@ -430,12 +431,13 @@ func (d *DataNode) CreatePartition(req *proto.CreateDataPartitionReq) error {
 		return err
 	}
 	if len(req.Members) > 1 {
-		node, err := d.raft.CreateGroup(req.PartitionID, req.Members, &partitionSM{p: p})
+		sm := &partitionSM{p: p}
+		node, err := d.raft.CreateGroup(req.PartitionID, req.Members, sm)
 		if err != nil {
 			store.Close()
 			return err
 		}
-		p.raft = node
+		p.raft, p.sm = node, sm
 		// Bias the primary-backup leader to win the Raft election too,
 		// minimizing the window where the two leaders differ
 		// (Section 2.7.4 notes they may legitimately differ).
@@ -482,7 +484,8 @@ func (d *DataNode) handleUpdatePartition(req *proto.UpdateDataPartitionReq) (*pr
 		// toward the Raft quorum (and a replacement must start), or the
 		// PacificA side and the Raft side of the partition disagree about
 		// who the partition IS.
-		d.raft.Reconcile(p.ID, &partitionSM{p: p}, p.membersCopy, p.setRaftGroup)
+		sm := &partitionSM{p: p}
+		d.raft.Reconcile(p.ID, sm, p.membersCopy, func(g *multiraft.Group) { p.attachRaft(g, sm) })
 	}
 	if applied && p.isLeader() {
 		d.runRecoverLoop(p, promoted)

@@ -10,11 +10,11 @@ import (
 	"cfs/internal/transport"
 )
 
-// The follower overwrite fence (DESIGN.md Section 5.5 satellite): the Raft
-// leader announces a per-extent overwrite version alongside the committed
-// offsets it gossips, and a follower whose own Raft apply trails what was
-// announced refuses reads of that extent instead of serving pre-overwrite
-// bytes. This replaced the client-side leader pin: visibility is now the
+// The follower overwrite fence (DESIGN.md Section 5.5): a replica whose
+// Raft apply trails an overwrite version it knows of (a committed hop, a
+// snapshot), the version its reader was acked, or an overwrite it has
+// logged refuses reads of that extent instead of serving pre-overwrite
+// bytes. This replaced the client-side leader pin: visibility is the
 // replica's job, and offloaded reads self-fence.
 
 // TestFollowerOverwriteFenceRefusesStaleReads drives the fence white-box:
@@ -58,9 +58,9 @@ func TestFollowerOverwriteFenceRefusesStaleReads(t *testing.T) {
 
 // TestOverwriteVersionGossipLiftsFence runs the protocol end to end: an
 // overwrite through the Raft leader bumps every replica's applied version
-// via the shared log, the leader gossips the announcement with its
-// committed hops, and every follower converges to serving the NEW bytes -
-// with the version pair agreeing everywhere afterward.
+// via the shared log, and every follower converges to serving the NEW
+// bytes - with the version pair agreeing everywhere afterward and no
+// fence left raised.
 func TestOverwriteVersionGossipLiftsFence(t *testing.T) {
 	tc := startCluster(t, 3)
 	tc.createPartition(t, 100)
@@ -227,5 +227,191 @@ func TestOverwriteLostLeadershipIsRetriable(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("overwrite on the deposed leader never returned")
+	}
+}
+
+// The fence's three sources, each refusing a read that would otherwise be
+// served stale. fenceCluster sets them up: a 3-replica partition whose
+// extent holds "aaaaaaaaaa" on every replica, and a Raft follower (not the
+// Raft leader) to read from.
+func fenceCluster(t *testing.T) (tc *testCluster, eid uint64, leader, follower *Partition, faddr string) {
+	t.Helper()
+	tc = startCluster(t, 3)
+	tc.createPartition(t, 100)
+	eid = tc.createExtent(t, 100)
+	tc.append(t, 100, eid, []byte("aaaaaaaaaa"))
+	for _, addr := range tc.addrs {
+		tc.readEventually(t, addr, 100, eid, 0, 10)
+	}
+	leader = waitRaftLeader(t, tc, 100)
+	for i, n := range tc.nodes {
+		if p := n.Partition(100); p != leader {
+			return tc, eid, leader, p, tc.addrs[i]
+		}
+	}
+	t.Fatal("no raft follower")
+	return
+}
+
+// overwriteXYZ overwrites bytes 3..5 of eid through the Raft leader and
+// returns the overwrite version its ack carries.
+func (tc *testCluster) overwriteXYZ(t *testing.T, leader *Partition, eid uint64) uint64 {
+	t.Helper()
+	pkt := proto.NewPacket(proto.OpDataOverwrite, 60, 100, eid, []byte("XYZ"))
+	pkt.ExtentOffset = 3
+	var resp proto.Packet
+	if err := tc.nw.Call(leader.node.addr, uint8(proto.OpDataOverwrite), pkt, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.ResultCode != proto.ResultOK {
+		t.Fatalf("overwrite failed: %s", resp.Data)
+	}
+	return resp.Committed
+}
+
+// readAt reads eid's 10 bytes straight through p's unary handler, stamped
+// with acked: it reaches a replica the fabric has cut off.
+func readAt(t *testing.T, p *Partition, eid, acked uint64) (string, *proto.Packet) {
+	t.Helper()
+	pkt := proto.NewPacket(proto.OpDataRead, 61, p.ID, eid, []byte{0, 0, 0, 10})
+	pkt.Committed = acked
+	resp, err := p.handleRead(pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(resp.Data), resp
+}
+
+// awaitRead polls p until a read stamped with acked serves want.
+func awaitRead(t *testing.T, p *Partition, eid, acked uint64, want string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		data, resp := readAt(t, p, eid, acked)
+		if resp.ResultCode == proto.ResultOK && data == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never served %q: rc=%d %q", want, resp.ResultCode, data)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A follower that has not applied an overwrite refuses a read stamped with
+// the version the writer was acked, whatever it has or has not heard:
+// here it is cut off, so it never logged the entry and no announcement
+// reached it. The leader serves the same read.
+func TestOverwriteFenceRefusesReadBelowAckedVersion(t *testing.T) {
+	tc, eid, leader, fp, faddr := fenceCluster(t)
+	tc.cut(t, faddr)
+	acked := tc.overwriteXYZ(t, leader, eid)
+	if acked == 0 {
+		t.Error("the overwrite ack carries no version")
+		acked = 1
+	}
+	if data, resp := readAt(t, fp, eid, acked); resp.ResultCode == proto.ResultOK {
+		t.Fatalf("follower that never applied the overwrite served %q to a reader acked version %d", data, acked)
+	}
+	if data, resp := readAt(t, leader, eid, acked); resp.ResultCode != proto.ResultOK || data != "aaaXYZaaaa" {
+		t.Fatalf("leader read rc=%d %q", resp.ResultCode, data)
+	}
+	// Healed, the follower applies the entry and serves the stamped read.
+	tc.nw.(*transport.Memory).Heal(faddr)
+	awaitRead(t, fp, eid, acked, "aaaXYZaaaa")
+}
+
+// A follower that holds a logged overwrite it has not applied refuses
+// unstamped reads of the extent (another client's), and only of that
+// extent, until its Raft applied index reaches the entry - whatever entry
+// ends up there, so a replaced one cannot fence the extent for good. The
+// entry is logged by hand, at the index the follower's log takes next.
+func TestOverwriteFenceHoldsLoggedUnappliedEntry(t *testing.T) {
+	tc, eid, leader, fp, _ := fenceCluster(t)
+	other := tc.createExtent(t, 100)
+	tc.append(t, 100, other, []byte("bbbbbbbbbb"))
+	awaitRead(t, fp, other, 0, "bbbbbbbbbb")
+
+	fp.sm.Logged(fp.raft.Status().LastIndex+1, encodeOverwrite(eid, 3, []byte("XYZ")))
+	if data, resp := readAt(t, fp, eid, 0); resp.ResultCode == proto.ResultOK {
+		t.Fatalf("follower holding a logged, unapplied overwrite served %q", data)
+	}
+	if data, resp := readAt(t, fp, other, 0); resp.ResultCode != proto.ResultOK || data != "bbbbbbbbbb" {
+		t.Fatalf("read of an extent with nothing logged: rc=%d %q", resp.ResultCode, data)
+	}
+	// The next entry the leader commits takes that index; once the
+	// follower applies it, the fence lifts.
+	tc.overwriteXYZ(t, leader, eid)
+	awaitRead(t, fp, eid, 0, "aaaXYZaaaa")
+}
+
+// A follower that installs a snapshot skips the entries below its index;
+// on every extent whose overwrite version it trails it is fenced until the
+// entries the leader re-sends bring it level. The follower is cut off
+// while the overwrite commits, and the leader's snapshot is installed by
+// hand, as raft's handleSnap does; healed, it is re-sent the entry.
+func TestOverwriteFenceRaisedBySnapshotInstall(t *testing.T) {
+	tc, eid, leader, fp, faddr := fenceCluster(t)
+	other := tc.createExtent(t, 100)
+	tc.append(t, 100, other, []byte("bbbbbbbbbb"))
+	awaitRead(t, fp, other, 0, "bbbbbbbbbb")
+	tc.cut(t, faddr)
+	tc.overwriteXYZ(t, leader, eid)
+
+	snap, err := leader.sm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.sm.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if data, resp := readAt(t, fp, eid, 0); resp.ResultCode == proto.ResultOK {
+		t.Fatalf("follower restored past an overwrite it never applied served %q", data)
+	}
+	if data, resp := readAt(t, fp, other, 0); resp.ResultCode != proto.ResultOK || data != "bbbbbbbbbb" {
+		t.Fatalf("read of an extent the snapshot did not advance: rc=%d %q", resp.ResultCode, data)
+	}
+	tc.nw.(*transport.Memory).Heal(faddr)
+	awaitRead(t, fp, eid, 0, "aaaXYZaaaa")
+}
+
+// A follower that skipped an overwrite through a snapshot can never count
+// its way back: the first later overwrite of the extent it applies shows
+// the shortfall, and the extent stays fenced - even once its count equals
+// the snapshot's - until an alignment re-ship adopts the leader's content.
+// The follower is cut off; its skip (the leader compacting past the
+// entry) is played by hand, installing the leader's snapshot and applying
+// only the entry after it.
+func TestOverwriteFenceHoldsAfterASkippedOverwrite(t *testing.T) {
+	tc, eid, leader, fp, faddr := fenceCluster(t)
+	tc.cut(t, faddr)
+	tc.overwriteXYZ(t, leader, eid) // "aaaXYZaaaa": the entry fp skips
+	snap, err := leader.sm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fp.sm.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	next := proto.NewPacket(proto.OpDataOverwrite, 62, 100, eid, []byte("QQ"))
+	next.ExtentOffset = 8
+	var resp proto.Packet
+	if err := tc.nw.Call(leader.node.addr, uint8(proto.OpDataOverwrite), next, &resp); err != nil || resp.ResultCode != proto.ResultOK {
+		t.Fatalf("second overwrite: %v rc=%d %s", err, resp.ResultCode, resp.Data)
+	}
+	if _, err := fp.sm.Apply(leader.raft.Status().Applied, encodeOverwrite(eid, 8, []byte("QQ"))); err != nil {
+		t.Fatal(err)
+	}
+	if data, resp := readAt(t, fp, eid, 0); resp.ResultCode == proto.ResultOK {
+		t.Fatalf("follower that skipped an overwrite served %q (version %d, snapshot said %d)",
+			data, fp.ovwAppliedOf(eid), leader.ovwAppliedOf(eid)-1)
+	}
+	// The alignment re-ship: the leader's bytes, then the adoption mark.
+	if err := fp.store.WriteAt(eid, 0, []byte("aaaXYZaaQQ")); err != nil {
+		t.Fatal(err)
+	}
+	fp.adoptOvw(eid, leader.ovwAppliedOf(eid))
+	if data, resp := readAt(t, fp, eid, 0); resp.ResultCode != proto.ResultOK || data != "aaaXYZaaQQ" {
+		t.Fatalf("realigned follower read rc=%d %q", resp.ResultCode, data)
 	}
 }

@@ -37,8 +37,10 @@ type Partition struct {
 	// raft is the overwrite group; set at create for multi-replica
 	// partitions, or later by the reconcile loop when a single-replica
 	// partition grows. Read through raftGroup() (mu-guarded) anywhere that
-	// can race the reconcile goroutine's write.
+	// can race the reconcile goroutine's write. sm is the state machine it
+	// runs, set with it: the read fence asks it what is logged.
 	raft *multiraft.Group
+	sm   *partitionSM
 
 	mu sync.Mutex
 	// Members is the replication order; Members[0] is the leader. Mutable
@@ -73,13 +75,19 @@ type Partition struct {
 	committed      map[uint64]uint64 // extent id -> all-replica committed offset
 	// Overwrite visibility (Section 2.2.4's Raft path meets follower read
 	// offload): follower Raft apply is asynchronous, so a follower can hold
-	// pre-overwrite bytes below its committed clamp. The leader gossips its
-	// per-extent overwrite version with the committed offsets; a follower
-	// whose locally applied version trails what it has SEEN announced
-	// refuses reads of that extent (clients fall through to the next
-	// replica), so no client needs to pin overwritten extents to the leader.
+	// pre-overwrite bytes below its committed clamp. ovwApplied counts the
+	// overwrites of each extent this replica has applied; replicas that
+	// applied the same Raft prefix agree on it, and an overwrite's ack
+	// carries the leader's count to the client, whose reads carry it back.
+	// ovwSeen is the newest count this replica has evidence of without
+	// having applied it: a snapshot install (the entries it skipped) or a
+	// committed hop (window-drain gossip, Recover). overwriteFence refuses
+	// reads of an extent that trails either, or that has a logged,
+	// unapplied overwrite (partitionSM.logged); clients fall through to the
+	// next replica, so no client needs to pin overwritten extents to the
+	// leader.
 	ovwApplied map[uint64]uint64 // extent id -> overwrite version applied locally
-	ovwSeen    map[uint64]uint64 // extent id -> newest version the leader announced
+	ovwSeen    map[uint64]uint64 // extent id -> newest version known to exist
 	status     proto.PartitionStatus
 	// Recovery quiescence: Recover's promotion of the local watermark to
 	// the committed offset is only sound when NO writer can have in-flight
@@ -95,15 +103,6 @@ type Partition struct {
 	saveMu      sync.Mutex
 	savePending bool
 	saveStopped bool
-
-	// Call-path committed gossip (the overwrite apply's version
-	// announcements) is coalesced: applies mark extents dirty and at most
-	// one flusher goroutine per partition pushes the LATEST offsets, so a
-	// sustained overwrite load costs one in-flight update per partition
-	// instead of one goroutine + RPC fan-out per apply.
-	gossipMu    sync.Mutex
-	gossipDirty map[uint64]bool
-	gossipBusy  bool
 }
 
 // isLeader reports whether this node is the partition's primary-backup
@@ -313,16 +312,6 @@ func (p *Partition) advanceCommitted(extentID, end uint64) {
 	p.mu.Unlock()
 }
 
-// bumpOvw advances an extent's locally applied overwrite version by one
-// (every replica applies the same Raft log, so the counters agree across
-// replicas for the same applied prefix).
-func (p *Partition) bumpOvw(extentID uint64) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ovwApplied[extentID]++
-	return p.ovwApplied[extentID]
-}
-
 // ovwAppliedOf returns the extent's locally applied overwrite version.
 func (p *Partition) ovwAppliedOf(extentID uint64) uint64 {
 	p.mu.Lock()
@@ -330,8 +319,8 @@ func (p *Partition) ovwAppliedOf(extentID uint64) uint64 {
 	return p.ovwApplied[extentID]
 }
 
-// noteOvwSeen records the newest overwrite version the leader has announced
-// for an extent (monotonic max).
+// noteOvwSeen records the newest overwrite version known to exist for an
+// extent (monotonic max).
 func (p *Partition) noteOvwSeen(extentID, ver uint64) {
 	if ver == 0 {
 		return
@@ -352,19 +341,52 @@ func (p *Partition) adoptOvw(extentID, ver uint64) {
 	if ver > p.ovwApplied[extentID] {
 		p.ovwApplied[extentID] = ver
 	}
-	if ver > p.ovwSeen[extentID] {
+	if ver > p.ovwSeen[extentID] || ver > 0 && p.ovwSeen[extentID] == ovwDiverged {
 		p.ovwSeen[extentID] = ver
 	}
 	p.mu.Unlock()
 }
 
+// ovwDiverged in ovwSeen marks an extent whose overwrites this replica
+// skipped through a snapshot install: its own count can never catch up
+// with the content it lacks, so only an alignment re-ship (adoptOvw)
+// lifts the fence.
+const ovwDiverged = ^uint64(0)
+
 // ovwCurrent reports whether this replica's content is as new as every
-// overwrite the leader has announced for the extent. Trivially true on the
-// announcing leader itself and on extents never overwritten.
+// overwrite version it knows of for the extent. Trivially true on the
+// leader and on extents never overwritten.
 func (p *Partition) ovwCurrent(extentID uint64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.ovwApplied[extentID] >= p.ovwSeen[extentID]
+}
+
+// overwriteFence is admitRead's overwrite half, one denial constraint
+// (DESIGN.md Section 5.5): no replica serves extent E below the version
+// its reader was acked (acked, stamped on the request by the client), nor
+// below a version it knows exists, nor while it holds a logged, unapplied
+// overwrite of E. It returns the refusal, or "".
+func (p *Partition) overwriteFence(extentID, acked uint64) string {
+	p.mu.Lock()
+	applied, seen := p.ovwApplied[extentID], p.ovwSeen[extentID]
+	g := p.raft
+	var logged uint64
+	if p.sm != nil {
+		logged = p.sm.logged[extentID]
+	}
+	p.mu.Unlock()
+	switch {
+	case applied < acked:
+		return fmt.Sprintf("read of extent %d at overwrite version %d, below the %d its reader was acked: %v",
+			extentID, applied, acked, util.ErrOutOfRange)
+	case applied < seen:
+		return fmt.Sprintf("read of extent %d behind announced overwrite version: %v", extentID, util.ErrOutOfRange)
+	case logged > 0 && g != nil && g.Applied() < logged:
+		return fmt.Sprintf("read of extent %d with an overwrite logged at raft index %d and not yet applied: %v",
+			extentID, logged, util.ErrOutOfRange)
+	}
+	return ""
 }
 
 // membersCopy returns the current replica set.
@@ -382,9 +404,11 @@ func (p *Partition) raftGroup() *multiraft.Group {
 	return p.raft
 }
 
-func (p *Partition) setRaftGroup(g *multiraft.Group) {
+// attachRaft hands the partition its overwrite group and the state
+// machine the group runs.
+func (p *Partition) attachRaft(g *multiraft.Group, sm *partitionSM) {
 	p.mu.Lock()
-	p.raft = g
+	p.raft, p.sm = g, sm
 	p.mu.Unlock()
 }
 
@@ -464,7 +488,7 @@ func (p *Partition) checkWritable() error {
 // Sequential write: primary-backup replication (Figure 4). The leader half
 // lives in stream.go (writeSession.leaderPacket); what follows is the
 // follower half, shared by the stream hops and the Call-path hops that
-// alignment and gossip send.
+// alignment and Recover send.
 
 // resultHopFollower in a request's ResultCode marks a forwarded
 // (leader -> follower) hop; requests from clients carry ResultOK.
@@ -500,13 +524,12 @@ func (p *Partition) applyFollowerHop(pkt *proto.Packet) error {
 		return err
 	case proto.OpDataCommitted:
 		p.advanceCommitted(pkt.ExtentID, pkt.Committed)
-		// The frame's FileOffset slot (unused by committed gossip until
-		// now) carries the leader's per-extent overwrite version. An
-		// ExtentOffset marker distinguishes plain announcements - the
-		// follower self-fences reads until its own Raft apply catches up -
-		// from alignment adoption, where the leader just re-shipped its
-		// bytes wholesale and the follower's content is current by
-		// construction.
+		// The frame's FileOffset slot carries the sender's per-extent
+		// overwrite version. An ExtentOffset marker distinguishes plain
+		// announcements - the follower self-fences reads until its own
+		// Raft apply catches up - from alignment adoption, where the leader
+		// just re-shipped its bytes wholesale and the follower's content is
+		// current by construction.
 		if pkt.ExtentOffset == ovwAdoptMarker {
 			p.adoptOvw(pkt.ExtentID, pkt.FileOffset)
 		} else {
@@ -515,8 +538,8 @@ func (p *Partition) applyFollowerHop(pkt *proto.Packet) error {
 		// Persist the learned map so a crash-restarted follower on a
 		// then-quiescent partition serves reads instead of reloading an
 		// empty map - but debounced off the receive path: gossip can
-		// arrive per window drain (or per overwrite apply), and a full-map
-		// snapshot per frame would put file I/O on the replication loop.
+		// arrive per window drain, and a full-map snapshot per frame would
+		// put file I/O on the replication loop.
 		p.saveCommittedSoon()
 		return nil
 	case proto.OpDataTruncate:
@@ -588,58 +611,6 @@ func createHopPacket(partitionID, reqID, extentID, epoch uint64) *proto.Packet {
 	}
 }
 
-// gossipCommitted marks an extent's committed offset for follower gossip,
-// best-effort and coalesced (a missed update only delays a follower's
-// clamp; the next hop's piggyback carries it again). Back-to-back marks
-// fold into one update carrying the latest offset; the final one in a
-// burst is always flushed.
-func (p *Partition) gossipCommitted(extentID uint64) {
-	p.gossipMu.Lock()
-	if p.gossipDirty == nil {
-		p.gossipDirty = make(map[uint64]bool)
-	}
-	p.gossipDirty[extentID] = true
-	if p.gossipBusy {
-		p.gossipMu.Unlock()
-		return
-	}
-	p.gossipBusy = true
-	p.gossipMu.Unlock()
-	go p.gossipFlush()
-}
-
-func (p *Partition) gossipFlush() {
-	for {
-		p.gossipMu.Lock()
-		var ext uint64
-		found := false
-		for e := range p.gossipDirty {
-			ext, found = e, true
-			break
-		}
-		if !found {
-			p.gossipBusy = false
-			p.gossipMu.Unlock()
-			return
-		}
-		delete(p.gossipDirty, ext)
-		p.gossipMu.Unlock()
-		p.pushCommitted(ext)
-	}
-}
-
-// pushCommitted synchronously pushes one extent's CURRENT committed
-// offset - and the leader's overwrite version for the extent - to every
-// follower, best-effort (a miss is healed by the next hop's piggyback or
-// gossip round).
-func (p *Partition) pushCommitted(extentID uint64) {
-	upd := committedHopPacket(p.ID, extentID, p.committedOf(extentID), p.Epoch(), p.ovwAppliedOf(extentID))
-	for _, f := range p.followers() {
-		var resp proto.Packet
-		_ = p.node.nw.Call(f, uint8(proto.OpDataCommitted), upd, &resp)
-	}
-}
-
 // ovwAdoptMarker in a committed hop's ExtentOffset tells the follower to
 // ADOPT the carried overwrite version as its own applied version (alignment
 // re-shipped the leader's content), not merely to fence on it.
@@ -693,7 +664,8 @@ func (p *Partition) handleOverwrite(pkt *proto.Packet) (*proto.Packet, error) {
 	if g == nil || !g.IsLeader() {
 		return pkt.ErrResponse(proto.ResultErrNotLeader, "not raft leader"), nil
 	}
-	if _, err := g.Propose(encodeOverwrite(pkt.ExtentID, pkt.ExtentOffset, pkt.Data)); err != nil {
+	ver, err := g.Propose(encodeOverwrite(pkt.ExtentID, pkt.ExtentOffset, pkt.Data))
+	if err != nil {
 		if errors.Is(err, raft.ErrProposalDropped) || errors.Is(err, raft.ErrNotLeader) {
 			// Leadership moved between the check above and the commit. An
 			// overwrite is idempotent bytes-at-offset, so the client safely
@@ -702,15 +674,55 @@ func (p *Partition) handleOverwrite(pkt *proto.Packet) (*proto.Packet, error) {
 		}
 		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
 	}
-	return pkt.OKResponse(nil), nil
+	// The ack carries the extent's overwrite version after this write, in
+	// the Committed slot: the client stamps it on its reads of the extent,
+	// and a replica that has not applied this far refuses them.
+	resp := pkt.OKResponse(nil)
+	resp.Committed, _ = ver.(uint64)
+	return resp, nil
 }
 
 // partitionSM applies committed overwrite commands to the extent store.
+// One is made per Raft group, so logged shares the group's index space.
+//
+// Every field is guarded by p.mu.
 type partitionSM struct {
 	p *Partition
+	// logged maps an extent to the highest Raft index at which this replica
+	// has logged an overwrite of it (raft.LogObserver); the read fence holds
+	// the extent until the group's applied index reaches it.
+	logged map[uint64]uint64
+	// applied is the index of the last overwrite entry applied: the entries
+	// a snapshot's versions count are exactly those at or below it.
+	applied uint64
+	// trail is what the last snapshot this replica installed said about the
+	// extents it trailed: the version each had at index trailAt. Apply
+	// checks it at the extent's first overwrite past trailAt.
+	trail   map[uint64]uint64
+	trailAt uint64
 }
 
-// Apply implements raft.StateMachine.
+// Logged implements raft.LogObserver. A follower logs an overwrite before
+// it acks the append, so once the leader can commit it - and ack the
+// client - this replica refuses reads of the extent until it has applied
+// whatever now sits at index (the same entry, or a leader's replacement).
+func (sm *partitionSM) Logged(index uint64, cmd []byte) {
+	extentID, _, _, err := decodeOverwrite(cmd)
+	if err != nil {
+		return
+	}
+	sm.p.mu.Lock()
+	if sm.logged == nil {
+		sm.logged = make(map[uint64]uint64)
+	}
+	if index > sm.logged[extentID] {
+		sm.logged[extentID] = index
+	}
+	sm.p.mu.Unlock()
+}
+
+// Apply implements raft.StateMachine. It returns the extent's overwrite
+// version after this write, which the leader's ack carries to the client.
 func (sm *partitionSM) Apply(index uint64, cmd []byte) (any, error) {
 	extentID, off, data, err := decodeOverwrite(cmd)
 	if err != nil {
@@ -722,29 +734,79 @@ func (sm *partitionSM) Apply(index uint64, cmd []byte) (any, error) {
 		// client retries and recovery realigns the replica.
 		return nil, err
 	}
-	sm.p.bumpOvw(extentID)
-	if sm.p.isLeader() {
-		// Announce the new version with the committed gossip so followers
-		// whose Raft apply trails fence their reads of this extent. The
-		// primary-backup leader announces (it is where offloading clients
-		// fall back to), and the Raft Campaign bias keeps it the Raft
-		// leader too, so its applied version is the proposal's by the time
-		// Propose returns.
-		sm.p.gossipCommitted(extentID)
+	p := sm.p
+	p.mu.Lock()
+	sm.applied = index
+	if want, ok := sm.trail[extentID]; ok && index > sm.trailAt {
+		// The snapshot's version counts every overwrite up to trailAt, and
+		// this replica has now applied all of them it ever will: short of
+		// it, it skipped some, and the content they wrote is missing here.
+		if p.ovwApplied[extentID] < want {
+			p.ovwSeen[extentID] = ovwDiverged
+		}
+		delete(sm.trail, extentID)
 	}
-	sm.p.saveCommittedSoon()
-	return nil, nil
+	// Every replica applies the same Raft log, so the counters agree across
+	// replicas for the same applied prefix.
+	p.ovwApplied[extentID]++
+	ver := p.ovwApplied[extentID]
+	if sm.logged[extentID] <= index {
+		delete(sm.logged, extentID)
+	}
+	p.mu.Unlock()
+	p.saveCommittedSoon()
+	return ver, nil
 }
 
-// Snapshot implements raft.StateMachine. Data partitions snapshot only the
-// overwrite high-water mark: extents themselves are already on disk, and a
-// replica that falls behind is realigned by the primary-backup recovery
-// pass that precedes Raft recovery (Section 2.2.5), so the snapshot carries
-// no bulk data.
-func (sm *partitionSM) Snapshot() ([]byte, error) { return []byte("dp-snap"), nil }
+// Snapshot implements raft.StateMachine. A data partition's snapshot is
+// its per-extent overwrite versions, as uvarints: the index of the last
+// overwrite they count, then (extent id, version) pairs. Extents themselves
+// are already on disk, and a replica that falls behind is realigned by the
+// primary-backup recovery pass (Section 2.2.5), so the snapshot carries no
+// bulk data.
+func (sm *partitionSM) Snapshot() ([]byte, error) {
+	p := sm.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	buf := binary.AppendUvarint(make([]byte, 0, 8+4*len(p.ovwApplied)), sm.applied)
+	for id, ver := range p.ovwApplied {
+		buf = binary.AppendUvarint(binary.AppendUvarint(buf, id), ver)
+	}
+	return buf, nil
+}
 
-// Restore implements raft.StateMachine.
-func (sm *partitionSM) Restore(data []byte) error { return nil }
+// Restore implements raft.StateMachine. The follower skips the entries
+// below the snapshot's index, and the leader re-sends those above it, so
+// on each extent whose version it trails it raises the fence (ovwSeen):
+// its reads of the extent are refused until re-sent entries bring it level
+// - or, if it skipped overwrites of the extent, until an alignment re-ship
+// does (Apply marks those extents diverged).
+func (sm *partitionSM) Restore(data []byte) error {
+	vals := make([]uint64, 0, 1+len(data)/2)
+	for len(data) > 0 {
+		v, n := binary.Uvarint(data)
+		if n <= 0 {
+			return fmt.Errorf("datanode: partition %d: bad snapshot: %w", sm.p.ID, util.ErrInvalidArgument)
+		}
+		vals, data = append(vals, v), data[n:]
+	}
+	if len(vals)%2 != 1 {
+		return fmt.Errorf("datanode: partition %d: bad snapshot: %w", sm.p.ID, util.ErrInvalidArgument)
+	}
+	p := sm.p
+	p.mu.Lock()
+	sm.trail, sm.trailAt = make(map[uint64]uint64), vals[0]
+	for i := 1; i < len(vals); i += 2 {
+		id, ver := vals[i], vals[i+1]
+		if p.ovwApplied[id] < ver {
+			sm.trail[id] = ver
+			p.ovwSeen[id] = max(p.ovwSeen[id], ver)
+		}
+	}
+	p.mu.Unlock()
+	p.saveCommittedSoon()
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // Read (Section 2.7.4).
@@ -791,14 +853,13 @@ func (p *Partition) admitRead(pkt *proto.Packet, off, length uint64) *proto.Pack
 		return refusal
 	}
 	// Overwrite fence: the committed clamp cannot see in-place writes (they
-	// land below the watermark), so a replica whose applied overwrite
-	// version trails the leader's announcements refuses the whole extent
-	// rather than serve pre-overwrite bytes. Clients fall through to the
-	// next replica, ultimately the announcing leader itself.
-	if !p.ovwCurrent(pkt.ExtentID) {
-		return pkt.ErrResponse(proto.ResultErrIO, fmt.Sprintf(
-			"read of extent %d behind announced overwrite version: %v",
-			pkt.ExtentID, util.ErrOutOfRange))
+	// land below the watermark), so a replica that may hold pre-overwrite
+	// bytes refuses the whole extent. The request's Committed slot carries
+	// the overwrite version its client was acked. Clients fall through to
+	// the next replica, ultimately the leader, which applies an overwrite
+	// before it acks it.
+	if why := p.overwriteFence(pkt.ExtentID, pkt.Committed); why != "" {
+		return pkt.ErrResponse(proto.ResultErrIO, why)
 	}
 	return nil
 }
@@ -1083,16 +1144,22 @@ func (p *Partition) Recover() (uint64, error) {
 			return shipped, err
 		}
 	}
-	for _, info := range p.store.Infos() {
+	infos := p.store.Infos()
+	for _, info := range infos {
 		p.advanceCommitted(info.ID, info.Size)
 	}
 	// Alignment hops only reach followers that were MISSING bytes; a
 	// follower that already stored the full tail (it applied the forward
 	// before the session aborted) never sees one, so push the promoted
-	// offsets explicitly or its read clamp stays at the pre-failure value
-	// forever.
-	for _, info := range p.store.Infos() {
-		p.pushCommitted(info.ID)
+	// offsets explicitly (best-effort) or its read clamp stays at the
+	// pre-failure value forever.
+	epoch := p.Epoch()
+	for _, f := range p.followers() {
+		for _, info := range infos {
+			upd := committedHopPacket(p.ID, info.ID, p.committedOf(info.ID), epoch, p.ovwAppliedOf(info.ID))
+			var resp proto.Packet
+			_ = p.node.nw.Call(f, uint8(proto.OpDataCommitted), upd, &resp)
+		}
 	}
 	_ = p.saveCommitted()
 	return shipped, nil

@@ -50,7 +50,7 @@ type partitionMeta struct {
 }
 
 // committedEntry is one extent's persisted committed offset plus its
-// overwrite-version pair (applied locally / seen announced). Persisting
+// overwrite-version pair (applied locally / known to exist). Persisting
 // BOTH keeps the fence consistent across a restart: reloading a seen
 // version without the matching applied one would self-fence a replica
 // whose on-disk content is in fact current.

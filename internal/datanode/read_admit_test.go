@@ -11,15 +11,16 @@ import (
 	"cfs/internal/transport"
 )
 
-// readReplies sends the same read - extent range plus client epoch - to
-// addr twice, as a unary OpDataRead Call and as a request on a fresh read
-// stream, and returns each path's (first) reply frame.
-func (tc *testCluster) readReplies(t *testing.T, addr string, pid, eid, off uint64, length uint32, epoch uint64) (unary, streamed *proto.Packet) {
+// readReplies sends the same read - extent range, client epoch and acked
+// overwrite version - to addr twice, as a unary OpDataRead Call and as a
+// request on a fresh read stream, and returns each path's (first) reply
+// frame.
+func (tc *testCluster) readReplies(t *testing.T, addr string, pid, eid, off uint64, length uint32, epoch, acked uint64) (unary, streamed *proto.Packet) {
 	t.Helper()
 	lenBuf := make([]byte, 4)
 	binary.BigEndian.PutUint32(lenBuf, length)
 	call := proto.NewPacket(proto.OpDataRead, 1, pid, eid, lenBuf)
-	call.ExtentOffset, call.Epoch = off, epoch
+	call.ExtentOffset, call.Epoch, call.Committed = off, epoch, acked
 	unary = new(proto.Packet)
 	if err := tc.nw.Call(addr, uint8(proto.OpDataRead), call, unary); err != nil {
 		t.Fatal(err)
@@ -27,7 +28,7 @@ func (tc *testCluster) readReplies(t *testing.T, addr string, pid, eid, off uint
 	st := tc.openReadStream(t, addr)
 	if err := st.Send(&proto.Packet{
 		Op: proto.OpDataRead, ReqID: 1, PartitionID: pid, ExtentID: eid,
-		ExtentOffset: off, FileOffset: uint64(length), Epoch: epoch,
+		ExtentOffset: off, FileOffset: uint64(length), Epoch: epoch, Committed: acked,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +51,7 @@ func TestReadAdmissionSameOnBothPaths(t *testing.T) {
 		// arm raises the fence on the replica it returns the index of.
 		arm         func(t *testing.T, tc *testCluster, eid uint64) int
 		epoch       uint64
+		acked       uint64 // the overwrite version the reader was acked
 		off, length uint64
 		code        uint8
 		committed   uint64
@@ -69,6 +71,19 @@ func TestReadAdmissionSameOnBothPaths(t *testing.T) {
 				tc.nodes[1].Partition(pid).noteOvwSeen(eid, 1)
 				return 1
 			}},
+		{name: "extent below the reader's acked overwrite version", code: proto.ResultErrIO, length: size, acked: 1,
+			arm: func(t *testing.T, tc *testCluster, eid uint64) int {
+				tc.readEventually(t, tc.addrs[1], pid, eid, 0, size)
+				return 1
+			}},
+		{name: "extent with a logged, unapplied overwrite", code: proto.ResultErrIO, length: size,
+			arm: func(t *testing.T, tc *testCluster, eid uint64) int {
+				tc.readEventually(t, tc.addrs[1], pid, eid, 0, size)
+				p := tc.nodes[1].Partition(pid)
+				// Far past anything the idle group will apply meanwhile.
+				p.sm.Logged(p.raft.Applied()+1000, encodeOverwrite(eid, 0, []byte("x")))
+				return 1
+			}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -80,7 +95,7 @@ func TestReadAdmissionSameOnBothPaths(t *testing.T) {
 			if c.arm != nil {
 				replica = c.arm(t, tc, eid)
 			}
-			unary, streamed := tc.readReplies(t, tc.addrs[replica], pid, eid, c.off, uint32(c.length), c.epoch)
+			unary, streamed := tc.readReplies(t, tc.addrs[replica], pid, eid, c.off, uint32(c.length), c.epoch, c.acked)
 			for path, got := range map[string]*proto.Packet{"unary": unary, "stream": streamed} {
 				if got.ResultCode != c.code || got.Committed != c.committed {
 					t.Errorf("%s: rc=%d committed=%d (%s), want rc=%d committed=%d",

@@ -249,6 +249,10 @@ func (g *Group) Propose(data []byte) (any, error) { return g.node.Propose(data) 
 // load, never a round trip through the group's event loop.
 func (g *Group) IsLeader() bool { return g.node.IsLeader() }
 
+// Applied returns the index this member has applied through: one atomic
+// load, like IsLeader.
+func (g *Group) Applied() uint64 { return g.node.Applied() }
+
 // Status returns a snapshot of the group member's Raft state.
 func (g *Group) Status() raft.Status { return g.node.Status() }
 

@@ -43,7 +43,10 @@ type Packet struct {
 	FileOffset uint64
 	// Committed piggybacks the extent's all-replica committed offset on
 	// leader->follower hops (and OpDataCommitted frames) so followers can
-	// enforce the Section 2.2.5 clamp. Zero elsewhere.
+	// enforce the Section 2.2.5 clamp. An overwrite's ack carries the
+	// extent's overwrite version after it in this slot, and a read request
+	// the highest such version its client was acked (the overwrite fence).
+	// Zero elsewhere.
 	Committed uint64
 	// Epoch is the sender's replica epoch for the partition: clients stamp
 	// it from their cached view on write-path requests, leaders stamp it on

@@ -249,6 +249,131 @@ func TestCompactionKeepsOneAppendForALaggingFollower(t *testing.T) {
 	}
 }
 
+// A live follower inside the compaction window is sent the entries it
+// lacks, not the whole state: compaction keeps everything above the
+// furthest-behind follower's match index. A follower more than
+// 2*MaxLogEntries behind no longer holds the log, and gets a snapshot.
+func TestCompactionKeepsALiveFollowersEntries(t *testing.T) {
+	const maxLog = 64
+	sm := &snapCountingSM{kvSM: newKVSM()}
+	h := newGateLeader(t, sm, maxLog)
+	acking := map[string]*Message{"f1": h.noop["f1"], "f2": h.noop["f2"]}
+	h.commit(100, acking)
+	h.ack(acking["f2"]) // f2 has all 101 entries, then goes quiet
+	delete(acking, "f2")
+	const behind = 100 // past the 64-entry tail, inside 2*maxLog
+	h.commit(behind, acking)
+	h.ack(acking["f1"])
+	h.settle()
+	if st := h.n.Status(); st.Applied != 101+behind || st.FirstIndex <= 1 {
+		t.Fatalf("applied %d, first index %d: want %d applied and the log compacted", st.Applied, st.FirstIndex, 101+behind)
+	}
+	app := h.tick()["f2"]
+	if app.Type != MsgApp || app.PrevLogIndex != 101 || len(app.Entries) != 64 {
+		t.Fatalf("f2, %d entries short, was sent %v after %d with %d entries, want an append of the next 64 after 101",
+			behind, app.Type, app.PrevLogIndex, len(app.Entries))
+	}
+	if got := sm.snapshots.Load(); got != 0 {
+		t.Fatalf("SM.Snapshot called %d times, want 0", got)
+	}
+
+	// f2 stays mute until it is more than 2*maxLog behind: it no longer
+	// pins the log.
+	h.commit(2*maxLog, acking)
+	h.ack(acking["f1"])
+	h.settle()
+	if st := h.n.Status(); st.FirstIndex <= 102 {
+		t.Fatalf("first index %d with f2 %d entries behind: a dead follower pinned the log", st.FirstIndex, st.LastIndex-101)
+	}
+	if snap := h.tick()["f2"]; snap.Type != MsgSnap {
+		t.Fatalf("f2, %d entries behind, was sent %v, want a snapshot", h.n.Status().LastIndex-101, snap.Type)
+	}
+}
+
+// loggingSM records, in one ordered list with what its node sends, the
+// entries the node reports logged.
+type loggingSM struct {
+	*kvSM
+	mu     sync.Mutex
+	events []string
+}
+
+func (s *loggingSM) Logged(index uint64, data []byte) {
+	s.note(fmt.Sprintf("logged %d %s", index, data))
+}
+
+func (s *loggingSM) note(ev string) {
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+}
+
+func (s *loggingSM) take() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.events
+	s.events = nil
+	return out
+}
+
+// A follower reports every application entry an append brings into its
+// log before it acks the append, and Applied counts every entry up to
+// the commit - empty ones too, so an entry that was logged and then
+// replaced by another leader's no-op is passed like any other.
+func TestFollowerLogsEntriesBeforeItAcks(t *testing.T) {
+	sm := &loggingSM{kvSM: newKVSM()}
+	n, err := NewNode(Config{
+		ID: "f", Peers: []string{"f", "l", "x"}, GroupID: 1, SM: sm,
+		Sender:        SenderFunc(func(m *Message) { sm.note(m.Type.String()) }),
+		ExternalClock: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	// step hands m to the follower and returns what it logged and sent in
+	// answer. A stale vote request follows m through the same queue, so its
+	// answer marks the end.
+	step := func(m *Message) []string {
+		t.Helper()
+		m.GroupID, m.To = 1, "f"
+		n.Step(m)
+		n.Step(&Message{GroupID: 1, Type: MsgVote, From: "x", To: "f"})
+		var got []string
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			got = append(got, sm.take()...)
+			if len(got) > 0 && got[len(got)-1] == "VoteResp" {
+				return got[:len(got)-1]
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("follower never answered the stale vote request: %q", got)
+			}
+		}
+	}
+	// x, leader of term 1, appends two entries and commits the first.
+	got := step(&Message{Type: MsgApp, From: "x", Term: 1, Commit: 1,
+		Entries: []Entry{{Index: 1, Term: 1, Data: []byte("a=1")}, {Index: 2, Term: 1, Data: []byte("b=1")}}})
+	if want := []string{"logged 1 a=1", "logged 2 b=1", "AppResp"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("append of 1..2: %q, want %q", got, want)
+	}
+	if a := n.Applied(); a != 1 {
+		t.Fatalf("Applied %d after commit 1, want 1", a)
+	}
+	// l, leader of term 2, never had entry 2: its no-op replaces it and
+	// commits. Nothing is logged for the empty entry, and Applied passes 2.
+	got = step(&Message{Type: MsgApp, From: "l", Term: 2, PrevLogIndex: 1, PrevLogTerm: 1, Commit: 2,
+		Entries: []Entry{{Index: 2, Term: 2}}})
+	if want := []string{"AppResp"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("no-op append over 2: %q, want %q", got, want)
+	}
+	if a := n.Applied(); a != 2 {
+		t.Fatalf("Applied %d after the no-op at 2 committed, want 2", a)
+	}
+	if _, ok := sm.get("b"); ok {
+		t.Fatal("the replaced entry 2 was applied")
+	}
+}
+
 // Only an answer to the append in flight reopens the gate: a success short
 // of its last index, or a rejection of some other append, sends nothing
 // and moves nothing.

@@ -176,6 +176,17 @@ type StateMachine interface {
 	Restore(data []byte) error
 }
 
+// LogObserver is an optional StateMachine extension. A follower calls
+// Logged for every application entry an append brings into its log, in
+// index order, from the node's event loop and before it acks the append:
+// so by the time the leader can count this node toward a commit, the state
+// machine knows an entry at index is coming. Logged entries may still be
+// truncated and replaced; Node.Applied passing index is the only sign that
+// whatever sits there now has been applied.
+type LogObserver interface {
+	Logged(index uint64, data []byte)
+}
+
 // Role is a node's current Raft role.
 type Role int32
 
@@ -333,6 +344,11 @@ type Node struct {
 	// leading mirrors role == Leader for readers outside the event loop;
 	// setRole is its only writer while the loop runs.
 	leading atomic.Bool
+	// appliedPub mirrors applied for readers outside the event loop,
+	// stored after the entries up to it have been applied.
+	appliedPub atomic.Uint64
+	// observer is cfg.SM's LogObserver side, nil if it has none.
+	observer LogObserver
 
 	// Event-loop state (owned by run goroutine).
 	role Role
@@ -406,6 +422,7 @@ func NewNode(cfg Config) (*Node, error) {
 		stopc:      make(chan struct{}),
 		donec:      make(chan struct{}),
 	}
+	n.observer, _ = c.SM.(LogObserver)
 	n.resetElectionTimer()
 	if !c.ExternalClock {
 		n.ticker = time.NewTicker(c.TickInterval)
@@ -469,6 +486,11 @@ func (n *Node) Status() Status {
 // deposed leader cut off from the group keeps answering true until it
 // hears the higher term. A stopped node is not leader.
 func (n *Node) IsLeader() bool { return n.leading.Load() }
+
+// Applied returns the index up to which every entry (application, empty
+// or membership) has been applied or installed by snapshot: one atomic
+// load, a point-in-time view like IsLeader.
+func (n *Node) Applied() uint64 { return n.appliedPub.Load() }
 
 // Propose replicates data and waits until it is committed and applied,
 // returning the state machine's result. It fails fast with ErrNotLeader on
@@ -1051,6 +1073,13 @@ func (n *Node) handleApp(msg *Message) {
 			n.log = append(n.log, e)
 		}
 	}
+	if n.observer != nil {
+		for _, e := range msg.Entries {
+			if !e.Conf && len(e.Data) > 0 {
+				n.observer.Logged(e.Index, e.Data)
+			}
+		}
+	}
 	// Only the prefix this append verified is known to match the leader's
 	// log; a longer local suffix may be a deposed leader's. Neither the ack
 	// nor the commit index may reach past it (Raft Fig. 2).
@@ -1181,6 +1210,7 @@ func (n *Node) applyCommitted() {
 			}
 		}
 	}
+	n.appliedPub.Store(n.applied)
 	n.maybeCompact()
 	if confChanged && n.role == Leader {
 		// A shrunk quorum may make entries waiting on the removed
@@ -1196,20 +1226,47 @@ func (n *Node) applyCommitted() {
 // snapshot (sendSnapshot), never here, so compacting a large partition
 // costs the event loop nothing. The last MaxEntriesPerMsg entries below
 // applied stay, so a follower one append behind is sent that append, not
-// the whole state.
+// the whole state. On the leader, nothing a live follower still lacks is
+// dropped either (compactFloor), and a cut is made only once it frees at
+// least half of MaxLogEntries, so a log held at the floor is not copied
+// again on every commit.
 func (n *Node) maybeCompact() {
 	if len(n.log) <= n.cfg.MaxLogEntries {
 		return
 	}
 	keep := uint64(n.cfg.MaxEntriesPerMsg)
-	if n.applied <= keep || n.applied-keep <= n.firstIndex {
+	if n.applied <= keep {
 		return
 	}
 	keepFrom := n.applied - keep
+	if n.role == Leader {
+		keepFrom = min(keepFrom, n.compactFloor())
+	}
+	if keepFrom <= n.firstIndex+uint64(n.cfg.MaxLogEntries/2) {
+		return
+	}
 	term, _ := n.termAt(keepFrom - 1) // held: firstIndex-1 < keepFrom-1 < applied
 	n.log = append([]Entry(nil), n.log[keepFrom-n.firstIndex:]...)
 	n.firstIndex = keepFrom
 	n.snapTerm = term
+}
+
+// compactFloor is the first index the leader's log must keep: the next
+// entry of the follower furthest behind, which is then sent an append
+// rather than the whole state. A follower more than 2*MaxLogEntries behind
+// the last index (dead, or cut off) no longer holds the floor, so it
+// cannot pin the log; it gets a snapshot when it answers again.
+func (n *Node) compactFloor() uint64 {
+	floor := n.lastIndex() + 1
+	for _, p := range n.peers {
+		if p != n.cfg.ID {
+			floor = min(floor, n.matchIndex[p]+1)
+		}
+	}
+	if span := 2 * uint64(n.cfg.MaxLogEntries); n.lastIndex() > span {
+		floor = max(floor, n.lastIndex()-span)
+	}
+	return floor
 }
 
 func (n *Node) handleSnap(msg *Message) {
@@ -1235,6 +1292,7 @@ func (n *Node) handleSnap(msg *Message) {
 	n.firstIndex = msg.SnapIndex + 1
 	n.snapTerm = msg.SnapTerm
 	n.applied = msg.SnapIndex
+	n.appliedPub.Store(n.applied)
 	n.commitIndex = util.MaxU64(n.commitIndex, msg.SnapIndex)
 	if len(msg.SnapPeers) > 0 {
 		// Adopt the sender's membership: conf entries below the snapshot
