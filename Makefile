@@ -6,7 +6,7 @@ GO ?= go
 TEST_TIMEOUT ?= 120s
 RACE_TIMEOUT ?= 300s
 
-.PHONY: all build test vet fmt-check fmt bench bench-smoke bench-pairs loc fuzz race race-raft race-failover race-reconfig race-read verify check
+.PHONY: all build test vet fmt-check fmt bench bench-smoke bench-pairs loc fuzz race race-raft race-failover race-reconfig race-read stress verify check
 
 all: verify
 
@@ -69,6 +69,16 @@ race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
 		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool' \
 		./internal/datanode/ ./internal/client/ ./internal/core/
+
+# Failure rates, not a gate (scripts/stress.sh): every test of STRESS_PKGS
+# run STRESS_COUNT times in shuffled order, then again under -race (the
+# packages `make race` covers), printed as k/n for each test that failed at
+# least once. Nothing is skipped or retried, and it exits 0 whatever it
+# finds; CI runs it on a nightly schedule and uploads the table.
+STRESS_COUNT ?= 20
+STRESS_PKGS ?= ./...
+stress:
+	bash scripts/stress.sh $(STRESS_COUNT) $(STRESS_PKGS)
 
 # Ten seconds of fuzzing on each decoder of bytes a peer sent: the meta
 # Raft command decoder (every replica decodes each log entry on its own),

@@ -51,9 +51,9 @@ func TestCreateLookupRoutesByParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, typ, err := c.Meta.Lookup(proto.RootInodeID, "hello")
-	if err != nil || got != ino.Inode || typ != proto.TypeFile {
-		t.Fatalf("lookup = %d/%d, %v", got, typ, err)
+	got, err := c.Meta.Lookup(proto.RootInodeID, "hello")
+	if err != nil || got.Inode != ino.Inode || got.Type != proto.TypeFile {
+		t.Fatalf("lookup = %d/%d, %v", got.Inode, got.Type, err)
 	}
 }
 

@@ -127,7 +127,11 @@ func (d *DataClient) WriteSmallFile(fileOffset uint64, data []byte) (proto.Exten
 	}
 	var lastErr error
 	for attempt := 0; attempt <= d.cfg.MaxRetries; attempt++ {
-		ek, err := d.writeSmallFileOnce(dp, fileOffset, data)
+		var ek proto.ExtentKey
+		err := d.whileBusy(func() (err error) {
+			ek, err = d.writeSmallFileOnce(dp, fileOffset, data)
+			return err
+		})
 		if err == nil {
 			return ek, nil
 		}
@@ -136,13 +140,14 @@ func (d *DataClient) WriteSmallFile(fileOffset uint64, data []byte) (proto.Exten
 		// retriable. It is always safe for this one packet: a timeout or
 		// abort guarantees at worst an unreferenced copy (the key was
 		// never returned), staleness means the view moved (refresh before
-		// redialing), and full/read-only/recovering means roll to another
-		// partition - which re-picking below does. Anything else is a
-		// hard error and surfaces.
+		// redialing), and full/read-only/still-recovering means roll to
+		// another partition - which re-picking below does. Anything else
+		// is a hard error and surfaces.
 		switch {
 		case errors.Is(err, util.ErrStale):
 			d.refreshView()
-		case errors.Is(err, util.ErrTimeout), errors.Is(err, util.ErrReadOnly), errors.Is(err, util.ErrFull):
+		case errors.Is(err, util.ErrTimeout), errors.Is(err, util.ErrReadOnly), errors.Is(err, util.ErrFull),
+			errors.Is(err, util.ErrBusy):
 		default:
 			return proto.ExtentKey{}, lastErr
 		}
@@ -151,6 +156,21 @@ func (d *DataClient) WriteSmallFile(fileOffset uint64, data []byte) (proto.Exten
 		}
 	}
 	return proto.ExtentKey{}, lastErr
+}
+
+// whileBusy runs bind, which binds a write session and sends its first
+// frame, again while the leader refuses the bind because a recovery pass
+// holds the partition (util.ErrBusy): up to MaxRetries more times, after
+// the same backoff as a meta call's rounds, so a pass that outlasts one
+// round trip does not exhaust the caller's retries in microseconds.
+func (d *DataClient) whileBusy(bind func() error) error {
+	for attempt := 0; ; attempt++ {
+		err := bind()
+		if !errors.Is(err, util.ErrBusy) || attempt >= d.cfg.MaxRetries {
+			return err
+		}
+		backoff(attempt)
+	}
 }
 
 func (d *DataClient) writeSmallFileOnce(dp proto.DataPartitionInfo, fileOffset uint64, data []byte) (proto.ExtentKey, error) {

@@ -156,7 +156,7 @@ func (m *MetaClient) call(mp proto.MetaPartitionInfo, op proto.Op, req, resp any
 			// default ticks): right after partition creation or a
 			// leader failure, every member legitimately answers
 			// NotLeader until the election completes.
-			time.Sleep(time.Duration(attempt+1) * 25 * time.Millisecond)
+			backoff(attempt)
 			// A whole round failing can also mean the membership itself
 			// moved under us - the master may have detached a dead
 			// replica or placed a replacement since this view was
@@ -170,6 +170,12 @@ func (m *MetaClient) call(mp proto.MetaPartitionInfo, op proto.Op, req, resp any
 	}
 	return fmt.Errorf("client: partition %d: %w (last: %v)", mp.PartitionID, util.ErrRetryLimit, lastErr)
 }
+
+// backoff sleeps before retry round attempt+1 of a call whose target is
+// not ready yet - a meta partition electing its leader, a data partition
+// in a recovery pass: (attempt+1) × 25 ms, so the default MaxRetries (3)
+// rounds wait 150 ms in all.
+func backoff(attempt int) { time.Sleep(time.Duration(attempt+1) * 25 * time.Millisecond) }
 
 // refreshedPartition re-pulls the volume view and returns the current
 // info for pid, if the master still lists it. Used between failed call
@@ -368,29 +374,37 @@ func (m *MetaClient) OrphanCount() int {
 // ---------------------------------------------------------------------------
 // Reads.
 
-// Lookup resolves (parent, name), consulting the dentry cache first.
-func (m *MetaClient) Lookup(parentID uint64, name string) (uint64, uint32, error) {
+// Lookup resolves (parent, name), consulting the dentry cache first. When
+// the node that answered also leads the inode's partition, the reply's
+// Info carries the inode, read from that leader's memory inside the
+// request: as fresh as InodeGet(forceSync) sent then, and cached like one.
+// Info is nil on a dentry-cache hit or when another node leads the
+// inode's partition; the caller then asks InodeGet.
+func (m *MetaClient) Lookup(parentID uint64, name string) (proto.LookupResp, error) {
 	if m.cfg.CacheTTL > 0 {
 		m.mu.Lock()
 		if ents, ok := m.dentries[parentID]; ok {
 			if d, ok := ents[name]; ok && time.Now().Before(d.expires) {
 				m.mu.Unlock()
-				return d.inode, d.typ, nil
+				return proto.LookupResp{Inode: d.inode, Type: d.typ}, nil
 			}
 		}
 		m.mu.Unlock()
 	}
 	mp, err := m.partitionFor(parentID)
 	if err != nil {
-		return 0, 0, err
+		return proto.LookupResp{}, err
 	}
 	var resp proto.LookupResp
 	if err := m.call(mp, proto.OpMetaLookup,
 		&proto.LookupReq{PartitionID: mp.PartitionID, ParentID: parentID, Name: name}, &resp); err != nil {
-		return 0, 0, err
+		return proto.LookupResp{}, err
 	}
 	m.cacheDentry(parentID, name, resp.Inode, resp.Type)
-	return resp.Inode, resp.Type, nil
+	if resp.Info != nil {
+		m.cacheInode(resp.Info)
+	}
+	return resp, nil
 }
 
 // InodeGet fetches an inode, serving from cache when fresh. Pass

@@ -291,6 +291,7 @@ func TestSessionEngineReplyClasses(t *testing.T) {
 		{name: "ok", frames: func(u engineUser, seq uint64) []*proto.Packet { return u.ok(seq) }},
 		{name: "stale epoch", frames: one(proto.ResultErrStaleEpoch), request: util.ErrStale, session: util.ErrStale},
 		{name: "write refused", user: "write", frames: one(proto.ResultErrIO), request: util.ErrReadOnly},
+		{name: "write bind refused in recovery", user: "write", frames: one(proto.ResultErrAgain), request: util.ErrBusy},
 		{name: "write session aborted", user: "write", frames: one(proto.ResultErrAborted), request: util.ErrTimeout, session: util.ErrTimeout},
 		{name: "read refused", user: "read", frames: one(proto.ResultErrIO), request: errOther},
 		{name: "read clamped", user: "read", frames: one(proto.ResultErrClamped), request: errOther},
@@ -364,6 +365,53 @@ func TestSessionEngineReplyClasses(t *testing.T) {
 			t.Fatal("clamp refusal did not record the replica's committed horizon")
 		}
 	})
+}
+
+// TestWritesOutlastRecoveryPass: a leader refuses to bind a write session
+// while a recovery pass holds its partition (ResultErrAgain). Once such a
+// refusal read as "read-only, roll over": a small-file write spent its
+// MaxRetries+1 binds on it within microseconds, and a new extent writer
+// gave up at the first. Held recovering past that budget, then released,
+// both writes now succeed at the next bind: the refusal is retried after a
+// backoff.
+func TestWritesOutlastRecoveryPass(t *testing.T) {
+	const maxRetries = 3 // the Config default
+	for _, c := range []struct {
+		name    string
+		refused int
+		write   func(d *DataClient) error
+	}{
+		{"small file", maxRetries + 1, func(d *DataClient) error {
+			_, err := d.WriteSmallFile(0, []byte("data"))
+			return err
+		}},
+		{"extent writer", maxRetries, func(d *DataClient) error {
+			w, err := d.NewExtentWriter(engineDP)
+			if err == nil {
+				w.Close()
+			}
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nw := &fakeNet{}
+			d := newEngineClient(nw, 10*time.Second, 10*time.Second)
+			defer d.close()
+			if d.cfg.MaxRetries != maxRetries {
+				t.Fatalf("MaxRetries defaults to %d", d.cfg.MaxRetries)
+			}
+			done := make(chan error, 1)
+			go func() { done <- c.write(d) }()
+			st := nw.awaitStream(t, 0)
+			for range c.refused {
+				st.reply(reject(st.nextSent(t).ReqID, proto.ResultErrAgain))
+			}
+			st.reply(&proto.Packet{ReqID: st.nextSent(t).ReqID, ExtentID: 9})
+			if err := waitErr(t, func() error { return <-done }); err != nil {
+				t.Fatalf("write after the recovery pass ended: %v", err)
+			}
+		})
+	}
 }
 
 // countingReq is a bare engine request that counts what the engine does

@@ -67,12 +67,17 @@ type PendingWrite struct {
 // a fresh extent through it - the create hop rides the stream, not a
 // separate Call fan-out, and on a warm session not even a dial.
 func (d *DataClient) NewExtentWriter(dp proto.DataPartitionInfo) (*ExtentWriter, error) {
-	w, err := d.newStreamWriter(dp, d.cfg.WriteWindow)
+	var w *ExtentWriter
+	err := d.whileBusy(func() (err error) {
+		if w, err = d.newStreamWriter(dp, d.cfg.WriteWindow); err != nil {
+			return err
+		}
+		if err = w.createExtent(); err != nil {
+			w.Close()
+		}
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := w.createExtent(); err != nil {
-		w.Close()
 		return nil, err
 	}
 	return w, nil
@@ -280,6 +285,14 @@ func (w *ExtentWriter) handleAck(sp *streamPkt, ack *proto.Packet) {
 		// retriable staleness, not a write refusal - the caller refreshes
 		// the view, re-dials the current leader, and replays the tail.
 		w.err = fmt.Errorf("client: append to dp %d: %s: %w", w.dp.PartitionID, ack.Data, util.ErrStale)
+		w.cond.Broadcast()
+		return
+	}
+	if ack.ResultCode == proto.ResultErrAgain {
+		// The leader refused to bind the session: a recovery pass holds
+		// the partition. Retriable after a pause (whileBusy), and no
+		// reason to give up on the partition.
+		w.err = fmt.Errorf("client: append to dp %d: %s: %w", w.dp.PartitionID, ack.Data, util.ErrBusy)
 		w.cond.Broadcast()
 		return
 	}

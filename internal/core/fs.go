@@ -85,25 +85,23 @@ func splitPath(p string) ([]string, error) {
 	return strings.Split(strings.TrimPrefix(clean, "/"), "/"), nil
 }
 
-// resolve walks a path to its inode id and type.
-func (fs *FileSystem) resolve(p string) (uint64, uint32, error) {
+// resolve walks a path to its inode id and type. Info is the inode when
+// the leaf's Lookup carried it (see client.MetaClient.Lookup), else nil.
+func (fs *FileSystem) resolve(p string) (proto.LookupResp, error) {
 	parts, err := splitPath(p)
 	if err != nil {
-		return 0, 0, err
+		return proto.LookupResp{}, err
 	}
-	cur := proto.RootInodeID
-	typ := proto.TypeDir
+	cur := proto.LookupResp{Inode: proto.RootInodeID, Type: proto.TypeDir}
 	for _, name := range parts {
-		if typ != proto.TypeDir {
-			return 0, 0, fmt.Errorf("core: %s: %w", p, util.ErrNotDir)
+		if cur.Type != proto.TypeDir {
+			return proto.LookupResp{}, fmt.Errorf("core: %s: %w", p, util.ErrNotDir)
 		}
-		ino, t, err := fs.c.Meta.Lookup(cur, name)
-		if err != nil {
-			return 0, 0, fmt.Errorf("core: %s: %w", p, err)
+		if cur, err = fs.c.Meta.Lookup(cur.Inode, name); err != nil {
+			return proto.LookupResp{}, fmt.Errorf("core: %s: %w", p, err)
 		}
-		cur, typ = ino, t
 	}
-	return cur, typ, nil
+	return cur, nil
 }
 
 // resolveParent walks to the parent directory of p, returning (parent
@@ -118,14 +116,14 @@ func (fs *FileSystem) resolveParent(p string) (uint64, string, error) {
 	}
 	dir := proto.RootInodeID
 	for _, name := range parts[:len(parts)-1] {
-		ino, typ, err := fs.c.Meta.Lookup(dir, name)
+		d, err := fs.c.Meta.Lookup(dir, name)
 		if err != nil {
 			return 0, "", fmt.Errorf("core: %s: %w", p, err)
 		}
-		if typ != proto.TypeDir {
+		if d.Type != proto.TypeDir {
 			return 0, "", fmt.Errorf("core: %s: %w", p, util.ErrNotDir)
 		}
-		dir = ino
+		dir = d.Inode
 	}
 	return dir, parts[len(parts)-1], nil
 }
@@ -148,19 +146,19 @@ func (fs *FileSystem) MkdirAll(p string) error {
 	}
 	cur := proto.RootInodeID
 	for _, name := range parts {
-		ino, typ, lerr := fs.c.Meta.Lookup(cur, name)
+		d, lerr := fs.c.Meta.Lookup(cur, name)
 		switch {
 		case lerr == nil:
-			if typ != proto.TypeDir {
+			if d.Type != proto.TypeDir {
 				return fmt.Errorf("core: %s: %w", p, util.ErrNotDir)
 			}
-			cur = ino
+			cur = d.Inode
 		default:
 			created, cerr := fs.c.Meta.Create(cur, name, proto.TypeDir, nil)
 			if cerr != nil {
 				// Concurrent creator may have won the race.
-				if ino2, t2, l2 := fs.c.Meta.Lookup(cur, name); l2 == nil && t2 == proto.TypeDir {
-					cur = ino2
+				if d2, l2 := fs.c.Meta.Lookup(cur, name); l2 == nil && d2.Type == proto.TypeDir {
+					cur = d2.Inode
 					continue
 				}
 				return cerr
@@ -186,45 +184,52 @@ func (fs *FileSystem) Create(p string) (*File, error) {
 }
 
 // Open opens an existing file. Opening forces the cached metadata to sync
-// with the meta node (Section 2.4).
+// with the meta node (Section 2.4): an inode the leaf's Lookup carried
+// meets that, as the leader read it inside the same request.
 func (fs *FileSystem) Open(p string) (*File, error) {
-	id, typ, err := fs.resolve(p)
+	d, err := fs.resolve(p)
 	if err != nil {
 		return nil, err
 	}
-	if typ == proto.TypeDir {
+	if d.Type == proto.TypeDir {
 		return nil, fmt.Errorf("core: %s: %w", p, util.ErrIsDir)
 	}
-	ino, err := fs.c.Meta.InodeGet(id, true /* forceSync */)
-	if err != nil {
-		return nil, err
+	ino := d.Info
+	if ino == nil {
+		if ino, err = fs.c.Meta.InodeGet(d.Inode, true /* forceSync */); err != nil {
+			return nil, err
+		}
 	}
 	return newFile(fs, p, ino), nil
 }
 
-// Stat returns file info for a path (mdtest FileStat).
+// Stat returns file info for a path (mdtest FileStat). A cold stat whose
+// Lookup is answered by the leader of the inode's partition is one round
+// trip.
 func (fs *FileSystem) Stat(p string) (FileInfo, error) {
-	id, _, err := fs.resolve(p)
+	d, err := fs.resolve(p)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	ino, err := fs.c.Meta.InodeGet(id, false)
-	if err != nil {
-		return FileInfo{}, err
+	ino := d.Info
+	if ino == nil {
+		if ino, err = fs.c.Meta.InodeGet(d.Inode, false); err != nil {
+			return FileInfo{}, err
+		}
 	}
 	return infoOf(path.Base(p), ino), nil
 }
 
 // ReadDir lists directory entries without attributes.
 func (fs *FileSystem) ReadDir(p string) ([]proto.Dentry, error) {
-	id, typ, err := fs.resolve(p)
+	d, err := fs.resolve(p)
 	if err != nil {
 		return nil, err
 	}
-	if typ != proto.TypeDir {
+	if d.Type != proto.TypeDir {
 		return nil, fmt.Errorf("core: %s: %w", p, util.ErrNotDir)
 	}
-	return fs.c.Meta.ReadDir(id)
+	return fs.c.Meta.ReadDir(d.Inode)
 }
 
 // ReadDirPlus lists entries with attributes: one readdir plus a
@@ -263,12 +268,12 @@ func (fs *FileSystem) Remove(p string) error {
 	if err != nil {
 		return err
 	}
-	id, typ, err := fs.c.Meta.Lookup(parent, name)
+	d, err := fs.c.Meta.Lookup(parent, name)
 	if err != nil {
 		return err
 	}
-	if typ == proto.TypeDir {
-		children, err := fs.c.Meta.ReadDir(id)
+	if d.Type == proto.TypeDir {
+		children, err := fs.c.Meta.ReadDir(d.Inode)
 		if err != nil {
 			return err
 		}
@@ -332,20 +337,20 @@ func extentRuns(keys []proto.ExtentKey) []proto.ExtentKey {
 
 // RemoveAll removes p and all children recursively.
 func (fs *FileSystem) RemoveAll(p string) error {
-	id, typ, err := fs.resolve(p)
+	d, err := fs.resolve(p)
 	if err != nil {
 		if strings.Contains(err.Error(), "not found") {
 			return nil
 		}
 		return err
 	}
-	if typ == proto.TypeDir {
-		children, err := fs.c.Meta.ReadDir(id)
+	if d.Type == proto.TypeDir {
+		children, err := fs.c.Meta.ReadDir(d.Inode)
 		if err != nil {
 			return err
 		}
-		for _, d := range children {
-			if err := fs.RemoveAll(path.Join(p, d.Name)); err != nil {
+		for _, c := range children {
+			if err := fs.RemoveAll(path.Join(p, c.Name)); err != nil {
 				return err
 			}
 		}
@@ -355,18 +360,18 @@ func (fs *FileSystem) RemoveAll(p string) error {
 
 // Link creates a hard link newPath -> the inode of oldPath (Figure 3b).
 func (fs *FileSystem) Link(oldPath, newPath string) error {
-	id, typ, err := fs.resolve(oldPath)
+	d, err := fs.resolve(oldPath)
 	if err != nil {
 		return err
 	}
-	if typ == proto.TypeDir {
+	if d.Type == proto.TypeDir {
 		return fmt.Errorf("core: link on directory %s: %w", oldPath, util.ErrIsDir)
 	}
 	parent, name, err := fs.resolveParent(newPath)
 	if err != nil {
 		return err
 	}
-	return fs.c.Meta.Link(parent, name, id)
+	return fs.c.Meta.Link(parent, name, d.Inode)
 }
 
 // Symlink creates a symbolic link at linkPath holding target.
@@ -381,14 +386,14 @@ func (fs *FileSystem) Symlink(target, linkPath string) error {
 
 // Readlink returns a symlink's target.
 func (fs *FileSystem) Readlink(p string) (string, error) {
-	id, typ, err := fs.resolve(p)
+	d, err := fs.resolve(p)
 	if err != nil {
 		return "", err
 	}
-	if typ != proto.TypeSymlink {
+	if d.Type != proto.TypeSymlink {
 		return "", fmt.Errorf("core: %s is not a symlink: %w", p, util.ErrInvalidArgument)
 	}
-	ino, err := fs.c.Meta.InodeGet(id, false)
+	ino, err := fs.c.Meta.InodeGet(d.Inode, false)
 	if err != nil {
 		return "", err
 	}
@@ -404,10 +409,11 @@ func (fs *FileSystem) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	id, _, err := fs.c.Meta.Lookup(oldParent, oldName)
+	src, err := fs.c.Meta.Lookup(oldParent, oldName)
 	if err != nil {
 		return err
 	}
+	id := src.Inode
 	newParent, newName, err := fs.resolveParent(newPath)
 	if err != nil {
 		return err
@@ -445,18 +451,18 @@ func (fs *FileSystem) Rename(oldPath, newPath string) error {
 
 // Truncate sets a file's size.
 func (fs *FileSystem) Truncate(p string, size uint64) error {
-	id, typ, err := fs.resolve(p)
+	d, err := fs.resolve(p)
 	if err != nil {
 		return err
 	}
-	if typ != proto.TypeFile {
+	if d.Type != proto.TypeFile {
 		return fmt.Errorf("core: truncate %s: %w", p, util.ErrIsDir)
 	}
-	return fs.c.Meta.Truncate(id, size)
+	return fs.c.Meta.Truncate(d.Inode, size)
 }
 
 // Exists reports whether a path resolves.
 func (fs *FileSystem) Exists(p string) bool {
-	_, _, err := fs.resolve(p)
+	_, err := fs.resolve(p)
 	return err == nil
 }

@@ -148,7 +148,7 @@ func (e *lcEnv) served(name string) bool {
 		return false
 	}
 	defer c.Close()
-	_, _, err = c.Meta.Lookup(proto.RootInodeID, name)
+	_, err = c.Meta.Lookup(proto.RootInodeID, name)
 	return err == nil
 }
 

@@ -382,7 +382,7 @@ func testMetaLeaderFailoverServesWrites(t *testing.T, fabric string) {
 
 	// Read-your-writes across the failover: both files resolve.
 	for _, name := range []string{"before-failover", "after-failover"} {
-		if _, _, err := c.Meta.Lookup(proto.RootInodeID, name); err != nil {
+		if _, err := c.Meta.Lookup(proto.RootInodeID, name); err != nil {
 			t.Fatalf("lookup %q after failover: %v", name, err)
 		}
 	}

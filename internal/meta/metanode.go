@@ -520,7 +520,12 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		if !ok {
 			return nil, errBody(req)
 		}
-		return p.Lookup(r.ParentID, r.Name)
+		resp, err := p.Lookup(r.ParentID, r.Name)
+		if err != nil {
+			return nil, err
+		}
+		resp.Info = m.leaderInode(p, resp.Inode)
+		return resp, nil
 
 	case proto.OpMetaInodeGet:
 		r, ok := req.(*proto.InodeGetReq)
@@ -554,6 +559,38 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 	default:
 		return nil, fmt.Errorf("meta: %w: op %d", util.ErrInvalidArgument, op)
 	}
+}
+
+// leaderInode returns a copy of inode id of from's volume when this node
+// leads the partition whose range holds it, so that a Lookup reply can
+// carry it and a cold stat costs one round trip. It is nil when another
+// node leads that partition, this node does not host it, or the inode is
+// gone or delete-marked. The read is the partition's own InodeGet under
+// the admission handle gives an InodeGet: this node's local view of
+// leadership, no lease and no ReadIndex. m.mu is released before any
+// partition's lock is taken.
+func (m *MetaNode) leaderInode(from *Partition, id uint64) *proto.Inode {
+	volume := from.volume()
+	var buf [8]*Partition
+	parts := append(buf[:0], from) // the dentry's partition first: the likeliest
+	m.mu.RLock()
+	for _, p := range m.partitions {
+		if p != from {
+			parts = append(parts, p)
+		}
+	}
+	m.mu.RUnlock()
+	for _, p := range parts {
+		if !p.holds(volume, id) {
+			continue
+		}
+		if g := p.raftGroup(); g != nil && !g.IsLeader() {
+			return nil
+		}
+		ino, _ := p.InodeGet(id)
+		return ino
+	}
+	return nil
 }
 
 // partitionIDOf extracts the target partition from a request body.

@@ -134,6 +134,21 @@ func (p *Partition) applyReconfig(members []string, epoch uint64) (applied bool)
 	return true
 }
 
+// volume returns the name of the volume p belongs to.
+func (p *Partition) volume() string {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.Volume
+}
+
+// holds reports whether volume's inode id lies in p's range: inode ids are
+// per volume, and one node may host several volumes' partitions.
+func (p *Partition) holds(volume string, id uint64) bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.Volume == volume && p.Start <= id && id <= p.End
+}
+
 // InodeCount returns the number of inodes held.
 func (p *Partition) InodeCount() uint64 {
 	p.mu.RLock()

@@ -285,9 +285,14 @@ type LookupReq struct {
 	Name        string
 }
 
+// LookupResp is the dentry's target. Info is the inode itself when the
+// node that answered also leads the partition holding it (DESIGN.md §3):
+// read from that leader's memory inside the request, so a stat or an open
+// needs no second round trip. It is nil otherwise.
 type LookupResp struct {
 	Inode uint64
 	Type  uint32
+	Info  *Inode
 }
 
 // InodeGetReq fetches one inode.

@@ -405,7 +405,11 @@ func (m *LookupReq) wire(c *metaCodec) {
 	c.u64(&m.ParentID)
 	c.str(&m.Name)
 }
-func (m *LookupResp) wire(c *metaCodec) { c.u64(&m.Inode); c.u32(&m.Type) }
+func (m *LookupResp) wire(c *metaCodec) {
+	c.u64(&m.Inode)
+	c.u32(&m.Type)
+	c.inode(&m.Info)
+}
 
 func (m *InodeGetReq) wire(c *metaCodec)  { c.u64(&m.PartitionID); c.u64(&m.Inode) }
 func (m *InodeGetResp) wire(c *metaCodec) { c.inode(&m.Info) }

@@ -149,10 +149,27 @@ func TestMetaRoundTripEdges(t *testing.T) {
 		{OpMetaAppendExtentKeys, false, &AppendExtentKeysReq{PartitionID: 2, Inode: 9, Extents: keys, Size: math.MaxUint64}},
 		{OpMetaSetAttr, false, &SetAttrReq{PartitionID: 1, Inode: 2, Valid: AttrSize | AttrModifyTime, Size: 1 << 40, ModifyTime: math.MinInt64}},
 		{OpMetaLookup, false, &LookupReq{PartitionID: 1, ParentID: 1, Name: ""}},
+		{OpMetaLookup, true, lookupNotCarried},
+		{OpMetaLookup, true, lookupCarried()},
 		{OpMetaEvictInode, true, &EvictInodeResp{}},
 	} {
 		checkMetaRoundTrip(t, c.op, c.reply, c.body)
 	}
+}
+
+// The two shapes of a Lookup reply: the dentry alone, and the dentry with
+// the inode it names, extents included, as the leader of the inode's
+// partition answers.
+var lookupNotCarried = &LookupResp{Inode: 9, Type: TypeFile}
+
+func lookupCarried() *LookupResp {
+	return &LookupResp{Inode: 9, Type: TypeFile, Info: &Inode{
+		Inode: 9, Type: TypeFile, NLink: 1, Size: 1 << 20, Gen: 3, CreateTime: 1, ModifyTime: 2,
+		Extents: []ExtentKey{
+			{PartitionID: 4, ExtentID: 17, Size: 1 << 19, CRC: 0xabc},
+			{PartitionID: 5, ExtentID: 2, ExtentOffset: 4096, FileOffset: 1 << 19, Size: 1 << 19},
+		},
+	}}
 }
 
 // TestAppendMetaRefusesOtherBodies: a body that is not its op's request or
@@ -236,6 +253,10 @@ func metaSeeds(t testing.TB) []metaSeed {
 func FuzzDecodeMetaBody(f *testing.F) {
 	for _, s := range metaSeeds(f) {
 		f.Add(uint8(s.op), s.reply, s.data)
+	}
+	for _, resp := range []*LookupResp{lookupNotCarried, lookupCarried()} {
+		data, _ := AppendMeta(nil, OpMetaLookup, true, resp)
+		f.Add(uint8(OpMetaLookup), true, data)
 	}
 	f.Fuzz(func(t *testing.T, op uint8, reply bool, data []byte) {
 		if !HasMetaLayout(Op(op)) {
