@@ -69,17 +69,18 @@ func TestLookupCarriesInodeFromItsLeader(t *testing.T) {
 		}
 	}
 
-	for name, carried := range map[string]bool{
-		"same": true, "coled": true, "remote": false, "followed": false, "gone": false,
-	} {
+	// The partition each carried inode is read from; the rest carry nothing.
+	carriedFrom := map[string]uint64{"same": 1, "coled": 2}
+	for name, ino := range inodes {
 		var resp proto.LookupResp
 		if err := mc.nw.Call(mn0, uint8(proto.OpMetaLookup),
 			&proto.LookupReq{PartitionID: 1, ParentID: dir.Inode, Name: name}, &resp); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if resp.Inode != inodes[name].Inode || resp.Type != proto.TypeFile {
-			t.Fatalf("%s: dentry %d/%d, want %d/%d", name, resp.Inode, resp.Type, inodes[name].Inode, proto.TypeFile)
+		if resp.Inode != ino.Inode || resp.Type != proto.TypeFile {
+			t.Fatalf("%s: dentry %d/%d, want %d/%d", name, resp.Inode, resp.Type, ino.Inode, proto.TypeFile)
 		}
+		pid, carried := carriedFrom[name]
 		if !carried {
 			if resp.Info != nil {
 				t.Fatalf("%s: carried %+v, want nothing", name, resp.Info)
@@ -87,9 +88,8 @@ func TestLookupCarriesInodeFromItsLeader(t *testing.T) {
 			continue
 		}
 		var want proto.InodeGetResp
-		pid := uint64(1 + resp.Inode/1001)
 		if err := mc.nw.Call(mn0, uint8(proto.OpMetaInodeGet),
-			&proto.InodeGetReq{PartitionID: pid, Inode: resp.Inode}, &want); err != nil {
+			&proto.InodeGetReq{PartitionID: pid, Inode: ino.Inode}, &want); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(resp.Info, want.Info) {

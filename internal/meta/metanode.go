@@ -572,12 +572,10 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 func (m *MetaNode) leaderInode(from *Partition, id uint64) *proto.Inode {
 	volume := from.volume()
 	var buf [8]*Partition
-	parts := append(buf[:0], from) // the dentry's partition first: the likeliest
+	parts := buf[:0]
 	m.mu.RLock()
 	for _, p := range m.partitions {
-		if p != from {
-			parts = append(parts, p)
-		}
+		parts = append(parts, p)
 	}
 	m.mu.RUnlock()
 	for _, p := range parts {
