@@ -79,9 +79,6 @@ func main() {
 
 	case "volume":
 		requireFlags(map[string]string{"master": *masterAddr, "volume": *volume})
-		// Volume creation rides a non-persistent connection, like real
-		// clients talking to the resource manager (Section 2.5.2).
-		nw.NonPersistent = true
 		var resp proto.CreateVolumeResp
 		err := nw.Call(*masterAddr, uint8(proto.OpMasterCreateVolume), &proto.CreateVolumeReq{
 			Name:               *volume,

@@ -141,10 +141,9 @@ type Client struct {
 }
 
 // Mount connects to the resource manager, loads the volume view, and
-// returns a ready client. Mount uses a fresh (non-persistent) master
-// connection per refresh, mirroring Section 2.5.2. The data path is
-// streams only (sequential writes and scans ride pinned sessions), so a
-// transport without packet streams is rejected here, once.
+// returns a ready client. The data path is streams only (sequential
+// writes and scans ride pinned sessions), so a transport without packet
+// streams is rejected here, once.
 func Mount(nw transport.Network, masterAddr, volume string, cfg Config) (*Client, error) {
 	snw, ok := nw.(transport.PacketStreamNetwork)
 	if !ok {

@@ -24,8 +24,8 @@ import (
 //     manager for utilization data).
 //
 // The client caches the volume's partition set (refreshed from the master
-// periodically over non-persistent connections), the last identified
-// leader per partition, and recently fetched inodes/dentries.
+// periodically), the last identified leader per partition, and recently
+// fetched inodes/dentries.
 type MetaClient struct {
 	nw         transport.Network
 	masterAddr string
@@ -415,7 +415,7 @@ func (m *MetaClient) InodeGet(ino uint64, forceSync bool) (*proto.Inode, error) 
 		m.mu.Lock()
 		if c, ok := m.inodes[ino]; ok && time.Now().Before(c.expires) {
 			m.mu.Unlock()
-			return c.ino.Copy(), nil
+			return c.ino, nil
 		}
 		m.mu.Unlock()
 	}
@@ -429,7 +429,7 @@ func (m *MetaClient) InodeGet(ino uint64, forceSync bool) (*proto.Inode, error) 
 		return nil, err
 	}
 	m.cacheInode(resp.Info)
-	return resp.Info.Copy(), nil
+	return resp.Info, nil
 }
 
 // ReadDir lists a directory's entries.
@@ -472,7 +472,7 @@ func (m *MetaClient) BatchInodeGet(ids []uint64) ([]*proto.Inode, error) {
 		m.mu.Lock()
 		for _, id := range ids {
 			if c, ok := m.inodes[id]; ok && now.Before(c.expires) {
-				out = append(out, c.ino.Copy())
+				out = append(out, c.ino)
 			} else {
 				misses = append(misses, id)
 			}
@@ -563,7 +563,7 @@ func (m *MetaClient) cacheInode(ino *proto.Inode) {
 		return
 	}
 	m.mu.Lock()
-	m.inodes[ino.Inode] = cachedInode{ino: ino.Copy(), expires: time.Now().Add(m.cfg.CacheTTL)}
+	m.inodes[ino.Inode] = cachedInode{ino: ino, expires: time.Now().Add(m.cfg.CacheTTL)}
 	m.mu.Unlock()
 }
 

@@ -981,10 +981,11 @@ func (p *Partition) AlignReplicas(follower string) (uint64, error) {
 	}
 	remote := make(map[uint64]uint64, len(infoResp.Extents))
 	remoteOvw := make(map[uint64]uint64, len(infoResp.Extents))
+	shed := false
 	for _, e := range infoResp.Extents {
 		remote[e.ID] = e.Size
 		remoteOvw[e.ID] = e.OverwriteVer
-		target, known := local[e.ID]
+		_, known := local[e.ID]
 		safe := util.MinU64(e.Committed, e.Size) // the provably shared prefix
 		if known && e.Size <= safe {
 			continue // nothing above the committed prefix; ship-only
@@ -1011,7 +1012,21 @@ func (p *Partition) AlignReplicas(follower string) (uint64, error) {
 		if resp.ResultCode != proto.ResultOK {
 			return 0, fmt.Errorf("datanode: shed divergent extent %d on %s: %s", e.ID, follower, resp.Data)
 		}
-		remote[e.ID] = util.MinU64(safe, target)
+		shed = true
+	}
+	if shed {
+		// A truncation stops at the follower's committed offset when it
+		// arrives, which a committed-offset gossip still in flight may have
+		// raised past the one reported above: ship from what it kept.
+		var kept proto.ExtentInfoResp
+		if err := p.node.nw.Call(follower, uint8(proto.OpDataExtentInfo),
+			&proto.ExtentInfoReq{PartitionID: p.ID}, &kept); err != nil {
+			return 0, err
+		}
+		clear(remote)
+		for _, e := range kept.Extents {
+			remote[e.ID] = e.Size
+		}
 	}
 	var shipped uint64
 	for _, info := range p.store.Infos() {

@@ -444,6 +444,53 @@ func TestAlignReshipsFromCommittedPrefix(t *testing.T) {
 	}
 }
 
+// TestAlignShipsFromWhatTheTruncateKept: a follower truncates no lower than
+// its committed offset as the truncate arrives, and a committed-offset
+// gossip still in flight can raise that offset after the follower reported
+// its extents. Alignment must then ship from the size the follower kept,
+// not from the prefix it asked for, or the follower refuses the append as
+// stale data and Recover fails. The follower here is a stand-in: it first
+// reports 10 bytes with none committed, and after the truncate all 10 kept.
+func TestAlignShipsFromWhatTheTruncateKept(t *testing.T) {
+	tc := startCluster(t, 1)
+	tc.createPartition(t, 100)
+	eid := tc.createExtent(t, 100)
+	tc.append(t, 100, eid, []byte("committed.tail"))
+
+	var infos int
+	var offsets []uint64
+	ln, err := tc.nw.Listen("follower", func(op uint8, req any) (any, error) {
+		switch proto.Op(op) {
+		case proto.OpDataExtentInfo:
+			infos++
+			kept := proto.ExtentSummary{ID: eid, Size: 10}
+			if infos > 1 {
+				kept.Committed = 10
+			}
+			return &proto.ExtentInfoResp{Extents: []proto.ExtentSummary{kept}}, nil
+		case proto.OpDataTruncate:
+			return req.(*proto.Packet).OKResponse(nil), nil
+		case proto.OpDataAppend:
+			pkt := req.(*proto.Packet)
+			offsets = append(offsets, pkt.ExtentOffset)
+			return pkt.OKResponse(nil), nil
+		}
+		return nil, errors.New("stand-in follower: unexpected op")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	shipped, err := tc.nodes[0].Partition(100).AlignReplicas("follower")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shipped != 4 || len(offsets) != 1 || offsets[0] != 10 {
+		t.Fatalf("shipped %d bytes at offsets %v, want 4 at [10]", shipped, offsets)
+	}
+}
+
 // TestDeposedLeaderDoesNotAdoptCommitted: a deposed leader restarting on a
 // stale partition.json must NOT adopt committed offsets from followers at
 // a newer epoch - those offsets belong to a configuration that may have

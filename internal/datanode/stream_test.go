@@ -316,7 +316,11 @@ func TestReadNeverExceedsCommitted(t *testing.T) {
 		t.Fatal("leader served the uncommitted tail")
 	}
 
-	// Recovery realigns the follower and re-exposes the tail.
+	// Recovery realigns the follower and re-exposes the tail. Recover
+	// refuses a partition with a live session, so the stranded session is
+	// closed and its release on the leader awaited first.
+	st.Close()
+	tc.quiesce(t)
 	tc.nw.Heal(tc.addrs[2])
 	if _, err := leaderP.Recover(); err != nil {
 		t.Fatal(err)

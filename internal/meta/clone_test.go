@@ -1,0 +1,157 @@
+package meta
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"cfs/internal/proto"
+)
+
+// Inode ids in the partition cloneFixture builds.
+const (
+	fixtureFile = proto.RootInodeID + 1 // "f" under the root, three extent keys out of file order
+	fixtureDir  = proto.RootInodeID + 2 // "d" under the root
+)
+
+// cloneFixture builds an unreplicated partition holding the root, a file
+// with three extent keys and a directory, both named under the root.
+func cloneFixture(t *testing.T) *Partition {
+	t.Helper()
+	p := NewPartition(1, "vol", 1, 1000, nil)
+	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
+	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeFile})
+	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
+	mustApply(t, p, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID, Name: "f",
+		Inode: fixtureFile, DentryType: proto.TypeFile})
+	mustApply(t, p, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID, Name: "d",
+		Inode: fixtureDir, DentryType: proto.TypeDir})
+	for _, off := range []uint64{200, 0, 100} { // as random writes leave them
+		mustApply(t, p, &command{Kind: cmdAppendExtentKeys, Inode: fixtureFile, Size: off + 100,
+			Extents: []proto.ExtentKey{{PartitionID: 1, ExtentID: 7, ExtentOffset: off, FileOffset: off, Size: 100}}})
+	}
+	return p
+}
+
+func mustApply(t testing.TB, p *Partition, c *command) any {
+	t.Helper()
+	out, err := p.applyCommand(c)
+	if err != nil {
+		t.Fatalf("apply %d: %v", c.Kind, err)
+	}
+	return out
+}
+
+// deepInode copies ino with its slices, so a later comparison sees a
+// change made through a shared backing array.
+func deepInode(ino *proto.Inode) proto.Inode {
+	out := *ino
+	out.LinkTarget = slices.Clone(ino.LinkTarget)
+	out.Extents = slices.Clone(ino.Extents)
+	return out
+}
+
+// TestCloneIsAPointInTime: every apply that changes an existing inode
+// leaves the version a tree clone holds - and the one an earlier InodeGet
+// returned - field for field as it was, extent keys included.
+func TestCloneIsAPointInTime(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		watch uint64
+		cmd   command
+	}{
+		{"create-dentry of a dir", proto.RootInodeID, command{Kind: cmdCreateDentry,
+			ParentID: proto.RootInodeID, Name: "e", Inode: 99, DentryType: proto.TypeDir}},
+		{"delete-dentry", proto.RootInodeID, command{Kind: cmdDeleteDentry, ParentID: proto.RootInodeID, Name: "d"}},
+		{"unlink", fixtureFile, command{Kind: cmdUnlinkInode, Inode: fixtureFile}},
+		{"link", fixtureFile, command{Kind: cmdLinkInode, Inode: fixtureFile}},
+		{"set-attr mtime", fixtureFile, command{Kind: cmdSetAttr, Inode: fixtureFile,
+			Valid: proto.AttrModifyTime, ModifyTime: 42}},
+		{"set-attr truncating size", fixtureFile, command{Kind: cmdSetAttr, Inode: fixtureFile,
+			Valid: proto.AttrSize, Size: 150}},
+		{"append-extent-keys", fixtureFile, command{Kind: cmdAppendExtentKeys, Inode: fixtureFile, Size: 400,
+			Extents: []proto.ExtentKey{{PartitionID: 1, ExtentID: 8, FileOffset: 300, Size: 100}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := cloneFixture(t)
+			clone := p.inodeTree.Clone()
+			held := clone.Get(inodeItem{ino: &proto.Inode{Inode: tc.watch}}).(inodeItem).ino
+			got, err := p.InodeGet(tc.watch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := deepInode(held)
+
+			mustApply(t, p, &tc.cmd)
+			now, _ := p.InodeGet(tc.watch)
+			if now != nil && reflect.DeepEqual(deepInode(now), want) {
+				t.Fatalf("the apply changed nothing in inode %d", tc.watch)
+			}
+			if after := deepInode(held); !reflect.DeepEqual(after, want) {
+				t.Errorf("clone's inode changed:\n got %+v\nwant %+v", after, want)
+			}
+			if after := deepInode(got); !reflect.DeepEqual(after, want) {
+				t.Errorf("InodeGet's inode changed:\n got %+v\nwant %+v", after, want)
+			}
+		})
+	}
+}
+
+// TestSnapshotWhileApplying takes snapshots while 2 000 directories are
+// created under the root, at least one per 200 creates: each restored
+// snapshot must be one point in time, where the root's link count is 2
+// plus its subdirectory dentries. Under -race it also checks that
+// encoding a snapshot reads nothing an apply writes.
+func TestSnapshotWhileApplying(t *testing.T) {
+	p := NewPartition(1, "vol", 1, 1<<20, nil)
+	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done) // also when an apply fails the test
+	var snaps atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			data, err := p.Snapshot()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			q := NewPartition(1, "vol", 1, 0, nil)
+			if err := q.Restore(data); err != nil {
+				t.Error(err)
+				return
+			}
+			root, err := q.InodeGet(proto.RootInodeID)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if want := 2 + q.DentryCount(); uint64(root.NLink) != want {
+				t.Errorf("snapshot %d: root nlink %d with %d dentries under it, want %d",
+					snaps.Load(), root.NLink, q.DentryCount(), want)
+				return
+			}
+			snaps.Add(1)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		for i%200 == 0 && snaps.Load() < int64(i/200) && !t.Failed() {
+			runtime.Gosched()
+		}
+		ino := mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir}).(*proto.Inode)
+		mustApply(t, p, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID,
+			Name: fmt.Sprintf("d%d", i), Inode: ino.Inode, DentryType: proto.TypeDir})
+	}
+}

@@ -561,9 +561,9 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 	}
 }
 
-// leaderInode returns a copy of inode id of from's volume when this node
-// leads the partition whose range holds it, so that a Lookup reply can
-// carry it and a cold stat costs one round trip. It is nil when another
+// leaderInode returns inode id of from's volume when this node leads the
+// partition whose range holds it, so that a Lookup reply can carry it and
+// a cold stat costs one round trip. It is nil when another
 // node leads that partition, this node does not host it, or the inode is
 // gone or delete-marked. The read is the partition's own InodeGet under
 // the admission handle gives an InodeGet: this node's local view of

@@ -381,6 +381,14 @@ func (p *Partition) getInode(id uint64) *proto.Inode {
 	return it.(inodeItem).ino
 }
 
+// putInode stores ino, replacing the inode with its id. A stored inode is
+// never written again, because a tree clone or a reader may still hold it:
+// an apply changes a copy and puts the copy.
+func (p *Partition) putInode(ino proto.Inode) *proto.Inode {
+	p.inodeTree.ReplaceOrInsert(inodeItem{ino: &ino})
+	return &ino
+}
+
 // applyCreateInode allocates the smallest unused inode id (Section 2.6.1:
 // "picks up the smallest inode id that has not been used so far ... and
 // updates its largest inode id accordingly").
@@ -393,10 +401,10 @@ func (p *Partition) applyCreateInode(c *command) (any, error) {
 		return nil, fmt.Errorf("meta: partition %d inode range exhausted: %w", p.ID, util.ErrFull)
 	}
 	now := proto.Now()
-	ino := &proto.Inode{
+	ino := proto.Inode{
 		Inode:      next,
 		Type:       c.Type,
-		LinkTarget: append([]byte(nil), c.LinkTarget...),
+		LinkTarget: c.LinkTarget,
 		NLink:      1,
 		CreateTime: now,
 		ModifyTime: now,
@@ -404,9 +412,8 @@ func (p *Partition) applyCreateInode(c *command) (any, error) {
 	if c.Type == proto.TypeDir {
 		ino.NLink = 2
 	}
-	p.inodeTree.ReplaceOrInsert(inodeItem{ino: ino})
 	p.maxInodeID = next
-	return ino.Copy(), nil
+	return p.putInode(ino), nil
 }
 
 // CreateRootInode installs the volume root directory (inode 1). It is only
@@ -417,10 +424,11 @@ func (p *Partition) CreateRootInode() error {
 }
 
 func (p *Partition) applyUnlinkInode(c *command) (any, error) {
-	ino := p.getInode(c.Inode)
-	if ino == nil {
+	stored := p.getInode(c.Inode)
+	if stored == nil {
 		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
 	}
+	ino := *stored
 	if ino.NLink > 0 {
 		ino.NLink--
 	}
@@ -431,7 +439,7 @@ func (p *Partition) applyUnlinkInode(c *command) (any, error) {
 		ino.Flag |= proto.FlagDeleteMark
 	}
 	ino.ModifyTime = proto.Now()
-	return ino.Copy(), nil
+	return p.putInode(ino), nil
 }
 
 func (p *Partition) applyEvictInode(c *command) (any, error) {
@@ -447,24 +455,22 @@ func (p *Partition) applyEvictInode(c *command) (any, error) {
 }
 
 func (p *Partition) applyLinkInode(c *command) (any, error) {
-	ino := p.getInode(c.Inode)
-	if ino == nil {
+	stored := p.getInode(c.Inode)
+	if stored == nil || stored.Flag&proto.FlagDeleteMark != 0 {
 		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
 	}
-	if ino.Flag&proto.FlagDeleteMark != 0 {
-		return nil, fmt.Errorf("meta: inode %d is deleted: %w", c.Inode, util.ErrNotFound)
-	}
+	ino := *stored
 	ino.NLink++
 	ino.ModifyTime = proto.Now()
-	return ino.Copy(), nil
+	return p.putInode(ino), nil
 }
 
 func (p *Partition) applyCreateDentry(c *command) (any, error) {
-	parent := p.getInode(c.ParentID)
-	if parent == nil {
+	stored := p.getInode(c.ParentID)
+	if stored == nil {
 		return nil, fmt.Errorf("meta: parent inode %d: %w", c.ParentID, util.ErrNotFound)
 	}
-	if !parent.IsDir() {
+	if !stored.IsDir() {
 		return nil, fmt.Errorf("meta: parent inode %d: %w", c.ParentID, util.ErrNotDir)
 	}
 	key := dentryItem{d: proto.Dentry{ParentID: c.ParentID, Name: c.Name}}
@@ -474,10 +480,12 @@ func (p *Partition) applyCreateDentry(c *command) (any, error) {
 	p.dentryTree.ReplaceOrInsert(dentryItem{d: proto.Dentry{
 		ParentID: c.ParentID, Name: c.Name, Inode: c.Inode, Type: c.DentryType,
 	}})
+	parent := *stored
 	if c.DentryType == proto.TypeDir {
 		parent.NLink++ // subdirectory's ".." reference
 	}
 	parent.ModifyTime = proto.Now()
+	p.putInode(parent)
 	return &proto.CreateDentryResp{}, nil
 }
 
@@ -488,11 +496,13 @@ func (p *Partition) applyDeleteDentry(c *command) (any, error) {
 		return nil, fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrNotFound)
 	}
 	d := it.(dentryItem).d
-	if parent := p.getInode(c.ParentID); parent != nil {
+	if stored := p.getInode(c.ParentID); stored != nil {
+		parent := *stored
 		if d.Type == proto.TypeDir && parent.NLink > 0 {
 			parent.NLink--
 		}
 		parent.ModifyTime = proto.Now()
+		p.putInode(parent)
 	}
 	return &proto.DeleteDentryResp{Inode: d.Inode}, nil
 }
@@ -511,14 +521,16 @@ func (p *Partition) applyUpdateDentry(c *command) (any, error) {
 }
 
 func (p *Partition) applySetAttr(c *command) (any, error) {
-	ino := p.getInode(c.Inode)
-	if ino == nil {
+	stored := p.getInode(c.Inode)
+	if stored == nil {
 		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
 	}
+	ino := *stored
 	if c.Valid&proto.AttrSize != 0 {
 		ino.Size = c.Size
-		// Truncation drops extent keys entirely beyond the new size.
-		kept := ino.Extents[:0]
+		// Truncation drops extent keys entirely beyond the new size, into
+		// a new slice: the stored one is still read.
+		var kept []proto.ExtentKey
 		for _, ek := range ino.Extents {
 			if ek.FileOffset < c.Size {
 				kept = append(kept, ek)
@@ -532,20 +544,26 @@ func (p *Partition) applySetAttr(c *command) (any, error) {
 	} else {
 		ino.ModifyTime = proto.Now()
 	}
+	p.putInode(ino)
 	return &proto.SetAttrResp{}, nil
 }
 
 func (p *Partition) applyAppendExtentKeys(c *command) (any, error) {
-	ino := p.getInode(c.Inode)
-	if ino == nil {
+	stored := p.getInode(c.Inode)
+	if stored == nil {
 		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
 	}
+	ino := *stored
+	// The keys go into the slice's spare capacity, past the length every
+	// older version holds, so no older version sees them and an append
+	// does not copy the list.
 	ino.Extents = append(ino.Extents, c.Extents...)
 	if c.Size > ino.Size {
 		ino.Size = c.Size
 	}
 	ino.Gen++
 	ino.ModifyTime = proto.Now()
+	p.putInode(ino)
 	return &proto.AppendExtentKeysResp{}, nil
 }
 
@@ -583,7 +601,7 @@ func (p *Partition) InodeGet(id uint64) (*proto.Inode, error) {
 	if ino == nil || ino.Flag&proto.FlagDeleteMark != 0 {
 		return nil, fmt.Errorf("meta: inode %d: %w", id, util.ErrNotFound)
 	}
-	return ino.Copy(), nil
+	return ino, nil
 }
 
 // BatchInodeGet fetches many inodes in one call - the readdir optimization
@@ -595,7 +613,7 @@ func (p *Partition) BatchInodeGet(ids []uint64) []*proto.Inode {
 	out := make([]*proto.Inode, 0, len(ids))
 	for _, id := range ids {
 		if ino := p.getInode(id); ino != nil && ino.Flag&proto.FlagDeleteMark == 0 {
-			out = append(out, ino.Copy())
+			out = append(out, ino)
 		}
 	}
 	return out
@@ -615,13 +633,13 @@ func (p *Partition) ReadDir(parentID uint64) []proto.Dentry {
 	return out
 }
 
-// BatchAllInodes returns a copy of every live inode (fsck inventory).
+// BatchAllInodes returns every inode (fsck inventory).
 func (p *Partition) BatchAllInodes() []*proto.Inode {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	out := make([]*proto.Inode, 0, p.inodeTree.Len())
 	p.inodeTree.Ascend(func(it btree.Item) bool {
-		out = append(out, it.(inodeItem).ino.Copy())
+		out = append(out, it.(inodeItem).ino)
 		return true
 	})
 	return out
@@ -654,7 +672,7 @@ func (p *Partition) OrphanInodes() []*proto.Inode {
 	p.inodeTree.Ascend(func(it btree.Item) bool {
 		ino := it.(inodeItem).ino
 		if !referenced[ino.Inode] && ino.Inode != proto.RootInodeID {
-			out = append(out, ino.Copy())
+			out = append(out, ino)
 		}
 		return true
 	})
@@ -685,8 +703,9 @@ type partitionSnapshot struct {
 	Applied uint64
 }
 
-// Snapshot implements raft.StateMachine. Clone() gives O(1) consistent
-// trees, so serialization does not block concurrent reads.
+// Snapshot implements raft.StateMachine. It clones both trees under the
+// lock, in O(1), and walks and encodes the clones outside it: applies
+// never write a stored inode, so the clones stay the state at applied.
 func (p *Partition) Snapshot() ([]byte, error) {
 	p.mu.Lock()
 	inodes := p.inodeTree.Clone()
@@ -704,7 +723,7 @@ func (p *Partition) Snapshot() ([]byte, error) {
 	p.mu.Unlock()
 
 	inodes.Ascend(func(it btree.Item) bool {
-		snap.Inodes = append(snap.Inodes, it.(inodeItem).ino.Copy())
+		snap.Inodes = append(snap.Inodes, it.(inodeItem).ino)
 		return true
 	})
 	dentries.Ascend(func(it btree.Item) bool {

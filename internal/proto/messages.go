@@ -394,7 +394,7 @@ type CreateVolumeResp struct {
 }
 
 // GetVolumeReq fetches the current volume view; clients poll this
-// periodically over non-persistent connections (Sections 2.4, 2.5.2).
+// periodically (Sections 2.4, 2.5.2).
 type GetVolumeReq struct {
 	Name  string
 	Epoch uint64 // client's cached epoch; 0 forces a full view

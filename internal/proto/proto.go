@@ -26,6 +26,10 @@ const RootInodeID uint64 = 1
 
 // Inode is the file metadata record stored in a meta partition's inodeTree
 // (Section 2.1.1). Fields mirror the paper's struct.
+//
+// A *Inode you did not build is read-only, its LinkTarget and Extents
+// included: a meta partition stores and hands out the same pointer, and a
+// client caches the one it decoded. To change an inode, copy it.
 type Inode struct {
 	Inode      uint64 // inode id (the btree key)
 	Type       uint32 // TypeFile, TypeDir, TypeSymlink
@@ -59,14 +63,6 @@ func (i *Inode) Mode() os.FileMode {
 	default:
 		return 0o644
 	}
-}
-
-// Copy returns a deep copy of the inode (extent list included).
-func (i *Inode) Copy() *Inode {
-	out := *i
-	out.LinkTarget = append([]byte(nil), i.LinkTarget...)
-	out.Extents = append([]ExtentKey(nil), i.Extents...)
-	return &out
 }
 
 // Dentry is a directory entry stored in a meta partition's dentryTree,

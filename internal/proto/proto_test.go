@@ -120,19 +120,6 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInodeCopyIsDeep(t *testing.T) {
-	in := &Inode{
-		Inode: 10, Type: TypeFile, NLink: 1,
-		Extents: []ExtentKey{{PartitionID: 1, ExtentID: 2, Size: 3}},
-	}
-	cp := in.Copy()
-	cp.Extents[0].ExtentID = 99
-	cp.NLink = 7
-	if in.Extents[0].ExtentID != 2 || in.NLink != 1 {
-		t.Fatalf("Copy aliased the original: %+v", in)
-	}
-}
-
 func TestInodeMode(t *testing.T) {
 	d := &Inode{Type: TypeDir}
 	f := &Inode{Type: TypeFile}

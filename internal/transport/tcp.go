@@ -47,13 +47,8 @@ import (
 // cannot be resynchronised, so any encode or decode error drops the
 // connection. Both ends must run this wire version.
 //
-// Connections to a peer are pooled and reused unless NonPersistent is set,
-// in which case every call dials a fresh connection and closes it after the
-// reply - this is how clients talk to the resource manager so that tens of
-// thousands of clients do not pin open connections to it (Section 2.5.2).
+// Connections to a peer are pooled and reused.
 type TCP struct {
-	// NonPersistent disables connection pooling for outgoing calls.
-	NonPersistent bool
 	// DialTimeout bounds connection establishment. Zero means 5s.
 	DialTimeout time.Duration
 
@@ -426,14 +421,6 @@ func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 
 // Call implements Network.
 func (t *TCP) Call(addr string, op uint8, req, resp any) error {
-	if t.NonPersistent {
-		conn, err := t.dialCall(addr)
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		return conn.call(op, req, resp)
-	}
 	pool := t.pool(addr)
 	for {
 		conn, reused, err := pool.get(t)

@@ -164,12 +164,6 @@ func TestTCPNetwork(t *testing.T) {
 	runNetworkSuite(t, NewTCP(), "127.0.0.1:0")
 }
 
-func TestTCPNonPersistent(t *testing.T) {
-	nw := NewTCP()
-	nw.NonPersistent = true
-	runNetworkSuite(t, nw, "127.0.0.1:0")
-}
-
 // runStreamSuite exercises the per-peer stream path shared by Memory and
 // TCP: repeated sends reuse one stream, a handler error stays with the
 // receiver and does not break the stream, a self-encoding body reaches the
