@@ -59,6 +59,13 @@ func (s items) find(v Item) (int, bool) {
 	return i, false
 }
 
+// search is find for a comparator: cmp reports where the sought item lies
+// relative to the one it is given (negative before it, zero at it,
+// positive after it), the contract of sort.Find.
+func (s items) search(cmp func(Item) int) (int, bool) {
+	return sort.Find(len(s), func(i int) int { return cmp(s[i]) })
+}
+
 type children []*node
 
 func (s *children) insertAt(i int, c *node) {
@@ -187,6 +194,32 @@ func (n *node) get(key Item) Item {
 		return n.children[i].get(key)
 	}
 	return nil
+}
+
+// lookup returns the item cmp finds in the subtree, or nil.
+func (n *node) lookup(cmp func(Item) int) Item {
+	i, found := n.items.search(cmp)
+	if found {
+		return n.items[i]
+	}
+	if len(n.children) > 0 {
+		return n.children[i].lookup(cmp)
+	}
+	return nil
+}
+
+// update puts fn(item) in the place of the item cmp finds in the subtree
+// and returns it, or returns nil. n must already be mutable.
+func (n *node) update(cmp func(Item) int, fn func(Item) Item) Item {
+	i, found := n.items.search(cmp)
+	if found {
+		n.items[i] = fn(n.items[i])
+		return n.items[i]
+	}
+	if len(n.children) == 0 {
+		return nil
+	}
+	return n.mutableChild(i).update(cmp, fn)
 }
 
 type toRemove int
@@ -381,6 +414,31 @@ func (t *BTree) Get(key Item) Item {
 		return nil
 	}
 	return t.root.get(key)
+}
+
+// Find returns the item cmp finds, or nil. cmp reports where the sought
+// item lies relative to the one it is given: negative before it, zero at
+// it, positive after it. A search key is then whatever cmp closes over,
+// not an Item, so a lookup by a plain value allocates nothing.
+func (t *BTree) Find(cmp func(Item) int) Item {
+	if t.root == nil {
+		return nil
+	}
+	return t.root.lookup(cmp)
+}
+
+// Update replaces the item cmp finds (as in Find) with fn(item) in the
+// same descent and returns fn's result; when cmp finds nothing it calls
+// no fn and returns nil. fn must return an item equal to the one it is
+// given, and returning that item keeps it. Like every write, Update copies
+// the nodes it descends through that a clone still shares, so the clone
+// keeps the old item.
+func (t *BTree) Update(cmp func(Item) int, fn func(old Item) Item) Item {
+	if t.root == nil {
+		return nil
+	}
+	t.root = t.root.mutableFor(t.cow)
+	return t.root.update(cmp, fn)
 }
 
 // Has reports whether an item equal to key is in the tree.

@@ -245,6 +245,74 @@ func TestCloneMutateCloneSide(t *testing.T) {
 	}
 }
 
+// kvItem is ordered by k alone, so an Update can change v in place.
+type kvItem struct{ k, v int }
+
+func (a kvItem) Less(b Item) bool { return a.k < b.(kvItem).k }
+
+func atKey(k int) func(Item) int {
+	return func(it Item) int { return k - it.(kvItem).k }
+}
+
+func TestFindAndUpdate(t *testing.T) {
+	tr := NewWithDegree(2)
+	for k := 0; k < 200; k++ {
+		tr.ReplaceOrInsert(kvItem{k, k})
+	}
+	for _, k := range []int{0, 1, 99, 150, 199} {
+		if got := tr.Find(atKey(k)); got != (kvItem{k, k}) {
+			t.Fatalf("Find(%d) = %v", k, got)
+		}
+		if got := tr.Update(atKey(k), func(old Item) Item { return kvItem{k, old.(kvItem).v + 1000} }); got != (kvItem{k, k + 1000}) {
+			t.Fatalf("Update(%d) = %v", k, got)
+		}
+		if got := tr.Get(kvItem{k: k}); got != (kvItem{k, k + 1000}) {
+			t.Fatalf("Get(%d) after Update = %v", k, got)
+		}
+	}
+	called := false
+	if got := tr.Update(atKey(200), func(old Item) Item { called = true; return old }); got != nil || called {
+		t.Fatalf("Update of a missing key = %v, fn called %v", got, called)
+	}
+	if tr.Find(atKey(-1)) != nil || New().Find(atKey(0)) != nil || New().Update(atKey(0), nil) != nil {
+		t.Fatal("Find or Update found a missing key")
+	}
+	if tr.Len() != 200 {
+		t.Fatalf("Len = %d after updates, want 200", tr.Len())
+	}
+}
+
+// TestUpdateAfterCloneKeepsCloneItem: an Update copies the nodes it
+// descends through that a clone shares, so the clone still holds the old
+// item - at the root and deep in the tree alike.
+func TestUpdateAfterCloneKeepsCloneItem(t *testing.T) {
+	tr := NewWithDegree(2)
+	for k := 0; k < 500; k++ {
+		tr.ReplaceOrInsert(kvItem{k, k})
+	}
+	snap := tr.Clone()
+	for k := 0; k < 500; k += 7 {
+		tr.Update(atKey(k), func(old Item) Item { return kvItem{k, -1} })
+	}
+	for k := 0; k < 500; k++ {
+		if got := snap.Find(atKey(k)); got != (kvItem{k, k}) {
+			t.Fatalf("clone's item %d = %v after an Update of the original", k, got)
+		}
+		want := kvItem{k, k}
+		if k%7 == 0 {
+			want.v = -1
+		}
+		if got := tr.Find(atKey(k)); got != want {
+			t.Fatalf("original's item %d = %v, want %v", k, got, want)
+		}
+	}
+	// And the other way round: an Update of the clone leaves the original.
+	snap.Update(atKey(3), func(Item) Item { return kvItem{3, 33} })
+	if got := tr.Find(atKey(3)); got != (kvItem{3, 3}) {
+		t.Fatalf("original's item 3 = %v after an Update of the clone", got)
+	}
+}
+
 func TestDeleteDescendingDrain(t *testing.T) {
 	tr := NewWithDegree(2)
 	const n = 300
@@ -346,5 +414,24 @@ func BenchmarkGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(intItem(r.Intn(1 << 16)))
+	}
+}
+
+// found keeps BenchmarkFind's lookups from being optimized away.
+var found Item
+
+// BenchmarkFind is BenchmarkGet through a comparator over a plain int:
+// the key is never boxed, so a lookup allocates nothing.
+func BenchmarkFind(b *testing.B) {
+	tr := New()
+	for i := 0; i < 1<<16; i++ {
+		tr.ReplaceOrInsert(intItem(i))
+	}
+	r := util.NewRand(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := intItem(r.Intn(1 << 16))
+		found = tr.Find(func(it Item) int { return int(k - it.(intItem)) })
 	}
 }

@@ -44,16 +44,16 @@ type Config struct {
 	// leader per partition (Section 2.4), so every read probes the
 	// replicas in order.
 	DisableLeaderCache bool
-	// WriteWindow is how many packets a streaming writer keeps in flight
-	// before blocking on acks. Default 16; at 1 it is stop-and-wait over
-	// the stream.
+	// WriteWindow caps how many packets a streaming writer keeps in
+	// flight before blocking on acks. Below the cap the depth covers the
+	// write session's least round trip, at least 4 packets (streamDepth);
+	// on a fast link that is less than the cap. Default 16; at 1 it is
+	// stop-and-wait over the stream.
 	WriteWindow int
 	// ReadWindow caps how many read requests a streaming reader keeps in
 	// flight ahead of the consumer on a sequential run (the readahead
-	// window). Below the cap the depth covers the read session's least
-	// round trip, at least 4 requests (readDepth); on a fast link that
-	// is less than the cap. Default 32; at 1 it is one request at a time
-	// over a pinned stream.
+	// window), by the same rule over the read session's least round trip.
+	// Default 32; at 1 it is one request at a time over a pinned stream.
 	ReadWindow int
 	// AckDeadline bounds how long a write or read session waits without
 	// any reply progress before declaring itself hung and failing its

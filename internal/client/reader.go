@@ -3,7 +3,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/util"
@@ -21,7 +20,7 @@ import (
 // block. Fetched-but-unconsumed chunks are retained across ReadAt calls
 // (the cross-call readahead buffer); callers must Invalidate on writes
 // and overwrites for read-your-writes. The depth covers the session's
-// least round trip (readDepth), capped at Config.ReadWindow.
+// least round trip (streamDepth), capped at Config.ReadWindow.
 //
 // Replica choice is committed-clamped follower offload: the reader
 // round-robins runs across the partition's followers and falls back
@@ -69,31 +68,6 @@ type ExtentReader struct {
 	nextCandIdx int
 	nextReqs    []*readReq
 	nextFront   uint64 // prefetch frontier within the next extent
-}
-
-// packetTime is how long one 128 KiB packet takes at the highest rate one
-// read stream should sustain: 50 us is 2.5 GiB/s, above what a stream
-// reaches on TCP loopback. A window deeper than the round trip divided by
-// packetTime cannot raise the rate; it only buffers received chunks,
-// which on loopback pushed the copy-out into cold memory (EXPERIMENTS.md
-// "Readahead depth follows the least round trip").
-const packetTime = 50 * time.Microsecond
-
-// readFloor is the least readahead depth, whatever the round trip: four
-// requests keep the data node's reply queue (readaheadFrames, 4 frames)
-// full, so its store reads overlap its socket writes. On loopback, fixed
-// windows of 4 and 8 both read about 1.35x faster than 32.
-const readFloor = 4
-
-// readDepth is how many requests a sequential run keeps in flight over a
-// session whose least round trip is rtt: enough packets to cover the
-// round trip at packetTime each, at least readFloor, at most win. The
-// least round trip, not a recent one, because every later sample also
-// counts the queue the window itself builds: a depth sized from those
-// would feed its own growth.
-func readDepth(win int, rtt time.Duration) int {
-	n := int((rtt + packetTime - 1) / packetTime)
-	return min(win, max(readFloor, n))
 }
 
 // NewExtentReader returns a streaming reader over the client's pooled
@@ -223,7 +197,7 @@ func (r *ExtentReader) ensureSession() error {
 // the known-contiguous limit.
 func (r *ExtentReader) fill(needEnd uint64) error {
 	packet := uint64(r.d.cfg.PacketSize)
-	depth := readDepth(r.win, r.sess.rtt())
+	depth := streamDepth(r.win, r.sess.rtt())
 	target := needEnd
 	if r.seqRun {
 		if ahead := r.consumed + uint64(depth)*packet; ahead > target {

@@ -382,26 +382,38 @@ func TestOverwriteFenceReadsCarryAckedVersion(t *testing.T) {
 	}
 }
 
-// TestReadDepthRule: the readahead depth covers the least round trip at
-// packetTime per packet, never drops below readFloor and never exceeds
-// ReadWindow - so a pinned window below the floor stays pinned.
+// TestReadDepthRule: the one depth rule of both directions - readahead
+// under ReadWindow (32), the write depth under WriteWindow (16) - covers
+// the least round trip at packetTime per packet, never drops below
+// depthFloor and never exceeds the window, so a window pinned below the
+// floor stays pinned.
 func TestReadDepthRule(t *testing.T) {
 	for _, c := range []struct {
 		win  int
 		rtt  time.Duration
 		want int
 	}{
-		{32, 0, readFloor},
-		{32, packetTime, readFloor},
+		{32, 0, depthFloor},
+		{32, packetTime, depthFloor},
+		{32, depthFloor * packetTime, depthFloor},
+		{32, depthFloor*packetTime + 1, depthFloor + 1},
 		{32, 10*packetTime + 1, 11},
 		{32, 2 * time.Millisecond, 32},
 		{32, time.Hour, 32},
 		{8, 2 * time.Millisecond, 8},
 		{1, 0, 1},
-		{readFloor - 1, 0, readFloor - 1},
+		{depthFloor - 1, 0, depthFloor - 1},
+		// Writes: a least round trip on loopback (tens to a few hundred
+		// us) stays at a few packets; on the 1 ms fabric (at least 2 ms)
+		// the depth is the cap.
+		{16, 150 * time.Microsecond, depthFloor},
+		{16, 300 * time.Microsecond, 6},
+		{16, 799 * time.Microsecond, 16},
+		{16, 2 * time.Millisecond, 16},
+		{depthFloor, time.Hour, depthFloor},
 	} {
-		if got := readDepth(c.win, c.rtt); got != c.want {
-			t.Errorf("readDepth(%d, %v) = %d, want %d", c.win, c.rtt, got, c.want)
+		if got := streamDepth(c.win, c.rtt); got != c.want {
+			t.Errorf("streamDepth(%d, %v) = %d, want %d", c.win, c.rtt, got, c.want)
 		}
 	}
 }
@@ -462,11 +474,11 @@ func TestReadDepthCoversMemoryRTT(t *testing.T) {
 }
 
 // TestReadDepthFloorOnLoopback: on TCP loopback the round trip is below
-// packetTime*readFloor, so once the session has timed it a sequential
-// reader keeps no more than readFloor requests in flight, however deep
+// packetTime*depthFloor, so once the session has timed it a sequential
+// reader keeps no more than depthFloor requests in flight, however deep
 // ReadWindow allows. One-off 4 KiB reads time the round trip first, as
 // many as it takes (up to 200) until every follower's session has seen
-// one under packetTime*readFloor: a single cold reply (fresh server
+// one under packetTime*depthFloor: a single cold reply (fresh server
 // goroutines, a busy box, the race detector) can take longer than the
 // wire does.
 func TestReadDepthFloorOnLoopback(t *testing.T) {
@@ -492,14 +504,14 @@ func TestReadDepthFloorOnLoopback(t *testing.T) {
 	probe := make([]byte, 4*util.KB)
 	for i, streak := 0, 0; streak < len(dp.Members)-1; i++ {
 		if i == 200 {
-			t.Fatalf("no loopback round trip under %v in %d probes", readFloor*packetTime, i)
+			t.Fatalf("no loopback round trip under %v in %d probes", depthFloor*packetTime, i)
 		}
 		at := ek.ExtentOffset + uint64(i%2*util.DefaultPacketSize)
 		if n, err := r.ReadAt(ek, at, probe, at+uint64(len(probe))); err != nil || n != len(probe) {
 			t.Fatalf("probe read at %d = %d, %v", at, n, err)
 		}
 		streak++
-		if r.sess.rtt() > readFloor*packetTime {
+		if r.sess.rtt() > depthFloor*packetTime {
 			streak = 0
 		}
 	}
@@ -509,15 +521,15 @@ func TestReadDepthFloorOnLoopback(t *testing.T) {
 		t.Fatal("read content mismatch")
 	}
 	t.Logf("least RTT %v, at most %d requests in flight", r.sess.rtt(), most)
-	if most > readFloor {
-		t.Fatalf("%d requests in flight on loopback, want at most readFloor %d (least RTT %v)", most, readFloor, r.sess.rtt())
+	if most > depthFloor {
+		t.Fatalf("%d requests in flight on loopback, want at most depthFloor %d (least RTT %v)", most, depthFloor, r.sess.rtt())
 	}
 }
 
 // BenchmarkSequentialReadLoopback reads a 32 MiB extent front to back in
 // 128 KiB calls over a TCP loopback read session, one fresh reader per
 // op. MB/s is the sequential read rate; depth is the mean readahead depth
-// readDepth sets over the calls.
+// streamDepth sets over the calls.
 func BenchmarkSequentialReadLoopback(b *testing.B) {
 	nw, masterAddr, dns := startReadClusterOn(b, "tcp")
 	c, err := Mount(nw, masterAddr, "readvol", Config{})
@@ -541,7 +553,7 @@ func BenchmarkSequentialReadLoopback(b *testing.B) {
 			if n, err := r.ReadAt(ek, off, buf, known); err != nil || n != len(buf) {
 				b.Fatalf("read at %d = %d, %v", off, n, err)
 			}
-			depths += readDepth(r.win, r.sess.rtt())
+			depths += streamDepth(r.win, r.sess.rtt())
 			calls++
 		}
 		r.Close()

@@ -106,8 +106,8 @@ type session struct {
 
 	// leastRTT is the smallest round trip the session has seen, in
 	// nanoseconds: the dial seeds it, and each frame's send-to-first-reply
-	// time lowers it. Written under mu, read lock-free by readers sizing
-	// their window (reader.go).
+	// time lowers it - a keepalive's too. Written under mu, read lock-free
+	// by readers and writers sizing their depth (streamDepth).
 	leastRTT atomic.Int64
 
 	stopc    chan struct{}
@@ -304,6 +304,40 @@ func (s *session) fail(err error) {
 
 // rtt returns the least round trip the session has seen.
 func (s *session) rtt() time.Duration { return time.Duration(s.leastRTT.Load()) }
+
+// packetTime is how long one 128 KiB packet takes at the highest rate one
+// stream should sustain: 50 us is 2.5 GiB/s, above what a stream reaches
+// on TCP loopback. A depth beyond the round trip divided by packetTime
+// cannot raise the rate; it only queues packets - on a read, received
+// chunks that the copy-out then finds in cold memory, on a write, packets
+// that wait at the leader and make each ack that much later
+// (EXPERIMENTS.md "Readahead depth follows the least round trip" and
+// "Writes keep in flight what the round trip needs").
+const packetTime = 50 * time.Microsecond
+
+// depthFloor is the least depth, whatever the round trip: four packets
+// keep a data node's stages busy at once - on a read its reply queue
+// (readaheadFrames, 4 frames), so its store reads overlap its socket
+// writes; on a write the leader's store append, its forward down the
+// chain and the acks coming back.
+const depthFloor = 4
+
+// streamDepth is how many packets a sequential reader or writer keeps in
+// flight over a session whose least round trip is rtt: enough to cover
+// the round trip at packetTime each, at least depthFloor, at most win
+// (Config.ReadWindow or Config.WriteWindow, so a window pinned below the
+// floor stays pinned). The least round trip of anything the session
+// exchanged, the dial handshake and keepalives included, because every
+// other sample also counts a queue - the one the depth itself builds and,
+// on a busy box, the CPU's - that more depth does not cover: a depth
+// sized from those would feed its own growth. On a write session the
+// lightest exchange is with the leader alone, not down the chain; timing
+// only replicated appends kept the depth at the cap on loopback
+// (EXPERIMENTS.md "Writes keep in flight what the round trip needs").
+func streamDepth(win int, rtt time.Duration) int {
+	n := int((rtt + packetTime - 1) / packetTime)
+	return min(win, max(depthFloor, n))
+}
 
 func (s *session) healthy() bool {
 	s.mu.Lock()

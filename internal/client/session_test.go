@@ -642,6 +642,61 @@ func TestSessionEngineKeepaliveRejected(t *testing.T) {
 	}
 }
 
+// TestSessionEngineLeastRTT: the round trip the depth rule reads is the
+// least of every exchange on the session. The dial handshake seeds it, a
+// request slower than the handshake does not raise it, and a keepalive
+// answered at once lowers it.
+func TestSessionEngineLeastRTT(t *testing.T) {
+	const dial = 40 * time.Millisecond
+	for _, u := range engineUsers {
+		t.Run(u.name, func(t *testing.T) {
+			nw := &fakeNet{dialGate: make(chan struct{})}
+			time.AfterFunc(dial, func() { close(nw.dialGate) })
+			d := newEngineClient(nw, 10*time.Second, 3*dial)
+			defer d.close()
+			s, err := u.session(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := s.rtt()
+			if seed < dial/2 {
+				t.Fatalf("dial seed %v, want about the %v handshake", seed, dial)
+			}
+			st := nw.stream(0)
+			wait, err := u.issue(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := st.nextSent(t).ReqID
+			time.Sleep(2 * dial)
+			for _, f := range u.ok(seq) {
+				st.reply(f)
+			}
+			if err := waitErr(t, wait); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.rtt(); got != seed {
+				t.Fatalf("least RTT %v after a %v request, want the %v handshake still", got, 2*dial, seed)
+			}
+			var ping *proto.Packet
+			select {
+			case ping = <-st.sent:
+			case <-time.After(5 * time.Second):
+				t.Fatal("no keepalive on a quiet session")
+			}
+			if ping.Op != proto.OpDataPing {
+				t.Fatalf("keepalive frame = %+v", ping)
+			}
+			st.reply(&proto.Packet{ReqID: ping.ReqID})
+			for deadline := time.Now().Add(5 * time.Second); s.rtt() >= seed; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("least RTT %v after a keepalive answered at once, want under the %v handshake", s.rtt(), seed)
+				}
+			}
+		})
+	}
+}
+
 // TestMountRejectsStreamlessTransport: the data path is streams only, so
 // a transport without them is refused once, at Mount.
 func TestMountRejectsStreamlessTransport(t *testing.T) {

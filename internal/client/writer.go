@@ -22,9 +22,11 @@ import (
 // poisons every writer sharing the session; the pool redials for the next
 // one.
 //
-// The window is Config.WriteWindow packets, a constant: at most that many
-// accepted-but-unacked packets per writer, which bounds both the bytes an
-// abort must replay and the queue a writer can build on a fast path. Pinned
+// The depth - how many accepted-but-unacked packets a writer keeps - covers
+// the session's least round trip (streamDepth, the rule the reader's
+// readahead follows): on a fast path it is the floor, so packets do not
+// queue at the leader and make each ack later. It is capped at
+// Config.WriteWindow, which bounds the bytes an abort must replay; pinned
 // at 1 the writer is stop-and-wait over the stream.
 //
 // An ExtentWriter is not safe for concurrent use; core.File serializes
@@ -36,7 +38,7 @@ type ExtentWriter struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	win     int // in-flight window, packets
+	win     int // in-flight cap, packets (Config.WriteWindow)
 	pending []*streamPkt
 	keys    []proto.ExtentKey // committed since the last Drain, seq order
 	err     error             // first writer error; sticky
@@ -196,10 +198,11 @@ func (w *ExtentWriter) WriteSmall(fileOff uint64, data []byte) error {
 	})
 }
 
+// waitWindow blocks while the writer has its depth in flight.
 func (w *ExtentWriter) waitWindow() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.err == nil && len(w.pending) >= w.win {
+	for w.err == nil && len(w.pending) >= streamDepth(w.win, w.sess.rtt()) {
 		w.cond.Wait()
 	}
 	return w.err

@@ -207,3 +207,101 @@ func startStandInCluster(t *testing.T, nw *transport.Memory) (addrs, dirs []stri
 	}
 	return addrs, dirs
 }
+
+// writeSequential writes payload at file offset from in packet-sized
+// calls and returns the most packets the writer held accepted but unacked
+// after a call: a call returns once its packet is admitted, so that is
+// the depth the writer kept right then.
+func writeSequential(t *testing.T, w *ExtentWriter, from uint64, payload []byte) (most int) {
+	t.Helper()
+	for off := 0; off < len(payload); off += util.DefaultPacketSize {
+		end := util.Min(off+util.DefaultPacketSize, len(payload))
+		if _, err := w.Write(from+uint64(off), payload[off:end]); err != nil {
+			t.Fatal(err)
+		}
+		w.mu.Lock()
+		most = max(most, len(w.pending))
+		w.mu.Unlock()
+	}
+	if _, _, err := w.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	return most
+}
+
+// TestWriteDepthCoversMemoryRTT: on the Memory fabric at 1 ms one way
+// every exchange with the leader - the dial handshake, a keepalive, a
+// replicated append - takes at least 2 ms, so a streamed writer keeps the
+// whole WriteWindow in flight: the depth the window had as a constant.
+func TestWriteDepthCoversMemoryRTT(t *testing.T) {
+	assertChunkBalance(t)
+	nw, _ := startReadCluster(t)
+	c, err := Mount(nw, "master", "readvol", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dp, err := c.Data.PickWritable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetLatency(time.Millisecond)
+	w, err := c.Data.NewExtentWriter(dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	win := c.Data.cfg.WriteWindow
+	if most := writeSequential(t, w, 0, patterned(2*win*util.DefaultPacketSize, 3)); most != win {
+		t.Fatalf("at most %d packets in flight at 1 ms, want WriteWindow %d (least RTT %v)", most, win, w.sess.rtt())
+	}
+}
+
+// TestWriteDepthFloorOnLoopback: on TCP loopback the least round trip of
+// a write session - its handshake, a keepalive or an append, whichever
+// was fastest - is under packetTime*depthFloor, so a streamed writer
+// keeps no more than depthFloor packets in flight, however deep
+// WriteWindow allows. 4 KiB appends lower the least round trip first, up
+// to 200 of them until it is under the floor's: a cold handshake (fresh
+// server goroutines, a busy box) can take longer than the wire does, and
+// under the race detector none may get there, when the bound is the depth
+// the least one gives - still below WriteWindow.
+func TestWriteDepthFloorOnLoopback(t *testing.T) {
+	assertChunkBalance(t)
+	nw, masterAddr, _ := startReadClusterOn(t, "tcp")
+	c, err := Mount(nw, masterAddr, "readvol", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dp, err := c.Data.PickWritable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := c.Data.NewExtentWriter(dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	probe := patterned(4*util.KB, 4)
+	off := uint64(0)
+	for i := 0; i < 200 && w.sess.rtt() > depthFloor*packetTime; i++ {
+		if _, err := w.Write(off, probe); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		off += uint64(len(probe))
+	}
+	win := c.Data.cfg.WriteWindow
+	want := streamDepth(win, w.sess.rtt())
+	if want >= win {
+		t.Fatalf("least round trip %v on loopback gives the whole WriteWindow %d", w.sess.rtt(), win)
+	}
+	most := writeSequential(t, w, off, patterned(16*util.DefaultPacketSize, 5))
+	t.Logf("least RTT %v, depth %d, at most %d packets in flight", w.sess.rtt(), want, most)
+	if most > want {
+		t.Fatalf("%d packets in flight on loopback, want at most %d (least RTT %v)", most, want, w.sess.rtt())
+	}
+}

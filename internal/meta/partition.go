@@ -2,6 +2,7 @@ package meta
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -373,20 +374,40 @@ func (p *Partition) applyLocked(c *command) (any, error) {
 // ---------------------------------------------------------------------------
 // Apply functions (called with p.mu held).
 
+// inodeID finds inode id in the inode tree (btree.Find, btree.Update). The
+// search key is the id itself, not a boxed inode, so a lookup allocates
+// nothing.
+func inodeID(id uint64) func(btree.Item) int {
+	return func(it btree.Item) int { return cmp.Compare(id, it.(inodeItem).ino.Inode) }
+}
+
 func (p *Partition) getInode(id uint64) *proto.Inode {
-	it := p.inodeTree.Get(inodeItem{ino: &proto.Inode{Inode: id}})
+	it := p.inodeTree.Find(inodeID(id))
 	if it == nil {
 		return nil
 	}
 	return it.(inodeItem).ino
 }
 
-// putInode stores ino, replacing the inode with its id. A stored inode is
-// never written again, because a tree clone or a reader may still hold it:
-// an apply changes a copy and puts the copy.
-func (p *Partition) putInode(ino proto.Inode) *proto.Inode {
-	p.inodeTree.ReplaceOrInsert(inodeItem{ino: &ino})
-	return &ino
+// changeInode stores what change makes of a copy of inode id in the
+// stored inode's place, in one tree descent, and returns the copy. A
+// stored inode is never written again, because a tree clone or a reader
+// may still hold it. When no inode has the id, or change fails, nothing
+// is stored.
+func (p *Partition) changeInode(id uint64, change func(ino *proto.Inode) error) (*proto.Inode, error) {
+	var out *proto.Inode
+	var err error
+	if p.inodeTree.Update(inodeID(id), func(it btree.Item) btree.Item {
+		ino := *it.(inodeItem).ino
+		if err = change(&ino); err != nil {
+			return it
+		}
+		out = &ino
+		return inodeItem{ino: out}
+	}) == nil {
+		return nil, fmt.Errorf("meta: inode %d: %w", id, util.ErrNotFound)
+	}
+	return out, err
 }
 
 // applyCreateInode allocates the smallest unused inode id (Section 2.6.1:
@@ -401,7 +422,7 @@ func (p *Partition) applyCreateInode(c *command) (any, error) {
 		return nil, fmt.Errorf("meta: partition %d inode range exhausted: %w", p.ID, util.ErrFull)
 	}
 	now := proto.Now()
-	ino := proto.Inode{
+	ino := &proto.Inode{
 		Inode:      next,
 		Type:       c.Type,
 		LinkTarget: c.LinkTarget,
@@ -413,7 +434,8 @@ func (p *Partition) applyCreateInode(c *command) (any, error) {
 		ino.NLink = 2
 	}
 	p.maxInodeID = next
-	return p.putInode(ino), nil
+	p.inodeTree.ReplaceOrInsert(inodeItem{ino: ino})
+	return ino, nil
 }
 
 // CreateRootInode installs the volume root directory (inode 1). It is only
@@ -424,22 +446,23 @@ func (p *Partition) CreateRootInode() error {
 }
 
 func (p *Partition) applyUnlinkInode(c *command) (any, error) {
-	stored := p.getInode(c.Inode)
-	if stored == nil {
-		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
+	ino, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
+		if ino.NLink > 0 {
+			ino.NLink--
+		}
+		// Threshold: 0 for files, 2 for directories (Section 2.6.3). At
+		// or below it the inode is marked deleted; content cleanup is
+		// asynchronous (Section 2.7.3).
+		if (!ino.IsDir() && ino.NLink == 0) || (ino.IsDir() && ino.NLink < 2) {
+			ino.Flag |= proto.FlagDeleteMark
+		}
+		ino.ModifyTime = proto.Now()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	ino := *stored
-	if ino.NLink > 0 {
-		ino.NLink--
-	}
-	// Threshold: 0 for files, 2 for directories (Section 2.6.3). At or
-	// below it the inode is marked deleted; content cleanup is
-	// asynchronous (Section 2.7.3).
-	if (!ino.IsDir() && ino.NLink == 0) || (ino.IsDir() && ino.NLink < 2) {
-		ino.Flag |= proto.FlagDeleteMark
-	}
-	ino.ModifyTime = proto.Now()
-	return p.putInode(ino), nil
+	return ino, nil
 }
 
 func (p *Partition) applyEvictInode(c *command) (any, error) {
@@ -450,42 +473,44 @@ func (p *Partition) applyEvictInode(c *command) (any, error) {
 	if ino.Flag&proto.FlagDeleteMark == 0 {
 		return nil, fmt.Errorf("meta: inode %d not marked deleted: %w", c.Inode, util.ErrInvalidArgument)
 	}
-	p.inodeTree.Delete(inodeItem{ino: &proto.Inode{Inode: c.Inode}})
+	p.inodeTree.Delete(inodeItem{ino: ino})
 	return &proto.EvictInodeResp{}, nil
 }
 
 func (p *Partition) applyLinkInode(c *command) (any, error) {
-	stored := p.getInode(c.Inode)
-	if stored == nil || stored.Flag&proto.FlagDeleteMark != 0 {
-		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
+	ino, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
+		if ino.Flag&proto.FlagDeleteMark != 0 {
+			return fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
+		}
+		ino.NLink++
+		ino.ModifyTime = proto.Now()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	ino := *stored
-	ino.NLink++
-	ino.ModifyTime = proto.Now()
-	return p.putInode(ino), nil
+	return ino, nil
 }
 
 func (p *Partition) applyCreateDentry(c *command) (any, error) {
-	stored := p.getInode(c.ParentID)
-	if stored == nil {
-		return nil, fmt.Errorf("meta: parent inode %d: %w", c.ParentID, util.ErrNotFound)
+	_, err := p.changeInode(c.ParentID, func(parent *proto.Inode) error {
+		if !parent.IsDir() {
+			return fmt.Errorf("meta: parent inode %d: %w", c.ParentID, util.ErrNotDir)
+		}
+		key := dentryItem{d: proto.Dentry{ParentID: c.ParentID, Name: c.Name, Inode: c.Inode, Type: c.DentryType}}
+		if p.dentryTree.Has(key) {
+			return fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrExist)
+		}
+		p.dentryTree.ReplaceOrInsert(key)
+		if c.DentryType == proto.TypeDir {
+			parent.NLink++ // subdirectory's ".." reference
+		}
+		parent.ModifyTime = proto.Now()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !stored.IsDir() {
-		return nil, fmt.Errorf("meta: parent inode %d: %w", c.ParentID, util.ErrNotDir)
-	}
-	key := dentryItem{d: proto.Dentry{ParentID: c.ParentID, Name: c.Name}}
-	if p.dentryTree.Has(key) {
-		return nil, fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrExist)
-	}
-	p.dentryTree.ReplaceOrInsert(dentryItem{d: proto.Dentry{
-		ParentID: c.ParentID, Name: c.Name, Inode: c.Inode, Type: c.DentryType,
-	}})
-	parent := *stored
-	if c.DentryType == proto.TypeDir {
-		parent.NLink++ // subdirectory's ".." reference
-	}
-	parent.ModifyTime = proto.Now()
-	p.putInode(parent)
 	return &proto.CreateDentryResp{}, nil
 }
 
@@ -496,14 +521,14 @@ func (p *Partition) applyDeleteDentry(c *command) (any, error) {
 		return nil, fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrNotFound)
 	}
 	d := it.(dentryItem).d
-	if stored := p.getInode(c.ParentID); stored != nil {
-		parent := *stored
+	// A parent that is already gone has no link count left to keep.
+	_, _ = p.changeInode(c.ParentID, func(parent *proto.Inode) error {
 		if d.Type == proto.TypeDir && parent.NLink > 0 {
 			parent.NLink--
 		}
 		parent.ModifyTime = proto.Now()
-		p.putInode(parent)
-	}
+		return nil
+	})
 	return &proto.DeleteDentryResp{Inode: d.Inode}, nil
 }
 
@@ -521,49 +546,47 @@ func (p *Partition) applyUpdateDentry(c *command) (any, error) {
 }
 
 func (p *Partition) applySetAttr(c *command) (any, error) {
-	stored := p.getInode(c.Inode)
-	if stored == nil {
-		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
-	}
-	ino := *stored
-	if c.Valid&proto.AttrSize != 0 {
-		ino.Size = c.Size
-		// Truncation drops extent keys entirely beyond the new size, into
-		// a new slice: the stored one is still read.
-		var kept []proto.ExtentKey
-		for _, ek := range ino.Extents {
-			if ek.FileOffset < c.Size {
-				kept = append(kept, ek)
+	if _, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
+		if c.Valid&proto.AttrSize != 0 {
+			ino.Size = c.Size
+			// Truncation drops extent keys entirely beyond the new size,
+			// into a new slice: the stored one is still read.
+			var kept []proto.ExtentKey
+			for _, ek := range ino.Extents {
+				if ek.FileOffset < c.Size {
+					kept = append(kept, ek)
+				}
 			}
+			ino.Extents = kept
+			ino.Gen++
 		}
-		ino.Extents = kept
-		ino.Gen++
+		if c.Valid&proto.AttrModifyTime != 0 {
+			ino.ModifyTime = c.ModifyTime
+		} else {
+			ino.ModifyTime = proto.Now()
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	if c.Valid&proto.AttrModifyTime != 0 {
-		ino.ModifyTime = c.ModifyTime
-	} else {
-		ino.ModifyTime = proto.Now()
-	}
-	p.putInode(ino)
 	return &proto.SetAttrResp{}, nil
 }
 
 func (p *Partition) applyAppendExtentKeys(c *command) (any, error) {
-	stored := p.getInode(c.Inode)
-	if stored == nil {
-		return nil, fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
+	if _, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
+		// The keys go into the slice's spare capacity, past the length
+		// every older version holds, so no older version sees them and an
+		// append does not copy the list.
+		ino.Extents = append(ino.Extents, c.Extents...)
+		if c.Size > ino.Size {
+			ino.Size = c.Size
+		}
+		ino.Gen++
+		ino.ModifyTime = proto.Now()
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	ino := *stored
-	// The keys go into the slice's spare capacity, past the length every
-	// older version holds, so no older version sees them and an append
-	// does not copy the list.
-	ino.Extents = append(ino.Extents, c.Extents...)
-	if c.Size > ino.Size {
-		ino.Size = c.Size
-	}
-	ino.Gen++
-	ino.ModifyTime = proto.Now()
-	p.putInode(ino)
 	return &proto.AppendExtentKeysResp{}, nil
 }
 

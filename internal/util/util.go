@@ -31,12 +31,13 @@ const (
 	// the shared chunk-buffer pool.
 	DefaultPacketSize = 128 * KB
 
-	// DefaultWriteWindow is how many packets a streaming writer keeps in
+	// DefaultWriteWindow is the most packets a streaming writer keeps in
 	// flight before blocking on acks (window x packet = 2 MB of
 	// accepted-but-uncommitted bytes per writer), and DefaultReadWindow the
 	// most read requests a streaming reader keeps ahead of a sequential
-	// consumer (at most 4 MB of prefetch per reader; fewer when the round
-	// trip is short, see client.readDepth). Both are constants chosen by
+	// consumer (at most 4 MB of prefetch per reader). Both are caps: below
+	// them the depth covers the session's least round trip, so on a short
+	// one it is less (client.streamDepth). The caps were chosen by
 	// measurement: EXPERIMENTS.md "Fixed vs adaptive window (PR 20)".
 	DefaultWriteWindow = 16
 	DefaultReadWindow  = 32
