@@ -184,26 +184,16 @@ func (n *node) insert(v Item, maxItems int) Item {
 	return n.mutableChild(i).insert(v, maxItems)
 }
 
-// get returns the item equal to key in the subtree, or nil.
-func (n *node) get(key Item) Item {
-	i, found := n.items.find(key)
+// lookup returns the item search finds in the subtree, or nil. search
+// places the sought item in one node's items, as items.find does for a
+// key and items.search for a comparator.
+func (n *node) lookup(search func(items) (int, bool)) Item {
+	i, found := search(n.items)
 	if found {
 		return n.items[i]
 	}
 	if len(n.children) > 0 {
-		return n.children[i].get(key)
-	}
-	return nil
-}
-
-// lookup returns the item cmp finds in the subtree, or nil.
-func (n *node) lookup(cmp func(Item) int) Item {
-	i, found := n.items.search(cmp)
-	if found {
-		return n.items[i]
-	}
-	if len(n.children) > 0 {
-		return n.children[i].lookup(cmp)
+		return n.children[i].lookup(search)
 	}
 	return nil
 }
@@ -413,7 +403,7 @@ func (t *BTree) Get(key Item) Item {
 	if t.root == nil || key == nil {
 		return nil
 	}
-	return t.root.get(key)
+	return t.root.lookup(func(s items) (int, bool) { return s.find(key) })
 }
 
 // Find returns the item cmp finds, or nil. cmp reports where the sought
@@ -424,7 +414,7 @@ func (t *BTree) Find(cmp func(Item) int) Item {
 	if t.root == nil {
 		return nil
 	}
-	return t.root.lookup(cmp)
+	return t.root.lookup(func(s items) (int, bool) { return s.search(cmp) })
 }
 
 // Update replaces the item cmp finds (as in Find) with fn(item) in the
