@@ -61,14 +61,17 @@ race-reconfig:
 		-run 'ConfChange|RemovedNode|MetaLeaderFailover|Replacement|DeposedMeta|ReadLease|Liveness|OverwriteFence|OverwriteVersionGossip|HealsOverwrite|OverwriteLostLeadership|MembershipLifecycle' \
 		./internal/raft/ ./internal/master/ ./internal/datanode/
 
-# Read path and the client session engine: a hung read session, a window
-# that admits too much or too little, a readahead or write depth that
-# ignores the round trip, a broken offload fallback, a read fence the two read paths
-# disagree on, or a watchdog that a wedged sender can block.
+# Read path and the session engine with its three users (the client's
+# write and read sessions, the leader's forward chains): a hung read
+# session, a window that admits too much or too little, a readahead or
+# write depth that ignores the round trip, a broken offload fallback, a
+# read fence the two read paths disagree on, a watchdog that a wedged
+# sender can block, a chain that misses a hung or dead follower or retires
+# a healthy one, or an idle client the stream servers never reap.
 race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|WriteDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool' \
-		./internal/datanode/ ./internal/client/ ./internal/core/
+		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|WriteDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool|WriteStream|FollowerHang|IdleSession|IdleChain|StaleEpochRefusal' \
+		./internal/datanode/ ./internal/client/ ./internal/core/ ./internal/transport/
 
 # Failure rates, not a gate (scripts/stress.sh): every test of STRESS_PKGS
 # run STRESS_COUNT times in shuffled order, then again under -race (the

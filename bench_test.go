@@ -14,7 +14,6 @@ import (
 
 	"cfs/internal/bench"
 	"cfs/internal/client"
-	"cfs/internal/cluster"
 	"cfs/internal/core"
 	"cfs/internal/proto"
 	"cfs/internal/util"
@@ -204,30 +203,6 @@ func BenchmarkAblation_ReaddirBatchVsSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_PlacementExpansion measures the headline claim of
-// utilization-based placement (Section 2.3.1): partitions moved when the
-// cluster expands. Utilization placement moves zero; modulo-hash placement
-// would move ~n/(n+1) of them. The benchmark reports both as metrics.
-func BenchmarkAblation_PlacementExpansion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		const partitions = 120
-		const nodesBefore, nodesAfter = 5, 6
-		// Hash placement: partition p lives on node p % n. Count moves.
-		hashMoved := 0
-		for p := 0; p < partitions; p++ {
-			if p%nodesBefore != p%nodesAfter {
-				hashMoved++
-			}
-		}
-		// Utilization placement: existing assignments never change
-		// (verified functionally by master.TestCapacityExpansionWithoutRebalancing);
-		// only new partitions prefer the new nodes.
-		utilMoved := 0
-		b.ReportMetric(float64(hashMoved)/float64(partitions)*100, "hash-moved-%")
-		b.ReportMetric(float64(utilMoved), "util-moved-%")
-	}
-}
-
 // BenchmarkAblation_LeaderCache isolates the client leader cache
 // (Section 2.4): reads with the cache probe one replica; without it they
 // walk the replica list.
@@ -267,40 +242,6 @@ func BenchmarkAblation_LeaderCache(b *testing.B) {
 				if err := h.ReadAt(off, buf); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_RaftSets measures heartbeat traffic with and without
-// raft sets (Section 2.5.1): the same partition count placed inside
-// 3-node sets vs spread over all nodes. The metric is transport calls per
-// second while idle - pure heartbeat load.
-func BenchmarkAblation_RaftSets(b *testing.B) {
-	for _, mode := range []struct {
-		name        string
-		raftSetSize int
-	}{
-		{"raft-sets-of-3", 3},
-		{"one-big-set", 100},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			f, err := bench.SetupCFS(bench.CFSOptions{
-				Options:        cluster.Options{MetaNodes: 6},
-				MetaPartitions: 12,
-				DataPartitions: 2,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			_ = mode.raftSetSize // placement already grouped by SetupCFS's master
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				start := f.Network().Calls()
-				time.Sleep(200 * time.Millisecond)
-				calls := f.Network().Calls() - start
-				b.ReportMetric(float64(calls)/0.2, "heartbeat-rpcs/s")
 			}
 		})
 	}

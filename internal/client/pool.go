@@ -7,7 +7,7 @@ import (
 	"cfs/internal/util"
 )
 
-// The write user of the session engine (session.go): one pinned
+// The write user of the session engine (transport.Session): one pinned
 // OpDataWriteStream per partition leader, shared by every ExtentWriter the
 // client opens on that partition - extent creates, appends and small-file
 // writes all multiplex over it. One ack frame completes one in-flight
@@ -30,8 +30,8 @@ func (d *DataClient) writeSession(dp proto.DataPartitionInfo) (*session, error) 
 	return d.pool.get(dp.PartitionID, sessionPin{addr: dp.Members[0], epoch: dp.ReplicaEpoch, pid: dp.PartitionID})
 }
 
-// reply implements request: the one ack a packet gets.
-func (sp *streamPkt) reply(ack *proto.Packet) (bool, error) {
+// Reply implements transport.Request: the one ack a packet gets.
+func (sp *streamPkt) Reply(ack *proto.Packet) (bool, error) {
 	sp.w.handleAck(sp, ack)
 	if ack.ResultCode == proto.ResultErrAborted {
 		// Fail fast and let every writer on the session replay.
@@ -40,9 +40,9 @@ func (sp *streamPkt) reply(ack *proto.Packet) (bool, error) {
 	return true, nil
 }
 
-// abort implements request: the session died under the writer (transport
+// Abort implements transport.Request: the session died under the writer (transport
 // error, ack deadline, server abort). The packet stays in the writer's
 // window so Drain reports it for replay; packets whose acks were lost are
 // over-reported as uncommitted, which is safe - the old extent's copy
 // just becomes unreferenced bytes.
-func (sp *streamPkt) abort(err error) { sp.w.fail(err) }
+func (sp *streamPkt) Abort(err error) { sp.w.fail(err) }

@@ -157,7 +157,7 @@ func (r *ExtentReader) beginRun(ek proto.ExtentKey, off uint64) {
 // ensureSession binds the run to a pooled read session on the current
 // candidate replica, resolving the partition's epoch from the view.
 func (r *ExtentReader) ensureSession() error {
-	if r.sess != nil && r.sess.healthy() {
+	if r.sess != nil && r.sess.Err() == nil {
 		return nil
 	}
 	dp, err := r.d.partitionInfo(r.pid)
@@ -197,7 +197,7 @@ func (r *ExtentReader) ensureSession() error {
 // the known-contiguous limit.
 func (r *ExtentReader) fill(needEnd uint64) error {
 	packet := uint64(r.d.cfg.PacketSize)
-	depth := streamDepth(r.win, r.sess.rtt())
+	depth := streamDepth(r.win, r.sess.RTT())
 	target := needEnd
 	if r.seqRun {
 		if ahead := r.consumed + uint64(depth)*packet; ahead > target {
@@ -241,7 +241,7 @@ func (r *ExtentReader) fillNext(depth int) {
 	if r.nextFront >= r.nextKnown {
 		return
 	}
-	if r.nextSess == nil || !r.nextSess.healthy() {
+	if r.nextSess == nil || r.nextSess.Err() != nil {
 		if !r.bindNextSession() {
 			r.dropNext()
 			return

@@ -469,7 +469,7 @@ func TestReadDepthCoversMemoryRTT(t *testing.T) {
 		t.Fatal("read content mismatch")
 	}
 	if most != win {
-		t.Fatalf("at most %d requests in flight at 1 ms, want ReadWindow %d (least RTT %v)", most, win, r.sess.rtt())
+		t.Fatalf("at most %d requests in flight at 1 ms, want ReadWindow %d (least RTT %v)", most, win, r.sess.RTT())
 	}
 }
 
@@ -511,7 +511,7 @@ func TestReadDepthFloorOnLoopback(t *testing.T) {
 			t.Fatalf("probe read at %d = %d, %v", at, n, err)
 		}
 		streak++
-		if r.sess.rtt() > depthFloor*packetTime {
+		if r.sess.RTT() > depthFloor*packetTime {
 			streak = 0
 		}
 	}
@@ -520,9 +520,9 @@ func TestReadDepthFloorOnLoopback(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("read content mismatch")
 	}
-	t.Logf("least RTT %v, at most %d requests in flight", r.sess.rtt(), most)
+	t.Logf("least RTT %v, at most %d requests in flight", r.sess.RTT(), most)
 	if most > depthFloor {
-		t.Fatalf("%d requests in flight on loopback, want at most depthFloor %d (least RTT %v)", most, depthFloor, r.sess.rtt())
+		t.Fatalf("%d requests in flight on loopback, want at most depthFloor %d (least RTT %v)", most, depthFloor, r.sess.RTT())
 	}
 }
 
@@ -553,7 +553,7 @@ func BenchmarkSequentialReadLoopback(b *testing.B) {
 			if n, err := r.ReadAt(ek, off, buf, known); err != nil || n != len(buf) {
 				b.Fatalf("read at %d = %d, %v", off, n, err)
 			}
-			depths += streamDepth(r.win, r.sess.rtt())
+			depths += streamDepth(r.win, r.sess.RTT())
 			calls++
 		}
 		r.Close()

@@ -3,6 +3,7 @@ package client
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cfs/internal/proto"
@@ -10,7 +11,7 @@ import (
 	"cfs/internal/util"
 )
 
-// The read user of the session engine (session.go): one pinned
+// The read user of the session engine (transport.Session): one pinned
 // OpDataReadStream per (replica address, replica epoch), shared by every
 // ExtentReader the client points at that replica and kept SEPARATE from
 // the write sessions, so a large scan's chunk stream can never
@@ -37,11 +38,18 @@ type readReq struct {
 	err    error
 	done   chan struct{}
 
-	// Guarded by the session mutex: the chunk-buffer ownership handoff for
-	// requests abandoned before completion (reader reset/failover).
-	completed bool
-	discarded bool
+	// fate hands the chunk buffers of a request abandoned before it
+	// completed (reader reset/failover) to whichever of complete and
+	// abandon comes second: inFlight until one of them claims it.
+	fate atomic.Int32
 }
+
+// readReq fates.
+const (
+	inFlight int32 = iota
+	completed
+	discarded
+)
 
 // read pushes one request onto s, carrying acked, the overwrite version
 // the client was acked for the extent (DataClient.ackedVersion). The
@@ -49,17 +57,14 @@ type readReq struct {
 // reply arrives, or when the session fails.
 func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, epoch, acked uint64) (*readReq, error) {
 	req := &readReq{pool: p, s: s, length: length, done: make(chan struct{})}
-	err := s.send(req, func(seq uint64) *proto.Packet {
-		return &proto.Packet{
-			Op:           proto.OpDataRead,
-			ReqID:        seq,
-			PartitionID:  pid,
-			ExtentID:     extentID,
-			ExtentOffset: off,
-			FileOffset:   uint64(length), // requested length rides the slot
-			Committed:    acked,
-			Epoch:        epoch,
-		}
+	err := s.Send(req, &proto.Packet{
+		Op:           proto.OpDataRead,
+		PartitionID:  pid,
+		ExtentID:     extentID,
+		ExtentOffset: off,
+		FileOffset:   uint64(length), // requested length rides the slot
+		Committed:    acked,
+		Epoch:        epoch,
 	})
 	if err != nil {
 		return nil, err
@@ -67,9 +72,9 @@ func (p *readPool) read(s *session, pid, extentID, off uint64, length uint32, ep
 	return req, nil
 }
 
-// reply implements request: an error reply or the last chunk completes
-// the request; a data chunk before that just accumulates.
-func (req *readReq) reply(f *proto.Packet) (bool, error) {
+// Reply implements transport.Request: an error reply or the last chunk
+// completes the request; a data chunk before that just accumulates.
+func (req *readReq) Reply(f *proto.Packet) (bool, error) {
 	addr := req.s.pin.addr
 	switch {
 	case f.ResultCode == proto.ResultErrStaleEpoch:
@@ -105,36 +110,32 @@ func (req *readReq) reply(f *proto.Packet) (bool, error) {
 	return true, nil
 }
 
-// abort implements request: the session died with the request in flight.
-func (req *readReq) abort(err error) {
+// Abort implements transport.Request: the session died with the request
+// in flight.
+func (req *readReq) Abort(err error) {
 	if req.err == nil {
 		req.err = err
 	}
 	req.complete()
 }
 
-// complete wakes the waiter; the session mutex is held. Chunks of
-// requests nobody waits for anymore go back to the pool here - the only
-// point where both sides' state is visible.
+// complete wakes the waiter. Chunks of a request nobody waits for
+// anymore go back to the pool here; the fate is settled before done
+// closes, so a waiter that wakes finds the request completed.
 func (req *readReq) complete() {
-	req.completed = true
-	close(req.done)
-	if req.discarded {
+	if !req.fate.CompareAndSwap(inFlight, completed) {
 		recycleChunks(req)
 	}
+	close(req.done)
 }
 
 // abandon releases a request the reader no longer wants (reset, failover):
 // completed requests recycle immediately, in-flight ones are marked so the
 // dispatcher recycles them on completion.
 func (req *readReq) abandon() {
-	req.s.mu.Lock()
-	if req.completed {
+	if !req.fate.CompareAndSwap(inFlight, discarded) {
 		recycleChunks(req)
-	} else {
-		req.discarded = true
 	}
-	req.s.mu.Unlock()
 }
 
 func recycleChunks(req *readReq) {

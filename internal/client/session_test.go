@@ -14,7 +14,8 @@ import (
 	"cfs/internal/util"
 )
 
-// Cluster-free tests of the session engine (session.go): a scripted fake
+// Cluster-free tests of the session engine (transport.Session) as the
+// client uses it (session.go): a scripted fake
 // packet stream stands in for the data node, and every case runs through
 // BOTH users of the engine - a write session (ExtentWriter frames, one
 // ack each) and a read session (read requests, chunk replies) - so a rule
@@ -30,6 +31,11 @@ type fakeStream struct {
 	// wedge, when set, makes Send block until the stream closes: the
 	// half-open TCP peer whose socket buffer filled up.
 	wedge atomic.Bool
+	// stallNext, when set, makes Send take the next non-keepalive frame
+	// into sent and then block until the stream closes: a sender caught
+	// mid-write, holding the session's send lock, whose frame the test
+	// still sees. Keepalives pass, so the watchdog never stalls itself.
+	stallNext atomic.Bool
 }
 
 func newFakeStream() *fakeStream {
@@ -47,10 +53,14 @@ func (s *fakeStream) Send(p *proto.Packet) error {
 	}
 	select {
 	case s.sent <- p:
-		return nil
 	case <-s.closed:
 		return io.ErrClosedPipe
 	}
+	if p.Op != proto.OpDataPing && s.stallNext.CompareAndSwap(true, false) {
+		<-s.closed
+		return io.ErrClosedPipe
+	}
+	return nil
 }
 
 func (s *fakeStream) Recv() (*proto.Packet, error) {
@@ -233,11 +243,7 @@ func newFakeClient(nw *fakeNet, cfg Config) *DataClient {
 	return d
 }
 
-func sessionErr(s *session) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func sessionErr(s *session) error { return s.Err() }
 
 // waitErr bounds a wait so a liveness bug fails the case, not the run.
 func waitErr(t *testing.T, wait func() error) error {
@@ -337,7 +343,7 @@ func TestSessionEngineReplyClasses(t *testing.T) {
 					checkKind(t, "follow-up request", waitErr(t, wait), nil)
 					return
 				}
-				<-s.recvDone
+				<-s.Done()
 				checkKind(t, "session", sessionErr(s), c.session)
 				if !st.isClosed() {
 					t.Fatal("failed session left its stream open")
@@ -418,11 +424,11 @@ func TestWritesOutlastRecoveryPass(t *testing.T) {
 // to it.
 type countingReq struct{ replies, aborts atomic.Int32 }
 
-func (c *countingReq) reply(*proto.Packet) (bool, error) {
+func (c *countingReq) Reply(*proto.Packet) (bool, error) {
 	c.replies.Add(1)
 	return true, nil
 }
-func (c *countingReq) abort(error) { c.aborts.Add(1) }
+func (c *countingReq) Abort(error) { c.aborts.Add(1) }
 
 // TestSessionEngineLiveness: the liveness and failure-path rules, each
 // through both users.
@@ -479,25 +485,21 @@ func TestSessionEngineLiveness(t *testing.T) {
 			nw := &fakeNet{}
 			d := newEngineClient(nw, 150*time.Millisecond, 10*time.Millisecond)
 			defer d.close()
-			s, err := u.session(d)
-			if err != nil {
-				t.Fatal(err)
-			}
 			wait, err := u.issue(d)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st := nw.stream(0)
-			s.sendMu.Lock() // a sender mid-write, for longer than the deadline
-			for len(st.sent) > 0 {
-				<-st.sent // the request, and any ping sent before the lock
-			}
+			st.nextSent(t) // the request
+			st.stallNext.Store(true)
+			go func() { _, _ = u.issue(d) }() // a sender mid-write, for longer than the deadline
+			// Its frame is the last through sendMu; the keepalives before
+			// it are skipped over here.
+			st.nextSent(t)
 			// A watchdog that blocked on sendMu for its ping would never get
 			// to the deadline check.
 			checkKind(t, "request", waitErr(t, wait), util.ErrTimeout)
-			pings := len(st.sent)
-			s.sendMu.Unlock()
-			if pings != 0 {
+			if pings := len(st.sent); pings != 0 {
 				t.Fatalf("%d keepalives went out past a held sendMu", pings)
 			}
 		})
@@ -522,13 +524,13 @@ func TestSessionEngineLiveness(t *testing.T) {
 				}
 			}()
 			select {
-			case <-s.recvDone:
+			case <-s.Done():
 			case <-time.After(5 * time.Second):
 				t.Fatal("idle session never retired")
 			}
 			checkKind(t, "session", sessionErr(s), util.ErrStale)
 			// A dormant user still holding s sees the retriable kind.
-			err = s.send(&countingReq{}, func(seq uint64) *proto.Packet { return &proto.Packet{ReqID: seq} })
+			err = s.Send(&countingReq{}, &proto.Packet{})
 			checkKind(t, "send on the retired session", err, util.ErrStale)
 		})
 
@@ -563,14 +565,14 @@ func TestSessionEngineLiveness(t *testing.T) {
 				waits = append(waits, wait)
 			}
 			counted := &countingReq{}
-			if err := s.send(counted, func(seq uint64) *proto.Packet { return &proto.Packet{ReqID: seq} }); err != nil {
+			if err := s.Send(counted, &proto.Packet{}); err != nil {
 				t.Fatal(err)
 			}
 			nw.stream(0).Close() // the node dies: Recv returns EOF
 			for i, wait := range waits {
 				checkKind(t, fmt.Sprintf("request %d", i), waitErr(t, wait), util.ErrTimeout)
 			}
-			<-s.recvDone
+			<-s.Done()
 			s.shut("closed", util.ErrClosed) // a second fatal event must be a no-op
 			if a, r := counted.aborts.Load(), counted.replies.Load(); a != 1 || r != 0 {
 				t.Fatalf("in-flight request saw %d aborts and %d replies, want exactly 1 abort", a, r)
@@ -606,8 +608,8 @@ func TestSessionEngineLiveness(t *testing.T) {
 					open++
 				}
 			}
-			if open != 1 || !a.healthy() {
-				t.Fatalf("%d of 2 dialed streams left open (winner healthy=%v), want exactly the winner's", open, a.healthy())
+			if open != 1 || a.Err() != nil {
+				t.Fatalf("%d of 2 dialed streams left open (winner failed: %v), want exactly the winner's", open, a.Err())
 			}
 		})
 	}
@@ -636,7 +638,7 @@ func TestSessionEngineKeepaliveRejected(t *testing.T) {
 				t.Fatalf("keepalive frame = %+v", ping)
 			}
 			st.reply(reject(ping.ReqID, proto.ResultErrNotLeader))
-			<-s.recvDone
+			<-s.Done()
 			checkKind(t, "session", sessionErr(s), util.ErrTimeout)
 		})
 	}
@@ -658,7 +660,7 @@ func TestSessionEngineLeastRTT(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seed := s.rtt()
+			seed := s.RTT()
 			if seed < dial/2 {
 				t.Fatalf("dial seed %v, want about the %v handshake", seed, dial)
 			}
@@ -675,7 +677,7 @@ func TestSessionEngineLeastRTT(t *testing.T) {
 			if err := waitErr(t, wait); err != nil {
 				t.Fatal(err)
 			}
-			if got := s.rtt(); got != seed {
+			if got := s.RTT(); got != seed {
 				t.Fatalf("least RTT %v after a %v request, want the %v handshake still", got, 2*dial, seed)
 			}
 			var ping *proto.Packet
@@ -688,9 +690,9 @@ func TestSessionEngineLeastRTT(t *testing.T) {
 				t.Fatalf("keepalive frame = %+v", ping)
 			}
 			st.reply(&proto.Packet{ReqID: ping.ReqID})
-			for deadline := time.Now().Add(5 * time.Second); s.rtt() >= seed; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(5 * time.Second); s.RTT() >= seed; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
-					t.Fatalf("least RTT %v after a keepalive answered at once, want under the %v handshake", s.rtt(), seed)
+					t.Fatalf("least RTT %v after a keepalive answered at once, want under the %v handshake", s.RTT(), seed)
 				}
 			}
 		})

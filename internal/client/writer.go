@@ -103,13 +103,10 @@ func (w *ExtentWriter) Partition() proto.DataPartitionInfo { return w.dp }
 func (w *ExtentWriter) createExtent() error {
 	sp := &streamPkt{w: w, create: true}
 	w.register(sp)
-	if err := w.send(sp, func(seq uint64) *proto.Packet {
-		return &proto.Packet{
-			Op:          proto.OpDataCreateExtent,
-			ReqID:       seq,
-			PartitionID: w.dp.PartitionID,
-			Epoch:       w.dp.ReplicaEpoch,
-		}
+	if err := w.send(sp, &proto.Packet{
+		Op:          proto.OpDataCreateExtent,
+		PartitionID: w.dp.PartitionID,
+		Epoch:       w.dp.ReplicaEpoch,
 	}); err != nil {
 		return err
 	}
@@ -129,8 +126,8 @@ func (w *ExtentWriter) register(sp *streamPkt) {
 }
 
 // send pushes sp's frame through the session.
-func (w *ExtentWriter) send(sp *streamPkt, build func(seq uint64) *proto.Packet) error {
-	err := w.sess.send(sp, build)
+func (w *ExtentWriter) send(sp *streamPkt, pkt *proto.Packet) error {
+	err := w.sess.Send(sp, pkt)
 	if err != nil {
 		w.fail(err)
 	}
@@ -158,17 +155,14 @@ func (w *ExtentWriter) Write(fileOff uint64, data []byte) (int, error) {
 		// as a PendingWrite for replay - reporting it unwritten too would
 		// make the caller send the same range twice.
 		written = end
-		if err := w.send(sp, func(seq uint64) *proto.Packet {
-			return &proto.Packet{
-				Op:          proto.OpDataAppend,
-				ReqID:       seq,
-				PartitionID: w.dp.PartitionID,
-				ExtentID:    w.extentID(),
-				FileOffset:  sp.fileOff,
-				Epoch:       w.dp.ReplicaEpoch,
-				CRC:         sp.crc,
-				Data:        chunk,
-			}
+		if err := w.send(sp, &proto.Packet{
+			Op:          proto.OpDataAppend,
+			PartitionID: w.dp.PartitionID,
+			ExtentID:    w.extentID(),
+			FileOffset:  sp.fileOff,
+			Epoch:       w.dp.ReplicaEpoch,
+			CRC:         sp.crc,
+			Data:        chunk,
 		}); err != nil {
 			return written, err
 		}
@@ -185,16 +179,13 @@ func (w *ExtentWriter) WriteSmall(fileOff uint64, data []byte) error {
 	chunk := append([]byte(nil), data...)
 	sp := &streamPkt{w: w, fileOff: fileOff, data: chunk, crc: util.CRC(chunk)}
 	w.register(sp)
-	return w.send(sp, func(seq uint64) *proto.Packet {
-		return &proto.Packet{
-			Op:          proto.OpDataAppend,
-			ReqID:       seq,
-			PartitionID: w.dp.PartitionID,
-			FileOffset:  fileOff,
-			Epoch:       w.dp.ReplicaEpoch,
-			CRC:         sp.crc,
-			Data:        chunk,
-		}
+	return w.send(sp, &proto.Packet{
+		Op:          proto.OpDataAppend,
+		PartitionID: w.dp.PartitionID,
+		FileOffset:  fileOff,
+		Epoch:       w.dp.ReplicaEpoch,
+		CRC:         sp.crc,
+		Data:        chunk,
 	})
 }
 
@@ -202,7 +193,7 @@ func (w *ExtentWriter) WriteSmall(fileOff uint64, data []byte) error {
 func (w *ExtentWriter) waitWindow() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.err == nil && len(w.pending) >= streamDepth(w.win, w.sess.rtt()) {
+	for w.err == nil && len(w.pending) >= streamDepth(w.win, w.sess.RTT()) {
 		w.cond.Wait()
 	}
 	return w.err

@@ -253,7 +253,7 @@ func TestWriteDepthCoversMemoryRTT(t *testing.T) {
 	defer w.Close()
 	win := c.Data.cfg.WriteWindow
 	if most := writeSequential(t, w, 0, patterned(2*win*util.DefaultPacketSize, 3)); most != win {
-		t.Fatalf("at most %d packets in flight at 1 ms, want WriteWindow %d (least RTT %v)", most, win, w.sess.rtt())
+		t.Fatalf("at most %d packets in flight at 1 ms, want WriteWindow %d (least RTT %v)", most, win, w.sess.RTT())
 	}
 }
 
@@ -285,7 +285,7 @@ func TestWriteDepthFloorOnLoopback(t *testing.T) {
 	defer w.Close()
 	probe := patterned(4*util.KB, 4)
 	off := uint64(0)
-	for i := 0; i < 200 && w.sess.rtt() > depthFloor*packetTime; i++ {
+	for i := 0; i < 200 && w.sess.RTT() > depthFloor*packetTime; i++ {
 		if _, err := w.Write(off, probe); err != nil {
 			t.Fatal(err)
 		}
@@ -295,13 +295,13 @@ func TestWriteDepthFloorOnLoopback(t *testing.T) {
 		off += uint64(len(probe))
 	}
 	win := c.Data.cfg.WriteWindow
-	want := streamDepth(win, w.sess.rtt())
+	want := streamDepth(win, w.sess.RTT())
 	if want >= win {
-		t.Fatalf("least round trip %v on loopback gives the whole WriteWindow %d", w.sess.rtt(), win)
+		t.Fatalf("least round trip %v on loopback gives the whole WriteWindow %d", w.sess.RTT(), win)
 	}
 	most := writeSequential(t, w, off, patterned(16*util.DefaultPacketSize, 5))
-	t.Logf("least RTT %v, depth %d, at most %d packets in flight", w.sess.rtt(), want, most)
+	t.Logf("least RTT %v, depth %d, at most %d packets in flight", w.sess.RTT(), want, most)
 	if most > want {
-		t.Fatalf("%d packets in flight on loopback, want at most %d (least RTT %v)", most, want, w.sess.rtt())
+		t.Fatalf("%d packets in flight on loopback, want at most %d (least RTT %v)", most, want, w.sess.RTT())
 	}
 }

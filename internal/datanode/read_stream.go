@@ -31,10 +31,10 @@ import (
 // falls back to another replica. Error containment is per-request: a clamp refusal, an unknown
 // extent, or a stale client epoch fails only that request's reply; the
 // session and later requests are unaffected. The session dies only with
-// its transport - or with its client: a watchdog closes sessions whose
-// client has been silent past the idle timeout (clients ping idle
-// sessions, so silence means the client is gone, exactly like the write
-// session's rule).
+// its transport - or with its client: the idle reaper the write session
+// shares closes sessions whose client has been silent past the idle
+// timeout (clients ping idle sessions, so silence means the client is
+// gone).
 //
 // Read sessions are deliberately SEPARATE from write sessions: a large
 // scan streams its chunks over its own transport stream, so it can never
@@ -56,26 +56,21 @@ const maxStreamReadLen = 8 * util.MB
 const readaheadFrames = 4
 
 type readSession struct {
-	d  *DataNode
-	cs transport.PacketStream
-
-	mu         sync.Mutex
-	lastClient time.Time // last frame received from the client
-	closed     bool
+	d    *DataNode
+	cs   transport.PacketStream
+	idle *time.Timer // reapIdle
 
 	reqc  chan *proto.Packet // recv loop -> producer (request FIFO)
 	sendc chan *proto.Packet // producer -> sender (readahead window)
 
-	stopc chan struct{}
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 func newReadSession(d *DataNode, cs transport.PacketStream) *readSession {
 	return &readSession{
-		d: d, cs: cs, lastClient: time.Now(),
+		d: d, cs: cs, idle: d.reapIdle(cs),
 		reqc:  make(chan *proto.Packet, 32),
 		sendc: make(chan *proto.Packet, readaheadFrames),
-		stopc: make(chan struct{}),
 	}
 }
 
@@ -85,14 +80,13 @@ func newReadSession(d *DataNode, cs transport.PacketStream) *readSession {
 // construction while store and wire latencies overlap.
 //
 // Teardown is a cascade with no circular wait: the transport dying (or
-// the watchdog closing it) errors Recv, closing reqc ends the producer,
+// the idle reaper closing it) errors Recv, closing reqc ends the producer,
 // closing sendc ends the sender; a sender wedged against a half-open
-// client is unblocked by the same watchdog Close, after which its
+// client is unblocked by the same reaper Close, after which its
 // remaining Sends fail fast (Send releases each frame's payload either
 // way, so drained frames cannot leak pool buffers).
 func (s *readSession) run() {
-	s.wg.Add(3)
-	go s.runWatchdog()
+	s.wg.Add(2)
 	go s.runProducer()
 	go s.runSender()
 	for {
@@ -100,17 +94,12 @@ func (s *readSession) run() {
 		if err != nil {
 			break
 		}
-		s.mu.Lock()
-		s.lastClient = time.Now()
-		s.mu.Unlock()
+		s.idle.Reset(s.d.idleTimeout)
 		s.reqc <- pkt
 	}
 	close(s.reqc)
-	close(s.stopc)
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
 	s.wg.Wait()
+	s.idle.Stop()
 	s.cs.Close()
 }
 
@@ -132,39 +121,6 @@ func (s *readSession) runSender() {
 	defer s.wg.Done()
 	for pkt := range s.sendc {
 		_ = s.cs.Send(pkt)
-	}
-}
-
-// runWatchdog reaps sessions whose client went silent: a live client pings
-// at least every keepalive interval even while idle, so a frame gap of
-// idleTimeout means the client is gone and holding the stream (and this
-// goroutine) open would leak both. Closing our end also unblocks a serve
-// loop wedged in Send against a half-open client.
-func (s *readSession) runWatchdog() {
-	defer s.wg.Done()
-	tick := s.d.keepalive / 2
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopc:
-			return
-		case <-t.C:
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		dead := time.Since(s.lastClient) > s.d.idleTimeout
-		s.mu.Unlock()
-		if dead {
-			s.cs.Close()
-			return
-		}
 	}
 }
 

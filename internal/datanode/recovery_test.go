@@ -194,30 +194,53 @@ func TestFollowerHangTripsAckDeadline(t *testing.T) {
 
 // TestIdleSessionReaped: a client that vanishes without closing its
 // session (half-open client) is reaped by the server's idle timeout
-// instead of leaking the session goroutines forever. The reap is
-// observable from outside: the server closes its end, so the client's
-// Recv unblocks with an error.
+// instead of leaking the session goroutines forever - on either stream
+// server, which share the one reaper. The reap is observable from
+// outside: the server closes its end, so the client's Recv unblocks with
+// an error.
 func TestIdleSessionReaped(t *testing.T) {
-	tc := startClusterCfg(t, 1, func(i int, cfg *Config) {
-		cfg.SessionIdleTimeout = 100 * time.Millisecond
-		cfg.KeepaliveInterval = 25 * time.Millisecond
-	})
-	tc.createPartition(t, 100)
-	st := tc.openWriteStream(t)
-	streamCreateExtent(t, st, 100)
+	for _, c := range []struct {
+		name string
+		open func(tc *testCluster, t *testing.T) transport.PacketStream
+	}{
+		{"write", func(tc *testCluster, t *testing.T) transport.PacketStream {
+			st := tc.openWriteStream(t)
+			streamCreateExtent(t, st, 100)
+			return st
+		}},
+		{"read", func(tc *testCluster, t *testing.T) transport.PacketStream {
+			st := tc.openReadStream(t, tc.leaderAddr())
+			if err := st.Send(&proto.Packet{Op: proto.OpDataPing, ReqID: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if ack, err := st.Recv(); err != nil || ack.ReqID != 1 || ack.ResultCode != proto.ResultOK {
+				t.Fatalf("read session ping = %+v, %v", ack, err)
+			}
+			return st
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := startClusterCfg(t, 1, func(i int, cfg *Config) {
+				cfg.SessionIdleTimeout = 100 * time.Millisecond
+				cfg.KeepaliveInterval = 25 * time.Millisecond
+			})
+			tc.createPartition(t, 100)
+			st := c.open(tc, t)
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := st.Recv()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Recv returned a frame, want the server-side close")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("idle session was never reaped")
+			done := make(chan error, 1)
+			go func() {
+				_, err := st.Recv()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("Recv returned a frame, want the server-side close")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("idle session was never reaped")
+			}
+		})
 	}
 }
 
@@ -545,5 +568,69 @@ func TestDeposedLeaderRecoverAborts(t *testing.T) {
 	}
 	if got := lp.CommittedOf(eid); got != 4 {
 		t.Fatalf("deposed leader promoted committed to %d, want 4", got)
+	}
+}
+
+// TestIdleChainsNeverRetire: a leader's forward chains are sessions of the
+// engine the client rides, whose idle retire would fail a chain after 12
+// keepalive intervals without a write and report a healthy follower to
+// the master. A write session held quiet for 20 intervals reports nobody,
+// binds no write slot on a follower (the chains' keepalives are
+// hop-marked), and its next append commits on every replica.
+func TestIdleChainsNeverRetire(t *testing.T) {
+	const keepalive = 5 * time.Millisecond
+	tc := startClusterCfg(t, 3, func(i int, cfg *Config) { cfg.KeepaliveInterval = keepalive })
+	tc.createPartition(t, 100)
+	st := tc.openWriteStream(t)
+	eid := streamCreateExtent(t, st, 100) // opens the chains
+
+	time.Sleep(20 * keepalive)
+	for _, dn := range tc.nodes[1:] {
+		p := dn.Partition(100)
+		p.mu.Lock()
+		live := p.liveSessions
+		p.mu.Unlock()
+		if live != 0 {
+			t.Fatalf("follower %s holds %d write slots: a chain keepalive reached its client path", dn.addr, live)
+		}
+	}
+	data := []byte("after the quiet spell")
+	if err := st.Send(streamAppendPkt(2, 100, eid, data)); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := st.Recv(); err != nil || ack.ReqID != 2 || ack.ResultCode != proto.ResultOK {
+		t.Fatalf("append after %v idle = %+v, %v", 20*keepalive, ack, err)
+	}
+	for _, addr := range tc.addrs {
+		if got := tc.readEventually(t, addr, 100, eid, 0, uint32(len(data))); string(got) != string(data) {
+			t.Fatalf("replica %s serves %q, want %q", addr, got, data)
+		}
+	}
+	select {
+	case r := <-startedMasterFailures(tc):
+		t.Fatalf("an idle session reported %s failed", r.Addr)
+	default:
+	}
+}
+
+// TestIdleChainReportsDeadFollower: a follower killed under an idle write
+// session is reported to the master by the chain alone - the follower's
+// end of the stream dies with it - without the client writing again.
+func TestIdleChainReportsDeadFollower(t *testing.T) {
+	tc := startClusterCfg(t, 3, func(i int, cfg *Config) {
+		cfg.KeepaliveInterval = 5 * time.Millisecond
+	})
+	tc.createPartition(t, 100)
+	st := tc.openWriteStream(t)
+	streamCreateExtent(t, st, 100) // opens the chains
+
+	tc.nodes[2].Close()
+	select {
+	case r := <-startedMasterFailures(tc):
+		if r.Addr != tc.addrs[2] {
+			t.Fatalf("master was told %s failed; only %s did", r.Addr, tc.addrs[2])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the follower killed under an idle session was never reported")
 	}
 }

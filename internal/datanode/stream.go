@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cfs/internal/proto"
@@ -34,13 +35,18 @@ import (
 //     ResultErrAborted, because the all-replica guarantee can no longer be
 //     met for any of them.
 //
-// Liveness is first-class, not an afterthought: a per-session watchdog
-// enforces an ack deadline on every forward chain (a follower that stops
-// acking without closing - the TCP half-open case - trips the deadline and
-// converts into the abort path above instead of wedging the window), sends
-// OpDataPing keepalives down idle chains so a dead follower is noticed
-// before the next write blocks on it, and closes sessions whose client has
-// gone silent past the idle timeout so half-open clients cannot leak
+// The leader is a client of its followers here: each forward chain - the
+// pinned stream to one follower - is a session of the engine the client
+// rides (transport.Session). A hop registers in the chain's FIFO when it
+// is written, so the follower's in-order ack is matched at the FIFO head
+// and credited to its window entry; the engine's reply deadline converts a
+// follower that stops acking without closing (the TCP half-open case)
+// into the abort path above instead of wedging the window, and its
+// keepalives - hop-marked, so a follower never takes them for a client -
+// notice a dead follower before the next write blocks on it. A chain
+// never retires itself when idle: its failure is reported to the master.
+// Both stream servers close a session whose client has gone silent past
+// the idle timeout (reapIdle), so half-open clients cannot leak
 // sessions. Committed offsets are gossiped to followers - piggybacked on
 // every forward hop and broadcast with OpDataCommitted when the window
 // drains - so followers enforce the Section 2.2.5 read clamp themselves.
@@ -60,6 +66,19 @@ func (d *DataNode) handleStream(op uint8, cs transport.PacketStream) {
 	}
 }
 
+// reapIdle is the one idle rule of both stream servers: the timer it
+// returns closes the client's stream once the client has sent nothing for
+// the idle timeout, and each frame received restarts it (Reset). Silence
+// alone is the signal - a live client pings at least every keepalive
+// interval, even while its window waits on replies - so gating it on an
+// empty window would be self-defeating: a client that dies mid-window
+// blocks the server's reply send, the one thing that empties the window.
+// Closing the stream ends the session's receive loop, which tears the
+// session down, and unblocks a send wedged against a half-open client.
+func (d *DataNode) reapIdle(cs transport.PacketStream) *time.Timer {
+	return time.AfterFunc(d.idleTimeout, func() { cs.Close() })
+}
+
 // repEntry is one in-flight packet of a replication session's window.
 type repEntry struct {
 	seq      uint64
@@ -67,34 +86,74 @@ type repEntry struct {
 	extentID uint64
 	offset   uint64 // extent offset assigned by the leader's local apply
 	length   uint64
-	acks     int   // follower acks collected so far
-	code     uint8 // proto.ResultOK until an error claims the entry
+	acks     atomic.Int32 // follower acks credited so far
+	code     uint8        // proto.ResultOK until an error claims the entry
 	msg      string
 }
 
-// ctrlSeqBase keeps leader-originated control frames (pings, committed
-// broadcasts) out of the client's sequence space; clients count up from 1.
-const ctrlSeqBase = uint64(1) << 62
+// Reply implements transport.Request for the entry's hop on one forward
+// chain: an OK ack credits the follower, a refusal fails the chain - and
+// through its Failed hook the session. It runs under the chain's engine
+// mutex, so the commit it may enable runs later, from the chain's Replied
+// hook (commitReady can block on the client's stream).
+func (e *repEntry) Reply(ack *proto.Packet) (bool, error) {
+	if err := hopRefusal(ack); err != nil {
+		return true, err
+	}
+	e.acks.Add(1)
+	return true, nil
+}
 
-// fwdChain is the pinned stream from the leader to one follower.
-type fwdChain struct {
+// Abort implements transport.Request: a chain that dies aborts the whole
+// window through followerFailed, so one entry has nothing to add.
+func (e *repEntry) Abort(error) {}
+
+// gossipReq is the request a committed-offset broadcast rides down a
+// chain: nothing waits for its ack, but a refusal fails the chain like a
+// refused hop.
+type gossipReq struct{}
+
+func (gossipReq) Reply(ack *proto.Packet) (bool, error) { return true, hopRefusal(ack) }
+func (gossipReq) Abort(error)                           {}
+
+// hopRefusal is what a follower's ack says about the chain: nil for OK,
+// else the error that fails it. A stale-epoch refusal means the follower
+// holds a newer replica epoch - this leader is the stale party, not the
+// follower (followerFailed reports nobody for it).
+func hopRefusal(ack *proto.Packet) error {
+	switch ack.ResultCode {
+	case proto.ResultOK:
+		return nil
+	case proto.ResultErrStaleEpoch:
+		return fmt.Errorf("replication refused: %s: %w", ack.Data, util.ErrStaleEpoch)
+	default:
+		return fmt.Errorf("replication rejected: %s", ack.Data)
+	}
+}
+
+// chain is the leader's forward path to one follower: an engine session
+// and the sender that feeds it. out is buffered so the fan-out to the
+// followers runs in parallel; a full out blocks the receive loop, which
+// is follower backpressure. It holds 64 hops, four full client write
+// windows (WriteWindow 16), so only a follower that falls behind blocks
+// the leader.
+type chain struct {
 	addr string
-	st   transport.PacketStream
-	out  chan *proto.Packet // data hops, forwarded by the receive loop
-	ctrl chan *proto.Packet // pings + committed broadcasts, best-effort
-	// inFlight holds the window entries awaiting this follower's ack.
-	// Data hops are registered by the receive loop before they enter out;
-	// control frames are registered by the sender at write time, so the
-	// two orders can interleave - acks are matched by sequence, not
-	// position. Guarded by the session mutex, like the two timestamps.
-	inFlight []*repEntry
-	lastSend time.Time // last frame handed to this chain
-	lastAck  time.Time // last ack received, or the empty->busy transition
+	sess *transport.Session
+	out  chan hop
+}
+
+// hop is one frame for a chain's sender: a data hop with its window
+// entry, or a committed broadcast.
+type hop struct {
+	req transport.Request
+	pkt *proto.Packet
 }
 
 type writeSession struct {
-	d  *DataNode
-	cs transport.PacketStream
+	d    *DataNode
+	cs   transport.PacketStream
+	idle *time.Timer // reapIdle
 
 	// sendMu serializes client-bound acks AND pins their order: a holder
 	// pops committed entries and sends their acks before releasing, so two
@@ -105,54 +164,49 @@ type writeSession struct {
 	mu         sync.Mutex
 	p          *Partition // bound by the first leader packet
 	pending    []*repEntry
-	fwds       []*fwdChain
-	nf         int // follower count, pinned when the chains open
+	chains     []*chain
 	failed     bool
 	failMsg    string
 	closed     bool // client went away; suppress failure escalation
 	chainsOpen bool
 	counted    bool // session holds a liveSessions slot on s.p
-	ctrlSeq    uint64
-	lastClient time.Time // last frame received from the client
-	stopc      chan struct{}
 	wg         sync.WaitGroup
 }
 
 func newWriteSession(d *DataNode, cs transport.PacketStream) *writeSession {
-	return &writeSession{d: d, cs: cs, lastClient: time.Now(), stopc: make(chan struct{})}
+	return &writeSession{d: d, cs: cs, idle: d.reapIdle(cs)}
 }
 
 // run is the session's receive loop; it returns when the client closes its
-// end, the transport fails, or the watchdog declares the client dead.
+// end, the transport fails, or the reaper declares the client dead.
 func (s *writeSession) run() {
-	s.wg.Add(1)
-	go s.runWatchdog()
 	for {
 		pkt, err := s.cs.Recv()
 		if err != nil {
 			break
 		}
-		s.mu.Lock()
-		s.lastClient = time.Now()
-		s.mu.Unlock()
+		s.idle.Reset(s.d.idleTimeout)
 		s.handle(pkt)
 		// The session's reference: handle applied the payload (and any
 		// forward hop took its own references), so the receive side is
 		// done with the buffer.
 		pkt.Release()
 	}
-	close(s.stopc)
+	s.idle.Stop()
 	s.mu.Lock()
 	s.closed = true
-	chains := s.fwds
-	s.fwds = nil
+	chains := s.chains
+	s.chains = nil
 	s.mu.Unlock()
 	s.releaseSlot()
 	for _, c := range chains {
-		close(c.out) // recv loop is done; nobody else sends on out
-		c.st.Close()
+		close(c.out) // recv loop is done; commitReady sees closed
+		c.sess.Close("write session closed", util.ErrClosed)
 	}
 	s.wg.Wait()
+	for _, c := range chains {
+		<-c.sess.Done()
+	}
 	s.cs.Close()
 }
 
@@ -166,90 +220,6 @@ func (s *writeSession) releaseSlot() {
 	s.mu.Unlock()
 	if counted && p != nil {
 		p.sessionEnd()
-	}
-}
-
-// runWatchdog is the session's liveness loop: it trips the per-chain ack
-// deadline, keeps idle chains warm with pings, and closes the session when
-// the client itself goes silent.
-func (s *writeSession) runWatchdog() {
-	defer s.wg.Done()
-	tick := s.d.keepalive / 2
-	if d := s.d.ackDeadline / 4; d < tick {
-		tick = d
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopc:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		var hung string
-		clientDead := false
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		if !s.failed {
-			for _, c := range s.fwds {
-				if len(c.inFlight) > 0 {
-					if now.Sub(c.lastAck) > s.d.ackDeadline {
-						hung = c.addr
-						break
-					}
-				} else if now.Sub(c.lastSend) > s.d.keepalive {
-					// Idle chain: queue a keepalive. The sender stamps the
-					// sequence and registers the entry when it writes the
-					// frame; a full ctrl buffer just skips this round.
-					select {
-					case c.ctrl <- &proto.Packet{
-						Op:          proto.OpDataPing,
-						ResultCode:  resultHopFollower,
-						PartitionID: s.p.ID,
-					}:
-						c.lastSend = now
-					default:
-					}
-				}
-			}
-		}
-		// Silence alone is the signal: a live client pings at least every
-		// keepalive interval even while its window is waiting on acks, so
-		// a frame gap of idleTimeout means the client is gone. Gating this
-		// on an empty window would be self-defeating - a client that dies
-		// mid-window blocks commitReady on the ack send, which is the one
-		// thing that empties the window.
-		if now.Sub(s.lastClient) > s.d.idleTimeout {
-			clientDead = true
-		}
-		s.mu.Unlock()
-		if hung != "" {
-			// Abort from a spawned goroutine: the flush inside
-			// followerFailed sends error acks to the client, which can
-			// block indefinitely if the CLIENT is also hung - and this
-			// watchdog is the only goroutine that can then reap the
-			// client (cs.Close below), which is what unblocks that send.
-			// Duplicate spawns are no-ops (followerFailed is sticky).
-			cause := fmt.Errorf("no ack within %v (half-open replica)", s.d.ackDeadline)
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.followerFailed(hung, cause)
-			}()
-		}
-		if clientDead {
-			// Closing our end unblocks the receive loop, which tears the
-			// session down; a live client would have pinged by now.
-			s.cs.Close()
-			return
-		}
 	}
 }
 
@@ -439,204 +409,81 @@ func (s *writeSession) leaderPacket(p *Partition, pkt *proto.Packet) {
 		return
 	}
 	s.pending = append(s.pending, e)
-	chains := s.fwds
-	now := time.Now()
-	for _, c := range chains {
-		if len(c.inFlight) == 0 {
-			c.lastAck = now // deadline clock starts at empty->busy
-		}
-		c.inFlight = append(c.inFlight, e)
-		c.lastSend = now
-	}
+	chains := s.chains
 	s.mu.Unlock()
 	if len(chains) == 0 {
 		fwd.Release()   // nobody to forward to
 		s.commitReady() // single-replica partition commits immediately
 		return
 	}
-	// One fwd object fans out to every chain and each chain's Send
-	// consumes a reference, so the payload needs len(chains) references
-	// in total; SharePool granted one at build time.
+	// The payload fans out to every chain and each chain's Send consumes a
+	// reference, so it needs len(chains) references in total; SharePool
+	// granted one at build time. Each chain stamps its own sequence, so
+	// every chain but the first gets its own copy of the header, taken
+	// before the first chain's sender may touch fwd.
 	fwd.Retain(int32(len(chains) - 1))
-	for _, c := range chains {
-		c.out <- fwd // buffered; blocking here is follower backpressure
+	for _, c := range chains[1:] {
+		cp := *fwd
+		c.out <- hop{e, &cp} // buffered; blocking here is follower backpressure
 	}
+	chains[0].out <- hop{e, fwd}
 }
 
-// openChains dials the per-follower forward streams and starts their
-// sender/ack-collector goroutine pairs. Returns false (session aborted) if
-// any follower is unreachable.
+// openChains dials one engine session per follower and starts its
+// sender. Returns false (session aborted) if any follower is unreachable.
 func (s *writeSession) openChains(p *Partition) bool {
-	var chains []*fwdChain
+	var chains []*chain
 	for _, addr := range p.followers() {
-		st, err := s.d.nw.DialStream(addr, uint8(proto.OpDataWriteStream))
+		sess, err := transport.DialSession(s.d.nw, addr, uint8(proto.OpDataWriteStream), s.d.ackDeadline, s.d.keepalive, transport.SessionUser{
+			Name: "forward chain",
+			// Hop-marked: an unmarked ping would reach the follower's
+			// client path and bind a liveSessions slot there, which makes
+			// a recovery pass on it answer busy.
+			Ping:    proto.Packet{Op: proto.OpDataPing, ResultCode: resultHopFollower, PartitionID: p.ID},
+			Replied: s.commitReady,
+			Failed:  func(err error) { s.followerFailed(addr, err) },
+		})
 		if err != nil {
-			for _, c := range chains {
-				close(c.out)
-				c.st.Close()
-			}
+			// Report first: closing the chains already open then finds the
+			// session failed, so their hooks accuse nobody.
 			s.followerFailed(addr, err)
+			for _, c := range chains {
+				c.sess.Close("write session aborted", util.ErrClosed)
+			}
 			return false
 		}
-		now := time.Now()
-		chains = append(chains, &fwdChain{
-			addr: addr, st: st,
-			out:      make(chan *proto.Packet, 64),
-			ctrl:     make(chan *proto.Packet, 8),
-			lastSend: now, lastAck: now,
-		})
+		chains = append(chains, &chain{addr: addr, sess: sess, out: make(chan hop, 64)})
 	}
 	s.mu.Lock()
-	s.fwds = chains
-	s.nf = len(chains)
+	s.chains = chains
 	s.mu.Unlock()
 	for _, c := range chains {
-		s.wg.Add(2)
+		s.wg.Add(1)
 		go s.runSender(c)
-		go s.runAckReader(c)
 	}
 	return true
 }
 
-func (s *writeSession) runSender(c *fwdChain) {
+// runSender writes a chain's hops in the order the receive loop queued
+// them. A data hop that cannot be written aborts the session. A committed
+// broadcast is advisory: its failed write decides nothing on its own
+// timing - the next data hop meets the chain's sticky error and aborts
+// deterministically. A failed chain refuses (and releases) every later
+// hop at once, so the receive loop never blocks on a dead chain's buffer.
+func (s *writeSession) runSender(c *chain) {
 	defer s.wg.Done()
-	for {
-		var pkt *proto.Packet
-		ctrl := false
-		select {
-		case p, ok := <-c.out:
-			if !ok {
-				return // session torn down
-			}
-			pkt = p
-		case pkt = <-c.ctrl:
-			// Control frames get their sequence and window entry here, at
-			// write time, so only this goroutine orders the wire.
-			ctrl = true
-			s.mu.Lock()
-			if s.failed || s.closed {
-				s.mu.Unlock()
-				continue
-			}
-			s.ctrlSeq++
-			pkt.ReqID = ctrlSeqBase + s.ctrlSeq
-			if len(c.inFlight) == 0 {
-				c.lastAck = time.Now()
-			}
-			c.inFlight = append(c.inFlight, &repEntry{seq: pkt.ReqID, op: pkt.Op})
-			s.mu.Unlock()
-		}
-		if err := c.st.Send(pkt); err != nil {
-			if ctrl {
-				// Control frames are advisory: a failed ping or gossip
-				// frame must not decide the session's fate on its own
-				// timing (the next DATA frame hits the same transport
-				// error and aborts deterministically, and a half-open
-				// follower is the ack deadline's job - a ping that DID
-				// send but never acks sits in inFlight and trips it).
-				// Deregister the entry so the deadline doesn't count a
-				// frame that never left.
-				s.mu.Lock()
-				for i, e := range c.inFlight {
-					if e.seq == pkt.ReqID {
-						c.inFlight = append(c.inFlight[:i], c.inFlight[i+1:]...)
-						break
-					}
-				}
-				s.mu.Unlock()
-				continue
-			}
+	for h := range c.out {
+		err := c.sess.Send(h.req, h.pkt)
+		if _, gossip := h.req.(gossipReq); err != nil && !gossip {
 			s.followerFailed(c.addr, err)
-			// Keep draining so the receive loop never blocks on a dead
-			// chain's buffer; the session is already aborted. Each queued
-			// frame still holds the reference this chain's Send would have
-			// consumed.
-			for p := range c.out {
-				p.Release()
-			}
-			return
 		}
 	}
-}
-
-func (s *writeSession) runAckReader(c *fwdChain) {
-	defer s.wg.Done()
-	for {
-		ack, err := c.st.Recv()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if !closed {
-				s.followerFailed(c.addr, err)
-			}
-			return
-		}
-		ok := s.followerAck(c, ack)
-		ack.Release() // error text, if any, was copied into the failure message
-		if !ok {
-			return
-		}
-	}
-}
-
-// followerAck credits one follower ack to the matching in-flight entry.
-// Data hops and control frames can be registered in slightly different
-// orders than they hit the wire, so the match is by sequence (normally the
-// head); an unknown sequence on a live session is a protocol violation.
-func (s *writeSession) followerAck(c *fwdChain, ack *proto.Packet) bool {
-	s.mu.Lock()
-	var e *repEntry
-	for i, cand := range c.inFlight {
-		if cand.seq == ack.ReqID {
-			e = cand
-			c.inFlight = append(c.inFlight[:i], c.inFlight[i+1:]...)
-			// Only a MATCHED ack is deadline progress - a peer spraying
-			// unknown sequences must not keep deferring the deadline on a
-			// chain whose real head frame is hung.
-			c.lastAck = time.Now()
-			break
-		}
-	}
-	s.mu.Unlock()
-	if e == nil {
-		// Post-abort stragglers are expected noise; on a live session an
-		// ack that matches nothing in flight is a protocol violation.
-		if !s.isFailed() {
-			s.followerFailed(c.addr, fmt.Errorf("ack for unknown seq %d", ack.ReqID))
-		}
-		return false
-	}
-	if ack.ResultCode == proto.ResultErrStaleEpoch {
-		// The follower holds a newer replica epoch: this leader is the
-		// stale party, not the follower.
-		s.followerFailed(c.addr, fmt.Errorf("replication refused: %s: %w", ack.Data, util.ErrStaleEpoch))
-		return false
-	}
-	if ack.ResultCode != proto.ResultOK {
-		s.followerFailed(c.addr, fmt.Errorf("replication rejected: %s", ack.Data))
-		return false
-	}
-	if e.seq >= ctrlSeqBase {
-		return true // ping/committed keepalive; progress already recorded
-	}
-	s.mu.Lock()
-	e.acks++
-	s.mu.Unlock()
-	s.commitReady()
-	return true
-}
-
-func (s *writeSession) isFailed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
 }
 
 // entryDecided reports whether an entry's fate no longer depends on more
 // follower acks: error-claimed, a keepalive, or all-replica acked.
 func (s *writeSession) entryDecided(e *repEntry) bool {
-	return e.code != proto.ResultOK || e.op == proto.OpDataPing || e.acks >= s.nf
+	return e.code != proto.ResultOK || e.op == proto.OpDataPing || int(e.acks.Load()) >= len(s.chains)
 }
 
 // commitReady pops every leading entry whose fate is decided - all-replica
@@ -670,29 +517,27 @@ func (s *writeSession) commitReady() {
 		}
 		acked = append(acked, ackForEntry(s.p.ID, e))
 	}
-	var gossip []*proto.Packet
-	if len(s.pending) == 0 && len(advanced) > 0 && !s.failed {
+	if len(s.pending) == 0 && !s.failed {
+		// Queued under mu, which run() holds to mark the session closed
+		// before it closes the chains' out channels.
 		for ext := range advanced {
-			gossip = append(gossip, committedHopPacket(s.p.ID, ext, s.p.committedOf(ext), s.p.Epoch(), s.p.ovwAppliedOf(ext)))
+			g := committedHopPacket(s.p.ID, ext, s.p.committedOf(ext), s.p.Epoch(), s.p.ovwAppliedOf(ext))
+			for _, c := range s.chains {
+				cp := *g // each chain stamps its own sequence on the frame
+				select { // best-effort: a full buffer means traffic is
+				case c.out <- hop{gossipReq{}, &cp}: // flowing and piggybacks
+				default: // will carry it anyway
+				}
+			}
 		}
 	}
 	p := s.p
-	chains := s.fwds
 	s.mu.Unlock()
 	if len(advanced) > 0 {
 		// Leader-side committed-snapshot cadence: persist (debounced) as
 		// the window drains, so a leader kill -9 loses at most the
 		// debounce window instead of everything since the last Recover.
 		p.saveCommittedSoon()
-	}
-	for _, g := range gossip {
-		for _, c := range chains {
-			cp := *g // each sender stamps its own sequence on the frame
-			select { // best-effort: a full ctrl buffer means traffic is
-			case c.ctrl <- &cp: // flowing and piggybacks will carry it anyway
-			default:
-			}
-		}
 	}
 	for _, a := range acked {
 		_ = s.cs.Send(a)
@@ -764,16 +609,15 @@ func (s *writeSession) followerFailed(addr string, cause error) {
 		}
 	}
 	p := s.p
-	chains := s.fwds
+	chains := s.chains
 	s.mu.Unlock()
-	// Close every chain stream NOW: a sender wedged inside Send on a
-	// half-open follower only unblocks when its stream dies, and until it
-	// drains its buffer the single-threaded receive loop can be stuck on
-	// `c.out <- fwd` - the teardown in run() would never be reached. The
-	// channels themselves still belong to run(); senders just see their
-	// writes fail and fall into the drain loop.
+	// Fail every chain NOW: a sender wedged inside Send on a half-open
+	// follower only unblocks when its stream dies, and until it drains its
+	// buffer the single-threaded receive loop can be stuck on `c.out <-` -
+	// the teardown in run() would never be reached. The channels still
+	// belong to run(); senders just see every later Send refused.
 	for _, c := range chains {
-		c.st.Close()
+		c.sess.Close("write session aborted", util.ErrClosed)
 	}
 	s.releaseSlot()
 	if p != nil && !stale {

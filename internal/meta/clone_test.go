@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"cfs/internal/proto"
+	"cfs/internal/util"
 )
 
 // Inode ids in the partition cloneFixture builds.
@@ -153,5 +155,30 @@ func TestSnapshotWhileApplying(t *testing.T) {
 		ino := mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir}).(*proto.Inode)
 		mustApply(t, p, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID,
 			Name: fmt.Sprintf("d%d", i), Inode: ino.Inode, DentryType: proto.TypeDir})
+	}
+}
+
+// TestDentryFoundByItsPair: Lookup and UpdateDentry find a dentry by
+// (parent, name) itself (dentryAt), so a lookup boxes no search key - its
+// one allocation is the reply - and an update changes the dentry in the
+// descent that found it, leaving a tree clone's dentry as it was.
+func TestDentryFoundByItsPair(t *testing.T) {
+	p := cloneFixture(t)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Lookup(proto.RootInodeID, "f") }); allocs > 1 {
+		t.Fatalf("Lookup allocates %v times, want only its reply", allocs)
+	}
+	clone := p.dentryTree.Clone()
+	out := mustApply(t, p, &command{Kind: cmdUpdateDentry, ParentID: proto.RootInodeID, Name: "f", Inode: fixtureDir})
+	if old := out.(*proto.UpdateDentryResp).OldInode; old != fixtureFile {
+		t.Fatalf("UpdateDentry reports old inode %d, want %d", old, fixtureFile)
+	}
+	if resp, err := p.Lookup(proto.RootInodeID, "f"); err != nil || resp.Inode != fixtureDir {
+		t.Fatalf("Lookup after the update = %+v, %v, want inode %d", resp, err, fixtureDir)
+	}
+	if d := clone.Find(dentryAt(proto.RootInodeID, "f")).(dentryItem).d; d.Inode != fixtureFile {
+		t.Fatalf("the clone's dentry moved to inode %d, want %d", d.Inode, fixtureFile)
+	}
+	if _, err := p.applyCommand(&command{Kind: cmdUpdateDentry, ParentID: proto.RootInodeID, Name: "g", Inode: fixtureDir}); !errors.Is(err, util.ErrNotFound) {
+		t.Fatalf("UpdateDentry of a missing name = %v, want ErrNotFound", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"strings"
 	"sync"
 
 	"cfs/internal/btree"
@@ -381,6 +382,15 @@ func inodeID(id uint64) func(btree.Item) int {
 	return func(it btree.Item) int { return cmp.Compare(id, it.(inodeItem).ino.Inode) }
 }
 
+// dentryAt finds dentry (parent, name) in the dentry tree (btree.Find,
+// btree.Update) by the pair itself, without boxing a search key.
+func dentryAt(parentID uint64, name string) func(btree.Item) int {
+	return func(it btree.Item) int {
+		d := it.(dentryItem).d
+		return cmp.Or(cmp.Compare(parentID, d.ParentID), strings.Compare(name, d.Name))
+	}
+}
+
 func (p *Partition) getInode(id uint64) *proto.Inode {
 	it := p.inodeTree.Find(inodeID(id))
 	if it == nil {
@@ -533,15 +543,15 @@ func (p *Partition) applyDeleteDentry(c *command) (any, error) {
 }
 
 func (p *Partition) applyUpdateDentry(c *command) (any, error) {
-	key := dentryItem{d: proto.Dentry{ParentID: c.ParentID, Name: c.Name}}
-	it := p.dentryTree.Get(key)
-	if it == nil {
+	var old uint64
+	if p.dentryTree.Update(dentryAt(c.ParentID, c.Name), func(it btree.Item) btree.Item {
+		d := it.(dentryItem).d
+		old = d.Inode
+		d.Inode = c.Inode
+		return dentryItem{d: d}
+	}) == nil {
 		return nil, fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrNotFound)
 	}
-	d := it.(dentryItem).d
-	old := d.Inode
-	d.Inode = c.Inode
-	p.dentryTree.ReplaceOrInsert(dentryItem{d: d})
 	return &proto.UpdateDentryResp{OldInode: old}, nil
 }
 
@@ -608,7 +618,7 @@ func (p *Partition) applySplit(c *command) (any, error) {
 func (p *Partition) Lookup(parentID uint64, name string) (*proto.LookupResp, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	it := p.dentryTree.Get(dentryItem{d: proto.Dentry{ParentID: parentID, Name: name}})
+	it := p.dentryTree.Find(dentryAt(parentID, name))
 	if it == nil {
 		return nil, fmt.Errorf("meta: dentry %d/%q: %w", parentID, name, util.ErrNotFound)
 	}

@@ -7,8 +7,7 @@
 // arrangement CFS adopts from CockroachDB): the shared clock, heartbeat
 // coalescing per node pair, and one pinned stream per peer on which every
 // other message leaves at once. There is nothing to tune but the Raft
-// defaults. The effect is measured by BenchmarkMultiRaft_HeartbeatScaling
-// and BenchmarkAblation_RaftSets.
+// defaults. The effect is measured by BenchmarkMultiRaft_HeartbeatScaling.
 package raftstore
 
 import (
