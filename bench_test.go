@@ -14,8 +14,6 @@ import (
 
 	"cfs/internal/bench"
 	"cfs/internal/client"
-	"cfs/internal/core"
-	"cfs/internal/proto"
 	"cfs/internal/util"
 )
 
@@ -165,88 +163,6 @@ func BenchmarkAblation_AppendRaftVsPrimaryBackup(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_ReaddirBatchVsSingle isolates batchInodeGet (the
-// DirStat win of Section 4.2): the same listing with and without batching.
-func BenchmarkAblation_ReaddirBatchVsSingle(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  client.Config
-	}{
-		{"batch", client.Config{}},
-		{"single", client.Config{DisableBatchInodeGet: true, CacheTTL: -1}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			f, err := bench.SetupCFS(bench.CFSOptions{Client: mode.cfg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			sys, err := f.NewClient()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.MkdirAll("/dir"); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 64; i++ {
-				if err := sys.CreateFile(fmt.Sprintf("/dir/f%03d", i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.ReadDirPlus("/dir"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_LeaderCache isolates the client leader cache
-// (Section 2.4): reads with the cache probe one replica; without it they
-// walk the replica list.
-func BenchmarkAblation_LeaderCache(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		cfg  client.Config
-	}{
-		{"leader-cache", client.Config{}},
-		{"probe-all", client.Config{DisableLeaderCache: true, CacheTTL: -1}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			f, err := bench.SetupCFS(bench.CFSOptions{
-				Client:         mode.cfg,
-				NetworkLatency: 50 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			sys, err := f.NewClient()
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := sys.Create("/read.bin")
-			if err != nil {
-				b.Fatal(err)
-			}
-			data := make([]byte, 512*util.KB)
-			if err := h.WriteAt(0, data); err != nil {
-				b.Fatal(err)
-			}
-			buf := make([]byte, 4*util.KB)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := uint64(i%(len(data)/len(buf))) * uint64(len(buf))
-				if err := h.ReadAt(off, buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMultiRaft_HeartbeatScaling measures the MultiRaft win directly
 // (Section 2.1.2): idle heartbeat wire messages per logical tick on a
 // 3-node cluster as the group count triples twice. Coalescing holds the
@@ -353,75 +269,5 @@ func BenchmarkEndToEnd_CreateWriteReadRemove(b *testing.B) {
 		if err := sys.Remove(p); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Silence unused-import pruning if core/proto stay referenced only in docs.
-var (
-	_ = core.MountOptions{}
-	_ = proto.RootInodeID
-)
-
-// BenchmarkWritePipeline_WindowSweep regenerates the pipelined-append
-// throughput experiment: streaming replication sessions across window
-// sizes, window=1 being stop-and-wait, on a 3-replica cluster (see
-// EXPERIMENTS.md).
-func BenchmarkWritePipeline_WindowSweep(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		table, nums, err := bench.RunWritePipeline(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + table.Render())
-		}
-		b.ReportMetric(nums["stop-and-wait"], "MB/s-stop-and-wait")
-		b.ReportMetric(nums["window=8"], "MB/s-window-8")
-		if nums["stop-and-wait"] > 0 {
-			b.ReportMetric(nums["window=8"]/nums["stop-and-wait"], "speedup-w8")
-		}
-	}
-}
-
-// BenchmarkSmallFileSessions regenerates the session-reuse experiment:
-// pooled small-file writes with dials charged a TCP-style handshake, and
-// the (constant) number of dials they paid (see EXPERIMENTS.md).
-func BenchmarkSmallFileSessions(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		table, nums, err := bench.RunSmallFileSessions(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + table.Render())
-		}
-		b.ReportMetric(nums["pooled"], "files/s-pooled")
-		b.ReportMetric(nums["pooled-dials"], "dials-pooled")
-	}
-}
-
-// BenchmarkReadPipeline_FIOPatterns regenerates the streamed-read
-// experiment: the fio SeqRead/RandRead patterns over pipelined read
-// sessions with follower offload, readahead window 1 (one request per
-// round trip) against the default, with the per-block allocation volume
-// recorded per row (see EXPERIMENTS.md and BENCH_read.json).
-func BenchmarkReadPipeline_FIOPatterns(b *testing.B) {
-	s := benchScale()
-	for i := 0; i < b.N; i++ {
-		table, nums, err := bench.RunReadPipeline(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + table.Render())
-		}
-		b.ReportMetric(nums["SeqRead window=1"], "MB/s-seq-window1")
-		b.ReportMetric(nums["SeqRead streamed(default)"], "MB/s-seq-streamed")
-		if nums["SeqRead window=1"] > 0 {
-			b.ReportMetric(nums["SeqRead streamed(default)"]/nums["SeqRead window=1"], "speedup-seq")
-		}
-		b.ReportMetric(nums["SeqRead streamed(default)-kb"], "allocKB/op-streamed")
 	}
 }

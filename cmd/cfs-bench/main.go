@@ -4,11 +4,11 @@
 //
 // Usage:
 //
-//	cfs-bench [-scale quick|paper] [-transport memory|tcp] [table3|fig6|fig7|fig8|fig9|fig10|pipeline|smallfile|readpipe|heartbeat|reconfig|all]
+//	cfs-bench [-scale quick|paper] [-transport memory|tcp] [table3|fig6|fig7|fig8|fig9|fig10|heartbeat|reconfig|all]
 //
-// -transport applies to the pipeline, readpipe, smallfile and reconfig
-// experiments: "memory" (default) runs the cluster on the in-process
-// network with emulated latency, "tcp" on real loopback sockets.
+// -transport applies to the reconfig experiment: "memory" (default) runs
+// the cluster on the in-process network with emulated latency, "tcp" on
+// real loopback sockets.
 //
 // reconfig measures time-to-full-redundancy after a replica kill: the
 // master detaching the corpse, placing a replacement on a spare node, the
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or paper")
-	transportName := flag.String("transport", "memory", "cluster transport for pipeline/readpipe/smallfile: memory or tcp")
+	transportName := flag.String("transport", "memory", "cluster transport for reconfig: memory or tcp")
 	flag.Parse()
 
 	var scale bench.Scale
@@ -64,18 +64,6 @@ func main() {
 		{"fig8", func(s bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig8(s); return t, err }},
 		{"fig9", func(s bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig9(s); return t, err }},
 		{"fig10", func(s bench.Scale) (*bench.Table, error) { t, _, err := bench.RunFig10(s); return t, err }},
-		{"pipeline", func(s bench.Scale) (*bench.Table, error) {
-			t, _, err := bench.RunWritePipeline(s)
-			return t, err
-		}},
-		{"smallfile", func(s bench.Scale) (*bench.Table, error) {
-			t, _, err := bench.RunSmallFileSessions(s)
-			return t, err
-		}},
-		{"readpipe", func(s bench.Scale) (*bench.Table, error) {
-			t, _, err := bench.RunReadPipeline(s)
-			return t, err
-		}},
 		{"heartbeat", func(s bench.Scale) (*bench.Table, error) {
 			counts := []int{8, 24, 72}
 			if s.MaxProcs >= 64 { // paper scale: push further

@@ -12,19 +12,22 @@ import (
 	"log"
 	"time"
 
-	"cfs/internal/bench"
+	"cfs/internal/cluster"
 	"cfs/internal/core"
 	"cfs/internal/util"
 )
 
 func main() {
-	cluster, err := bench.SetupCFS(bench.CFSOptions{})
+	c, err := cluster.Boot(cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
+	defer c.Close()
+	if _, err := c.CreateVolume("warehouse", 4, 8); err != nil {
+		log.Fatal(err)
+	}
 
-	fs, err := core.Mount(cluster.Network(), "master", "bench", core.MountOptions{})
+	fs, err := core.Mount(c.Net(), c.MasterAddr(), "warehouse", core.MountOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

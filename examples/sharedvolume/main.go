@@ -13,26 +13,29 @@ import (
 	"fmt"
 	"log"
 
-	"cfs/internal/bench"
+	"cfs/internal/cluster"
 	"cfs/internal/core"
 )
 
 func main() {
-	// bench.SetupCFS assembles the same in-process cluster the
-	// experiments use: master + 3 meta nodes + 3 data nodes + volume.
-	cluster, err := bench.SetupCFS(bench.CFSOptions{})
+	// The in-process cluster every example and test boots: a master,
+	// three meta nodes and three data nodes, then one volume.
+	c, err := cluster.Boot(cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
+	defer c.Close()
+	if _, err := c.CreateVolume("shared", 4, 8); err != nil {
+		log.Fatal(err)
+	}
 
 	// Two independent mounts = two containers.
-	c1, err := core.Mount(cluster.Network(), "master", "bench", core.MountOptions{})
+	c1, err := core.Mount(c.Net(), c.MasterAddr(), "shared", core.MountOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer c1.Unmount()
-	c2, err := core.Mount(cluster.Network(), "master", "bench", core.MountOptions{})
+	c2, err := core.Mount(c.Net(), c.MasterAddr(), "shared", core.MountOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -165,100 +165,3 @@ func TestQuickAndPaperScalesSane(t *testing.T) {
 	}
 	_ = time.Microsecond
 }
-
-// TestWritePipelineSpeedup is the headline acceptance check: on the same
-// 3-replica cluster, pipelined appends with window >= 4 must sustain at
-// least 2x the stop-and-wait throughput (and the sweep must be monotone
-// enough that the biggest windows are not slower than window=1).
-func TestWritePipelineSpeedup(t *testing.T) {
-	s := tiny()
-	// Make the RTT decisively the bottleneck: at sub-millisecond latency,
-	// CPU contention from test packages running in parallel can compress
-	// the ratios toward the 2x bar; at 1ms the protocol dominates. The
-	// race detector multiplies per-op CPU cost the same way, so it gets a
-	// wider latency floor for the same reason.
-	s.Latency = time.Millisecond
-	if raceEnabled {
-		s.Latency = 3 * time.Millisecond
-	}
-	_, nums, err := RunWritePipeline(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := nums["stop-and-wait"]
-	if base <= 0 {
-		t.Fatalf("baseline MB/s = %v", base)
-	}
-	for _, label := range []string{"window=4", "window=8", "window=16"} {
-		if nums[label] < 2*base {
-			t.Fatalf("%s = %.1f MB/s, want >= 2x stop-and-wait (%.1f)", label, nums[label], base)
-		}
-	}
-	if nums["window=16"] < nums["window=1"] {
-		t.Fatalf("window=16 (%.1f) slower than window=1 (%.1f)", nums["window=16"], nums["window=1"])
-	}
-}
-
-// TestSmallFileSessionSpeedup is the session-pool acceptance check:
-// small-file writes pay a constant number of stream dials (one session per
-// partition leader plus its forward chains), not three per file. The
-// throughput ratio against fresh-dial-per-file (2.44x) is historical: that
-// path left with the dedicated session (EXPERIMENTS.md).
-func TestSmallFileSessionSpeedup(t *testing.T) {
-	s := tiny()
-	// Matches RunSmallFileSessions' own TCP-style floor; anything lower
-	// would be silently raised to it.
-	s.Latency = 2 * time.Millisecond
-	_, nums, err := RunSmallFileSessions(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nums["pooled"] <= 0 {
-		t.Fatalf("pooled files/s = %v", nums["pooled"])
-	}
-	// 2 partitions x (1 client dial + 2 chain dials); 100 files unpooled
-	// would pay 300.
-	if nums["pooled-dials"] > 6 {
-		t.Fatalf("100 small files paid %.0f stream dials - the pool is not reusing sessions", nums["pooled-dials"])
-	}
-}
-
-// TestReadPipelineSpeedup is the read-path acceptance check, the twin of
-// TestWritePipelineSpeedup: at the Memory transport's modeled propagation
-// delay, streamed sequential reads with window 8 and the default window
-// must sustain at least 2x the window=1 one-request-per-round-trip
-// baseline, and the pooled chunk buffers must keep the per-block
-// allocation volume a fraction of the block.
-func TestReadPipelineSpeedup(t *testing.T) {
-	s := tiny()
-	// Same reasoning as the write test: at sub-millisecond latency CPU
-	// contention compresses the ratios; at 1ms the protocol dominates.
-	// The race detector multiplies per-op CPU cost, so it gets a wider
-	// latency floor for the same reason.
-	s.Latency = time.Millisecond
-	if raceEnabled {
-		s.Latency = 3 * time.Millisecond
-	}
-	_, nums, err := RunReadPipeline(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := nums["SeqRead window=1"]
-	if base <= 0 {
-		t.Fatalf("baseline MB/s = %v", base)
-	}
-	for _, label := range []string{"SeqRead window=8", "SeqRead streamed(default)"} {
-		if nums[label] < 2*base {
-			t.Fatalf("%s = %.1f MB/s, want >= 2x window=1 (%.1f)", label, nums[label], base)
-		}
-	}
-	if nums["RandRead"] <= 0 {
-		t.Fatalf("RandRead MB/s = %v", nums["RandRead"])
-	}
-	// Buffer reuse: a reply allocated per block would cost the full 128 KB
-	// block each time; the streamed path reads into pooled chunks, so its
-	// allocation volume per block must be a fraction of that.
-	if streamed := nums["SeqRead window=8-kb"]; streamed > 64 {
-		t.Fatalf("streamed read allocates %.0f KB per 128 KB block - chunk pooling is not engaging", streamed)
-	}
-}

@@ -125,16 +125,6 @@ type CFSFactory struct {
 // Name implements Factory.
 func (f *CFSFactory) Name() string { return "CFS" }
 
-// Network exposes the underlying memory transport (ablations count calls
-// and inject faults); nil when the cluster runs on TCP.
-func (f *CFSFactory) Network() *transport.Memory { return f.c.Memory() }
-
-// StreamDials counts packet-stream dials on either transport (the
-// session-pool ablation's currency).
-func (f *CFSFactory) StreamDials() uint64 {
-	return f.c.Net().(interface{ Dials() uint64 }).Dials()
-}
-
 // SetupCFS boots a full in-process CFS cluster and creates a volume. The
 // cluster's clock never moves: no heartbeat or maintenance loop runs, so
 // a measurement sees only the work it drives.

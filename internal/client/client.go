@@ -36,25 +36,6 @@ type Config struct {
 	// (Section 2.4). Zero disables background refresh (tests call
 	// Refresh explicitly). Default 0.
 	RefreshInterval time.Duration
-	// DisableBatchInodeGet turns off the batched readdir+stat path
-	// (Section 4.2), degrading to one InodeGet per entry - the
-	// Ceph-style ablation baseline.
-	DisableBatchInodeGet bool
-	// DisableLeaderCache turns off caching of the last identified
-	// leader per partition (Section 2.4), so every read probes the
-	// replicas in order.
-	DisableLeaderCache bool
-	// WriteWindow caps how many packets a streaming writer keeps in
-	// flight before blocking on acks. Below the cap the depth covers the
-	// write session's least round trip, at least 4 packets (streamDepth);
-	// on a fast link that is less than the cap. Default 16; at 1 it is
-	// stop-and-wait over the stream.
-	WriteWindow int
-	// ReadWindow caps how many read requests a streaming reader keeps in
-	// flight ahead of the consumer on a sequential run (the readahead
-	// window), by the same rule over the read session's least round trip.
-	// Default 32; at 1 it is one request at a time over a pinned stream.
-	ReadWindow int
 	// AckDeadline bounds how long a write or read session waits without
 	// any reply progress before declaring itself hung and failing its
 	// users (converting a half-open data node into a replayable error
@@ -70,6 +51,15 @@ type Config struct {
 	// Seed makes partition selection reproducible. Zero derives from
 	// the volume name.
 	Seed uint64
+
+	// disableBatchInodeGet turns off the batched readdir+stat path
+	// (Section 4.2), degrading to one InodeGet per entry - the
+	// Ceph-style ablation baseline. DisableCaches sets it.
+	disableBatchInodeGet bool
+	// disableLeaderCache turns off caching of the last identified
+	// leader per partition (Section 2.4), so every read probes the
+	// replicas in order. DisableCaches sets it.
+	disableLeaderCache bool
 
 	// defaulted tracks whether Mount applied defaults (so zero-value
 	// Config and explicit Config behave identically).
@@ -91,12 +81,6 @@ func (c Config) withDefaults(volume string) Config {
 	}
 	if c.CacheTTL == 0 {
 		c.CacheTTL = 2 * time.Second
-	}
-	if c.WriteWindow < 1 {
-		c.WriteWindow = util.DefaultWriteWindow
-	}
-	if c.ReadWindow < 1 {
-		c.ReadWindow = util.DefaultReadWindow
 	}
 	if c.AckDeadline == 0 {
 		c.AckDeadline = 15 * time.Second
@@ -120,8 +104,8 @@ func (c Config) withDefaults(volume string) Config {
 // and optimization off (ablation baseline).
 func (c Config) DisableCaches() Config {
 	c.CacheTTL = -1
-	c.DisableBatchInodeGet = true
-	c.DisableLeaderCache = true
+	c.disableBatchInodeGet = true
+	c.disableLeaderCache = true
 	return c
 }
 

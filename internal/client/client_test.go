@@ -161,8 +161,7 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults("volname")
 	if cfg.MaxRetries != 3 || cfg.PacketSize != util.DefaultPacketSize ||
 		cfg.SmallFileThreshold != util.DefaultSmallFileThreshold ||
-		cfg.CacheTTL != 2*time.Second || cfg.Seed == 0 ||
-		cfg.WriteWindow != util.DefaultWriteWindow {
+		cfg.CacheTTL != 2*time.Second || cfg.Seed == 0 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
 	// Defaults are idempotent.
@@ -171,7 +170,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("withDefaults not idempotent")
 	}
 	disabled := Config{}.DisableCaches()
-	if !disabled.DisableBatchInodeGet || !disabled.DisableLeaderCache || disabled.CacheTTL >= 0 {
+	if !disabled.disableBatchInodeGet || !disabled.disableLeaderCache || disabled.CacheTTL >= 0 {
 		t.Fatalf("DisableCaches = %+v", disabled)
 	}
 }

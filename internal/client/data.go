@@ -335,7 +335,7 @@ func (d *DataClient) MarkDelete(ek proto.ExtentKey) error {
 }
 
 func (d *DataClient) memberOrder(dp proto.DataPartitionInfo) []string {
-	if d.cfg.DisableLeaderCache {
+	if d.cfg.disableLeaderCache {
 		return dp.Members
 	}
 	d.mu.Lock()
@@ -355,7 +355,7 @@ func (d *DataClient) memberOrder(dp proto.DataPartitionInfo) []string {
 }
 
 func (d *DataClient) cacheLeader(pid uint64, addr string) {
-	if d.cfg.DisableLeaderCache {
+	if d.cfg.disableLeaderCache {
 		return
 	}
 	d.mu.Lock()
@@ -366,7 +366,7 @@ func (d *DataClient) cacheLeader(pid uint64, addr string) {
 // cacheReadReplica remembers the replica that last served a read for pid,
 // without touching the leader cache the overwrite path orders by.
 func (d *DataClient) cacheReadReplica(pid uint64, addr string) {
-	if d.cfg.DisableLeaderCache {
+	if d.cfg.disableLeaderCache {
 		return
 	}
 	d.mu.Lock()
@@ -381,7 +381,7 @@ func (d *DataClient) cacheReadReplica(pid uint64, addr string) {
 // overwrite it has logged, refuses the read itself (the server-side
 // overwrite fence), and the loop falls through to the next candidate.
 func (d *DataClient) readOrder(dp proto.DataPartitionInfo, extent uint64) []string {
-	if d.cfg.DisableLeaderCache {
+	if d.cfg.disableLeaderCache {
 		return dp.Members
 	}
 	d.mu.Lock()

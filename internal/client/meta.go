@@ -133,7 +133,7 @@ func (m *MetaClient) call(mp proto.MetaPartitionInfo, op proto.Op, req, resp any
 		for _, addr := range order {
 			err := m.nw.Call(addr, uint8(op), req, resp)
 			if err == nil {
-				if !m.cfg.DisableLeaderCache {
+				if !m.cfg.disableLeaderCache {
 					m.mu.Lock()
 					m.leader[mp.PartitionID] = addr
 					m.mu.Unlock()
@@ -197,7 +197,7 @@ func (m *MetaClient) refreshedPartition(pid uint64) (proto.MetaPartitionInfo, bo
 
 // memberOrder returns the partition's members with the cached leader first.
 func (m *MetaClient) memberOrder(mp proto.MetaPartitionInfo) []string {
-	if m.cfg.DisableLeaderCache {
+	if m.cfg.disableLeaderCache {
 		return mp.Members
 	}
 	m.mu.Lock()
@@ -451,10 +451,10 @@ func (m *MetaClient) ReadDir(parentID uint64) ([]proto.Dentry, error) {
 
 // BatchInodeGet fetches many inodes with one RPC per owning partition -
 // the readdir optimization behind the paper's DirStat result (Section
-// 4.2). With DisableBatchInodeGet set (the ablation baseline) it
+// 4.2). With disableBatchInodeGet set (the ablation baseline) it
 // degrades to one InodeGet per id, Ceph-style.
 func (m *MetaClient) BatchInodeGet(ids []uint64) ([]*proto.Inode, error) {
-	if m.cfg.DisableBatchInodeGet {
+	if m.cfg.disableBatchInodeGet {
 		out := make([]*proto.Inode, 0, len(ids))
 		for _, id := range ids {
 			ino, err := m.InodeGet(id, false)

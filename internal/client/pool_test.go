@@ -164,31 +164,20 @@ func (s *fakeStream) unsent(t *testing.T, when string) {
 }
 
 // TestWriteWindowBoundsFramesInFlight: with no acks delivered a writer puts
-// exactly WriteWindow frames on the wire and then blocks; each ack admits
-// exactly one more.
+// exactly its window of frames on the wire and then blocks; each ack
+// admits exactly one more.
 func TestWriteWindowBoundsFramesInFlight(t *testing.T) {
 	const window, packet = 4, 8
 	nw := &fakeNet{}
-	d := newFakeClient(nw, Config{WriteWindow: window, PacketSize: packet})
+	d := newFakeClient(nw, Config{PacketSize: packet})
 	defer d.close()
-	opened := make(chan *ExtentWriter)
-	go func() {
-		w, err := d.NewExtentWriter(engineDP)
-		if err != nil {
-			t.Error(err)
+	w, st := openFakeWriter(t, nw, func() (*ExtentWriter, error) {
+		w, err := d.newStreamWriter(engineDP, window)
+		if err == nil {
+			err = w.createExtent()
 		}
-		opened <- w
-	}()
-	st := nw.awaitStream(t, 0)
-	create := st.nextSent(t)
-	if create.Op != proto.OpDataCreateExtent {
-		t.Fatalf("first frame = %+v, want the extent create", create)
-	}
-	st.reply(&proto.Packet{ReqID: create.ReqID, ExtentID: 9})
-	w := <-opened
-	if w == nil {
-		return
-	}
+		return w, err
+	})
 	defer w.Close()
 
 	written := make(chan error, 1)
@@ -229,14 +218,15 @@ func TestWriteWindowBoundsFramesInFlight(t *testing.T) {
 
 // TestReadWindowBoundsRequestsInFlight: a run not yet known to be
 // sequential requests exactly the caller's range; once it is, the reader
-// keeps exactly ReadWindow requests in flight, topping up one per request
-// consumed.
+// keeps exactly its window of requests in flight, topping up one per
+// request consumed.
 func TestReadWindowBoundsRequestsInFlight(t *testing.T) {
 	const window, packet = 3, 8
 	nw := &fakeNet{}
-	d := newFakeClient(nw, Config{ReadWindow: window, PacketSize: packet})
+	d := newFakeClient(nw, Config{PacketSize: packet})
 	defer d.close()
 	r := d.NewExtentReader()
+	r.win = window
 	defer r.Close()
 	ek := proto.ExtentKey{PartitionID: engineDP.PartitionID, ExtentID: 9}
 	const known = 100 * packet
@@ -304,20 +294,44 @@ func TestReadWindowBoundsRequestsInFlight(t *testing.T) {
 	st.unsent(t, "window topped up")
 }
 
-// TestZeroConfigWindows: the two constants a zero Config ships.
-func TestZeroConfigWindows(t *testing.T) {
-	d := newFakeClient(&fakeNet{}, Config{})
-	defer d.close()
-	if d.cfg.WriteWindow != 16 || d.cfg.ReadWindow != 32 {
-		t.Fatalf("default windows = %d / %d, want 16 / 32", d.cfg.WriteWindow, d.cfg.ReadWindow)
+// openFakeWriter runs open, which sends an extent create on nw's first
+// stream, answers the create with extent 9 and returns the writer and its
+// stream.
+func openFakeWriter(t *testing.T, nw *fakeNet, open func() (*ExtentWriter, error)) (*ExtentWriter, *fakeStream) {
+	t.Helper()
+	type opened struct {
+		w   *ExtentWriter
+		err error
 	}
+	done := make(chan opened, 1)
+	go func() {
+		w, err := open()
+		done <- opened{w, err}
+	}()
+	st := nw.awaitStream(t, 0)
+	create := st.nextSent(t)
+	if create.Op != proto.OpDataCreateExtent {
+		t.Fatalf("first frame = %+v, want the extent create", create)
+	}
+	st.reply(&proto.Packet{ReqID: create.ReqID, ExtentID: 9})
+	o := <-done
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	return o.w, st
+}
+
+// TestZeroConfigWindows: the two constants every reader and streamed
+// writer of a zero Config takes.
+func TestZeroConfigWindows(t *testing.T) {
+	nw := &fakeNet{}
+	d := newFakeClient(nw, Config{})
+	defer d.close()
 	if r := d.NewExtentReader(); r.win != 32 {
 		t.Fatalf("reader window = %d, want 32", r.win)
 	}
-	w, err := d.newStreamWriter(engineDP, d.cfg.WriteWindow)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, _ := openFakeWriter(t, nw, func() (*ExtentWriter, error) { return d.NewExtentWriter(engineDP) })
+	defer w.Close()
 	if w.win != 16 {
 		t.Fatalf("writer window = %d, want 16", w.win)
 	}

@@ -20,7 +20,7 @@ import (
 // block. Fetched-but-unconsumed chunks are retained across ReadAt calls
 // (the cross-call readahead buffer); callers must Invalidate on writes
 // and overwrites for read-your-writes. The depth covers the session's
-// least round trip (streamDepth), capped at Config.ReadWindow.
+// least round trip (streamDepth), capped at util.DefaultReadWindow.
 //
 // Replica choice is committed-clamped follower offload: the reader
 // round-robins runs across the partition's followers and falls back
@@ -36,7 +36,7 @@ import (
 // access under its own mutex.
 type ExtentReader struct {
 	d   *DataClient
-	win int // readahead cap, requests (Config.ReadWindow)
+	win int // readahead cap, requests (util.DefaultReadWindow)
 
 	// Current sequential run.
 	pid     uint64
@@ -73,7 +73,7 @@ type ExtentReader struct {
 // NewExtentReader returns a streaming reader over the client's pooled
 // read sessions. Callers keep one per file for cross-call readahead.
 func (d *DataClient) NewExtentReader() *ExtentReader {
-	return &ExtentReader{d: d, win: d.cfg.ReadWindow}
+	return &ExtentReader{d: d, win: util.DefaultReadWindow}
 }
 
 // ReadAt fills p from [extentOff, extentOff+len(p)) of the extent ek names.

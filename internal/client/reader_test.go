@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -383,7 +384,7 @@ func TestOverwriteFenceReadsCarryAckedVersion(t *testing.T) {
 }
 
 // TestReadDepthRule: the one depth rule of both directions - readahead
-// under ReadWindow (32), the write depth under WriteWindow (16) - covers
+// under the read window (32), the write depth under the write window (16) - covers
 // the least round trip at packetTime per packet, never drops below
 // depthFloor and never exceeds the window, so a window pinned below the
 // floor stays pinned.
@@ -441,7 +442,10 @@ func readSequentialHalves(t *testing.T, r *ExtentReader, ek proto.ExtentKey, n i
 
 // TestReadDepthCoversMemoryRTT: on the Memory fabric at 1 ms one way the
 // round trip is at least 2 ms, so a sequential reader keeps the whole
-// ReadWindow in flight - the depth the window had as a constant.
+// read window in flight - the depth the window had as a constant. And the
+// readahead reads into pooled chunks that the reader hands back once they
+// are consumed: with the pool warm, sequential scans in 128 KiB calls
+// allocate at most half a block per call, not the block.
 func TestReadDepthCoversMemoryRTT(t *testing.T) {
 	assertChunkBalance(t)
 	nw, dns := startReadCluster(t)
@@ -454,7 +458,7 @@ func TestReadDepthCoversMemoryRTT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win := c.Data.cfg.ReadWindow
+	win := util.DefaultReadWindow
 	payload := bytes.Repeat([]byte("deep-rtt"), (win+2)*util.DefaultPacketSize/8)
 	ek := writeCommitted(t, c, dns, dp, payload)
 	nw.SetLatency(time.Millisecond)
@@ -469,14 +473,43 @@ func TestReadDepthCoversMemoryRTT(t *testing.T) {
 		t.Fatal("read content mismatch")
 	}
 	if most != win {
-		t.Fatalf("at most %d requests in flight at 1 ms, want ReadWindow %d (least RTT %v)", most, win, r.sess.RTT())
+		t.Fatalf("at most %d requests in flight at 1 ms, want the read window %d (least RTT %v)", most, win, r.sess.RTT())
+	}
+
+	block := make([]byte, util.DefaultPacketSize)
+	known := ek.ExtentOffset + uint64(ek.Size)
+	scan := func() {
+		r := c.Data.NewExtentReader()
+		defer r.Close()
+		for off := 0; off < len(payload); off += len(block) {
+			if n, err := r.ReadAt(ek, ek.ExtentOffset+uint64(off), block, known); err != nil || n != len(block) {
+				t.Fatalf("read at %d = %d, %v", off, n, err)
+			}
+			if !bytes.Equal(block, payload[off:off+len(block)]) {
+				t.Fatalf("read content mismatch at %d", off)
+			}
+		}
+	}
+	for range dp.Members { // every session dialed, the chunk pool warm
+		scan()
+	}
+	const scans = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range scans {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	perBlock := float64(after.TotalAlloc-before.TotalAlloc) / float64(scans*len(payload)/len(block))
+	if perBlock > float64(len(block)/2) {
+		t.Fatalf("streamed read allocates %.0f KiB per 128 KiB block - the reader is not recycling its chunks", perBlock/util.KB)
 	}
 }
 
 // TestReadDepthFloorOnLoopback: on TCP loopback the round trip is below
 // packetTime*depthFloor, so once the session has timed it a sequential
 // reader keeps no more than depthFloor requests in flight, however deep
-// ReadWindow allows. One-off 4 KiB reads time the round trip first, as
+// the read window allows. One-off 4 KiB reads time the round trip first, as
 // many as it takes (up to 200) until every follower's session has seen
 // one under packetTime*depthFloor: a single cold reply (fresh server
 // goroutines, a busy box, the race detector) can take longer than the

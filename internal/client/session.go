@@ -77,8 +77,8 @@ const depthFloor = 4
 // streamDepth is how many packets a sequential reader or writer keeps in
 // flight over a session whose least round trip is rtt: enough to cover
 // the round trip at packetTime each, at least depthFloor, at most win
-// (Config.ReadWindow or Config.WriteWindow, so a window pinned below the
-// floor stays pinned). The least round trip of anything the session
+// (util.DefaultReadWindow or util.DefaultWriteWindow; a window pinned
+// below the floor, like WriteSmallFile's 1, stays pinned). The least round trip of anything the session
 // exchanged, the dial handshake and keepalives included, because every
 // other sample also counts a queue - the one the depth itself builds and,
 // on a busy box, the CPU's - that more depth does not cover: a depth

@@ -26,8 +26,8 @@ import (
 // the session's least round trip (streamDepth, the rule the reader's
 // readahead follows): on a fast path it is the floor, so packets do not
 // queue at the leader and make each ack later. It is capped at
-// Config.WriteWindow, which bounds the bytes an abort must replay; pinned
-// at 1 the writer is stop-and-wait over the stream.
+// util.DefaultWriteWindow, which bounds the bytes an abort must replay;
+// WriteSmallFile pins it at 1, stop-and-wait over the stream.
 //
 // An ExtentWriter is not safe for concurrent use; core.File serializes
 // access under its own mutex.
@@ -38,7 +38,7 @@ type ExtentWriter struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	win     int // in-flight cap, packets (Config.WriteWindow)
+	win     int // in-flight cap, packets (util.DefaultWriteWindow)
 	pending []*streamPkt
 	keys    []proto.ExtentKey // committed since the last Drain, seq order
 	err     error             // first writer error; sticky
@@ -71,7 +71,7 @@ type PendingWrite struct {
 func (d *DataClient) NewExtentWriter(dp proto.DataPartitionInfo) (*ExtentWriter, error) {
 	var w *ExtentWriter
 	err := d.whileBusy(func() (err error) {
-		if w, err = d.newStreamWriter(dp, d.cfg.WriteWindow); err != nil {
+		if w, err = d.newStreamWriter(dp, util.DefaultWriteWindow); err != nil {
 			return err
 		}
 		if err = w.createExtent(); err != nil {

@@ -232,7 +232,7 @@ func writeSequential(t *testing.T, w *ExtentWriter, from uint64, payload []byte)
 // TestWriteDepthCoversMemoryRTT: on the Memory fabric at 1 ms one way
 // every exchange with the leader - the dial handshake, a keepalive, a
 // replicated append - takes at least 2 ms, so a streamed writer keeps the
-// whole WriteWindow in flight: the depth the window had as a constant.
+// whole write window in flight: the depth the window had as a constant.
 func TestWriteDepthCoversMemoryRTT(t *testing.T) {
 	assertChunkBalance(t)
 	nw, _ := startReadCluster(t)
@@ -251,9 +251,9 @@ func TestWriteDepthCoversMemoryRTT(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	win := c.Data.cfg.WriteWindow
+	win := util.DefaultWriteWindow
 	if most := writeSequential(t, w, 0, patterned(2*win*util.DefaultPacketSize, 3)); most != win {
-		t.Fatalf("at most %d packets in flight at 1 ms, want WriteWindow %d (least RTT %v)", most, win, w.sess.RTT())
+		t.Fatalf("at most %d packets in flight at 1 ms, want the write window %d (least RTT %v)", most, win, w.sess.RTT())
 	}
 }
 
@@ -261,11 +261,11 @@ func TestWriteDepthCoversMemoryRTT(t *testing.T) {
 // a write session - its handshake, a keepalive or an append, whichever
 // was fastest - is under packetTime*depthFloor, so a streamed writer
 // keeps no more than depthFloor packets in flight, however deep
-// WriteWindow allows. 4 KiB appends lower the least round trip first, up
+// the write window allows. 4 KiB appends lower the least round trip first, up
 // to 200 of them until it is under the floor's: a cold handshake (fresh
 // server goroutines, a busy box) can take longer than the wire does, and
 // under the race detector none may get there, when the bound is the depth
-// the least one gives - still below WriteWindow.
+// the least one gives - still below the write window.
 func TestWriteDepthFloorOnLoopback(t *testing.T) {
 	assertChunkBalance(t)
 	nw, masterAddr, _ := startReadClusterOn(t, "tcp")
@@ -294,10 +294,10 @@ func TestWriteDepthFloorOnLoopback(t *testing.T) {
 		}
 		off += uint64(len(probe))
 	}
-	win := c.Data.cfg.WriteWindow
+	win := util.DefaultWriteWindow
 	want := streamDepth(win, w.sess.RTT())
 	if want >= win {
-		t.Fatalf("least round trip %v on loopback gives the whole WriteWindow %d", w.sess.RTT(), win)
+		t.Fatalf("least round trip %v on loopback gives the whole write window %d", w.sess.RTT(), win)
 	}
 	most := writeSequential(t, w, off, patterned(16*util.DefaultPacketSize, 5))
 	t.Logf("least RTT %v, depth %d, at most %d packets in flight", w.sess.RTT(), want, most)

@@ -135,8 +135,8 @@ func hopRefusal(ack *proto.Packet) error {
 // and the sender that feeds it. out is buffered so the fan-out to the
 // followers runs in parallel; a full out blocks the receive loop, which
 // is follower backpressure. It holds 64 hops, four full client write
-// windows (WriteWindow 16), so only a follower that falls behind blocks
-// the leader.
+// windows (util.DefaultWriteWindow, 16), so only a follower that falls
+// behind blocks the leader.
 type chain struct {
 	addr string
 	sess *transport.Session

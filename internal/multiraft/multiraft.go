@@ -346,10 +346,14 @@ func (m *Manager) Close() {
 	}
 	m.mu.Unlock()
 	close(m.stopc)
-	m.wg.Wait() // the clock and every peer sender have exited
+	// Groups stop before the wait: a Reconcile loop blocked in a proposal
+	// against a lost quorum returns ErrStopped at once instead of after
+	// ProposeTimeout. The clock may still tick a stopped group; Tick and
+	// Step on a stopped node return without blocking.
 	for _, g := range groups {
 		g.node.Stop()
 	}
+	m.wg.Wait() // the clock, every peer sender and every Reconcile loop have exited
 	for _, p := range peers {
 		p.st.Close()
 	}

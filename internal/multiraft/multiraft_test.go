@@ -263,6 +263,44 @@ func TestGroupStopRemovesFromManager(t *testing.T) {
 	}
 }
 
+// TestCloseStopsAProposingReconcile: a Reconcile loop blocked in a
+// ConfChange proposal that can never commit (its group lost quorum) does
+// not hold Close for the proposal's timeout: Close stops the group first,
+// so the proposal returns ErrStopped.
+func TestCloseStopsAProposingReconcile(t *testing.T) {
+	nw := transport.NewMemory()
+	a, b := startManager(t, nw, "a"), startManager(t, nw, "b")
+	peers := []string{"a", "b"}
+	g, err := a.CreateGroup(1, peers, &counterSM{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateGroup(1, peers, &counterSM{}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !g.IsLeader() {
+		if time.Now().After(deadline) {
+			t.Fatal("a never led the group")
+		}
+		g.Campaign()
+		time.Sleep(20 * time.Millisecond)
+	}
+	b.Close() // a still leads, but nothing commits without b
+	a.Reconcile(1, &counterSM{}, func() []string { return []string{"a"} }, nil)
+	for !g.Status().ConfPending { // the loop is in ProposeConfChange
+		if time.Now().After(deadline) {
+			t.Fatal("Reconcile never proposed removing b")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	a.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with a Reconcile proposal in flight", took)
+	}
+}
+
 func TestCreateAfterCloseFails(t *testing.T) {
 	nw := transport.NewMemory()
 	m := multiraft.New("a", nw, multiraft.Config{})
