@@ -67,7 +67,8 @@ race-reconfig:
 # write depth that ignores the round trip, a broken offload fallback, a
 # read fence the two read paths disagree on, a watchdog that a wedged
 # sender can block, a chain that misses a hung or dead follower or retires
-# a healthy one, or an idle client the stream servers never reap.
+# a healthy one, or an idle client or a stalled reader the stream servers
+# never reap.
 race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
 		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|WriteDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool|WriteStream|FollowerHang|IdleSession|IdleChain|StaleEpochRefusal' \

@@ -36,7 +36,7 @@ type DataClient struct {
 	// readFrom caches the last replica that successfully served a read,
 	// per partition - kept SEPARATE from the leader cache so follower-
 	// served reads cannot poison the overwrite path's leader ordering,
-	// while ProbeCount stays at 1 on healthy clusters.
+	// while a healthy cluster's unary reads still hit on the first try.
 	readFrom map[uint64]string
 	rnd      *util.Rand
 	reqID    atomic.Uint64
@@ -262,7 +262,7 @@ func (d *DataClient) Read(ek proto.ExtentKey, extentOff uint64, length uint32) (
 	binary.BigEndian.PutUint32(lenBuf, length)
 	acked := d.ackedVersion(ek.PartitionID, ek.ExtentID)
 	var lastErr error
-	for _, addr := range d.readOrder(dp, ek.ExtentID) {
+	for _, addr := range d.readOrder(dp) {
 		pkt := proto.NewPacket(proto.OpDataRead, d.reqID.Add(1), ek.PartitionID, ek.ExtentID, lenBuf)
 		pkt.ExtentOffset = extentOff
 		pkt.Committed = acked // read requests carry the acked overwrite version here
@@ -380,7 +380,7 @@ func (d *DataClient) cacheReadReplica(pid uint64, addr string) {
 // replica whose Raft apply trails the version the read carries, or an
 // overwrite it has logged, refuses the read itself (the server-side
 // overwrite fence), and the loop falls through to the next candidate.
-func (d *DataClient) readOrder(dp proto.DataPartitionInfo, extent uint64) []string {
+func (d *DataClient) readOrder(dp proto.DataPartitionInfo) []string {
 	if d.cfg.disableLeaderCache {
 		return dp.Members
 	}
@@ -411,7 +411,7 @@ func (d *DataClient) readOrder(dp proto.DataPartitionInfo, extent uint64) []stri
 // the leader LAST, as the fallback for a follower whose gossiped
 // committed offset still trails the range, whose overwrite fence is
 // raised, or which is down or hung.
-func (d *DataClient) offloadOrder(dp proto.DataPartitionInfo, extent uint64) []string {
+func (d *DataClient) offloadOrder(dp proto.DataPartitionInfo) []string {
 	if len(dp.Members) <= 1 {
 		return dp.Members[:util.Min(1, len(dp.Members))]
 	}
@@ -422,20 +422,4 @@ func (d *DataClient) offloadOrder(dp proto.DataPartitionInfo, extent uint64) []s
 		out = append(out, followers[(start+i)%len(followers)])
 	}
 	return append(out, dp.Members[0])
-}
-
-// ProbeCount reports how many replicas a read would try before finding a
-// server right now (ablation instrumentation for the replica caches).
-func (d *DataClient) ProbeCount(pid uint64) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.readFrom[pid] != "" || d.leader[pid] != "" {
-		return 1
-	}
-	for _, dp := range d.view {
-		if dp.PartitionID == pid {
-			return len(dp.Members)
-		}
-	}
-	return 0
 }

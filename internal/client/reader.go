@@ -38,7 +38,20 @@ type ExtentReader struct {
 	d   *DataClient
 	win int // readahead cap, requests (util.DefaultReadWindow)
 
-	// Current sequential run.
+	// cur is the run the caller is reading. next is the prefetched
+	// continuation (cross-extent readahead): once cur's frontier hits its
+	// limit, spare window slots prefetch the hinted next extent, and the
+	// run is adopted wholesale when the caller's scan rolls onto it - the
+	// readahead window straddles the extent boundary instead of draining
+	// and refilling cold.
+	cur, next run
+	seq       bool // a continuation was observed; prefetch ahead
+}
+
+// run is one sequential run over one extent: where it reads from, the
+// replica serving it and the requests it has in flight. The zero run
+// requests nothing (its frontier is at its limit).
+type run struct {
 	pid     uint64
 	extent  uint64
 	epoch   uint64
@@ -46,34 +59,22 @@ type ExtentReader struct {
 	cands   []string // replica attempt order for this run; leader last
 	candIdx int
 
-	reqs     []*readReq // issued requests in extent-offset order
-	headOff  uint64     // bytes of reqs[0] already consumed
-	consumed uint64     // next extent offset the caller will receive
-	nextOff  uint64     // prefetch frontier
-	limit    uint64     // contiguous known end; never request past it
-	seqRun   bool       // a continuation was observed; prefetch ahead
-
-	// Next-run prefetch (cross-extent readahead): once the current
-	// extent's frontier hits its limit, spare window slots prefetch the
-	// hinted continuation extent, and the run is promoted wholesale when
-	// the caller's scan rolls onto it - the readahead window straddles
-	// the extent boundary instead of draining and refilling cold.
-	nextEK      proto.ExtentKey
-	nextStart   uint64 // first extent offset of the continuation run
-	nextKnown   uint64 // contiguous known end within the next extent
-	nextValid   bool
-	nextSess    *session
-	nextEpoch   uint64
-	nextCands   []string
-	nextCandIdx int
-	nextReqs    []*readReq
-	nextFront   uint64 // prefetch frontier within the next extent
+	reqs    []*readReq // issued requests in extent-offset order
+	headOff uint64     // bytes of reqs[0] already consumed
+	pos     uint64     // next extent offset the caller will receive
+	front   uint64     // prefetch frontier
+	limit   uint64     // contiguous known end; never request past it
 }
 
 // NewExtentReader returns a streaming reader over the client's pooled
 // read sessions. Callers keep one per file for cross-call readahead.
 func (d *DataClient) NewExtentReader() *ExtentReader {
 	return &ExtentReader{d: d, win: util.DefaultReadWindow}
+}
+
+// at reports whether the run continues at extent offset off of ek.
+func (u *run) at(ek proto.ExtentKey, off uint64) bool {
+	return u.pid == ek.PartitionID && u.extent == ek.ExtentID && u.pos == off
 }
 
 // ReadAt fills p from [extentOff, extentOff+len(p)) of the extent ek names.
@@ -92,33 +93,39 @@ func (r *ExtentReader) ReadAt(ek proto.ExtentKey, extentOff uint64, p []byte, kn
 	read := 0
 	stales := 0
 	for read < len(p) {
-		cur := extentOff + uint64(read)
-		if r.pid != ek.PartitionID || r.extent != ek.ExtentID || r.consumed != cur {
-			if !r.promoteNext(ek, cur) {
-				r.beginRun(ek, cur)
+		at := extentOff + uint64(read)
+		if !r.cur.at(ek, at) {
+			r.cur.drop() // the old run's leftovers (normally already drained)
+			if r.next.sess != nil && r.next.at(ek, at) {
+				// The scan rolled onto the prefetched continuation: the
+				// sequential run and its in-flight prefetch survive.
+				r.cur, r.next = r.next, run{}
+			} else {
+				// A new run; its candidate order is picked at bind, so
+				// every run round-robins across followers.
+				r.cur = run{pid: ek.PartitionID, extent: ek.ExtentID, pos: at, front: at}
+				r.seq = false
 			}
 		}
-		if known > r.limit {
-			r.limit = known
+		if known > r.cur.limit {
+			r.cur.limit = known
 		}
-		err := r.ensureSession()
+		err := r.bind(&r.cur)
 		if err == nil {
 			err = r.fill(end)
 		}
 		if err == nil {
 			var n int
-			n, err = r.consume(p[read:])
+			n, err = r.cur.consume(p[read:])
 			read += n
 			if err == nil {
 				continue
 			}
 		}
-		// One replica's attempt failed: drop the run's buffers (their
+		// One replica's attempt failed: drop the run's requests (their
 		// session is dead or their replica refused) and decide what the
 		// retry targets.
-		r.dropBuffers()
-		r.nextOff = r.consumed
-		r.sess = nil
+		r.cur.drop()
 		if errors.Is(err, util.ErrStale) {
 			// The view moved (epoch bump, session retirement): re-pull it
 			// and rebuild the candidate order against the fresh epoch.
@@ -127,197 +134,109 @@ func (r *ExtentReader) ReadAt(ek proto.ExtentKey, extentOff uint64, p []byte, kn
 				return read, err
 			}
 			r.d.refreshView()
-			r.cands, r.candIdx = nil, 0
+			r.cur.cands, r.cur.candIdx = nil, 0
 			continue
 		}
-		r.candIdx++
-		if r.cands != nil && r.candIdx < len(r.cands) {
+		r.cur.candIdx++
+		if r.cur.cands != nil && r.cur.candIdx < len(r.cur.cands) {
 			continue // fall back to the next replica (the leader is last)
 		}
 		return read, err
 	}
 	// The next contiguous ReadAt continues this run; prefetch ahead of it.
-	r.seqRun = true
+	r.seq = true
 	return len(p), nil
 }
 
-// beginRun resets the reader onto a new (extent, offset) position. The
-// replica candidate order is re-picked lazily so every run round-robins
-// across followers.
-func (r *ExtentReader) beginRun(ek proto.ExtentKey, off uint64) {
-	r.dropBuffers()
-	r.pid, r.extent = ek.PartitionID, ek.ExtentID
-	r.consumed, r.nextOff = off, off
-	r.limit = 0
-	r.seqRun = false
-	r.sess = nil
-	r.cands, r.candIdx = nil, 0
-}
-
-// ensureSession binds the run to a pooled read session on the current
-// candidate replica, resolving the partition's epoch from the view.
-func (r *ExtentReader) ensureSession() error {
-	if r.sess != nil && r.sess.Err() == nil {
+// bind binds u to a pooled read session on its current candidate
+// replica, resolving the partition's epoch from the view.
+func (r *ExtentReader) bind(u *run) error {
+	if u.sess != nil && u.sess.Err() == nil {
 		return nil
 	}
-	dp, err := r.d.partitionInfo(r.pid)
+	dp, err := r.d.partitionInfo(u.pid)
 	if err != nil {
 		return err
 	}
-	r.epoch = dp.ReplicaEpoch
-	if r.cands == nil {
-		r.cands = r.d.offloadOrder(dp, r.extent)
-		r.candIdx = 0
+	u.epoch = dp.ReplicaEpoch
+	if u.cands == nil {
+		u.cands, u.candIdx = r.d.offloadOrder(dp), 0
 	}
 	// Refusal horizons: skip candidates a fresh clamp note says still
 	// trail the run's next packet - they would just refuse it again. The
 	// last candidate (the leader) always serves committed bytes and is
 	// never skipped.
-	need := r.consumed + uint64(r.d.cfg.PacketSize)
-	if r.limit > 0 && need > r.limit {
-		need = r.limit
+	need := u.pos + uint64(r.d.cfg.PacketSize)
+	if u.limit > 0 && need > u.limit {
+		need = u.limit
 	}
-	for r.candIdx < len(r.cands)-1 &&
-		r.d.readPool.clampedBelow(r.cands[r.candIdx], r.pid, r.extent, need) {
-		r.candIdx++
+	for u.candIdx < len(u.cands)-1 &&
+		r.d.readPool.clampedBelow(u.cands[u.candIdx], u.pid, u.extent, need) {
+		u.candIdx++
 	}
-	if r.candIdx >= len(r.cands) {
-		return fmt.Errorf("client: read dp %d: no replica left to try: %w", r.pid, util.ErrNoAvailableNode)
+	if u.candIdx >= len(u.cands) {
+		return fmt.Errorf("client: read dp %d: no replica left to try: %w", u.pid, util.ErrNoAvailableNode)
 	}
-	s, err := r.d.readPool.session(r.cands[r.candIdx], dp.ReplicaEpoch)
+	s, err := r.d.readPool.session(u.cands[u.candIdx], dp.ReplicaEpoch)
 	if err != nil {
 		return err
 	}
-	r.sess = s
+	u.sess = s
 	return nil
 }
 
 // fill tops the in-flight window up: at least through needEnd, and on a
 // sequential run up to a full window ahead of the consumer, clamped at
-// the known-contiguous limit.
+// the known-contiguous limit. Once the current run is fully requested,
+// leftover window slots prefetch the next run - best-effort by design:
+// any failure just drops the hint and the extent roll re-fetches through
+// a new (cold) run.
 func (r *ExtentReader) fill(needEnd uint64) error {
-	packet := uint64(r.d.cfg.PacketSize)
-	depth := streamDepth(r.win, r.sess.RTT())
+	depth := streamDepth(r.win, r.cur.sess.RTT())
 	target := needEnd
-	if r.seqRun {
-		if ahead := r.consumed + uint64(depth)*packet; ahead > target {
+	if r.seq {
+		if ahead := r.cur.pos + uint64(depth)*uint64(r.d.cfg.PacketSize); ahead > target {
 			target = ahead
 		}
 	}
-	if target > r.limit {
-		target = r.limit
+	if target > r.cur.limit {
+		target = r.cur.limit
 	}
 	// Sequential runs issue full packets clamped only at the known limit
 	// (over-fetching ahead of the consumer is the point of readahead); a
 	// run not yet known to be sequential fetches exactly the caller's
 	// range, so a one-off streamed read never over-reads the replica.
-	bound := r.limit
-	if !r.seqRun {
+	bound := r.cur.limit
+	if !r.seq {
 		bound = target
 	}
-	for r.nextOff < target && len(r.reqs) < depth {
-		span := util.MinU64(packet, bound-r.nextOff)
-		req, err := r.d.readPool.read(r.sess, r.pid, r.extent, r.nextOff, uint32(span), r.epoch,
-			r.d.ackedVersion(r.pid, r.extent))
-		if err != nil {
-			return err
-		}
-		r.reqs = append(r.reqs, req)
-		r.nextOff += span
+	if err := r.issue(&r.cur, target, bound, depth); err != nil {
+		return err
 	}
-	// Current extent fully requested: spend leftover window slots on the
-	// hinted continuation extent.
-	if r.seqRun && r.nextValid && r.nextOff >= r.limit {
-		r.fillNext(depth)
+	if r.seq && r.cur.front >= r.cur.limit && r.next.front < r.next.limit {
+		// The two runs together keep at most depth requests in flight.
+		if r.bind(&r.next) != nil || r.issue(&r.next, r.next.limit, r.next.limit, depth-len(r.cur.reqs)) != nil {
+			r.ClearNextHint()
+		}
 	}
 	return nil
 }
 
-// fillNext prefetches the hinted next-extent run into spare window slots,
-// the two runs together keeping at most depth requests in flight.
-// Best-effort by design: any failure just drops the hint and the extent
-// roll re-fetches through the normal (cold) path.
-func (r *ExtentReader) fillNext(depth int) {
-	if r.nextFront >= r.nextKnown {
-		return
-	}
-	if r.nextSess == nil || r.nextSess.Err() != nil {
-		if !r.bindNextSession() {
-			r.dropNext()
-			return
-		}
-	}
+// issue sends u's requests from its frontier toward target, one packet
+// each clamped at bound, while u has fewer than slots in flight.
+func (r *ExtentReader) issue(u *run, target, bound uint64, slots int) error {
 	packet := uint64(r.d.cfg.PacketSize)
-	for r.nextFront < r.nextKnown && len(r.reqs)+len(r.nextReqs) < depth {
-		span := util.MinU64(packet, r.nextKnown-r.nextFront)
-		req, err := r.d.readPool.read(r.nextSess, r.nextEK.PartitionID, r.nextEK.ExtentID,
-			r.nextFront, uint32(span), r.nextEpoch, r.d.ackedVersion(r.nextEK.PartitionID, r.nextEK.ExtentID))
+	for u.front < target && len(u.reqs) < slots {
+		span := util.MinU64(packet, bound-u.front)
+		req, err := r.d.readPool.read(u.sess, u.pid, u.extent, u.front, uint32(span), u.epoch,
+			r.d.ackedVersion(u.pid, u.extent))
 		if err != nil {
-			r.dropNext()
-			return
+			return err
 		}
-		r.nextReqs = append(r.nextReqs, req)
-		r.nextFront += span
+		u.reqs = append(u.reqs, req)
+		u.front += span
 	}
-}
-
-// bindNextSession resolves the continuation extent's partition and binds
-// a session on its first non-trailing offload candidate.
-func (r *ExtentReader) bindNextSession() bool {
-	dp, err := r.d.partitionInfo(r.nextEK.PartitionID)
-	if err != nil {
-		return false
-	}
-	r.nextEpoch = dp.ReplicaEpoch
-	if r.nextCands == nil {
-		r.nextCands = r.d.offloadOrder(dp, r.nextEK.ExtentID)
-		r.nextCandIdx = 0
-	}
-	need := r.nextStart + uint64(r.d.cfg.PacketSize)
-	if need > r.nextKnown {
-		need = r.nextKnown
-	}
-	for r.nextCandIdx < len(r.nextCands)-1 &&
-		r.d.readPool.clampedBelow(r.nextCands[r.nextCandIdx], r.nextEK.PartitionID, r.nextEK.ExtentID, need) {
-		r.nextCandIdx++
-	}
-	if r.nextCandIdx >= len(r.nextCands) {
-		return false
-	}
-	s, err := r.d.readPool.session(r.nextCands[r.nextCandIdx], dp.ReplicaEpoch)
-	if err != nil {
-		return false
-	}
-	r.nextSess = s
-	return true
-}
-
-// promoteNext adopts the prefetched continuation run when the caller's
-// scan rolls onto exactly where it begins: the sequential run and any
-// in-flight prefetch survive the extent boundary.
-func (r *ExtentReader) promoteNext(ek proto.ExtentKey, off uint64) bool {
-	if !r.nextValid || r.nextSess == nil ||
-		ek.PartitionID != r.nextEK.PartitionID || ek.ExtentID != r.nextEK.ExtentID ||
-		off != r.nextStart {
-		return false
-	}
-	wasSeq := r.seqRun
-	r.dropBuffers() // the old extent's leftovers (normally already drained)
-	r.pid, r.extent = ek.PartitionID, ek.ExtentID
-	r.epoch = r.nextEpoch
-	r.sess = r.nextSess
-	r.cands, r.candIdx = r.nextCands, r.nextCandIdx
-	r.reqs = r.nextReqs
-	r.headOff = 0
-	r.consumed = off
-	r.nextOff = r.nextFront
-	r.limit = r.nextKnown
-	r.seqRun = wasSeq
-	r.nextReqs = nil
-	r.nextSess = nil
-	r.nextValid = false
-	r.nextCands, r.nextCandIdx = nil, 0
-	return true
+	return nil
 }
 
 // SetNextHint tells the reader where the file continues once the current
@@ -325,46 +244,35 @@ func (r *ExtentReader) promoteNext(ek proto.ExtentKey, off uint64) bool {
 // offset start, contiguously known through known. core.File re-derives
 // the hint from its extent keys after each streamed read.
 func (r *ExtentReader) SetNextHint(nek proto.ExtentKey, start, known uint64) {
-	if r.nextValid && nek.PartitionID == r.nextEK.PartitionID &&
-		nek.ExtentID == r.nextEK.ExtentID && start == r.nextStart {
-		if known > r.nextKnown {
-			r.nextKnown = known // the continuation grew; prefetch further
+	if r.next.at(nek, start) {
+		if known > r.next.limit {
+			r.next.limit = known // the continuation grew; prefetch further
 		}
 		return
 	}
-	r.dropNext()
-	r.nextEK = nek
-	r.nextStart, r.nextFront, r.nextKnown = start, start, known
-	r.nextValid = true
+	r.next.drop()
+	r.next = run{pid: nek.PartitionID, extent: nek.ExtentID, pos: start, front: start, limit: known}
 }
 
 // ClearNextHint drops the continuation hint (no next extent is known).
-func (r *ExtentReader) ClearNextHint() { r.dropNext() }
-
-// dropNext abandons the next-run prefetch state.
-func (r *ExtentReader) dropNext() {
-	for _, req := range r.nextReqs {
-		req.abandon()
-	}
-	r.nextReqs = nil
-	r.nextSess = nil
-	r.nextValid = false
-	r.nextCands, r.nextCandIdx = nil, 0
+func (r *ExtentReader) ClearNextHint() {
+	r.next.drop()
+	r.next = run{}
 }
 
-// consume copies bytes from the window head into p, blocking until the
-// head request completes (the session's reply deadline bounds the wait).
-func (r *ExtentReader) consume(p []byte) (int, error) {
-	if len(r.reqs) == 0 {
-		return 0, fmt.Errorf("client: read dp %d: empty readahead window: %w", r.pid, util.ErrInvalidArgument)
+// consume copies bytes from the run's head request into p, blocking until
+// it completes (the session's reply deadline bounds the wait).
+func (u *run) consume(p []byte) (int, error) {
+	if len(u.reqs) == 0 {
+		return 0, fmt.Errorf("client: read dp %d: empty readahead window: %w", u.pid, util.ErrInvalidArgument)
 	}
-	req := r.reqs[0]
+	req := u.reqs[0]
 	<-req.done
 	if req.err != nil {
 		return 0, req.err
 	}
 	n := 0
-	skip := r.headOff
+	skip := u.headOff
 	for _, c := range req.chunks {
 		if skip >= uint64(len(c)) {
 			skip -= uint64(len(c))
@@ -377,37 +285,33 @@ func (r *ExtentReader) consume(p []byte) (int, error) {
 			break
 		}
 	}
-	r.headOff += uint64(n)
-	r.consumed += uint64(n)
-	if r.headOff >= uint64(req.length) {
-		r.reqs = r.reqs[1:]
-		r.headOff = 0
+	u.headOff += uint64(n)
+	u.pos += uint64(n)
+	if u.headOff >= uint64(req.length) {
+		u.reqs = u.reqs[1:]
+		u.headOff = 0
 		recycleChunks(req) // fully consumed; hand the buffers back
 	}
 	return n, nil
 }
 
-// dropBuffers abandons every outstanding request and releases retained
-// chunks (session-side recycling handles the in-flight ones).
-func (r *ExtentReader) dropBuffers() {
-	for _, req := range r.reqs {
+// drop abandons the run's requests, releasing retained chunks (session-
+// side recycling handles the in-flight ones), and unbinds its session:
+// the run resumes from its position on the next bind.
+func (u *run) drop() {
+	for _, req := range u.reqs {
 		req.abandon()
 	}
-	r.reqs = nil
-	r.headOff = 0
+	u.reqs, u.headOff, u.front, u.sess = nil, 0, u.pos, nil
 }
 
 // Invalidate discards the readahead state (buffered and in-flight chunks
 // alike). core.File calls it on every write and overwrite so a later read
 // observes the new bytes, not a stale prefetch (read-your-writes).
 func (r *ExtentReader) Invalidate() {
-	r.dropBuffers()
-	r.dropNext()
-	r.pid, r.extent = 0, 0
-	r.consumed, r.nextOff, r.limit = 0, 0, 0
-	r.seqRun = false
-	r.sess = nil
-	r.cands, r.candIdx = nil, 0
+	r.cur.drop()
+	r.ClearNextHint()
+	r.cur, r.seq = run{}, false
 }
 
 // Close releases the reader's buffers. Pooled sessions stay open for

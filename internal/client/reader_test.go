@@ -160,6 +160,68 @@ func TestStreamReadFollowerOffload(t *testing.T) {
 	}
 }
 
+// TestStreamReadAdoptsNextExtentPrefetch: a scan that knows where the
+// file continues prefetches the next extent into the window's spare slots
+// before it reaches the boundary, and adopts that run - its requests
+// still in flight - when it rolls onto it: every packet of both extents
+// is requested exactly once.
+func TestStreamReadAdoptsNextExtentPrefetch(t *testing.T) {
+	assertChunkBalance(t)
+	nw, dns := startReadCluster(t)
+	c, err := Mount(nw, "master", "readvol", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dp, err := c.Data.PickWritable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	packet := util.DefaultPacketSize
+	a := writeCommitted(t, c, dns, dp, bytes.Repeat([]byte("extent-A"), 2*packet/8))
+	b := writeCommitted(t, c, dns, dp, bytes.Repeat([]byte("extent-B"), 4*packet/8))
+	served := func() (n uint64) {
+		for _, dn := range dns {
+			n += dn.ReadsServed()
+		}
+		return n
+	}
+	before := served()
+
+	r := c.Data.NewExtentReader()
+	defer r.Close()
+	scan := func(ek proto.ExtentKey, want string) {
+		t.Helper()
+		block := make([]byte, packet)
+		known := ek.ExtentOffset + uint64(ek.Size)
+		for off := ek.ExtentOffset; off < known; off += uint64(packet) {
+			if n, err := r.ReadAt(ek, off, block, known); err != nil || n != packet {
+				t.Fatalf("read of extent %d at %d = %d, %v", ek.ExtentID, off, n, err)
+			}
+			if !bytes.Equal(block, bytes.Repeat([]byte(want), packet/8)) {
+				t.Fatalf("extent %d at %d: content mismatch", ek.ExtentID, off)
+			}
+		}
+	}
+	r.SetNextHint(b, b.ExtentOffset, b.ExtentOffset+uint64(b.Size))
+	scan(a, "extent-A")
+	deadline := time.Now().Add(5 * time.Second)
+	for served()-before <= 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no request for the next extent before the scan reached it")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	scan(b, "extent-B")
+	r.Close()
+	// A request issued twice would still be in flight here; give it time
+	// to be served before counting.
+	time.Sleep(50 * time.Millisecond)
+	if got := served() - before; got != 6 {
+		t.Fatalf("scan of a 2-packet and a 4-packet extent was served with %d requests, want 6", got)
+	}
+}
+
 // TestStreamReadWatchdogFailsOverHungReplica: a replica that accepts a
 // read session but never answers (Memory.Freeze, the half-open case) must
 // not wedge the reader - the session watchdog trips the reply deadline
@@ -289,7 +351,7 @@ func TestOffloadOrderShape(t *testing.T) {
 	dp := proto.DataPartitionInfo{PartitionID: 7, Members: []string{"L", "F1", "F2"}}
 	seen := make(map[string]bool)
 	for i := 0; i < 4; i++ {
-		order := d.offloadOrder(dp, 1)
+		order := d.offloadOrder(dp)
 		if len(order) != 3 || order[2] != "L" {
 			t.Fatalf("offload order = %v, want leader last", order)
 		}
@@ -301,24 +363,25 @@ func TestOffloadOrderShape(t *testing.T) {
 	if err := d.Overwrite(proto.ExtentKey{PartitionID: 7, ExtentID: 1}, 0, []byte("x")); err == nil {
 		t.Fatal("overwrite against no servers should fail")
 	}
-	if order := d.offloadOrder(dp, 1); len(order) != 3 || order[2] != "L" {
+	if order := d.offloadOrder(dp); len(order) != 3 || order[2] != "L" {
 		t.Fatalf("post-overwrite order = %v, want full offload (no client pin)", order)
 	}
 }
 
 // TestReadOrderIgnoresOverwrites: the unary attempt order keeps its cached
-// read replica first even for extents this client overwrote - visibility
-// is the replica-side overwrite fence's job now, not a client pin's.
+// read replica first even after this client overwrote an extent of the
+// partition - visibility is the replica-side overwrite fence's job now,
+// not a client pin's.
 func TestReadOrderIgnoresOverwrites(t *testing.T) {
 	d := newDataClient(transport.NewMemory(), Config{}.withDefaults("x"))
 	dp := proto.DataPartitionInfo{PartitionID: 7, Members: []string{"L", "F1", "F2"}}
 	d.cacheReadReplica(7, "F2")
 	d.cacheLeader(7, "L")
-	if order := d.readOrder(dp, 1); order[0] != "F2" {
-		t.Fatalf("read order = %v, want cached replica first", order)
+	if err := d.Overwrite(proto.ExtentKey{PartitionID: 7, ExtentID: 1}, 0, []byte("x")); err == nil {
+		t.Fatal("overwrite against no servers should fail")
 	}
-	if order := d.readOrder(dp, 2); order[0] != "F2" {
-		t.Fatalf("sibling extent read order = %v, want cached replica first", order)
+	if order := d.readOrder(dp); order[0] != "F2" {
+		t.Fatalf("read order = %v, want cached replica first", order)
 	}
 }
 
@@ -422,7 +485,7 @@ func TestReadDepthRule(t *testing.T) {
 // readSequentialHalves reads the first n bytes of ek's span in
 // half-packet calls, the way TestReadWindowBoundsRequestsInFlight does:
 // after every call but the first the head request is half consumed, so
-// len(r.reqs) is exactly the number of requests the last fill kept in
+// len(r.cur.reqs) is exactly the number of requests the last fill kept in
 // flight. seen is called after each call from the second on.
 func readSequentialHalves(t *testing.T, r *ExtentReader, ek proto.ExtentKey, n int, seen func(inflight int)) []byte {
 	t.Helper()
@@ -434,7 +497,7 @@ func readSequentialHalves(t *testing.T, r *ExtentReader, ek proto.ExtentKey, n i
 			t.Fatalf("read at %d = %d, %v", off, got, err)
 		}
 		if off > 0 {
-			seen(len(r.reqs) + len(r.nextReqs))
+			seen(len(r.cur.reqs) + len(r.next.reqs))
 		}
 	}
 	return buf
@@ -473,7 +536,7 @@ func TestReadDepthCoversMemoryRTT(t *testing.T) {
 		t.Fatal("read content mismatch")
 	}
 	if most != win {
-		t.Fatalf("at most %d requests in flight at 1 ms, want the read window %d (least RTT %v)", most, win, r.sess.RTT())
+		t.Fatalf("at most %d requests in flight at 1 ms, want the read window %d (least RTT %v)", most, win, r.cur.sess.RTT())
 	}
 
 	block := make([]byte, util.DefaultPacketSize)
@@ -544,7 +607,7 @@ func TestReadDepthFloorOnLoopback(t *testing.T) {
 			t.Fatalf("probe read at %d = %d, %v", at, n, err)
 		}
 		streak++
-		if r.sess.RTT() > depthFloor*packetTime {
+		if r.cur.sess.RTT() > depthFloor*packetTime {
 			streak = 0
 		}
 	}
@@ -553,9 +616,9 @@ func TestReadDepthFloorOnLoopback(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("read content mismatch")
 	}
-	t.Logf("least RTT %v, at most %d requests in flight", r.sess.RTT(), most)
+	t.Logf("least RTT %v, at most %d requests in flight", r.cur.sess.RTT(), most)
 	if most > depthFloor {
-		t.Fatalf("%d requests in flight on loopback, want at most depthFloor %d (least RTT %v)", most, depthFloor, r.sess.RTT())
+		t.Fatalf("%d requests in flight on loopback, want at most depthFloor %d (least RTT %v)", most, depthFloor, r.cur.sess.RTT())
 	}
 }
 
@@ -586,7 +649,7 @@ func BenchmarkSequentialReadLoopback(b *testing.B) {
 			if n, err := r.ReadAt(ek, off, buf, known); err != nil || n != len(buf) {
 				b.Fatalf("read at %d = %d, %v", off, n, err)
 			}
-			depths += streamDepth(r.win, r.sess.RTT())
+			depths += streamDepth(r.win, r.cur.sess.RTT())
 			calls++
 		}
 		r.Close()

@@ -2,8 +2,6 @@ package datanode
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/transport"
@@ -28,13 +26,13 @@ import (
 // extent's locally known all-replica committed offset (the Section 2.2.5
 // invariant). That is what makes follower read offload safe - a follower
 // holding a replicated-but-uncommitted tail refuses it and the client
-// falls back to another replica. Error containment is per-request: a clamp refusal, an unknown
-// extent, or a stale client epoch fails only that request's reply; the
-// session and later requests are unaffected. The session dies only with
-// its transport - or with its client: the idle reaper the write session
-// shares closes sessions whose client has been silent past the idle
-// timeout (clients ping idle sessions, so silence means the client is
-// gone).
+// falls back to another replica. Error containment is per-request: a
+// clamp refusal, an unknown extent, or a stale client epoch fails only
+// that request's reply; the session and later requests are unaffected.
+// The session dies only with its transport - or with its client: the
+// receive loop both stream servers share (serveStream) closes a session
+// whose client has been silent past the idle timeout (clients ping idle
+// sessions, so silence means the client is gone).
 //
 // Read sessions are deliberately SEPARATE from write sessions: a large
 // scan streams its chunks over its own transport stream, so it can never
@@ -46,8 +44,8 @@ import (
 const maxStreamReadLen = 8 * util.MB
 
 // readaheadFrames is the depth of the session's reply queue, in frames.
-// The producer (store reads) runs ahead of the sender (wire writes) by up
-// to this many chunk frames, so disk latency and wire latency overlap:
+// The receive loop's store reads run ahead of the sender's wire writes by
+// up to this many chunk frames, so disk latency and wire latency overlap:
 // while chunk k is being written to the socket, chunks k+1..k+4 are
 // already read and CRC-stamped. 4 x 128 KB = 512 KB of server-side
 // readahead per session, and because requests are served from a single
@@ -56,77 +54,37 @@ const maxStreamReadLen = 8 * util.MB
 const readaheadFrames = 4
 
 type readSession struct {
-	d    *DataNode
-	cs   transport.PacketStream
-	idle *time.Timer // reapIdle
-
-	reqc  chan *proto.Packet // recv loop -> producer (request FIFO)
-	sendc chan *proto.Packet // producer -> sender (readahead window)
-
-	wg sync.WaitGroup
+	d     *DataNode
+	cs    transport.PacketStream
+	sendc chan *proto.Packet // receive loop -> sender (readahead window)
 }
 
-func newReadSession(d *DataNode, cs transport.PacketStream) *readSession {
-	return &readSession{
-		d: d, cs: cs, idle: d.reapIdle(cs),
-		reqc:  make(chan *proto.Packet, 32),
-		sendc: make(chan *proto.Packet, readaheadFrames),
-	}
-}
-
-// run receives request frames and feeds the producer. Three goroutines
-// form a pipeline - recv -> produce (store reads) -> send (wire writes) -
-// each stage strictly FIFO, so replies leave in request order by
+// run is a two-stage pipeline: the receive loop serves each request as it
+// arrives (store reads), and a sender writes the reply frames to the wire.
+// Both stages are strictly FIFO, so replies leave in request order by
 // construction while store and wire latencies overlap.
 //
-// Teardown is a cascade with no circular wait: the transport dying (or
-// the idle reaper closing it) errors Recv, closing reqc ends the producer,
-// closing sendc ends the sender; a sender wedged against a half-open
-// client is unblocked by the same reaper Close, after which its
-// remaining Sends fail fast (Send releases each frame's payload either
-// way, so drained frames cannot leak pool buffers).
+// Teardown has no circular wait: a receive loop blocked on a full sendc
+// behind a sender wedged against a half-open client is freed by the idle
+// timer's Close, which fails the sender's Send and every later one fast
+// (Send releases each frame's payload either way, so drained frames
+// cannot leak pool buffers). Once the loop ends the stream is dead and its
+// idle timer stopped, so the stream is closed before the sender drains: a
+// sender still wedged on it fails fast instead of waiting forever.
 func (s *readSession) run() {
-	s.wg.Add(2)
-	go s.runProducer()
-	go s.runSender()
-	for {
-		pkt, err := s.cs.Recv()
-		if err != nil {
-			break
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for pkt := range s.sendc {
+			_ = s.cs.Send(pkt)
 		}
-		s.idle.Reset(s.d.idleTimeout)
-		s.reqc <- pkt
-	}
-	close(s.reqc)
-	s.wg.Wait()
-	s.idle.Stop()
+	}()
+	s.d.serveStream(s.cs, s.serve)
 	s.cs.Close()
+	close(s.sendc)
+	<-sent
 }
 
-// runProducer serves queued requests in order, pushing reply frames into
-// the bounded readahead window.
-func (s *readSession) runProducer() {
-	defer s.wg.Done()
-	defer close(s.sendc)
-	for pkt := range s.reqc {
-		s.serve(pkt)
-		pkt.Release() // requests carry no payload today; releasing is future-proof
-	}
-}
-
-// runSender writes reply frames to the wire in FIFO order. Send consumes
-// each frame's payload reference, success or failure, so no extra
-// bookkeeping is needed here.
-func (s *readSession) runSender() {
-	defer s.wg.Done()
-	for pkt := range s.sendc {
-		_ = s.cs.Send(pkt)
-	}
-}
-
-// serve answers one request frame. Replies are best-effort: a Send failure
-// means the transport is dead and the serve loop's next Recv ends the
-// session.
 func (s *readSession) serve(pkt *proto.Packet) {
 	switch pkt.Op {
 	case proto.OpDataPing:
@@ -192,7 +150,8 @@ func (s *readSession) serve(pkt *proto.Packet) {
 }
 
 // send queues one reply frame behind the readahead window; blocking here
-// is wire backpressure, which is what paces the producer's store reads.
+// is wire backpressure, which is what paces the receive loop's store
+// reads.
 func (s *readSession) send(pkt *proto.Packet) { s.sendc <- pkt }
 
 func (s *readSession) sendErr(req *proto.Packet, code uint8, msg string) {

@@ -273,3 +273,70 @@ func testReadStreamStaleEpoch(t *testing.T, fabric string) {
 	}
 	f.Release()
 }
+
+// TestReadStreamStalledReaderReaped: a client that pushes a deep window
+// of reads and then stops reading wedges the session's reply sender
+// against a full transport. The session's idle timer must still reap it -
+// the receive loop is blocked behind the sender, so nothing else will -
+// and the teardown must hand every pooled chunk back.
+func TestReadStreamStalledReaderReaped(t *testing.T) {
+	for _, fabric := range []string{"memory", "tcp"} {
+		t.Run(fabric, func(t *testing.T) { testStalledReaderReaped(t, fabric) })
+	}
+}
+
+func testStalledReaderReaped(t *testing.T, fabric string) {
+	assertChunkBalance(t)
+	tc := startClusterOn(t, 1, fabric, func(i int, cfg *Config) {
+		cfg.SessionIdleTimeout = 100 * time.Millisecond
+	})
+	tc.createPartition(t, 100)
+	eid := tc.createExtent(t, 100)
+	for i := 0; i < util.MB/util.DefaultPacketSize; i++ {
+		tc.append(t, 100, eid, bytes.Repeat([]byte{byte(i)}, util.DefaultPacketSize))
+	}
+
+	// 32 whole-MiB reads are 256 reply frames, more than either fabric
+	// buffers, and none of them is ever received while the session lives.
+	const reads = 32
+	frames := reads * util.MB / util.DefaultPacketSize
+	st := tc.openReadStream(t, tc.leaderAddr())
+	for seq := uint64(1); seq <= reads; seq++ {
+		if err := st.Send(&proto.Packet{
+			Op: proto.OpDataRead, ReqID: seq, PartitionID: 100, ExtentID: eid,
+			FileOffset: util.MB,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The reap shows as the client's sends failing. A probe every 50 ms
+	// stays well inside what the fabric buffers towards the server (no
+	// probe can block), and a session that is never reaped fails the test
+	// instead of hanging it.
+	deadline := time.Now().Add(10 * time.Second)
+	for seq := uint64(reads + 1); ; seq++ {
+		if st.Send(&proto.Packet{Op: proto.OpDataPing, ReqID: seq}) != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a stalled reader's session was never reaped")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	// What the sender wrote before the reap is still delivered (on TCP
+	// the reset may discard it); it must fall short of the whole reply,
+	// or the sender never wedged and the reap was not the one under test.
+	got := 0
+	for {
+		f, err := st.Recv()
+		if err != nil {
+			break
+		}
+		got++
+		f.Release()
+	}
+	t.Logf("%d of %d reply frames delivered", got, frames)
+	if got >= frames {
+		t.Fatalf("all %d reply frames were delivered to a reader that never read", got)
+	}
+}

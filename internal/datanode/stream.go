@@ -13,7 +13,8 @@ import (
 )
 
 // This file implements the pipelined side of the Figure 4 sequential-write
-// protocol: a replication session.
+// protocol - a replication session - and the receive loop it shares with
+// the read session (serveStream).
 //
 // A client opens one OpDataWriteStream per (client, partition leader) and
 // multiplexes every extent it writes there - creates, appends, and
@@ -45,11 +46,12 @@ import (
 // keepalives - hop-marked, so a follower never takes them for a client -
 // notice a dead follower before the next write blocks on it. A chain
 // never retires itself when idle: its failure is reported to the master.
-// Both stream servers close a session whose client has gone silent past
-// the idle timeout (reapIdle), so half-open clients cannot leak
-// sessions. Committed offsets are gossiped to followers - piggybacked on
-// every forward hop and broadcast with OpDataCommitted when the window
-// drains - so followers enforce the Section 2.2.5 read clamp themselves.
+// Both stream servers run one receive loop (serveStream), whose idle timer
+// closes a session once its client has gone silent past the idle timeout,
+// so half-open clients cannot leak sessions. Committed offsets are
+// gossiped to followers - piggybacked on every forward hop and broadcast
+// with OpDataCommitted when the window drains - so followers enforce the
+// Section 2.2.5 read clamp themselves.
 
 // handleStream accepts data-path packet streams (wired by Start when the
 // transport supports them) and dispatches on the dialed op: replication
@@ -58,25 +60,38 @@ import (
 func (d *DataNode) handleStream(op uint8, cs transport.PacketStream) {
 	switch proto.Op(op) {
 	case proto.OpDataWriteStream:
-		newWriteSession(d, cs).run()
+		(&writeSession{d: d, cs: cs}).run()
 	case proto.OpDataReadStream:
-		newReadSession(d, cs).run()
+		(&readSession{d: d, cs: cs, sendc: make(chan *proto.Packet, readaheadFrames)}).run()
 	default:
 		// Unknown stream service; transport closes the stream.
 	}
 }
 
-// reapIdle is the one idle rule of both stream servers: the timer it
-// returns closes the client's stream once the client has sent nothing for
-// the idle timeout, and each frame received restarts it (Reset). Silence
-// alone is the signal - a live client pings at least every keepalive
-// interval, even while its window waits on replies - so gating it on an
-// empty window would be self-defeating: a client that dies mid-window
-// blocks the server's reply send, the one thing that empties the window.
-// Closing the stream ends the session's receive loop, which tears the
-// session down, and unblocks a send wedged against a half-open client.
-func (d *DataNode) reapIdle(cs transport.PacketStream) *time.Timer {
-	return time.AfterFunc(d.idleTimeout, func() { cs.Close() })
+// serveStream is the one receive loop of both stream servers: it hands
+// each frame to handle, then drops the receive side's reference to it
+// (handle has applied the payload, and anything that keeps it took its
+// own reference), until the stream fails. Its idle timer closes the stream
+// once the client has sent nothing for the idle timeout; each frame
+// received restarts it. Silence alone is the signal - a live client pings
+// at least every keepalive interval, even while its window waits on
+// replies - so gating it on an empty window would be self-defeating: a
+// client that dies mid-window blocks the server's reply send, the one
+// thing that empties the window. Closing the stream ends this loop, which
+// tears the session down, and unblocks a send wedged against a half-open
+// client.
+func (d *DataNode) serveStream(cs transport.PacketStream, handle func(*proto.Packet)) {
+	idle := time.AfterFunc(d.idleTimeout, func() { cs.Close() })
+	defer idle.Stop()
+	for {
+		pkt, err := cs.Recv()
+		if err != nil {
+			return
+		}
+		idle.Reset(d.idleTimeout)
+		handle(pkt)
+		pkt.Release()
+	}
 }
 
 // repEntry is one in-flight packet of a replication session's window.
@@ -151,9 +166,8 @@ type hop struct {
 }
 
 type writeSession struct {
-	d    *DataNode
-	cs   transport.PacketStream
-	idle *time.Timer // reapIdle
+	d  *DataNode
+	cs transport.PacketStream
 
 	// sendMu serializes client-bound acks AND pins their order: a holder
 	// pops committed entries and sends their acks before releasing, so two
@@ -173,26 +187,11 @@ type writeSession struct {
 	wg         sync.WaitGroup
 }
 
-func newWriteSession(d *DataNode, cs transport.PacketStream) *writeSession {
-	return &writeSession{d: d, cs: cs, idle: d.reapIdle(cs)}
-}
-
-// run is the session's receive loop; it returns when the client closes its
-// end, the transport fails, or the reaper declares the client dead.
+// run serves the client's frames until it closes its end, the transport
+// fails, or the idle timer declares the client dead, then tears the
+// session down.
 func (s *writeSession) run() {
-	for {
-		pkt, err := s.cs.Recv()
-		if err != nil {
-			break
-		}
-		s.idle.Reset(s.d.idleTimeout)
-		s.handle(pkt)
-		// The session's reference: handle applied the payload (and any
-		// forward hop took its own references), so the receive side is
-		// done with the buffer.
-		pkt.Release()
-	}
-	s.idle.Stop()
+	s.d.serveStream(s.cs, s.handle)
 	s.mu.Lock()
 	s.closed = true
 	chains := s.chains
