@@ -68,11 +68,13 @@ race-reconfig:
 # read fence the two read paths disagree on, a watchdog that a wedged
 # sender can block, a chain that misses a hung or dead follower or retires
 # a healthy one, or an idle client or a stalled reader the stream servers
-# never reap.
+# never reap; or a whole-block reply whose stored sum no longer matches
+# its bytes (rot, an overwrite after the lookup), a sendfile from a closed
+# extent, or a block table that keeps a sum a write made stale.
 race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|WriteDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool|WriteStream|FollowerHang|IdleSession|IdleChain|StaleEpochRefusal' \
-		./internal/datanode/ ./internal/client/ ./internal/core/ ./internal/transport/
+		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|WriteDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool|WriteStream|FollowerHang|IdleSession|IdleChain|StaleEpochRefusal|SendFile|BlockSum' \
+		./internal/datanode/ ./internal/client/ ./internal/core/ ./internal/transport/ ./internal/storage/
 
 # Failure rates, not a gate (scripts/stress.sh): every test of STRESS_PKGS
 # run STRESS_COUNT times in shuffled order, then again under -race (the

@@ -58,10 +58,13 @@ func BenchmarkAblation_ReaddirBatchVsSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_LeaderCache isolates the client leader cache
-// (Section 2.4): 4 KiB unary reads at 50 µs one-way latency with the
+// BenchmarkAblation_LeaderCache is meant to isolate the client leader
+// cache (Section 2.4): 4 KiB unary reads at 50 µs one-way latency with the
 // cache probe the replica that served last; without it they walk the
-// replica list.
+// replica list. It isolates nothing while Members[0] leads every
+// partition, as it does in every cluster boot: probe-all then reads from
+// the first replica it tries, as leader-cache does. It measures the cache
+// once leaders are spread over the replicas (ROADMAP direction 15).
 func BenchmarkAblation_LeaderCache(b *testing.B) {
 	for _, mode := range []struct {
 		name string

@@ -179,6 +179,9 @@ func Start(nw transport.Network, cfg Config) (*DataNode, error) {
 // Addr returns the node's transport address.
 func (d *DataNode) Addr() string { return d.addr }
 
+// Dir returns the node's data directory (Config.Dir).
+func (d *DataNode) Dir() string { return d.dir }
+
 // Close stops the node: heartbeats, Raft groups, extent stores, listener.
 func (d *DataNode) Close() {
 	d.mu.Lock()

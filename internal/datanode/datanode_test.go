@@ -52,7 +52,7 @@ type fakeMaster struct {
 	failures chan proto.ReportFailureReq
 }
 
-func startFakeMaster(t *testing.T, nw transport.Network, addr string) *fakeMaster {
+func startFakeMaster(t testing.TB, nw transport.Network, addr string) *fakeMaster {
 	t.Helper()
 	fm := &fakeMaster{failures: make(chan proto.ReportFailureReq, 16)}
 	ln, err := nw.Listen(addr, func(op uint8, req any) (any, error) {
@@ -92,7 +92,7 @@ type testCluster struct {
 
 // writer returns the fixture's open session for pid, dialing the leader on
 // first use and after a failure dropped the previous one.
-func (tc *testCluster) writer(t *testing.T, pid uint64) *dntest.Writer {
+func (tc *testCluster) writer(t testing.TB, pid uint64) *dntest.Writer {
 	t.Helper()
 	if w := tc.writers[pid]; w != nil {
 		return w
@@ -167,7 +167,7 @@ func startClusterCfg(t *testing.T, n int, mod func(i int, cfg *Config)) *testClu
 // startClusterOn boots an n-node cluster on the chosen fabric: "memory"
 // runs on in-process addresses, "tcp" binds real loopback sockets so the
 // same regression exercises the framed wire path.
-func startClusterOn(t *testing.T, n int, fabric string, mod func(i int, cfg *Config)) *testCluster {
+func startClusterOn(t testing.TB, n int, fabric string, mod func(i int, cfg *Config)) *testCluster {
 	t.Helper()
 	var (
 		nw     testNet
@@ -215,7 +215,7 @@ func startClusterOn(t *testing.T, n int, fabric string, mod func(i int, cfg *Con
 	return tc
 }
 
-func (tc *testCluster) createPartition(t *testing.T, id uint64) {
+func (tc *testCluster) createPartition(t testing.TB, id uint64) {
 	t.Helper()
 	req := &proto.CreateDataPartitionReq{
 		PartitionID: id,
@@ -235,12 +235,12 @@ func (tc *testCluster) createPartition(t *testing.T, id uint64) {
 
 func (tc *testCluster) leaderAddr() string { return tc.addrs[0] }
 
-func (tc *testCluster) createExtent(t *testing.T, pid uint64) uint64 {
+func (tc *testCluster) createExtent(t testing.TB, pid uint64) uint64 {
 	t.Helper()
 	return tc.writer(t, pid).MustCreateExtent(t)
 }
 
-func (tc *testCluster) append(t *testing.T, pid, eid uint64, data []byte) (uint64, uint64) {
+func (tc *testCluster) append(t testing.TB, pid, eid uint64, data []byte) (uint64, uint64) {
 	t.Helper()
 	return tc.writer(t, pid).MustAppend(t, eid, data)
 }

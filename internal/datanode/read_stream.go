@@ -2,6 +2,7 @@ package datanode
 
 import (
 	"fmt"
+	"os"
 
 	"cfs/internal/proto"
 	"cfs/internal/transport"
@@ -44,19 +45,44 @@ import (
 const maxStreamReadLen = 8 * util.MB
 
 // readaheadFrames is the depth of the session's reply queue, in frames.
-// The receive loop's store reads run ahead of the sender's wire writes by
-// up to this many chunk frames, so disk latency and wire latency overlap:
-// while chunk k is being written to the socket, chunks k+1..k+4 are
-// already read and CRC-stamped. 4 x 128 KB = 512 KB of server-side
-// readahead per session, and because requests are served from a single
-// FIFO the window rolls across extent boundaries for free - the client's
-// next-extent requests pipeline behind the current extent's tail chunks.
+// The receive loop runs ahead of the sender's wire writes by up to this
+// many chunk frames, so request handling and wire latency overlap: while
+// chunk k is being written to the socket, chunks k+1..k+4 are already
+// admitted and stamped - file-backed frames (the block's stored sum and
+// the extent's file; sendfile reads the bytes at send time) or pooled
+// chunks already read from the store. Because requests are served from a
+// single FIFO the window rolls across extent boundaries for free - the
+// client's next-extent requests pipeline behind the current extent's tail
+// chunks.
 const readaheadFrames = 4
 
 type readSession struct {
 	d     *DataNode
 	cs    transport.PacketStream
-	sendc chan *proto.Packet // receive loop -> sender (readahead window)
+	fs    fileSender     // cs, when it sends payloads from files; else nil
+	sendc chan readReply // receive loop -> sender (readahead window)
+}
+
+// fileSender is a packet stream over a kernel socket: it sends a frame's
+// payload straight from a file with sendfile, pinning the file for the
+// send, and any error closes the stream. Other streams (the Memory
+// fabric's, a wrapping stream) lack it and are sent pooled chunks.
+type fileSender interface {
+	SendFile(pkt *proto.Packet, f *os.File, off int64, n int) error
+}
+
+// readReply is one queued reply frame. A file-backed one (f set) carries
+// no payload: the sender sends the n bytes of f at pkt.ExtentOffset, and
+// pkt.CRC is the block's stored sum.
+type readReply struct {
+	pkt *proto.Packet
+	f   *os.File
+	n   int
+}
+
+func newReadSession(d *DataNode, cs transport.PacketStream) *readSession {
+	fs, _ := cs.(fileSender)
+	return &readSession{d: d, cs: cs, fs: fs, sendc: make(chan readReply, readaheadFrames)}
 }
 
 // run is a two-stage pipeline: the receive loop serves each request as it
@@ -75,8 +101,14 @@ func (s *readSession) run() {
 	sent := make(chan struct{})
 	go func() {
 		defer close(sent)
-		for pkt := range s.sendc {
-			_ = s.cs.Send(pkt)
+		for r := range s.sendc {
+			if r.f == nil {
+				_ = s.cs.Send(r.pkt)
+			} else {
+				// A failed SendFile closes the stream: the extent was
+				// deleted or truncated under the queued frame.
+				_ = s.fs.SendFile(r.pkt, r.f, int64(r.pkt.ExtentOffset), r.n)
+			}
 		}
 	}()
 	s.d.serveStream(s.cs, s.serve)
@@ -123,14 +155,6 @@ func (s *readSession) serve(pkt *proto.Packet) {
 	remaining := length
 	for remaining > 0 {
 		n := util.MinU64(remaining, util.DefaultPacketSize)
-		// Pooled chunk buffer, filled in place (no store-side allocation);
-		// ownership transfers to the frame - the consumer recycles it.
-		buf := util.GetChunk(int(n))
-		if err := p.store.ReadInto(pkt.ExtentID, off, buf); err != nil {
-			util.PutChunk(buf)
-			s.sendErr(pkt, proto.ResultErrIO, err.Error())
-			return
-		}
 		remaining -= n
 		frame := &proto.Packet{
 			Op:           proto.OpDataRead,
@@ -140,9 +164,30 @@ func (s *readSession) serve(pkt *proto.Packet) {
 			ExtentID:     pkt.ExtentID,
 			ExtentOffset: off,
 			FileOffset:   remaining, // zero marks the request's final chunk
-			CRC:          util.CRC(buf),
-			Data:         buf,
 		}
+		// A whole block with a stored sum needs no checksum pass here: the
+		// sum was verified on ingest, so bytes that rotted (or changed
+		// after this lookup) fail the client's check and it tries another
+		// replica. On a kernel socket the bytes go out with sendfile.
+		sum, f, known := p.store.BlockSum(pkt.ExtentID, off, n)
+		if known && s.fs != nil {
+			frame.CRC = sum
+			s.sendc <- readReply{pkt: frame, f: f, n: int(n)}
+			off += n
+			continue
+		}
+		// Pooled chunk buffer, filled in place (no store-side allocation);
+		// ownership transfers to the frame - the consumer recycles it.
+		buf := util.GetChunk(int(n))
+		if err := p.store.ReadInto(pkt.ExtentID, off, buf); err != nil {
+			util.PutChunk(buf)
+			s.sendErr(pkt, proto.ResultErrIO, err.Error())
+			return
+		}
+		if !known {
+			sum = util.CRC(buf)
+		}
+		frame.CRC, frame.Data = sum, buf
 		frame.MarkPooled() // the frame owns buf; Send (or the receiver) releases it
 		s.send(frame)
 		off += n
@@ -152,7 +197,7 @@ func (s *readSession) serve(pkt *proto.Packet) {
 // send queues one reply frame behind the readahead window; blocking here
 // is wire backpressure, which is what paces the receive loop's store
 // reads.
-func (s *readSession) send(pkt *proto.Packet) { s.sendc <- pkt }
+func (s *readSession) send(pkt *proto.Packet) { s.sendc <- readReply{pkt: pkt} }
 
 func (s *readSession) sendErr(req *proto.Packet, code uint8, msg string) {
 	s.send(req.ErrResponse(code, msg))

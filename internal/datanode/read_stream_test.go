@@ -12,7 +12,7 @@ import (
 )
 
 // openReadStream dials a read session to one replica.
-func (tc *testCluster) openReadStream(t *testing.T, addr string) transport.PacketStream {
+func (tc *testCluster) openReadStream(t testing.TB, addr string) transport.PacketStream {
 	t.Helper()
 	st, err := tc.nw.DialStream(addr, uint8(proto.OpDataReadStream))
 	if err != nil {

@@ -62,7 +62,7 @@ func (d *DataNode) handleStream(op uint8, cs transport.PacketStream) {
 	case proto.OpDataWriteStream:
 		(&writeSession{d: d, cs: cs}).run()
 	case proto.OpDataReadStream:
-		(&readSession{d: d, cs: cs, sendc: make(chan *proto.Packet, readaheadFrames)}).run()
+		newReadSession(d, cs).run()
 	default:
 		// Unknown stream service; transport closes the stream.
 	}

@@ -181,11 +181,18 @@ func NewPacket(op Op, reqID, partitionID, extentID uint64, data []byte) *Packet 
 // as header+payload iovecs with no coalescing copy; WriteTo is the
 // single-writer fallback over the same encoding.
 func (p *Packet) AppendHeader(dst []byte) ([]byte, error) {
+	return p.AppendHeaderLen(dst, len(p.Data))
+}
+
+// AppendHeaderLen is AppendHeader for a frame whose n payload bytes the
+// sender writes from somewhere other than p.Data (a file, with sendfile);
+// p.CRC must already cover those bytes.
+func (p *Packet) AppendHeaderLen(dst []byte, n int) ([]byte, error) {
 	if len(p.Followers) > 255 {
 		return dst, fmt.Errorf("proto: %d followers exceeds packet limit", len(p.Followers))
 	}
-	if len(p.Data) > int(^uint32(0)) {
-		return dst, fmt.Errorf("proto: payload of %d bytes exceeds packet limit", len(p.Data))
+	if n > int(^uint32(0)) {
+		return dst, fmt.Errorf("proto: payload of %d bytes exceeds packet limit", n)
 	}
 	if p.Committed > maxCommitted {
 		return dst, fmt.Errorf("proto: committed offset %d exceeds the 48-bit header slot", p.Committed)
@@ -199,7 +206,7 @@ func (p *Packet) AppendHeader(dst []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(hdr[12:], p.PartitionID)
 	binary.BigEndian.PutUint64(hdr[20:], p.ExtentID)
 	binary.BigEndian.PutUint64(hdr[28:], p.ExtentOffset)
-	binary.BigEndian.PutUint32(hdr[36:], uint32(len(p.Data)))
+	binary.BigEndian.PutUint32(hdr[36:], uint32(n))
 	binary.BigEndian.PutUint32(hdr[40:], p.CRC)
 	binary.BigEndian.PutUint64(hdr[44:], p.FileOffset)
 	binary.BigEndian.PutUint16(hdr[52:], uint16(p.Committed>>32))

@@ -2,7 +2,8 @@
 // storage engine of CFS (paper Section 2.2, Figure 2).
 //
 // An extent store is a directory of extent files plus in-memory metadata
-// (sizes and cached CRCs). Two kinds of content live in extents:
+// (sizes and a table of per-block CRCs). Two kinds of content live in
+// extents:
 //
 //   - Large files: a sequence of extents, each used by exactly one file,
 //     written from offset zero, never padded (Section 2.2.2).
@@ -15,7 +16,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -39,11 +39,79 @@ type PunchHoler interface {
 
 // Extent metadata kept in memory per extent (Figure 2: "Extent Metadata").
 type extentMeta struct {
-	id       uint64
-	size     uint64 // append watermark: next append lands here
-	crc      uint32 // running CRC over appended bytes
-	crcDirty bool   // set by in-place overwrites; CRC then needs a rescan
-	holed    uint64 // bytes released by punch holes
+	id    uint64
+	size  uint64 // append watermark: next append lands here
+	holed uint64 // bytes released by punch holes
+	// blocks covers [0, size) in BlockSize steps; the extent's CRC is
+	// their sums folded in order (crcOf).
+	blocks []blockSum
+}
+
+// BlockSize is the span of one entry of an extent's block table: the
+// data path's packet size, so a streamed read's chunk is one block.
+const BlockSize = util.DefaultPacketSize
+
+// blockSum is the CRC-32 of the first n bytes of one block. An append
+// inside a block at its folded end extends the sum in O(1) with the
+// append's own sum (util.CRCCombine); any other write makes the block
+// unknown, and it stays unknown until the store is reopened - a read of it
+// is served correctly without a sum, and Info rescans the file.
+type blockSum struct {
+	crc uint32
+	n   uint32 // bytes folded from the block's start; unknownBlock: no sum
+}
+
+const unknownBlock = ^uint32(0)
+
+// appended accounts an append of n bytes with CRC sum at off, the old
+// watermark. The append extends the block it lies in when it starts at
+// that block's folded end; otherwise every block it touches becomes
+// unknown.
+func (m *extentMeta) appended(off, n uint64, sum uint32) {
+	m.size += n
+	if n == 0 {
+		return
+	}
+	first, last := off/BlockSize, (off+n-1)/BlockSize
+	if first == last {
+		if first == uint64(len(m.blocks)) && off%BlockSize == 0 {
+			m.blocks = append(m.blocks, blockSum{})
+		}
+		if b := &m.blocks[first]; b.n != unknownBlock && first*BlockSize+uint64(b.n) == off {
+			b.crc = util.CRCCombine(b.crc, sum, int64(n))
+			b.n += uint32(n)
+			return
+		}
+	}
+	m.forgetBlocks(off, n)
+}
+
+// forgetBlocks marks every block that [off, off+n) touches unknown,
+// extending the table to cover it.
+func (m *extentMeta) forgetBlocks(off, n uint64) {
+	if n == 0 {
+		return
+	}
+	last := (off + n - 1) / BlockSize
+	for uint64(len(m.blocks)) <= last {
+		m.blocks = append(m.blocks, blockSum{n: unknownBlock})
+	}
+	for i := off / BlockSize; i <= last; i++ {
+		m.blocks[i] = blockSum{n: unknownBlock}
+	}
+}
+
+// foldSums returns the CRC of the bytes blocks cover, or false when a
+// block has no sum.
+func foldSums(blocks []blockSum) (uint32, bool) {
+	var crc uint32
+	for _, b := range blocks {
+		if b.n == unknownBlock {
+			return 0, false
+		}
+		crc = util.CRCCombine(crc, b.crc, int64(b.n))
+	}
+	return crc, true
 }
 
 // ExtentInfo is the externally visible summary of one extent, used by
@@ -139,15 +207,15 @@ func (s *ExtentStore) scan() error {
 			f.Close()
 			return err
 		}
-		// CRC is rebuilt by scanning the extent once at open; afterwards
-		// appends maintain it incrementally.
-		crc, err := fileCRC(f, fi.Size())
+		// The block table is rebuilt by scanning the extent once at open;
+		// afterwards appends maintain it incrementally.
+		blocks, err := scanExtent(f, fi.Size())
 		if err != nil {
 			f.Close()
 			return err
 		}
 		s.files[id] = f
-		s.metas[id] = &extentMeta{id: id, size: uint64(fi.Size()), crc: crc}
+		s.metas[id] = &extentMeta{id: id, size: uint64(fi.Size()), blocks: blocks}
 		if id >= s.nextID {
 			s.nextID = id + 1
 		}
@@ -158,18 +226,19 @@ func (s *ExtentStore) scan() error {
 	return nil
 }
 
-func fileCRC(f *os.File, size int64) (uint32, error) {
-	if size == 0 {
-		return 0, nil
+// scanExtent reads the first size bytes of f once and returns their
+// block table.
+func scanExtent(f *os.File, size int64) ([]blockSum, error) {
+	var blocks []blockSum
+	buf := make([]byte, util.MinU64(uint64(size), BlockSize))
+	for off := int64(0); off < size; off += int64(len(buf)) {
+		buf = buf[:util.MinU64(uint64(size-off), BlockSize)]
+		if _, err := f.ReadAt(buf, off); err != nil {
+			return nil, err
+		}
+		blocks = append(blocks, blockSum{crc: util.CRC(buf), n: uint32(len(buf))})
 	}
-	h := crc32.NewIEEE()
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	if _, err := io.CopyN(h, f, size); err != nil {
-		return 0, err
-	}
-	return h.Sum32(), nil
+	return blocks, nil
 }
 
 func (s *ExtentStore) replayHoles() error {
@@ -239,9 +308,7 @@ func (s *ExtentStore) NextID() uint64 {
 // offset it landed at. New files always start at offset zero of a fresh
 // extent (Section 2.2.2), which this API guarantees structurally.
 func (s *ExtentStore) Append(id uint64, data []byte) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(id, data, 0, false)
+	return s.AppendSum(id, data, util.CRC(data))
 }
 
 // AppendSum is Append for callers that already hold data's verified
@@ -252,10 +319,10 @@ func (s *ExtentStore) Append(id uint64, data []byte) (uint64, error) {
 func (s *ExtentStore) AppendSum(id uint64, data []byte, sum uint32) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendLocked(id, data, sum, true)
+	return s.appendLocked(id, data, sum)
 }
 
-func (s *ExtentStore) appendLocked(id uint64, data []byte, sum uint32, haveSum bool) (uint64, error) {
+func (s *ExtentStore) appendLocked(id uint64, data []byte, sum uint32) (uint64, error) {
 	if s.closed {
 		return 0, util.ErrClosed
 	}
@@ -270,14 +337,7 @@ func (s *ExtentStore) appendLocked(id uint64, data []byte, sum uint32, haveSum b
 	if _, err := f.WriteAt(data, int64(off)); err != nil {
 		return 0, fmt.Errorf("storage: append extent %d: %w", id, err)
 	}
-	m.size += uint64(len(data))
-	if !m.crcDirty {
-		if haveSum {
-			m.crc = util.CRCCombine(m.crc, sum, int64(len(data)))
-		} else {
-			m.crc = crc32.Update(m.crc, crc32.IEEETable, data)
-		}
-	}
+	m.appended(off, uint64(len(data)), sum)
 	return off, nil
 }
 
@@ -286,16 +346,12 @@ func (s *ExtentStore) appendLocked(id uint64, data []byte, sum uint32, haveSum b
 // A duplicate of an already-applied append (off+len <= watermark) succeeds
 // idempotently.
 func (s *ExtentStore) AppendAt(id uint64, off uint64, data []byte) error {
-	return s.appendAt(id, off, data, 0, false)
+	return s.AppendAtSum(id, off, data, util.CRC(data))
 }
 
 // AppendAtSum is AppendAt with a caller-verified payload CRC; see
 // AppendSum.
 func (s *ExtentStore) AppendAtSum(id uint64, off uint64, data []byte, sum uint32) error {
-	return s.appendAt(id, off, data, sum, true)
-}
-
-func (s *ExtentStore) appendAt(id uint64, off uint64, data []byte, sum uint32, haveSum bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -318,14 +374,7 @@ func (s *ExtentStore) appendAt(id uint64, off uint64, data []byte, sum uint32, h
 	if _, err := f.WriteAt(data, int64(off)); err != nil {
 		return fmt.Errorf("storage: append extent %d: %w", id, err)
 	}
-	m.size += uint64(len(data))
-	if !m.crcDirty {
-		if haveSum {
-			m.crc = util.CRCCombine(m.crc, sum, int64(len(data)))
-		} else {
-			m.crc = crc32.Update(m.crc, crc32.IEEETable, data)
-		}
-	}
+	m.appended(off, uint64(len(data)), sum)
 	return nil
 }
 
@@ -348,7 +397,7 @@ func (s *ExtentStore) WriteAt(id uint64, off uint64, data []byte) error {
 	if _, err := f.WriteAt(data, int64(off)); err != nil {
 		return fmt.Errorf("storage: overwrite extent %d: %w", id, err)
 	}
-	m.crcDirty = true
+	m.forgetBlocks(off, uint64(len(data)))
 	return nil
 }
 
@@ -389,20 +438,42 @@ func (s *ExtentStore) ReadInto(id uint64, off uint64, buf []byte) error {
 	return nil
 }
 
+// BlockSum returns the stored CRC-32 of [off, off+n) of an extent when
+// that range is one whole block the store holds a sum for: off is a
+// multiple of BlockSize and n is every byte folded into the block so far
+// (BlockSize, or less for the tail block). The sum was verified on ingest,
+// so a caller serving the range needs no checksum pass of its own; bytes
+// that changed on disk since then fail the reader's check instead of
+// being served with a fresh sum of the wrong bytes.
+//
+// f is the extent's file, for a caller that sends the range straight from
+// it (sendfile). The store may close f at any time afterwards (Delete,
+// Close); a caller pins it through f.SyscallConn, never Fd, so a closed f
+// fails the read instead of touching a reused descriptor.
+func (s *ExtentStore) BlockSum(id, off, n uint64) (sum uint32, f *os.File, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	m := s.metas[id]
+	if s.closed || m == nil || off%BlockSize != 0 || off/BlockSize >= uint64(len(m.blocks)) {
+		return 0, nil, false
+	}
+	b := m.blocks[off/BlockSize]
+	if b.n == unknownBlock || uint64(b.n) != n {
+		return 0, nil, false
+	}
+	return b.crc, s.files[id], true
+}
+
 // AppendSmallFile aggregates data into the store's current small-file
 // extent, rolling to a fresh one as needed, and returns the (extent id,
 // offset) recorded in the file's metadata (Section 2.2.3).
 func (s *ExtentStore) AppendSmallFile(data []byte) (uint64, uint64, error) {
-	return s.appendSmallFile(data, 0, false)
+	return s.AppendSmallFileSum(data, util.CRC(data))
 }
 
 // AppendSmallFileSum is AppendSmallFile with a caller-verified payload
 // CRC; see AppendSum.
 func (s *ExtentStore) AppendSmallFileSum(data []byte, sum uint32) (uint64, uint64, error) {
-	return s.appendSmallFile(data, sum, true)
-}
-
-func (s *ExtentStore) appendSmallFile(data []byte, sum uint32, haveSum bool) (uint64, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -414,7 +485,7 @@ func (s *ExtentStore) appendSmallFile(data []byte, sum uint32, haveSum bool) (ui
 	}
 	if s.smallExt != 0 {
 		if m := s.metas[s.smallExt]; m != nil && m.size+uint64(len(data)) <= s.extentSize {
-			off, err := s.appendLocked(s.smallExt, data, sum, haveSum)
+			off, err := s.appendLocked(s.smallExt, data, sum)
 			return s.smallExt, off, err
 		}
 	}
@@ -428,7 +499,7 @@ func (s *ExtentStore) appendSmallFile(data []byte, sum uint32, haveSum bool) (ui
 	s.files[id] = f
 	s.metas[id] = &extentMeta{id: id}
 	s.smallExt = id
-	off, err := s.appendLocked(id, data, sum, haveSum)
+	off, err := s.appendLocked(id, data, sum)
 	return id, off, err
 }
 
@@ -468,7 +539,7 @@ func (s *ExtentStore) SmallFileAt(id uint64, off uint64, data []byte) error {
 	if end := off + uint64(len(data)); end > m.size {
 		m.size = end
 	}
-	m.crcDirty = true // incremental CRC is order-dependent; rescan lazily
+	m.forgetBlocks(off, uint64(len(data))) // arrival order is not offset order
 	return nil
 }
 
@@ -497,7 +568,7 @@ func (s *ExtentStore) punchLocked(id uint64, off, length uint64) error {
 		return fmt.Errorf("storage: punch hole extent %d: %w", id, err)
 	}
 	m.holed += length
-	m.crcDirty = true
+	m.forgetBlocks(off, length)
 	s.logHole(id, off, length)
 	return nil
 }
@@ -526,7 +597,10 @@ func (s *ExtentStore) Truncate(id uint64, size uint64) error {
 	}
 	m.size = size
 	m.holed = util.MinU64(m.holed, size)
-	m.crcDirty = true
+	m.blocks = m.blocks[:(size+BlockSize-1)/BlockSize]
+	if size%BlockSize != 0 {
+		m.forgetBlocks(size, 1) // the cut block
+	}
 	return nil
 }
 
@@ -589,20 +663,18 @@ func (s *ExtentStore) Info(id uint64) (ExtentInfo, error) {
 	return ExtentInfo{ID: m.id, Size: m.size, CRC: s.crcOf(m), Holed: m.holed}, nil
 }
 
-// crcOf returns the cached CRC, rescanning the file if overwrites dirtied
-// it. Caller holds at least the read lock.
+// crcOf returns the extent's CRC: its block sums folded in order, or a
+// rescan of the file when a write left a block without a sum. Caller
+// holds at least the read lock.
 func (s *ExtentStore) crcOf(m *extentMeta) uint32 {
-	if !m.crcDirty {
-		return m.crc
+	if crc, ok := foldSums(m.blocks); ok {
+		return crc
 	}
-	f := s.files[m.id]
-	crc, err := fileCRC(f, int64(m.size))
+	blocks, err := scanExtent(s.files[m.id], int64(m.size))
 	if err != nil {
 		return 0
 	}
-	// Benign race: multiple readers may rescan concurrently; the result
-	// is identical. Flag/crc are only cleaned under the write lock by
-	// the next mutation, so leave them dirty here.
+	crc, _ := foldSums(blocks)
 	return crc
 }
 

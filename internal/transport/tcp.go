@@ -292,7 +292,7 @@ func (t *TCP) DialStream(addr string, op uint8) (PacketStream, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &tcpPacketStream{conn: conn, br: bufio.NewReaderSize(conn, 256*util.KB)}, nil
+	return newPacketStream(conn, bufio.NewReaderSize(conn, 256*util.KB), nil), nil
 }
 
 // Dials returns the number of packet-stream dials so far.
@@ -397,11 +397,7 @@ func serveConn(conn net.Conn, h Handler, l *tcpListener) {
 			// stream frames that followed the upgrade header. Every
 			// response went out whole, and the stream writes straight to
 			// the socket.
-			sh(op, &tcpPacketStream{
-				conn:   conn,
-				br:     c.br,
-				frozen: func() bool { _, ok := l.t.frozen.Load(l.addr); return ok },
-			})
+			sh(op, newPacketStream(conn, c.br, func() bool { _, ok := l.t.frozen.Load(l.addr); return ok }))
 			return
 		}
 		if status == statusOneWay {
