@@ -44,12 +44,17 @@ race-raft:
 	$(GO) test -race -count=20 -timeout $(RACE_TIMEOUT) \
 		./internal/raft/ ./internal/multiraft/ ./internal/raftstore/
 
-# Failover/epoch: a promotion hang or a wedged recovery pass; and leaders
-# that must NOT fail over, under two concurrent overwriters.
+# Failover/epoch: a promotion hang or a wedged recovery pass; leaders
+# that must NOT fail over, under two concurrent overwriters; and the
+# client's replica walk (internal/client/route.go), which must move past
+# a replica that lost leadership, re-pull the view between rounds to find
+# a new leader, and re-send nothing a caller's rule says to answer with;
+# and its one view refresh, which must not let an overlapping older view
+# win or miss a partition that turned read-only by heartbeat.
 race-failover:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'Failover|Reattach|StaleEpoch|TargetedRecover|ShedsDivergent|Debounced|MembershipLifecycle|ConcurrentOverwritersKeepLeaders' \
-		./internal/master/ ./internal/datanode/ ./internal/core/
+		-run 'Failover|Reattach|StaleEpoch|TargetedRecover|ShedsDivergent|Debounced|MembershipLifecycle|ConcurrentOverwritersKeepLeaders|AnswererOrder|RefreshesBetweenRounds|WalksPastLostLeadership|MetaCallMovesOn|UnaryReadFallsOver|OverlappingRefreshes|RefreshSeesHeartbeat' \
+		./internal/master/ ./internal/datanode/ ./internal/core/ ./internal/client/
 
 # Reconfiguration: membership ConfChanges, replacement placement,
 # deposed-leader fencing, read leases, the liveness deadlines and the
@@ -70,10 +75,11 @@ race-reconfig:
 # a healthy one, or an idle client or a stalled reader the stream servers
 # never reap; or a whole-block reply whose stored sum no longer matches
 # its bytes (rot, an overwrite after the lookup), a sendfile from a closed
-# extent, or a block table that keeps a sum a write made stale.
+# extent, or a block table that keeps a sum a write made stale; or a unary
+# fallback that asks for more than one read request may carry.
 race-read:
 	$(GO) test -race -timeout $(RACE_TIMEOUT) \
-		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|WriteDepth|ReadAdmission|ShortReadPacket|SessionEngine|MountRejects|WriteChunkPool|WriteStream|FollowerHang|IdleSession|IdleChain|StaleEpochRefusal|SendFile|BlockSum' \
+		-run 'ReadStream|StreamRead|StreamedRead|OffloadOrder|WindowBounds|ZeroConfigWindows|ReadDepth|WriteDepth|ReadAdmission|OverBoundRead|SessionEngine|MountRejects|WriteChunkPool|WriteStream|FollowerHang|IdleSession|IdleChain|StaleEpochRefusal|SendFile|BlockSum|UnaryFallbackReads' \
 		./internal/datanode/ ./internal/client/ ./internal/core/ ./internal/transport/ ./internal/storage/
 
 # Failure rates, not a gate (scripts/stress.sh): every test of STRESS_PKGS
@@ -108,8 +114,9 @@ fmt:
 
 # One iteration of every paper-evaluation benchmark at the repo root (see
 # EXPERIMENTS.md): Table 3, Figures 6-10, MultiRaft heartbeat scaling and
-# the replication and small-file ablations. The client's readdir and
-# leader-cache ablations live in ./internal/client (-bench Ablation).
+# the replication and small-file ablations. The client's readdir ablation
+# lives in ./internal/client (-bench Ablation); its leader-cache ablation
+# returns once leaders spread over the nodes.
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 

@@ -19,7 +19,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -179,10 +178,8 @@ func runReconfigTrial(fabric string, trial int) (point ReconfigPoint, err error)
 		return point, fmt.Errorf("no spare data node")
 	}
 	readSpare := func() (bool, error) {
-		lenBuf := make([]byte, 4)
-		binary.BigEndian.PutUint32(lenBuf, ek.Size)
-		pkt := proto.NewPacket(proto.OpDataRead, 199, ek.PartitionID, ek.ExtentID, lenBuf)
-		pkt.ExtentOffset = ek.ExtentOffset
+		pkt := proto.NewPacket(proto.OpDataRead, 199, ek.PartitionID, ek.ExtentID, nil)
+		pkt.ExtentOffset, pkt.FileOffset = ek.ExtentOffset, uint64(ek.Size)
 		var resp proto.Packet
 		if err := nw.Call(spare, uint8(proto.OpDataRead), pkt, &resp); err != nil {
 			return false, nil // spare not serving yet - keep driving

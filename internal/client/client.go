@@ -11,7 +11,7 @@ package client
 
 import (
 	"fmt"
-	"sort"
+	"hash/fnv"
 	"sync"
 	"time"
 
@@ -56,10 +56,6 @@ type Config struct {
 	// (Section 4.2), degrading to one InodeGet per entry - the
 	// Ceph-style ablation baseline. DisableCaches sets it.
 	disableBatchInodeGet bool
-	// disableLeaderCache turns off caching of the last identified
-	// leader per partition (Section 2.4), so every read probes the
-	// replicas in order. DisableCaches sets it.
-	disableLeaderCache bool
 
 	// defaulted tracks whether Mount applied defaults (so zero-value
 	// Config and explicit Config behave identically).
@@ -89,12 +85,9 @@ func (c Config) withDefaults(volume string) Config {
 		c.KeepaliveInterval = 5 * time.Second
 	}
 	if c.Seed == 0 {
-		var h uint64 = 14695981039346656037
-		for i := 0; i < len(volume); i++ {
-			h ^= uint64(volume[i])
-			h *= 1099511628211
-		}
-		c.Seed = h | 1
+		h := fnv.New64a()
+		h.Write([]byte(volume))
+		c.Seed = h.Sum64() | 1
 	}
 	c.defaulted = true
 	return c
@@ -105,7 +98,6 @@ func (c Config) withDefaults(volume string) Config {
 func (c Config) DisableCaches() Config {
 	c.CacheTTL = -1
 	c.disableBatchInodeGet = true
-	c.disableLeaderCache = true
 	return c
 }
 
@@ -118,6 +110,9 @@ type Client struct {
 	nw         transport.Network
 	masterAddr string
 	cfg        Config
+
+	viewMu sync.Mutex // serializes view installs
+	epoch  uint64     // the installed view's epoch (guarded by viewMu)
 
 	stopc    chan struct{}
 	stopOnce sync.Once
@@ -141,9 +136,11 @@ func Mount(nw transport.Network, masterAddr, volume string, cfg Config) (*Client
 		cfg:        full,
 		stopc:      make(chan struct{}),
 	}
-	c.Meta = newMetaClient(nw, masterAddr, volume, full)
+	c.Meta = newMetaClient(nw, full)
 	c.Data = newDataClient(snw, full)
-	c.Data.refresh = c.Refresh // stale-epoch retry loops re-pull the view
+	// Retry rounds re-pull the view, so a failover or membership change
+	// seen mid-request resolves without waiting for the refresh tick.
+	c.Meta.refreshView, c.Data.refreshView = c.Refresh, c.Refresh
 	if err := c.Refresh(); err != nil {
 		return nil, err
 	}
@@ -154,21 +151,24 @@ func Mount(nw transport.Network, masterAddr, volume string, cfg Config) (*Client
 	return c, nil
 }
 
-// Refresh re-pulls the volume view and updates both partition caches.
+// Refresh re-pulls the whole volume view and installs its meta and data
+// partitions together. It asks for the whole view every time rather than
+// sending its epoch for an Unchanged answer: a data partition turning full
+// or read-only reaches the master by heartbeat and moves no epoch, and
+// PickWritable must see it. A view older than the installed one, from a
+// refresh that overlapped a newer one, is dropped.
 func (c *Client) Refresh() error {
 	var resp proto.GetVolumeResp
-	err := c.nw.Call(c.masterAddr, uint8(proto.OpMasterGetVolume),
-		&proto.GetVolumeReq{Name: c.Volume}, &resp)
-	if err != nil {
+	if err := c.nw.Call(c.masterAddr, uint8(proto.OpMasterGetVolume), &proto.GetVolumeReq{Name: c.Volume}, &resp); err != nil {
 		return err
 	}
-	view := append([]proto.MetaPartitionInfo(nil), resp.View.MetaPartitions...)
-	sort.Slice(view, func(i, j int) bool { return view[i].Start < view[j].Start })
-	c.Meta.mu.Lock()
-	c.Meta.view = view
-	c.Meta.epoch = resp.View.Epoch
-	c.Meta.mu.Unlock()
-	c.Data.setView(resp.View.DataPartitions)
+	c.viewMu.Lock()
+	if resp.View.Epoch >= c.epoch {
+		c.epoch = resp.View.Epoch
+		c.Meta.setView(resp.View.MetaPartitions)
+		c.Data.setView(resp.View.DataPartitions)
+	}
+	c.viewMu.Unlock()
 	return nil
 }
 

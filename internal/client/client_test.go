@@ -129,11 +129,47 @@ func TestLeaderCachePopulated(t *testing.T) {
 	if _, err := c.Meta.Create(proto.RootInodeID, "x", proto.TypeFile, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.Meta.mu.Lock()
-	cached := len(c.Meta.leader)
-	c.Meta.mu.Unlock()
+	c.Meta.leader.mu.Lock()
+	cached := len(c.Meta.leader.who)
+	c.Meta.leader.mu.Unlock()
 	if cached == 0 {
 		t.Fatal("leader cache empty after successful ops")
+	}
+}
+
+// TestRefreshSeesHeartbeatReadOnly: a data partition that turns read-only
+// by heartbeat moves no view epoch. The next refresh shows it all the
+// same, and later writes pick around it.
+func TestRefreshSeesHeartbeatReadOnly(t *testing.T) {
+	nw := startCluster(t)
+	c, err := Mount(nw, "master", "vol", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	full, err := c.Data.PickWritable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Call("master", uint8(proto.OpMasterHeartbeat), &proto.HeartbeatReq{
+		Addr: full.Members[0],
+		Partitions: []proto.PartitionReport{{
+			PartitionID: full.PartitionID, IsLeader: true, Status: proto.PartitionReadOnly,
+		}},
+	}, &proto.HeartbeatResp{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		ek, err := c.Data.WriteSmallFile(0, []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ek.PartitionID == full.PartitionID {
+			t.Fatalf("write %d landed on partition %d, read-only since the refresh", i, full.PartitionID)
+		}
 	}
 }
 
@@ -170,7 +206,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal("withDefaults not idempotent")
 	}
 	disabled := Config{}.DisableCaches()
-	if !disabled.disableBatchInodeGet || !disabled.disableLeaderCache || disabled.CacheTTL >= 0 {
+	if !disabled.disableBatchInodeGet || disabled.CacheTTL >= 0 {
 		t.Fatalf("DisableCaches = %+v", disabled)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cfs/internal/proto"
 	"cfs/internal/transport"
@@ -24,22 +23,21 @@ type DataClient struct {
 	cfg      Config
 	pool     *sessionPool[uint64] // replication sessions, one per partition leader
 	readPool *readPool            // read sessions, one per (replica, epoch)
-	// refresh re-pulls the volume view from the master (wired by Mount).
-	// Stale-epoch retry loops call it so a failover observed mid-write
-	// resolves to the new leader without waiting for the background
-	// refresh tick.
-	refresh func() error
+	// refreshView re-pulls the volume view (Client.Refresh, wired by
+	// Mount). Overwrite rounds and stale-epoch retries call it, so a
+	// failover seen mid-request resolves without waiting for the
+	// background refresh tick.
+	refreshView func() error
 
-	mu     sync.Mutex
-	view   []proto.DataPartitionInfo
-	leader map[uint64]string
-	// readFrom caches the last replica that successfully served a read,
-	// per partition - kept SEPARATE from the leader cache so follower-
-	// served reads cannot poison the overwrite path's leader ordering,
-	// while a healthy cluster's unary reads still hit on the first try.
-	readFrom map[uint64]string
-	rnd      *util.Rand
-	reqID    atomic.Uint64
+	// leader is the replica that last accepted an overwrite; readFrom the
+	// one that last served a unary read, kept apart so that follower-served
+	// reads cannot reorder the overwrite walk.
+	leader, readFrom answerer
+
+	mu    sync.Mutex
+	view  []proto.DataPartitionInfo
+	rnd   *util.Rand
+	reqID atomic.Uint64
 	// readRR rotates streamed-read runs across a partition's followers
 	// (committed-clamped follower offload).
 	readRR atomic.Uint64
@@ -52,20 +50,13 @@ type DataClient struct {
 	overwrote atomic.Bool
 }
 
-// refreshView best-effort re-pulls the volume view when the hook is wired.
-func (d *DataClient) refreshView() {
-	if d.refresh != nil {
-		_ = d.refresh()
-	}
-}
-
 func newDataClient(nw transport.PacketStreamNetwork, cfg Config) *DataClient {
 	d := &DataClient{
-		nw:       nw,
-		cfg:      cfg,
-		leader:   make(map[uint64]string),
-		readFrom: make(map[uint64]string),
-		rnd:      util.NewRand(cfg.Seed ^ 0xD47A),
+		nw:          nw,
+		cfg:         cfg,
+		refreshView: noRefresh,
+		rnd:         util.NewRand(cfg.Seed ^ 0xD47A),
+		acked:       make(map[[2]uint64]uint64),
 	}
 	d.pool = newSessionPool[uint64](nw, &d.cfg, proto.OpDataWriteStream, "replication")
 	d.readPool = newReadPool(nw, &d.cfg)
@@ -78,11 +69,11 @@ func (d *DataClient) close() {
 	d.readPool.close()
 }
 
+// setView installs dps, which it takes over, as the data view.
 func (d *DataClient) setView(dps []proto.DataPartitionInfo) {
-	sorted := append([]proto.DataPartitionInfo(nil), dps...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].PartitionID < sorted[j].PartitionID })
+	sort.Slice(dps, func(i, j int) bool { return dps[i].PartitionID < dps[j].PartitionID })
 	d.mu.Lock()
-	d.view = sorted
+	d.view = dps
 	d.mu.Unlock()
 }
 
@@ -112,6 +103,15 @@ func (d *DataClient) partitionInfo(pid uint64) (proto.DataPartitionInfo, error) 
 		return d.view[i], nil
 	}
 	return proto.DataPartitionInfo{}, fmt.Errorf("client: data partition %d: %w", pid, util.ErrNotFound)
+}
+
+// refresh re-pulls the volume view through the hook Mount wires.
+func (d *DataClient) refresh() error { return d.refreshView() }
+
+// members lists pid's replicas in the current view.
+func (d *DataClient) members(pid uint64) []string {
+	dp, _ := d.partitionInfo(pid)
+	return dp.Members
 }
 
 // WriteSmallFile sends a small file straight to a random partition's
@@ -145,7 +145,7 @@ func (d *DataClient) WriteSmallFile(fileOffset uint64, data []byte) (proto.Exten
 		// is a hard error and surfaces.
 		switch {
 		case errors.Is(err, util.ErrStale):
-			d.refreshView()
+			_ = d.refresh()
 		case errors.Is(err, util.ErrTimeout), errors.Is(err, util.ErrReadOnly), errors.Is(err, util.ErrFull),
 			errors.Is(err, util.ErrBusy):
 		default:
@@ -195,7 +195,9 @@ func (d *DataClient) writeSmallFileOnce(dp proto.DataPartitionInfo, fileOffset u
 // Overwrite rewrites bytes inside an already-committed extent range
 // in-place through the partition's Raft group (Figure 5). The request must
 // reach the Raft leader, which may differ from the primary-backup leader;
-// the client walks the members and caches whoever accepts (Section 2.4).
+// the replica walk tries the members, cached leader first, and remembers
+// whoever accepts (Section 2.4). A transport failure or a not-leader
+// reject moves it on; retry rounds cover a Raft election in flight.
 //
 // No client-side pinning: replicas fence overwritten extents themselves.
 // The ack carries the extent's overwrite version, which this client's
@@ -211,90 +213,65 @@ func (d *DataClient) Overwrite(ek proto.ExtentKey, extentOff uint64, data []byte
 	}
 	pkt := proto.NewPacket(proto.OpDataOverwrite, d.reqID.Add(1), ek.PartitionID, ek.ExtentID, data)
 	pkt.ExtentOffset = extentOff
-	var lastErr error
-	// Member order is built ONCE per call, not per attempt: the cached
-	// leader cannot change between rounds of this loop (only this client
-	// writes the cache), and rebuilding it per attempt re-took the client
-	// mutex on every retry round for the same answer.
-	order := d.memberOrder(dp)
-	// Retry rounds cover Raft elections in flight: the leader may not
-	// exist for a few tens of milliseconds after a partition is created
-	// or fails over (Section 2.1.3's retry-until-limit client behavior).
-	for attempt := 0; attempt <= d.cfg.MaxRetries; attempt++ {
-		for _, addr := range order {
-			var resp proto.Packet
-			err := d.nw.Call(addr, uint8(proto.OpDataOverwrite), pkt, &resp)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			switch resp.ResultCode {
-			case proto.ResultOK:
-				d.cacheLeader(dp.PartitionID, addr)
-				d.noteAcked(dp.PartitionID, ek.ExtentID, resp.Committed)
-				return nil
-			case proto.ResultErrNotLeader:
-				lastErr = fmt.Errorf("client: %s: %w", addr, util.ErrNotLeader)
-				continue
-			default:
-				return fmt.Errorf("client: overwrite dp %d: %s", dp.PartitionID, resp.Data)
-			}
+	return walk{pid: dp.PartitionID, members: dp.Members, cache: &d.leader,
+		rounds: d.cfg.MaxRetries, view: d,
+	}.run(func(addr string) (bool, error) {
+		var resp proto.Packet
+		if err := d.nw.Call(addr, uint8(proto.OpDataOverwrite), pkt, &resp); err != nil {
+			return true, err
 		}
-		if attempt < d.cfg.MaxRetries {
-			time.Sleep(time.Duration(attempt+1) * 20 * time.Millisecond)
+		switch resp.ResultCode {
+		case proto.ResultOK:
+			d.noteAcked(dp.PartitionID, ek.ExtentID, resp.Committed)
+			return false, nil
+		case proto.ResultErrNotLeader:
+			return true, fmt.Errorf("client: %s: %w", addr, util.ErrNotLeader)
 		}
-	}
-	return fmt.Errorf("client: overwrite dp %d failed on all replicas: %w (last: %v)",
-		dp.PartitionID, util.ErrRetryLimit, lastErr)
+		return false, fmt.Errorf("client: overwrite dp %d: %s", dp.PartitionID, resp.Data)
+	})
 }
 
 // Read fetches [extentOff, extentOff+length) of an extent over the unary
-// Call path, trying the last replica that served a read first, then the
-// cached leader, then the replicas in order (Section 2.4: caching the
-// last identified server minimizes retries). The order is built once per
-// call; the streamed read path (reader.go) supersedes this for scans.
+// Call path in one pass of the replica walk: the last replica that served
+// a read first, then the cached leader, then the members in view order
+// (Section 2.4: caching the last identified server minimizes retries).
+// Any failure - a transport error, a refusal, a CRC mismatch - moves on.
+// Overwritten extents need no special order: a replica whose Raft apply
+// trails the version the read carries, or that has logged an overwrite it
+// has not applied, refuses the read itself (the server-side overwrite
+// fence). The streamed read path (reader.go) supersedes this for scans.
 func (d *DataClient) Read(ek proto.ExtentKey, extentOff uint64, length uint32) ([]byte, error) {
 	dp, err := d.partitionInfo(ek.PartitionID)
 	if err != nil {
 		return nil, err
 	}
-	lenBuf := make([]byte, 4)
-	binary.BigEndian.PutUint32(lenBuf, length)
-	acked := d.ackedVersion(ek.PartitionID, ek.ExtentID)
-	var lastErr error
-	for _, addr := range d.readOrder(dp) {
-		pkt := proto.NewPacket(proto.OpDataRead, d.reqID.Add(1), ek.PartitionID, ek.ExtentID, lenBuf)
-		pkt.ExtentOffset = extentOff
-		pkt.Committed = acked // read requests carry the acked overwrite version here
+	pkt := proto.NewPacket(proto.OpDataRead, d.reqID.Add(1), ek.PartitionID, ek.ExtentID, nil)
+	pkt.ExtentOffset, pkt.FileOffset = extentOff, uint64(length) // the length rides FileOffset
+	pkt.Committed = d.ackedVersion(ek.PartitionID, ek.ExtentID)  // read requests carry the acked overwrite version here
+	var data []byte
+	// One pass (no rounds): the read replica first, over the leader's order.
+	err = walk{pid: dp.PartitionID, cache: &d.readFrom,
+		members: d.leader.order(dp.PartitionID, dp.Members)}.run(func(addr string) (bool, error) {
 		var resp proto.Packet
-		err := d.nw.Call(addr, uint8(proto.OpDataRead), pkt, &resp)
-		if err != nil {
-			lastErr = err
-			continue
+		if err := d.nw.Call(addr, uint8(proto.OpDataRead), pkt, &resp); err != nil {
+			return true, err
 		}
 		if resp.ResultCode != proto.ResultOK {
-			lastErr = fmt.Errorf("client: read dp %d ext %d at %s: %s",
-				ek.PartitionID, ek.ExtentID, addr, resp.Data)
-			continue
+			return true, fmt.Errorf("client: read dp %d ext %d at %s: %s", ek.PartitionID, ek.ExtentID, addr, resp.Data)
 		}
 		if !resp.VerifyCRC() {
-			lastErr = fmt.Errorf("client: read dp %d: %w", ek.PartitionID, util.ErrCRCMismatch)
-			continue
+			return true, fmt.Errorf("client: read dp %d at %s: %w", ek.PartitionID, addr, util.ErrCRCMismatch)
 		}
-		d.cacheReadReplica(dp.PartitionID, addr)
-		return resp.Data, nil
-	}
-	return nil, fmt.Errorf("client: read dp %d failed on all replicas: %w (last: %v)",
-		ek.PartitionID, util.ErrRetryLimit, lastErr)
+		data = resp.Data
+		return false, nil
+	})
+	return data, err
 }
 
 // noteAcked records the overwrite version an ack returned for an extent.
 func (d *DataClient) noteAcked(pid, extent, ver uint64) {
 	k := [2]uint64{pid, extent}
 	d.mu.Lock()
-	if d.acked == nil {
-		d.acked = make(map[[2]uint64]uint64)
-	}
 	if ver > d.acked[k] {
 		d.acked[k] = ver
 	}
@@ -332,78 +309,6 @@ func (d *DataClient) MarkDelete(ek proto.ExtentKey) error {
 		return fmt.Errorf("client: mark delete dp %d ext %d: %s", ek.PartitionID, ek.ExtentID, resp.Data)
 	}
 	return nil
-}
-
-func (d *DataClient) memberOrder(dp proto.DataPartitionInfo) []string {
-	if d.cfg.disableLeaderCache {
-		return dp.Members
-	}
-	d.mu.Lock()
-	cached := d.leader[dp.PartitionID]
-	d.mu.Unlock()
-	if cached == "" {
-		return dp.Members
-	}
-	out := make([]string, 0, len(dp.Members))
-	out = append(out, cached)
-	for _, a := range dp.Members {
-		if a != cached {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func (d *DataClient) cacheLeader(pid uint64, addr string) {
-	if d.cfg.disableLeaderCache {
-		return
-	}
-	d.mu.Lock()
-	d.leader[pid] = addr
-	d.mu.Unlock()
-}
-
-// cacheReadReplica remembers the replica that last served a read for pid,
-// without touching the leader cache the overwrite path orders by.
-func (d *DataClient) cacheReadReplica(pid uint64, addr string) {
-	if d.cfg.disableLeaderCache {
-		return
-	}
-	d.mu.Lock()
-	d.readFrom[pid] = addr
-	d.mu.Unlock()
-}
-
-// readOrder is the unary read path's attempt order, built once per call:
-// the last replica that served a read, then the cached leader, then the
-// view's member order. Overwritten extents need no special order: a
-// replica whose Raft apply trails the version the read carries, or an
-// overwrite it has logged, refuses the read itself (the server-side
-// overwrite fence), and the loop falls through to the next candidate.
-func (d *DataClient) readOrder(dp proto.DataPartitionInfo) []string {
-	if d.cfg.disableLeaderCache {
-		return dp.Members
-	}
-	d.mu.Lock()
-	first := d.readFrom[dp.PartitionID]
-	second := d.leader[dp.PartitionID]
-	d.mu.Unlock()
-	if first == "" && second == "" {
-		return dp.Members
-	}
-	out := make([]string, 0, len(dp.Members)+1)
-	if first != "" {
-		out = append(out, first)
-	}
-	if second != "" && second != first {
-		out = append(out, second)
-	}
-	for _, a := range dp.Members {
-		if a != first && a != second {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // offloadOrder is the streamed read path's attempt order: the followers

@@ -27,15 +27,14 @@ import (
 // periodically), the last identified leader per partition, and recently
 // fetched inodes/dentries.
 type MetaClient struct {
-	nw         transport.Network
-	masterAddr string
-	volume     string
-	cfg        Config
+	nw  transport.Network
+	cfg Config
+	// refreshView re-pulls the volume view (Client.Refresh, wired by Mount).
+	refreshView func() error
+	leader      answerer
 
 	mu       sync.Mutex
 	view     []proto.MetaPartitionInfo // sorted by Start
-	epoch    uint64
-	leader   map[uint64]string // partition id -> last successful member
 	rnd      *util.Rand
 	orphans  []orphanRef // local list of inodes to evict (Figure 3a)
 	inodes   map[uint64]cachedInode
@@ -58,39 +57,37 @@ type cachedDentry struct {
 	expires time.Time
 }
 
-func newMetaClient(nw transport.Network, masterAddr, volume string, cfg Config) *MetaClient {
+func newMetaClient(nw transport.Network, cfg Config) *MetaClient {
 	return &MetaClient{
-		nw:         nw,
-		masterAddr: masterAddr,
-		volume:     volume,
-		cfg:        cfg,
-		leader:     make(map[uint64]string),
-		rnd:        util.NewRand(cfg.Seed),
-		inodes:     make(map[uint64]cachedInode),
-		dentries:   make(map[uint64]map[string]cachedDentry),
+		nw:          nw,
+		cfg:         cfg,
+		refreshView: noRefresh,
+		rnd:         util.NewRand(cfg.Seed),
+		inodes:      make(map[uint64]cachedInode),
+		dentries:    make(map[uint64]map[string]cachedDentry),
 	}
 }
 
-// Refresh pulls the current volume view from the resource manager.
-func (m *MetaClient) Refresh() error {
+// setView installs mps, which it takes over, as the meta view.
+func (m *MetaClient) setView(mps []proto.MetaPartitionInfo) {
+	sort.Slice(mps, func(i, j int) bool { return mps[i].Start < mps[j].Start })
 	m.mu.Lock()
-	epoch := m.epoch
+	m.view = mps
 	m.mu.Unlock()
-	var resp proto.GetVolumeResp
-	err := m.nw.Call(m.masterAddr, uint8(proto.OpMasterGetVolume),
-		&proto.GetVolumeReq{Name: m.volume, Epoch: epoch}, &resp)
-	if err != nil {
-		return err
-	}
-	if resp.Unchanged {
-		return nil
-	}
-	view := append([]proto.MetaPartitionInfo(nil), resp.View.MetaPartitions...)
-	sort.Slice(view, func(i, j int) bool { return view[i].Start < view[j].Start })
+}
+
+// refresh re-pulls the volume view through the hook Mount wires.
+func (m *MetaClient) refresh() error { return m.refreshView() }
+
+// members lists pid's replicas in the current view.
+func (m *MetaClient) members(pid uint64) []string {
 	m.mu.Lock()
-	m.view = view
-	m.epoch = resp.View.Epoch
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	for _, mp := range m.view {
+		if mp.PartitionID == pid {
+			return mp.Members
+		}
+	}
 	return nil
 }
 
@@ -121,99 +118,18 @@ func (m *MetaClient) pickCreatePartition() (proto.MetaPartitionInfo, error) {
 	return rw[m.rnd.Intn(len(rw))], nil
 }
 
-// call sends one op to a partition, preferring the cached leader and
-// falling back through members; transient failures retry up to the
-// configured limit (Section 2.1.3: "the client always issues a retry after
-// a failure until the request succeeds or the maximum retry limit is
-// reached").
+// call sends one op to a partition through the replica walk, cached
+// leader first. Only a not-leader answer or a timeout moves the walk on;
+// any other failure, a dropped proposal included, is the op's answer and
+// is not re-sent. A re-sent mutate can apply twice, which the timeout's
+// re-send still risks until requests carry an id the partition dedups.
 func (m *MetaClient) call(mp proto.MetaPartitionInfo, op proto.Op, req, resp any) error {
-	var lastErr error
-	for attempt := 0; attempt <= m.cfg.MaxRetries; attempt++ {
-		order := m.memberOrder(mp)
-		for _, addr := range order {
-			err := m.nw.Call(addr, uint8(op), req, resp)
-			if err == nil {
-				if !m.cfg.disableLeaderCache {
-					m.mu.Lock()
-					m.leader[mp.PartitionID] = addr
-					m.mu.Unlock()
-				}
-				return nil
-			}
-			lastErr = err
-			if errors.Is(err, util.ErrNotLeader) || errors.Is(err, util.ErrTimeout) {
-				m.mu.Lock()
-				if m.leader[mp.PartitionID] == addr {
-					delete(m.leader, mp.PartitionID)
-				}
-				m.mu.Unlock()
-				continue // try the next member
-			}
-			return err // application-level failure: do not mask it
-		}
-		if attempt < m.cfg.MaxRetries {
-			// The backoff must outlast a Raft election (~100-200ms with
-			// default ticks): right after partition creation or a
-			// leader failure, every member legitimately answers
-			// NotLeader until the election completes.
-			backoff(attempt)
-			// A whole round failing can also mean the membership itself
-			// moved under us - the master may have detached a dead
-			// replica or placed a replacement since this view was
-			// fetched. Re-pull the view and retry against the partition's
-			// current members rather than burning the remaining rounds
-			// on a stale address list.
-			if refreshed, ok := m.refreshedPartition(mp.PartitionID); ok {
-				mp = refreshed
-			}
-		}
-	}
-	return fmt.Errorf("client: partition %d: %w (last: %v)", mp.PartitionID, util.ErrRetryLimit, lastErr)
-}
-
-// backoff sleeps before retry round attempt+1 of a call whose target is
-// not ready yet - a meta partition electing its leader, a data partition
-// in a recovery pass: (attempt+1) × 25 ms, so the default MaxRetries (3)
-// rounds wait 150 ms in all.
-func backoff(attempt int) { time.Sleep(time.Duration(attempt+1) * 25 * time.Millisecond) }
-
-// refreshedPartition re-pulls the volume view and returns the current
-// info for pid, if the master still lists it. Used between failed call
-// rounds so a membership change mid-call (detach, replacement placement)
-// redirects the remaining retries instead of failing them.
-func (m *MetaClient) refreshedPartition(pid uint64) (proto.MetaPartitionInfo, bool) {
-	if err := m.Refresh(); err != nil {
-		return proto.MetaPartitionInfo{}, false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, mp := range m.view {
-		if mp.PartitionID == pid {
-			return mp, true
-		}
-	}
-	return proto.MetaPartitionInfo{}, false
-}
-
-// memberOrder returns the partition's members with the cached leader first.
-func (m *MetaClient) memberOrder(mp proto.MetaPartitionInfo) []string {
-	if m.cfg.disableLeaderCache {
-		return mp.Members
-	}
-	m.mu.Lock()
-	cached := m.leader[mp.PartitionID]
-	m.mu.Unlock()
-	if cached == "" {
-		return mp.Members
-	}
-	out := make([]string, 0, len(mp.Members))
-	out = append(out, cached)
-	for _, a := range mp.Members {
-		if a != cached {
-			out = append(out, a)
-		}
-	}
-	return out
+	return walk{pid: mp.PartitionID, members: mp.Members, cache: &m.leader,
+		rounds: m.cfg.MaxRetries, view: m,
+	}.run(func(addr string) (bool, error) {
+		err := m.nw.Call(addr, uint8(op), req, resp)
+		return errors.Is(err, util.ErrNotLeader) || errors.Is(err, util.ErrTimeout), err
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -236,13 +152,13 @@ func (m *MetaClient) Create(parentID uint64, name string, typ uint32, linkTarget
 	ino := cresp.Info
 	if err := m.createDentry(parentID, name, ino.Inode, typ); err != nil {
 		// Dentry failed: unlink the fresh inode and queue it for evict.
+		// The inode goes on the orphan list whether the unlink lands or not.
 		var uresp proto.UnlinkInodeResp
-		uerr := m.call(mp, proto.OpMetaUnlinkInode,
+		_ = m.call(mp, proto.OpMetaUnlinkInode,
 			&proto.UnlinkInodeReq{PartitionID: mp.PartitionID, Inode: ino.Inode}, &uresp)
 		m.mu.Lock()
 		m.orphans = append(m.orphans, orphanRef{partitionID: mp.PartitionID, inode: ino.Inode})
 		m.mu.Unlock()
-		_ = uerr // inode is on the orphan list either way
 		return nil, err
 	}
 	m.cacheInode(ino)

@@ -133,7 +133,7 @@ func (r *ExtentReader) ReadAt(ek proto.ExtentKey, extentOff uint64, p []byte, kn
 			if stales > r.d.cfg.MaxRetries {
 				return read, err
 			}
-			r.d.refreshView()
+			_ = r.d.refresh()
 			r.cur.cands, r.cur.candIdx = nil, 0
 			continue
 		}

@@ -375,12 +375,12 @@ func TestOffloadOrderShape(t *testing.T) {
 func TestReadOrderIgnoresOverwrites(t *testing.T) {
 	d := newDataClient(transport.NewMemory(), Config{}.withDefaults("x"))
 	dp := proto.DataPartitionInfo{PartitionID: 7, Members: []string{"L", "F1", "F2"}}
-	d.cacheReadReplica(7, "F2")
-	d.cacheLeader(7, "L")
+	d.readFrom.note(7, "F2")
+	d.leader.note(7, "L")
 	if err := d.Overwrite(proto.ExtentKey{PartitionID: 7, ExtentID: 1}, 0, []byte("x")); err == nil {
 		t.Fatal("overwrite against no servers should fail")
 	}
-	if order := d.readOrder(dp); order[0] != "F2" {
+	if order := d.readFrom.order(7, d.leader.order(7, dp.Members)); order[0] != "F2" {
 		t.Fatalf("read order = %v, want cached replica first", order)
 	}
 }

@@ -734,7 +734,7 @@ func TestOverwriteWalksPastLostLeadership(t *testing.T) {
 	if len(asked) != 2 || asked[0] != "dn0" || asked[1] != "dn1" {
 		t.Fatalf("asked %v, want dn0 then dn1", asked)
 	}
-	if order := d.memberOrder(engineDP); order[0] != "dn1" {
+	if order := d.leader.order(engineDP.PartitionID, engineDP.Members); order[0] != "dn1" {
 		t.Fatalf("member order after the walk = %v, want the accepting replica first", order)
 	}
 }

@@ -427,6 +427,9 @@ func (f *File) readSpanLocked(ek proto.ExtentKey, extOff uint64, p []byte, seque
 			return n, nil
 		}
 	}
+	// One unary request asks for at most proto.MaxReadLen; the caller's
+	// loop re-enters for the rest.
+	p = p[:min(len(p), proto.MaxReadLen)]
 	data, err := f.fs.c.Data.Read(ek, extOff, uint32(len(p)))
 	if err != nil {
 		return 0, err

@@ -10,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"cfs/internal/client"
+	"cfs/internal/cluster"
 	"cfs/internal/datanode"
 	"cfs/internal/proto"
+	"cfs/internal/transport"
 	"cfs/internal/util"
 )
 
@@ -226,5 +229,59 @@ func TestStreamedReadRacingOverwrite(t *testing.T) {
 			}
 			t.Logf("%d reads raced the overwrites", reads.Load())
 		})
+	}
+}
+
+// noReadStreams refuses every read-session dial, so a mount on it reads
+// through the unary fallback only.
+type noReadStreams struct{ transport.PacketStreamNetwork }
+
+func (n noReadStreams) DialStream(addr string, op uint8) (transport.PacketStream, error) {
+	if op == uint8(proto.OpDataReadStream) {
+		return nil, fmt.Errorf("read stream to %s refused", addr)
+	}
+	return n.PacketStreamNetwork.DialStream(addr, op)
+}
+
+// TestUnaryFallbackReadsPastTheRequestBound: with no read stream to be
+// had, one read of an extent key longer than proto.MaxReadLen (a writer
+// with a large packet size leaves such keys) goes through the unary
+// fallback in requests the data nodes accept.
+func TestUnaryFallbackReadsPastTheRequestBound(t *testing.T) {
+	c := bootVolume(t, cluster.Options{Fabric: "memory", ExtentSize: 16 * util.MB}, 1, 1)
+	w, err := Mount(c.Net(), c.MasterAddr(), "vol", MountOptions{Client: client.Config{PacketSize: 16 * util.MB}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Unmount()
+	data := make([]byte, proto.MaxReadLen+util.MB)
+	rnd := util.NewRand(7)
+	for i := range data {
+		data[i] = byte(rnd.Uint64())
+	}
+	f, err := w.Create("/big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := f.Write(data); err != nil || n != len(data) {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Mount(noReadStreams{c.Net()}, c.MasterAddr(), "vol", MountOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Unmount()
+	f2, err := r.Open("/big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f2.Close()
+	got := make([]byte, len(data))
+	if n, err := f2.ReadAt(got, 0); n != len(data) || !bytes.Equal(got, data) {
+		t.Fatalf("ReadAt = %d, %v; want all %d bytes back", n, err, len(data))
 	}
 }

@@ -262,10 +262,8 @@ func (tc *testCluster) tryAppend(t *testing.T, pid, eid uint64, data []byte) *pr
 
 func (tc *testCluster) read(t *testing.T, addr string, pid, eid, off uint64, length uint32) ([]byte, *proto.Packet) {
 	t.Helper()
-	lenBuf := make([]byte, 4)
-	binary.BigEndian.PutUint32(lenBuf, length)
-	pkt := proto.NewPacket(proto.OpDataRead, 3, pid, eid, lenBuf)
-	pkt.ExtentOffset = off
+	pkt := proto.NewPacket(proto.OpDataRead, 3, pid, eid, nil)
+	pkt.ExtentOffset, pkt.FileOffset = off, uint64(length)
 	var resp proto.Packet
 	if err := tc.nw.Call(addr, uint8(proto.OpDataRead), pkt, &resp); err != nil {
 		t.Fatal(err)
@@ -641,7 +639,7 @@ func TestNodeStatsAndHeartbeat(t *testing.T) {
 
 func TestUnknownPartitionRejected(t *testing.T) {
 	tc := startCluster(t, 1)
-	pkt := proto.NewPacket(proto.OpDataRead, 1, 999, 1, make([]byte, 4))
+	pkt := proto.NewPacket(proto.OpDataRead, 1, 999, 1, nil)
 	var resp proto.Packet
 	err := tc.nw.Call(tc.addrs[0], uint8(proto.OpDataRead), pkt, &resp)
 	if !errors.Is(err, util.ErrNotFound) {

@@ -273,8 +273,8 @@ func (tc *testCluster) overwriteXYZ(t *testing.T, leader *Partition, eid uint64)
 // with acked: it reaches a replica the fabric has cut off.
 func readAt(t *testing.T, p *Partition, eid, acked uint64) (string, *proto.Packet) {
 	t.Helper()
-	pkt := proto.NewPacket(proto.OpDataRead, 61, p.ID, eid, []byte{0, 0, 0, 10})
-	pkt.Committed = acked
+	pkt := proto.NewPacket(proto.OpDataRead, 61, p.ID, eid, nil)
+	pkt.FileOffset, pkt.Committed = 10, acked
 	resp, err := p.handleRead(pkt)
 	if err != nil {
 		t.Fatal(err)

@@ -812,10 +812,15 @@ func (sm *partitionSM) Restore(data []byte) error {
 // Read (Section 2.7.4).
 
 // admitRead is the one list of read fences: the unary OpDataRead handler
-// below and the read stream (readSession.serve) both ask it whether
-// [off, off+length) of pkt's extent may be served. It returns nil, or the
-// refusal to send back.
-func (p *Partition) admitRead(pkt *proto.Packet, off, length uint64) *proto.Packet {
+// below and the read stream (readSession.serve) both ask it whether the
+// range pkt names may be served: length pkt.FileOffset bytes from
+// pkt.ExtentOffset, one request format on both paths. It returns nil, or
+// the refusal to send back.
+func (p *Partition) admitRead(pkt *proto.Packet) *proto.Packet {
+	off, length := pkt.ExtentOffset, pkt.FileOffset
+	if length > proto.MaxReadLen {
+		return pkt.ErrResponse(proto.ResultErrArg, fmt.Sprintf("read of %d bytes exceeds the %d limit", length, proto.MaxReadLen))
+	}
 	// Counted before the fences: refusals are served requests too.
 	p.node.reads.Add(1)
 	// Lease fence: a node whose master-granted lease ran out (missed
@@ -865,14 +870,10 @@ func (p *Partition) admitRead(pkt *proto.Packet, off, length uint64) *proto.Pack
 }
 
 func (p *Partition) handleRead(pkt *proto.Packet) (*proto.Packet, error) {
-	if len(pkt.Data) < 4 {
-		return pkt.ErrResponse(proto.ResultErrArg, "read request carries no length"), nil
-	}
-	length := binary.BigEndian.Uint32(pkt.Data)
-	if refusal := p.admitRead(pkt, pkt.ExtentOffset, uint64(length)); refusal != nil {
+	if refusal := p.admitRead(pkt); refusal != nil {
 		return refusal, nil
 	}
-	buf, err := p.store.ReadAt(pkt.ExtentID, pkt.ExtentOffset, length)
+	buf, err := p.store.ReadAt(pkt.ExtentID, pkt.ExtentOffset, uint32(pkt.FileOffset))
 	if err != nil {
 		return pkt.ErrResponse(proto.ResultErrIO, err.Error()), nil
 	}

@@ -1,7 +1,6 @@
 package datanode
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -17,10 +16,8 @@ import (
 // frame.
 func (tc *testCluster) readReplies(t *testing.T, addr string, pid, eid, off uint64, length uint32, epoch, acked uint64) (unary, streamed *proto.Packet) {
 	t.Helper()
-	lenBuf := make([]byte, 4)
-	binary.BigEndian.PutUint32(lenBuf, length)
-	call := proto.NewPacket(proto.OpDataRead, 1, pid, eid, lenBuf)
-	call.ExtentOffset, call.Epoch, call.Committed = off, epoch, acked
+	call := proto.NewPacket(proto.OpDataRead, 1, pid, eid, nil)
+	call.ExtentOffset, call.FileOffset, call.Epoch, call.Committed = off, uint64(length), epoch, acked
 	unary = new(proto.Packet)
 	if err := tc.nw.Call(addr, uint8(proto.OpDataRead), call, unary); err != nil {
 		t.Fatal(err)
@@ -62,6 +59,7 @@ func TestReadAdmissionSameOnBothPaths(t *testing.T) {
 				tc.nodes[0].leaseUntil.Store(1) // a deadline long past
 				return 0
 			}},
+		{name: "length past the bound", code: proto.ResultErrArg, length: proto.MaxReadLen + 1},
 		{name: "stale epoch", code: proto.ResultErrStaleEpoch, length: size, epoch: 9},
 		{name: "range past committed", code: proto.ResultErrClamped, off: 4, length: size, committed: size},
 		{name: "extent behind announced overwrite version", code: proto.ResultErrIO, length: size,
@@ -113,7 +111,8 @@ func TestReadAdmissionSameOnBothPaths(t *testing.T) {
 // readable extent, for the malformed-request regressions below: a payload
 // shorter than the length field it should carry used to index out of range
 // inside the handler, and nothing recovers a handler panic - one packet
-// from outside took the whole server process down.
+// from outside took the whole server process down. A read carries its
+// length in FileOffset, so its malformed request is an absurd length.
 func shortPacketCluster(t *testing.T, fabric string) (tc *testCluster, eid uint64) {
 	t.Helper()
 	tc = startClusterOn(t, 1, fabric, nil)
@@ -130,16 +129,21 @@ func (tc *testCluster) refusedAsArg(t *testing.T, pkt *proto.Packet) {
 		t.Fatal(err)
 	}
 	if resp.ResultCode != proto.ResultErrArg {
-		t.Fatalf("%s with a %d-byte payload: rc=%d (%s), want ResultErrArg", pkt.Op, len(pkt.Data), resp.ResultCode, resp.Data)
+		t.Fatalf("%s: rc=%d (%s), want ResultErrArg", pkt, resp.ResultCode, resp.Data)
 	}
 }
 
-func TestShortReadPacketRefused(t *testing.T) {
+// TestOverBoundReadRefused: a unary read is refused past the bound a read
+// stream enforces, before the store is asked for the range, on both
+// fabrics, and the node serves the next read.
+func TestOverBoundReadRefused(t *testing.T) {
 	for _, fabric := range []string{"memory", "tcp"} {
 		t.Run(fabric, func(t *testing.T) {
 			tc, eid := shortPacketCluster(t, fabric)
-			for _, payload := range [][]byte{nil, {0, 0, 13}} {
-				tc.refusedAsArg(t, proto.NewPacket(proto.OpDataRead, 1, 7, eid, payload))
+			for _, length := range []uint64{proto.MaxReadLen + 1, 1 << 40} {
+				pkt := proto.NewPacket(proto.OpDataRead, 1, 7, eid, nil)
+				pkt.FileOffset = length
+				tc.refusedAsArg(t, pkt)
 			}
 			if data, rr := tc.read(t, tc.addrs[0], 7, eid, 0, 13); rr.ResultCode != proto.ResultOK || string(data) != "still serving" {
 				t.Fatalf("read after the malformed request = %q rc=%d", data, rr.ResultCode)

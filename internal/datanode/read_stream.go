@@ -40,10 +40,6 @@ import (
 // head-of-line-block the write session's acks (the ROADMAP session-
 // fairness item, solved for reads).
 
-// maxStreamReadLen bounds one read request so a corrupt length cannot make
-// the session buffer an absurd range.
-const maxStreamReadLen = 8 * util.MB
-
 // readaheadFrames is the depth of the session's reply queue, in frames.
 // The receive loop runs ahead of the sender's wire writes by up to this
 // many chunk frames, so request handling and wire latency overlap: while
@@ -134,17 +130,12 @@ func (s *readSession) serve(pkt *proto.Packet) {
 		s.sendErr(pkt, proto.ResultErrArg, fmt.Sprintf("unknown partition %d", pkt.PartitionID))
 		return
 	}
-	length := pkt.FileOffset // requested byte count rides the FileOffset slot
-	if length > maxStreamReadLen {
-		s.sendErr(pkt, proto.ResultErrArg, fmt.Sprintf("read of %d bytes exceeds the %d stream limit", length, maxStreamReadLen))
-		return
-	}
-	off := pkt.ExtentOffset
 	// Per-request error containment: a refusal fails only this reply.
-	if refusal := p.admitRead(pkt, off, length); refusal != nil {
+	if refusal := p.admitRead(pkt); refusal != nil {
 		s.send(refusal)
 		return
 	}
+	length, off := pkt.FileOffset, pkt.ExtentOffset
 	if length == 0 {
 		s.send(&proto.Packet{
 			Op: proto.OpDataRead, ResultCode: proto.ResultOK, ReqID: pkt.ReqID,

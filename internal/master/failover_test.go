@@ -2,7 +2,6 @@ package master
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -169,10 +168,8 @@ func (e *failEnv) driveUntil(what string, cond func() bool) {
 
 func (e *failEnv) readExtent(addr string, pid, eid, off uint64, length uint32) (*proto.Packet, []byte) {
 	e.t.Helper()
-	lenBuf := make([]byte, 4)
-	binary.BigEndian.PutUint32(lenBuf, length)
-	pkt := proto.NewPacket(proto.OpDataRead, 99, pid, eid, lenBuf)
-	pkt.ExtentOffset = off
+	pkt := proto.NewPacket(proto.OpDataRead, 99, pid, eid, nil)
+	pkt.ExtentOffset, pkt.FileOffset = off, uint64(length)
 	var resp proto.Packet
 	if err := e.nw.Call(addr, uint8(proto.OpDataRead), pkt, &resp); err != nil {
 		return &proto.Packet{ResultCode: proto.ResultErrIO, Data: []byte(err.Error())}, nil

@@ -157,8 +157,8 @@ func TestDataPartitionOverwriteCommitsThroughManager(t *testing.T) {
 	for _, addr := range addrs {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			lenBuf := []byte{0, 0, 0, 10}
-			rd := proto.NewPacket(proto.OpDataRead, 4, 1, eid, lenBuf)
+			rd := proto.NewPacket(proto.OpDataRead, 4, 1, eid, nil)
+			rd.FileOffset = 10
 			var rr proto.Packet
 			if err := nw.Call(addr, uint8(proto.OpDataRead), rd, &rr); err != nil {
 				t.Fatal(err)

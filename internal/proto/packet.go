@@ -12,6 +12,11 @@ import (
 // PacketMagic guards against desynchronized streams.
 const PacketMagic uint8 = 0xCF
 
+// MaxReadLen bounds the length one read request may ask for, streamed or
+// unary; a data node refuses a longer one, so that a corrupt length cannot
+// make it buffer an absurd range.
+const MaxReadLen = 8 * util.MB
+
 // Packet is the fixed-header frame used on the data path (Section 2.7.1).
 // The client slices file writes into fixed-size packets (128 KB by default)
 // and streams them to the replica-array leader; the leader forwards to the
