@@ -93,14 +93,15 @@ stress:
 	bash scripts/stress.sh $(STRESS_COUNT) $(STRESS_PKGS)
 
 # Ten seconds of fuzzing on each decoder of bytes a peer sent: the meta
-# Raft command decoder (every replica decodes each log entry on its own),
+# Raft entry apply (every replica decodes and applies each log entry on
+# its own),
 # the MultiRaft batch decoder (every Raft frame on TCP) and the metadata
 # RPC body decoder (every client metadata request and reply on TCP). A
 # malformed input must be an error, never a panic. New crashers land in
 # the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCommand$$' -fuzztime $(FUZZTIME) ./internal/meta/
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyEntry$$' -fuzztime $(FUZZTIME) ./internal/meta/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/multiraft/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMetaBody$$' -fuzztime $(FUZZTIME) ./internal/proto/
 

@@ -152,10 +152,9 @@ func Mount(nw transport.Network, masterAddr, volume string, cfg Config) (*Client
 }
 
 // Refresh re-pulls the whole volume view and installs its meta and data
-// partitions together. It asks for the whole view every time rather than
-// sending its epoch for an Unchanged answer: a data partition turning full
-// or read-only reaches the master by heartbeat and moves no epoch, and
-// PickWritable must see it. A view older than the installed one, from a
+// partitions together. It asks for the whole view every time: a data
+// partition turning full or read-only reaches the master by heartbeat and
+// moves no epoch, and PickWritable must see it. A view older than the installed one, from a
 // refresh that overlapped a newer one, is dropped.
 func (c *Client) Refresh() error {
 	var resp proto.GetVolumeResp

@@ -1006,12 +1006,8 @@ func (p *Partition) AlignReplicas(follower string) (uint64, error) {
 			// beats destroying data.
 			fix.FileOffset = smallFileMarker
 		}
-		var resp proto.Packet
-		if err := p.node.nw.Call(follower, uint8(fix.Op), fix, &resp); err != nil {
+		if err := p.alignHop(follower, fix, "datanode: shed divergent extent %d on %s", e.ID, follower); err != nil {
 			return 0, err
-		}
-		if resp.ResultCode != proto.ResultOK {
-			return 0, fmt.Errorf("datanode: shed divergent extent %d on %s: %s", e.ID, follower, resp.Data)
 		}
 		shed = true
 	}
@@ -1041,13 +1037,9 @@ func (p *Partition) AlignReplicas(follower string) (uint64, error) {
 			// The follower does not have the extent at all - a replica
 			// that missed the create hop, or one re-created empty after
 			// losing its disk. Create it first; AppendAt never does.
-			hop := createHopPacket(p.ID, 0, info.ID, epoch)
-			var resp proto.Packet
-			if err := p.node.nw.Call(follower, uint8(proto.OpDataCreateExtent), hop, &resp); err != nil {
+			if err := p.alignHop(follower, createHopPacket(p.ID, 0, info.ID, epoch),
+				"datanode: align create extent %d on %s", info.ID, follower); err != nil {
 				return shipped, err
-			}
-			if resp.ResultCode != proto.ResultOK {
-				return shipped, fmt.Errorf("datanode: align create extent %d on %s: %s", info.ID, follower, resp.Data)
 			}
 		}
 		for have < target {
@@ -1073,12 +1065,8 @@ func (p *Partition) AlignReplicas(follower string) (uint64, error) {
 				CRC:       util.CRC(data),
 				Data:      data,
 			}
-			var resp proto.Packet
-			if err := p.node.nw.Call(follower, uint8(proto.OpDataAppend), pkt, &resp); err != nil {
+			if err := p.alignHop(follower, pkt, "datanode: align extent %d", info.ID); err != nil {
 				return shipped, err
-			}
-			if resp.ResultCode != proto.ResultOK {
-				return shipped, fmt.Errorf("datanode: align extent %d: %s", info.ID, resp.Data)
 			}
 			have += chunk
 			shipped += chunk
@@ -1112,27 +1100,33 @@ func (p *Partition) AlignReplicas(follower string) (uint64, error) {
 				CRC:          util.CRC(data),
 				Data:         data,
 			}
-			var resp proto.Packet
-			if err := p.node.nw.Call(follower, uint8(proto.OpDataOverwrite), raw, &resp); err != nil {
+			if err := p.alignHop(follower, raw, "datanode: overwrite-heal extent %d on %s", info.ID, follower); err != nil {
 				return shipped, err
-			}
-			if resp.ResultCode != proto.ResultOK {
-				return shipped, fmt.Errorf("datanode: overwrite-heal extent %d on %s: %s", info.ID, follower, resp.Data)
 			}
 			off += chunk
 			shipped += chunk
 		}
 		adopt := committedHopPacket(p.ID, info.ID, p.committedOf(info.ID), epoch, ovw)
 		adopt.ExtentOffset = ovwAdoptMarker
-		var resp proto.Packet
-		if err := p.node.nw.Call(follower, uint8(proto.OpDataCommitted), adopt, &resp); err != nil {
+		if err := p.alignHop(follower, adopt, "datanode: overwrite-adopt extent %d on %s", info.ID, follower); err != nil {
 			return shipped, err
-		}
-		if resp.ResultCode != proto.ResultOK {
-			return shipped, fmt.Errorf("datanode: overwrite-adopt extent %d on %s: %s", info.ID, follower, resp.Data)
 		}
 	}
 	return shipped, nil
+}
+
+// alignHop sends one alignment hop to follower. A reply that is not OK
+// fails the pass: the error is what (a format, with args) and then the
+// reply's text.
+func (p *Partition) alignHop(follower string, hop *proto.Packet, what string, args ...any) error {
+	var resp proto.Packet
+	if err := p.node.nw.Call(follower, uint8(hop.Op), hop, &resp); err != nil {
+		return err
+	}
+	if resp.ResultCode != proto.ResultOK {
+		return fmt.Errorf(what+": %s", append(args, resp.Data)...)
+	}
+	return nil
 }
 
 // Recover runs the full failure-recovery sequence of Section 2.2.5 on the

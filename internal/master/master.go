@@ -586,17 +586,6 @@ func (m *Master) replicaCountLocked(isMeta bool) int {
 }
 
 func (m *Master) handleGetVolume(req *proto.GetVolumeReq) (*proto.GetVolumeResp, error) {
-	m.mu.Lock()
-	v, ok := m.state.Volumes[req.Name]
-	if !ok {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("master: volume %q: %w", req.Name, util.ErrNotFound)
-	}
-	if req.Epoch != 0 && req.Epoch == v.Epoch {
-		m.mu.Unlock()
-		return &proto.GetVolumeResp{Unchanged: true}, nil
-	}
-	m.mu.Unlock()
 	view, err := m.viewOf(req.Name)
 	if err != nil {
 		return nil, err

@@ -77,14 +77,14 @@ func cpuTime() time.Duration {
 // -benchtime 1000x with 10000x.
 func BenchmarkAppendExtentKeys(b *testing.B) {
 	p := NewPartition(1, "vol", 1, 1000, nil)
-	mustApply(b, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
-	file := mustApply(b, p, &command{Kind: cmdCreateInode, Type: proto.TypeFile}).(*proto.Inode)
+	newInode(b, p, proto.TypeDir)
+	file := newInode(b, p, proto.TypeFile)
 	const size = 128 << 10
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := uint64(i) * size
-		mustApply(b, p, &command{Kind: cmdAppendExtentKeys, Inode: file.Inode, Size: off + size,
+		mustApply(b, p, proto.OpMetaAppendExtentKeys, &proto.AppendExtentKeysReq{Inode: file.Inode, Size: off + size,
 			Extents: []proto.ExtentKey{{PartitionID: 1, ExtentID: 7, ExtentOffset: off, FileOffset: off, Size: size}}})
 	}
 }

@@ -25,27 +25,34 @@ const (
 func cloneFixture(t *testing.T) *Partition {
 	t.Helper()
 	p := NewPartition(1, "vol", 1, 1000, nil)
-	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
-	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeFile})
-	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
-	mustApply(t, p, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID, Name: "f",
-		Inode: fixtureFile, DentryType: proto.TypeFile})
-	mustApply(t, p, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID, Name: "d",
-		Inode: fixtureDir, DentryType: proto.TypeDir})
+	mustApply(t, p, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeDir})
+	mustApply(t, p, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeFile})
+	mustApply(t, p, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeDir})
+	mustApply(t, p, proto.OpMetaCreateDentry, &proto.CreateDentryReq{ParentID: proto.RootInodeID, Name: "f",
+		Inode: fixtureFile, Type: proto.TypeFile})
+	mustApply(t, p, proto.OpMetaCreateDentry, &proto.CreateDentryReq{ParentID: proto.RootInodeID, Name: "d",
+		Inode: fixtureDir, Type: proto.TypeDir})
 	for _, off := range []uint64{200, 0, 100} { // as random writes leave them
-		mustApply(t, p, &command{Kind: cmdAppendExtentKeys, Inode: fixtureFile, Size: off + 100,
+		mustApply(t, p, proto.OpMetaAppendExtentKeys, &proto.AppendExtentKeysReq{Inode: fixtureFile, Size: off + 100,
 			Extents: []proto.ExtentKey{{PartitionID: 1, ExtentID: 7, ExtentOffset: off, FileOffset: off, Size: 100}}})
 	}
 	return p
 }
 
-func mustApply(t testing.TB, p *Partition, c *command) any {
+// mustApply proposes op's request req on the unreplicated partition p.
+func mustApply(t testing.TB, p *Partition, op proto.Op, req any) any {
 	t.Helper()
-	out, err := p.applyCommand(c)
+	out, err := p.propose(op, req)
 	if err != nil {
-		t.Fatalf("apply %d: %v", c.Kind, err)
+		t.Fatalf("apply %v: %v", op, err)
 	}
 	return out
+}
+
+// newInode creates an inode of type typ on the unreplicated partition p.
+func newInode(t testing.TB, p *Partition, typ uint32) *proto.Inode {
+	t.Helper()
+	return mustApply(t, p, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: typ}).(*proto.CreateInodeResp).Info
 }
 
 // deepInode copies ino with its slices, so a later comparison sees a
@@ -64,18 +71,19 @@ func TestCloneIsAPointInTime(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		watch uint64
-		cmd   command
+		op    proto.Op
+		req   any
 	}{
-		{"create-dentry of a dir", proto.RootInodeID, command{Kind: cmdCreateDentry,
-			ParentID: proto.RootInodeID, Name: "e", Inode: 99, DentryType: proto.TypeDir}},
-		{"delete-dentry", proto.RootInodeID, command{Kind: cmdDeleteDentry, ParentID: proto.RootInodeID, Name: "d"}},
-		{"unlink", fixtureFile, command{Kind: cmdUnlinkInode, Inode: fixtureFile}},
-		{"link", fixtureFile, command{Kind: cmdLinkInode, Inode: fixtureFile}},
-		{"set-attr mtime", fixtureFile, command{Kind: cmdSetAttr, Inode: fixtureFile,
+		{"create-dentry of a dir", proto.RootInodeID, proto.OpMetaCreateDentry, &proto.CreateDentryReq{
+			ParentID: proto.RootInodeID, Name: "e", Inode: 99, Type: proto.TypeDir}},
+		{"delete-dentry", proto.RootInodeID, proto.OpMetaDeleteDentry, &proto.DeleteDentryReq{ParentID: proto.RootInodeID, Name: "d"}},
+		{"unlink", fixtureFile, proto.OpMetaUnlinkInode, &proto.UnlinkInodeReq{Inode: fixtureFile}},
+		{"link", fixtureFile, proto.OpMetaLinkInode, &proto.LinkInodeReq{Inode: fixtureFile}},
+		{"set-attr mtime", fixtureFile, proto.OpMetaSetAttr, &proto.SetAttrReq{Inode: fixtureFile,
 			Valid: proto.AttrModifyTime, ModifyTime: 42}},
-		{"set-attr truncating size", fixtureFile, command{Kind: cmdSetAttr, Inode: fixtureFile,
+		{"set-attr truncating size", fixtureFile, proto.OpMetaSetAttr, &proto.SetAttrReq{Inode: fixtureFile,
 			Valid: proto.AttrSize, Size: 150}},
-		{"append-extent-keys", fixtureFile, command{Kind: cmdAppendExtentKeys, Inode: fixtureFile, Size: 400,
+		{"append-extent-keys", fixtureFile, proto.OpMetaAppendExtentKeys, &proto.AppendExtentKeysReq{Inode: fixtureFile, Size: 400,
 			Extents: []proto.ExtentKey{{PartitionID: 1, ExtentID: 8, FileOffset: 300, Size: 100}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,7 +96,7 @@ func TestCloneIsAPointInTime(t *testing.T) {
 			}
 			want := deepInode(held)
 
-			mustApply(t, p, &tc.cmd)
+			mustApply(t, p, tc.op, tc.req)
 			now, _ := p.InodeGet(tc.watch)
 			if now != nil && reflect.DeepEqual(deepInode(now), want) {
 				t.Fatalf("the apply changed nothing in inode %d", tc.watch)
@@ -110,7 +118,7 @@ func TestCloneIsAPointInTime(t *testing.T) {
 // encoding a snapshot reads nothing an apply writes.
 func TestSnapshotWhileApplying(t *testing.T) {
 	p := NewPartition(1, "vol", 1, 1<<20, nil)
-	mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
+	newInode(t, p, proto.TypeDir)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -152,9 +160,9 @@ func TestSnapshotWhileApplying(t *testing.T) {
 		for i%200 == 0 && snaps.Load() < int64(i/200) && !t.Failed() {
 			runtime.Gosched()
 		}
-		ino := mustApply(t, p, &command{Kind: cmdCreateInode, Type: proto.TypeDir}).(*proto.Inode)
-		mustApply(t, p, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID,
-			Name: fmt.Sprintf("d%d", i), Inode: ino.Inode, DentryType: proto.TypeDir})
+		ino := newInode(t, p, proto.TypeDir)
+		mustApply(t, p, proto.OpMetaCreateDentry, &proto.CreateDentryReq{ParentID: proto.RootInodeID,
+			Name: fmt.Sprintf("d%d", i), Inode: ino.Inode, Type: proto.TypeDir})
 	}
 }
 
@@ -168,7 +176,7 @@ func TestDentryFoundByItsPair(t *testing.T) {
 		t.Fatalf("Lookup allocates %v times, want only its reply", allocs)
 	}
 	clone := p.dentryTree.Clone()
-	out := mustApply(t, p, &command{Kind: cmdUpdateDentry, ParentID: proto.RootInodeID, Name: "f", Inode: fixtureDir})
+	out := mustApply(t, p, proto.OpMetaUpdateDentry, &proto.UpdateDentryReq{ParentID: proto.RootInodeID, Name: "f", Inode: fixtureDir})
 	if old := out.(*proto.UpdateDentryResp).OldInode; old != fixtureFile {
 		t.Fatalf("UpdateDentry reports old inode %d, want %d", old, fixtureFile)
 	}
@@ -178,7 +186,7 @@ func TestDentryFoundByItsPair(t *testing.T) {
 	if d := clone.Find(dentryAt(proto.RootInodeID, "f")).(dentryItem).d; d.Inode != fixtureFile {
 		t.Fatalf("the clone's dentry moved to inode %d, want %d", d.Inode, fixtureFile)
 	}
-	if _, err := p.applyCommand(&command{Kind: cmdUpdateDentry, ParentID: proto.RootInodeID, Name: "g", Inode: fixtureDir}); !errors.Is(err, util.ErrNotFound) {
+	if _, err := p.propose(proto.OpMetaUpdateDentry, &proto.UpdateDentryReq{ParentID: proto.RootInodeID, Name: "g", Inode: fixtureDir}); !errors.Is(err, util.ErrNotFound) {
 		t.Fatalf("UpdateDentry of a missing name = %v, want ErrNotFound", err)
 	}
 }

@@ -528,17 +528,17 @@ func TestReplicasAgreeUnderConcurrentCreates(t *testing.T) {
 func TestReappliedEntriesChangeNothing(t *testing.T) {
 	leader := NewPartition(1, "vol", 1, 1000, nil)
 	var log [][]byte
-	apply := func(p *Partition, c *command) {
-		log = append(log, encodeCommand(c))
+	apply := func(p *Partition, op proto.Op, req any) {
+		log = append(log, mustEntry(t, op, req))
 		if _, err := p.Apply(uint64(len(log)), log[len(log)-1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	apply(leader, &command{Kind: cmdCreateInode, Type: proto.TypeDir})
+	apply(leader, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeDir})
 	for i := 0; i < 10; i++ {
-		apply(leader, &command{Kind: cmdCreateInode, Type: proto.TypeFile})
-		apply(leader, &command{Kind: cmdCreateDentry, ParentID: proto.RootInodeID,
-			Name: fmt.Sprintf("f%d", i), Inode: uint64(i + 2), DentryType: proto.TypeFile})
+		apply(leader, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeFile})
+		apply(leader, proto.OpMetaCreateDentry, &proto.CreateDentryReq{ParentID: proto.RootInodeID,
+			Name: fmt.Sprintf("f%d", i), Inode: uint64(i + 2), Type: proto.TypeFile})
 	}
 	data, err := leader.Snapshot()
 	if err != nil {
@@ -563,7 +563,7 @@ func TestReappliedEntriesChangeNothing(t *testing.T) {
 		}
 	}
 	check("after the re-sent entries")
-	apply(leader, &command{Kind: cmdCreateInode, Type: proto.TypeFile})
+	apply(leader, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeFile})
 	if _, err := follower.Apply(uint64(len(log)), log[len(log)-1]); err != nil {
 		t.Fatal(err)
 	}
@@ -574,17 +574,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := NewPartition(1, "vol", 1, 10000, nil)
 	p.CreateRootInode()
 	for i := 0; i < 100; i++ {
-		out, err := p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ino := out.(*proto.Inode)
-		if _, err := p.propose(&command{
-			Kind: cmdCreateDentry, ParentID: proto.RootInodeID,
-			Name: fmt.Sprintf("f%03d", i), Inode: ino.Inode, DentryType: proto.TypeFile,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		ino := newInode(t, p, proto.TypeFile)
+		mustApply(t, p, proto.OpMetaCreateDentry, &proto.CreateDentryReq{
+			ParentID: proto.RootInodeID, Name: fmt.Sprintf("f%03d", i), Inode: ino.Inode, Type: proto.TypeFile,
+		})
 	}
 	data, err := p.Snapshot()
 	if err != nil {
@@ -676,9 +669,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	p := mn.Partition(1)
 	p.CreateRootInode()
 	for i := 0; i < 50; i++ {
-		if _, err := p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile}); err != nil {
-			t.Fatal(err)
-		}
+		newInode(t, p, proto.TypeFile)
 	}
 	mn.Close() // persists snapshots
 
@@ -704,14 +695,11 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 func TestOrphanDetection(t *testing.T) {
 	p := NewPartition(1, "vol", 1, 1000, nil)
 	p.CreateRootInode()
-	out, _ := p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile})
-	linked := out.(*proto.Inode)
-	p.propose(&command{
-		Kind: cmdCreateDentry, ParentID: proto.RootInodeID,
-		Name: "linked", Inode: linked.Inode, DentryType: proto.TypeFile,
+	linked := newInode(t, p, proto.TypeFile)
+	mustApply(t, p, proto.OpMetaCreateDentry, &proto.CreateDentryReq{
+		ParentID: proto.RootInodeID, Name: "linked", Inode: linked.Inode, Type: proto.TypeFile,
 	})
-	out, _ = p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile})
-	orphan := out.(*proto.Inode)
+	orphan := newInode(t, p, proto.TypeFile)
 
 	orphans := p.OrphanInodes()
 	if len(orphans) != 1 || orphans[0].Inode != orphan.Inode {
@@ -723,7 +711,7 @@ func TestMemUsedGrowsWithContent(t *testing.T) {
 	p := NewPartition(1, "vol", 1, 100000, nil)
 	before := p.MemUsed()
 	for i := 0; i < 100; i++ {
-		p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile})
+		newInode(t, p, proto.TypeFile)
 	}
 	if p.MemUsed() <= before {
 		t.Fatalf("MemUsed did not grow: %d -> %d", before, p.MemUsed())
@@ -738,33 +726,33 @@ func TestQuickInodeAllocationDisjointAfterSplit(t *testing.T) {
 		p := NewPartition(1, "v", 1, ^uint64(0), nil)
 		n := int(preAlloc%50) + 1
 		for i := 0; i < n; i++ {
-			if _, err := p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile}); err != nil {
+			if _, err := p.propose(proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeFile}); err != nil {
 				return false
 			}
 		}
 		end := p.MaxInodeID() + uint64(delta%100) + 1
-		if _, err := p.propose(&command{Kind: cmdSplit, End: end}); err != nil {
+		if _, err := p.propose(proto.OpMetaSplitPartition, &proto.SplitMetaPartitionReq{End: end}); err != nil {
 			return false
 		}
 		succ := NewPartition(2, "v", end+1, ^uint64(0), nil)
 		seen := map[uint64]bool{}
 		for i := 0; i < 30; i++ {
-			out, err := p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile})
+			out, err := p.propose(proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeFile})
 			if err != nil {
 				break // original exhausted its cut range: fine
 			}
-			id := out.(*proto.Inode).Inode
+			id := out.(*proto.CreateInodeResp).Info.Inode
 			if seen[id] || id > end {
 				return false
 			}
 			seen[id] = true
 		}
 		for i := 0; i < 30; i++ {
-			out, err := succ.propose(&command{Kind: cmdCreateInode, Type: proto.TypeFile})
+			out, err := succ.propose(proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeFile})
 			if err != nil {
 				return false
 			}
-			id := out.(*proto.Inode).Inode
+			id := out.(*proto.CreateInodeResp).Info.Inode
 			if seen[id] || id <= end {
 				return false
 			}

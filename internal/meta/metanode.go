@@ -398,122 +398,12 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return nil, fmt.Errorf("meta: partition %d on %s: %w", pid, m.addr, util.ErrNotLeader)
 	}
 
-	switch proto.Op(op) {
-	case proto.OpMetaCreateInode:
-		r, ok := req.(*proto.CreateInodeReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		out, err := p.propose(&command{Kind: cmdCreateInode, Type: r.Type, LinkTarget: r.LinkTarget})
-		if err != nil {
-			return nil, err
-		}
-		return &proto.CreateInodeResp{Info: out.(*proto.Inode)}, nil
-
-	case proto.OpMetaUnlinkInode:
-		r, ok := req.(*proto.UnlinkInodeReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		out, err := p.propose(&command{Kind: cmdUnlinkInode, Inode: r.Inode})
-		if err != nil {
-			return nil, err
-		}
-		return &proto.UnlinkInodeResp{Info: out.(*proto.Inode)}, nil
-
-	case proto.OpMetaEvictInode:
-		r, ok := req.(*proto.EvictInodeReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		if _, err := p.propose(&command{Kind: cmdEvictInode, Inode: r.Inode}); err != nil {
-			return nil, err
-		}
-		return &proto.EvictInodeResp{}, nil
-
-	case proto.OpMetaLinkInode:
-		r, ok := req.(*proto.LinkInodeReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		out, err := p.propose(&command{Kind: cmdLinkInode, Inode: r.Inode})
-		if err != nil {
-			return nil, err
-		}
-		return &proto.LinkInodeResp{Info: out.(*proto.Inode)}, nil
-
-	case proto.OpMetaCreateDentry:
-		r, ok := req.(*proto.CreateDentryReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		if _, err := p.propose(&command{
-			Kind: cmdCreateDentry, ParentID: r.ParentID, Name: r.Name,
-			Inode: r.Inode, DentryType: r.Type,
-		}); err != nil {
-			return nil, err
-		}
-		return &proto.CreateDentryResp{}, nil
-
-	case proto.OpMetaDeleteDentry:
-		r, ok := req.(*proto.DeleteDentryReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		out, err := p.propose(&command{Kind: cmdDeleteDentry, ParentID: r.ParentID, Name: r.Name})
-		if err != nil {
-			return nil, err
-		}
-		return out.(*proto.DeleteDentryResp), nil
-
-	case proto.OpMetaUpdateDentry:
-		r, ok := req.(*proto.UpdateDentryReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		out, err := p.propose(&command{
-			Kind: cmdUpdateDentry, ParentID: r.ParentID, Name: r.Name, Inode: r.Inode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out.(*proto.UpdateDentryResp), nil
-
-	case proto.OpMetaSetAttr:
-		r, ok := req.(*proto.SetAttrReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		if _, err := p.propose(&command{
-			Kind: cmdSetAttr, Inode: r.Inode, Valid: r.Valid,
-			Size: r.Size, ModifyTime: r.ModifyTime,
-		}); err != nil {
-			return nil, err
-		}
-		return &proto.SetAttrResp{}, nil
-
-	case proto.OpMetaAppendExtentKeys:
-		r, ok := req.(*proto.AppendExtentKeysReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		if _, err := p.propose(&command{
-			Kind: cmdAppendExtentKeys, Inode: r.Inode, Extents: r.Extents, Size: r.Size,
-		}); err != nil {
-			return nil, err
-		}
-		return &proto.AppendExtentKeysResp{}, nil
-
-	case proto.OpMetaSplitPartition:
-		r, ok := req.(*proto.SplitMetaPartitionReq)
-		if !ok {
-			return nil, errBody(req)
-		}
-		out, err := p.propose(&command{Kind: cmdSplit, End: r.End})
-		if err != nil {
-			return nil, err
-		}
-		return out.(*proto.SplitMetaPartitionResp), nil
+	switch o := proto.Op(op); o {
+	case proto.OpMetaCreateInode, proto.OpMetaUnlinkInode, proto.OpMetaEvictInode,
+		proto.OpMetaLinkInode, proto.OpMetaCreateDentry, proto.OpMetaDeleteDentry,
+		proto.OpMetaUpdateDentry, proto.OpMetaSetAttr, proto.OpMetaAppendExtentKeys,
+		proto.OpMetaSplitPartition:
+		return p.propose(o, req)
 
 	case proto.OpMetaLookup:
 		r, ok := req.(*proto.LookupReq)
@@ -630,8 +520,9 @@ func partitionIDOf(req any) (uint64, error) {
 }
 
 // errBody refuses a request whose body is not the type its op takes. The
-// peer picks op and body independently, so every assertion in handle is
-// checked: a mismatch is an answer, not a panic.
+// peer picks op and body independently, so every assertion in handle, and
+// the encode propose makes of a mutation, is checked: a mismatch is an
+// answer, not a panic.
 func errBody(req any) error {
 	return fmt.Errorf("meta: %w: body %T", util.ErrInvalidArgument, req)
 }

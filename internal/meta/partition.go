@@ -41,7 +41,7 @@ type Partition struct {
 	inodeTree  *btree.BTree
 	dentryTree *btree.BTree
 	maxInodeID uint64 // largest inode id allocated so far in this partition
-	// applied is the Raft index of the last command applied, carried in
+	// applied is the Raft index of the last entry applied, carried in
 	// snapshots: a follower installing a snapshot is re-sent entries the
 	// snapshot already holds (see Apply).
 	applied uint64
@@ -184,140 +184,41 @@ func (p *Partition) MemUsed() uint64 {
 }
 
 // ---------------------------------------------------------------------------
-// Replicated command plumbing. Every mutation is encoded as a command,
-// proposed through Raft, and applied identically on every replica.
+// Replicated mutations. A mutation's Raft entry is its request: the op
+// byte, the time the proposer read (8 bytes, little endian, unix nanos),
+// then the request's metawire body (proto.AppendMeta). Every replica
+// applies the entry as it is, so a field added to a request reaches the
+// log with no extra work, and every replica stamps the same time.
 
-type cmdKind uint8
+// entryHeader is the op byte and the proposer's time.
+const entryHeader = 1 + 8
 
-const (
-	cmdCreateInode cmdKind = iota + 1
-	cmdUnlinkInode
-	cmdEvictInode
-	cmdLinkInode
-	cmdCreateDentry
-	cmdDeleteDentry
-	cmdUpdateDentry
-	cmdSetAttr
-	cmdAppendExtentKeys
-	cmdSplit
-)
-
-// command is the Raft log payload for meta mutations.
-type command struct {
-	Kind cmdKind
-
-	Type       uint32
-	LinkTarget []byte
-	Inode      uint64
-	ParentID   uint64
-	Name       string
-	DentryType uint32
-	Valid      uint32
-	Size       uint64
-	ModifyTime int64
-	Extents    []proto.ExtentKey
-	End        uint64
+// newEntry encodes op's request req as an entry stamped with one reading
+// of the proposer's clock. A body that is not op's request is refused.
+func newEntry(op proto.Op, req any) ([]byte, error) {
+	// 64 bytes hold a typical entry, so it is built in one allocation.
+	hdr := append(make([]byte, 0, 64), byte(op))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(proto.Now()))
+	entry, ok := proto.AppendMeta(hdr, op, false, req)
+	if !ok {
+		return nil, errBody(req)
+	}
+	return entry, nil
 }
 
-// A command is one Raft log entry and must decode on its own, so it has a
-// fixed binary layout (little endian): Kind(1) Type(4) Inode(8)
-// ParentID(8) DentryType(4) Valid(4) Size(8) ModifyTime(8) End(8), then
-// Name and LinkTarget each as length(4) + bytes, then Extents as count(4)
-// + 40 bytes per key in ExtentKey field order.
-const (
-	cmdFixedSize  = 1 + 4 + 8 + 8 + 4 + 4 + 8 + 8 + 8
-	extentKeySize = 8 + 8 + 8 + 8 + 4 + 4
-)
-
-func encodeCommand(c *command) []byte {
-	le := binary.LittleEndian
-	b := make([]byte, 0, cmdFixedSize+12+len(c.Name)+len(c.LinkTarget)+len(c.Extents)*extentKeySize)
-	b = append(b, byte(c.Kind))
-	b = le.AppendUint32(b, c.Type)
-	b = le.AppendUint64(b, c.Inode)
-	b = le.AppendUint64(b, c.ParentID)
-	b = le.AppendUint32(b, c.DentryType)
-	b = le.AppendUint32(b, c.Valid)
-	b = le.AppendUint64(b, c.Size)
-	b = le.AppendUint64(b, uint64(c.ModifyTime))
-	b = le.AppendUint64(b, c.End)
-	b = append(le.AppendUint32(b, uint32(len(c.Name))), c.Name...)
-	b = append(le.AppendUint32(b, uint32(len(c.LinkTarget))), c.LinkTarget...)
-	b = le.AppendUint32(b, uint32(len(c.Extents)))
-	for _, ek := range c.Extents {
-		b = le.AppendUint64(b, ek.PartitionID)
-		b = le.AppendUint64(b, ek.ExtentID)
-		b = le.AppendUint64(b, ek.ExtentOffset)
-		b = le.AppendUint64(b, ek.FileOffset)
-		b = le.AppendUint32(b, ek.Size)
-		b = le.AppendUint32(b, ek.CRC)
+// propose replicates op's request req as one entry and returns the apply
+// result, the reply op's handler sends.
+func (p *Partition) propose(op proto.Op, req any) (any, error) {
+	entry, err := newEntry(op, req)
+	if err != nil {
+		return nil, err
 	}
-	return b
-}
-
-// cmdReader walks an encoded command; a read past the end yields zeros,
-// empties the reader and marks it short, so decodeCommand checks once at
-// the end.
-type cmdReader struct {
-	b     []byte
-	short bool
-}
-
-func (r *cmdReader) next(n int) []byte {
-	if n < 0 || n > len(r.b) {
-		r.b, r.short = nil, true
-		return make([]byte, 8)
+	if g := p.raftGroup(); g != nil {
+		return g.Propose(entry)
 	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *cmdReader) u32() uint32 { return binary.LittleEndian.Uint32(r.next(4)) }
-func (r *cmdReader) u64() uint64 { return binary.LittleEndian.Uint64(r.next(8)) }
-
-// blob reads a length-prefixed byte string; a zero length reads as nil.
-func (r *cmdReader) blob() []byte {
-	if v := r.next(int(r.u32())); len(v) > 0 && !r.short {
-		return v
-	}
-	return nil
-}
-
-func decodeCommand(data []byte) (*command, error) {
-	r := &cmdReader{b: data}
-	// Go evaluates the calls in a composite literal left to right, so the
-	// fields read in layout order.
-	c := &command{Kind: cmdKind(r.next(1)[0]), Type: r.u32(), Inode: r.u64(), ParentID: r.u64(),
-		DentryType: r.u32(), Valid: r.u32(), Size: r.u64(), ModifyTime: int64(r.u64()), End: r.u64(),
-		Name: string(r.blob()), LinkTarget: bytes.Clone(r.blob())}
-	if n := int(r.u32()); n > len(r.b)/extentKeySize {
-		r.short = true
-	} else if n > 0 {
-		c.Extents = make([]proto.ExtentKey, n)
-		for i := range c.Extents {
-			c.Extents[i] = proto.ExtentKey{PartitionID: r.u64(), ExtentID: r.u64(),
-				ExtentOffset: r.u64(), FileOffset: r.u64(), Size: r.u32(), CRC: r.u32()}
-		}
-	}
-	switch {
-	case r.short || len(r.b) != 0:
-		return nil, fmt.Errorf("meta: command of %d bytes does not match its layout: %w", len(data), util.ErrInvalidArgument)
-	case c.Kind < cmdCreateInode || c.Kind > cmdSplit:
-		return nil, fmt.Errorf("meta: unknown command %d: %w", c.Kind, util.ErrInvalidArgument)
-	}
-	return c, nil
-}
-
-// propose replicates a command and returns the apply result.
-func (p *Partition) propose(c *command) (any, error) {
-	g := p.raftGroup()
-	if g == nil {
-		// Unreplicated partition (single-node tools, fsck): apply
-		// directly.
-		return p.applyCommand(c)
-	}
-	return g.Propose(encodeCommand(c))
+	// Unreplicated partition (single-node tools, fsck): the same entry,
+	// applied directly.
+	return p.Apply(0, entry)
 }
 
 // Apply implements raft.StateMachine. An entry at or below the applied
@@ -325,51 +226,52 @@ func (p *Partition) propose(c *command) (any, error) {
 // snapshot it sends a follower with its log's compaction point, while the
 // state it serializes is the later applied one, so the follower is re-sent
 // the entries in between - and a create run twice makes a phantom inode.
-func (p *Partition) Apply(index uint64, data []byte) (any, error) {
-	c, err := decodeCommand(data)
+// Index 0 is an entry with no log behind it (an unreplicated partition's)
+// and moves no applied index. An entry that is not a mutation's request
+// is refused with ErrInvalidArgument and changes nothing.
+func (p *Partition) Apply(index uint64, entry []byte) (any, error) {
+	if len(entry) < entryHeader {
+		return nil, fmt.Errorf("meta: entry of %d bytes: %w", len(entry), util.ErrInvalidArgument)
+	}
+	op, now := proto.Op(entry[0]), int64(binary.LittleEndian.Uint64(entry[1:entryHeader]))
+	req, err := proto.DecodeMetaRequest(op, entry[entryHeader:])
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if index <= p.applied {
+	if index != 0 && index <= p.applied {
 		return nil, fmt.Errorf("meta: partition %d: entry %d already applied: %w", p.ID, index, util.ErrStale)
 	}
-	p.applied = index
-	return p.applyLocked(c)
-}
-
-func (p *Partition) applyCommand(c *command) (any, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.applyLocked(c)
-}
-
-func (p *Partition) applyLocked(c *command) (any, error) {
-	switch c.Kind {
-	case cmdCreateInode:
-		return p.applyCreateInode(c)
-	case cmdUnlinkInode:
-		return p.applyUnlinkInode(c)
-	case cmdEvictInode:
-		return p.applyEvictInode(c)
-	case cmdLinkInode:
-		return p.applyLinkInode(c)
-	case cmdCreateDentry:
-		return p.applyCreateDentry(c)
-	case cmdDeleteDentry:
-		return p.applyDeleteDentry(c)
-	case cmdUpdateDentry:
-		return p.applyUpdateDentry(c)
-	case cmdSetAttr:
-		return p.applySetAttr(c)
-	case cmdAppendExtentKeys:
-		return p.applyAppendExtentKeys(c)
-	case cmdSplit:
-		return p.applySplit(c)
+	var out any
+	switch r := req.(type) {
+	case *proto.CreateInodeReq:
+		out, err = p.applyCreateInode(r, now)
+	case *proto.UnlinkInodeReq:
+		out, err = p.applyUnlinkInode(r, now)
+	case *proto.EvictInodeReq:
+		out, err = p.applyEvictInode(r)
+	case *proto.LinkInodeReq:
+		out, err = p.applyLinkInode(r, now)
+	case *proto.CreateDentryReq:
+		out, err = p.applyCreateDentry(r, now)
+	case *proto.DeleteDentryReq:
+		out, err = p.applyDeleteDentry(r, now)
+	case *proto.UpdateDentryReq:
+		out, err = p.applyUpdateDentry(r)
+	case *proto.SetAttrReq:
+		out, err = p.applySetAttr(r, now)
+	case *proto.AppendExtentKeysReq:
+		out, err = p.applyAppendExtentKeys(r, now)
+	case *proto.SplitMetaPartitionReq:
+		out, err = p.applySplit(r)
 	default:
-		return nil, fmt.Errorf("meta: unknown command %d: %w", c.Kind, util.ErrInvalidArgument)
+		return nil, fmt.Errorf("meta: %w: %v is not a mutation", util.ErrInvalidArgument, op)
 	}
+	if index != 0 {
+		p.applied = index
+	}
+	return out, err
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +325,7 @@ func (p *Partition) changeInode(id uint64, change func(ino *proto.Inode) error) 
 // applyCreateInode allocates the smallest unused inode id (Section 2.6.1:
 // "picks up the smallest inode id that has not been used so far ... and
 // updates its largest inode id accordingly").
-func (p *Partition) applyCreateInode(c *command) (any, error) {
+func (p *Partition) applyCreateInode(r *proto.CreateInodeReq, now int64) (any, error) {
 	next := p.maxInodeID + 1
 	if next < p.Start {
 		next = p.Start
@@ -431,32 +333,31 @@ func (p *Partition) applyCreateInode(c *command) (any, error) {
 	if next > p.End {
 		return nil, fmt.Errorf("meta: partition %d inode range exhausted: %w", p.ID, util.ErrFull)
 	}
-	now := proto.Now()
 	ino := &proto.Inode{
 		Inode:      next,
-		Type:       c.Type,
-		LinkTarget: c.LinkTarget,
+		Type:       r.Type,
+		LinkTarget: r.LinkTarget,
 		NLink:      1,
 		CreateTime: now,
 		ModifyTime: now,
 	}
-	if c.Type == proto.TypeDir {
+	if r.Type == proto.TypeDir {
 		ino.NLink = 2
 	}
 	p.maxInodeID = next
 	p.inodeTree.ReplaceOrInsert(inodeItem{ino: ino})
-	return ino, nil
+	return &proto.CreateInodeResp{Info: ino}, nil
 }
 
 // CreateRootInode installs the volume root directory (inode 1). It is only
 // valid on the partition owning id 1 and is idempotent.
 func (p *Partition) CreateRootInode() error {
-	_, err := p.propose(&command{Kind: cmdCreateInode, Type: proto.TypeDir})
+	_, err := p.propose(proto.OpMetaCreateInode, &proto.CreateInodeReq{PartitionID: p.ID, Type: proto.TypeDir})
 	return err
 }
 
-func (p *Partition) applyUnlinkInode(c *command) (any, error) {
-	ino, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
+func (p *Partition) applyUnlinkInode(r *proto.UnlinkInodeReq, now int64) (any, error) {
+	ino, err := p.changeInode(r.Inode, func(ino *proto.Inode) error {
 		if ino.NLink > 0 {
 			ino.NLink--
 		}
@@ -466,56 +367,56 @@ func (p *Partition) applyUnlinkInode(c *command) (any, error) {
 		if (!ino.IsDir() && ino.NLink == 0) || (ino.IsDir() && ino.NLink < 2) {
 			ino.Flag |= proto.FlagDeleteMark
 		}
-		ino.ModifyTime = proto.Now()
+		ino.ModifyTime = now
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ino, nil
+	return &proto.UnlinkInodeResp{Info: ino}, nil
 }
 
-func (p *Partition) applyEvictInode(c *command) (any, error) {
-	ino := p.getInode(c.Inode)
+func (p *Partition) applyEvictInode(r *proto.EvictInodeReq) (any, error) {
+	ino := p.getInode(r.Inode)
 	if ino == nil {
 		return &proto.EvictInodeResp{}, nil // already gone: idempotent
 	}
 	if ino.Flag&proto.FlagDeleteMark == 0 {
-		return nil, fmt.Errorf("meta: inode %d not marked deleted: %w", c.Inode, util.ErrInvalidArgument)
+		return nil, fmt.Errorf("meta: inode %d not marked deleted: %w", r.Inode, util.ErrInvalidArgument)
 	}
 	p.inodeTree.Delete(inodeItem{ino: ino})
 	return &proto.EvictInodeResp{}, nil
 }
 
-func (p *Partition) applyLinkInode(c *command) (any, error) {
-	ino, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
+func (p *Partition) applyLinkInode(r *proto.LinkInodeReq, now int64) (any, error) {
+	ino, err := p.changeInode(r.Inode, func(ino *proto.Inode) error {
 		if ino.Flag&proto.FlagDeleteMark != 0 {
-			return fmt.Errorf("meta: inode %d: %w", c.Inode, util.ErrNotFound)
+			return fmt.Errorf("meta: inode %d: %w", r.Inode, util.ErrNotFound)
 		}
 		ino.NLink++
-		ino.ModifyTime = proto.Now()
+		ino.ModifyTime = now
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ino, nil
+	return &proto.LinkInodeResp{Info: ino}, nil
 }
 
-func (p *Partition) applyCreateDentry(c *command) (any, error) {
-	_, err := p.changeInode(c.ParentID, func(parent *proto.Inode) error {
+func (p *Partition) applyCreateDentry(r *proto.CreateDentryReq, now int64) (any, error) {
+	_, err := p.changeInode(r.ParentID, func(parent *proto.Inode) error {
 		if !parent.IsDir() {
-			return fmt.Errorf("meta: parent inode %d: %w", c.ParentID, util.ErrNotDir)
+			return fmt.Errorf("meta: parent inode %d: %w", r.ParentID, util.ErrNotDir)
 		}
-		key := dentryItem{d: proto.Dentry{ParentID: c.ParentID, Name: c.Name, Inode: c.Inode, Type: c.DentryType}}
+		key := dentryItem{d: proto.Dentry{ParentID: r.ParentID, Name: r.Name, Inode: r.Inode, Type: r.Type}}
 		if p.dentryTree.Has(key) {
-			return fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrExist)
+			return fmt.Errorf("meta: dentry %d/%q: %w", r.ParentID, r.Name, util.ErrExist)
 		}
 		p.dentryTree.ReplaceOrInsert(key)
-		if c.DentryType == proto.TypeDir {
+		if r.Type == proto.TypeDir {
 			parent.NLink++ // subdirectory's ".." reference
 		}
-		parent.ModifyTime = proto.Now()
+		parent.ModifyTime = now
 		return nil
 	})
 	if err != nil {
@@ -524,56 +425,56 @@ func (p *Partition) applyCreateDentry(c *command) (any, error) {
 	return &proto.CreateDentryResp{}, nil
 }
 
-func (p *Partition) applyDeleteDentry(c *command) (any, error) {
-	key := dentryItem{d: proto.Dentry{ParentID: c.ParentID, Name: c.Name}}
+func (p *Partition) applyDeleteDentry(r *proto.DeleteDentryReq, now int64) (any, error) {
+	key := dentryItem{d: proto.Dentry{ParentID: r.ParentID, Name: r.Name}}
 	it := p.dentryTree.Delete(key)
 	if it == nil {
-		return nil, fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrNotFound)
+		return nil, fmt.Errorf("meta: dentry %d/%q: %w", r.ParentID, r.Name, util.ErrNotFound)
 	}
 	d := it.(dentryItem).d
 	// A parent that is already gone has no link count left to keep.
-	_, _ = p.changeInode(c.ParentID, func(parent *proto.Inode) error {
+	_, _ = p.changeInode(r.ParentID, func(parent *proto.Inode) error {
 		if d.Type == proto.TypeDir && parent.NLink > 0 {
 			parent.NLink--
 		}
-		parent.ModifyTime = proto.Now()
+		parent.ModifyTime = now
 		return nil
 	})
 	return &proto.DeleteDentryResp{Inode: d.Inode}, nil
 }
 
-func (p *Partition) applyUpdateDentry(c *command) (any, error) {
+func (p *Partition) applyUpdateDentry(r *proto.UpdateDentryReq) (any, error) {
 	var old uint64
-	if p.dentryTree.Update(dentryAt(c.ParentID, c.Name), func(it btree.Item) btree.Item {
+	if p.dentryTree.Update(dentryAt(r.ParentID, r.Name), func(it btree.Item) btree.Item {
 		d := it.(dentryItem).d
 		old = d.Inode
-		d.Inode = c.Inode
+		d.Inode = r.Inode
 		return dentryItem{d: d}
 	}) == nil {
-		return nil, fmt.Errorf("meta: dentry %d/%q: %w", c.ParentID, c.Name, util.ErrNotFound)
+		return nil, fmt.Errorf("meta: dentry %d/%q: %w", r.ParentID, r.Name, util.ErrNotFound)
 	}
 	return &proto.UpdateDentryResp{OldInode: old}, nil
 }
 
-func (p *Partition) applySetAttr(c *command) (any, error) {
-	if _, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
-		if c.Valid&proto.AttrSize != 0 {
-			ino.Size = c.Size
+func (p *Partition) applySetAttr(r *proto.SetAttrReq, now int64) (any, error) {
+	if _, err := p.changeInode(r.Inode, func(ino *proto.Inode) error {
+		if r.Valid&proto.AttrSize != 0 {
+			ino.Size = r.Size
 			// Truncation drops extent keys entirely beyond the new size,
 			// into a new slice: the stored one is still read.
 			var kept []proto.ExtentKey
 			for _, ek := range ino.Extents {
-				if ek.FileOffset < c.Size {
+				if ek.FileOffset < r.Size {
 					kept = append(kept, ek)
 				}
 			}
 			ino.Extents = kept
 			ino.Gen++
 		}
-		if c.Valid&proto.AttrModifyTime != 0 {
-			ino.ModifyTime = c.ModifyTime
+		if r.Valid&proto.AttrModifyTime != 0 {
+			ino.ModifyTime = r.ModifyTime
 		} else {
-			ino.ModifyTime = proto.Now()
+			ino.ModifyTime = now
 		}
 		return nil
 	}); err != nil {
@@ -582,17 +483,17 @@ func (p *Partition) applySetAttr(c *command) (any, error) {
 	return &proto.SetAttrResp{}, nil
 }
 
-func (p *Partition) applyAppendExtentKeys(c *command) (any, error) {
-	if _, err := p.changeInode(c.Inode, func(ino *proto.Inode) error {
+func (p *Partition) applyAppendExtentKeys(r *proto.AppendExtentKeysReq, now int64) (any, error) {
+	if _, err := p.changeInode(r.Inode, func(ino *proto.Inode) error {
 		// The keys go into the slice's spare capacity, past the length
 		// every older version holds, so no older version sees them and an
 		// append does not copy the list.
-		ino.Extents = append(ino.Extents, c.Extents...)
-		if c.Size > ino.Size {
-			ino.Size = c.Size
+		ino.Extents = append(ino.Extents, r.Extents...)
+		if r.Size > ino.Size {
+			ino.Size = r.Size
 		}
 		ino.Gen++
-		ino.ModifyTime = proto.Now()
+		ino.ModifyTime = now
 		return nil
 	}); err != nil {
 		return nil, err
@@ -602,12 +503,12 @@ func (p *Partition) applyAppendExtentKeys(c *command) (any, error) {
 
 // applySplit cuts the partition's inode range at End (Algorithm 1 step:
 // "update the inode id range from 1 to end for the original partition").
-func (p *Partition) applySplit(c *command) (any, error) {
-	if c.End < p.maxInodeID {
+func (p *Partition) applySplit(r *proto.SplitMetaPartitionReq) (any, error) {
+	if r.End < p.maxInodeID {
 		return nil, fmt.Errorf("meta: split end %d below maxInodeID %d: %w",
-			c.End, p.maxInodeID, util.ErrInvalidArgument)
+			r.End, p.maxInodeID, util.ErrInvalidArgument)
 	}
-	p.End = c.End
+	p.End = r.End
 	return &proto.SplitMetaPartitionResp{MaxInodeID: p.maxInodeID}, nil
 }
 
@@ -731,7 +632,7 @@ type partitionSnapshot struct {
 	// snapshots, which load as epoch 1.
 	Members      []string
 	ReplicaEpoch uint64
-	// Applied is the Raft index of the last command the state holds.
+	// Applied is the Raft index of the last entry the state holds.
 	// Zero in snapshots written before it was recorded.
 	Applied uint64
 }

@@ -396,13 +396,11 @@ type CreateVolumeResp struct {
 // GetVolumeReq fetches the current volume view; clients poll this
 // periodically (Sections 2.4, 2.5.2).
 type GetVolumeReq struct {
-	Name  string
-	Epoch uint64 // client's cached epoch; 0 forces a full view
+	Name string
 }
 
 type GetVolumeResp struct {
-	View      *VolumeView
-	Unchanged bool // true when the client's epoch is current
+	View *VolumeView
 }
 
 // RegisterNodeReq announces a meta or data node to the resource manager.

@@ -68,7 +68,8 @@ func layout[Req, Resp any, PReq interface {
 }
 
 // metaLayouts holds the ops that cross TCP in the binary layout: every
-// metadata RPC a client issues. Split and snapshot stay gob.
+// metadata RPC a client issues and the master's split, which are also
+// every meta mutation's Raft entry. Snapshot stays gob.
 var metaLayouts = [...]metaLayout{
 	OpMetaCreateInode:      layout[CreateInodeReq, CreateInodeResp](),
 	OpMetaUnlinkInode:      layout[UnlinkInodeReq, UnlinkInodeResp](),
@@ -83,6 +84,7 @@ var metaLayouts = [...]metaLayout{
 	OpMetaReadDir:          layout[ReadDirReq, ReadDirResp](),
 	OpMetaSetAttr:          layout[SetAttrReq, SetAttrResp](),
 	OpMetaAppendExtentKeys: layout[AppendExtentKeysReq, AppendExtentKeysResp](),
+	OpMetaSplitPartition:   layout[SplitMetaPartitionReq, SplitMetaPartitionResp](),
 }
 
 func metaLayoutOf(op Op) *metaLayout {
@@ -443,3 +445,6 @@ func (m *AppendExtentKeysReq) wire(c *metaCodec) {
 	c.u64(&m.Size)
 }
 func (*AppendExtentKeysResp) wire(*metaCodec) {}
+
+func (m *SplitMetaPartitionReq) wire(c *metaCodec)  { c.u64(&m.PartitionID); c.u64(&m.End) }
+func (m *SplitMetaPartitionResp) wire(c *metaCodec) { c.u64(&m.MaxInodeID) }

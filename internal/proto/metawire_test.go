@@ -91,8 +91,8 @@ func checkMetaRoundTrip(t *testing.T, op Op, reply bool, body any) {
 func TestMetaRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ops := metaOps()
-	if len(ops) != 13 {
-		t.Fatalf("%d ops have a layout, want the 13 client metadata RPCs", len(ops))
+	if len(ops) != 14 {
+		t.Fatalf("%d ops have a layout, want the 13 client metadata RPCs and the split", len(ops))
 	}
 	for _, op := range ops {
 		for _, reply := range []bool{false, true} {
@@ -186,7 +186,6 @@ func TestAppendMetaRefusesOtherBodies(t *testing.T) {
 		{OpMetaLookup, false, LookupReq{}},          // not a pointer
 		{OpMetaLookup, false, (*LookupReq)(nil)},    // a nil pointer
 		{OpMetaSnapshot, false, &MetaSnapshotReq{}}, // control plane
-		{OpMetaSplitPartition, true, &SplitMetaPartitionResp{}},
 		{OpRaftMessage, false, &LookupReq{}},
 	} {
 		if out, ok := AppendMeta(buf, c.op, c.reply, c.body); ok || !bytes.Equal(out, buf) {
