@@ -94,14 +94,15 @@ stress:
 
 # Ten seconds of fuzzing on each decoder of bytes a peer sent: the meta
 # Raft entry apply (every replica decodes and applies each log entry on
-# its own),
-# the MultiRaft batch decoder (every Raft frame on TCP) and the metadata
-# RPC body decoder (every client metadata request and reply on TCP). A
-# malformed input must be an error, never a panic. New crashers land in
-# the package's testdata/fuzz/.
+# its own), the meta partition restore (a Raft snapshot from the leader,
+# or the partition's file on disk), the MultiRaft batch decoder (every
+# Raft frame on TCP) and the metadata RPC body decoder (every client
+# metadata request and reply on TCP). A malformed input must be an error,
+# never a panic. New crashers land in the package's testdata/fuzz/.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyEntry$$' -fuzztime $(FUZZTIME) ./internal/meta/
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime $(FUZZTIME) ./internal/meta/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) ./internal/multiraft/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMetaBody$$' -fuzztime $(FUZZTIME) ./internal/proto/
 

@@ -22,7 +22,7 @@ const (
 
 // cloneFixture builds an unreplicated partition holding the root, a file
 // with three extent keys and a directory, both named under the root.
-func cloneFixture(t *testing.T) *Partition {
+func cloneFixture(t testing.TB) *Partition {
 	t.Helper()
 	p := NewPartition(1, "vol", 1, 1000, nil)
 	mustApply(t, p, proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: proto.TypeDir})

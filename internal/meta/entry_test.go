@@ -1,8 +1,8 @@
 package meta
 
 import (
+	"bytes"
 	"errors"
-	"reflect"
 	"testing"
 
 	"cfs/internal/proto"
@@ -41,7 +41,8 @@ func mustEntry(t testing.TB, op proto.Op, req any) []byte {
 
 // TestApplyIsDeterministic applies one log to two fresh partitions: every
 // time an apply stamps is the one the entry carries, so both hold the same
-// inodes, field for field.
+// state, byte for byte: the inodes field for field, the dentries and
+// maxInodeID.
 func TestApplyIsDeterministic(t *testing.T) {
 	var log [][]byte
 	add := func(op proto.Op, req any) { log = append(log, mustEntry(t, op, req)) }
@@ -65,8 +66,16 @@ func TestApplyIsDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if a, b := replicas[0].BatchAllInodes(), replicas[1].BatchAllInodes(); !reflect.DeepEqual(a, b) {
-		t.Fatal("two replicas of one log hold different inodes")
+	a, err := replicas[0].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := replicas[1].Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("two replicas of one log hold different states")
 	}
 }
 
@@ -87,6 +96,7 @@ func TestApplyRefusesMalformedEntries(t *testing.T) {
 		{"empty", nil},
 		{"unknown op", unknown},
 		{"a read op's body", mustEntry(t, proto.OpMetaLookup, &proto.LookupReq{PartitionID: 1, ParentID: 1, Name: "f"})},
+		{"a snapshot request", mustEntry(t, proto.OpMetaSnapshot, &proto.MetaSnapshotReq{PartitionID: 1})},
 		{"truncated body", full[:len(full)-1]},
 		{"trailing byte", append(append([]byte(nil), full...), 0)},
 	} {
@@ -140,6 +150,33 @@ func FuzzApplyEntry(f *testing.F) {
 		}
 		if !valid && !errors.Is(err, util.ErrInvalidArgument) {
 			t.Fatalf("%x: not an entry, applied with %v", entry, err)
+		}
+	})
+}
+
+// FuzzRestore: no input makes Restore panic, and one it refuses is refused
+// with ErrInvalidArgument and leaves the partition as it was.
+func FuzzRestore(f *testing.F) {
+	for _, p := range []*Partition{cloneFixture(f), NewPartition(2, "vol", 1, 1000, []string{"mn0", "mn1"})} {
+		data, err := p.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := cloneFixture(t)
+		inodes, dentries, maxInodeID, applied := p.InodeCount(), p.DentryCount(), p.MaxInodeID(), p.applied
+		err := p.Restore(data)
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, util.ErrInvalidArgument) {
+			t.Fatalf("%x: refused with %v", data, err)
+		}
+		if p.InodeCount() != inodes || p.DentryCount() != dentries || p.MaxInodeID() != maxInodeID || p.applied != applied {
+			t.Fatalf("%x refused (%v), but the partition holds %d inodes, %d dentries, maxInodeID %d, applied %d; want %d, %d, %d, %d",
+				data, err, p.InodeCount(), p.DentryCount(), p.MaxInodeID(), p.applied, inodes, dentries, maxInodeID, applied)
 		}
 	})
 }

@@ -2,9 +2,9 @@ package meta
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -272,7 +272,7 @@ func TestUnlinkWorkflowFigure3(t *testing.T) {
 		if a != leader {
 			continue
 		}
-		for _, ino := range mc.nodes[i].Partition(1).BatchAllInodes() {
+		for _, ino := range mc.nodes[i].Partition(1).capture().Inodes {
 			if ino.Inode == dd.Inode {
 				t.Fatalf("evicted inode %d still held: %+v", dd.Inode, ino)
 			}
@@ -570,83 +570,91 @@ func TestReappliedEntriesChangeNothing(t *testing.T) {
 	check("after the next entry")
 }
 
+// fillSnapshotFixture applies to p, at Raft indexes from 1, a root, 100
+// named files with an extent key each, a named symlink and a delete-marked
+// orphan, so every field of the snapshot record holds something.
+func fillSnapshotFixture(t *testing.T, p *Partition) {
+	t.Helper()
+	var index uint64
+	apply := func(op proto.Op, req any) any {
+		t.Helper()
+		index++
+		out, err := p.Apply(index, mustEntry(t, op, req))
+		if err != nil {
+			t.Fatalf("entry %d, %v: %v", index, op, err)
+		}
+		return out
+	}
+	create := func(typ uint32, target string) uint64 {
+		t.Helper()
+		out := apply(proto.OpMetaCreateInode, &proto.CreateInodeReq{Type: typ, LinkTarget: []byte(target)})
+		return out.(*proto.CreateInodeResp).Info.Inode
+	}
+	create(proto.TypeDir, "")
+	for i := range 100 {
+		ino := create(proto.TypeFile, "")
+		apply(proto.OpMetaCreateDentry, &proto.CreateDentryReq{ParentID: proto.RootInodeID,
+			Name: fmt.Sprintf("f%03d", i), Inode: ino, Type: proto.TypeFile})
+		apply(proto.OpMetaAppendExtentKeys, &proto.AppendExtentKeysReq{Inode: ino, Size: 4096,
+			Extents: []proto.ExtentKey{{PartitionID: 7, ExtentID: uint64(i), Size: 4096, CRC: uint32(i)}}})
+	}
+	link := create(proto.TypeSymlink, "f000")
+	apply(proto.OpMetaCreateDentry, &proto.CreateDentryReq{ParentID: proto.RootInodeID, Name: "l",
+		Inode: link, Type: proto.TypeSymlink})
+	apply(proto.OpMetaUnlinkInode, &proto.UnlinkInodeReq{Inode: create(proto.TypeFile, "")})
+}
+
+// TestSnapshotRestoreRoundTrip: a restored snapshot holds every inode,
+// field for field, every dentry and the header, the applied index and the
+// replica set included. The OpMetaSnapshot reply fsck fetches, over Memory
+// and over TCP, is the same record, byte for byte.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	p := NewPartition(1, "vol", 1, 10000, nil)
-	p.CreateRootInode()
-	for i := 0; i < 100; i++ {
-		ino := newInode(t, p, proto.TypeFile)
-		mustApply(t, p, proto.OpMetaCreateDentry, &proto.CreateDentryReq{
-			ParentID: proto.RootInodeID, Name: fmt.Sprintf("f%03d", i), Inode: ino.Inode, Type: proto.TypeFile,
-		})
-	}
+	fillSnapshotFixture(t, p)
+	p.applyReconfig([]string{"mn0", "mn1", "mn2"}, 3)
 	data, err := p.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := NewPartition(1, "vol", 1, 0, nil)
+	p2 := NewPartition(1, "", 1, 0, nil)
 	if err := p2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if p2.InodeCount() != p.InodeCount() || p2.DentryCount() != p.DentryCount() {
-		t.Fatalf("restored counts %d/%d, want %d/%d",
-			p2.InodeCount(), p2.DentryCount(), p.InodeCount(), p.DentryCount())
+	want, got := p.capture(), p2.capture()
+	if len(want.Inodes) != 103 || len(want.Dentries) != 101 || want.Applied == 0 {
+		t.Fatalf("fixture holds %d inodes, %d dentries, applied %d", len(want.Inodes), len(want.Dentries), want.Applied)
 	}
-	if p2.MaxInodeID() != p.MaxInodeID() || p2.End != p.End {
-		t.Fatalf("restored range state differs")
+	for i := range want.Inodes {
+		if !reflect.DeepEqual(got.Inodes[i], want.Inodes[i]) {
+			t.Fatalf("restored inode %+v, want %+v", got.Inodes[i], want.Inodes[i])
+		}
+	}
+	if !reflect.DeepEqual(got.Dentries, want.Dentries) {
+		t.Fatal("restored dentries differ")
+	}
+	got.Inodes, got.Dentries, want.Inodes, want.Dentries = nil, nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored header %+v, want %+v", got, want)
 	}
 	if _, err := p2.Lookup(proto.RootInodeID, "f050"); err != nil {
 		t.Fatalf("restored lookup: %v", err)
 	}
-}
 
-// TestRestoreSnapshotWithFreeList restores a snapshot written before the
-// free list was dropped from partitionSnapshot: gob skips the field, and
-// every inode and dentry comes back.
-func TestRestoreSnapshotWithFreeList(t *testing.T) {
-	type freeListSnapshot struct {
-		ID, Start, End, MaxInodeID uint64
-		Volume                     string
-		FreeList                   []uint64
-		Inodes                     []*proto.Inode
-		Dentries                   []proto.Dentry
-		Members                    []string
-		ReplicaEpoch               uint64
-	}
-	old := freeListSnapshot{
-		ID: 1, Volume: "vol", Start: 1, End: 1000, MaxInodeID: 4,
-		FreeList: []uint64{3},
-		Inodes: []*proto.Inode{
-			{Inode: 1, Type: proto.TypeDir, NLink: 2},
-			{Inode: 2, Type: proto.TypeFile, NLink: 1, Size: 7,
-				Extents: []proto.ExtentKey{{PartitionID: 9, ExtentID: 4, Size: 7}}},
-			{Inode: 4, Type: proto.TypeFile, NLink: 1},
-		},
-		Dentries: []proto.Dentry{
-			{ParentID: 1, Name: "a", Inode: 2, Type: proto.TypeFile},
-			{ParentID: 1, Name: "b", Inode: 4, Type: proto.TypeFile},
-		},
-		Members: []string{"mn0"}, ReplicaEpoch: 3,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPartition(1, "vol", 1, 0, nil)
-	if err := p.Restore(buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if p.InodeCount() != 3 || p.DentryCount() != 2 || p.MaxInodeID() != 4 || p.Epoch() != 3 {
-		t.Fatalf("restored %d inodes, %d dentries, max id %d, epoch %d",
-			p.InodeCount(), p.DentryCount(), p.MaxInodeID(), p.Epoch())
-	}
-	for _, name := range []string{"a", "b"} {
-		if _, err := p.Lookup(proto.RootInodeID, name); err != nil {
-			t.Fatalf("lookup %q: %v", name, err)
-		}
-	}
-	ino, err := p.InodeGet(2)
-	if err != nil || len(ino.Extents) != 1 || ino.Extents[0].ExtentID != 4 {
-		t.Fatalf("inode 2 = %+v, %v", ino, err)
+	for _, fabric := range []string{"mem", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			mc := startMetaClusterOn(t, fabric, 1)
+			leader := mc.createPartition(t, 1, 1, 10000)
+			p := mc.nodes[0].Partition(1)
+			fillSnapshotFixture(t, p)
+			var resp proto.MetaSnapshotResp
+			if err := mc.nw.Call(leader, uint8(proto.OpMetaSnapshot), &proto.MetaSnapshotReq{PartitionID: 1}, &resp); err != nil {
+				t.Fatal(err)
+			}
+			fetched, _ := proto.AppendMeta(nil, proto.OpMetaSnapshot, true, &resp)
+			if want, _ := p.Snapshot(); !bytes.Equal(fetched, want) {
+				t.Fatalf("fetched a %d-byte record, the partition's snapshot is %d bytes", len(fetched), len(want))
+			}
+		})
 	}
 }
 
@@ -689,21 +697,6 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 	if p2.MaxInodeID() != 51 {
 		t.Fatalf("recovered maxInodeID = %d", p2.MaxInodeID())
-	}
-}
-
-func TestOrphanDetection(t *testing.T) {
-	p := NewPartition(1, "vol", 1, 1000, nil)
-	p.CreateRootInode()
-	linked := newInode(t, p, proto.TypeFile)
-	mustApply(t, p, proto.OpMetaCreateDentry, &proto.CreateDentryReq{
-		ParentID: proto.RootInodeID, Name: "linked", Inode: linked.Inode, Type: proto.TypeFile,
-	})
-	orphan := newInode(t, p, proto.TypeFile)
-
-	orphans := p.OrphanInodes()
-	if len(orphans) != 1 || orphans[0].Inode != orphan.Inode {
-		t.Fatalf("orphans = %+v", orphans)
 	}
 }
 

@@ -443,8 +443,7 @@ func (m *MetaNode) handle(op uint8, req any) (any, error) {
 		return &proto.ReadDirResp{Children: p.ReadDir(r.ParentID)}, nil
 
 	case proto.OpMetaSnapshot:
-		snapInodes := p.BatchAllInodes()
-		return &proto.MetaSnapshotResp{Inodes: snapInodes, Dentries: p.AllDentries()}, nil
+		return p.capture(), nil
 
 	default:
 		return nil, fmt.Errorf("meta: %w: op %d", util.ErrInvalidArgument, op)

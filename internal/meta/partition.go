@@ -1,10 +1,8 @@
 package meta
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"sync"
@@ -567,85 +565,22 @@ func (p *Partition) ReadDir(parentID uint64) []proto.Dentry {
 	return out
 }
 
-// BatchAllInodes returns every inode (fsck inventory).
-func (p *Partition) BatchAllInodes() []*proto.Inode {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]*proto.Inode, 0, p.inodeTree.Len())
-	p.inodeTree.Ascend(func(it btree.Item) bool {
-		out = append(out, it.(inodeItem).ino)
-		return true
-	})
-	return out
-}
-
-// AllDentries returns a copy of every dentry (fsck inventory).
-func (p *Partition) AllDentries() []proto.Dentry {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]proto.Dentry, 0, p.dentryTree.Len())
-	p.dentryTree.Ascend(func(it btree.Item) bool {
-		out = append(out, it.(dentryItem).d)
-		return true
-	})
-	return out
-}
-
-// OrphanInodes returns inodes with no dentry pointing at them anywhere in
-// this partition. Cross-partition orphans are assembled by fsck from every
-// partition's inventory; this method only reports what is locally visible.
-func (p *Partition) OrphanInodes() []*proto.Inode {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	referenced := make(map[uint64]bool, p.dentryTree.Len())
-	p.dentryTree.Ascend(func(it btree.Item) bool {
-		referenced[it.(dentryItem).d.Inode] = true
-		return true
-	})
-	var out []*proto.Inode
-	p.inodeTree.Ascend(func(it btree.Item) bool {
-		ino := it.(inodeItem).ino
-		if !referenced[ino.Inode] && ino.Inode != proto.RootInodeID {
-			out = append(out, ino)
-		}
-		return true
-	})
-	return out
-}
-
 // ---------------------------------------------------------------------------
-// Snapshots (raft.StateMachine + disk persistence, Section 2.1.3).
+// Snapshots (raft.StateMachine + disk persistence, Section 2.1.3). The
+// partition's state has one record, proto.MetaSnapshotResp, and one
+// encoding, its metawire layout: Raft sends it to a follower,
+// PersistSnapshots writes it to disk and the OpMetaSnapshot handler sends
+// it to fsck.
 
-// partitionSnapshot is the serialized form of a partition's full state.
-type partitionSnapshot struct {
-	ID         uint64
-	Volume     string
-	Start      uint64
-	End        uint64
-	MaxInodeID uint64
-	Inodes     []*proto.Inode
-	Dentries   []proto.Dentry
-	// Members and ReplicaEpoch make the snapshot self-describing for
-	// restart: a reloaded multi-replica partition re-joins its Raft group
-	// (and knows how stale its view of the replica set is) without waiting
-	// for the master to re-push the configuration. Zero-valued in pre-epoch
-	// snapshots, which load as epoch 1.
-	Members      []string
-	ReplicaEpoch uint64
-	// Applied is the Raft index of the last entry the state holds.
-	// Zero in snapshots written before it was recorded.
-	Applied uint64
-}
-
-// Snapshot implements raft.StateMachine. It clones both trees under the
-// lock, in O(1), and walks and encodes the clones outside it: applies
-// never write a stored inode, so the clones stay the state at applied.
-func (p *Partition) Snapshot() ([]byte, error) {
+// capture returns the partition's state at one point. It clones both
+// trees and reads the header under one hold of the lock, in O(1), and
+// walks the clones outside it: applies never write a stored inode, so the
+// clones stay the state at applied.
+func (p *Partition) capture() *proto.MetaSnapshotResp {
 	p.mu.Lock()
-	inodes := p.inodeTree.Clone()
-	dentries := p.dentryTree.Clone()
-	snap := partitionSnapshot{
-		ID:           p.ID,
+	inodes, dentries := p.inodeTree.Clone(), p.dentryTree.Clone()
+	snap := &proto.MetaSnapshotResp{
+		PartitionID:  p.ID,
 		Volume:       p.Volume,
 		Start:        p.Start,
 		End:          p.End,
@@ -656,30 +591,38 @@ func (p *Partition) Snapshot() ([]byte, error) {
 	}
 	p.mu.Unlock()
 
+	snap.Inodes = make([]*proto.Inode, 0, inodes.Len())
 	inodes.Ascend(func(it btree.Item) bool {
 		snap.Inodes = append(snap.Inodes, it.(inodeItem).ino)
 		return true
 	})
+	snap.Dentries = make([]proto.Dentry, 0, dentries.Len())
 	dentries.Ascend(func(it btree.Item) bool {
 		snap.Dentries = append(snap.Dentries, it.(dentryItem).d)
 		return true
 	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return snap
 }
 
-// Restore implements raft.StateMachine.
+// Snapshot implements raft.StateMachine: the capture, encoded.
+func (p *Partition) Snapshot() ([]byte, error) {
+	data, _ := proto.AppendMeta(nil, proto.OpMetaSnapshot, true, p.capture())
+	return data, nil
+}
+
+// Restore implements raft.StateMachine. A snapshot that does not decode,
+// or that holds a nil inode, is refused and changes nothing.
 func (p *Partition) Restore(data []byte) error {
-	var snap partitionSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+	var snap proto.MetaSnapshotResp
+	if err := proto.DecodeMetaReply(proto.OpMetaSnapshot, data, &snap); err != nil {
 		return err
 	}
 	inodeTree := btree.New()
 	dentryTree := btree.New()
 	for _, ino := range snap.Inodes {
+		if ino == nil {
+			return fmt.Errorf("meta: %w: snapshot holds a nil inode", util.ErrInvalidArgument)
+		}
 		inodeTree.ReplaceOrInsert(inodeItem{ino: ino})
 	}
 	for _, d := range snap.Dentries {
@@ -687,11 +630,9 @@ func (p *Partition) Restore(data []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.Volume = snap.Volume
 	p.Start = snap.Start
 	p.End = snap.End
-	if snap.Volume != "" {
-		p.Volume = snap.Volume
-	}
 	p.maxInodeID = snap.MaxInodeID
 	p.applied = snap.Applied
 	p.inodeTree = inodeTree
@@ -700,15 +641,9 @@ func (p *Partition) Restore(data []byte) error {
 	// adopts it (local epoch is still the initial 1), while a Raft snapshot
 	// installed from a leader whose view is OLDER than a configuration this
 	// replica already adopted from the master must not roll Members back.
-	snapEpoch := snap.ReplicaEpoch
-	if snapEpoch == 0 {
-		snapEpoch = 1 // pre-epoch snapshot
-	}
-	if snapEpoch >= p.epoch {
-		if len(snap.Members) > 0 {
-			p.Members = append([]string(nil), snap.Members...)
-		}
-		p.epoch = snapEpoch
+	if snap.ReplicaEpoch >= p.epoch {
+		p.Members = snap.Members
+		p.epoch = snap.ReplicaEpoch
 	}
 	return nil
 }

@@ -366,13 +366,29 @@ type SplitMetaPartitionResp struct {
 	MaxInodeID uint64
 }
 
-// MetaSnapshotReq asks a partition for a serialized snapshot (used by
-// failure recovery and by fsck).
+// MetaSnapshotReq asks a partition's leader for its whole state (fsck's
+// inventory).
 type MetaSnapshotReq struct {
 	PartitionID uint64
 }
 
+// MetaSnapshotResp is a meta partition's whole state at one point. It is
+// the one record of that state: the OpMetaSnapshot reply, the Raft
+// snapshot a follower installs and the partition's file on disk are all
+// this record in its metawire layout.
 type MetaSnapshotResp struct {
+	PartitionID uint64
+	Volume      string
+	Start       uint64
+	End         uint64
+	MaxInodeID  uint64
+	// Members and ReplicaEpoch let a reloaded partition re-join its Raft
+	// group, and know how stale its replica set is, before the master
+	// pushes a configuration.
+	Members      []string
+	ReplicaEpoch uint64
+	// Applied is the Raft index of the last entry the state holds.
+	Applied  uint64
 	Inodes   []*Inode
 	Dentries []Dentry
 }

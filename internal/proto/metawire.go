@@ -10,9 +10,12 @@ import (
 	"cfs/internal/util"
 )
 
-// The metadata RPC layout. On TCP the request and the reply of every op in
+// The metadata layout. On TCP the request and the reply of every op in
 // metaLayouts cross as one frame body in this layout instead of gob (the
-// transport picks it by op on both ends). Every integer is a uvarint in its
+// transport picks it by op on both ends). It is also all a meta partition
+// persists: a meta Raft entry carries its request's body, and the
+// partition's snapshot - Raft's, the file on disk and fsck's inventory -
+// is the OpMetaSnapshot reply's. Every integer is a uvarint in its
 // shortest form, an int64 zigzag-encoded first (as binary.AppendVarint
 // does); every string and []byte is a uvarint length and its bytes, every
 // slice a uvarint count and its elements, and every *Inode a presence
@@ -22,6 +25,7 @@ import (
 //	Inode:      Inode Type LinkTarget NLink Flag Size Gen CreateTime ModifyTime Extents
 //	ExtentKey:  PartitionID ExtentID ExtentOffset FileOffset Size CRC
 //	Dentry:     ParentID Name Inode Type
+//	Snapshot:   PartitionID Volume Start End MaxInodeID Members ReplicaEpoch Applied Inodes Dentries
 //
 // A reply with no fields is an empty body, and an empty slice decodes as
 // nil, as with gob. A decode refuses a read past the end, a leftover byte,
@@ -68,8 +72,9 @@ func layout[Req, Resp any, PReq interface {
 }
 
 // metaLayouts holds the ops that cross TCP in the binary layout: every
-// metadata RPC a client issues and the master's split, which are also
-// every meta mutation's Raft entry. Snapshot stays gob.
+// metadata RPC a client issues, the master's split, which are also every
+// meta mutation's Raft entry, and the snapshot, whose reply is also the
+// partition's Raft snapshot and its file on disk.
 var metaLayouts = [...]metaLayout{
 	OpMetaCreateInode:      layout[CreateInodeReq, CreateInodeResp](),
 	OpMetaUnlinkInode:      layout[UnlinkInodeReq, UnlinkInodeResp](),
@@ -85,6 +90,7 @@ var metaLayouts = [...]metaLayout{
 	OpMetaSetAttr:          layout[SetAttrReq, SetAttrResp](),
 	OpMetaAppendExtentKeys: layout[AppendExtentKeysReq, AppendExtentKeysResp](),
 	OpMetaSplitPartition:   layout[SplitMetaPartitionReq, SplitMetaPartitionResp](),
+	OpMetaSnapshot:         layout[MetaSnapshotReq, MetaSnapshotResp](),
 }
 
 func metaLayoutOf(op Op) *metaLayout {
@@ -325,6 +331,7 @@ func wireSlice[T any](c *metaCodec, s *[]T, min int, elem func(*T, *metaCodec)) 
 }
 
 func wireUvarint(v *uint64, c *metaCodec)  { c.u64(v) }
+func wireString(s *string, c *metaCodec)   { c.str(s) }
 func wireInodePtr(p **Inode, c *metaCodec) { c.inode(p) }
 
 // ---------------------------------------------------------------------------
@@ -448,3 +455,17 @@ func (*AppendExtentKeysResp) wire(*metaCodec) {}
 
 func (m *SplitMetaPartitionReq) wire(c *metaCodec)  { c.u64(&m.PartitionID); c.u64(&m.End) }
 func (m *SplitMetaPartitionResp) wire(c *metaCodec) { c.u64(&m.MaxInodeID) }
+
+func (m *MetaSnapshotReq) wire(c *metaCodec) { c.u64(&m.PartitionID) }
+func (m *MetaSnapshotResp) wire(c *metaCodec) {
+	c.u64(&m.PartitionID)
+	c.str(&m.Volume)
+	c.u64(&m.Start)
+	c.u64(&m.End)
+	c.u64(&m.MaxInodeID)
+	wireSlice(c, &m.Members, minUvarintBytes, wireString)
+	c.u64(&m.ReplicaEpoch)
+	c.u64(&m.Applied)
+	wireSlice(c, &m.Inodes, minInodePtrBytes, wireInodePtr)
+	wireSlice(c, &m.Dentries, minDentryBytes, (*Dentry).wire)
+}

@@ -91,8 +91,8 @@ func checkMetaRoundTrip(t *testing.T, op Op, reply bool, body any) {
 func TestMetaRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ops := metaOps()
-	if len(ops) != 14 {
-		t.Fatalf("%d ops have a layout, want the 13 client metadata RPCs and the split", len(ops))
+	if len(ops) != 15 {
+		t.Fatalf("%d ops have a layout, want the 13 client metadata RPCs, the split and the snapshot", len(ops))
 	}
 	for _, op := range ops {
 		for _, reply := range []bool{false, true} {
@@ -185,7 +185,7 @@ func TestAppendMetaRefusesOtherBodies(t *testing.T) {
 		{OpMetaLookup, true, &LookupReq{}},          // the request where the reply goes
 		{OpMetaLookup, false, LookupReq{}},          // not a pointer
 		{OpMetaLookup, false, (*LookupReq)(nil)},    // a nil pointer
-		{OpMetaSnapshot, false, &MetaSnapshotReq{}}, // control plane
+		{OpMasterGetVolume, false, &GetVolumeReq{}}, // control plane
 		{OpRaftMessage, false, &LookupReq{}},
 	} {
 		if out, ok := AppendMeta(buf, c.op, c.reply, c.body); ok || !bytes.Equal(out, buf) {
@@ -195,7 +195,7 @@ func TestAppendMetaRefusesOtherBodies(t *testing.T) {
 	if err := DecodeMetaReply(OpMetaLookup, []byte{1, 1}, &InodeGetResp{}); !errors.Is(err, util.ErrInvalidArgument) {
 		t.Fatalf("reply into another op's type: %v", err)
 	}
-	if _, err := DecodeMetaRequest(OpMetaSnapshot, nil); !errors.Is(err, util.ErrInvalidArgument) {
+	if _, err := DecodeMetaRequest(OpMasterGetVolume, nil); !errors.Is(err, util.ErrInvalidArgument) {
 		t.Fatalf("request of an op without a layout: %v", err)
 	}
 }

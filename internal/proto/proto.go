@@ -221,15 +221,16 @@ type RaftHeartbeatResp struct {
 // tests can shadow time handling where needed.
 func Now() int64 { return time.Now().UnixNano() }
 
-// RegisterGob registers every message type carried over the TCP transport.
+// RegisterGob registers every type that crosses the TCP transport as a
+// gob frame's body. gob needs a registration only for a value sent as an
+// interface, and a frame's body is one; a type that travels only as a
+// field of another (Inode, VolumeView, ...), inside the MultiRaft batch's
+// own codec (RaftHeartbeat) or as a kindPacket frame (Packet) needs none.
 // The metadata RPCs normally cross in their binary layout (metawire.go);
 // they stay registered because a body sent under another op's number goes
-// gob, so that the handler can refuse it. The in-process transport passes
-// values directly and does not need it, but calling it twice is harmless.
+// gob, so that the handler can refuse it. Calling it twice is harmless.
 func RegisterGob() {
 	for _, v := range []any{
-		&Inode{}, &Dentry{}, &ExtentKey{},
-		&MetaPartitionInfo{}, &DataPartitionInfo{}, &VolumeView{}, &NodeInfo{},
 		&CreateInodeReq{}, &CreateInodeResp{},
 		&UnlinkInodeReq{}, &UnlinkInodeResp{},
 		&EvictInodeReq{}, &EvictInodeResp{},
@@ -257,8 +258,6 @@ func RegisterGob() {
 		&ReportFailureReq{}, &ReportFailureResp{},
 		&ClusterStatsReq{}, &ClusterStatsResp{},
 		&ExtentInfoReq{}, &ExtentInfoResp{},
-		&RaftHeartbeat{}, &RaftHeartbeatResp{},
-		&Packet{},
 	} {
 		gob.Register(v)
 	}

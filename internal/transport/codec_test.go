@@ -410,52 +410,63 @@ func TestTCPMetaOpsCrossInBinary(t *testing.T) {
 	}
 }
 
-// TestTCPMetaFramesAreRaw reads the frames off the wire: a metadata request
-// is one kindRaw frame whose body is its binary layout, with no gob; a
-// reply the client cannot decode fails the call and drops the connection.
+// TestTCPMetaFramesAreRaw reads the frames off the wire: a metadata
+// request, the snapshot's included, is one kindRaw frame whose body is its
+// binary layout, with no gob; a reply the client cannot decode fails the
+// call and drops the connection.
 func TestTCPMetaFramesAreRaw(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	req := &proto.LookupReq{PartitionID: 3, ParentID: 1, Name: "file"}
-	want, _ := proto.AppendMeta(nil, proto.OpMetaLookup, false, req)
-	callErr := make(chan error, 1)
 	nw := NewTCP()
-	go func() { callErr <- nw.Call(l.Addr().String(), uint8(proto.OpMetaLookup), req, &proto.LookupResp{}) }()
-	conn, err := l.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var hdr [7]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, binary.BigEndian.Uint32(hdr[3:]))
-	if _, err := io.ReadFull(conn, body); err != nil {
-		t.Fatal(err)
-	}
-	if hdr[0] != uint8(proto.OpMetaLookup) || hdr[1] != kindRaw || hdr[2] != statusRequest || !bytes.Equal(body, want) {
-		t.Fatalf("frame op %d kind %d status %d body %x, want kindRaw %x", hdr[0], hdr[1], hdr[2], body, want)
-	}
-	// A reply with a byte past the layout.
-	reply, _ := proto.AppendMeta([]byte{hdr[0], kindRaw, statusOK, 0, 0, 0, 0}, proto.OpMetaLookup, true,
-		&proto.LookupResp{Inode: 9})
-	reply = append(reply, 0)
-	binary.BigEndian.PutUint32(reply[3:], uint32(len(reply)-7))
-	if _, err := conn.Write(reply); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-callErr; !errors.Is(err, util.ErrInvalidArgument) {
-		t.Fatalf("call with a malformed reply: %v", err)
-	}
-	p := nw.pool(l.Addr().String())
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.free) != 0 {
-		t.Fatal("the malformed reply's connection went back to the pool")
+	for _, c := range []struct {
+		op        proto.Op
+		req, resp any
+	}{
+		{proto.OpMetaLookup, &proto.LookupReq{PartitionID: 3, ParentID: 1, Name: "file"}, &proto.LookupResp{Inode: 9}},
+		{proto.OpMetaSnapshot, &proto.MetaSnapshotReq{PartitionID: 3}, &proto.MetaSnapshotResp{PartitionID: 3,
+			Volume: "v", Members: []string{"mn0"}, Inodes: []*proto.Inode{{Inode: 1}}}},
+	} {
+		want, _ := proto.AppendMeta(nil, c.op, false, c.req)
+		callErr := make(chan error, 1)
+		go func() {
+			callErr <- nw.Call(l.Addr().String(), uint8(c.op), c.req, reflect.New(reflect.TypeOf(c.resp).Elem()).Interface())
+		}()
+		conn, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var hdr [7]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		body := make([]byte, binary.BigEndian.Uint32(hdr[3:]))
+		if _, err := io.ReadFull(conn, body); err != nil {
+			t.Fatal(err)
+		}
+		if hdr[0] != uint8(c.op) || hdr[1] != kindRaw || hdr[2] != statusRequest || !bytes.Equal(body, want) {
+			t.Fatalf("frame op %d kind %d status %d body %x, want %v kindRaw %x", hdr[0], hdr[1], hdr[2], body, c.op, want)
+		}
+		// A reply with a byte past the layout.
+		reply, _ := proto.AppendMeta([]byte{hdr[0], kindRaw, statusOK, 0, 0, 0, 0}, c.op, true, c.resp)
+		reply = append(reply, 0)
+		binary.BigEndian.PutUint32(reply[3:], uint32(len(reply)-7))
+		if _, err := conn.Write(reply); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-callErr; !errors.Is(err, util.ErrInvalidArgument) {
+			t.Fatalf("%v call with a malformed reply: %v", c.op, err)
+		}
+		p := nw.pool(l.Addr().String())
+		p.mu.Lock()
+		free := len(p.free)
+		p.mu.Unlock()
+		if free != 0 {
+			t.Fatalf("%v: the malformed reply's connection went back to the pool", c.op)
+		}
 	}
 }

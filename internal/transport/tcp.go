@@ -32,11 +32,13 @@ import (
 // (encoded with the binary codec in package proto) and kindRaw for a body
 // in a binary layout. Which layout a kindRaw body has, the op says, on
 // both ends: the request and reply of a metadata op with a layout
-// (proto.HasMetaLayout) use proto's meta layout, and the receiver decodes
-// them into the op's typed request or straight into the caller's reply;
-// any other op's kindRaw body encoded itself (an encoding.BinaryAppender,
-// such as a MultiRaft batch), and the receiver's handler gets a Raw copy
-// of its bytes. A body whose type is not its op's layout goes gob.
+// (proto.HasMetaLayout: every client metadata RPC, the master's split and
+// the partition snapshot fsck reads) use proto's meta layout, and the
+// receiver decodes them into the op's typed request or straight into the
+// caller's reply; any other op's kindRaw body encoded itself (an
+// encoding.BinaryAppender, such as a MultiRaft batch), and the receiver's
+// handler gets a Raw copy of its bytes. A body whose type is not its op's
+// layout goes gob.
 // status is statusRequest or statusOneWay on requests - a one-way request
 // (a Stream send) is never answered - and statusOK or statusErr (body is a
 // gob RemoteError) on responses.
